@@ -58,7 +58,7 @@ bench:
 ## BENCH_segments.json for the segmented-store persistence benchmark:
 ## full vs incremental SaveDir vs the v1 full rewrite,
 ## BENCH_postings.json for the posting-compression benchmark: index
-## bytes flat vs block-compressed, TopK over both layouts, cold-load
+## bytes unsealed vs sealed, TopK over both, cold-load
 ## mapped vs rebuild vs v1, and BENCH_pruned.json for the pruning
 ## scaling ladder: TopK pruned vs unpruned vs theta=0.5 at
 ## 10k/100k/1M signatures plus the sealed-segment trajectory under the

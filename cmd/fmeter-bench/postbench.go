@@ -15,8 +15,9 @@ import (
 
 // postRecord is the BENCH_postings.json artifact: the block-compressed
 // posting-list headline of the postings PR. It reports, on the
-// micro-corpus shapes, the resident index bytes of the flat
-// (active-segment) layout against the sealed block-compressed layout,
+// micro-corpus shapes, the resident index bytes of the store unsealed
+// (the active segments' posting runs; rows no run covers yet have no
+// postings) and sealed (one block-compressed structure per segment),
 // TopK latency over both plus the mmap-served layout (comparable with
 // BenchmarkDBTopKIndexed in BENCH_indexed.json — same corpus, same
 // query, same k), and the cold snapshot-load cost of the v2.1 path —
@@ -27,14 +28,12 @@ type postRecord struct {
 	GoMaxProcs int        `json:"gomaxprocs"`
 	Corpus     postCorpus `json:"corpus"`
 	// Index bytes measured on the same store before and after Seal():
-	// identical signatures, identical query results, one resident
-	// representation swap.
-	IndexBytesFlat        int64   `json:"index_bytes_flat"`
-	IndexBytesCompressed  int64   `json:"index_bytes_compressed"`
-	IndexCompressionRatio float64 `json:"index_compression_ratio"`
-	Postings              int64   `json:"postings"`
+	// identical signatures, identical query results.
+	IndexBytesUnsealed   int64 `json:"index_bytes_unsealed"`
+	IndexBytesCompressed int64 `json:"index_bytes_compressed"`
+	Postings             int64 `json:"postings"`
 	// Benchmarks holds TopK on the 100-doc BENCH_indexed micro shape,
-	// flat vs compressed.
+	// unsealed vs compressed.
 	Benchmarks map[string]microBench `json:"benchmarks"`
 	ColdLoad   postColdLoad          `json:"cold_load"`
 }
@@ -85,7 +84,7 @@ func runPostBench(path string, stderr io.Writer) error {
 	}
 
 	// TopK on the exact BenchmarkDBTopKIndexed shape from
-	// BENCH_indexed.json (100 docs, ~250 nnz, one shard), flat vs
+	// BENCH_indexed.json (100 docs, ~250 nnz, one shard), unsealed vs
 	// compressed vs mapped: neither the compression nor serving blobs
 	// off the page cache may buy its memory with query latency.
 	{
@@ -123,7 +122,7 @@ func runPostBench(path string, stderr io.Writer) error {
 			if err := db.AddAll(sigs); err != nil {
 				return err
 			}
-			layout := "flat"
+			layout := "unsealed"
 			if sealed {
 				db.Seal()
 				layout = "compressed"
@@ -181,13 +180,12 @@ func runPostBench(path string, stderr io.Writer) error {
 		return err
 	}
 	rec.Corpus = postCorpus{Docs: n, NNZ: nnz, Dim: sigs[0].Dim(), Shards: shards, SegmentSize: db.SegmentSize()}
-	rec.Postings = db.IndexPostings()
-	rec.IndexBytesFlat = db.IndexBytes()
+	rec.IndexBytesUnsealed = db.IndexBytes()
 	db.Seal()
 	rec.IndexBytesCompressed = db.IndexBytes()
-	rec.IndexCompressionRatio = float64(rec.IndexBytesFlat) / float64(rec.IndexBytesCompressed)
-	fmt.Fprintf(stderr, "index bytes: flat %d -> compressed %d (%.2fx smaller, %d postings)\n",
-		rec.IndexBytesFlat, rec.IndexBytesCompressed, rec.IndexCompressionRatio, rec.Postings)
+	rec.Postings = db.IndexPostings()
+	fmt.Fprintf(stderr, "index bytes: unsealed (runs) %d -> sealed %d (%d postings)\n",
+		rec.IndexBytesUnsealed, rec.IndexBytesCompressed, rec.Postings)
 
 	tmp, err := os.MkdirTemp("", "fmeter-postbench-*")
 	if err != nil {

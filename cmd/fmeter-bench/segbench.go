@@ -28,7 +28,7 @@ type segRecord struct {
 	Segments    int    `json:"segments_after_ingest"`
 	// IndexBytes is the resident posting-structure footprint after the
 	// ingest batch seals (block-compressed segments); IndexPostings the
-	// entry count. BENCH_postings.json carries the flat-vs-compressed
+	// entry count. BENCH_postings.json carries the unsealed-vs-sealed
 	// comparison.
 	IndexBytes    int64   `json:"index_bytes"`
 	IndexPostings int64   `json:"index_postings"`

@@ -506,13 +506,17 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sealing compresses the remaining active segments: the resident
-	// index shrinks, queries are unchanged, and a save/open round trip
-	// persists the compressed form.
-	flatBytes := db.IndexBytes()
+	// Sealing indexes the remaining active rows (too few for a posting
+	// run, so scored row by row until now): the index grows to cover
+	// them, queries are unchanged, and a save/open round trip persists
+	// the compressed form.
+	tailRows, tailBytes := db.ActiveUnindexedRows(), db.IndexBytes()
 	db.Seal()
-	if got := db.IndexBytes(); got >= flatBytes {
-		t.Fatalf("IndexBytes after Seal = %d, want < %d", got, flatBytes)
+	if tailRows == 0 || db.ActiveUnindexedRows() != 0 {
+		t.Fatalf("ActiveUnindexedRows %d before Seal, %d after; want > 0, then 0", tailRows, db.ActiveUnindexedRows())
+	}
+	if got := db.IndexBytes(); got <= tailBytes {
+		t.Fatalf("IndexBytes after Seal = %d, want > %d", got, tailBytes)
 	}
 	got, err := db.TopKSparse(query.W, 5, EuclideanMetric())
 	if err != nil {

@@ -89,11 +89,14 @@ func sameHits(a, b []SearchResult) bool {
 // TestConcurrentInterleavingSweep is the serialized-equivalence
 // property sweep: goroutines interleave Add/AddAll/Seal/Compact/
 // SaveDir/config flips with TopK/TopKBatch/Classify*/Stats queries
-// under every layout axis (shards × workers × segment size × policy
-// compaction × mapped/resident), and every query result must be
+// under every layout axis (shards × workers × segment size × run length
+// × policy compaction × mapped/resident), and every query result must be
 // bit-identical to a serialized execution against the store prefix its
-// pinned view froze. Run under -race this is the epoch-view safety
-// proof: no torn reads, no result a quiescent DB could not produce.
+// pinned view froze. Run lengths are far below the segment sizes (and
+// one combo never rolls a segment by size), so readers hold views pinned
+// across run builds as well as seals. Run under -race this is the
+// epoch-view safety proof: no torn reads, no result a quiescent DB
+// could not produce.
 func TestConcurrentInterleavingSweep(t *testing.T) {
 	const dim, nnz, k = 48, 10, 7
 	nSigs := stressN(300, 1200)
@@ -111,15 +114,17 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 		shards  int
 		workers int
 		segSize int
+		runLen  int
 		fanout  int
 		mapped  bool
 		metric  Metric
 	}{
-		{"1shard-seq-cosine", 1, -1, 64, 0, false, CosineMetric()},
-		{"3shard-par-tiered-cosine", 3, 0, 32, 2, false, CosineMetric()},
-		{"2shard-par-euclidean", 2, 2, 48, 0, false, EuclideanMetric()},
-		{"2shard-mapped-euclidean", 2, 2, 48, 0, true, EuclideanMetric()},
-		{"3shard-mapped-tiered-cosine", 3, 0, 32, 2, true, CosineMetric()},
+		{"1shard-seq-cosine", 1, -1, 64, 8, 0, false, CosineMetric()},
+		{"3shard-par-tiered-cosine", 3, 0, 32, 5, 2, false, CosineMetric()},
+		{"2shard-par-euclidean", 2, 2, 48, 7, 0, false, EuclideanMetric()},
+		{"2shard-par-longruns-euclidean", 2, 2, DefaultSegmentSize, 6, 0, false, EuclideanMetric()},
+		{"2shard-mapped-euclidean", 2, 2, 48, 16, 0, true, EuclideanMetric()},
+		{"3shard-mapped-tiered-cosine", 3, 0, 32, 3, 2, true, CosineMetric()},
 	}
 	for _, cb := range combos {
 		cb := cb
@@ -161,6 +166,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			defer db.Close()
 			db.SetWorkers(cb.workers)
 			db.SetSegmentSize(cb.segSize)
+			db.setRunLen(cb.runLen)
 			db.setPruneFloor(1)
 			if cb.fanout > 0 {
 				if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: cb.fanout}); err != nil {
@@ -365,6 +371,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	defer db.Close()
 	db.SetSegmentSize(64)
+	db.setRunLen(8)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

@@ -34,8 +34,9 @@ type Metric struct {
 	// the contract that lets TopK route through the inverted index,
 	// scoring only posting lists in the query's support. It must be
 	// bit-identical to SparseScore given a bit-identical dot (the index
-	// guarantees that; see Index). Only the package constructors can set
-	// it, so custom metrics always take the exhaustive scan.
+	// guarantees that; see blockPostings.dots). Only the package
+	// constructors can set it, so custom metrics always take the
+	// exhaustive scan.
 	dotScore func(dot, qNorm2, sNorm2 float64) float64
 	// kind tags the two built-in indexable metrics so the hot scoring
 	// loop can call their dot-score formulas directly instead of through
@@ -225,17 +226,18 @@ type SearchResult struct {
 // Storage is sparse-first, sharded, and segmented: signatures are
 // distributed round-robin over N shards by insertion order, and inside
 // each shard they live in a run of append-only segments — Add appends
-// to the shard's mutable active segment, which Seal (or the segment
-// size threshold) rolls into an immutable sealed segment carrying its
-// own posting lists and cached norms, and Compact merges small sealed
-// segments by splicing their posting lists (see segment.go). Queries
-// walk the segments in order; the per-shard top-k survivors merge
-// through a global heap keyed on (score, insertion index). For the
-// built-in cosine and Euclidean metrics a query accumulates dot
-// products down only the posting lists in its support; other metrics
-// take the exhaustive per-shard scan. Both paths order candidates by
-// the same total order, so TopK returns identical results at every
-// shard, segment, and worker count, indexed or not.
+// to the shard's active segment (indexed in immutable posting runs as
+// it grows), which Seal (or the segment size threshold) rolls into an
+// immutable sealed segment carrying its own posting lists and cached
+// norms, and Compact merges small sealed segments by splicing their
+// posting lists (see segment.go). Queries walk the segments in order;
+// the per-shard top-k survivors merge through a global heap keyed on
+// (score, insertion index). For the built-in cosine and Euclidean
+// metrics a query accumulates dot products down only the posting lists
+// in its support; other metrics take the exhaustive per-shard scan.
+// Both paths order candidates by the same total order, so TopK returns
+// identical results at every shard, segment, and worker count, indexed
+// or not.
 //
 // Persistence is two-format: WriteSnapshot/ReadSnapshot stream the
 // whole store as a single v1 file, while SaveDir/LoadDir keep a v2
@@ -250,7 +252,8 @@ type SearchResult struct {
 // (TopK*, Classify*, Len, All, WriteSnapshot, the *Stats variants) may
 // run concurrently with each other AND with mutations. Each query pins
 // the current immutable view — the sealed segments plus a frozen
-// prefix of each shard's active segment — and computes exactly the
+// prefix of each shard's active segment (its posting runs and the
+// unindexed rows after them) — and computes exactly the
 // result a quiescent DB holding that view's signatures would return;
 // batch calls pin one view for the whole batch. Mutations (Add,
 // AddAll, Seal, Compact, SaveDir, Close, and every Set*) remain
@@ -274,6 +277,9 @@ type DB struct {
 	noPrune    bool
 	pruneTheta float64
 	pruneFloor int
+	// runLen (0 meaning activeRunLen) is the active-segment run length;
+	// only tests override it — see segment.go.
+	runLen int
 	// policy, when enabled, keeps sealed-segment counts bounded by
 	// merging same-tier runs on every seal — see segment.go.
 	policy  CompactionPolicy
@@ -366,8 +372,8 @@ func (db *DB) SetWorkers(n int) {
 
 // SetIndexed routes queries through the inverted index (the default) or
 // forces the exhaustive scan, for A/B comparison; results are identical
-// either way. The index itself is always maintained, so flipping back
-// is free. In-flight queries keep the setting they pinned.
+// either way. The posting structures are maintained regardless, so
+// flipping back is free. In-flight queries keep the setting they pinned.
 func (db *DB) SetIndexed(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -404,10 +410,11 @@ func (db *DB) Dim() int { return db.dim }
 func (db *DB) Publishes() uint64 { return db.publishes.Load() }
 
 // Add stores a signature, routing it to the next shard round-robin and
-// appending it to that shard's active segment (weights into the
-// segment's posting lists, squared norm into the shard's norm cache).
-// An active segment that reaches the segment size is sealed and the
-// next Add opens a fresh one. Add is safe to call concurrently with
+// appending it to that shard's active segment (the row into the shard's
+// backing arrays, its squared norm into the norm cache; every
+// activeRunLen-th row indexes the rows since the last run). An active
+// segment that reaches the segment size is sealed and the next Add
+// opens a fresh one. Add is safe to call concurrently with
 // queries (which keep the view they pinned) and with other mutators
 // (which serialize); the new signature is visible to every query that
 // starts after Add returns.
@@ -423,10 +430,7 @@ func (db *DB) Add(sig Signature) error {
 	if sig.Dim() != db.dim {
 		return &DimensionError{What: fmt.Sprintf("signature %s", sig.DocID), Got: sig.Dim(), Want: db.dim}
 	}
-	si, resealed, err := db.addLocked(sig)
-	if err != nil {
-		return err
-	}
+	si, resealed := db.addLocked(sig)
 	if resealed {
 		db.publishLocked(db.takeStaleActionsLocked()...)
 	} else {
@@ -439,31 +443,34 @@ func (db *DB) Add(sig Signature) error {
 // reporting the target shard and whether a seal (and possibly a policy
 // compaction) changed the segment structure. Caller holds db.mu and
 // publishes afterwards.
-func (db *DB) addLocked(sig Signature) (si int, resealed bool, err error) {
+func (db *DB) addLocked(sig Signature) (si int, resealed bool) {
 	si = db.total % len(db.shards)
 	sh := &db.shards[si]
 	sg := sh.activeSegment()
 	if sg == nil {
-		if sg, err = db.appendSegment(sh); err != nil {
-			return 0, false, err
-		}
+		sg = db.appendSegment(sh)
 	}
 	sh.gids = append(sh.gids, db.total)
 	sh.sigs = append(sh.sigs, sig)
 	sh.norms = append(sh.norms, sig.W.Norm2())
-	sg.index.Add(sig.W)
 	sg.end++
 	sg.dirty = true
 	if sg.len() >= db.segSizeLocked() {
-		sg.seal(sh)
+		sg.seal(db.dim, sh)
 		// A roll is the compaction policy's trigger: merging here (not on
 		// a timer, not manually) keeps the sealed count bounded at every
 		// point of a continuous ingestion stream.
 		db.policyCompact(sh)
 		resealed = true
+	} else if sg.end-sg.runEnd >= db.runLenLocked() {
+		// The unindexed tail is a full run: index exactly those rows. The
+		// run is immutable from birth, so the publish that follows hands
+		// it to views like any sealed postings.
+		sg.runs = append(sg.runs, encodeBlocks(db.dim, sh.sigs[sg.runEnd:sg.end]))
+		sg.runEnd = sg.end
 	}
 	db.total++
-	return si, resealed, nil
+	return si, resealed
 }
 
 // takeStaleActionsLocked wraps the segments whose mapped blobs were
@@ -486,26 +493,53 @@ func (db *DB) takeStaleActionsLocked() []func() {
 	}}
 }
 
-// IndexBytes returns the resident heap footprint of every segment's
-// posting structure — flat arrays for active segments, compressed
-// blocks for sealed ones. It is the number BENCH_postings.json tracks:
-// sealing a store shrinks it by the id-compression and weight-sharing
-// factor while queries stay bit-identical. Blobs served off segment
-// file mappings (LoadDirMapped) are not heap and not counted here —
-// see MappedBytes.
-func (db *DB) IndexBytes() int64 {
+// sumPostings folds f over every posting structure queries walk — each
+// sealed segment's blocks and each active segment's runs. A closed DB
+// holds none.
+func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return 0
-	}
-	var b int64
+	var n int64
 	for si := range db.shards {
 		for _, sg := range db.shards[si].segs {
-			b += sg.postings().memBytes()
+			if sg.blocks != nil {
+				n += f(sg.blocks)
+			}
+			for _, r := range sg.runs {
+				n += f(r)
+			}
 		}
 	}
-	return b
+	return n
+}
+
+// IndexBytes returns the resident heap footprint of every posting
+// structure: sealed segments' compressed blocks plus the active
+// segments' posting runs (rows no run covers yet have no postings and
+// cost nothing here). Blobs served off segment file mappings
+// (LoadDirMapped) are not heap and not counted — see MappedBytes.
+func (db *DB) IndexBytes() int64 { return db.sumPostings((*blockPostings).memBytes) }
+
+// IndexPostings returns the total posting-entry count across sealed
+// segments and active runs: one entry per stored non-zero weight of
+// every indexed row — everything but the active segments' unindexed
+// tails (see ActiveUnindexedRows).
+func (db *DB) IndexPostings() int64 { return db.sumPostings((*blockPostings).postingCount) }
+
+// ActiveUnindexedRows returns how many stored signatures no posting
+// structure covers yet — the rows after the last run of each shard's
+// active segment, which queries score one by one. It stays below
+// shards × the run length (256) and returns to zero on Seal.
+func (db *DB) ActiveUnindexedRows() int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := 0
+	for si := range db.shards {
+		if sg := db.shards[si].activeSegment(); sg != nil {
+			n += sg.end - sg.runEnd
+		}
+	}
+	return n
 }
 
 // MappedBytes returns how many posting-blob bytes are served off
@@ -513,20 +547,7 @@ func (db *DB) IndexBytes() int64 {
 // only after LoadDirMapped, and shrinking as Compact splices mapped
 // segments into heap copies. IndexBytes + MappedBytes is the full
 // posting footprint; the split is the mapped-mode residency headline.
-func (db *DB) MappedBytes() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0
-	}
-	var b int64
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			b += sg.postings().mappedBytes()
-		}
-	}
-	return b
-}
+func (db *DB) MappedBytes() int64 { return db.sumPostings((*blockPostings).mappedBytes) }
 
 // Close marks the database closed, waits for every in-flight query to
 // drain off its pinned view, then releases every segment-file mapping
@@ -564,7 +585,7 @@ func (db *DB) Close() error {
 			// mapped blob must never be reachable once its mapping is
 			// gone, and the terminal view below carries no segments.
 			sg.blocks = nil
-			sg.index = nil
+			sg.runs = nil
 		}
 	}
 	// The terminal view keeps the signature rows (heap copies — Len and
@@ -579,27 +600,10 @@ func (db *DB) Close() error {
 	return db.waitReclaimed()
 }
 
-// IndexPostings returns the total posting-entry count across all
-// segments (one entry per stored non-zero weight).
-func (db *DB) IndexPostings() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0
-	}
-	var n int64
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			n += sg.postings().postingCount()
-		}
-	}
-	return n
-}
-
 // AddAll stores a batch of signatures, validating each, and publishes
 // them as one atomic step: a concurrent query sees either none of the
-// batch or a full prefix ending at the offending signature. On error
-// the database retains (and publishes) the signatures added before it.
+// batch or all of it. A batch holding an invalid signature is rejected
+// whole, before anything is stored.
 func (db *DB) AddAll(sigs []Signature) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -614,14 +618,11 @@ func (db *DB) AddAll(sigs []Signature) error {
 			return &DimensionError{What: fmt.Sprintf("signature %s", s.DocID), Got: s.Dim(), Want: db.dim}
 		}
 	}
-	var err error
 	for _, s := range sigs {
-		if _, _, err = db.addLocked(s); err != nil {
-			break
-		}
+		db.addLocked(s)
 	}
 	db.publishLocked(db.takeStaleActionsLocked()...)
-	return err
+	return nil
 }
 
 // All returns the stored signatures of the current view in insertion
@@ -830,11 +831,11 @@ func (db *DB) TopKBatchInto(queries []*vecmath.Sparse, k int, metric Metric, out
 	}
 	v := db.pinView()
 	defer db.unpinView(v)
-	if parallel.Workers(v.cfg.workers) == 1 {
+	if seq, sw := v.batchFanout(len(queries)); seq {
 		// Sequential batch: direct calls keep the steady state at zero
 		// allocations (no closure, no worker bookkeeping).
 		for qi := range queries {
-			if err := db.batchQuery(v, qi, queries, k, metric, out); err != nil {
+			if err := db.batchQuery(v, qi, queries, k, metric, out, sw); err != nil {
 				return err
 			}
 		}
@@ -843,18 +844,35 @@ func (db *DB) TopKBatchInto(queries []*vecmath.Sparse, k int, metric Metric, out
 	return db.batchQueriesParallel(v, queries, k, metric, out)
 }
 
+// batchFanout decides how a batch of nq queries uses the worker pool:
+// seq means the queries run in order on the caller's goroutine, each
+// fanning its shards over shardWorkers (parallel.Workers semantics, -1 =
+// sequential); otherwise the queries fan out and shards stay sequential.
+// Queries fan out whenever there are enough of them to occupy the pool;
+// a batch too small for that — the lone query the serving coalescer
+// forwards almost every time — fans its shards out instead, exactly as
+// TopKSparse does, so cores are not left idle.
+func (v *dbView) batchFanout(nq int) (seq bool, shardWorkers int) {
+	switch w := parallel.Workers(v.cfg.workers); {
+	case w == 1:
+		return true, -1
+	case nq < min(w, len(v.shards)):
+		return true, v.cfg.workers
+	}
+	return false, -1
+}
+
 // batchQueriesParallel fans batchQuery over the worker pool; split out
 // of TopKBatchInto so the closure exists only on the parallel path.
 func (db *DB) batchQueriesParallel(v *dbView, queries []*vecmath.Sparse, k int, metric Metric, out [][]SearchResult) error {
 	return parallel.For(v.cfg.workers, len(queries), func(qi int) error {
-		return db.batchQuery(v, qi, queries, k, metric, out)
+		return db.batchQuery(v, qi, queries, k, metric, out, -1)
 	})
 }
 
-// batchQuery answers query qi into out[qi], reusing its capacity.
-// Shards are walked sequentially inside each query; the batch
-// parallelism is the query fan-out.
-func (db *DB) batchQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, metric Metric, out [][]SearchResult) error {
+// batchQuery answers query qi into out[qi], reusing its capacity, with
+// its shards fanned over shardWorkers (see batchFanout).
+func (db *DB) batchQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, metric Metric, out [][]SearchResult, shardWorkers int) error {
 	q := queries[qi]
 	if q == nil {
 		return &ConfigError{Param: "query", Msg: fmt.Sprintf("query %d is nil", qi)}
@@ -862,7 +880,7 @@ func (db *DB) batchQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, me
 	if q.Dim() != db.dim {
 		return &DimensionError{What: fmt.Sprintf("query %d", qi), Got: q.Dim(), Want: db.dim}
 	}
-	res, err := db.topk(v, q, nil, k, metric, -1, out[qi][:0])
+	res, err := db.topk(v, q, nil, k, metric, shardWorkers, out[qi][:0])
 	if err != nil {
 		return err
 	}
@@ -983,17 +1001,18 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 		// via the cached norms. Per-candidate accumulation order inside
 		// a segment equals the pre-segment whole-shard walk (ascending
 		// query dims, each candidate sees exactly its intersection
-		// terms), so dots are bit-identical. The active segment's frozen
-		// prefix is scored with the canonical merge-walk dot instead —
-		// its flat index is writer-private under the epoch-view contract
-		// — which is the very same float sequence (Sparse.Dot visits the
-		// intersection terms in the same ascending order the posting
-		// accumulation does), so results stay bit-identical.
+		// terms), so dots are bit-identical. The active segment's posting
+		// runs are walked like sealed segments; its unindexed tail (the
+		// < activeRunLen rows after the last run) is scored with the
+		// canonical merge-walk dot instead — the very same float sequence
+		// (Sparse.Dot visits the intersection terms in the same ascending
+		// order the posting accumulation does), so results stay
+		// bit-identical.
 		//
-		// With pruning on (the default) and sealed segments present, a
+		// With pruning on (the default) and the shard's first rows indexed, a
 		// strided sample of min(k, len) candidates is scored canonically
 		// up front so the heap holds a displacement threshold before any
-		// segment is walked; sealed segments then take the threshold-
+		// segment is walked; indexed segments then take the threshold-
 		// pruned walk (prune.go) and the seed sample is excluded from
 		// every later offer loop. The seed scores, the pruned walk's
 		// rescoring, and the plain walk all produce the canonical
@@ -1014,7 +1033,7 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 		for _, sg := range vs.segs {
 			ss.stats.Segments++
 			if sg.blocks == nil {
-				// Active-segment frozen prefix: canonical dots, with the
+				// Active-segment unindexed tail: canonical dots, with the
 				// seed rows excluded like every other offer loop.
 				offerCanonical(h, k, vs, sg, query, metric, qNorm2, seeds)
 				continue
@@ -1072,8 +1091,8 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 // candidate dot (query.Dot, the exact float sequence the indexed
 // accumulation produces) and offers the results, skipping the shard
 // rows in seeds like the other offer loops. It is the indexed path's
-// kernel for the active segment's frozen prefix, whose flat posting
-// index belongs to the writer.
+// kernel for the active segment's unindexed tail, the rows no posting
+// run covers yet.
 //
 //fmeter:noalloc
 func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, query *vecmath.Sparse, metric Metric, qNorm2 float64, seeds []int32) {
@@ -1228,11 +1247,11 @@ func (db *DB) ClassifyBatchInto(queries []*vecmath.Sparse, k int, metric Metric,
 	// labels against the same frozen store state.
 	v := db.pinView()
 	defer db.unpinView(v)
-	if parallel.Workers(v.cfg.workers) == 1 {
+	if seq, sw := v.batchFanout(len(queries)); seq {
 		// Sequential batch: direct calls keep the steady state at zero
 		// allocations (no closure, no worker bookkeeping).
 		for qi := range queries {
-			if err := db.classifyQuery(v, qi, queries, k, metric, out); err != nil {
+			if err := db.classifyQuery(v, qi, queries, k, metric, out, sw); err != nil {
 				return err
 			}
 		}
@@ -1246,12 +1265,13 @@ func (db *DB) ClassifyBatchInto(queries []*vecmath.Sparse, k int, metric Metric,
 // path.
 func (db *DB) classifyQueriesParallel(v *dbView, queries []*vecmath.Sparse, k int, metric Metric, out []string) error {
 	return parallel.For(v.cfg.workers, len(queries), func(qi int) error {
-		return db.classifyQuery(v, qi, queries, k, metric, out)
+		return db.classifyQuery(v, qi, queries, k, metric, out, -1)
 	})
 }
 
-// classifyQuery labels query qi into out[qi] via the pooled scratch.
-func (db *DB) classifyQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, metric Metric, out []string) error {
+// classifyQuery labels query qi into out[qi] via the pooled scratch,
+// its shards fanned over shardWorkers (see batchFanout).
+func (db *DB) classifyQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, metric Metric, out []string, shardWorkers int) error {
 	q := queries[qi]
 	if q == nil {
 		return &ConfigError{Param: "query", Msg: fmt.Sprintf("query %d is nil", qi)}
@@ -1261,7 +1281,7 @@ func (db *DB) classifyQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int,
 	}
 	sc := db.scratch.Get()
 	defer db.scratch.Put(sc)
-	hits, err := db.topkWith(v, sc, q, nil, k, metric, -1, sc.hits[:0])
+	hits, err := db.topkWith(v, sc, q, nil, k, metric, shardWorkers, sc.hits[:0])
 	if err != nil {
 		return err
 	}

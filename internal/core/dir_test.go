@@ -303,11 +303,27 @@ func TestDirCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetSegmentSize(4)
-	if err := db.AddAll(randSigs(r, 11, dim, nnz)); err != nil {
+	// Fan-out 2 merges each shard's first two sealed segments, so the
+	// healthy baseline holds tier-merged (spliced) postings next to
+	// freshly sealed and still-active segments.
+	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
 		t.Fatal(err)
+	}
+	if err := db.AddAll(randSigs(r, 27, dim, nnz)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Segments(); got != 6 {
+		t.Fatalf("baseline holds %d segments, want 6 (merged 8 + sealed 4 + active per shard)", got)
 	}
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
+	}
+	for _, load := range []func(string) (*DB, error){LoadDir, LoadDirMapped} {
+		back, err := load(dir)
+		if err != nil {
+			t.Fatalf("healthy baseline failed to load: %v", err)
+		}
+		back.Close()
 	}
 	clean := dirState(t, dir)
 	var segName string
@@ -445,6 +461,75 @@ func TestDirCorruptionMatrix(t *testing.T) {
 	// After all that abuse, the restored directory still loads.
 	if _, err := LoadDir(dir); err != nil {
 		t.Fatalf("restored directory failed to load: %v", err)
+	}
+}
+
+// TestCompactedStoreReopens is the regression test for the tier-merged
+// reopen defect: spliceBlockPostings used to lay the merged blob out
+// part by part while the file format (and load-time validation) orders
+// block streams dimension-major, so a store holding a compacted segment
+// saved fine and then failed to open. Policy-merged and Compact-merged
+// stores must reload, resident and mapped, and answer bit-identically.
+func TestCompactedStoreReopens(t *testing.T) {
+	r := rand.New(rand.NewSource(137))
+	const dim, nnz, n, k = 60, 8, 150, 9
+	sigs := randSigs(r, n, dim, nnz)
+	queries := randSigs(r, 4, dim, nnz)
+	for _, mode := range []string{"policy", "compact"} {
+		db, err := NewShardedDB(dim, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetSegmentSize(8)
+		db.setPruneFloor(1)
+		if mode == "policy" {
+			if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range sigs {
+			if err := db.Add(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Seal()
+		if mode == "compact" {
+			db.SetSegmentSize(DefaultSegmentSize)
+			db.Compact()
+		}
+		if got, unmerged := db.Segments(), 2*((n/2+7)/8); got >= unmerged {
+			t.Fatalf("%s: %d segments, want fewer than the %d sealed — nothing merged", mode, got, unmerged)
+		}
+		dir := filepath.Join(t.TempDir(), "db")
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, ld := range []struct {
+			name string
+			load func(string) (*DB, error)
+		}{{"resident", LoadDir}, {"mapped", LoadDirMapped}} {
+			back, err := ld.load(dir)
+			if err != nil {
+				t.Fatalf("%s/%s: reopen: %v", mode, ld.name, err)
+			}
+			back.setPruneFloor(1)
+			for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
+				for qi, q := range queries {
+					want, err := db.TopKSparse(q.W, k, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := back.TopKSparse(q.W, k, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, fmt.Sprintf("%s/%s %s q=%d", mode, ld.name, m.Name, qi), got, want)
+				}
+			}
+			if err := back.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -118,10 +118,13 @@ func abs(x float64) float64 {
 // (see prune.go). All counters cover the indexed path only; scan
 // queries report zeros.
 type PruneStats struct {
-	// Segments is the number of segments the indexed walk visited;
+	// Segments is the number of walk units the indexed walk visited —
+	// sealed segments, each posting run of an active segment, and an
+	// active segment's unindexed tail each count once, so it can exceed
+	// DB.Segments(), which counts persisted segments only.
 	// SegmentsPruned of them took the threshold-pruned walk (the rest
-	// were unprunable against the heap root, still active, or already
-	// covered by the seed pass).
+	// were unprunable against the heap root, an unindexed tail, or
+	// already covered by the seed pass).
 	Segments       int64
 	SegmentsPruned int64
 	// Candidates counts the signatures covered by pruned segment walks;

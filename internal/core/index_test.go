@@ -163,6 +163,9 @@ func TestTopKIndexedMatchesScan(t *testing.T) {
 // TestTopKBatchMatchesPerQuery checks that the batched path is a pure
 // fan-out: TopKBatch output is bit-identical to per-query TopKSparse at
 // several worker counts, and ClassifyBatch to per-query ClassifySparse.
+// Batch sizes straddle the point where the fan-out flips from shards to
+// queries (fewer queries than min(workers, shards) = 4: a lone query, 2,
+// workers-1; then workers+1 and a long batch).
 func TestTopKBatchMatchesPerQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	const dim, n, nnz, k = 150, 220, 20, 7
@@ -182,26 +185,29 @@ func TestTopKBatchMatchesPerQuery(t *testing.T) {
 		for _, m := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
 			for _, workers := range []int{-1, 1, 4} {
 				db.SetWorkers(workers)
-				batch, err := db.TopKBatch(queries, k, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				labels, err := db.ClassifyBatch(queries, k, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi, q := range queries {
-					want, err := db.TopKSparse(q, k, m)
+				for _, size := range []int{1, 2, 3, 5, len(queries)} {
+					batchQ := queries[:size]
+					batch, err := db.TopKBatch(batchQ, k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameResults(t, fmt.Sprintf("shards=%d workers=%d %s q=%d", shards, workers, m.Name, qi), batch[qi], want)
-					wantLabel, err := db.ClassifySparse(q, k, m)
+					labels, err := db.ClassifyBatch(batchQ, k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if labels[qi] != wantLabel {
-						t.Fatalf("ClassifyBatch[%d] = %q, want %q", qi, labels[qi], wantLabel)
+					for qi, q := range batchQ {
+						want, err := db.TopKSparse(q, k, m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameResults(t, fmt.Sprintf("shards=%d workers=%d batch=%d %s q=%d", shards, workers, size, m.Name, qi), batch[qi], want)
+						wantLabel, err := db.ClassifySparse(q, k, m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if labels[qi] != wantLabel {
+							t.Fatalf("ClassifyBatch[%d] of %d = %q, want %q", qi, size, labels[qi], wantLabel)
+						}
 					}
 				}
 			}

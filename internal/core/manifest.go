@@ -591,8 +591,8 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 	if version == segVersion {
 		// v1 record body: the original stream encoding, decoded through
 		// the same reader the v1 snapshot path uses. No postings section
-		// exists, so a mapping buys nothing — fall through to the heap
-		// rebuild below and release it.
+		// exists, so a mapping buys nothing — the postings are encoded
+		// from the rows below and the mapping released.
 		br := bytes.NewReader(body[segHeaderSize:])
 		for i := 0; i < int(count); i++ {
 			sig, err := readSigRecord(br, db.dim)
@@ -607,10 +607,7 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 		if br.Len() != 0 {
 			return fail(fmt.Errorf("%d trailing bytes after record %d", br.Len(), count))
 		}
-		if err := db.rebuildSegmentPostings(sh, sg); err != nil {
-			mf.close()
-			return err
-		}
+		sg.blocks = encodeBlocks(db.dim, sh.sigs[sg.start:sg.end])
 		mf.close()
 		sh.segs = append(sh.segs, sg)
 		return nil
@@ -644,10 +641,9 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 		}
 		sg.blocks = bp
 	} else {
-		if err := db.rebuildSegmentPostings(sh, sg); err != nil {
-			mf.close()
-			return err
-		}
+		// No postings section (the segment was saved while still active):
+		// the one load that still pays the encode from rows.
+		sg.blocks = encodeBlocks(db.dim, rows)
 	}
 	if rest := len(cur.b) - cur.pos; rest != 0 {
 		return fail(fmt.Errorf("%d trailing bytes after record %d", rest, count))
@@ -661,25 +657,6 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 		mf.close()
 	}
 	sh.segs = append(sh.segs, sg)
-	return nil
-}
-
-// rebuildSegmentPostings rebuilds a loaded segment's posting lists from
-// its rows and compresses them — the path for bodies that carry no
-// postings section (v1 files, or segments saved while still active),
-// the one load that still pays the posting-by-posting rebuild.
-//
-//fmeter:errdomain config
-func (db *DB) rebuildSegmentPostings(sh *dbShard, sg *segment) error {
-	ix, err := NewIndex(db.dim)
-	if err != nil {
-		return err
-	}
-	rows := sh.sigs[sg.start:sg.end]
-	for _, sig := range rows {
-		ix.Add(sig.W)
-	}
-	sg.blocks = compressIndex(ix, rows)
 	return nil
 }
 

@@ -9,32 +9,15 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Posting storage comes in two forms behind one abstraction. The mutable
-// active segment keeps the flat append-only layout (*Index: one
-// []int32/[]float64 pair per dimension — cheap to append, bounded by the
-// segment size), while sealed segments hold the block-compressed form
-// (*blockPostings) produced by Seal and Compact. Queries only ever see
-// the postings interface, and both implementations feed the same
-// vecmath.Accumulator kernel with the same weights in the same ascending
-// local-id order, so scores are identical whichever form a segment is in.
-type postings interface {
-	// dots accumulates q·signature for every stored signature into acc
-	// (acc.Get(id) is an exact zero for signatures with no support
-	// overlap).
-	dots(q *vecmath.Sparse, acc *vecmath.Accumulator)
-	// postingCount returns the total number of posting entries.
-	postingCount() int64
-	// memBytes returns the resident heap footprint of the posting
-	// structure (backing-array capacities included), the number
-	// IndexBytes aggregates and BENCH_postings.json compares flat vs
-	// compressed. Memory-mapped bytes are excluded — they are page
-	// cache, not heap; see mappedBytes.
-	memBytes() int64
-	// mappedBytes returns how many of the structure's bytes alias a
-	// read-only file mapping instead of the heap (zero for every form
-	// but a mapped-load blockPostings).
-	mappedBytes() int64
-}
+// Posting storage has one form: the immutable block-compressed
+// *blockPostings. A sealed segment holds one over its whole record range;
+// an active segment holds one per completed run of activeRunLen rows
+// (segment.go), so the ingest tail is indexed too and only the last
+// < activeRunLen rows of a shard are ever scored row by row. Every
+// blockPostings is produced by encodeBlocks straight from the signature
+// rows (or, for compaction, spliced from ones that were), and feeds the
+// vecmath.Accumulator kernel the signatures' own weights in ascending
+// local-id order — scores are identical whichever structure covers a row.
 
 // postingBlockSize is the compressed-block capacity: posting lists are
 // cut into runs of at most this many entries, each decoded in one shot
@@ -76,9 +59,9 @@ type blockDesc struct {
 // blockDescSize is the in-memory descriptor footprint (for memBytes).
 const blockDescSize = int64(unsafe.Sizeof(blockDesc{}))
 
-// blockPostings is the sealed-segment posting store: the same inverted
-// index as *Index, re-encoded so ids cost ~1 byte instead of 4 and
-// weights are not duplicated at all.
+// blockPostings is the inverted index over one contiguous row range: per
+// dimension, the ascending local ids of the rows whose support holds it,
+// encoded so an id costs ~1 byte and weights are not duplicated at all.
 //
 // Layout: dimension d's blocks are blocks[dir[d]:dir[d+1]], each
 // covering up to postingBlockSize postings in ascending local-id order.
@@ -87,9 +70,9 @@ const blockDescSize = int64(unsafe.Sizeof(blockDesc{}))
 // ordinals. The ordinal is the posting's position inside its
 // signature's sparse support, so the stored weight is recovered as
 // vals[id][ordinal] — the very float64 the signature itself holds, not
-// a copy. Compression therefore touches ids only: decode yields the
-// same weights in the same ascending-id order the flat layout feeds the
-// accumulator, and indexed scores are bit-identical in either form.
+// a copy. Compression therefore touches ids only: decode yields each
+// row's own weights in ascending-id order, and indexed scores are
+// bit-identical to the scan.
 //
 // A blockPostings is immutable after construction; concurrent dots
 // calls are safe (each worker owns its scratch and accumulator).
@@ -160,77 +143,106 @@ func (bp *blockPostings) setNormBounds(rows []Signature) {
 	}
 }
 
-// compressIndex re-encodes a flat index into the block-compressed form.
-// rows must be the signatures the index was built from, in local-id
-// order — their value arrays become the weight store and their supports
-// supply the weight ordinals.
-func compressIndex(ix *Index, rows []Signature) *blockPostings {
-	if ix.n != len(rows) {
-		panic(fmt.Sprintf("core: compressIndex over %d rows for index of %d", len(rows), ix.n))
-	}
-	bp := &blockPostings{dim: ix.dim, n: ix.n}
-	bp.vals = make([][]float64, ix.n)
-	sup := make([][]int32, ix.n)
+// encodeBlocks builds the block-compressed posting lists of rows (local
+// id = position in rows) — the one encoder behind seal, the active
+// segment's runs, and loads of segment bodies that carry no postings
+// section. The rows' value arrays become the weight store. A counting
+// transposition turns the row-major supports into one dimension-major id
+// array (count per dimension, prefix-sum, scatter), which is then cut
+// into blocks; because the sweep ascends dimensions and supports are
+// dimension-sorted, a per-row cursor yields each posting's ordinal.
+// The output depends only on the rows, so a segment sealed after any
+// history of runs is byte-identical to one sealed in one step.
+func encodeBlocks(dim int, rows []Signature) *blockPostings {
+	n := len(rows)
+	bp := &blockPostings{dim: dim, n: n, vals: make([][]float64, n), dir: make([]int32, dim+1)}
+	// pos[d] counts dimension d's postings, then walks from first[d], the
+	// start of its slice of ids, to the end as the scatter fills it.
+	pos, first := make([]int32, dim), make([]int32, dim)
 	for j := range rows {
 		bp.vals[j] = rows[j].W.Values()
-		sup[j] = rows[j].W.Support()
+		for _, d := range rows[j].W.Support() {
+			pos[d]++
+		}
 	}
-	var total int64
-	for d := range ix.ids {
-		total += int64(len(ix.ids[d]))
+	total, nBlocks := int32(0), int32(0)
+	for d, c := range pos {
+		bp.dir[d] = nBlocks
+		nBlocks += (c + postingBlockSize - 1) / postingBlockSize
+		pos[d], first[d] = total, total
+		total += c
 	}
-	bp.nPostings = total
-	bp.dir = make([]int32, ix.dim+1)
-	bp.blocks = make([]blockDesc, 0, int(total/postingBlockSize)+minPostingBlocks(ix))
-	bp.blob = make([]byte, 0, int(total)*2)
-	// cursor[id] walks signature id's support in step with the ascending
-	// dimension sweep: the flat index was appended in exactly that order,
-	// so the next posting of id at dimension d sits at support position
-	// cursor[id].
-	cursor := make([]int32, ix.n)
-	var buf [binary.MaxVarintLen64]byte
-	for d := 0; d < ix.dim; d++ {
-		bp.dir[d] = int32(len(bp.blocks))
-		ids, ws := ix.ids[d], ix.ws[d]
-		for len(ids) > 0 {
-			c := len(ids)
-			if c > postingBlockSize {
-				c = postingBlockSize
+	bp.dir[dim] = nBlocks
+	bp.nPostings = int64(total)
+	bp.blocks = make([]blockDesc, nBlocks)
+	// The scatter is the one pass that meets the weights in memory order,
+	// so it also folds each block's max |weight|: the posting landing in
+	// slot p belongs to its dimension's block (p-first[d])/blockSize.
+	ids := make([]int32, total)
+	for j := range rows {
+		val := bp.vals[j]
+		for k, d := range rows[j].W.Support() {
+			p := pos[d]
+			ids[p] = int32(j)
+			pos[d] = p + 1
+			bd := &bp.blocks[bp.dir[d]+(p-first[d])/postingBlockSize]
+			if a := math.Abs(val[k]); a > bd.maxAbsW {
+				bd.maxAbsW = a
 			}
-			desc := blockDesc{off: uint32(len(bp.blob)), firstID: ids[0], count: uint16(c)}
-			var ordBuf [postingBlockSize]int32
+		}
+	}
+	// Streams are written by index into the scratch blob[:w]; a block
+	// needs at most blockMax bytes, kept free ahead of w (two bytes per
+	// posting is the common case, so the initial size rarely grows). The
+	// kept blob is an exact-size copy.
+	const blockMax = postingBlockSize * (binary.MaxVarintLen32 + 4)
+	blob, w := make([]byte, int(total)*2+blockMax), 0
+	cursor := make([]int32, n) // next unconsumed support position per row
+	bi, lo := 0, int32(0)
+	for d := 0; d < dim; d++ {
+		for hi := pos[d]; lo < hi; bi++ {
+			c := int(min(hi-lo, postingBlockSize))
+			list := ids[lo:][:c]
+			lo += int32(c)
+			if len(blob)-w < blockMax {
+				blob = append(blob, make([]byte, len(blob))...)
+			}
+			desc := &bp.blocks[bi]
+			desc.off, desc.firstID, desc.count = uint32(w), list[0], uint16(c)
+			var ords [postingBlockSize]int32
 			maxOrd := int32(0)
-			for k := 0; k < c; k++ {
-				id := ids[k]
+			for k, id := range list {
 				ord := cursor[id]
-				cursor[id]++
-				if int(ord) >= len(sup[id]) || sup[id][ord] != int32(d) {
-					panic(fmt.Sprintf("core: posting (dim %d, id %d) disagrees with signature support at ordinal %d", d, id, ord))
-				}
-				ordBuf[k] = ord
+				cursor[id] = ord + 1
+				ords[k] = ord
 				if ord > maxOrd {
 					maxOrd = ord
 				}
-				if a := math.Abs(ws[k]); a > desc.maxAbsW {
-					desc.maxAbsW = a
-				}
 			}
 			desc.ordW = ordWidth(maxOrd)
-			prev := ids[0]
 			for k := 1; k < c; k++ {
-				m := binary.PutUvarint(buf[:], uint64(ids[k]-prev)-1)
-				bp.blob = append(bp.blob, buf[:m]...)
-				prev = ids[k]
+				if g := uint32(list[k]-list[k-1]) - 1; g < 0x80 {
+					blob[w] = byte(g)
+					w++
+				} else {
+					w += binary.PutUvarint(blob[w:], uint64(g))
+				}
 			}
-			desc.idLen = uint16(len(bp.blob) - int(desc.off))
-			for k := 0; k < c; k++ {
-				bp.blob = appendOrd(bp.blob, uint32(ordBuf[k]), desc.ordW)
+			desc.idLen = uint16(w - int(desc.off))
+			for _, ord := range ords[:c] {
+				switch desc.ordW {
+				case 1:
+					blob[w] = byte(ord)
+				case 2:
+					binary.LittleEndian.PutUint16(blob[w:], uint16(ord))
+				default:
+					binary.LittleEndian.PutUint32(blob[w:], uint32(ord))
+				}
+				w += int(desc.ordW)
 			}
-			bp.blocks = append(bp.blocks, desc)
-			ids, ws = ids[c:], ws[c:]
 		}
 	}
-	bp.dir[ix.dim] = int32(len(bp.blocks))
+	bp.blob = append(make([]byte, 0, w), blob[:w]...)
 	bp.buildDimBound()
 	bp.setNormBounds(rows)
 	return bp
@@ -248,38 +260,16 @@ func ordWidth(maxOrd int32) uint8 {
 	}
 }
 
-// appendOrd appends one ordinal at the block's fixed width (little
-// endian).
-func appendOrd(blob []byte, ord uint32, w uint8) []byte {
-	switch w {
-	case 1:
-		return append(blob, byte(ord))
-	case 2:
-		return append(blob, byte(ord), byte(ord>>8))
-	default:
-		return append(blob, byte(ord), byte(ord>>8), byte(ord>>16), byte(ord>>24))
-	}
-}
-
-// minPostingBlocks estimates one block per non-empty dimension (the
-// partial-block tail every dimension may carry).
-func minPostingBlocks(ix *Index) int {
-	n := 0
-	for d := range ix.ids {
-		if len(ix.ids[d]) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // spliceBlockPostings merges sealed segments' compressed postings — the
 // compaction primitive. offsets[i] is part i's first local id inside the
 // merged range; because adjacent segments cover adjacent id ranges, the
 // merged per-dimension block sequence stays ascending without decoding a
 // single varint: block payloads are gap-encoded relative to their
-// descriptor's firstID, so rebasing a block is a descriptor edit and the
-// byte streams are copied verbatim.
+// descriptor's firstID, so rebasing a block is a descriptor edit and its
+// byte stream is copied verbatim. Streams land in block (dimension-
+// major) order — the order the snapshot format stores them in and
+// validate re-derives offsets by — so a merged segment saves and reloads
+// like a freshly sealed one.
 func spliceBlockPostings(dim int, parts []*blockPostings, offsets []int32) *blockPostings {
 	out := &blockPostings{dim: dim}
 	nBlocks, blobLen := 0, 0
@@ -293,10 +283,7 @@ func spliceBlockPostings(dim int, parts []*blockPostings, offsets []int32) *bloc
 	out.blocks = make([]blockDesc, 0, nBlocks)
 	out.blob = make([]byte, 0, blobLen)
 	out.vals = make([][]float64, 0, out.n)
-	blobBase := make([]uint32, len(parts))
-	for i, p := range parts {
-		blobBase[i] = uint32(len(out.blob))
-		out.blob = append(out.blob, p.blob...)
+	for _, p := range parts {
 		out.vals = append(out.vals, p.vals...)
 	}
 	for d := 0; d < dim; d++ {
@@ -304,7 +291,9 @@ func spliceBlockPostings(dim int, parts []*blockPostings, offsets []int32) *bloc
 		for i, p := range parts {
 			for bi := p.dir[d]; bi < p.dir[d+1]; bi++ {
 				bd := p.blocks[bi]
-				bd.off += blobBase[i]
+				stream := p.blob[bd.off:][:int(bd.idLen)+int(bd.count)*int(bd.ordW)]
+				bd.off = uint32(len(out.blob))
+				out.blob = append(out.blob, stream...)
 				bd.firstID += offsets[i]
 				out.blocks = append(out.blocks, bd)
 			}
@@ -322,15 +311,16 @@ func spliceBlockPostings(dim int, parts []*blockPostings, offsets []int32) *bloc
 	return out
 }
 
-// dots implements postings: the block-compressed analogue of Index.Dots.
+// dots accumulates q·signature for every covered signature into acc
+// (acc.Get(id) is an exact zero for signatures with no support overlap).
 // The query support is walked in ascending dimension order and every
 // block decodes into ascending local ids, so each candidate accumulates
-// its intersection terms in exactly the order the flat walk (and
-// Sparse.Dot) visits them — bit-identical dot products. Dimensions
-// absent from a query never touch a descriptor (dir[d] == dir[d+1] for
-// dims with no postings; dims not in the support are never looked up),
-// which is the exact block-skip: skipped blocks contribute nothing by
-// construction, not by approximation.
+// its intersection terms in exactly the order Sparse.Dot visits them —
+// bit-identical dot products. Dimensions absent from a query never touch
+// a descriptor (dir[d] == dir[d+1] for dims with no postings; dims not
+// in the support are never looked up), which is the exact block-skip:
+// skipped blocks contribute nothing by construction, not by
+// approximation.
 func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator) {
 	if q.Dim() != bp.dim {
 		panic(fmt.Sprintf("core: postings dots dimension mismatch %d vs %d", q.Dim(), bp.dim))
@@ -400,11 +390,11 @@ func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float
 // the ordinals start), each posting's weight is gathered from its
 // signature's value array, and the product lands in the accumulator
 // immediately — no intermediate materialization. The ids decode in
-// ascending order and the products are qv times the very same float64s
-// the flat layout stores, so the accumulated sums are bit-identical to
-// ScatterMulAdd over the flat posting arrays. One-byte ordinals (every
-// real signature: supports up to 256 entries) take the branch-light
-// specialized loop; wider ordinals decode through the scratch.
+// ascending order and the products are qv times the very float64s the
+// signatures hold, so the accumulated sums are bit-identical to the
+// merge-walk dot. One-byte ordinals (every real signature: supports up
+// to 256 entries) take the branch-light specialized loop; wider
+// ordinals decode through the scratch.
 func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accumulator) {
 	if bd.ordW != 1 {
 		var sc postingScratch
@@ -485,10 +475,11 @@ func (bp *blockPostings) decodeBlock(bd *blockDesc, sc *postingScratch) ([]int32
 	return ids, ws
 }
 
-// postingCount implements postings.
+// postingCount returns the total number of posting entries.
 func (bp *blockPostings) postingCount() int64 { return bp.nPostings }
 
-// memBytes implements postings: blob + descriptors + directory + the
+// memBytes returns the resident heap footprint (backing-array
+// capacities included): blob + descriptors + directory + the
 // per-signature value-slice table (24 bytes each — the headers only;
 // the values themselves belong to the signatures). A mapped blob is
 // page cache, not heap, so it is excluded here and reported by
@@ -505,7 +496,7 @@ func (bp *blockPostings) memBytes() int64 {
 	return b
 }
 
-// mappedBytes implements postings: the blob length when it aliases a
+// mappedBytes returns the blob length when it aliases a read-only
 // segment-file mapping, zero for heap-backed blocks.
 func (bp *blockPostings) mappedBytes() int64 {
 	if bp.blobMapped {
@@ -513,30 +504,3 @@ func (bp *blockPostings) mappedBytes() int64 {
 	}
 	return 0
 }
-
-// dots implements postings for the flat form.
-func (ix *Index) dots(q *vecmath.Sparse, acc *vecmath.Accumulator) {
-	ix.Dots(q, acc)
-}
-
-// postingCount implements postings.
-func (ix *Index) postingCount() int64 {
-	var n int64
-	for d := range ix.ids {
-		n += int64(len(ix.ids[d]))
-	}
-	return n
-}
-
-// memBytes implements postings: per-dimension backing capacities plus
-// the two slice-header tables.
-func (ix *Index) memBytes() int64 {
-	b := int64(unsafe.Sizeof(*ix)) + int64(cap(ix.ids))*24 + int64(cap(ix.ws))*24
-	for d := range ix.ids {
-		b += int64(cap(ix.ids[d]))*4 + int64(cap(ix.ws[d]))*8
-	}
-	return b
-}
-
-// mappedBytes implements postings: the flat form is always heap-backed.
-func (ix *Index) mappedBytes() int64 { return 0 }

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vecmath"
 )
 
 // buildFlatAndCompressed indexes sigs both ways: the flat append-only
-// Index and its block-compressed re-encoding.
+// Index oracle and the block-compressed postings encodeBlocks builds
+// straight from the rows — which must equal, byte for byte, what the
+// retired compressIndex produced from the flat index (the on-disk
+// format is the blob and the descriptors, so this is what keeps segment
+// files unchanged).
 func buildFlatAndCompressed(t *testing.T, sigs []Signature, dim int) (*Index, *blockPostings) {
 	t.Helper()
 	ix, err := NewIndex(dim)
@@ -19,7 +25,31 @@ func buildFlatAndCompressed(t *testing.T, sigs []Signature, dim int) (*Index, *b
 	for _, s := range sigs {
 		ix.Add(s.W)
 	}
-	return ix, compressIndex(ix, sigs)
+	bp := encodeBlocks(dim, sigs)
+	samePostings(t, "encodeBlocks vs compressIndex", bp, compressIndex(ix, sigs))
+	return ix, bp
+}
+
+// samePostings asserts two blockPostings are the same encoding: equal
+// counts, directory, descriptors (offsets and bounds included), blob
+// bytes, and pruning bounds.
+func samePostings(t *testing.T, tag string, got, want *blockPostings) {
+	t.Helper()
+	if got.dim != want.dim || got.n != want.n || got.nPostings != want.nPostings {
+		t.Fatalf("%s: dim/n/postings %d/%d/%d, want %d/%d/%d", tag, got.dim, got.n, got.nPostings, want.dim, want.n, want.nPostings)
+	}
+	if !slices.Equal(got.dir, want.dir) {
+		t.Fatalf("%s: directories differ", tag)
+	}
+	if !slices.Equal(got.blocks, want.blocks) {
+		t.Fatalf("%s: block descriptors differ", tag)
+	}
+	if !bytes.Equal(got.blob, want.blob) {
+		t.Fatalf("%s: blobs differ (%d vs %d bytes)", tag, len(got.blob), len(want.blob))
+	}
+	if !slices.Equal(got.dimBound, want.dimBound) || got.minNorm2 != want.minNorm2 || got.minPosNorm2 != want.minPosNorm2 {
+		t.Fatalf("%s: pruning bounds differ", tag)
+	}
 }
 
 // TestBlockPostingsMatchesFlat is the kernel-level equivalence the
@@ -151,16 +181,19 @@ func TestSpliceBlockPostings(t *testing.T) {
 	}
 }
 
-// TestSealCompressesPostings pins the lifecycle plumbing: sealing swaps
-// a segment's flat index for compressed blocks (shrinking IndexBytes),
-// queries stay bit-identical, and posting counts are conserved.
+// TestSealCompressesPostings pins the lifecycle plumbing: an active
+// segment holds one posting run per completed run length plus an
+// unindexed tail, sealing swaps them for one blockPostings over the
+// whole range (fewer directories — IndexBytes shrinks — and every row
+// indexed), and queries stay bit-identical across the swap.
 func TestSealCompressesPostings(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	const dim, n, nnz, k = 200, 250, 20, 15
-	db, err := NewShardedDB(dim, 3)
+	const dim, n, nnz, k, shards, run = 200, 250, 20, 15, 3, 16
+	db, err := NewShardedDB(dim, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.setRunLen(run)
 	sigs := randSigs(r, n, dim, nnz)
 	if err := db.AddAll(sigs); err != nil {
 		t.Fatal(err)
@@ -170,20 +203,39 @@ func TestSealCompressesPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatBytes := db.IndexBytes()
-	flatPostings := db.IndexPostings()
-	db.Seal()
-	if got := db.IndexPostings(); got != flatPostings {
-		t.Fatalf("postings %d after Seal, want %d", got, flatPostings)
+	// Shard si holds rows si, si+shards, ...; its last len%run rows are
+	// the unindexed tail, and only they are missing from the postings.
+	var unindexed int
+	var tailNNZ int64
+	for si := 0; si < shards; si++ {
+		rows := (n - si + shards - 1) / shards
+		for j := rows - rows%run; j < rows; j++ {
+			unindexed++
+			tailNNZ += int64(sigs[j*shards+si].W.NNZ())
+		}
 	}
-	if got := db.IndexBytes(); got*2 > flatBytes {
-		t.Fatalf("sealed IndexBytes %d not < half of flat %d", got, flatBytes)
+	if got := db.ActiveUnindexedRows(); got != unindexed {
+		t.Fatalf("ActiveUnindexedRows %d, want %d", got, unindexed)
+	}
+	if got, want := db.IndexPostings(), int64(nPostings(db))-tailNNZ; got != want {
+		t.Fatalf("active IndexPostings %d, want %d (every row a run covers)", got, want)
+	}
+	runBytes := db.IndexBytes()
+	db.Seal()
+	if got := db.ActiveUnindexedRows(); got != 0 {
+		t.Fatalf("ActiveUnindexedRows %d after Seal", got)
+	}
+	if got := db.IndexPostings(); got != int64(nPostings(db)) {
+		t.Fatalf("postings %d after Seal, want %d", got, nPostings(db))
+	}
+	if got := db.IndexBytes(); got*2 > runBytes {
+		t.Fatalf("sealed IndexBytes %d not < half of the %d the runs took", got, runBytes)
 	}
 	got, err := db.TopKSparse(query, k, EuclideanMetric())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, "sealed vs flat", got, want)
+	sameResults(t, "sealed vs runs", got, want)
 }
 
 // TestSealEmptyActiveNoOp is the regression test for the empty-seal
@@ -247,8 +299,10 @@ func TestOrdWidth(t *testing.T) {
 	}
 }
 
-// TestIndexBytesIntrospection sanity-checks the byte accounting both
-// layouts report: positive, and dominated by the posting payload.
+// TestIndexBytesIntrospection sanity-checks the posting accounting: rows
+// no run covers yet have no postings and cost no index bytes, a run or a
+// sealed segment counts every non-zero of the rows it covers, and the
+// bytes are at least the blob's.
 func TestIndexBytesIntrospection(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	const dim, n, nnz = 100, 120, 10
@@ -259,19 +313,33 @@ func TestIndexBytesIntrospection(t *testing.T) {
 	if err := db.AddAll(randSigs(r, n, dim, nnz)); err != nil {
 		t.Fatal(err)
 	}
-	posts := db.IndexPostings()
-	if posts != int64(nPostings(db)) {
-		t.Fatalf("IndexPostings %d, stored non-zeros %d", posts, nPostings(db))
+	// 120 rows are below the run length: nothing is indexed yet.
+	if posts, b, rows := db.IndexPostings(), db.IndexBytes(), db.ActiveUnindexedRows(); posts != 0 || b != 0 || rows != n {
+		t.Fatalf("unindexed store reports %d postings, %d index bytes, %d unindexed rows; want 0, 0, %d", posts, b, rows, n)
 	}
-	if flat := db.IndexBytes(); flat < posts*12 {
-		t.Fatalf("flat IndexBytes %d below the 12 B/posting payload floor (%d postings)", flat, posts)
+	more := randSigs(r, activeRunLen, dim, nnz)
+	if err := db.AddAll(more); err != nil {
+		t.Fatal(err)
+	}
+	var runNNZ int64
+	for _, s := range db.All()[:activeRunLen] {
+		runNNZ += int64(s.W.NNZ())
+	}
+	if got := db.IndexPostings(); got != runNNZ {
+		t.Fatalf("IndexPostings %d with one run, want the run's %d non-zeros", got, runNNZ)
+	}
+	if b := db.IndexBytes(); b < runNNZ {
+		t.Fatalf("IndexBytes %d below one byte per posting (%d postings)", b, runNNZ)
+	}
+	if got := db.ActiveUnindexedRows(); got != n {
+		t.Fatalf("ActiveUnindexedRows %d, want %d", got, n)
 	}
 	db.Seal()
 	if comp := db.IndexBytes(); comp <= 0 {
 		t.Fatalf("sealed IndexBytes %d", comp)
 	}
-	if got := db.IndexPostings(); got != posts {
-		t.Fatalf("sealed IndexPostings %d, want %d", got, posts)
+	if got := db.IndexPostings(); got != int64(nPostings(db)) {
+		t.Fatalf("sealed IndexPostings %d, want %d", got, nPostings(db))
 	}
 }
 

@@ -10,13 +10,20 @@ import "sync/atomic"
 //
 // The last segment of a shard may be *active*: DB.Add appends into it
 // until it reaches the segment size, at which point it is sealed and the
-// next Add opens a fresh active segment. Sealed segments are immutable:
-// their record range, posting lists, and cached norms never change
-// again, which is what lets SaveDir persist each one exactly once
-// (temp + fsync + rename) and skip it on every later save — and what
-// lets sealing re-encode the posting lists into the block-compressed
-// form (postings.go), several times smaller resident with bit-identical
-// query results.
+// next Add opens a fresh active segment. The active segment is indexed
+// in *runs*: every time its unindexed tail reaches activeRunLen rows,
+// those rows get one immutable blockPostings built straight from the
+// rows (encodeBlocks), which every later view walks exactly like a small
+// sealed segment — so at most activeRunLen-1 rows per shard are ever
+// scored row by row, and nothing about the index is mutable. Runs are a
+// query-side structure only: they are not segments (Segments, the
+// manifest, SaveDir and compaction never see them) and sealing discards
+// them, re-encoding the whole range from the rows so the sealed postings
+// — and the bytes SaveDir writes — do not depend on the run history.
+// Sealed segments are immutable: their record range, posting lists, and
+// cached norms never change again, which is what lets SaveDir persist
+// each one exactly once (temp + fsync + rename) and skip it on every
+// later save.
 //
 // Compact merges runs of small adjacent sealed segments by *splicing*
 // their compressed posting lists (spliceBlockPostings rebases block
@@ -34,10 +41,12 @@ type segment struct {
 	id uint64
 	// start/end delimit the shard-local record range [start, end).
 	start, end int
-	// index holds the active segment's flat posting lists over
-	// segment-local ids (shard-local j maps to segment-local j-start).
-	// nil once sealed.
-	index *Index
+	// runs holds the active segment's posting runs in row order: run i
+	// covers the runs[i].n shard-local rows after run i-1's, the first
+	// starting at start, the last ending at runEnd; rows [runEnd, end)
+	// are the unindexed tail. Both are unused once sealed.
+	runs   []*blockPostings
+	runEnd int
 	// blocks holds the sealed segment's block-compressed posting lists
 	// (see postings.go); nil while the segment is active.
 	blocks *blockPostings
@@ -87,27 +96,33 @@ func (sg *segment) releaseMap() error {
 // len returns the segment's record count.
 func (sg *segment) len() int { return sg.end - sg.start }
 
-// postings returns the segment's posting store: the flat index while
-// active, the block-compressed form once sealed.
-func (sg *segment) postings() postings {
-	if sg.blocks != nil {
-		return sg.blocks
+// activeRunLen is how many unindexed rows an active segment accumulates
+// before they are indexed as one run. It bounds the row-by-row tail of a
+// query (< activeRunLen merge-walk dots per shard) against the fixed cost
+// of a run (a dim-sized directory and bound table, ~46 KB at the paper's
+// 3815 dimensions, and one more pruned walk per query).
+const activeRunLen = 256
+
+// runLenLocked returns the active run length (db.runLen, a test
+// override, defaulting to activeRunLen). Caller holds db.mu.
+func (db *DB) runLenLocked() int {
+	if db.runLen > 0 {
+		return db.runLen
 	}
-	return sg.index
+	return activeRunLen
 }
 
-// seal makes the segment immutable, re-encoding its flat posting lists
-// into the block-compressed form (delta-varint ids, weights referenced
-// from the signatures themselves) and dropping the flat arrays. Query
-// results are bit-identical before and after — both forms feed the same
-// accumulator kernel with the same weights in the same order. Sealing a
-// sealed segment is a no-op.
-func (sg *segment) seal(sh *dbShard) {
+// seal makes the segment immutable: the whole record range is encoded
+// into one blockPostings from the rows and the runs are dropped. Query
+// results are bit-identical before and after — runs, tail scan and
+// sealed blocks all score a row from the same weights in the same
+// order. Sealing a sealed segment is a no-op.
+func (sg *segment) seal(dim int, sh *dbShard) {
 	if sg.sealed {
 		return
 	}
-	sg.blocks = compressIndex(sg.index, sh.sigs[sg.start:sg.end])
-	sg.index = nil
+	sg.blocks = encodeBlocks(dim, sh.sigs[sg.start:sg.end])
+	sg.runs = nil
 	sg.sealed = true
 }
 
@@ -147,6 +162,8 @@ func (db *DB) segSizeLocked() int {
 
 // Segments returns the total segment count across all shards
 // (introspection for tests, benchmarks, and operators sizing Compact).
+// Segments are the units of persistence and compaction; an active
+// segment counts once however many posting runs it holds.
 func (db *DB) Segments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -160,7 +177,8 @@ func (db *DB) Segments() int {
 // SealedSegments returns the sealed segment count across all shards —
 // the number the compaction policy bounds under continuous ingestion
 // (Segments minus SealedSegments is the active-segment count, at most
-// one per shard).
+// one per shard; an active segment's posting runs are not sealed
+// segments and are not counted).
 func (db *DB) SealedSegments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -178,7 +196,8 @@ func (db *DB) SealedSegments() int {
 // DirtySegments returns how many segments would be rewritten by the next
 // SaveDir to the current save directory — the incremental-save cost in
 // segments. A DB never saved (or saved to a different directory) counts
-// every segment.
+// every segment. Posting runs are never persisted: a dirty active
+// segment is one file of rows, rewritten whole.
 func (db *DB) DirtySegments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -203,25 +222,21 @@ func (sh *dbShard) activeSegment() *segment {
 }
 
 // appendSegment opens a fresh active segment at the shard's tail.
-func (db *DB) appendSegment(sh *dbShard) (*segment, error) {
-	ix, err := NewIndex(db.dim)
-	if err != nil {
-		return nil, err
-	}
-	sg := &segment{id: db.nextSeg, start: len(sh.sigs), end: len(sh.sigs), index: ix, dirty: true}
+func (db *DB) appendSegment(sh *dbShard) *segment {
+	n := len(sh.sigs)
+	sg := &segment{id: db.nextSeg, start: n, end: n, runEnd: n, dirty: true}
 	db.nextSeg++
 	sh.segs = append(sh.segs, sg)
-	return sg, nil
+	return sg
 }
 
 // Seal seals every shard's active segment, making the whole store
 // immutable until the next Add (which opens fresh active segments) and
-// re-encoding each sealed segment's posting lists into the
-// block-compressed form. Sealing is what lets SaveDir stop rewriting a
-// segment: a sealed, saved segment costs nothing on later saves. An
-// empty active segment is left alone — sealing it would push a
-// zero-length sealed segment into the manifest and every later
-// compaction run for no data at all.
+// encoding each sealed segment's posting lists from its rows. Sealing
+// is what lets SaveDir stop rewriting a segment: a sealed, saved
+// segment costs nothing on later saves. An empty active segment is left
+// alone — sealing it would push a zero-length sealed segment into the
+// manifest and every later compaction run for no data at all.
 //
 // Concurrent queries keep the view they pinned: the new segment lists
 // are published atomically afterward, and any mapping a policy merge
@@ -235,7 +250,7 @@ func (db *DB) Seal() {
 	for si := range db.shards {
 		sh := &db.shards[si]
 		if sg := sh.activeSegment(); sg != nil && sg.len() > 0 {
-			sg.seal(sh)
+			sg.seal(db.dim, sh)
 			db.policyCompact(sh)
 		}
 	}

@@ -8,12 +8,13 @@ import (
 //
 // Every query runs against a dbView — an immutable snapshot of the
 // reader-visible state: the frozen per-shard prefixes of the backing
-// arrays, the segment list (sealed segments by their compressed
-// postings, the active segment by its frozen prefix bounds), and the
-// query configuration. The current view is published through an atomic
-// pointer; readers pin it with a refcount for the duration of one
-// query (or one batch), writers mutate the writer-private structures
-// under db.mu and publish a fresh view when the mutation completes.
+// arrays, the segment list (sealed segments and the active segment's
+// posting runs by their compressed postings, the active segment's
+// unindexed tail by its frozen bounds), and the query configuration.
+// The current view is published through an atomic pointer; readers pin
+// it with a refcount for the duration of one query (or one batch),
+// writers mutate the writer-private structures under db.mu and publish
+// a fresh view when the mutation completes.
 //
 // Why this is safe without a reader lock:
 //
@@ -25,8 +26,10 @@ import (
 //     reader can reach: appends beyond the captured length touch
 //     distinct addresses, and a reallocation leaves the reader's old
 //     slice header aliasing the old array.
-//   - The active segment's mutable flat Index stays writer-private:
-//     a view scores its frozen prefix with the canonical sparse dot
+//   - The active segment has no mutable index at all: its completed
+//     posting runs are immutable blockPostings like a sealed segment's
+//     (segment.go), and the < activeRunLen rows after the last run are
+//     scored with the canonical sparse dot over the frozen row prefix
 //     (bit-identical to the indexed accumulation, see topkShard).
 //   - Publication is an atomic pointer swap after the mutation is
 //     complete, so a reader either sees the whole mutation or none of
@@ -85,9 +88,10 @@ type viewShard struct {
 	segs  []viewSegment
 }
 
-// viewSegment is one segment as a view sees it. blocks is the sealed
-// segment's immutable compressed postings; nil marks the active
-// segment's frozen prefix [start, end), scored canonically.
+// viewSegment is one walk unit as a view sees it: a sealed segment or
+// one posting run of the active segment (blocks is its immutable
+// compressed postings over rows [start, end)), or — blocks nil — the
+// active segment's unindexed tail, scored canonically.
 type viewSegment struct {
 	start, end int
 	blocks     *blockPostings
@@ -150,22 +154,33 @@ func (db *DB) buildViewLocked() *dbView {
 // freezeShardLocked captures shard si's frozen prefix into vs:
 // length-clamped array aliases (a later append can never write through
 // them) and value copies of the segment bounds (seal and merge mutate
-// segment structs in place, so views must never hold *segment).
+// segment structs in place, so views must never hold *segment). The
+// active segment freezes into one viewSegment per posting run plus one
+// blocks == nil segment for the rows no run covers yet.
 func (db *DB) freezeShardLocked(si int, vs *viewShard) {
 	sh := &db.shards[si]
 	n := len(sh.sigs)
 	vs.gids = sh.gids[:n:n]
 	vs.sigs = sh.sigs[:n:n]
 	vs.norms = sh.norms[:n:n]
-	vs.segs = make([]viewSegment, len(sh.segs))
-	for i, sg := range sh.segs {
-		b := sg.blocks
-		if !sg.sealed {
-			// The active segment's flat index is writer-private; its
-			// frozen prefix is scored canonically (blocks == nil).
-			b = nil
+	units := len(sh.segs)
+	if sg := sh.activeSegment(); sg != nil {
+		units += len(sg.runs)
+	}
+	vs.segs = make([]viewSegment, 0, units)
+	for _, sg := range sh.segs {
+		if sg.sealed {
+			vs.segs = append(vs.segs, viewSegment{start: sg.start, end: sg.end, blocks: sg.blocks})
+			continue
 		}
-		vs.segs[i] = viewSegment{start: sg.start, end: sg.end, blocks: b}
+		at := sg.start
+		for _, r := range sg.runs {
+			vs.segs = append(vs.segs, viewSegment{start: at, end: at + r.n, blocks: r})
+			at += r.n
+		}
+		if at < sg.end {
+			vs.segs = append(vs.segs, viewSegment{start: at, end: sg.end})
+		}
 	}
 }
 

@@ -145,6 +145,9 @@ type MetricsSnapshot struct {
 	DBSegments       int    `json:"db_segments"`
 	DBSealedSegments int    `json:"db_sealed_segments"`
 	DBPublishes      uint64 `json:"db_publishes"`
+	// DBUnindexedRows is the active-segment fill queries pay for row by
+	// row: signatures no posting run covers yet.
+	DBUnindexedRows int `json:"active_unindexed_rows"`
 
 	// Request counters.
 	TopKRequests     uint64 `json:"topk_requests"`
@@ -214,6 +217,7 @@ func (m *metrics) snapshot(db *core.DB, queueDepth, queueCap int) MetricsSnapsho
 		DBSegments:       db.Segments(),
 		DBSealedSegments: db.SealedSegments(),
 		DBPublishes:      db.Publishes(),
+		DBUnindexedRows:  db.ActiveUnindexedRows(),
 		TopKRequests:     m.topkRequests.Load(),
 		ClassifyRequests: m.classifyRequests.Load(),
 		IngestRequests:   m.ingestRequests.Load(),

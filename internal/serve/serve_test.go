@@ -486,6 +486,11 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if m.TopKRequests != 1 || m.Queries != 1 || m.DBSignatures != 30 {
 		t.Fatalf("metrics = %+v, want 1 topk request / 1 query / 30 signatures", m)
 	}
+	// 30 unsealed rows are below a posting run: all of them are the
+	// active-segment fill.
+	if m.DBUnindexedRows != 30 || !bytes.Contains(rec.Body.Bytes(), []byte(`"active_unindexed_rows":30`)) {
+		t.Fatalf("active_unindexed_rows = %d in %s, want 30", m.DBUnindexedRows, rec.Body.String())
+	}
 	if m.QueueCapacity == 0 || m.LatencyP50US <= 0 {
 		t.Fatalf("metrics missing queue capacity or latency: %+v", m)
 	}
