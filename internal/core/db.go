@@ -29,19 +29,14 @@ type Metric struct {
 	// HigherIsCloser is true for similarities (cosine) and false for
 	// distances (Euclidean, Minkowski).
 	HigherIsCloser bool
-	// dotScore, when non-nil, recovers the metric value from the
-	// query–signature dot product and the two cached squared norms —
-	// the contract that lets TopK route through the inverted index,
-	// scoring only posting lists in the query's support. It must be
-	// bit-identical to SparseScore given a bit-identical dot (the index
-	// guarantees that; see blockPostings.dots). Only the package
-	// constructors can set it, so custom metrics always take the
-	// exhaustive scan.
-	dotScore func(dot, qNorm2, sNorm2 float64) float64
-	// kind tags the two built-in indexable metrics so the hot scoring
-	// loop can call their dot-score formulas directly instead of through
-	// the function value; the formulas are the same package functions
-	// dotScore holds, so both routes are trivially identical.
+	// kind tags the two built-in metrics whose value can be recovered
+	// from the query–signature dot product and the two cached squared
+	// norms (cosineDotScore, euclideanDotScore) — the contract that lets
+	// TopK route through the inverted index, scoring only posting lists
+	// in the query's support. The recovery is bit-identical to
+	// SparseScore given a bit-identical dot (the index guarantees that;
+	// see blockPostings.dots). Only the package constructors can set it,
+	// so custom metrics always take the exhaustive scan.
 	kind metricKind
 }
 
@@ -53,6 +48,9 @@ const (
 	metricKindCosine
 	metricKindEuclidean
 )
+
+// indexable reports whether the metric can ride the inverted index.
+func (m *Metric) indexable() bool { return m.kind != metricKindOther }
 
 // cosineDotScore mirrors Sparse.Cosine exactly: same zero-norm guard,
 // same divisor association, same clamp.
@@ -79,9 +77,6 @@ func euclideanDotScore(dot, qNorm2, sNorm2 float64) float64 {
 	return math.Sqrt(d2)
 }
 
-// indexable reports whether the metric can ride the inverted index.
-func (m *Metric) indexable() bool { return m.dotScore != nil }
-
 // CosineMetric is the cosine similarity of §2.1. Its sparse path is
 // bit-identical to the dense one (both accumulate in index order), and
 // its indexed path is bit-identical to the sparse one (same dot, same
@@ -92,7 +87,6 @@ func CosineMetric() Metric {
 		Score:          vecmath.Cosine,
 		SparseScore:    func(x, y *vecmath.Sparse) float64 { return x.Cosine(y) },
 		HigherIsCloser: true,
-		dotScore:       cosineDotScore,
 		kind:           metricKindCosine,
 	}
 }
@@ -108,7 +102,6 @@ func EuclideanMetric() Metric {
 		Score:          vecmath.Euclidean,
 		SparseScore:    func(x, y *vecmath.Sparse) float64 { return x.Euclidean(y) },
 		HigherIsCloser: false,
-		dotScore:       euclideanDotScore,
 		kind:           metricKindEuclidean,
 	}
 }
@@ -206,6 +199,18 @@ func (e *ConfigError) Unwrap() error { return e.Err }
 //fmeter:errdomain config
 func errClosed() error {
 	return &ConfigError{Param: "database", Msg: "operation on closed database"}
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return x-x == 0 }
+
+// errNonFinite is the typed error for a signature or query (param) whose
+// cached squared norm is NaN or +Inf: it holds a NaN or ±Inf weight, or
+// finite weights so large their squares overflow.
+//
+//fmeter:errdomain config
+func errNonFinite(param, what string, norm2 float64) error {
+	return &ConfigError{Param: param, Msg: fmt.Sprintf("%s has non-finite weights (squared norm %v)", what, norm2)}
 }
 
 // ErrEmptyDB is returned by similarity queries against a database with no
@@ -351,7 +356,7 @@ func NewShardedDB(dim, shards int) (*DB, error) {
 	}
 	db := &DB{dim: dim, shards: make([]dbShard, shards)}
 	db.scratch = percpu.NewPool(func() *dbScratch {
-		return &dbScratch{shards: make([]shardScratch, len(db.shards))}
+		return &dbScratch{shards: make([]shardScratch, len(db.shards)), qd: vecmath.NewVector(dim)}
 	})
 	db.reclCond = sync.NewCond(&db.reclMu)
 	db.cur.Store(db.buildViewLocked())
@@ -424,17 +429,32 @@ func (db *DB) Add(sig Signature) error {
 	if db.closed {
 		return errClosed()
 	}
-	if sig.W == nil {
-		return &ConfigError{Param: "signature", Msg: fmt.Sprintf("signature %s has no weight vector", sig.DocID)}
-	}
-	if sig.Dim() != db.dim {
-		return &DimensionError{What: fmt.Sprintf("signature %s", sig.DocID), Got: sig.Dim(), Want: db.dim}
+	if err := db.checkSig(sig); err != nil {
+		return err
 	}
 	si, resealed := db.addLocked(sig)
 	if resealed {
 		db.publishLocked(db.takeStaleActionsLocked()...)
 	} else {
 		db.publishAddLocked(si)
+	}
+	return nil
+}
+
+// checkSig validates one signature for storage: it carries a weight
+// vector of the store's dimension whose cached squared norm is finite.
+// The norm is a sum of squares, so a finite one proves every weight
+// finite in O(1) — the gather dot's precondition: a stored ±Inf times
+// the 0 of a dimension the query lacks would be a NaN where the merge
+// dot skipped the term.
+func (db *DB) checkSig(sig Signature) error {
+	switch {
+	case sig.W == nil:
+		return &ConfigError{Param: "signature", Msg: fmt.Sprintf("signature %s has no weight vector", sig.DocID)}
+	case sig.Dim() != db.dim:
+		return &DimensionError{What: fmt.Sprintf("signature %s", sig.DocID), Got: sig.Dim(), Want: db.dim}
+	case !finite(sig.W.Norm2()):
+		return errNonFinite("signature", "signature "+sig.DocID, sig.W.Norm2())
 	}
 	return nil
 }
@@ -611,11 +631,8 @@ func (db *DB) AddAll(sigs []Signature) error {
 		return errClosed()
 	}
 	for _, s := range sigs {
-		if s.W == nil {
-			return &ConfigError{Param: "signature", Msg: fmt.Sprintf("signature %s has no weight vector", s.DocID)}
-		}
-		if s.Dim() != db.dim {
-			return &DimensionError{What: fmt.Sprintf("signature %s", s.DocID), Got: s.Dim(), Want: db.dim}
+		if err := db.checkSig(s); err != nil {
+			return err
 		}
 	}
 	for _, s := range sigs {
@@ -643,16 +660,21 @@ func (db *DB) All() []Signature {
 
 // dbScratch is the per-worker working state of one query evaluation:
 // per-shard bounded heaps and score accumulators, the global merge
-// heap, the dense-fallback buffer, and the classification vote state
-// (a reused label-count map plus a hit buffer, so Classify* steady
-// state allocates nothing). A scratch is checked out of the DB's pool
-// for the duration of one query, so concurrent readers never share one
-// and a steady query stream allocates nothing.
+// heap, the dense-fallback buffer, the dense view of the query, and the
+// classification vote state (a reused label-count map plus a hit
+// buffer, so Classify* steady state allocates nothing). A scratch is
+// checked out of the DB's pool for the duration of one query, so
+// concurrent readers never share one and a steady query stream
+// allocates nothing.
 type dbScratch struct {
 	shards []shardScratch
 	merged topkHeap
-	votes  map[string]int
-	hits   []SearchResult
+	// qd is all-zero between queries; topkWith scatters the query into it
+	// before the shard fan-out (the shards only read it) and un-scatters
+	// it afterwards over the query's own support.
+	qd    vecmath.Vector
+	votes map[string]int
+	hits  []SearchResult
 }
 
 // shardScratch is one shard's slice of the query working state.
@@ -915,17 +937,27 @@ func (db *DB) topkWith(v *dbView, sc *dbScratch, query *vecmath.Sparse, denseQue
 	if k < 1 {
 		return nil, &ConfigError{Param: "k", Value: k, Min: 1}
 	}
+	qNorm2 := query.Norm2()
+	if !finite(qNorm2) {
+		return nil, errNonFinite("query", "query", qNorm2)
+	}
 	if v.total == 0 {
 		return nil, ErrEmptyDB
 	}
 	if k > v.total {
 		k = v.total
 	}
-	if metric.SparseScore == nil && metric.dotScore == nil && denseQuery == nil {
-		denseQuery = query.Dense()
-	}
 	useIndex := !v.cfg.noIndex && metric.indexable()
-	qNorm2 := query.Norm2()
+	// The indexed path gathers every canonical dot from a dense view of
+	// the query and the dense fallback scores against one; a caller that
+	// did not bring it gets the pooled vector, scattered once here, only
+	// read by the shards, and zeroed again over the query's own support
+	// on the way out.
+	if denseQuery == nil && (useIndex || metric.SparseScore == nil) {
+		denseQuery = sc.qd
+		query.Scatter(denseQuery)
+		defer query.Unscatter(denseQuery)
+	}
 	if parallel.Workers(workers) == 1 || len(v.shards) == 1 {
 		// Sequential shard walk: direct calls, so the hot batched path
 		// (queries fan out, shards stay sequential) builds no closure
@@ -994,71 +1026,51 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 	}
 	switch {
 	case useIndex:
-		// Inverted-index path, one segment at a time: dot products
-		// accumulate down the posting lists of the query's support only
-		// (decoded blocks for sealed segments); every signature in the
-		// segment is then scored from its (possibly zero) dot in O(1)
-		// via the cached norms. Per-candidate accumulation order inside
-		// a segment equals the pre-segment whole-shard walk (ascending
-		// query dims, each candidate sees exactly its intersection
-		// terms), so dots are bit-identical. The active segment's posting
-		// runs are walked like sealed segments; its unindexed tail (the
-		// < activeRunLen rows after the last run) is scored with the
-		// canonical merge-walk dot instead — the very same float sequence
-		// (Sparse.Dot visits the intersection terms in the same ascending
-		// order the posting accumulation does), so results stay
-		// bit-identical.
+		// Inverted-index path, one walk unit at a time. Every score that
+		// reaches the heap is the same float sequence whichever arm
+		// produces it: the row's products with the query in ascending
+		// dimension order, through the cached-norm algebra. The posting
+		// walk (blockPostings.dots) accumulates them down the query's
+		// lists and scores every row of the unit from its (possibly zero)
+		// sum in O(1); the gather dot (viewShard.score) sums them for one
+		// row at a time, and scores the active segment's unindexed tail,
+		// the pruning seeds, the pruned walk's survivors, and any indexed
+		// unit the walk would cost more than scanning (scanBeatsWalk).
 		//
-		// With pruning on (the default) and the shard's first rows indexed, a
-		// strided sample of min(k, len) candidates is scored canonically
-		// up front so the heap holds a displacement threshold before any
-		// segment is walked; indexed segments then take the threshold-
-		// pruned walk (prune.go) and the seed sample is excluded from
-		// every later offer loop. The seed scores, the pruned walk's
-		// rescoring, and the plain walk all produce the canonical
-		// per-candidate score, and the heap's (score, index) total order
-		// is arrival-independent — results stay bit-identical with
-		// pruning on or off.
-		prune := !v.cfg.noPrune && metric.kind != metricKindOther && vs.segs[0].blocks != nil &&
-			len(vs.sigs) >= v.cfg.pruneFloor
+		// With pruning on (the default) and the shard's first rows indexed,
+		// a strided sample of min(k, len) candidates plus the head of the
+		// query's highest-impact posting list is scored up front so the
+		// heap holds a displacement threshold before any unit is walked;
+		// indexed units then take the threshold-pruned walk (prune.go) and
+		// the seed rows are excluded from every later offer loop. The
+		// heap's (score, index) total order is arrival-independent, so
+		// results stay bit-identical with pruning on or off.
+		cosine := metric.kind == metricKindCosine
+		prune := !v.cfg.noPrune && vs.segs[0].blocks != nil && len(vs.sigs) >= v.cfg.pruneFloor
 		var seeds []int32
 		if prune {
-			seeds = seedHeap(vs, &ss.prune, h, k, query, metric, qNorm2)
+			seeds = seedHeap(vs, &ss.prune, h, k, query, denseQuery, cosine, qNorm2)
 			prune = len(h.idx) == k
-		}
-		if prune {
-			seeds = probeSeed(vs, &ss.prune, h, k, query, metric, qNorm2)
 		}
 		theta := v.cfg.pruneTheta
 		for _, sg := range vs.segs {
 			ss.stats.Segments++
-			if sg.blocks == nil {
-				// Active-segment unindexed tail: canonical dots, with the
-				// seed rows excluded like every other offer loop.
-				offerCanonical(h, k, vs, sg, query, metric, qNorm2, seeds)
+			if prune && sg.blocks != nil && prunedSegment(vs, sg, ss, h, k, query, denseQuery, cosine, qNorm2, theta, seeds) {
 				continue
 			}
-			if prune && prunedSegment(vs, sg, ss, h, k, query, metric, qNorm2, theta, seeds) {
+			if sg.blocks == nil || sg.blocks.scanBeatsWalk(query) {
+				ss.stats.SegmentsScanned++
+				offerCanonical(h, k, vs, sg, denseQuery, cosine, qNorm2, seeds)
 				continue
 			}
 			sg.blocks.dots(query, &ss.acc)
-			// Score every candidate from its accumulated dot. The two
-			// built-in metrics take devirtualized loops (their formulas
-			// called directly, plus a heap-root pre-filter that rejects
-			// exactly the candidates offer would reject); other indexable
-			// metrics go through the function value. Same formula, same
-			// (score, index) decisions — identical results, fewer
-			// indirect calls on the hot path. (seeds is empty unless the
-			// seed pass ran, and metricKindOther never seeds.)
-			switch metric.kind {
-			case metricKindEuclidean:
-				offerEuclidean(h, k, vs, sg, &ss.acc, qNorm2, seeds)
-			case metricKindCosine:
+			// Score every candidate from its accumulated dot, with a
+			// heap-root pre-filter that rejects exactly the candidates
+			// offer would reject.
+			if cosine {
 				offerCosine(h, k, vs, sg, &ss.acc, qNorm2, seeds)
-			default:
-				for j := sg.start; j < sg.end; j++ {
-					h.offer(k, vs.gids[j], metric.dotScore(ss.acc.Get(j-sg.start), qNorm2, vs.norms[j]))
-				}
+			} else {
+				offerEuclidean(h, k, vs, sg, &ss.acc, qNorm2, seeds)
 			}
 		}
 	case metric.SparseScore != nil:
@@ -1087,15 +1099,29 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 	return nil
 }
 
-// offerCanonical scores one segment range with the canonical per-
-// candidate dot (query.Dot, the exact float sequence the indexed
-// accumulation produces) and offers the results, skipping the shard
-// rows in seeds like the other offer loops. It is the indexed path's
-// kernel for the active segment's unindexed tail, the rows no posting
-// run covers yet.
+// score is the canonical score of shard row j on the indexed path: the
+// row's gather dot against the dense query qd — the products Sparse.Dot
+// sums, in the same ascending order, plus an exact ±0 for every
+// dimension of the row the query lacks (vecmath.Sparse.Scatter) — put
+// through the metric's cached-norm algebra.
 //
 //fmeter:noalloc
-func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, query *vecmath.Sparse, metric Metric, qNorm2 float64, seeds []int32) {
+func (vs *viewShard) score(j int, qd vecmath.Vector, cosine bool, qNorm2 float64) float64 {
+	dot := vs.sigs[j].W.DotDense(qd)
+	if cosine {
+		return cosineDotScore(dot, qNorm2, vs.norms[j])
+	}
+	return euclideanDotScore(dot, qNorm2, vs.norms[j])
+}
+
+// offerCanonical scores one walk unit row by row with the canonical
+// gather dot and offers the results, skipping the shard rows in seeds
+// like the other offer loops. It is the indexed path's dense scan: the
+// active segment's unindexed tail (the rows no posting run covers yet)
+// and the indexed units scanBeatsWalk hands it.
+//
+//fmeter:noalloc
+func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, qd vecmath.Vector, cosine bool, qNorm2 float64, seeds []int32) {
 	si := 0
 	for j := sg.start; j < sg.end; j++ {
 		for si < len(seeds) && int(seeds[si]) < j {
@@ -1104,17 +1130,7 @@ func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, query *ve
 		if si < len(seeds) && int(seeds[si]) == j {
 			continue
 		}
-		dot := query.Dot(vs.sigs[j].W)
-		var score float64
-		switch metric.kind {
-		case metricKindEuclidean:
-			score = euclideanDotScore(dot, qNorm2, vs.norms[j])
-		case metricKindCosine:
-			score = cosineDotScore(dot, qNorm2, vs.norms[j])
-		default:
-			score = metric.dotScore(dot, qNorm2, vs.norms[j])
-		}
-		h.offer(k, vs.gids[j], score)
+		h.offer(k, vs.gids[j], vs.score(j, qd, cosine, qNorm2))
 	}
 }
 

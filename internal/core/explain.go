@@ -122,15 +122,20 @@ type PruneStats struct {
 	// sealed segments, each posting run of an active segment, and an
 	// active segment's unindexed tail each count once, so it can exceed
 	// DB.Segments(), which counts persisted segments only.
-	// SegmentsPruned of them took the threshold-pruned walk (the rest
-	// were unprunable against the heap root, an unindexed tail, or
-	// already covered by the seed pass).
-	Segments       int64
-	SegmentsPruned int64
-	// Candidates counts the signatures covered by pruned segment walks;
-	// CandidatesScored of them survived the bound filters and had their
-	// exact score recomputed. The gap is the walk's saving: covered
-	// candidates whose exact score was never needed.
+	// SegmentsPruned of them took the threshold-pruned walk and
+	// SegmentsScanned the dense scan — every row scored with the gather
+	// dot: an unindexed tail, or an indexed unit the query's posting
+	// lists cover so much of that walking them would cost more. The rest
+	// took the plain posting walk.
+	Segments        int64
+	SegmentsPruned  int64
+	SegmentsScanned int64
+	// Candidates counts the signatures covered by pruned walks;
+	// CandidatesScored of them survived the block-bound filter and had
+	// their gather dot computed. The filter works from bounds alone, so
+	// it passes more candidates than a partial-dot filter would, and the
+	// share may rise while latency falls: a survivor costs one gather
+	// dot, the walk that would have excluded it many gathered postings.
 	Candidates       int64
 	CandidatesScored int64
 	// DimsConsidered counts (segment, query-dim) pairs with postings;
@@ -149,6 +154,7 @@ type PruneStats struct {
 func (p *PruneStats) add(s *PruneStats) {
 	p.Segments += s.Segments
 	p.SegmentsPruned += s.SegmentsPruned
+	p.SegmentsScanned += s.SegmentsScanned
 	p.Candidates += s.Candidates
 	p.CandidatesScored += s.CandidatesScored
 	p.DimsConsidered += s.DimsConsidered

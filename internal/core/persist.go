@@ -407,6 +407,9 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 		val[k] = v
 		norm2 += v * v
 	}
+	if !finite(norm2) {
+		return Signature{}, errNonFinite("signature", "signature "+docID, norm2)
+	}
 	// The loops above enforced every SparseFromSorted invariant (strict
 	// ascent, range, no zeros) and accumulated the norm in index order,
 	// so the trusted constructor is exact — and skips a third full pass
@@ -493,6 +496,9 @@ func readSigRecord(br byteScanner, dim int) (Signature, error) {
 	w, err := vecmath.SparseFromSorted(dim, idx, val)
 	if err != nil {
 		return Signature{}, err
+	}
+	if !finite(w.Norm2()) {
+		return Signature{}, errNonFinite("signature", "signature "+docID, w.Norm2())
 	}
 	return Signature{DocID: docID, Label: label, W: w}, nil
 }

@@ -29,8 +29,8 @@ const postingBlockSize = 128
 // postingScratch is a stack-allocatable decode buffer for one block:
 // local ids reconstructed from the delta-varints with the gathered
 // weights alongside. The query path accumulates straight out of the
-// byte streams (accumBlock); the scratch form serves validation,
-// introspection, and tests.
+// byte streams (accumBlock); the scratch form serves blocks whose
+// ordinals are wider than a byte, and tests.
 type postingScratch struct {
 	ids [postingBlockSize]int32
 	ws  [postingBlockSize]float64
@@ -430,17 +430,17 @@ func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accu
 	}
 }
 
-// decodeBlock expands one block into the scratch: ids from the gap
-// varints, weights gathered through the ordinal varints from the
-// signatures' own value arrays.
-func (bp *blockPostings) decodeBlock(bd *blockDesc, sc *postingScratch) ([]int32, []float64) {
-	n := int(bd.count)
-	ids, ws := sc.ids[:n], sc.ws[:n]
+// decodeIDs expands one block's ascending local ids from the gap
+// varints into buf; the ordinal stream is not read.
+//
+//fmeter:noalloc
+func (bp *blockPostings) decodeIDs(bd *blockDesc, buf *[postingBlockSize]int32) []int32 {
+	ids := buf[:bd.count]
 	blob := bp.blob
 	pos := int(bd.off)
 	id := bd.firstID
 	ids[0] = id
-	for k := 1; k < n; k++ {
+	for k := 1; k < len(ids); k++ {
 		b := blob[pos]
 		pos++
 		gap := uint32(b)
@@ -458,8 +458,18 @@ func (bp *blockPostings) decodeBlock(bd *blockDesc, sc *postingScratch) ([]int32
 		id += int32(gap) + 1
 		ids[k] = id
 	}
-	vals := bp.vals
-	for k := 0; k < n; k++ {
+	return ids
+}
+
+// decodeBlock expands one block into the scratch: ids from the gap
+// varints, weights gathered through the ordinal stream from the
+// signatures' own value arrays.
+func (bp *blockPostings) decodeBlock(bd *blockDesc, sc *postingScratch) ([]int32, []float64) {
+	ids := bp.decodeIDs(bd, &sc.ids)
+	ws := sc.ws[:len(ids)]
+	blob := bp.blob
+	pos := int(bd.off) + int(bd.idLen)
+	for k, id := range ids {
 		var ord uint32
 		switch bd.ordW {
 		case 1:
@@ -470,9 +480,46 @@ func (bp *blockPostings) decodeBlock(bd *blockDesc, sc *postingScratch) ([]int32
 			ord = uint32(blob[pos]) | uint32(blob[pos+1])<<8 | uint32(blob[pos+2])<<16 | uint32(blob[pos+3])<<24
 		}
 		pos += int(bd.ordW)
-		ws[k] = vals[ids[k]][ord]
+		ws[k] = bp.vals[id][ord]
 	}
 	return ids, ws
+}
+
+// dimPostings returns dimension d's exact posting count.
+func (bp *blockPostings) dimPostings(d int32) int64 {
+	var n int64
+	for bi := bp.dir[d]; bi < bp.dir[d+1]; bi++ {
+		n += int64(bp.blocks[bi].count)
+	}
+	return n
+}
+
+// scanWalkRatio is the measured exchange rate between the two ways of
+// scoring a unit whole: one posting walked by dots (a varint, two
+// dependent loads for the weight, a scattered add) costs about as much
+// as this many row non-zeros scanned by the gather dot (sequential
+// loads, one gather from a 30 KB vector). BenchmarkTopKFlat on 24 000
+// peaked 200-nnz signatures ties the arms where a pool-only query walks
+// between 1/4 and 1/7 of a unit's non-zeros — nearer 1/4 on an idle
+// core, nearer 1/7 with every core in the walk's scattered loads — and
+// the constant sits inside that band, where the arms are within a third
+// of each other. Away from it the choice is worth a lot and comes out
+// the same at any value in the band: a flat query (3/4 of the
+// non-zeros) scans in a third of the walk's time, a 12-nnz query over
+// 12-nnz rows (1/160) walks in a quarter of the scan's.
+const scanWalkRatio = 6
+
+// scanBeatsWalk reports whether scoring every covered row with the
+// gather dot is cheaper than accumulating q down its posting lists: the
+// exact posting count under q's dims against the unit's non-zeros.
+func (bp *blockPostings) scanBeatsWalk(q *vecmath.Sparse) bool {
+	var walk int64
+	for _, d := range q.Support() {
+		if walk += bp.dimPostings(d); walk*scanWalkRatio > bp.nPostings {
+			return true
+		}
+	}
+	return false
 }
 
 // postingCount returns the total number of posting entries.

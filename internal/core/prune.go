@@ -15,20 +15,22 @@ import (
 // to a per-dim directory bound at seal time) to spend work only where
 // the top-k outcome can still change:
 //
-//  1. The query dims present in the segment are ranked by worst-case
+//  1. The query dims present in the unit are ranked by worst-case
 //     contribution |q_d|·dimBound[d] and suffix-summed in that order.
 //     Once the heap is full, the first suffix whose remaining mass
 //     provably cannot lift any untouched candidate past the heap root
 //     splits the dims into an essential prefix and a skippable tail.
-//  2. Essential dims accumulate as usual (ascending dim order, tracking
-//     which candidates were touched); inside them, an individual block
-//     is skipped when even adding its |q_d|·maxAbsW to every remaining
-//     bound cannot change the outcome (block-max pruning).
-//  3. Touched candidates whose partial dot plus the remaining bound
-//     cannot displace the root are dropped; the survivors are rescored
-//     with the canonical merge-walk dot (Sparse.Dot) — the exact float
-//     sequence the scan path computes — and offered normally. Untouched
-//     candidates are covered wholesale by step 1's bound.
+//  2. The essential dims' blocks are walked for their ids only: every
+//     candidate in a block accumulates the block's constant bound
+//     |q_d|·maxAbsW and is listed on first touch. No posting weight is
+//     gathered. An individual block is skipped when even adding its
+//     bound to every remaining bound cannot change the outcome
+//     (block-max pruning), and the unit is given up — scored whole by
+//     the caller — once the walk has cost more than that would.
+//  3. Listed candidates whose summed block bounds plus the remaining
+//     bound cannot displace the root are dropped; the survivors get the
+//     canonical gather dot (viewShard.score) and are offered normally.
+//     Unlisted candidates are covered wholesale by step 1's bound.
 //
 // Bound arithmetic only ever *filters*; every score that reaches the
 // heap is the canonical one, so exact mode (theta == 1) is bit-identical
@@ -41,33 +43,17 @@ import (
 // early, trading a bounded recall loss for speed.
 //
 // The walk prunes against the shard heap's root, so it only engages
-// once the heap is full; topkShard seeds the heap with a strided
-// sample of min(k, len) shard candidates (scored canonically) before
-// the segment walk, which makes the very first — often the largest,
+// once the heap is full; topkShard seeds the heap (seedHeap) before the
+// first unit, which makes the very first — often the largest,
 // post-compaction — segment prunable too, with a threshold that is
 // already near its final value for batch-clustered corpora.
 
-// pruneTailSlack tightens the skippable-tail budget: after the cutoff
-// proves a suffix skippable, the essential prefix keeps growing until
-// the remaining tail mass is below 1/pruneTailSlack of the displacement
-// threshold, and individually skipped blocks are held to the same
-// budget. Skipping is sound at any budget (a skipped mass is always a
-// provable non-displacer); the slack exists for the *rescoring* filter:
-// every touched candidate is pre-filtered against its partial dot plus
-// the total skipped mass, so a tail that is barely below the threshold
-// would let nearly every candidate through to a full merge-walk dot —
-// the filter only bites when the skipped mass is small relative to the
-// threshold. Accumulating a few more cheap posting blocks to keep the
-// tail tiny is the difference between rescoring ~k candidates and
-// rescoring the whole segment.
-const pruneTailSlack = 16
-
 // pruneMinRows is the default shard-size floor below which the pruned
-// walk is not attempted: seeding the heap costs up to k strided
-// canonical dots plus probeBlocks decoded blocks of canonical dots, so
-// on a shard with fewer rows than that the seed pass alone costs more
-// than the plain walk it is meant to undercut (a 100-signature sealed
-// store measured ~4× slower pruned than plain). Pruning exists for the
+// walk is not attempted: seeding the heap costs up to k strided gather
+// dots plus probeBlocks decoded blocks of them, so on a shard with fewer
+// rows than that the seed pass alone costs more than the plain walk it
+// is meant to undercut (a 100-signature sealed store measured ~4×
+// slower pruned than plain). Pruning exists for the
 // large-corpus regime; tiny shards take the plain sealed walk, whose
 // results are bit-identical anyway. Tests lower db.pruneFloor to keep
 // the equivalence sweeps exercising the pruned path on small fixtures.
@@ -95,20 +81,20 @@ func (db *DB) setPruneFloor(n int) {
 
 // pruneEps is the relative slack added to every remainder bound before
 // it is compared against the heap root. The bound sums (suffix sums of
-// per-dim bounds, partial dots) and the canonical rescoring dot
-// accumulate the same magnitudes in different orders, so they can
-// disagree by a few ULPs per term — bounded by ~n·2^-53 relative to the
-// summed magnitudes, which is below 1e-10 for any realistic support
-// size (even 10^5 terms). 1e-9 of slack keeps every filter decision on
-// the safe (looser) side; slack only ever admits extra candidates to
-// the exact rescoring, never drops one.
+// per-dim bounds, sums of block bounds) dominate the canonical dot term
+// by term in real arithmetic, but each side is a float sum with its own
+// rounding, so they can disagree by a few ULPs per term — bounded by
+// ~n·2^-53 relative to the summed magnitudes, which is below 1e-10 for
+// any realistic support size (even 10^5 terms). 1e-9 of slack keeps
+// every filter decision on the safe (looser) side; slack only ever
+// admits extra candidates to the gather dot, never drops one.
 const pruneEps = 1e-9
 
 // pruneScratch is the per-shard working state of the pruned walk; like
 // the accumulator it is pooled per worker, so steady-state queries do
 // not allocate.
 type pruneScratch struct {
-	// slots/bound: query-support positions with postings in this segment
+	// slots/bound: query-support positions with postings in this unit
 	// (ascending dim order) and their impact bounds |q_d|·dimBound[d].
 	slots []int32
 	bound []float64
@@ -116,11 +102,8 @@ type pruneScratch struct {
 	// impact mass of ord[i:] (suffix[len] == 0).
 	ord    []int32
 	suffix []float64
-	// ess marks the essential slots (the descending-impact prefix that
-	// must be accumulated).
-	ess []bool
-	// touched/stamp/epoch track which segment-local candidates received
-	// at least one posting, so rescoring visits exactly those.
+	// touched lists the unit-local candidates the walk met, in first-
+	// touch order; stamp/epoch mark them and the seed rows (beginStamps).
 	touched []int32
 	stamp   []uint32
 	epoch   uint32
@@ -130,6 +113,8 @@ type pruneScratch struct {
 	// buffer probeSeed splices its run into.
 	seeds    []int32
 	seedsTmp []int32
+	// ids is the ids-only block decode buffer of the probe and the walk.
+	ids [postingBlockSize]int32
 }
 
 // impactSorter orders ord by descending impact bound, ties toward the
@@ -198,37 +183,52 @@ func (db *DB) pruneThetaLocked() float64 {
 	return db.pruneTheta
 }
 
-// seedHeap offers min(k, len) candidates sampled at a fixed stride
-// across the whole shard to the heap with their canonical scores,
-// recording the sampled rows (ascending) in ps.seeds so every later
-// offer loop can exclude them — no candidate is offered twice. It
-// exists so the pruned walk has a full heap — a displacement threshold
-// — before the very first segment; striding the sample (rather than
-// taking the leading rows) matters because real corpora arrive in
-// workload batches, so a spread sample almost always contains a few
-// same-class near neighbors of the query and the threshold starts near
-// its final value. The sample depends only on the shard length, never
-// on the segment layout, and the seeds are scored canonically — the
-// kept set stays layout-independent and bit-identical.
-func seedHeap(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmath.Sparse, metric Metric, qNorm2 float64) []int32 {
-	n := len(vs.sigs)
-	warm := k
-	if warm > n {
-		warm = n
+// beginStamps opens a fresh stamp epoch over the n rows of the walk unit
+// starting at shard row start, with the seed rows inside it already
+// stamped: a stamped row is one some pass has already taken care of, so
+// neither the probe nor the pruned walk ever lists a seed again.
+func (ps *pruneScratch) beginStamps(start, n int, seeds []int32) {
+	if cap(ps.stamp) < n {
+		ps.stamp = make([]uint32, n)
+		ps.epoch = 0
 	}
+	ps.stamp = ps.stamp[:n]
+	ps.epoch++
+	if ps.epoch == 0 {
+		// Epoch wrap: clear the full capacity so pre-wrap stamps cannot
+		// alias the fresh epoch (same discipline as the accumulator).
+		clear(ps.stamp[:cap(ps.stamp)])
+		ps.epoch = 1
+	}
+	for _, j := range seeds {
+		if l := int(j) - start; l >= 0 && l < n {
+			ps.stamp[l] = ps.epoch
+		}
+	}
+}
+
+// seedHeap fills the heap before the first unit is walked, so the
+// pruned walk has a displacement threshold from the start, and returns
+// the shard rows it offered (ascending) for every later offer loop to
+// exclude — no candidate is offered twice. Seed choice cannot affect
+// results: every seed gets the canonical score and the heap's
+// (score, index) total order makes the kept set arrival-independent.
+// The sample is min(k, len) rows at a fixed stride across the whole
+// shard — real corpora arrive in workload batches, so a spread sample
+// usually holds a few same-class neighbors of the query, and it depends
+// only on the shard length, never on the segment layout — sharpened by
+// probeSeed once it has filled the heap.
+func seedHeap(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2 float64) []int32 {
+	n := len(vs.sigs)
+	warm := min(k, n)
 	ps.seeds = ps.seeds[:0]
-	cosine := metric.kind == metricKindCosine
 	for i := 0; i < warm; i++ {
 		j := i * n / warm
 		ps.seeds = append(ps.seeds, int32(j))
-		dot := query.Dot(vs.sigs[j].W)
-		var score float64
-		if cosine {
-			score = cosineDotScore(dot, qNorm2, vs.norms[j])
-		} else {
-			score = euclideanDotScore(dot, qNorm2, vs.norms[j])
-		}
-		h.offer(k, vs.gids[j], score)
+		h.offer(k, vs.gids[j], vs.score(j, qd, cosine, qNorm2))
+	}
+	if warm == k {
+		probeSeed(vs, ps, h, k, query, qd, cosine, qNorm2)
 	}
 	return ps.seeds
 }
@@ -236,21 +236,15 @@ func seedHeap(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmat
 // probeBlocks bounds how many posting blocks probeSeed decodes.
 const probeBlocks = 2
 
-// probeSeed sharpens the seed threshold with a query-adaptive sample:
-// the strided sample bounds the threshold by chance (k spread draws
-// rarely include near neighbors when the query's workload class is a
-// sliver of the corpus), so this pass finds the single highest-impact
-// posting list for the query across the shard's sealed segments —
-// max |q_d|·dimBound[d], the list a near neighbor is most likely to
-// sit in — decodes its first blocks, and offers those candidates
-// canonically. For batch-clustered signatures that list belongs to the
-// query's own class, so the heap root starts near its final value and
-// even the largest segment prunes on first contact. Seed choice cannot
-// affect results — every candidate is scored canonically and offered
-// exactly once, and the heap's (score, index) total order makes the
-// kept set walk-order-independent — so probing is a pure threshold
-// accelerator. Returns the updated (sorted) seed list.
-func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmath.Sparse, metric Metric, qNorm2 float64) []int32 {
+// probeSeed adds a query-adaptive sample to the strided one in
+// ps.seeds: k spread draws rarely include near neighbors when the
+// query's class is a sliver of the corpus, so the first probeBlocks
+// blocks of the single highest-impact posting list across the shard's
+// units — max |q_d|·dimBound[d], the list a near neighbor most likely
+// sits in; for batch-clustered signatures it belongs to the query's own
+// class — are decoded and their rows offered, which puts the root near
+// its final value before even the largest unit is met.
+func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2 float64) {
 	idx, val := query.Support(), query.Values()
 	var bestSeg viewSegment
 	bestDim, best := -1, 0.0
@@ -269,40 +263,28 @@ func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecma
 		}
 	}
 	if bestSeg.blocks == nil {
-		return ps.seeds
+		return
 	}
 	base := len(ps.seeds) // the sorted strided run
 	bp := bestSeg.blocks
-	cosine := metric.kind == metricKindCosine
-	var sc postingScratch
-	lo, hi := bp.dir[bestDim], bp.dir[bestDim+1]
-	if hi-lo > probeBlocks {
-		hi = lo + probeBlocks
-	}
+	ps.beginStamps(bestSeg.start, bp.n, ps.seeds)
+	lo, hi := bp.dir[bestDim], min(bp.dir[bestDim]+probeBlocks, bp.dir[bestDim+1])
 	for bi := lo; bi < hi; bi++ {
-		ids, _ := bp.decodeBlock(&bp.blocks[bi], &sc)
-		for _, id := range ids {
+		for _, id := range bp.decodeIDs(&bp.blocks[bi], &ps.ids) {
+			if ps.stamp[id] == ps.epoch {
+				continue // a strided seed
+			}
 			j := bestSeg.start + int(id)
-			if seedContains(ps.seeds[:base], int32(j)) {
-				continue
-			}
 			ps.seeds = append(ps.seeds, int32(j))
-			dot := query.Dot(vs.sigs[j].W)
-			var score float64
-			if cosine {
-				score = cosineDotScore(dot, qNorm2, vs.norms[j])
-			} else {
-				score = euclideanDotScore(dot, qNorm2, vs.norms[j])
-			}
-			h.offer(k, vs.gids[j], score)
+			h.offer(k, vs.gids[j], vs.score(j, qd, cosine, qNorm2))
 		}
 	}
 	if len(ps.seeds) == base {
-		return ps.seeds
+		return
 	}
 	// Merge the two sorted runs (strided, probe) so exclusion stays a
-	// single ascending cursor; the runs are disjoint by the contains
-	// check above. The old backing array becomes the next merge buffer.
+	// single ascending cursor; the runs are disjoint by the stamp check
+	// above. The old backing array becomes the next merge buffer.
 	a, b := ps.seeds[:base], ps.seeds[base:]
 	if cap(ps.seedsTmp) < len(ps.seeds) {
 		ps.seedsTmp = make([]int32, 0, 2*len(ps.seeds))
@@ -322,40 +304,22 @@ func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecma
 	out = append(out, b[j:]...)
 	ps.seedsTmp = ps.seeds[:0]
 	ps.seeds = out
-	return ps.seeds
 }
 
-// seedContains reports whether the sorted seed list holds shard row j.
-func seedContains(seeds []int32, j int32) bool {
-	lo, hi := 0, len(seeds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seeds[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(seeds) && seeds[lo] == j
-}
-
-// prunedSegment runs the threshold-pruned walk over one sealed segment,
-// offering every candidate that could still belong to the top k. It
-// reports false — leaving the heap untouched — when no dim can be
-// proven skippable, in which case the caller runs the plain indexed
-// walk (the bounds would all be checked and none would fire, so the
-// plain fused kernels are strictly faster). seeds holds the shard rows
-// already offered by seedHeap (ascending); the caller guarantees the
-// heap is full.
-func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap, k int, query *vecmath.Sparse, metric Metric, qNorm2, theta float64, seeds []int32) bool {
+// prunedSegment runs the threshold-pruned walk over one indexed walk
+// unit, offering every candidate that could still belong to the top k.
+// It reports false — leaving the heap untouched — when no dim can be
+// proven skippable or the walk stops paying before it ends; the caller
+// then scores the unit whole. seeds holds the shard rows the seed passes
+// already offered (ascending); the caller guarantees the heap is full.
+func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2, theta float64, seeds []int32) bool {
 	bp := sg.blocks
 	ps := &ss.prune
 	idx, val := query.Support(), query.Values()
-	cosine := metric.kind == metricKindCosine
 
-	// Impact bounds of the query dims present in this segment.
+	// Impact bounds of the query dims present in this unit.
 	ps.slots, ps.bound, ps.ord = ps.slots[:0], ps.bound[:0], ps.ord[:0]
-	totalBlk := 0
+	totalBlk, walkAll := 0, int64(0)
 	for s, d := range idx {
 		lo, hi := bp.dir[d], bp.dir[d+1]
 		if lo == hi {
@@ -365,6 +329,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 		ps.slots = append(ps.slots, int32(s))
 		ps.bound = append(ps.bound, math.Abs(val[s])*bp.dimBound[d])
 		totalBlk += int(hi - lo)
+		walkAll += bp.dimPostings(d)
 	}
 	m := len(ps.slots)
 	ss.stats.DimsConsidered += int64(m)
@@ -387,8 +352,9 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// score bound through the norm that maximizes the score, and only a
 	// strictly-worse bound is conclusive (an equal score could still
 	// displace through the smaller-gid tie-break). The heap root is read
-	// live, but no offer happens until rescoring, after every canSkip
-	// decision — the threshold is constant while bounds are evaluated.
+	// live, but no offer happens until the survivors are scored, after
+	// every canSkip decision — the threshold is constant while bounds
+	// are evaluated.
 	canSkip := func(rem float64) bool {
 		if cosine {
 			return cosineDotScore(rem, qNorm2, bp.minPosNorm2) < h.score[0]
@@ -399,7 +365,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// Essential cutoff: the first suffix (the whole support included, at
 	// i == m, covering candidates with no query overlap at all) whose
 	// mass cannot displace the root. No such suffix means nothing in
-	// this segment is provably skippable.
+	// this unit is provably skippable.
 	cut := -1
 	for i := 0; i <= m; i++ {
 		if canSkip(theta * ps.suffix[i] * (1 + pruneEps)) {
@@ -410,145 +376,101 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	if cut < 0 {
 		return false
 	}
-	// A zero cut covers the whole segment — nothing to accumulate.
-	// Otherwise extend the essential prefix until the tail is far below
-	// the threshold (see pruneTailSlack), so the rescoring filter is
-	// tight enough to keep full-dot rescores near k — then bail to the
-	// plain walk unless the skippable tail covers a meaningful share of
-	// the segment's posting blocks: the touch-tracked kernel is slower
-	// per posting than the fused one, so a walk that decodes nearly
-	// everything anyway should decode it the fast way.
-	if cut > 0 {
-		for cut < m && !canSkip(theta*ps.suffix[cut]*pruneTailSlack*(1+pruneEps)) {
-			cut++
+
+	// The ids-only walk over the essential dims, heaviest first: every
+	// candidate of a walked block accumulates the block's bound
+	// |q_d|·maxAbsW — no weight is gathered — and is listed on first
+	// touch. skipped accumulates the bounds of individually skipped
+	// blocks: a candidate sits in at most one block per dim, so its mass
+	// outside the walked blocks is bounded by the skippable-tail suffix
+	// plus the skipped-block total. A zero cut covers the whole unit and
+	// walks nothing.
+	//
+	// The walk gives the unit up as soon as it has cost more than scoring
+	// the unit whole would, in walked postings: budget is the cheaper of
+	// the plain walk (the postings under the query's dims) and the dense
+	// scan (scanWalkRatio non-zeros to the posting); against it go a
+	// posting per decoded id and a gather dot per listed candidate — the
+	// skippable tail usually sits just under the threshold, so the filter
+	// below passes most of what the walk lists, and a walk that lists
+	// much of the unit has already lost.
+	acc := &ss.acc
+	acc.Reset(bp.n)
+	ps.beginStamps(sg.start, bp.n, seeds)
+	ps.touched = ps.touched[:0]
+	budget := min(float64(walkAll), float64(bp.nPostings)/scanWalkRatio)
+	rowCost := float64(bp.nPostings) / float64(bp.n) / scanWalkRatio
+	walked, blocksSkipped, skipped := 0, 0, 0.0
+	for i := 0; i < cut; i++ {
+		s := ps.slots[ps.ord[i]]
+		d := idx[s]
+		aq := math.Abs(val[s])
+		for bi := bp.dir[d]; bi < bp.dir[d+1]; bi++ {
+			bd := &bp.blocks[bi]
+			bb := aq * bd.maxAbsW
+			if bb == 0 {
+				blocksSkipped++
+			} else if canSkip(theta * (ps.suffix[cut] + skipped + bb) * (1 + pruneEps)) {
+				skipped += bb
+				blocksSkipped++
+			} else {
+				bp.accumBlockBound(bb, bd, acc, ps)
+				walked += int(bd.count)
+			}
 		}
-		tailBlk := 0
-		for i := cut; i < m; i++ {
-			d := idx[ps.slots[ps.ord[i]]]
-			tailBlk += int(bp.dir[d+1] - bp.dir[d])
-		}
-		if 4*tailBlk < totalBlk {
+		if float64(walked)+float64(len(ps.touched))*rowCost > budget {
 			return false
 		}
+	}
+	for i := cut; i < m; i++ {
+		d := idx[ps.slots[ps.ord[i]]]
+		blocksSkipped += int(bp.dir[d+1] - bp.dir[d])
 	}
 	ss.stats.SegmentsPruned++
 	ss.stats.Candidates += int64(bp.n)
 	ss.stats.DimsSkipped += int64(m - cut)
+	ss.stats.BlocksSkipped += int64(blocksSkipped)
 
-	if cap(ps.ess) < m {
-		ps.ess = make([]bool, m)
-	}
-	ps.ess = ps.ess[:m]
-	for i := range ps.ess {
-		ps.ess[i] = false
-	}
-	for i := 0; i < cut; i++ {
-		ps.ess[ps.ord[i]] = true
-	}
-
-	// Touch-tracked accumulation over the essential dims, in ascending
-	// dim order (slots were built ascending). skipped accumulates the
-	// impact bounds of individually skipped blocks: a candidate sits in
-	// at most one block per dim, so its unaccumulated mass is bounded by
-	// the skippable-tail suffix plus the skipped-block total.
-	acc := &ss.acc
-	acc.Reset(bp.n)
-	if cap(ps.stamp) < bp.n {
-		ps.stamp = make([]uint32, bp.n)
-		ps.epoch = 0
-	}
-	ps.stamp = ps.stamp[:bp.n]
-	ps.epoch++
-	if ps.epoch == 0 {
-		// Epoch wrap: clear the full capacity so pre-wrap stamps cannot
-		// alias the fresh epoch (same discipline as the accumulator).
-		full := ps.stamp[:cap(ps.stamp)]
-		for i := range full {
-			full[i] = 0
-		}
-		ps.epoch = 1
-	}
-	ps.touched = ps.touched[:0]
-	skipped := 0.0
-	for p := 0; p < m; p++ {
-		s := ps.slots[p]
-		d := idx[s]
-		if !ps.ess[p] {
-			ss.stats.BlocksSkipped += int64(bp.dir[d+1] - bp.dir[d])
-			continue
-		}
-		qv := val[s]
-		aq := math.Abs(qv)
-		for bi := bp.dir[d]; bi < bp.dir[d+1]; bi++ {
-			bd := &bp.blocks[bi]
-			if bd.maxAbsW == 0 {
-				ss.stats.BlocksSkipped++
-				continue
-			}
-			if bb := aq * bd.maxAbsW; canSkip(theta * (ps.suffix[cut] + skipped + bb) * pruneTailSlack * (1 + pruneEps)) {
-				skipped += bb
-				ss.stats.BlocksSkipped++
-				continue
-			}
-			bp.accumBlockTouch(qv, bd, acc, ps)
-		}
-	}
-
-	// Rescore the touched candidates: drop those whose partial dot plus
-	// the remainder bound cannot displace the root (the same predicate
-	// offer would decide with, against a bound that dominates the exact
-	// score), then offer the survivors' canonical scores. The extra
-	// pruneEps·suffix[0] absorbs the float drift between the essential
-	// partial sums and the canonical merge-walk dot. Untouched
-	// candidates were covered wholesale by the cutoff/block checks.
+	// Filter the touched candidates, then score the survivors. A
+	// candidate's dot is at most its accumulated block bounds plus the
+	// mass it may hold outside the walked blocks; if even that cannot
+	// displace the root (the predicate offer decides with) it is dropped,
+	// otherwise it gets the canonical gather dot. The extra
+	// pruneEps·suffix[0] absorbs the float drift between the bound sums
+	// and the real-number sums they stand for. Untouched candidates were
+	// covered wholesale by the cutoff/block checks.
 	rem := theta*(ps.suffix[cut]+skipped)*(1+pruneEps) + pruneEps*(ps.suffix[0]+skipped)
 	rs, ri := h.score[0], h.idx[0]
 	for _, id := range ps.touched {
 		j := sg.start + int(id)
 		gid := vs.gids[j]
 		ub := acc.Get(int(id)) + rem
-		var score float64
 		if cosine {
 			if b := cosineDotScore(ub, qNorm2, vs.norms[j]); b < rs || (b == rs && gid > ri) {
 				continue
 			}
-			if seedContains(seeds, int32(j)) {
-				continue // already offered canonically by seedHeap
-			}
-			ss.stats.CandidatesScored++
-			score = cosineDotScore(query.Dot(vs.sigs[j].W), qNorm2, vs.norms[j])
-			if score < rs || (score == rs && gid > ri) {
-				continue
-			}
-		} else {
-			if b := euclideanDotScore(ub, qNorm2, vs.norms[j]); b > rs || (b == rs && gid > ri) {
-				continue
-			}
-			if seedContains(seeds, int32(j)) {
-				continue // already offered canonically by seedHeap
-			}
-			ss.stats.CandidatesScored++
-			score = euclideanDotScore(query.Dot(vs.sigs[j].W), qNorm2, vs.norms[j])
-			if score > rs || (score == rs && gid > ri) {
-				continue
-			}
+		} else if b := euclideanDotScore(ub, qNorm2, vs.norms[j]); b > rs || (b == rs && gid > ri) {
+			continue
 		}
-		h.offer(k, gid, score)
+		ss.stats.CandidatesScored++
+		h.offer(k, gid, vs.score(j, qd, cosine, qNorm2))
 		rs, ri = h.score[0], h.idx[0]
 	}
 	return true
 }
 
-// accumBlockTouch is the pruned walk's block kernel: decodeBlock into
-// the scratch, accumulate, and record first touches so rescoring can
-// enumerate exactly the candidates with a nonzero partial sum.
-func (bp *blockPostings) accumBlockTouch(qv float64, bd *blockDesc, acc *vecmath.Accumulator, ps *pruneScratch) {
-	var sc postingScratch
-	ids, ws := bp.decodeBlock(bd, &sc)
-	for k, id := range ids {
-		acc.Add(id, qv*ws[k])
+// accumBlockBound is the pruned walk's block kernel: it decodes the
+// block's ids only and adds the block's bound bb to each candidate,
+// listing first touches so the filter visits exactly the candidates the
+// walk met (seeds are stamped before the walk and never listed).
+//
+//fmeter:noalloc
+func (bp *blockPostings) accumBlockBound(bb float64, bd *blockDesc, acc *vecmath.Accumulator, ps *pruneScratch) {
+	for _, id := range bp.decodeIDs(bd, &ps.ids) {
+		acc.Add(id, bb)
 		if ps.stamp[id] != ps.epoch {
 			ps.stamp[id] = ps.epoch
+			//fmeter:alloc-ok touched grows to the largest unit once; the scratch pool reuses it across queries
 			ps.touched = append(ps.touched, id)
 		}
 	}

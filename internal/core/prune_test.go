@@ -215,6 +215,17 @@ func TestPruneStatsCounters(t *testing.T) {
 		if st.CandidatesScored >= st.Candidates {
 			t.Fatalf("%s: rescored %d of %d covered candidates — no saving", metric.Name, st.CandidatesScored, st.Candidates)
 		}
+		// A pool-only query has postings under every row and nothing to
+		// skip: its units are scanned, and counted apart from pruned ones.
+		pool := vecmath.NewVector(200)
+		for d := 0; d < 30; d++ {
+			pool[d] = 0.02 + 0.04*r.Float64()
+		}
+		if _, stf, err := db.TopKSparseStats(vecmath.DenseToSparse(pool), 5, metric); err != nil {
+			t.Fatal(err)
+		} else if stf.SegmentsScanned == 0 || stf.SegmentsScanned+stf.SegmentsPruned > stf.Segments {
+			t.Fatalf("%s: pool-only query: scanned units miscounted: %+v", metric.Name, stf)
+		}
 		db.SetPruned(false)
 		want, err := db.TopKSparse(q, 5, metric)
 		if err != nil {
@@ -239,6 +250,184 @@ func TestPruneStatsCounters(t *testing.T) {
 			}
 			if label != wantLabel {
 				t.Fatalf("%s: ClassifySparseStats label %q, want %q", metric.Name, label, wantLabel)
+			}
+		}
+	}
+}
+
+// shapeDim is the function space of the shape fixtures: a pool of
+// shapePool ubiquitous light functions below the class functions.
+const shapeDim, shapePool = 400, 40
+
+// overlapSigs builds n batch-clustered signatures whose classes share
+// functions: class c owns the ten functions from shapePool+8c, so it has
+// two heavy functions in common with each neighbor class. A query's
+// essential dims therefore touch neighbor-class candidates through one
+// or two lists — candidates the block-bound filter must drop, and must
+// not drop when they do belong to the top k.
+func overlapSigs(r *rand.Rand, from, n, classSize int) []Signature {
+	out := make([]Signature, n)
+	for i := range out {
+		class := (from + i) / classSize
+		v := vecmath.NewVector(shapeDim)
+		for j := 0; j < 10; j++ {
+			v[shapePool+8*class+j] = 0.5 + 0.5*r.Float64()
+		}
+		for d := 0; d < shapePool; d++ {
+			if r.Float64() < 0.75 {
+				v[d] = 0.02 + 0.04*r.Float64()
+			}
+		}
+		out[i] = SignatureFromDense(fmt.Sprintf("d%d", from+i), fmt.Sprintf("c%d", class), v)
+	}
+	return out
+}
+
+// flatQuery is a pool-only query over the first m pool functions: every
+// stored signature has postings under it and nothing is skippable.
+func flatQuery(r *rand.Rand, m int) *vecmath.Sparse {
+	v := vecmath.NewVector(shapeDim)
+	for d := 0; d < m; d++ {
+		v[d] = 0.02 + 0.04*r.Float64()
+	}
+	return vecmath.DenseToSparse(v)
+}
+
+// nearTieSigs is ROADMAP item 3's adversarial corpus against pruneEps:
+// weights spanning 120 orders of magnitude (bound sums absorb what the
+// canonical dot keeps, and the reverse), and around the returned query
+// a cloud of exact duplicates, copies off by a few ULPs in one weight,
+// and rescaled copies — scores that tie or differ in the last bit, so a
+// bound that is one ULP too tight drops a true neighbor and the
+// insertion-index tie-break decides the rest.
+func nearTieSigs(r *rand.Rand, n int) ([]Signature, *vecmath.Sparse) {
+	wide := func() vecmath.Vector {
+		v := vecmath.NewVector(shapeDim)
+		for j := 0; j < 30; j++ {
+			v[r.Intn(shapeDim)] = math.Pow(10, float64(r.Intn(121)-60)) * float64(1-2*r.Intn(2))
+		}
+		return v
+	}
+	base := wide()
+	out := make([]Signature, n)
+	for i := range out {
+		v := wide()
+		switch i % 6 {
+		case 0: // an exact duplicate
+			v = base.Clone()
+		case 1, 2: // one weight off by up to 3 ULPs
+			v = base.Clone()
+			for d := range v {
+				if v[d] != 0 && r.Intn(4) == 0 {
+					for u := r.Intn(3) + 1; u > 0; u-- {
+						v[d] = math.Nextafter(v[d], math.Inf(2*(i%2)-1))
+					}
+					break
+				}
+			}
+		case 3: // a rescaled copy: the same direction, another norm
+			v = base.Clone()
+			for d := range v {
+				v[d] *= 3
+			}
+		}
+		out[i] = SignatureFromDense(fmt.Sprintf("d%d", i), fmt.Sprintf("l%d", i%3), v)
+	}
+	return out, vecmath.DenseToSparse(base)
+}
+
+// TestPrunedTopKMatchesScanShapes extends the exact-mode sweep with the
+// corpus and query shapes the gather-dot walk's decisions hinge on:
+// overlapping class functions (the block-bound filter), flat pool-only
+// queries on both sides of the scan/walk crossover (scanBeatsWalk), and
+// near-tie, wide-magnitude scores (pruneEps) — each at prune floor 1
+// and at the default floor, sealed and with an active tail of runs,
+// bit-identical to the never-indexed scan; and at k = 10 each must
+// actually take the walk it is there for.
+func TestPrunedTopKMatchesScanShapes(t *testing.T) {
+	const n, classSize = 3000, 500
+	r := rand.New(rand.NewSource(23))
+	overlap := overlapSigs(r, 0, n, classSize)
+	var classQ, flatQ []*vecmath.Sparse
+	for c := 0; c < n/classSize; c += 2 {
+		classQ = append(classQ, overlapSigs(r, c*classSize, 1, classSize)[0].W)
+	}
+	for _, m := range []int{1, 3, 5, 6, 8, 12, 25, shapePool} {
+		flatQ = append(flatQ, flatQuery(r, m))
+	}
+	ties, tieQ := nearTieSigs(r, n)
+	shapes := []struct {
+		name    string
+		sigs    []Signature
+		queries []*vecmath.Sparse
+		took    func(PruneStats) bool
+	}{
+		{"overlap", overlap, classQ, func(st PruneStats) bool {
+			return st.SegmentsPruned > 0 && 4*st.CandidatesScored < st.Candidates
+		}},
+		{"flat", overlap, flatQ, func(st PruneStats) bool {
+			return st.SegmentsScanned > 0 && st.Segments > st.SegmentsScanned+st.SegmentsPruned
+		}},
+		{"near-tie", ties, []*vecmath.Sparse{tieQ, ties[1].W, ties[3].W, ties[5].W}, func(st PruneStats) bool {
+			return st.SegmentsPruned > 0
+		}},
+	}
+	for _, sh := range shapes {
+		ref, err := NewDB(shapeDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.SetIndexed(false)
+		if err := ref.AddAll(sh.sigs); err != nil {
+			t.Fatal(err)
+		}
+		for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
+			// The largest k reaches past a query's own class, into the
+			// neighbor-class candidates only one or two lists touch.
+			for _, k := range []int{1, 10, classSize + 100} {
+				want := make([][]SearchResult, len(sh.queries))
+				for qi, q := range sh.queries {
+					if want[qi], err = ref.TopKSparse(q, k, metric); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, shards := range []int{1, 2} {
+					for _, layout := range []string{"sealed", "runs"} {
+						for _, floor := range []int{1, 0} {
+							ctx := fmt.Sprintf("%s metric=%s k=%d shards=%d layout=%s floor=%d", sh.name, metric.Name, k, shards, layout, floor)
+							db, err := NewShardedDB(shapeDim, shards)
+							if err != nil {
+								t.Fatal(err)
+							}
+							db.setPruneFloor(floor)
+							db.setRunLen(64)
+							db.SetSegmentSize(512)
+							cut := len(sh.sigs)
+							if layout == "runs" {
+								cut = cut * 3 / 4
+							}
+							if err := db.AddAll(sh.sigs[:cut]); err != nil {
+								t.Fatal(err)
+							}
+							db.Seal()
+							if err := db.AddAll(sh.sigs[cut:]); err != nil {
+								t.Fatal(err)
+							}
+							var total PruneStats
+							for qi, q := range sh.queries {
+								got, st, err := db.TopKSparseStats(q, k, metric)
+								if err != nil {
+									t.Fatal(err)
+								}
+								requireSameHits(t, ctx, got, want[qi])
+								total.add(&st)
+							}
+							if k == 10 && !sh.took(total) {
+								t.Fatalf("%s: the shape's walk was not taken: %+v", ctx, total)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

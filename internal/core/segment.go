@@ -98,7 +98,7 @@ func (sg *segment) len() int { return sg.end - sg.start }
 
 // activeRunLen is how many unindexed rows an active segment accumulates
 // before they are indexed as one run. It bounds the row-by-row tail of a
-// query (< activeRunLen merge-walk dots per shard) against the fixed cost
+// query (< activeRunLen gather dots per shard) against the fixed cost
 // of a run (a dim-sized directory and bound table, ~46 KB at the paper's
 // 3815 dimensions, and one more pruned walk per query).
 const activeRunLen = 256

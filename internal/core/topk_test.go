@@ -327,6 +327,107 @@ func BenchmarkDBTopKCompressed(b *testing.B) {
 	}
 }
 
+// peakedSigs builds n unit signatures in the shape tf-idf gives kernel
+// signatures (bench/gen.go's `peaked` generator, in weights): a class is
+// classSize consecutive signatures sharing 50 heavy functions, on top of
+// a pool of 200 ubiquitous functions (dims 0..199) each signature
+// touches with probability 0.75 at about a thousandth of the weight.
+func peakedSigs(r *rand.Rand, dim, n, classSize int) []Signature {
+	out := make([]Signature, n)
+	for i := range out {
+		class := i / classSize
+		cr := rand.New(rand.NewSource(1_000_003 * int64(class+1)))
+		v := vecmath.NewVector(dim)
+		for c := 0; c < 50; {
+			if d := 200 + cr.Intn(dim-200); v[d] == 0 {
+				v[d] = 0.5 + 0.5*r.Float64()
+				c++
+			}
+		}
+		for d := 0; d < 200; d++ {
+			if r.Float64() < 0.75 {
+				v[d] = 2e-4 + 8e-4*r.Float64()
+			}
+		}
+		out[i] = SignatureFromDense(fmt.Sprintf("s%d", i), fmt.Sprintf("c%d", class), v)
+	}
+	Normalize(out)
+	return out
+}
+
+// benchScoreArms times one query three ways over a sealed store: TopK
+// as the DB routes it, and every unit forced down each whole-unit arm —
+// the posting walk (dots + offer) and the dense scan (gather dots).
+func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
+	const k = 10
+	b.Run("topk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := db.TopKSparse(q, k, CosineMetric()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	v := db.pinView()
+	defer db.unpinView(v)
+	var h topkHeap
+	var acc vecmath.Accumulator
+	qd := q.Dense()
+	arm := func(scan bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for si := range v.shards {
+					vs := &v.shards[si]
+					h.reset(true)
+					for _, sg := range vs.segs {
+						if scan {
+							offerCanonical(&h, k, vs, sg, qd, true, q.Norm2(), nil)
+						} else {
+							sg.blocks.dots(q, &acc)
+							offerCosine(&h, k, vs, sg, &acc, q.Norm2(), nil)
+						}
+					}
+				}
+			}
+		}
+	}
+	b.Run("walk", arm(false))
+	b.Run("scan", arm(true))
+}
+
+// BenchmarkTopKFlat is the source of scanWalkRatio: queries pruning
+// cannot help, scored whole by the posting walk and by the dense scan.
+// Pool-only queries over 24 000 peaked 200-nnz signatures walk
+// 0.75·pool/200 of a unit's non-zeros — 1/8 at pool=33, 1/4 at pool=66,
+// and 3/4 at pool=200, what a real kernel signature's ubiquitous
+// functions look like; a 12-nnz query over 2000 12-nnz rows (the
+// wire_small store) walks 1/160 and must keep the walk. The walk and
+// scan arms run on one goroutine; topk fans the shards out.
+func BenchmarkTopKFlat(b *testing.B) {
+	const dim = 3815
+	sealed := func(sigs []Signature) *DB {
+		db, err := NewShardedDB(dim, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.AddAll(sigs); err != nil {
+			b.Fatal(err)
+		}
+		db.Seal()
+		return db
+	}
+	r := rand.New(rand.NewSource(1))
+	peaked := sealed(peakedSigs(r, dim, 24000, 2000))
+	for _, pool := range []int{12, 25, 33, 40, 50, 66, 100, 200} {
+		v := vecmath.NewVector(dim)
+		for d := 0; d < pool; d++ {
+			v[d] = 2e-4 + 8e-4*r.Float64()
+		}
+		b.Run(fmt.Sprintf("peaked/pool=%d", pool), func(b *testing.B) { benchScoreArms(b, peaked, vecmath.DenseToSparse(v)) })
+	}
+	tiny := sealed(randSigs(r, 2000, dim, 12))
+	b.Run("tiny/nnz=12", func(b *testing.B) { benchScoreArms(b, tiny, randSigs(r, 1, dim, 12)[0].W) })
+}
+
 // TestClassifyBatchInto checks the allocation-free labeling entry
 // point: labels match ClassifyBatch exactly, the caller-owned slice is
 // reused, and validation errors mirror the batch query path.

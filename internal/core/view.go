@@ -29,7 +29,7 @@ import (
 //   - The active segment has no mutable index at all: its completed
 //     posting runs are immutable blockPostings like a sealed segment's
 //     (segment.go), and the < activeRunLen rows after the last run are
-//     scored with the canonical sparse dot over the frozen row prefix
+//     scored with the canonical gather dot over the frozen row prefix
 //     (bit-identical to the indexed accumulation, see topkShard).
 //   - Publication is an atomic pointer swap after the mutation is
 //     complete, so a reader either sees the whole mutation or none of

@@ -102,6 +102,8 @@ func TestHandlerBadRequests(t *testing.T) {
 		{"dim mismatch", "/v1/topk", `{"dim": 7, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "dimension", false},
 		{"index out of range", "/v1/topk", fmt.Sprintf(`{"queries": [{"idx":[%d],"val":[1]}]}`, testDim), http.StatusBadRequest, "dimension", false},
 		{"unsorted indices", "/v1/topk", `{"queries": [{"idx":[3,1],"val":[1,1]}]}`, http.StatusBadRequest, "dimension", false},
+		{"overflowing topk weights", "/v1/topk", `{"queries": [{"idx":[0],"val":[1]}, {"idx":[0,2],"val":[1,1e200]}]}`, http.StatusBadRequest, "config", false},
+		{"overflowing classify weights", "/v1/classify", `{"queries": [{"idx":[1],"val":[-1e200]}]}`, http.StatusBadRequest, "config", false},
 		{"bad k", "/v1/topk", `{"k": -2, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config", false},
 		{"k over limit", "/v1/topk", `{"k": 1000, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config", false},
 		{"bad metric", "/v1/classify", `{"metric": "manhattan", "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config", false},

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -460,6 +461,14 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) ([]*
 			// vector space.
 			s.writeTyped(w, http.StatusBadRequest, "dimension",
 				fmt.Sprintf("query %d: %v", i, err))
+			return nil, 0, core.Metric{}, false
+		}
+		if n2 := sp.Norm2(); math.IsNaN(n2) || math.IsInf(n2, 0) {
+			// The kernel rejects such a query too, but only after it has
+			// been coalesced: refusing it here keeps one hostile request
+			// from failing the batch it would have shared.
+			s.writeTyped(w, http.StatusBadRequest, "config",
+				fmt.Sprintf("query %d has non-finite weights (squared norm %v)", i, n2))
 			return nil, 0, core.Metric{}, false
 		}
 		queries[i] = sp

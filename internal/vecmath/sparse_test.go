@@ -1,8 +1,10 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -326,4 +328,137 @@ func TestSparseDenseInto(t *testing.T) {
 		}
 	}()
 	s.DenseInto(NewVector(5))
+}
+
+// sparseOn builds a Sparse over the given ascending support with weights
+// drawn by w.
+func sparseOn(t testing.TB, dim int, support []int32, w func() float64) *Sparse {
+	t.Helper()
+	val := make([]float64, len(support))
+	for k := range val {
+		val[k] = w()
+	}
+	s, err := SparseFromSorted(dim, append([]int32(nil), support...), val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestGatherDotBitIdenticalToMerge is the kernel equivalence the indexed
+// query path rests on, with Sparse.Dot as the oracle: scatter the query
+// once, and every stored vector's DotDense against it equals the
+// two-pointer merge dot bit for bit — for disjoint, nested, identical
+// and empty supports, negative and subnormal weights, and products that
+// round to ±0 — and the un-scatter leaves the pooled vector all-zero.
+func TestGatherDotBitIdenticalToMerge(t *testing.T) {
+	const dim = 300
+	r := rand.New(rand.NewSource(17))
+	weights := map[string]func() float64{
+		"normal":    func() float64 { return r.NormFloat64() },
+		"negative":  func() float64 { return -1e-3 - r.Float64() },
+		"subnormal": func() float64 { return float64(1+r.Intn(1000)) * 5e-324 * float64(1-2*r.Intn(2)) },
+		// Magnitudes from 1e-200 to 1e150 in both signs: products
+		// underflow to ±0 or subnormals, sums cancel and absorb.
+		"wide": func() float64 {
+			return math.Pow(10, float64(r.Intn(351)-200)) * float64(1-2*r.Intn(2))
+		},
+	}
+	pick := func(n int) []int32 {
+		perm := r.Perm(dim)[:n]
+		sort.Ints(perm)
+		out := make([]int32, n)
+		for k, i := range perm {
+			out[k] = int32(i)
+		}
+		return out
+	}
+	qd := NewVector(dim) // the pooled vector: all-zero between queries
+	for name, w := range weights {
+		for trial := 0; trial < 40; trial++ {
+			base := pick(1 + r.Intn(80))
+			half := base[:len(base)/2]
+			inBase := make(map[int32]bool, len(base))
+			for _, i := range base {
+				inBase[i] = true
+			}
+			var disjoint []int32
+			for i := int32(0); i < dim && len(disjoint) < 40; i++ {
+				if !inBase[i] {
+					disjoint = append(disjoint, i)
+				}
+			}
+			q := sparseOn(t, dim, base, w)
+			stored := map[string]*Sparse{
+				"identical": sparseOn(t, dim, base, w),
+				"nested":    sparseOn(t, dim, half, w),
+				"superset":  sparseOn(t, dim, pick(dim/2), w),
+				"disjoint":  sparseOn(t, dim, disjoint, w),
+				"random":    sparseOn(t, dim, pick(1+r.Intn(80)), w),
+				"empty":     sparseOn(t, dim, nil, w),
+				"self":      q,
+			}
+			q.Scatter(qd)
+			for shape, d := range stored {
+				got, want := d.DotDense(qd), q.Dot(d)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s trial %d: gather %v (%#x) != merge %v (%#x)", name, shape, trial,
+						got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			q.Unscatter(qd)
+			for i, x := range qd {
+				if math.Float64bits(x) != 0 {
+					t.Fatalf("%s trial %d: un-scatter left qd[%d] = %v", name, trial, i, x)
+				}
+			}
+			// An empty query scatters nothing and every dot is +0.
+			e := sparseOn(t, dim, nil, w)
+			e.Scatter(qd)
+			if got := stored["random"].DotDense(qd); math.Float64bits(got) != 0 {
+				t.Fatalf("%s trial %d: dot against the empty query = %v", name, trial, got)
+			}
+			e.Unscatter(qd)
+		}
+	}
+}
+
+func TestScatterDimMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Scatter dimension mismatch should panic")
+		}
+	}()
+	DenseToSparse(Vector{1}).Scatter(NewVector(2))
+}
+
+var dotSink float64
+
+// BenchmarkDotGatherVsMerge is the per-candidate arithmetic the indexed
+// query path pays: the two-pointer merge dot against the gather dot from
+// a scattered query, stored vector and query equally wide, in the
+// paper's 3815-function space.
+func BenchmarkDotGatherVsMerge(b *testing.B) {
+	const dim = 3815
+	for _, nnz := range []int{12, 200, 1000} {
+		r := rand.New(rand.NewSource(int64(nnz)))
+		q := DenseToSparse(randSparseDense(r, dim, nnz))
+		stored := make([]*Sparse, 512)
+		for i := range stored {
+			stored[i] = DenseToSparse(randSparseDense(r, dim, nnz))
+		}
+		b.Run(fmt.Sprintf("nnz=%d/merge", nnz), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dotSink += q.Dot(stored[i%len(stored)])
+			}
+		})
+		b.Run(fmt.Sprintf("nnz=%d/gather", nnz), func(b *testing.B) {
+			qd := NewVector(dim)
+			q.Scatter(qd)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dotSink += stored[i%len(stored)].DotDense(qd)
+			}
+		})
+	}
 }
