@@ -66,10 +66,9 @@ bench:
 ## benchmark: TopK p50/p99 read-only vs under a fixed-rate concurrent
 ## writer with live seals and tier compactions) so future PRs can
 ## compare like against like.
-## BENCH_serve.json (via `-servejson`) is the serving-layer record:
-## p50/p99 latency and achieved throughput vs offered QPS with
-## micro-batch coalescing on (max-batch 64) vs the batch-size-1 direct
-## baseline, on an in-process engine ladder and through loopback HTTP.
+## The serving layer has no record here: its end-to-end numbers are
+## bench/ (BENCHMARK.json), its micro-benchmark is
+## `go test ./internal/serve -run '^$$' -bench ServeTopKParallel`.
 ## `fmeter-bench -index=on|off` reproduces the scan/index comparison
 ## from the CLI and `-prune=on|off` the pruned/plain sealed walk;
 ## `-cpuprofile`/`-memprofile` wrap any run in pprof.
@@ -81,7 +80,6 @@ bench-smoke:
 	$(GO) run ./cmd/fmeter-bench -postjson BENCH_postings.json
 	$(GO) run ./cmd/fmeter-bench -prunejson BENCH_pruned.json
 	$(GO) run ./cmd/fmeter-bench -mixedjson BENCH_concurrent.json
-	$(GO) run ./cmd/fmeter-bench -servejson BENCH_serve.json
 
 fmt:
 	gofmt -l -w .

@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		pruneMode  = fs.String("prune", "on", "route the BenchmarkDBTopKSealed micro-benchmark DBs through the threshold-pruned walk (on) or the plain sealed walk (off) — the CLI knob for A/B-ing pruning, like -index A/Bs the scan")
 		pruneJSON  = fs.String("prunejson", "", "run the threshold-pruning scale benchmark (synthetic signature ladder up to -scale, pruned vs unpruned vs approximate TopK, sealed-segment trajectory under the tier compaction policy; both pruning arms are always measured regardless of -prune) and write it to this JSON file, then exit")
 		mixedJSON  = fs.String("mixedjson", "", "run the concurrent-query benchmark (TopK p50/p99 read-only vs under a fixed-rate concurrent writer with live seals and tier compactions) and write it to this JSON file, then exit")
-		serveJSON  = fs.String("servejson", "", "run the serving-layer load benchmark (p50/p99/throughput vs offered QPS with the micro-batch coalescer on vs off, plus an end-to-end HTTP rung) and write it to this JSON file, then exit")
 		scale      = fs.Int("scale", 1_000_000, "corpus ceiling for -prunejson: the ladder measures at 10k and 100k signatures, then at this count")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -121,9 +120,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *mixedJSON != "" {
 		return runMixedBench(*mixedJSON, stderr)
-	}
-	if *serveJSON != "" {
-		return runServeBench(*serveJSON, stderr)
 	}
 
 	selected := make(map[string]bool)

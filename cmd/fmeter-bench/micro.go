@@ -14,11 +14,11 @@ import (
 	"repro/internal/vecmath"
 )
 
-// microRecord is the BENCH_indexed.json artifact (formerly
-// BENCH_sparse_first.json): the retrieval micro-benchmarks — tf-idf
-// embedding, scan vs inverted-index TopK, batched TopK — measured via
-// testing.Benchmark, so the perf trajectory of the signature store is
-// recorded next to the wall-clock table records.
+// microRecord is the BENCH_indexed.json artifact: the retrieval
+// micro-benchmarks — tf-idf embedding, scan vs inverted-index TopK,
+// batched TopK — measured via testing.Benchmark, so the perf trajectory
+// of the signature store is recorded next to the wall-clock table
+// records.
 type microRecord struct {
 	Timestamp  string                `json:"timestamp"`
 	GoMaxProcs int                   `json:"gomaxprocs"`

@@ -2,9 +2,10 @@
 // service: it boots a simulated kernel, collects a warmup corpus to fit
 // the tf-idf model, seeds a live DB, and serves HTTP/JSON queries over
 // it — POST /v1/topk, /v1/classify, /v1/ingest plus GET /healthz and
-// /metrics — with adaptive micro-batch coalescing into the 0-alloc
-// batched kernels, bounded-queue backpressure (429 + Retry-After), and
-// graceful drain on SIGINT/SIGTERM.
+// /metrics — each query request running the batched kernels on its own
+// goroutine behind one admission gate (429 + Retry-After past
+// -max-queue), connection read and idle timeouts, and graceful drain on
+// SIGINT/SIGTERM.
 //
 // Usage:
 //
@@ -49,9 +50,7 @@ func run(args []string, stderr io.Writer) error {
 		seed         = fs.Int64("seed", 1, "random seed")
 		shards       = fs.Int("shards", 2, "DB shard count")
 		segmentSize  = fs.Int("segment-size", 0, "DB segment size (0 = default)")
-		maxBatch     = fs.Int("max-batch", 64, "coalescer: max queries per batched kernel call (1 disables coalescing)")
-		maxWait      = fs.Duration("max-wait", 500*time.Microsecond, "coalescer: max fill wait once a batch has company")
-		maxQueue     = fs.Int("max-queue", 1024, "bounded request queue; overflow answers 429 + Retry-After")
+		maxQueue     = fs.Int("max-queue", 1024, "query requests admitted at once, running + waiting; one more answers 429 + Retry-After")
 		dbDir        = fs.String("db", "", "snapshot directory: load the DB from it when present, periodically save into it")
 		snapEvery    = fs.Duration("snapshot-every", 2*time.Second, "with -db: poll the seal watermark this often for incremental saves")
 		smoke        = fs.Bool("smoke", false, "self-test: serve on a loopback port, run one query/ingest/metrics round-trip, shut down")
@@ -124,8 +123,6 @@ func run(args []string, stderr io.Writer) error {
 	}
 
 	srv, err := fmeter.NewServer(db, model, fmeter.ServeConfig{
-		MaxBatch:      *maxBatch,
-		MaxWait:       *maxWait,
 		MaxQueue:      *maxQueue,
 		SnapshotDir:   *dbDir,
 		SnapshotEvery: *snapEvery,
@@ -147,11 +144,11 @@ func run(args []string, stderr io.Writer) error {
 		shutdownServer(srv, stderr)
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(stderr, "[fmeter-serve] serving %s (dim %d, %d signatures, max-batch %d, queue %d)\n",
-		ln.Addr(), sys.Dim(), db.Len(), *maxBatch, *maxQueue)
+	fmt.Fprintf(stderr, "[fmeter-serve] serving %s (dim %d, %d signatures, max-queue %d)\n",
+		ln.Addr(), sys.Dim(), db.Len(), *maxQueue)
 
 	if *smoke {
 		if err := smokeTest(ln.Addr().String(), sigs[0], warmDocs[0]); err != nil {
@@ -176,7 +173,7 @@ func run(args []string, stderr io.Writer) error {
 }
 
 // drain stops the listener (letting in-flight HTTP requests finish),
-// then drains the coalescer and closes the DB.
+// then waits out any admitted query, snapshots and closes the DB.
 //
 //fmeter:nondeterministic-ok serving daemon: shutdown deadlines are wall-clock by design
 func drain(httpSrv *http.Server, srv *fmeter.Server, serveErr chan error, stderr io.Writer) error {
@@ -190,7 +187,7 @@ func drain(httpSrv *http.Server, srv *fmeter.Server, serveErr chan error, stderr
 		return fmt.Errorf("server shutdown: %w", err)
 	}
 	m := srv.Metrics()
-	fmt.Fprintf(stderr, "[fmeter-serve] done: %d queries in %d batches (mean %.2f), %d rejected, %d docs ingested\n",
+	fmt.Fprintf(stderr, "[fmeter-serve] done: %d queries in %d requests (mean %.2f), %d rejected, %d docs ingested\n",
 		m.Queries, m.Batches, m.MeanBatchSize, m.Rejected, m.DocsIngested)
 	return nil
 }

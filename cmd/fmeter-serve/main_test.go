@@ -20,14 +20,22 @@ func TestSmokeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSmokeUncoalescedBaseline runs the same smoke with coalescing
-// disabled (-max-batch 1, the direct path) — both modes must serve
-// identical traffic shapes.
+// TestSmokeUncoalescedBaseline runs the smoke with a non-default
+// admission bound — there is one serving path, so this is the only
+// query-side flag left to vary — and asserts the flags that selected
+// the old coalesced/direct fork are gone rather than ignored.
 func TestSmokeUncoalescedBaseline(t *testing.T) {
 	var stderr bytes.Buffer
-	err := run([]string{"-smoke", "-warmup", "6", "-interval", "2s", "-max-batch", "1"}, &stderr)
+	err := run([]string{"-smoke", "-warmup", "6", "-interval", "2s", "-max-queue", "4"}, &stderr)
 	if err != nil {
-		t.Fatalf("smoke run (max-batch 1): %v\nstderr:\n%s", err, stderr.String())
+		t.Fatalf("smoke run (max-queue 4): %v\nstderr:\n%s", err, stderr.String())
+	}
+	for _, gone := range []string{"-max-batch", "-max-wait"} {
+		stderr.Reset()
+		err := run([]string{"-smoke", gone, "1"}, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: err = %v, want an unknown-flag error", gone, err)
+		}
 	}
 }
 

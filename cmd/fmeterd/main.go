@@ -210,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if lerr != nil {
 				return lerr
 			}
-			httpSrv = &http.Server{Handler: srv.Handler()}
+			httpSrv = srv.HTTPServer()
 			serveDone = make(chan error, 1)
 			go func() { serveDone <- httpSrv.Serve(ln) }()
 			fmt.Fprintf(stderr, "[fmeterd] serving live DB on %s\n", ln.Addr())
@@ -244,7 +244,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			<-serveDone
 			m := srv.Metrics()
-			fmt.Fprintf(stderr, "[fmeterd] served %d queries in %d batches (%d rejected)\n",
+			fmt.Fprintf(stderr, "[fmeterd] served %d queries in %d requests (%d rejected)\n",
 				m.Queries, m.Batches, m.Rejected)
 			if err := srv.Shutdown(ctx); err != nil {
 				cancel()

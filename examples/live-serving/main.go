@@ -4,8 +4,8 @@
 // the tf-idf model, then the collector streams every further interval
 // straight into the DB (System.CollectStream, batched so each chunk
 // lands with a single RCU publish) while HTTP clients answer
-// nearest-neighbour queries against the live store through the
-// micro-batch coalescing server (POST /v1/topk); the epoch-view
+// nearest-neighbour queries against the live store through the HTTP
+// server (POST /v1/topk, admission-bounded); the epoch-view
 // concurrency contract guarantees each query sees a consistent
 // committed state and never blocks the writer. A document is ingested
 // over the wire too (POST /v1/ingest), /metrics is scraped, and the
@@ -66,8 +66,8 @@ func run() error {
 	}
 
 	// Front the live DB with the serving layer on a loopback port. The
-	// server owns the graceful drain: its Shutdown drains the coalescer,
-	// snapshots into SnapshotDir, and closes the DB.
+	// server owns the graceful drain: its Shutdown waits out the admitted
+	// queries, snapshots into SnapshotDir, and closes the DB.
 	dir := filepath.Join(os.TempDir(), "fmeter-live-db")
 	defer os.RemoveAll(dir)
 	srv, err := fmeter.NewServer(db, model, fmeter.ServeConfig{SnapshotDir: dir, Warnf: log.Printf})
@@ -78,17 +78,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer() // srv.Handler() plus read and idle timeouts
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("warmup: %d signatures seed the live DB, serving at %s\n", db.Len(), base)
 
 	// Query frontend: two HTTP clients hammer POST /v1/topk for the
-	// whole streaming phase. Requests arriving close together coalesce
-	// into one batched kernel call; each batch pins one epoch view, so
-	// it reads a consistent store no matter what the writer, seals, or
-	// compactions do concurrently.
+	// whole streaming phase. Each request is one batched kernel call on
+	// its own goroutine, pinning one epoch view, so it reads a consistent
+	// store no matter what the writer, seals, or compactions do
+	// concurrently.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var answered atomic.Int64
@@ -166,8 +166,8 @@ func run() error {
 	}
 	fmt.Printf("HTTP ingest published %d document (DB now %d signatures)\n", ing.Added, db.Len())
 
-	// The service meters itself: queries, batch-size distribution,
-	// latency quantiles, queue depth, pruning aggregates.
+	// The service meters itself: queries, queries per request, latency
+	// quantiles, admitted requests, pruning aggregates.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		return err
@@ -183,11 +183,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("metrics: %d queries in %d batches (mean %.2f), p50 %.0f us\n",
+	fmt.Printf("metrics: %d queries in %d requests (mean %.2f), p50 %.0f us\n",
 		met.Queries, met.Batches, met.MeanBatch, met.P50)
 
 	// Graceful drain: stop the listener (in-flight HTTP finishes), then
-	// drain the coalescer, snapshot crash-safely, and close the DB.
+	// let admitted queries finish, snapshot crash-safely, and close the DB.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

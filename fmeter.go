@@ -113,18 +113,21 @@ type (
 	// CollectorStats are the collector's degradation counters: reads
 	// that needed a retry, intervals skipped after retries ran out.
 	CollectorStats = daemon.Stats
-	// Server is the HTTP/JSON serving layer: batched query + ingest
-	// endpoints over a live DB with adaptive micro-batch coalescing,
-	// bounded-queue backpressure, and graceful shutdown (see NewServer).
+	// Server is the HTTP/JSON serving layer: query + ingest endpoints
+	// over a live DB, each query request running the batched kernels on
+	// its own goroutine behind one admission gate, with 429 backpressure
+	// and graceful shutdown (see NewServer).
 	Server = serve.Server
-	// ServeConfig tunes the serving layer (batch/queue/backpressure
-	// knobs); the zero value gets production defaults.
+	// ServeConfig tunes the serving layer (admission bound, request
+	// limits, snapshot loop); the zero value gets production defaults.
 	ServeConfig = serve.Config
-	// ServeMetrics is the GET /metrics payload (QPS, queue depth,
-	// batch-size histogram, latency quantiles, PruneStats aggregates).
+	// ServeMetrics is the GET /metrics payload (QPS, admitted requests,
+	// queries-per-request histogram, latency quantiles, PruneStats
+	// aggregates).
 	ServeMetrics = serve.MetricsSnapshot
-	// OverloadError is the typed rejection a full request queue returns;
-	// it maps to HTTP 429 + Retry-After.
+	// OverloadError is the typed rejection a request gets when MaxQueue
+	// query requests are already admitted; it maps to HTTP 429 +
+	// Retry-After.
 	OverloadError = serve.OverloadError
 )
 
@@ -613,15 +616,17 @@ func SignatureFromDense(docID, label string, v Vector) Signature {
 }
 
 // NewServer builds the HTTP/JSON serving layer over db: POST /v1/topk,
-// /v1/classify, /v1/ingest plus GET /healthz and /metrics, with an
-// adaptive micro-batch coalescer draining a bounded queue into the
-// 0-alloc batched kernels (coalesced responses are bit-identical to
-// per-request queries), 429 + Retry-After on overload, periodic
-// incremental snapshots when cfg.SnapshotDir is set, and a Shutdown
-// that drains in-flight batches before closing the DB. model may be
-// nil for query-only deployments (ingest then answers 503). Mount
-// srv.Handler() on an http.Server; the server owns db from here on —
-// Shutdown closes it.
+// /v1/classify, /v1/ingest plus GET /healthz and /metrics. A query
+// request runs the batched kernels on its own goroutine (responses are
+// bit-identical to per-query TopKSparse/ClassifySparse) once it has
+// passed the admission gate: at most cfg.MaxQueue requests admitted,
+// at most GOMAXPROCS of them inside a kernel, 429 + Retry-After past
+// that. Periodic incremental snapshots run when cfg.SnapshotDir is
+// set, and Shutdown lets every admitted request finish before closing
+// the DB. model may be nil for query-only deployments (ingest then
+// answers 503). Serve srv.HTTPServer() (srv.Handler() with read and
+// idle timeouts set) or mount srv.Handler() yourself; the server owns
+// db from here on — Shutdown closes it.
 func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 	return serve.New(db, model, cfg)
 }

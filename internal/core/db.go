@@ -871,8 +871,8 @@ func (db *DB) TopKBatchInto(queries []*vecmath.Sparse, k int, metric Metric, out
 // fanning its shards over shardWorkers (parallel.Workers semantics, -1 =
 // sequential); otherwise the queries fan out and shards stay sequential.
 // Queries fan out whenever there are enough of them to occupy the pool;
-// a batch too small for that — the lone query the serving coalescer
-// forwards almost every time — fans its shards out instead, exactly as
+// a batch too small for that — the lone query almost every serving
+// request carries — fans its shards out instead, exactly as
 // TopKSparse does, so cores are not left idle.
 func (v *dbView) batchFanout(nq int) (seq bool, shardWorkers int) {
 	switch w := parallel.Workers(v.cfg.workers); {

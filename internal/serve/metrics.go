@@ -16,22 +16,22 @@ import (
 const latBuckets = 26
 
 // batchBuckets is the batch-size histogram width: bucket i holds
-// batched kernel calls that coalesced [2^i, 2^(i+1)) queries, so 10
-// buckets span a single query to 512+.
+// requests that carried [2^i, 2^(i+1)) queries into one batched kernel
+// call, so 10 buckets span a single query to 512+.
 const batchBuckets = 10
 
 // metrics is the server's observability state. Everything on the hot
-// path is a plain atomic so handlers and the dispatcher never take a
-// lock to count; the mutex guards only the /metrics scrape window.
+// path is a plain atomic so handlers never take a lock to count; the
+// mutex guards only the /metrics scrape window.
 type metrics struct {
 	start time.Time
 
 	topkRequests     atomic.Uint64
 	classifyRequests atomic.Uint64
 	ingestRequests   atomic.Uint64
-	queries          atomic.Uint64 // queries answered through the coalescer
-	batches          atomic.Uint64 // batched kernel calls issued
-	rejected         atomic.Uint64 // 429s (bounded queue full)
+	queries          atomic.Uint64 // queries answered
+	batches          atomic.Uint64 // batched kernel calls = query requests answered
+	rejected         atomic.Uint64 // 429s (admission bound reached)
 	clientErrors     atomic.Uint64 // 4xx other than overload
 	serverErrors     atomic.Uint64 // 5xx
 	docsIngested     atomic.Uint64
@@ -43,10 +43,11 @@ type metrics struct {
 	latCount  atomic.Uint64
 	latSumUS  atomic.Uint64
 
-	// Sampled PruneStats aggregates: every PruneSampleEvery-th batched
-	// TopK call re-runs its first query through TopKSparseStats (results
+	// Sampled PruneStats aggregates: every PruneSampleEvery-th TopK
+	// request answers its first query through TopKSparseStats (results
 	// are bit-identical, only the counters are extra) and accumulates
 	// the per-query counters here.
+	pruneTick             atomic.Uint64 // TopK requests seen by the sampler
 	pruneSamples          atomic.Uint64
 	pruneSegments         atomic.Int64
 	pruneSegmentsPruned   atomic.Int64
@@ -84,7 +85,7 @@ func (m *metrics) observeLatency(d time.Duration) {
 	m.latSumUS.Add(us)
 }
 
-// observeBatch records one batched kernel call coalescing n queries.
+// observeBatch records one request's kernel call over n queries.
 func (m *metrics) observeBatch(n int) {
 	m.batches.Add(1)
 	m.queries.Add(uint64(n))
@@ -135,8 +136,8 @@ func (m *metrics) latencyQuantile(q float64) float64 {
 }
 
 // MetricsSnapshot is the GET /metrics payload: a point-in-time JSON
-// rendering of every counter, the batch-size histogram, conservative
-// latency quantiles, and the sampled PruneStats aggregates.
+// rendering of every counter, the queries-per-request histogram,
+// conservative latency quantiles, and the sampled PruneStats aggregates.
 type MetricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_s"`
 
@@ -160,7 +161,8 @@ type MetricsSnapshot struct {
 	Snapshots        uint64 `json:"snapshots"`
 	SnapshotErrors   uint64 `json:"snapshot_errors"`
 
-	// Coalescer state.
+	// Query path. One request is one batched kernel call: Batches counts
+	// requests, QueueDepth the requests admitted (running + waiting).
 	Queries        uint64    `json:"queries"`
 	Batches        uint64    `json:"batches"`
 	MeanBatchSize  float64   `json:"mean_batch_size"`

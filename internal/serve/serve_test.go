@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,89 +136,108 @@ func TestHandlerBadRequests(t *testing.T) {
 	}
 }
 
-// TestCoalescedBitIdentical proves the coalesced path returns exactly
-// what per-request TopKSparse/ClassifySparse return: same doc ids, same
-// labels, same float bits. Many goroutines submit concurrently so the
-// dispatcher actually forms multi-task batches.
+// sameHits reports the first difference between two hit lists compared
+// by doc id, label and score bits.
+func sameHits(got, want []core.SearchResult) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d hits, want %d", len(got), len(want))
+	}
+	for j := range got {
+		if got[j].Signature.DocID != want[j].Signature.DocID ||
+			got[j].Signature.Label != want[j].Signature.Label ||
+			math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+			return fmt.Errorf("hit %d: got (%s,%s,%v) want (%s,%s,%v)",
+				j, got[j].Signature.DocID, got[j].Signature.Label, got[j].Score,
+				want[j].Signature.DocID, want[j].Signature.Label, want[j].Score)
+		}
+	}
+	return nil
+}
+
+// TestCoalescedBitIdentical proves that many requests passing the gate
+// at once each get exactly what per-query TopKSparse/ClassifySparse
+// return — same doc ids, same labels, same float bits — and that one
+// request is one batched kernel call. Requests carry one to three
+// queries, and every second TopK request answers its first query from
+// the sampled stats kernel, so that arm is held to the same oracle.
 func TestCoalescedBitIdentical(t *testing.T) {
-	s, sigs := newTestServer(t, Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, MaxQueue: 256}, 120)
+	s, sigs := newTestServer(t, Config{MaxQueue: 256, PruneSampleEvery: 2}, 120)
 	defer s.Shutdown(t.Context())
 	db := s.db
 	const k = 5
+	const requests = 24
 
-	queries := make([]*vecmath.Sparse, 24)
-	for i := range queries {
-		queries[i] = sigs[i*3].W
-	}
 	type want struct {
 		hits  []core.SearchResult
 		label string
 	}
-	wants := make([]want, len(queries))
-	for i, q := range queries {
-		hits, err := db.TopKSparse(q, k, core.CosineMetric())
+	wants := make([]want, requests+2)
+	for i := range wants {
+		hits, err := db.TopKSparse(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
 			t.Fatal(err)
 		}
-		label, err := db.ClassifySparse(q, k, core.CosineMetric())
+		label, err := db.ClassifySparse(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
 			t.Fatal(err)
 		}
 		wants[i] = want{hits: hits, label: label}
 	}
 
-	done := make(chan error, 2*len(queries))
-	for i, q := range queries {
-		go func(i int, q *vecmath.Sparse) {
-			hits, err := s.TopK([]*vecmath.Sparse{q}, k, core.CosineMetric())
+	done := make(chan error, 2*requests)
+	nQueries := 0
+	for i := 0; i < requests; i++ {
+		n := 1 + i%3 // queries i, i+1, … of the oracle table
+		nQueries += 2 * n
+		queries := make([]*vecmath.Sparse, n)
+		for j := range queries {
+			queries[j] = sigs[(i+j)*3].W
+		}
+		go func(i int) {
+			hits, err := s.TopK(queries, k, core.CosineMetric())
 			if err != nil {
 				done <- fmt.Errorf("TopK %d: %v", i, err)
 				return
 			}
-			got := hits[0]
-			wantHits := wants[i].hits
-			if len(got) != len(wantHits) {
-				done <- fmt.Errorf("query %d: %d hits, want %d", i, len(got), len(wantHits))
-				return
-			}
-			for j := range got {
-				if got[j].Signature.DocID != wantHits[j].Signature.DocID ||
-					got[j].Signature.Label != wantHits[j].Signature.Label ||
-					got[j].Score != wantHits[j].Score {
-					done <- fmt.Errorf("query %d hit %d: got (%s,%s,%v) want (%s,%s,%v)",
-						i, j, got[j].Signature.DocID, got[j].Signature.Label, got[j].Score,
-						wantHits[j].Signature.DocID, wantHits[j].Signature.Label, wantHits[j].Score)
+			for j := range hits {
+				if err := sameHits(hits[j], wants[i+j].hits); err != nil {
+					done <- fmt.Errorf("TopK %d query %d: %v", i, j, err)
 					return
 				}
 			}
 			done <- nil
-		}(i, q)
-		go func(i int, q *vecmath.Sparse) {
-			labels, err := s.Classify([]*vecmath.Sparse{q}, k, core.CosineMetric())
+		}(i)
+		go func(i int) {
+			labels, err := s.Classify(queries, k, core.CosineMetric())
 			if err != nil {
 				done <- fmt.Errorf("Classify %d: %v", i, err)
 				return
 			}
-			if labels[0] != wants[i].label {
-				done <- fmt.Errorf("query %d: label %q, want %q", i, labels[0], wants[i].label)
-				return
+			for j := range labels {
+				if labels[j] != wants[i+j].label {
+					done <- fmt.Errorf("Classify %d query %d: label %q, want %q", i, j, labels[j], wants[i+j].label)
+					return
+				}
 			}
 			done <- nil
-		}(i, q)
+		}(i)
 	}
-	for range 2 * len(queries) {
+	for range 2 * requests {
 		if err := <-done; err != nil {
 			t.Error(err)
 		}
 	}
 
-	// The dispatcher must have coalesced at least once: fewer batched
-	// kernel calls than queries answered.
 	m := s.Metrics()
-	if m.Queries < uint64(2*len(queries)) {
-		t.Fatalf("metrics count %d queries, want >= %d", m.Queries, 2*len(queries))
+	if m.Queries != uint64(nQueries) || m.Batches != 2*requests {
+		t.Fatalf("metrics count %d queries in %d batches, want %d in %d", m.Queries, m.Batches, nQueries, 2*requests)
 	}
-	t.Logf("queries=%d batches=%d mean batch=%.2f", m.Queries, m.Batches, m.MeanBatchSize)
+	if m.Prune.Samples != requests/2 {
+		t.Fatalf("%d prune samples from %d TopK requests at every 2nd, want %d", m.Prune.Samples, requests, requests/2)
+	}
+	if m.QueueDepth != 0 {
+		t.Fatalf("queue depth %d with nothing in flight", m.QueueDepth)
+	}
 }
 
 // TestHandlerBitIdenticalHTTP drives the full HTTP path and compares
@@ -251,76 +274,67 @@ func TestHandlerBitIdenticalHTTP(t *testing.T) {
 	}
 }
 
-// TestOverload429 fills the queue with slow-to-drain work and asserts
-// rejected submissions get 429 plus a positive integer Retry-After.
-func TestOverload429(t *testing.T) {
-	// MaxQueue 1 with a dispatcher stalled by an in-flight batch makes
-	// overload deterministic: park one task in the kernel, one in the
-	// queue, and the next submission must bounce.
-	s, sigs := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Microsecond, MaxQueue: 1}, 4000)
-	defer s.Shutdown(t.Context())
-	h := s.Handler()
-
-	body, _ := json.Marshal(queryRequest{Queries: []wireQuery{wireFromSparse(sigs[0].W)}, K: 50})
-	var saw429 bool
-	results := make(chan *httptest.ResponseRecorder, 64)
-	for i := 0; i < 64; i++ {
-		go func() { results <- postJSON(t, h, "/v1/topk", string(body)) }()
-	}
-	for i := 0; i < 64; i++ {
-		rec := <-results
-		switch rec.Code {
-		case http.StatusOK:
-		case http.StatusTooManyRequests:
-			saw429 = true
-			if kind := decodeErrorKind(t, rec); kind != "overload" {
-				t.Fatalf("429 kind %q, want overload", kind)
-			}
-			ra := rec.Header().Get("Retry-After")
-			secs, err := strconv.Atoi(ra)
-			if err != nil || secs < 1 {
-				t.Fatalf("Retry-After %q, want a positive integer", ra)
-			}
-		default:
-			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.String())
+// fillGate admits requests until the gate is at its bound and returns
+// the function that lets them all leave again.
+func fillGate(t *testing.T, g *gate) (release func()) {
+	t.Helper()
+	for i := 0; i < g.limit; i++ {
+		if err := g.admit(); err != nil {
+			t.Fatalf("admission %d of %d: %v", i, g.limit, err)
 		}
 	}
-	if !saw429 {
-		t.Skip("queue never filled on this run (scheduler got every task through); overload path covered by TestSubmitOverloadDirect")
-	}
-	if got := s.Metrics().Rejected; got == 0 {
-		t.Fatal("metrics show zero rejected requests after a 429")
+	return func() {
+		for i := 0; i < g.limit; i++ {
+			g.leave()
+		}
 	}
 }
 
-// TestSubmitOverloadDirect asserts the batcher-level overload error
-// deterministically: with no dispatcher draining (we stall it with a
-// closed-over kernel call), a full channel must reject.
-func TestSubmitOverloadDirect(t *testing.T) {
-	db, err := core.NewShardedDB(testDim, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddAll(testSigs(3, 10, 4)); err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	met := newMetrics()
-	// Hand-build a batcher whose dispatcher never runs: the queue fills
-	// and rejects synchronously.
-	b := &batcher{db: db, cfg: Config{MaxBatch: 4, MaxQueue: 2}.withDefaults(), met: met, done: make(chan struct{})}
-	b.queue = make(chan *task, 2)
+// TestOverload429 asserts a request arriving at a full gate gets 429, a
+// positive integer Retry-After and the overload kind, is counted, and
+// that the same request is answered once there is room again.
+func TestOverload429(t *testing.T) {
+	s, sigs := newTestServer(t, Config{MaxQueue: 3}, 50)
+	defer s.Shutdown(t.Context())
+	h := s.Handler()
+	body, _ := json.Marshal(queryRequest{Queries: []wireQuery{wireFromSparse(sigs[0].W)}, K: 5})
 
-	q := testSigs(4, 1, 4)[0].W
-	mk := func() *task {
-		return &task{kind: kindTopK, queries: []*vecmath.Sparse{q}, k: 1, metric: core.CosineMetric(), done: make(chan struct{})}
+	release := fillGate(t, s.gate)
+	for _, path := range []string{"/v1/topk", "/v1/classify"} {
+		rec := postJSON(t, h, path, string(body))
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s at a full gate: status %d, want 429 (%s)", path, rec.Code, rec.Body.String())
+		}
+		if kind := decodeErrorKind(t, rec); kind != "overload" {
+			t.Fatalf("429 kind %q, want overload", kind)
+		}
+		ra := rec.Header().Get("Retry-After")
+		if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+			t.Fatalf("Retry-After %q, want a positive integer", ra)
+		}
 	}
-	// Fill the queue without a dispatcher; the third submission bounces.
-	b.queue <- mk()
-	b.queue <- mk()
-	err = b.submit(mk())
+	if m := s.Metrics(); m.Rejected != 2 || m.Batches != 0 || m.QueueDepth != 3 {
+		t.Fatalf("after two 429s: rejected %d, batches %d, depth %d; want 2, 0, 3", m.Rejected, m.Batches, m.QueueDepth)
+	}
+	release()
+	if rec := postJSON(t, h, "/v1/topk", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("after release: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestSubmitOverloadDirect asserts the gate-level overload error: with
+// MaxQueue requests admitted the next one is refused with the typed
+// error carrying the depth it saw and a backoff of at least a second,
+// however many of the admitted ones hold a run slot.
+func TestSubmitOverloadDirect(t *testing.T) {
+	s, sigs := newTestServer(t, Config{MaxQueue: 2}, 10)
+	defer s.Shutdown(t.Context())
+	q := []*vecmath.Sparse{sigs[0].W}
+
+	release := fillGate(t, s.gate)
+	_, err := s.TopK(q, 1, core.CosineMetric())
 	var oe *OverloadError
-	if !asOverload(err, &oe) {
+	if !errors.As(err, &oe) {
 		t.Fatalf("err = %v, want *OverloadError", err)
 	}
 	if oe.RetryAfter < time.Second {
@@ -329,73 +343,176 @@ func TestSubmitOverloadDirect(t *testing.T) {
 	if oe.Depth != 2 {
 		t.Fatalf("Depth %d, want 2", oe.Depth)
 	}
-}
-
-func asOverload(err error, target **OverloadError) bool {
-	oe, ok := err.(*OverloadError)
-	if ok {
-		*target = oe
+	if _, err := s.Classify(q, 1, core.CosineMetric()); !errors.As(err, &oe) {
+		t.Fatalf("Classify err = %v, want *OverloadError", err)
 	}
-	return ok
+	// A long backlog of slow requests still answers within the clamp.
+	s.gate.ewmaRunNS.Store(int64(time.Hour))
+	if ra := s.gate.retryAfter(1 << 20); ra != 60*time.Second {
+		t.Fatalf("RetryAfter %v for an hour-per-request backlog, want the 60s clamp", ra)
+	}
+	release()
+	if _, err := s.TopK(q, 1, core.CosineMetric()); err != nil {
+		t.Fatalf("after release: %v", err)
+	}
 }
 
-// TestShutdownDrainsInFlight submits work, begins shutdown concurrently,
-// and asserts every accepted task completes with results (never a lost
-// done channel) and late submissions fail 503, with the final DB close
-// being clean.
+// holdSlots takes every run slot, so admitted requests wait at the gate,
+// and returns the function that gives the slots back.
+func holdSlots(g *gate) (release func()) {
+	n := cap(g.slots)
+	for i := 0; i < n; i++ {
+		g.slots <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < n; i++ {
+			<-g.slots
+		}
+	}
+}
+
+// waitDepth blocks until n requests are admitted.
+func waitDepth(g *gate, n int) {
+	for g.depth() != n {
+		runtime.Gosched()
+	}
+}
+
+// TestShutdownDrainsInFlight parks admitted requests at the gate, begins
+// shutdown, and asserts late arrivals get the typed 503 while Shutdown
+// waits; once the slots free up every admitted request completes with
+// results and only then does Shutdown return, closing the DB.
 func TestShutdownDrainsInFlight(t *testing.T) {
-	s, sigs := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, MaxQueue: 512}, 200)
+	s, sigs := newTestServer(t, Config{}, 200)
 	const inFlight = 64
+	release := holdSlots(s.gate)
 	results := make(chan error, inFlight)
 	for i := 0; i < inFlight; i++ {
 		go func(i int) {
 			hits, err := s.TopK([]*vecmath.Sparse{sigs[i].W}, 3, core.CosineMetric())
-			if err != nil {
-				results <- err
-				return
+			if err == nil && (len(hits) != 1 || len(hits[0]) == 0) {
+				err = fmt.Errorf("request %d: empty hits", i)
 			}
-			if len(hits) != 1 || len(hits[0]) == 0 {
-				results <- fmt.Errorf("request %d: empty hits", i)
-				return
-			}
-			results <- nil
+			results <- err
 		}(i)
 	}
-	// Wait until work is genuinely in flight — queued or already
-	// answered — so the drain has something to drain (on a single-P
-	// scheduler the shutdown could otherwise win every race).
-	for s.bat.depth() == 0 && s.met.queries.Load() == 0 {
-		runtime.Gosched()
+	waitDepth(s.gate, inFlight)
+
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(context.Background()) }()
+	for closed := false; !closed; runtime.Gosched() {
+		s.gate.mu.Lock()
+		closed = s.gate.closed
+		s.gate.mu.Unlock()
 	}
-	if err := s.Shutdown(t.Context()); err != nil {
-		t.Fatalf("shutdown: %v", err)
+	if _, err := s.TopK([]*vecmath.Sparse{sigs[0].W}, 3, core.CosineMetric()); err != errDraining {
+		t.Fatalf("TopK during drain: err = %v, want draining", err)
 	}
-	accepted, drained := 0, 0
-	for i := 0; i < inFlight; i++ {
-		err := <-results
-		switch {
-		case err == nil:
-			accepted++
-			drained++
-		case err == errDraining:
-			// Submitted after intake closed — the contractually allowed
-			// rejection.
-		default:
-			t.Fatalf("in-flight request failed with %v, want success or draining", err)
+	for _, path := range []string{"/v1/topk", "/v1/classify"} {
+		rec := postJSON(t, s.Handler(), path, `{"queries":[{"idx":[0],"val":[1]}]}`)
+		if rec.Code != http.StatusServiceUnavailable || decodeErrorKind(t, rec) != "unavailable" {
+			t.Fatalf("%s during drain: status %d (%s), want a typed 503", path, rec.Code, rec.Body.String())
 		}
 	}
-	if drained == 0 {
-		t.Fatal("no request completed before shutdown — drain untested")
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) with %d requests still admitted", err, s.gate.depth())
+	default:
 	}
-	// Post-shutdown traffic is a typed 503.
-	if _, err := s.TopK([]*vecmath.Sparse{sigs[0].W}, 3, core.CosineMetric()); err != errDraining {
-		t.Fatalf("post-shutdown TopK err = %v, want draining", err)
+
+	release()
+	for i := 0; i < inFlight; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("admitted request lost to the drain: %v", err)
+		}
 	}
-	rec := postJSON(t, s.Handler(), "/v1/topk", `{"queries":[{"idx":[0],"val":[1]}]}`)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown HTTP status %d, want 503", rec.Code)
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
-	t.Logf("accepted %d/%d before drain", accepted, inFlight)
+	if m := s.Metrics(); m.Batches != inFlight || m.QueueDepth != 0 {
+		t.Fatalf("after drain: %d batches, depth %d; want %d, 0", m.Batches, m.QueueDepth, inFlight)
+	}
+	// The DB is closed; a second Shutdown is a second DB.Close.
+	if _, err := s.db.TopKSparse(sigs[0].W, 3, core.CosineMetric()); err == nil {
+		t.Fatal("DB still answers after Shutdown")
+	}
+	if err := s.Shutdown(t.Context()); err != nil {
+		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestAbandonedWaiterLeaves holds every run slot, abandons one waiting
+// request, and asserts it returns without reaching the kernel: nothing
+// counted, its admission given back, and the requests still waiting
+// beside it answered as usual.
+func TestAbandonedWaiterLeaves(t *testing.T) {
+	s, sigs := newTestServer(t, Config{}, 50)
+	defer s.Shutdown(t.Context())
+	q := []*vecmath.Sparse{sigs[0].W}
+	release := holdSlots(s.gate)
+
+	stays := make(chan error, 1)
+	go func() {
+		_, err := s.TopK(q, 3, core.CosineMetric())
+		stays <- err
+	}()
+	waitDepth(s.gate, 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 2)
+	go func() {
+		_, err := s.topK(ctx, q, 3, core.CosineMetric())
+		if !errors.Is(err, context.Canceled) {
+			gone <- fmt.Errorf("abandoned topK: err = %v, want context.Canceled", err)
+			return
+		}
+		gone <- nil
+	}()
+	go func() {
+		body, _ := json.Marshal(queryRequest{Queries: []wireQuery{wireFromSparse(sigs[0].W)}})
+		req := httptest.NewRequest("POST", "/v1/classify", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			gone <- fmt.Errorf("abandoned classify: status %d, want 503", rec.Code)
+			return
+		}
+		gone <- nil
+	}()
+	waitDepth(s.gate, 3)
+	cancel()
+	for range 2 {
+		if err := <-gone; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := s.Metrics(); m.Queries != 0 || m.Batches != 0 || m.QueueDepth != 1 {
+		t.Fatalf("after abandonment: %d queries, %d batches, depth %d; want 0, 0, 1", m.Queries, m.Batches, m.QueueDepth)
+	}
+
+	release()
+	if err := <-stays; err != nil {
+		t.Fatalf("request that kept waiting: %v", err)
+	}
+	if m := s.Metrics(); m.Queries != 1 || m.Batches != 1 || m.QueueDepth != 0 {
+		t.Fatalf("at rest: %d queries, %d batches, depth %d; want 1, 1, 0", m.Queries, m.Batches, m.QueueDepth)
+	}
+}
+
+// TestHTTPServerTimeouts asserts the http.Server the binaries mount has
+// every read-side limit set and sizes the body budget from MaxBodyBytes.
+func TestHTTPServerTimeouts(t *testing.T) {
+	small, _ := newTestServer(t, Config{MaxBodyBytes: 1 << 20}, 1)
+	defer small.Shutdown(t.Context())
+	big, _ := newTestServer(t, Config{MaxBodyBytes: 64 << 20}, 1)
+	defer big.Shutdown(t.Context())
+	hs, hb := small.HTTPServer(), big.HTTPServer()
+	if hs.Handler == nil || hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("HTTPServer leaves a limit unset: %+v", hs)
+	}
+	if hs.ReadTimeout <= hs.ReadHeaderTimeout || hb.ReadTimeout <= hs.ReadTimeout {
+		t.Fatalf("ReadTimeout %v for 1MiB bodies, %v for 64MiB: want both past the header budget and growing with the body bound", hs.ReadTimeout, hb.ReadTimeout)
+	}
 }
 
 // TestIngestSinglePublish proves the ingest handler amortizes the RCU
@@ -506,5 +623,67 @@ func TestHealthzAndMetrics(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown healthz status %d, want 503", rec.Code)
+	}
+}
+
+// BenchmarkServeTopKParallel drives single-query TopK requests through
+// the gate from 1, 2 and 4 goroutines per GOMAXPROCS over a sealed
+// 2000-signature, 12-nnz store in the real 3815-function space, where a
+// query costs microseconds and whatever the serving layer adds per
+// request shows. ns/op is wall time per request across all goroutines.
+func BenchmarkServeTopKParallel(b *testing.B) {
+	const dim, n, nnz, k = 3815, 2000, 12, 10
+	r := rand.New(rand.NewSource(1))
+	corpus, err := core.NewCorpus(dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		counts := make(map[int]uint64)
+		for j := 0; j < nnz; j++ {
+			counts[r.Intn(dim)] = uint64(1 + r.Intn(100000))
+		}
+		doc := &core.Document{ID: fmt.Sprintf("d%d", i), Label: fmt.Sprintf("l%d", i%3), Duration: 10 * time.Second, Counts: counts}
+		if err := corpus.Add(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sigs, _, err := corpus.Signatures()
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := make([][]*vecmath.Sparse, 64)
+	for i := range queries {
+		queries[i] = []*vecmath.Sparse{sigs[i*7].W}
+	}
+	for _, per := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("goroutines=%dxGOMAXPROCS", per), func(b *testing.B) {
+			db, err := core.NewShardedDB(dim, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			db.SetSegmentSize(512)
+			if err := db.AddAll(sigs); err != nil {
+				b.Fatal(err)
+			}
+			db.Seal()
+			s, err := New(db, nil, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Shutdown(context.Background())
+			var next atomic.Uint64
+			b.SetParallelism(per)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					q := queries[next.Add(1)%uint64(len(queries))]
+					if _, err := s.TopK(q, k, core.CosineMetric()); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }

@@ -1,11 +1,11 @@
 // Package serve is the HTTP/JSON serving layer over the fmeter DB: a
-// query + ingest API whose performance heart is an adaptive micro-batch
-// coalescer (coalesce.go) draining a bounded request queue into the
-// 0-alloc batched kernels. The production shape follows the batched
-// translation services the Marian line of work converged on: bounded
-// queues, backpressure with Retry-After instead of unbounded
-// goroutines, health and metrics endpoints, and graceful shutdown that
-// drains in-flight batches before closing the store.
+// query + ingest API in which every query request runs the batched
+// kernels on its own goroutine, behind one admission gate (gate.go)
+// bounding the requests admitted and the kernels running at once. The
+// production shape follows the translation services the Marian line of
+// work converged on: bounded admission, Retry-After backpressure
+// instead of unbounded goroutines, health and metrics endpoints, and a
+// graceful shutdown that lets every admitted request finish first.
 package serve
 
 import (
@@ -27,15 +27,9 @@ import (
 // Config tunes the server. The zero value is usable: every field below
 // has a default applied by withDefaults.
 type Config struct {
-	// MaxBatch is the largest query count one batched kernel call may
-	// coalesce. <= 1 disables coalescing entirely (direct mode — the
-	// batch-size-1 baseline). Default 64.
-	MaxBatch int
-	// MaxWait bounds how long a loaded dispatcher waits to fill a batch
-	// beyond the tasks already queued. Default 500µs.
-	MaxWait time.Duration
-	// MaxQueue bounds the request queue; a full queue rejects with 429 +
-	// Retry-After. Default 1024.
+	// MaxQueue bounds the query requests admitted at once, running +
+	// waiting for a core; one more is rejected with 429 + Retry-After.
+	// Default 1024.
 	MaxQueue int
 	// MaxK bounds the per-request k. Default 100.
 	MaxK int
@@ -51,9 +45,9 @@ type Config struct {
 	SnapshotDir string
 	// SnapshotEvery is the watermark poll interval. Default 2s.
 	SnapshotEvery time.Duration
-	// PruneSampleEvery samples PruneStats from every Nth batched TopK
-	// call for /metrics aggregates; 0 keeps the default 32, negative
-	// disables sampling.
+	// PruneSampleEvery samples PruneStats from every Nth TopK request
+	// for /metrics aggregates; 0 keeps the default 32, negative disables
+	// sampling.
 	PruneSampleEvery int
 	// Warnf, when non-nil, receives operational warnings (snapshot
 	// failures). Default drops them.
@@ -61,12 +55,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 500 * time.Microsecond
-	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 1024
 	}
@@ -101,7 +89,7 @@ type Server struct {
 	model *core.Model
 	cfg   Config
 	met   *metrics
-	bat   *batcher
+	gate  *gate
 	mux   *http.ServeMux
 
 	// ingestMu serializes ingest bodies so each body's Transform →
@@ -127,10 +115,10 @@ func New(db *core.DB, model *core.Model, cfg Config) (*Server, error) {
 		model:    model,
 		cfg:      cfg,
 		met:      newMetrics(),
+		gate:     newGate(cfg.MaxQueue),
 		snapStop: make(chan struct{}),
 		snapDone: make(chan struct{}),
 	}
-	s.bat = newBatcher(db, cfg, s.met)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
 	s.mux.HandleFunc("POST /v1/classify", s.handleClassify)
@@ -148,23 +136,42 @@ func New(db *core.DB, model *core.Model, cfg Config) (*Server, error) {
 // Handler returns the root handler (method-routed mux).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics returns a point-in-time snapshot of the server counters.
-func (s *Server) Metrics() MetricsSnapshot {
-	return s.met.snapshot(s.db, s.bat.depth(), s.cfg.MaxQueue)
+const ( // what one connection may hold open under HTTPServer
+	readHeaderTimeout = 5 * time.Second
+	minBodyRate       = 256 << 10 // bytes per second a body must arrive at
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns an http.Server over Handler with read-header, read
+// (sized for a MaxBodyBytes body at minBodyRate) and idle timeouts set,
+// so a stalled or abandoned connection cannot hold a goroutine forever.
+// The caller owns the listener and the http.Server's own Shutdown.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readHeaderTimeout + time.Duration(s.cfg.MaxBodyBytes/minBodyRate)*time.Second,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
-// Shutdown stops intake, drains in-flight batches, takes a final
-// snapshot when configured, and closes the DB. ctx bounds the wait; on
-// expiry the drain keeps running in the background but Shutdown returns
-// ctx.Err(). Idempotent: later calls return the DB's typed closed
-// error.
+// Metrics returns a point-in-time snapshot of the server counters.
+func (s *Server) Metrics() MetricsSnapshot {
+	return s.met.snapshot(s.db, s.gate.depth(), s.cfg.MaxQueue)
+}
+
+// Shutdown stops intake, waits for every admitted query request to
+// finish, takes a final snapshot when configured, and closes the DB.
+// ctx bounds the wait; on expiry the drain keeps running in the
+// background but Shutdown returns ctx.Err(). Idempotent: later calls
+// return what closing the DB again returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.shutdown.CompareAndSwap(false, true) {
 		return s.db.Close()
 	}
 	done := make(chan error, 1)
 	go func() {
-		s.bat.close() // stop intake, drain queued tasks
+		s.gate.drain()
 		close(s.snapStop)
 		<-s.snapDone
 		if s.cfg.SnapshotDir != "" {
@@ -185,31 +192,74 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// TopK is the programmatic entry to the coalescer: identical semantics
-// to POST /v1/topk but skipping HTTP. The serve bench drives this to
-// measure coalescing without connection overhead; embedders get a
-// batched query path with backpressure for free.
+// TopK is the programmatic entry to the query path: identical
+// semantics to POST /v1/topk but skipping HTTP, so embedders get the
+// same admission bound and backpressure. out[i] is queries[i]'s hits,
+// bit-identical to db.TopKSparse(queries[i], k, metric).
 func (s *Server) TopK(queries []*vecmath.Sparse, k int, metric core.Metric) ([][]core.SearchResult, error) {
-	if s.shutdown.Load() {
-		return nil, errDraining
-	}
-	t := &task{kind: kindTopK, queries: queries, k: k, metric: metric, done: make(chan struct{})}
-	if err := s.bat.submit(t); err != nil {
-		return nil, err
-	}
-	return t.hits, nil
+	return s.topK(context.Background(), queries, k, metric)
 }
 
 // Classify is the programmatic classify twin of TopK.
 func (s *Server) Classify(queries []*vecmath.Sparse, k int, metric core.Metric) ([]string, error) {
-	if s.shutdown.Load() {
-		return nil, errDraining
-	}
-	t := &task{kind: kindClassify, queries: queries, k: k, metric: metric, done: make(chan struct{})}
-	if err := s.bat.submit(t); err != nil {
+	return s.classify(context.Background(), queries, k, metric)
+}
+
+func (s *Server) topK(ctx context.Context, queries []*vecmath.Sparse, k int, metric core.Metric) ([][]core.SearchResult, error) {
+	out := make([][]core.SearchResult, len(queries))
+	err := s.run(ctx, len(queries), func() error {
+		rest := 0
+		if len(queries) > 0 && queries[0] != nil && s.samplePrune() {
+			// Answered by the stats kernel itself (bit-identical hits by
+			// its contract), on a view pinned apart from the rest's.
+			hits, st, err := s.db.TopKSparseStats(queries[0], k, metric)
+			if err != nil {
+				return err
+			}
+			s.met.observePrune(st)
+			out[0], rest = hits, 1
+		}
+		return s.db.TopKBatchInto(queries[rest:], k, metric, out[rest:])
+	})
+	if err != nil {
 		return nil, err
 	}
-	return t.labels, nil
+	return out, nil
+}
+
+// samplePrune reports whether this TopK request is the every-Nth one
+// whose first query feeds the /metrics PruneStats aggregates.
+func (s *Server) samplePrune() bool {
+	every := uint64(s.cfg.PruneSampleEvery)
+	return every != 0 && s.met.pruneTick.Add(1)%every == 0
+}
+
+func (s *Server) classify(ctx context.Context, queries []*vecmath.Sparse, k int, metric core.Metric) ([]string, error) {
+	out := make([]string, len(queries))
+	err := s.run(ctx, len(queries), func() error { return s.db.ClassifyBatchInto(queries, k, metric, out) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run passes the gate and calls kernel, one request's batched kernel
+// call over nq queries, on the caller's goroutine. A request refused by
+// the gate, or whose ctx ends while it waits for a run slot, never
+// reaches the kernel and counts in neither Queries nor Batches.
+//
+//fmeter:nondeterministic-ok serving telemetry: per-request kernel wall-clock feeds the Retry-After EWMA
+func (s *Server) run(ctx context.Context, nq int, kernel func() error) error {
+	if err := s.gate.enter(ctx); err != nil {
+		return err
+	}
+	start := time.Now()
+	err := kernel()
+	s.gate.exit(time.Since(start))
+	if err == nil {
+		s.met.observeBatch(nq)
+	}
+	return err
 }
 
 // snapshotLoop polls the sealed-segment watermark and snapshots
@@ -302,7 +352,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	hits, err := s.TopK(queries, k, metric)
+	hits, err := s.topK(r.Context(), queries, k, metric)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -327,7 +377,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	labels, err := s.Classify(queries, k, metric)
+	labels, err := s.classify(r.Context(), queries, k, metric)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -464,9 +514,8 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) ([]*
 			return nil, 0, core.Metric{}, false
 		}
 		if n2 := sp.Norm2(); math.IsNaN(n2) || math.IsInf(n2, 0) {
-			// The kernel rejects such a query too, but only after it has
-			// been coalesced: refusing it here keeps one hostile request
-			// from failing the batch it would have shared.
+			// The kernel rejects such a query too, but only once it holds
+			// a run slot: refusing it here costs no admission.
 			s.writeTyped(w, http.StatusBadRequest, "config",
 				fmt.Sprintf("query %d has non-finite weights (squared norm %v)", i, n2))
 			return nil, 0, core.Metric{}, false
@@ -503,6 +552,7 @@ func (s *Server) writeTyped(w http.ResponseWriter, status int, kind, msg string)
 //	*DimensionError          → 400 kind=dimension
 //	*OverloadError           → 429 kind=overload + Retry-After
 //	draining / closed DB     → 503 kind=unavailable
+//	request context ended    → 503 kind=unavailable
 //	*ConfigError (other)     → 400 kind=config
 //	ErrEmptyDB               → 409 kind=empty_db
 //	anything else            → 500 kind=internal
@@ -526,6 +576,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		s.writeTyped(w, http.StatusBadRequest, "config", ce.Error())
 	case errors.Is(err, core.ErrEmptyDB):
 		s.writeTyped(w, http.StatusConflict, "empty_db", err.Error())
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The client left, or its deadline passed, waiting for a run slot.
+		s.writeTyped(w, http.StatusServiceUnavailable, "unavailable", err.Error())
 	default:
 		s.writeTyped(w, http.StatusInternalServerError, "internal", err.Error())
 	}
