@@ -56,10 +56,10 @@ bench:
 ## TopK — BenchmarkDBTopKSharded vs BenchmarkDBTopKIndexed — the batched
 ## BenchmarkDBTopKBatch/BenchmarkDBClassifyBatch 0-allocs records,
 ## BENCH_segments.json for the segmented-store persistence benchmark:
-## full vs incremental SaveDir vs the v1 full rewrite,
+## full vs incremental SaveDir,
 ## BENCH_postings.json for the posting-compression benchmark: index
 ## bytes unsealed vs sealed, TopK over both, cold-load
-## mapped vs rebuild vs v1, and BENCH_pruned.json for the pruning
+## mapped vs resident vs rebuild, and BENCH_pruned.json for the pruning
 ## scaling ladder: TopK pruned vs unpruned vs theta=0.5 at
 ## 10k/100k/1M signatures plus the sealed-segment trajectory under the
 ## tier policy, and BENCH_concurrent.json for the mixed read/write

@@ -49,8 +49,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sparse     = fs.Bool("sparse", false, "use the O(nnz) norm-cached K-means assignment step in the clustering experiments")
 		benchJSON  = fs.String("benchjson", "", "write per-experiment wall-clock seconds to this JSON file (perf trajectory for future PRs)")
 		microJSON  = fs.String("microjson", "", "run the retrieval micro-benchmarks (Transform, scan vs indexed TopK, batched TopK) and write them to this JSON file, then exit")
-		segJSON    = fs.String("segjson", "", "run the segmented-store persistence benchmark (full vs incremental SaveDir vs v1 rewrite) and write it to this JSON file, then exit")
-		postJSON   = fs.String("postjson", "", "run the posting-compression benchmark (index bytes unsealed vs sealed, TopK over both, cold-load mapped vs rebuild vs v1) and write it to this JSON file, then exit")
+		segJSON    = fs.String("segjson", "", "run the segmented-store persistence benchmark (full vs incremental SaveDir) and write it to this JSON file, then exit")
+		postJSON   = fs.String("postjson", "", "run the posting-compression benchmark (index bytes unsealed vs sealed, TopK over both, cold-load mapped vs resident vs rebuild) and write it to this JSON file, then exit")
 		indexMode  = fs.String("index", "off", "route the BenchmarkDBTopKSharded micro-benchmark DBs through the inverted index (on) or the exhaustive scan (off) — the CLI knob for reproducing the scan/index comparison; BenchmarkDBTopKIndexed and BenchmarkDBTopKBatch are always indexed")
 		pruneMode  = fs.String("prune", "on", "route the BenchmarkDBTopKSealed micro-benchmark DBs through the threshold-pruned walk (on) or the plain sealed walk (off) — the CLI knob for A/B-ing pruning, like -index A/Bs the scan")
 		pruneJSON  = fs.String("prunejson", "", "run the threshold-pruning scale benchmark (synthetic signature ladder up to -scale, pruned vs unpruned vs approximate TopK, sealed-segment trajectory under the tier compaction policy; both pruning arms are always measured regardless of -prune) and write it to this JSON file, then exit")

@@ -20,9 +20,8 @@ import (
 // postings) and sealed (one block-compressed structure per segment),
 // TopK latency over both plus the mmap-served layout (comparable with
 // BenchmarkDBTopKIndexed in BENCH_indexed.json — same corpus, same
-// query, same k), and the cold snapshot-load cost of the v2.1 path —
-// mmap-served and heap-resident — against the rebuild path and the v1
-// single-file rewrite.
+// query, same k), and the cold snapshot-load cost — mmap-served and
+// heap-resident — against the rebuild path.
 type postRecord struct {
 	Timestamp  string     `json:"timestamp"`
 	GoMaxProcs int        `json:"gomaxprocs"`
@@ -51,9 +50,8 @@ type postCorpus struct {
 // postColdLoad compares cold-open costs for the same signatures:
 // LoadDirMapped over sealed v2.1 records (postings served off the file
 // mapping), resident LoadDir over the same directory (postings copied
-// onto the heap), LoadDir over unsealed records (no postings section —
-// the rebuild path every load used to take), and the v1 single-file
-// ReadSnapshot baseline. The residency fields split the posting
+// onto the heap), and LoadDir over unsealed records (no postings section
+// — the rebuild path). The residency fields split the posting
 // footprint of each open mode into heap and page-cache bytes.
 type postColdLoad struct {
 	MmapNs       float64 `json:"v21_mmap_ns"`
@@ -61,8 +59,6 @@ type postColdLoad struct {
 	SealedBytes  int64   `json:"v21_sealed_dir_bytes"`
 	RebuildNs    float64 `json:"v21_rebuild_ns"`
 	RebuildBytes int64   `json:"v21_rebuild_dir_bytes"`
-	V1Ns         float64 `json:"v1_snapshot_ns"`
-	V1Bytes      int64   `json:"v1_snapshot_bytes"`
 	// Posting-structure residency after opening the sealed directory.
 	ResidentIndexBytes int64 `json:"resident_index_bytes"`
 	MmapHeapBytes      int64 `json:"mmap_heap_index_bytes"`
@@ -285,43 +281,10 @@ func runPostBench(path string, stderr io.Writer) error {
 	})
 	rec.ColdLoad.RebuildNs = float64(res.T.Nanoseconds()) / float64(res.N)
 
-	// v1 baseline: single-file snapshot, full re-shard and rebuild.
-	v1Path := filepath.Join(tmp, "db.fmdb")
-	f, err := os.Create(v1Path)
-	if err != nil {
-		return err
-	}
-	if err := db.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fi, err := os.Stat(v1Path)
-	if err != nil {
-		return err
-	}
-	rec.ColdLoad.V1Bytes = fi.Size()
-	res = testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			raw, err := os.Open(v1Path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.ReadSnapshot(raw, shards); err != nil {
-				b.Fatal(err)
-			}
-			raw.Close()
-		}
-	})
-	rec.ColdLoad.V1Ns = float64(res.T.Nanoseconds()) / float64(res.N)
-
-	fmt.Fprintf(stderr, "cold load: v2.1 mmap %.2f ms (first query %.2f ms), resident %.1f ms (%d B on disk), rebuild %.1f ms (%d B), v1 %.1f ms (%d B)\n",
+	fmt.Fprintf(stderr, "cold load: v2.1 mmap %.2f ms (first query %.2f ms), resident %.1f ms (%d B on disk), rebuild %.1f ms (%d B)\n",
 		rec.ColdLoad.MmapNs/1e6, rec.ColdLoad.MmapFirstQueryNs/1e6,
 		rec.ColdLoad.ResidentNs/1e6, rec.ColdLoad.SealedBytes,
-		rec.ColdLoad.RebuildNs/1e6, rec.ColdLoad.RebuildBytes,
-		rec.ColdLoad.V1Ns/1e6, rec.ColdLoad.V1Bytes)
+		rec.ColdLoad.RebuildNs/1e6, rec.ColdLoad.RebuildBytes)
 	fmt.Fprintf(stderr, "residency: resident index %d B heap vs mapped %d B heap + %d B page cache\n",
 		rec.ColdLoad.ResidentIndexBytes, rec.ColdLoad.MmapHeapBytes, rec.ColdLoad.MmapMappedBytes)
 

@@ -14,10 +14,9 @@ import (
 
 // segRecord is the BENCH_segments.json artifact: the incremental-save
 // headline of the segmented-store PR. It measures, on the micro-corpus
-// shape, a full v2 directory save after ingesting N signatures, an
+// shape, a full directory save after ingesting N signatures and an
 // incremental save after adding M << N more (the O(new data) claim: the
-// sealed segments stay on disk untouched), and the v1 single-file
-// snapshot as the rewrite-the-world baseline.
+// sealed segments stay on disk untouched).
 type segRecord struct {
 	Timestamp   string `json:"timestamp"`
 	GoMaxProcs  int    `json:"gomaxprocs"`
@@ -34,7 +33,6 @@ type segRecord struct {
 	IndexPostings int64   `json:"index_postings"`
 	FullSave      segSave `json:"full_save"`
 	Incremental   segSave `json:"incremental_save"`
-	V1Snapshot    segSave `json:"v1_snapshot_full_rewrite"`
 }
 
 // segSave is one save's cost.
@@ -177,31 +175,9 @@ func runSegBench(path string, stderr io.Writer) error {
 		return fmt.Errorf("segbench: %d files changed but only %d segments were dirty", incFiles, dirty)
 	}
 
-	// v1 baseline: the whole store, rewritten.
-	v1Path := filepath.Join(tmp, "db.fmdb")
-	start = time.Now()
-	f, err := os.Create(v1Path)
-	if err != nil {
-		return err
-	}
-	if err := db.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	v1Seconds := time.Since(start).Seconds()
-	fi, err := os.Stat(v1Path)
-	if err != nil {
-		return err
-	}
-	rec.V1Snapshot = segSave{Seconds: v1Seconds, FilesWritten: 1, BytesWritten: fi.Size()}
-
 	fmt.Fprintf(stderr, "segmented store: %d sigs, %d segments, shards=%d segsize=%d\n", n, rec.Segments, shards, segSize)
 	fmt.Fprintf(stderr, "  full save        %8.1f ms  %3d files  %9d bytes\n", rec.FullSave.Seconds*1e3, rec.FullSave.FilesWritten, rec.FullSave.BytesWritten)
 	fmt.Fprintf(stderr, "  incremental(+%d) %8.1f ms  %3d files  %9d bytes\n", m, rec.Incremental.Seconds*1e3, rec.Incremental.FilesWritten, rec.Incremental.BytesWritten)
-	fmt.Fprintf(stderr, "  v1 full rewrite  %8.1f ms  %3d files  %9d bytes\n", rec.V1Snapshot.Seconds*1e3, rec.V1Snapshot.FilesWritten, rec.V1Snapshot.BytesWritten)
 
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

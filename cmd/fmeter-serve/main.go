@@ -48,7 +48,7 @@ func run(args []string, stderr io.Writer) error {
 		warmup       = fs.Int("warmup", 20, "warmup intervals collected to fit the model and seed the DB")
 		interval     = fs.Duration("interval", 10*time.Second, "warmup collection interval (virtual time)")
 		seed         = fs.Int64("seed", 1, "random seed")
-		shards       = fs.Int("shards", 2, "DB shard count")
+		shards       = fs.Int("shards", 2, "shard count of a newly created DB; an existing -db directory keeps the count it was saved with")
 		segmentSize  = fs.Int("segment-size", 0, "DB segment size (0 = default)")
 		maxQueue     = fs.Int("max-queue", 1024, "query requests admitted at once, running + waiting; one more answers 429 + Retry-After")
 		dbDir        = fs.String("db", "", "snapshot directory: load the DB from it when present, periodically save into it")
@@ -108,7 +108,7 @@ func run(args []string, stderr io.Writer) error {
 				db.Close()
 				return fmt.Errorf("db %s has dimension %d, system has %d", *dbDir, db.Dim(), sys.Dim())
 			}
-			fmt.Fprintf(stderr, "[fmeter-serve] loaded %d signatures from %s\n", db.Len(), *dbDir)
+			fmt.Fprintf(stderr, "[fmeter-serve] loaded %d signatures from %s (%d shards, as saved; -shards applies to a new DB only)\n", db.Len(), *dbDir, db.Shards())
 		}
 	}
 	if db == nil {

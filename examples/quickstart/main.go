@@ -4,7 +4,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -78,23 +77,7 @@ func run() error {
 	}
 	fmt.Printf("\n5-NN classification of %s: %s (truth: %s)\n", query.DocID, label, query.Label)
 
-	// The database survives restarts: snapshot, reload (re-sharding is
-	// free — results are identical at any shard count), and re-query.
-	var snap bytes.Buffer
-	if err := fmeter.WriteDBSnapshot(&snap, db); err != nil {
-		return err
-	}
-	restored, err := fmeter.ReadDBSnapshot(&snap, 2)
-	if err != nil {
-		return err
-	}
-	label2, err := restored.ClassifySparse(query.W, 5, fmeter.EuclideanMetric())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("after snapshot/reload (%d -> %d shards): %s\n", db.Shards(), restored.Shards(), label2)
-
-	// For an on-disk store, prefer the v2 snapshot directory: SaveDB
+	// The database survives restarts as a snapshot directory: SaveDB
 	// writes atomically (a crash never corrupts the store) and re-saves
 	// only the segments that changed since the last save, so a
 	// long-lived operator DB saves in O(new data).
@@ -133,5 +116,22 @@ func run() error {
 	defer reopened.Close()
 	fmt.Printf("incremental on-disk store: %d signatures across %d segment files (%d posting bytes mapped, %d on heap)\n",
 		reopened.Len(), reopened.Segments(), reopened.MappedBytes(), reopened.IndexBytes())
+
+	// A stored DB keeps its shard count; re-sharding is a rebuild through
+	// the public API, and free of surprises — global indices are
+	// insertion-ordered, so results are identical at any shard count.
+	resharded, err := fmeter.NewDB(reopened.Dim(), fmeter.WithShards(2))
+	if err != nil {
+		return err
+	}
+	// (All is in insertion order: leave out the query added last.)
+	if err := resharded.AddAll(reopened.All()[:len(rest)]); err != nil {
+		return err
+	}
+	label2, err := resharded.ClassifySparse(query.W, 5, fmeter.EuclideanMetric())
+	if err != nil {
+		return err
+	}
+	fmt.Printf("after save/reopen and re-shard (%d -> %d shards): %s\n", reopened.Shards(), resharded.Shards(), label2)
 	return nil
 }

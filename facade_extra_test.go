@@ -158,7 +158,7 @@ func TestMinkowskiMetricFacade(t *testing.T) {
 
 // TestShardedDBFacade drives the sharded store through the facade:
 // WithShards/WithWorkers construction, identical TopK across shard
-// counts, and a snapshot round trip with re-sharding.
+// counts, and a save/reopen round trip with re-sharding.
 func TestShardedDBFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 5, Workers: -1})
 	if err != nil {
@@ -214,12 +214,24 @@ func TestShardedDBFacade(t *testing.T) {
 		}
 	}
 
-	var snap bytes.Buffer
-	if err := WriteDBSnapshot(&snap, sharded); err != nil {
+	// Save, reopen (WithShards is ignored: a stored DB keeps its layout),
+	// and re-shard the way OpenDB's doc says to.
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := SaveDB(dir, sharded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadDBSnapshot(&snap, 2)
+	reopened, err := OpenDB(dir, WithShards(2))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Shards() != 4 {
+		t.Fatalf("reopened shards = %d, want the saved layout's 4", reopened.Shards())
+	}
+	restored, err := NewDB(reopened.Dim(), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.AddAll(reopened.All()); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Shards() != 2 || restored.Len() != sharded.Len() {
@@ -345,8 +357,8 @@ func TestScoreBatchMatchesMatches(t *testing.T) {
 }
 
 // TestSaveOpenDBFacade drives the path-based persistence facade: SaveDB
-// writes the v2 snapshot directory, OpenDB loads both that and a v1
-// single-file snapshot, repeated saves are incremental, and a corrupted
+// writes the snapshot directory, OpenDB loads it (and refuses a path that
+// is not a directory), repeated saves are incremental, and a corrupted
 // segment surfaces the typed *SnapshotError naming the file.
 func TestSaveOpenDBFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 11, Workers: -1})
@@ -427,24 +439,14 @@ func TestSaveOpenDBFacade(t *testing.T) {
 		t.Fatalf("query after Close = %v, want *ConfigError", err)
 	}
 
-	// OpenDB also reads single-file v1 snapshots.
-	v1 := filepath.Join(t.TempDir(), "store.fmdb")
-	f, err := os.Create(v1)
-	if err != nil {
+	// A path that is not a directory is refused, typed, naming the path.
+	file := filepath.Join(t.TempDir(), "store.fmdb")
+	if err := os.WriteFile(file, []byte("FMDB"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDBSnapshot(f, db); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := OpenDB(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromV1.Len() != db.Len() {
-		t.Fatalf("v1 OpenDB len = %d, want %d", fromV1.Len(), db.Len())
+	var notDir *SnapshotError
+	if _, err := OpenDB(file); !errors.As(err, &notDir) || notDir.Path != file {
+		t.Fatalf("OpenDB on a file = %v, want *SnapshotError naming %s", err, file)
 	}
 
 	// Corruption is typed and names the file.

@@ -49,6 +49,7 @@
 package fmeter
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -96,8 +97,7 @@ type (
 	// (see WithCompactionPolicy / db.SetCompactionPolicy).
 	CompactionPolicy = core.CompactionPolicy
 	// SnapshotError is the typed error for corrupt, missing, or
-	// unreadable v2 snapshot-directory files; it names the offending
-	// file.
+	// unreadable snapshot-directory files; it names the offending file.
 	SnapshotError = core.SnapshotError
 	// Vector is a dense signature vector.
 	Vector = vecmath.Vector
@@ -270,7 +270,7 @@ func WithCompactionPolicy(tierFanout int) Option {
 // db.Close() when done to release the mappings, and do not modify or
 // delete the snapshot files underneath a mapped DB. On platforms
 // without mmap support the option silently degrades to the resident
-// read path. Only meaningful for OpenDB on a v2 snapshot directory.
+// read path. Only meaningful for OpenDB.
 func WithMapped(on bool) Option { return func(o *perfOpts) { o.mapped = on } }
 
 func applyOpts(opts []Option) perfOpts {
@@ -631,13 +631,12 @@ func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 	return serve.New(db, model, cfg)
 }
 
-// SaveDB persists a signature database at path in the v2 snapshot
-// directory format: a manifest plus one CRC-checked file per segment,
+// SaveDB persists a signature database at path as a snapshot directory,
+// the one on-disk form: a manifest plus one CRC-checked file per segment,
 // each written atomically (temp + fsync + rename), with only the
 // segments dirtied since the last save rewritten — a long-lived
 // operator database saves in O(new data), and a crash mid-save never
-// corrupts the previous snapshot. This is the path-based save every CLI
-// should use instead of hand-rolled os.Create writes.
+// corrupts the previous snapshot.
 //
 // SaveDB runs safely while other goroutines query or ingest: it
 // persists the committed state at the moment it acquires the writer
@@ -646,49 +645,31 @@ func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 // deferred to the last reader draining).
 func SaveDB(path string, db *DB) error { return db.SaveDir(path) }
 
-// OpenDB loads a database saved by SaveDB (a v2 snapshot directory) or
-// by WriteDBSnapshot (a single v1 snapshot file) — the format is
-// detected from the path. Corrupt v2 directories fail with a typed
-// *SnapshotError naming the offending file. Options tune the loaded
-// store like NewDB's do; WithMapped additionally serves a directory
-// snapshot's posting lists off read-only file mappings (page cache
-// instead of heap — call db.Close() to release them), and WithShards
-// re-shards a v1 single-file snapshot on load.
+// OpenDB loads a database saved by SaveDB. path must be a snapshot
+// directory; anything else, and any corrupt, missing, or retired-format
+// file inside it, fails with a typed *SnapshotError naming the path.
+// Options tune the loaded store like NewDB's do; WithMapped serves the
+// posting lists off read-only file mappings (call db.Close() to release
+// them). A stored DB keeps the shard count it was saved with (WithShards
+// is ignored); to re-shard, rebuild through the public API — global
+// indices are insertion-ordered, so results are identical:
+//
+//	old, _ := fmeter.OpenDB(path)
+//	db, _ := fmeter.NewDB(old.Dim(), fmeter.WithShards(n))
+//	_ = db.AddAll(old.All())
 func OpenDB(path string, opts ...Option) (*DB, error) {
 	o := applyOpts(opts)
-	fi, err := os.Stat(path)
-	if err != nil {
+	if fi, err := os.Stat(path); err != nil {
 		return nil, &SnapshotError{Path: path, Err: err}
+	} else if !fi.IsDir() {
+		return nil, &SnapshotError{Path: path, Err: errors.New("not a snapshot directory (a database is stored as a directory: MANIFEST.json plus segment files)")}
 	}
-	if fi.IsDir() {
-		db, err := core.LoadDirOpts(path, core.LoadOptions{MapPostings: o.mapped})
-		if err != nil {
-			return nil, err
-		}
-		return configureDB(db, o)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, &SnapshotError{Path: path, Err: err}
-	}
-	defer f.Close()
-	db, err := core.ReadSnapshot(f, o.shards)
+	db, err := core.LoadDirOpts(path, core.LoadOptions{MapPostings: o.mapped})
 	if err != nil {
 		return nil, err
 	}
 	return configureDB(db, o)
 }
-
-// WriteDBSnapshot / ReadDBSnapshot persist a signature database in the
-// single-file v1 binary snapshot format, so an operator's labeled DB
-// survives restarts. shards == 0 reloads with the writer's shard
-// layout; any other count re-shards without changing query results.
-// Prefer SaveDB/OpenDB for on-disk stores: the v2 directory format adds
-// incremental saves, atomic writes, and per-segment CRCs.
-func WriteDBSnapshot(w io.Writer, db *DB) error { return db.WriteSnapshot(w) }
-
-// ReadDBSnapshot parses a snapshot written by WriteDBSnapshot.
-func ReadDBSnapshot(r io.Reader, shards int) (*DB, error) { return core.ReadSnapshot(r, shards) }
 
 // CosineMetric is the cosine similarity of §2.1.
 func CosineMetric() Metric { return core.CosineMetric() }
@@ -718,13 +699,6 @@ func WriteModel(w io.Writer, m *Model) error { return core.WriteModel(w, m) }
 
 // ReadModel parses a model written by WriteModel.
 func ReadModel(r io.Reader) (*Model, error) { return core.ReadModel(r) }
-
-// WriteModelSnapshot / ReadModelSnapshot are the binary companions of
-// WriteModel/ReadModel, pairing with the DB snapshot format.
-func WriteModelSnapshot(w io.Writer, m *Model) error { return core.WriteModelSnapshot(w, m) }
-
-// ReadModelSnapshot parses a model snapshot written by WriteModelSnapshot.
-func ReadModelSnapshot(r io.Reader) (*Model, error) { return core.ReadModelSnapshot(r) }
 
 // TermWeight is one kernel function's contribution to a signature.
 type TermWeight = core.TermWeight

@@ -72,20 +72,6 @@ func (d *Document) Total() uint64 {
 	return t
 }
 
-// TF returns the document's term-frequency vector as a sparse vector:
-// tf_i = n_i / Σ_k n_k.
-func (d *Document) TF() vecmath.SparseVector {
-	tf := vecmath.NewSparse()
-	total := float64(d.Total())
-	if total == 0 {
-		return tf
-	}
-	for i, c := range d.Counts {
-		tf.Set(i, float64(c)/total)
-	}
-	return tf
-}
-
 // Signature is a document embedded into the vector space: a tf-idf weight
 // vector plus provenance. The canonical representation is sparse — a
 // monitoring interval touches a few hundred of the ~3815 kernel

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,17 +27,45 @@ func TestNewDocumentSparsifies(t *testing.T) {
 	}
 }
 
+// tfModel fits a model in which every term of d has idf log 2 (d plus one
+// document on a term d does not use), so a signature weight over log 2 is
+// the term frequency tf_i = n_i / Σ_k n_k.
+func tfModel(t *testing.T, dim int, d *Document) *Model {
+	t.Helper()
+	c, err := NewCorpus(dim + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Document{d, doc("other", "", map[int]uint64{dim: 1})} {
+		if err := c.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := c.Fit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestTF(t *testing.T) {
 	d := doc("x", "", map[int]uint64{0: 3, 2: 1})
-	tf := d.TF()
-	if got := tf.Get(0); math.Abs(got-0.75) > 1e-12 {
+	m := tfModel(t, 3, d)
+	sig, err := m.Transform(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sig.W.Get(0) / math.Log(2); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("tf[0] = %v", got)
 	}
-	if got := tf.Get(2); math.Abs(got-0.25) > 1e-12 {
+	if got := sig.W.Get(2) / math.Log(2); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("tf[2] = %v", got)
 	}
-	empty := doc("e", "", nil)
-	if empty.TF().NNZ() != 0 {
+	empty, err := m.Transform(doc("e", "", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.W.NNZ() != 0 {
 		t.Error("empty doc should have empty tf")
 	}
 }
@@ -332,6 +362,14 @@ func TestReadSignaturesErrors(t *testing.T) {
 	if _, err := ReadSignatures(bytes.NewBufferString(`{"doc_id":"x","dim":2,"weights":{"5":1}}` + "\n")); err == nil {
 		t.Error("out-of-range weight index should fail")
 	}
+	// Past 2^31 an in-range index would wrap in int32: the dimension bound
+	// refuses the record, naming it.
+	for _, c := range [][2]int{{maxSnapshotDim + 1, 1}, {1 << 32, 1<<31 + 1}} {
+		line := fmt.Sprintf(`{"doc_id":"x","dim":%d,"weights":{"%d":1}}`, c[0], c[1])
+		if _, err := ReadSignatures(bytes.NewBufferString(line + "\n")); err == nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("dim %d: err = %v, want a record-numbered error", c[0], err)
+		}
+	}
 }
 
 // Property: tf vectors are probability distributions (sum to 1) for any
@@ -344,7 +382,13 @@ func TestPropertyTFSumsToOne(t *testing.T) {
 			counts[r.Intn(100)] = uint64(1 + r.Intn(1000))
 		}
 		d := doc("x", "", counts)
-		return math.Abs(d.TF().Sum()-1) < 1e-9
+		sig, err := tfModel(t, 100, d).Transform(d)
+		if err != nil {
+			return false
+		}
+		sum := 0.0
+		sig.W.ForEach(func(_ int, w float64) { sum += w })
+		return math.Abs(sum/math.Log(2)-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -244,17 +244,16 @@ type SearchResult struct {
 // identical results at every shard, segment, and worker count, indexed
 // or not.
 //
-// Persistence is two-format: WriteSnapshot/ReadSnapshot stream the
-// whole store as a single v1 file, while SaveDir/LoadDir keep a v2
-// snapshot directory (manifest + one CRC-checked file per segment)
-// where a save rewrites only the segments dirtied since the last save.
+// Persistence has one format: SaveDir/LoadDir keep a snapshot directory
+// (manifest + one CRC-checked file per segment, see manifest.go) where
+// a save rewrites only the segments dirtied since the last save.
 //
 // Query-time working state (heaps, score accumulators, merge buffers,
 // vote counters) lives in a pool of per-worker scratch, so steady-state
 // queries do not allocate.
 //
 // Concurrency contract (epoch-pinned views, see view.go): queries
-// (TopK*, Classify*, Len, All, WriteSnapshot, the *Stats variants) may
+// (TopK*, Classify*, Len, All, the *Stats variants) may
 // run concurrently with each other AND with mutations. Each query pins
 // the current immutable view — the sealed segments plus a frozen
 // prefix of each shard's active segment (its posting runs and the

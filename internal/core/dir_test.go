@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,13 @@ import (
 	"strings"
 	"testing"
 )
+
+// bothLoaders are the two ways a snapshot directory is opened; a refusal
+// must hold, and a load must agree, through each.
+var bothLoaders = []struct {
+	mode string
+	load func(string) (*DB, error)
+}{{"resident", LoadDir}, {"mapped", LoadDirMapped}}
 
 // dirState reads every file in a snapshot directory, keyed by name —
 // the before/after probe the incrementality assertions compare.
@@ -30,7 +38,7 @@ func dirState(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestSaveDirLoadDirRoundTrip checks the v2 round trip: a reloaded
+// TestSaveDirLoadDirRoundTrip checks the round trip: a reloaded
 // directory answers TopK bit-identically (both routings), remembers its
 // directory (an immediate re-save rewrites nothing), and keeps working
 // through further Add/Save cycles.
@@ -289,35 +297,44 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 	}
 }
 
-// TestDirCorruptionMatrix drives every corruption class the v2 format
-// must catch: segment files truncated at every field boundary (and a
-// sweep of byte prefixes), a single flipped bit (CRC), a deleted
-// manifest-referenced segment, and manifest tampering. Each must yield
-// a *SnapshotError naming the offending file — never a partial DB.
-func TestDirCorruptionMatrix(t *testing.T) {
-	r := rand.New(rand.NewSource(131))
-	const dim, nnz = 30, 5
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := NewShardedDB(dim, 2)
+// matrixDim is the dimension of the corruption matrix's healthy store.
+const matrixDim = 30
+
+// saveMatrixBaseline saves the healthy store the corruption matrix and
+// FuzzLoadSegment start from and returns its directory: two shards, each
+// holding a tier-merged (spliced) segment, a freshly sealed one and a
+// still-active one with no postings section.
+func saveMatrixBaseline(t testing.TB) string {
+	t.Helper()
+	db, err := NewShardedDB(matrixDim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.SetSegmentSize(4)
-	// Fan-out 2 merges each shard's first two sealed segments, so the
-	// healthy baseline holds tier-merged (spliced) postings next to
-	// freshly sealed and still-active segments.
+	// Fan-out 2 merges each shard's first two sealed segments.
 	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(randSigs(r, 27, dim, nnz)); err != nil {
+	if err := db.AddAll(randSigs(rand.New(rand.NewSource(131)), 27, matrixDim, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Segments(); got != 6 {
 		t.Fatalf("baseline holds %d segments, want 6 (merged 8 + sealed 4 + active per shard)", got)
 	}
+	dir := filepath.Join(t.TempDir(), "db")
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestDirCorruptionMatrix drives every corruption class the format
+// must catch: segment files truncated at every field boundary (and a
+// sweep of byte prefixes), a single flipped bit (CRC), a deleted
+// manifest-referenced segment, and manifest tampering. Each must yield
+// a *SnapshotError naming the offending file — never a partial DB.
+func TestDirCorruptionMatrix(t *testing.T) {
+	dir := saveMatrixBaseline(t)
 	for _, load := range []func(string) (*DB, error){LoadDir, LoadDirMapped} {
 		back, err := load(dir)
 		if err != nil {
@@ -349,10 +366,7 @@ func TestDirCorruptionMatrix(t *testing.T) {
 	// with a *SnapshotError naming the expected file.
 	mustFailNaming := func(tag, file string) {
 		t.Helper()
-		for _, ld := range []struct {
-			mode string
-			load func(string) (*DB, error)
-		}{{"resident", LoadDir}, {"mapped", LoadDirMapped}} {
+		for _, ld := range bothLoaders {
 			got, err := ld.load(dir)
 			if err == nil {
 				t.Fatalf("%s/%s: load succeeded", tag, ld.mode)
@@ -415,6 +429,14 @@ func TestDirCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustFailNaming("trailing-bytes", segName)
+	restore()
+
+	// A version-1 segment (the retired record body) with both CRCs
+	// re-stamped: refused by the version check, naming the file.
+	legacy := append([]byte(nil), raw[:len(raw)-4]...)
+	binary.LittleEndian.PutUint16(legacy[4:6], 1)
+	rewriteSegment(t, dir, segName, legacy)
+	mustFailNaming("version-1-segment", segName)
 	restore()
 
 	// Deleting a manifest-referenced segment names that file and wraps
@@ -533,52 +555,57 @@ func TestCompactedStoreReopens(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotInterop pins the compatibility promise: single-file v1
-// snapshots keep loading (and writing), and a v1 store moved into the
-// v2 directory format answers queries bit-identically.
+// TestV1SnapshotInterop pins what the retired formats meet now: a
+// single-file v1 "FMDB" snapshot and a CRC-correct version-1 segment
+// file are each refused by both loaders with a typed *SnapshotError
+// naming the path — never a panic, never a partial DB. (The fmeter.OpenDB
+// arm lives in the facade's TestSnapshotErrorAsFromFacade: this package
+// cannot import it.)
 func TestV1SnapshotInterop(t *testing.T) {
+	refused := func(tag, path, wantPath, wantMsg string) {
+		t.Helper()
+		for _, ld := range bothLoaders {
+			got, err := ld.load(path)
+			var se *SnapshotError
+			if got != nil || !errors.As(err, &se) {
+				t.Fatalf("%s/%s: db=%v err=%v, want a *SnapshotError and no DB", tag, ld.mode, got, err)
+			}
+			if !strings.HasPrefix(se.Path, wantPath) || !strings.Contains(err.Error(), wantMsg) {
+				t.Fatalf("%s/%s: error %q, want one naming %s and saying %q", tag, ld.mode, err, wantPath, wantMsg)
+			}
+		}
+	}
+
+	// A v1 file: magic, version 1, dim 90, 2 shards, zero records.
+	v1 := filepath.Join(t.TempDir(), "db.fmdb")
+	hdr := append([]byte("FMDB"), 1, 0, 90, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	if err := os.WriteFile(v1, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("v1 file", v1, v1, "not a directory")
+
+	// A version-1 segment: a healthy directory with one segment's version
+	// field rewritten and both CRCs re-stamped, so the refusal comes from
+	// the version check and not from a checksum.
 	r := rand.New(rand.NewSource(139))
-	const dim, nnz, k = 90, 10, 8
-	sigs := randSigs(r, 60, dim, nnz)
-	query := randSigs(r, 1, dim, nnz)[0].W
-	src, err := NewShardedDB(dim, 2)
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := NewShardedDB(90, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.AddAll(sigs); err != nil {
+	if err := db.AddAll(randSigs(r, 60, 90, 10)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := src.TopKSparse(query, k, EuclideanMetric())
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	seg := segmentFileName(0)
+	raw, err := os.ReadFile(filepath.Join(dir, seg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := src.WriteSnapshot(&v1); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(bytes.NewReader(v1.Bytes()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "migrated")
-	if err := loaded.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := v2.TopKSparse(query, k, EuclideanMetric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "v1->v2 migration", got, want)
-	// And back out to v1 again.
-	var round bytes.Buffer
-	if err := v2.WriteSnapshot(&round); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(round.Bytes(), v1.Bytes()) {
-		t.Fatal("v1 -> v2 -> v1 snapshot bytes changed")
-	}
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint16(body[4:6], 1)
+	rewriteSegment(t, dir, seg, body)
+	refused("version-1 segment", dir, filepath.Join(dir, seg), "unsupported segment version 1")
 }

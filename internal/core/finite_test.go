@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -92,14 +91,6 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 		db.publishLocked()
 		db.mu.Unlock()
 		var se *SnapshotError
-		var buf bytes.Buffer
-		if err := db.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		_, err = ReadSnapshot(&buf, 0)
-		if requireNonFinite(t, name+" ReadSnapshot", "signature", err); !errors.As(err, &se) {
-			t.Fatalf("%s ReadSnapshot: err = %v, want *SnapshotError", name, err)
-		}
 		for _, sealed := range []bool{false, true} {
 			if sealed {
 				db.Seal()

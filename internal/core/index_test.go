@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -420,10 +420,9 @@ func TestTopKConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIndexSurvivesSnapshotRoundTrip checks the persistence story: the
-// index is rebuilt incrementally on snapshot load (no format change),
-// and a reloaded DB answers indexed queries bit-identically at a
-// different shard count.
+// TestIndexSurvivesSnapshotRoundTrip checks the persistence story: a
+// reloaded DB, and the same store rebuilt at a different shard count,
+// answer indexed queries bit-identically.
 func TestIndexSurvivesSnapshotRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	const dim, n, nnz, k = 120, 90, 14, 8
@@ -439,21 +438,25 @@ func TestIndexSurvivesSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadSnapshot(&buf, 5)
+	loaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := reshard(t, loaded, 5)
+	sameStore(t, "resharded", restored, db)
 	if !restored.Indexed() {
 		t.Fatal("restored DB should route through the index by default")
 	}
-	got, err := restored.TopKSparse(query, k, EuclideanMetric())
-	if err != nil {
-		t.Fatal(err)
+	for tag, d := range map[string]*DB{"post-reload": loaded, "post-reshard": restored} {
+		got, err := d.TopKSparse(query, k, EuclideanMetric())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, tag+" indexed", got, want)
+		sameResults(t, tag+" scan", got, scanResults(t, d, query, k, EuclideanMetric()))
 	}
-	sameResults(t, "post-reload indexed", got, want)
-	sameResults(t, "post-reload scan", got, scanResults(t, restored, query, k, EuclideanMetric()))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -14,39 +13,32 @@ import (
 	"strings"
 )
 
-// Snapshot format v2: a directory instead of a single file, so a
-// long-lived operator database saves in O(new data) instead of O(total).
-// Layout:
+// The snapshot directory: the one on-disk form of a DB. A directory
+// instead of a single file, so a long-lived operator database saves in
+// O(new data) instead of O(total). Layout:
 //
 //	<dir>/MANIFEST.json   — format marker, dim/shards/count, and the
 //	                        ordered per-shard segment lists (file name,
 //	                        record count, CRC32 of the file body)
 //	<dir>/seg-<id>.fms    — one file per segment:
 //	  magic   "FMSG"                      (4 bytes)
-//	  version uint16                      (1 or 2)
+//	  version uint16                      (2, the "v2.1" record; any
+//	                                       other version is refused)
 //	  dim     uint32
 //	  count   uint32
-//	  <version-specific body>
-//	  crc32   uint32                      (IEEE, over all preceding bytes)
-//
-// A version-1 body (the original v2 directory format, still read) is
-// count signature records in the v1 snapshot encoding. A version-2 body
-// (the "v2.1" record) is:
-//
-//	flags   uint8                         (bit 0: postings section present)
-//	count × signature records             (v2.1 encoding: uvarint-gap
-//	                                       support indices, raw float64
-//	                                       weights — see writeSigRecordV2)
-//	postings section (iff flags&1):       the sealed segment's
+//	  flags   uint8                       (bit 0: postings section present)
+//	  count × signature records           (uvarint-gap support indices,
+//	                                       raw float64 weights — see
+//	                                       writeSigRecordV2)
+//	  postings section (iff flags&1):     the sealed segment's
 //	                                       block-compressed posting lists
 //	                                       (see writePostingsSection) so a
 //	                                       load maps them directly instead
 //	                                       of rebuilding the inverted
 //	                                       index posting by posting
+//	  crc32   uint32                      (IEEE, over all preceding bytes)
 //
-// Both bodies decode to bit-identical signatures; the v2.1 record is
-// smaller (gap-encoded support indices) even though it additionally
-// carries the postings. Loading validates the postings section fully:
+// Loading validates the postings section fully:
 // every posting's (dimension, id, ordinal) must name exactly its
 // signature's support entry, ids must ascend, and the total must equal
 // the summed support sizes — a bijection check, so a crafted postings
@@ -71,11 +63,9 @@ const (
 	manifestFormat  = "fmdb-dir"
 	manifestVersion = 2
 	segMagic        = "FMSG"
-	// segVersion is the original record body (v1 signature records, no
-	// postings); still read, no longer written.
-	segVersion = 1
-	// segVersionBlocks is the v2.1 record body: gap-encoded signature
-	// records plus the sealed segment's compressed posting blocks.
+	// segVersionBlocks is the v2.1 record body, the only one read or
+	// written: gap-encoded signature records plus the sealed segment's
+	// compressed posting blocks.
 	segVersionBlocks = 2
 	// segFlagPostings marks a v2.1 record carrying a postings section.
 	segFlagPostings = 0x01
@@ -88,13 +78,13 @@ const (
 func segmentFileName(id uint64) string { return fmt.Sprintf("seg-%08d.fms", id) }
 
 // SnapshotError reports a corrupt, missing, or unreadable piece of a
-// snapshot — a v2 directory file, or the v1/model byte streams. It is
+// snapshot — a snapshot directory file, or the model JSON stream. It is
 // typed so callers can tell storage corruption from API misuse, and it
 // names the offending file when the snapshot has one.
 type SnapshotError struct {
-	// Path is the file that failed (a segment file or the manifest).
-	// Empty for stream snapshots (WriteSnapshot/ReadSnapshot and the
-	// model codecs), which read whatever the caller handed them.
+	// Path is the file that failed (a segment file, the manifest, or the
+	// path handed to the loader). Empty for the model codec, which reads
+	// whatever stream the caller handed it.
 	Path string
 	// Err is the underlying cause (CRC mismatch, truncation, fs error).
 	Err error
@@ -131,7 +121,7 @@ type manifestSegment struct {
 	CRC32   uint32 `json:"crc32"`
 }
 
-// SaveDir persists the database into the v2 snapshot directory at path,
+// SaveDir persists the database into the snapshot directory at path,
 // creating it if needed. Only segments dirtied since the last SaveDir to
 // the same path are rewritten (newly added or compacted data — the
 // active segments plus any compaction outputs); a steady append workload
@@ -427,7 +417,7 @@ type LoadOptions struct {
 	MapPostings bool
 }
 
-// LoadDir loads a v2 snapshot directory written by SaveDir. Every
+// LoadDir loads a snapshot directory written by SaveDir. Every
 // segment file's CRC is verified against both its own footer and the
 // manifest before any record is parsed; corruption, truncation, or a
 // missing file yields a *SnapshotError naming the file, never a
@@ -567,8 +557,8 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 		return fail(fmt.Errorf("bad segment magic %q", body[:4]))
 	}
 	version := le.Uint16(body[4:6])
-	if version != segVersion && version != segVersionBlocks {
-		return fail(fmt.Errorf("unsupported segment version %d (have %d and %d)", version, segVersion, segVersionBlocks))
+	if version != segVersionBlocks {
+		return fail(fmt.Errorf("unsupported segment version %d (have %d)", version, segVersionBlocks))
 	}
 	if d := le.Uint32(body[6:10]); int(d) != db.dim {
 		return fail(fmt.Errorf("dimension %d, manifest says %d", d, db.dim))
@@ -577,43 +567,15 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 	if int(count) != ent.Records {
 		return fail(fmt.Errorf("record count %d, manifest says %d", count, ent.Records))
 	}
-	// A v1 record is at least 6 bytes (two empty strings + uint32 nnz), a
-	// v2.1 record at least 3 (three uvarints), so a count beyond this
-	// bound cannot be satisfied by the body — reject before looping.
-	minRecord := int64(6)
-	if version == segVersionBlocks {
-		minRecord = 3
-	}
+	// A record is at least 3 bytes (three uvarints), so a count beyond
+	// this bound cannot be satisfied by the body — reject before looping.
+	const minRecord = 3
 	if int64(count) > int64(len(body)-segHeaderSize)/minRecord {
 		return fail(fmt.Errorf("record count %d exceeds file capacity", count))
 	}
 	sg := &segment{id: ent.ID, start: len(sh.sigs), end: len(sh.sigs), sealed: true, crc: crc, saved: true}
-	if version == segVersion {
-		// v1 record body: the original stream encoding, decoded through
-		// the same reader the v1 snapshot path uses. No postings section
-		// exists, so a mapping buys nothing — the postings are encoded
-		// from the rows below and the mapping released.
-		br := bytes.NewReader(body[segHeaderSize:])
-		for i := 0; i < int(count); i++ {
-			sig, err := readSigRecord(br, db.dim)
-			if err != nil {
-				return fail(fmt.Errorf("record %d: %w", i, err))
-			}
-			sh.gids = append(sh.gids, len(sh.sigs)*len(db.shards)+si)
-			sh.sigs = append(sh.sigs, sig)
-			sh.norms = append(sh.norms, sig.W.Norm2())
-			sg.end++
-		}
-		if br.Len() != 0 {
-			return fail(fmt.Errorf("%d trailing bytes after record %d", br.Len(), count))
-		}
-		sg.blocks = encodeBlocks(db.dim, sh.sigs[sg.start:sg.end])
-		mf.close()
-		sh.segs = append(sh.segs, sg)
-		return nil
-	}
-	// v2.1 record body, decoded with the direct byte cursor (no reader
-	// indirection on the half-million-uvarint hot path of a cold open).
+	// Decoded with the direct byte cursor (no reader indirection on the
+	// half-million-uvarint hot path of a cold open).
 	cur := byteCursor{b: body[segHeaderSize:]}
 	flags, err := cur.byte()
 	if err != nil {
@@ -721,7 +683,7 @@ func writePostingsSection(bw *bufio.Writer, bp *blockPostings) error {
 // byteCursor is a direct cursor over a CRC-verified segment body — the
 // allocation-free, indirection-free reader of the cold-open hot path
 // (half a million uvarints decode through it on the benchmark corpus).
-// Truncation surfaces as io.ErrUnexpectedEOF, like the stream readers.
+// Truncation surfaces as io.ErrUnexpectedEOF.
 type byteCursor struct {
 	b   []byte
 	pos int

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -211,175 +210,6 @@ func TestV21PostingsCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "restored dir", got, want)
-}
-
-// writeLegacySegmentFile writes a version-1 segment file (the pre-v2.1
-// on-disk form: v1 signature records, no postings section) and returns
-// its body CRC — the format old snapshots still sit in on disk.
-func writeLegacySegmentFile(t *testing.T, path string, dim int, rows []Signature) uint32 {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	le := binary.LittleEndian
-	var hdr [segHeaderSize]byte
-	copy(hdr[:4], segMagic)
-	le.PutUint16(hdr[4:6], segVersion)
-	le.PutUint32(hdr[6:10], uint32(dim))
-	le.PutUint32(hdr[10:14], uint32(len(rows)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range rows {
-		if err := writeSigRecord(bw, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	var foot [4]byte
-	le.PutUint32(foot[:], crc)
-	if err := os.WriteFile(path, append(buf.Bytes(), foot[:]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return crc
-}
-
-// TestV2ToV21RoundTrip pins read compatibility and data fidelity across
-// the record-format generations: a directory of legacy version-1
-// segment records loads, re-saves in the v2.1 form, reloads, and the
-// signatures survive byte-identically — proven by identical v1
-// snapshot streams at every hop and by re-encoding the final rows back
-// into the legacy record form, byte-identical to the original files.
-func TestV2ToV21RoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(223))
-	const dim, nnz, n, shards = 70, 9, 34, 2
-	sigs := randSigs(r, n, dim, nnz)
-	src, err := NewShardedDB(dim, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.AddAll(sigs); err != nil {
-		t.Fatal(err)
-	}
-	var wantSnap bytes.Buffer
-	if err := src.WriteSnapshot(&wantSnap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hand-build a legacy v2 directory: one version-1 record file per
-	// shard, manifest referencing them.
-	legacyDir := filepath.Join(t.TempDir(), "legacy")
-	if err := os.MkdirAll(legacyDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	m := manifestJSON{
-		Format:   manifestFormat,
-		Version:  manifestVersion,
-		Dim:      dim,
-		Shards:   shards,
-		Count:    n,
-		NextSeg:  shards,
-		Segments: make([][]manifestSegment, shards),
-	}
-	legacyBytes := make(map[string][]byte)
-	for si := 0; si < shards; si++ {
-		var rows []Signature
-		for gid := si; gid < n; gid += shards {
-			rows = append(rows, sigs[gid])
-		}
-		name := segmentFileName(uint64(si))
-		crc := writeLegacySegmentFile(t, filepath.Join(legacyDir, name), dim, rows)
-		raw, err := os.ReadFile(filepath.Join(legacyDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyBytes[name] = raw
-		m.Segments[si] = []manifestSegment{{ID: uint64(si), File: name, Records: len(rows), CRC32: crc}}
-	}
-	mraw, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(legacyDir, manifestName), mraw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hop 1: the legacy directory loads (v2 files still load).
-	dbA, err := LoadDir(legacyDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snapA bytes.Buffer
-	if err := dbA.WriteSnapshot(&snapA); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapA.Bytes(), wantSnap.Bytes()) {
-		t.Fatal("legacy-loaded store's v1 snapshot differs from the source")
-	}
-
-	// Hop 2: re-save as v2.1 (sealed segments persist their compressed
-	// postings) and reload.
-	newDir := filepath.Join(t.TempDir(), "v21")
-	if err := dbA.SaveDir(newDir); err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range dirState(t, newDir) {
-		if name == manifestName {
-			continue
-		}
-		if v := binary.LittleEndian.Uint16(b[4:6]); v != segVersionBlocks {
-			t.Fatalf("re-saved segment %s has record version %d, want %d", name, v, segVersionBlocks)
-		}
-	}
-	dbB, err := LoadDir(newDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snapB bytes.Buffer
-	if err := dbB.WriteSnapshot(&snapB); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapB.Bytes(), wantSnap.Bytes()) {
-		t.Fatal("v2.1-reloaded store's v1 snapshot differs from the source")
-	}
-
-	// Hop 3: re-encode the reloaded rows back into legacy record files —
-	// byte-identical to the originals, so the v2.1 generation loses
-	// nothing a downgrade would need.
-	for si := 0; si < shards; si++ {
-		var rows []Signature
-		vB := dbB.pinView()
-		for gid := si; gid < n; gid += shards {
-			rows = append(rows, vB.at(gid))
-		}
-		dbB.unpinView(vB)
-		name := segmentFileName(uint64(si))
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("re-%s", name))
-		writeLegacySegmentFile(t, path, dim, rows)
-		re, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, legacyBytes[name]) {
-			t.Fatalf("re-encoded legacy segment %s differs from the original", name)
-		}
-	}
-
-	// The two directories answer queries identically.
-	q := randSigs(r, 1, dim, nnz)[0].W
-	want, err := src.TopKSparse(q, 7, CosineMetric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tag, d := range map[string]*DB{"legacy": dbA, "v21": dbB} {
-		got, err := d.TopKSparse(q, 7, CosineMetric())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, tag, got, want)
-	}
 }
 
 // TestReadSigRecordV2Bounds pins the overflow guards of the v2.1 row

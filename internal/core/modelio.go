@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // modelJSON is the wire form of a fitted tf-idf model. The idf vector is
@@ -51,8 +48,10 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if err := dec.Decode(&mj); err != nil {
 		return nil, &SnapshotError{Err: fmt.Errorf("reading model: %w", err)}
 	}
-	if mj.Dim < 1 {
-		return nil, &SnapshotError{Err: fmt.Errorf("model dimension %d invalid", mj.Dim)}
+	// Bounded before the dense idf vector is allocated: the dimension is
+	// outside input.
+	if mj.Dim < 1 || mj.Dim > maxSnapshotDim {
+		return nil, &SnapshotError{Err: fmt.Errorf("model dimension %d outside [1, %d]", mj.Dim, maxSnapshotDim)}
 	}
 	m := &Model{dim: mj.Dim, idf: make([]float64, mj.Dim)}
 	for i, x := range mj.IDF {
@@ -62,118 +61,6 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if x < 0 {
 			return nil, &SnapshotError{Err: fmt.Errorf("negative idf %v at term %d", x, i)}
 		}
-		m.idf[i] = x
-	}
-	return m, nil
-}
-
-// Model snapshot format: the binary companion of the DB snapshot, so a
-// restart restores the exact vector space alongside the signature
-// database. Layout (little-endian):
-//
-//	magic   "FMMD" (4 bytes)
-//	version uint16 (currently 1)
-//	dim     uint32
-//	nnz     uint32
-//	nnz × (idx int32, idf float64) — strictly ascending idx, idf > 0
-const (
-	modelMagic   = "FMMD"
-	modelVersion = 1
-)
-
-// WriteModelSnapshot serializes a fitted model in the versioned binary
-// snapshot format.
-//
-//fmeter:errdomain snapshot
-func WriteModelSnapshot(w io.Writer, m *Model) error {
-	if m == nil {
-		return &SnapshotError{Err: errors.New("nil model")}
-	}
-	if m.dim > maxSnapshotDim {
-		return &SnapshotError{Err: fmt.Errorf("dimension %d exceeds snapshot format bound %d", m.dim, maxSnapshotDim)}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagic); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing model snapshot: %w", err)}
-	}
-	le := binary.LittleEndian
-	nnz := 0
-	for _, x := range m.idf {
-		if x != 0 {
-			nnz++
-		}
-	}
-	for _, v := range []any{uint16(modelVersion), uint32(m.dim), uint32(nnz)} {
-		if err := binary.Write(bw, le, v); err != nil {
-			return &SnapshotError{Err: fmt.Errorf("writing model snapshot: %w", err)}
-		}
-	}
-	var rec [12]byte
-	for i, x := range m.idf {
-		if x == 0 {
-			continue
-		}
-		le.PutUint32(rec[:4], uint32(i))
-		le.PutUint64(rec[4:12], math.Float64bits(x))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return &SnapshotError{Err: fmt.Errorf("writing model snapshot: %w", err)}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing model snapshot: %w", err)}
-	}
-	return nil
-}
-
-// ReadModelSnapshot parses a model snapshot written by WriteModelSnapshot.
-//
-//fmeter:errdomain snapshot
-func ReadModelSnapshot(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading model snapshot magic: %w", err)}
-	}
-	if string(magic) != modelMagic {
-		return nil, &SnapshotError{Err: fmt.Errorf("bad model snapshot magic %q", magic)}
-	}
-	le := binary.LittleEndian
-	var version uint16
-	if err := binary.Read(br, le, &version); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading model snapshot: %w", err)}
-	}
-	if version != modelVersion {
-		return nil, &SnapshotError{Err: fmt.Errorf("unsupported model snapshot version %d (have %d)", version, modelVersion)}
-	}
-	var dim32, nnz uint32
-	if err := binary.Read(br, le, &dim32); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading model snapshot: %w", err)}
-	}
-	if err := binary.Read(br, le, &nnz); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading model snapshot: %w", err)}
-	}
-	if dim32 < 1 || dim32 > maxSnapshotDim {
-		return nil, &SnapshotError{Err: fmt.Errorf("model snapshot dimension %d outside [1, %d]", dim32, maxSnapshotDim)}
-	}
-	if nnz > dim32 {
-		return nil, &SnapshotError{Err: fmt.Errorf("model snapshot nnz %d exceeds dimension %d", nnz, dim32)}
-	}
-	m := &Model{dim: int(dim32), idf: make([]float64, dim32)}
-	rec := make([]byte, 12)
-	prev := int32(-1)
-	for k := uint32(0); k < nnz; k++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, &SnapshotError{Err: fmt.Errorf("model snapshot entry %d: %w", k, noEOF(err))}
-		}
-		i := int32(le.Uint32(rec[:4]))
-		x := math.Float64frombits(le.Uint64(rec[4:12]))
-		if i <= prev || int(i) >= m.dim {
-			return nil, &SnapshotError{Err: fmt.Errorf("model snapshot entry %d: index %d not strictly ascending in [0, %d)", k, i, m.dim)}
-		}
-		if x <= 0 {
-			return nil, &SnapshotError{Err: fmt.Errorf("model snapshot entry %d: idf %v must be positive", k, x)}
-		}
-		prev = i
 		m.idf[i] = x
 	}
 	return m, nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -71,9 +73,14 @@ func TestReadModelErrors(t *testing.T) {
 		`{"dim":0,"idf":{}}`,
 		`{"dim":2,"idf":{"5":1.0}}`,
 		`{"dim":2,"idf":{"1":-0.5}}`,
+		// A dimension past the bound must be refused before the dense idf
+		// vector is allocated (the first used to panic in makeslice).
+		`{"dim":9223372036854775807,"idf":{}}`,
+		fmt.Sprintf(`{"dim":%d,"idf":{}}`, maxSnapshotDim+1),
 	} {
-		if _, err := ReadModel(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadModel(%q) should fail", bad)
+		var se *SnapshotError
+		if _, err := ReadModel(strings.NewReader(bad)); !errors.As(err, &se) {
+			t.Errorf("ReadModel(%q) = %v, want a *SnapshotError", bad, err)
 		}
 	}
 }

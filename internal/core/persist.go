@@ -112,10 +112,11 @@ func ReadSignatures(r io.Reader) ([]Signature, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("core: signature record %d: %w", rec, err)
 		}
-		if sj.Dim < 1 {
-			return nil, fmt.Errorf("core: signature record %d: invalid dimension %d", rec, sj.Dim)
+		if sj.Dim < 1 || sj.Dim > maxSnapshotDim {
+			return nil, fmt.Errorf("core: signature record %d: dimension %d outside [1, %d]", rec, sj.Dim, maxSnapshotDim)
 		}
-		w, err := sparseFromWeights(sj.Dim, sj.Weights)
+		// Validates the index range, sorts the support, drops explicit zeros.
+		w, err := vecmath.MapToSparse(sj.Weights, sj.Dim)
 		if err != nil {
 			return nil, fmt.Errorf("core: signature record %d: %w", rec, err)
 		}
@@ -124,149 +125,29 @@ func ReadSignatures(r io.Reader) ([]Signature, error) {
 	return sigs, nil
 }
 
-// sparseFromWeights builds the canonical sparse form from a weights map,
-// validating index range and dropping explicit zeros.
-func sparseFromWeights(dim int, weights map[int]float64) (*vecmath.Sparse, error) {
-	return vecmath.MapToSparse(vecmath.SparseVector(weights), dim)
-}
-
-// Snapshot format: the versioned binary on-disk form of a signature DB,
-// so an operator's labeled database survives restarts without re-parsing
-// JSON. Layout (all integers little-endian):
-//
-//	magic   "FMDB"                        (4 bytes)
-//	version uint16                        (currently 1)
-//	dim     uint32
-//	shards  uint32                        (writer's layout, advisory)
-//	count   uint64
-//	count × signature records, in global insertion order:
-//	  docID  uvarint length + bytes
-//	  label  uvarint length + bytes
-//	  nnz    uint32
-//	  nnz × (idx int32, weight float64)   — strictly ascending idx
-//
-// Records are written in insertion order, so a snapshot reloaded at ANY
-// shard count assigns the same global indices and returns identical TopK
-// results.
+// Bounds every reader of stored or wire data enforces before it
+// allocates, and every writer enforces before it emits, so whatever
+// serializes is always loadable.
 const (
-	snapshotMagic   = "FMDB"
-	snapshotVersion = 1
 	// maxSnapshotString bounds docID/label lengths when reading, so a
 	// corrupt length prefix cannot trigger a giant allocation.
 	maxSnapshotString = 1 << 20
-	// maxSnapshotDim bounds the header dimension for the same reason:
-	// per-record buffers scale with dim (and the model snapshot
-	// allocates a dense idf vector), so a corrupt header must fail
-	// instead of attempting a multi-gigabyte allocation. 1<<24 is ~4000x
-	// the paper's symbol table.
+	// maxSnapshotDim bounds a stored dimension for the same reason:
+	// per-record buffers scale with dim (and a model allocates a dense
+	// idf vector), so a corrupt header must fail instead of attempting a
+	// multi-gigabyte allocation. 1<<24 is ~4000x the paper's symbol table.
 	maxSnapshotDim = 1 << 24
-	// maxSnapshotShards bounds the header shard count (the shard table
+	// maxSnapshotShards bounds the manifest shard count (the shard table
 	// is allocated before any record is validated).
 	maxSnapshotShards = 1 << 16
 )
 
-// WriteSnapshot serializes the database in the versioned binary snapshot
-// format. Dimensions beyond the format's bound are rejected here, at
-// write time, so a snapshot that serializes is always loadable. The
-// snapshot covers one pinned view — a consistent prefix of the store —
-// so concurrent writers neither block nor tear it. Every failure is a
-// typed *SnapshotError (Path empty: the snapshot is a caller-owned
-// stream).
-//
-//fmeter:errdomain snapshot
-func (db *DB) WriteSnapshot(w io.Writer) error {
-	v := db.pinView()
-	defer db.unpinView(v)
-	if v.closed {
-		return errClosed()
-	}
-	if db.dim > maxSnapshotDim {
-		return &SnapshotError{Err: fmt.Errorf("dimension %d exceeds snapshot format bound %d", db.dim, maxSnapshotDim)}
-	}
-	if len(db.shards) > maxSnapshotShards {
-		return &SnapshotError{Err: fmt.Errorf("shard count %d exceeds snapshot format bound %d", len(db.shards), maxSnapshotShards)}
-	}
-	for gid := 0; gid < v.total; gid++ {
-		s := v.at(gid)
-		if len(s.DocID) > maxSnapshotString || len(s.Label) > maxSnapshotString {
-			return &SnapshotError{Err: fmt.Errorf("signature %d doc-id/label exceeds snapshot string bound %d", gid, maxSnapshotString)}
-		}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing snapshot: %w", err)}
-	}
-	le := binary.LittleEndian
-	if err := binary.Write(bw, le, uint16(snapshotVersion)); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing snapshot: %w", err)}
-	}
-	if err := binary.Write(bw, le, uint32(db.dim)); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing snapshot: %w", err)}
-	}
-	if err := binary.Write(bw, le, uint32(len(db.shards))); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing snapshot: %w", err)}
-	}
-	if err := binary.Write(bw, le, uint64(v.total)); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing snapshot: %w", err)}
-	}
-	for gid := 0; gid < v.total; gid++ {
-		if err := writeSigRecord(bw, v.at(gid)); err != nil {
-			return &SnapshotError{Err: fmt.Errorf("writing snapshot record %d: %w", gid, err)}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return &SnapshotError{Err: fmt.Errorf("writing snapshot: %w", err)}
-	}
-	return nil
-}
-
-// writeSigRecord appends one signature record — docID, label (both
-// uvarint-length-prefixed), nnz, then nnz (idx, weight) pairs — the
-// encoding shared by the v1 snapshot stream and the v2 segment files.
-func writeSigRecord(bw *bufio.Writer, s Signature) error {
-	if len(s.DocID) > maxSnapshotString || len(s.Label) > maxSnapshotString {
-		return fmt.Errorf("doc-id/label exceeds snapshot string bound %d", maxSnapshotString)
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeStr := func(str string) error {
-		n := binary.PutUvarint(scratch[:], uint64(len(str)))
-		if _, err := bw.Write(scratch[:n]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(str)
-		return err
-	}
-	if err := writeStr(s.DocID); err != nil {
-		return err
-	}
-	if err := writeStr(s.Label); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	le.PutUint32(scratch[:4], uint32(s.W.NNZ()))
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	var rec [12]byte
-	var werr error
-	s.W.ForEach(func(i int, x float64) {
-		if werr != nil {
-			return
-		}
-		le.PutUint32(rec[:4], uint32(i))
-		le.PutUint64(rec[4:12], math.Float64bits(x))
-		_, werr = bw.Write(rec[:])
-	})
-	return werr
-}
-
 // writeSigRecordV2 appends one signature record in the v2.1 segment
-// encoding: docID and label as in v1, then a uvarint nnz, the support
-// indices as uvarint gaps (each index minus its predecessor minus one,
-// with an implicit predecessor of -1 — strictly ascending indices make
-// every gap non-negative and mostly one byte), then the weights as raw
-// little-endian float64s. Weights are never transformed: a decoded
-// record holds bit-identical values, only the index bytes shrink.
+// encoding: docID and label (both uvarint-length-prefixed), then a
+// uvarint nnz, the support indices as uvarint gaps (each index minus its
+// predecessor minus one, with an implicit predecessor of -1 — strictly
+// ascending indices make every gap non-negative and mostly one byte),
+// then the weights as raw little-endian float64s, bit for bit.
 func writeSigRecordV2(bw *bufio.Writer, s Signature) error {
 	if len(s.DocID) > maxSnapshotString || len(s.Label) > maxSnapshotString {
 		return fmt.Errorf("doc-id/label exceeds snapshot string bound %d", maxSnapshotString)
@@ -310,14 +191,6 @@ func writeSigRecordV2(bw *bufio.Writer, s Signature) error {
 	return nil
 }
 
-// readSigRecordV2 parses one signature record written by
-// writeSigRecordV2, decoding straight off the verified segment body via
-// the byte cursor (segment bodies are always fully in memory — read or
-// mapped — and the per-byte reader indirection used to dominate cold
-// opens). The decoded strings and weight arrays are always heap copies:
-// a signature must outlive the body it was decoded from, which may be a
-// mapping released by Compact or Close. Truncation surfaces as
-// io.ErrUnexpectedEOF, like readSigRecord.
 // sigArena hands out idx/val backing in large pointer-free chunks so a
 // segment decode does a handful of allocations instead of two zeroed
 // makes per record (~4000 on a bench-sized segment — the malloc path
@@ -342,6 +215,14 @@ func (a *sigArena) take(n int) ([]int32, []float64) {
 	return idx, val
 }
 
+// readSigRecordV2 parses one signature record written by
+// writeSigRecordV2, decoding straight off the verified segment body via
+// the byte cursor (segment bodies are always fully in memory — read or
+// mapped — and the per-byte reader indirection used to dominate cold
+// opens). The decoded strings and weight arrays are always heap copies:
+// a signature must outlive the body it was decoded from, which may be a
+// mapping released by Compact or Close. Truncation surfaces as
+// io.ErrUnexpectedEOF.
 func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 	docID, err := readCursorString(c)
 	if err != nil {
@@ -419,9 +300,9 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 }
 
 // readCursorString reads one uvarint-length-prefixed string from the
-// cursor, bounding the length like readSnapString. The returned string
-// is a copy — safe to keep after the cursor's body (possibly a mapping)
-// is released.
+// cursor, bounding the length so a corrupt prefix cannot trigger a giant
+// allocation. The returned string is a copy — safe to keep after the
+// cursor's body (possibly a mapping) is released.
 func readCursorString(c *byteCursor) (string, error) {
 	n, err := c.uvarint()
 	if err != nil {
@@ -435,155 +316,4 @@ func readCursorString(c *byteCursor) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// readSnapString reads one uvarint-length-prefixed string, bounding the
-// length so a corrupt prefix cannot trigger a giant allocation.
-func readSnapString(br byteScanner) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > maxSnapshotString {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// byteScanner is the reader a signature record is decoded from
-// (bufio.Reader over a stream, bytes.Reader over a verified segment
-// body).
-type byteScanner interface {
-	io.Reader
-	io.ByteReader
-}
-
-// readSigRecord parses one signature record written by writeSigRecord.
-// Truncation surfaces as io.ErrUnexpectedEOF (never bare io.EOF), so
-// callers can add positional context with %w.
-func readSigRecord(br byteScanner, dim int) (Signature, error) {
-	docID, err := readSnapString(br)
-	if err != nil {
-		return Signature{}, noEOF(err)
-	}
-	label, err := readSnapString(br)
-	if err != nil {
-		return Signature{}, noEOF(err)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Signature{}, noEOF(err)
-	}
-	le := binary.LittleEndian
-	nnz := le.Uint32(hdr[:])
-	if int(nnz) > dim {
-		return Signature{}, fmt.Errorf("nnz %d exceeds dimension %d", nnz, dim)
-	}
-	idx := make([]int32, nnz)
-	val := make([]float64, nnz)
-	var rec [12]byte
-	for k := range idx {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return Signature{}, noEOF(err)
-		}
-		idx[k] = int32(le.Uint32(rec[:4]))
-		val[k] = math.Float64frombits(le.Uint64(rec[4:12]))
-	}
-	w, err := vecmath.SparseFromSorted(dim, idx, val)
-	if err != nil {
-		return Signature{}, err
-	}
-	if !finite(w.Norm2()) {
-		return Signature{}, errNonFinite("signature", "signature "+docID, w.Norm2())
-	}
-	return Signature{DocID: docID, Label: label, W: w}, nil
-}
-
-// ReadSnapshot parses a snapshot written by WriteSnapshot and loads it
-// into a fresh database with the requested shard count; shards == 0
-// reuses the writer's layout. Truncated or corrupt input yields an error
-// naming the offending record, never a partially valid database. The
-// per-shard inverted indexes are rebuilt incrementally as records load
-// (each goes through DB.Add), so snapshots carry no index data and the
-// format is unchanged from pre-index versions. Every failure is a typed
-// *SnapshotError (Path empty: the snapshot is a caller-owned stream).
-//
-//fmeter:errdomain snapshot
-func ReadSnapshot(r io.Reader, shards int) (*DB, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading snapshot magic: %w", err)}
-	}
-	if string(magic) != snapshotMagic {
-		return nil, &SnapshotError{Err: fmt.Errorf("bad snapshot magic %q", magic)}
-	}
-	le := binary.LittleEndian
-	var version uint16
-	if err := binary.Read(br, le, &version); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading snapshot version: %w", err)}
-	}
-	if version != snapshotVersion {
-		return nil, &SnapshotError{Err: fmt.Errorf("unsupported snapshot version %d (have %d)", version, snapshotVersion)}
-	}
-	var dim32, wshards uint32
-	var count uint64
-	if err := binary.Read(br, le, &dim32); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading snapshot header: %w", err)}
-	}
-	if err := binary.Read(br, le, &wshards); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading snapshot header: %w", err)}
-	}
-	if err := binary.Read(br, le, &count); err != nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading snapshot header: %w", err)}
-	}
-	if dim32 < 1 || dim32 > maxSnapshotDim {
-		return nil, &SnapshotError{Err: fmt.Errorf("dimension %d outside [1, %d]", dim32, maxSnapshotDim)}
-	}
-	dim := int(dim32)
-	if wshards > maxSnapshotShards {
-		return nil, &SnapshotError{Err: fmt.Errorf("shard count %d exceeds bound %d", wshards, maxSnapshotShards)}
-	}
-	if shards == 0 {
-		shards = int(wshards)
-		if shards < 1 {
-			shards = 1
-		}
-	}
-	db, err := NewShardedDB(dim, shards)
-	if err != nil {
-		return nil, err
-	}
-	for gid := uint64(0); gid < count; gid++ {
-		sig, err := readSigRecord(br, dim)
-		if err != nil {
-			return nil, &SnapshotError{Err: fmt.Errorf("record %d: %w", gid, err)}
-		}
-		if err := db.Add(sig); err != nil {
-			return nil, &SnapshotError{Err: fmt.Errorf("record %d: %w", gid, err)}
-		}
-	}
-	// Require clean EOF after record `count`: trailing bytes mean the
-	// file is not the snapshot its header claims (a truncated write later
-	// concatenated, or plain corruption) — loading it silently would hand
-	// the operator a database that disagrees with what was saved.
-	if _, err := br.ReadByte(); err == nil {
-		return nil, &SnapshotError{Err: fmt.Errorf("trailing data after record %d", count)}
-	} else if err != io.EOF {
-		return nil, &SnapshotError{Err: fmt.Errorf("reading trailer: %w", err)}
-	}
-	return db, nil
-}
-
-// noEOF upgrades a bare io.EOF to io.ErrUnexpectedEOF: inside a record an
-// EOF always means truncation, and the caller's %w context names where.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

@@ -3,19 +3,59 @@ package core
 import (
 	"bytes"
 	"errors"
-	"io"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/vecmath"
 )
 
-// TestSnapshotRoundTripAcrossShardCounts writes a sharded DB snapshot,
-// reloads it at several shard counts (including the writer's own layout
-// via shards=0), and checks that TopK results are identical — the
-// operator guarantee: a restart, with or without re-sharding, never
-// changes query results.
+// sameStore asserts two databases hold the same signatures in the same
+// insertion order — doc-id, label, and the support's indices and weight
+// bits — whatever their shard or segment layout.
+func sameStore(t *testing.T, tag string, got, want *DB) {
+	t.Helper()
+	a, b := got.All(), want.All()
+	if len(a) != len(b) || got.Dim() != want.Dim() {
+		t.Fatalf("%s: len/dim %d/%d, want %d/%d", tag, len(a), got.Dim(), len(b), want.Dim())
+	}
+	for gid := range a {
+		if a[gid].DocID != b[gid].DocID || a[gid].Label != b[gid].Label || a[gid].W.NNZ() != b[gid].W.NNZ() {
+			t.Fatalf("%s: signature %d = (%s, %s, nnz %d), want (%s, %s, nnz %d)", tag, gid,
+				a[gid].DocID, a[gid].Label, a[gid].W.NNZ(), b[gid].DocID, b[gid].Label, b[gid].W.NNZ())
+		}
+		ai, av, bi, bv := a[gid].W.Support(), a[gid].W.Values(), b[gid].W.Support(), b[gid].W.Values()
+		for k := range ai {
+			if ai[k] != bi[k] || math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
+				t.Fatalf("%s: signature %d support entry %d = (%d, %v), want (%d, %v)", tag, gid, k, ai[k], av[k], bi[k], bv[k])
+			}
+		}
+	}
+}
+
+// reshard rebuilds db at another shard count through the public API —
+// what a stored DB's owner does to change its layout: global indices are
+// insertion-ordered either way.
+func reshard(t *testing.T, db *DB, shards int) *DB {
+	t.Helper()
+	out, err := NewShardedDB(db.Dim(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.AddAll(db.All()); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSnapshotRoundTripAcrossShardCounts saves a sharded DB, reloads it,
+// rebuilds the reloaded store at several shard counts, and checks that
+// TopK results are identical — the operator guarantee: a restart, with
+// or without re-sharding, never changes query results.
 func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const dim = 200
@@ -27,141 +67,36 @@ func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 	if err := src.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap); err != nil {
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := src.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	raw := snap.Bytes()
-
-	query := randSigs(r, 1, dim, 20)[0].W
-	want, err := src.TopKSparse(query, 20, EuclideanMetric())
+	loaded, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 1, 2, 5, 16} {
-		db, err := ReadSnapshot(bytes.NewReader(raw), shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+	if loaded.Shards() != 3 {
+		t.Fatalf("reloaded with %d shards, want the saved layout's 3", loaded.Shards())
+	}
+	sameStore(t, "reloaded", loaded, src)
+
+	query := randSigs(r, 1, dim, 20)[0].W
+	for _, shards := range []int{1, 2, 3, 5, 8} {
+		db := reshard(t, loaded, shards)
+		if db.Shards() != shards {
+			t.Fatalf("shards=%d: rebuilt with %d shards", shards, db.Shards())
 		}
-		wantShards := shards
-		if wantShards == 0 {
-			wantShards = 3 // the writer's layout
-		}
-		if db.Shards() != wantShards {
-			t.Fatalf("shards=%d: reloaded with %d shards", shards, db.Shards())
-		}
-		if db.Len() != src.Len() || db.Dim() != src.Dim() {
-			t.Fatalf("shards=%d: len/dim %d/%d, want %d/%d", shards, db.Len(), db.Dim(), src.Len(), src.Dim())
-		}
+		sameStore(t, fmt.Sprintf("shards=%d", shards), db, src)
 		for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
 			got, err := db.TopKSparse(query, 20, metric)
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, metric.Name, err)
 			}
-			ref := got
-			if metric.Name == "euclidean" {
-				ref = want
-			} else {
-				ref, err = src.TopKSparse(query, 20, metric)
-				if err != nil {
-					t.Fatal(err)
-				}
+			ref, err := src.TopKSparse(query, 20, metric)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i].Signature.DocID != ref[i].Signature.DocID || got[i].Score != ref[i].Score ||
-					got[i].Signature.Label != ref[i].Signature.Label {
-					t.Fatalf("shards=%d %s: hit %d = (%s, %v), want (%s, %v)", shards, metric.Name, i,
-						got[i].Signature.DocID, got[i].Score, ref[i].Signature.DocID, ref[i].Score)
-				}
-			}
-		}
-	}
-}
-
-// TestSnapshotCorruptAndShortFiles drives the error paths: truncations
-// at every prefix length must fail cleanly (never panic, never return a
-// DB), and targeted corruptions must be caught by validation.
-func TestSnapshotCorruptAndShortFiles(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	const dim = 50
-	src, err := NewShardedDB(dim, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.AddAll(randSigs(r, 10, dim, 8)); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	raw := snap.Bytes()
-
-	// Every strict prefix is a short file.
-	for _, cut := range []int{0, 2, 4, 5, 8, 13, 14, 20, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadSnapshot(bytes.NewReader(raw[:cut]), 0); err == nil {
-			t.Fatalf("truncation at %d bytes should fail", cut)
-		}
-	}
-	// A truncation inside a record reports unexpected EOF, not a bare EOF.
-	if _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)-1]), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("mid-record truncation error = %v, want io.ErrUnexpectedEOF", err)
-	}
-
-	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), raw...)
-		mutate(b)
-		_, err := ReadSnapshot(bytes.NewReader(b), 0)
-		return err
-	}
-	if err := corrupt(func(b []byte) { b[0] = 'X' }); err == nil {
-		t.Error("bad magic should fail")
-	}
-	if err := corrupt(func(b []byte) { b[4] = 99 }); err == nil {
-		t.Error("unsupported version should fail")
-	}
-	// Index bytes live after the header and the first docID/label/nnz;
-	// smash a weight index to an out-of-range value.
-	if err := corrupt(func(b []byte) {
-		for i := 14; i < len(b)-12; i++ {
-			b[i] = 0xff // eventually clobbers an index into garbage
-		}
-	}); err == nil {
-		t.Error("corrupted record body should fail")
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(nil), 0); err == nil {
-		t.Error("empty input should fail")
-	}
-}
-
-// TestReadSnapshotRejectsTrailingGarbage is the regression test for the
-// silent-acceptance bug: a snapshot followed by any extra bytes (a
-// truncated file later concatenated with another, or plain corruption)
-// must fail with an error naming the problem, not load silently.
-func TestReadSnapshotRejectsTrailingGarbage(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const dim = 40
-	db, err := NewShardedDB(dim, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddAll(randSigs(r, 8, dim, 6)); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := db.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	raw := snap.Bytes()
-	// The clean snapshot loads.
-	if _, err := ReadSnapshot(bytes.NewReader(raw), 0); err != nil {
-		t.Fatalf("clean snapshot failed: %v", err)
-	}
-	// Any trailing bytes — one zero, text, or a whole second snapshot —
-	// must be rejected.
-	for _, tail := range [][]byte{{0}, []byte("garbage"), raw} {
-		if _, err := ReadSnapshot(bytes.NewReader(append(append([]byte(nil), raw...), tail...)), 0); err == nil {
-			t.Fatalf("snapshot with %d trailing bytes loaded silently", len(tail))
+			sameResults(t, fmt.Sprintf("shards=%d %s", shards, metric.Name), got, ref)
 		}
 	}
 }
@@ -197,73 +132,12 @@ func TestJSONLinesHugeRecord(t *testing.T) {
 	}
 }
 
-// TestModelSnapshotRoundTrip checks the binary model snapshot against
-// its JSON sibling: identical idf restoration, identical Transform.
-func TestModelSnapshotRoundTrip(t *testing.T) {
-	c, err := NewCorpus(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 12; i++ {
-		counts := make(map[int]uint64)
-		for j := 0; j < 10; j++ {
-			counts[r.Intn(80)] = uint64(1 + r.Intn(100))
-		}
-		if err := c.Add(doc("d", "", counts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := c.Fit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteModelSnapshot(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	back, err := ReadModelSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := m.IDF(), back.IDF()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("idf[%d] = %v, want %v", i, b[i], a[i])
-		}
-	}
-	newDoc := doc("q", "", map[int]uint64{3: 2, 40: 5})
-	s1, err := m.Transform(newDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := back.Transform(newDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s1.Dense().Equal(s2.Dense(), 0) {
-		t.Error("restored model transforms differently")
-	}
-	// Error paths: nil model, truncations, bad magic.
-	if err := WriteModelSnapshot(&bytes.Buffer{}, nil); err == nil {
-		t.Error("nil model should fail")
-	}
-	for _, cut := range []int{0, 3, 6, 10, len(raw) - 1} {
-		if _, err := ReadModelSnapshot(bytes.NewReader(raw[:cut])); err == nil {
-			t.Errorf("truncation at %d should fail", cut)
-		}
-	}
-	bad := append([]byte(nil), raw...)
-	bad[0] = 'Z'
-	if _, err := ReadModelSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic should fail")
-	}
-}
-
-// TestSnapshotGiantHeaderRejected: corrupt headers claiming absurd
-// dimensions must fail validation instead of attempting the allocation.
+// TestSnapshotGiantHeaderRejected: a manifest claiming an absurd
+// dimension or shard count must fail validation instead of attempting
+// the allocation, and an over-long doc-id fails at save time without
+// touching the snapshot already on disk.
 func TestSnapshotGiantHeaderRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
 	db, err := NewDB(8)
 	if err != nil {
 		t.Fatal(err)
@@ -271,48 +145,55 @@ func TestSnapshotGiantHeaderRejected(t *testing.T) {
 	if err := db.AddAll(randSigs(rand.New(rand.NewSource(1)), 2, 8, 3)); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := db.WriteSnapshot(&snap); err != nil {
+	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	raw := snap.Bytes()
-	// dim lives at bytes 6..10 (magic 4 + version 2), little-endian.
-	for _, giant := range [][]byte{{0xff, 0xff, 0xff, 0xff}, {0, 0, 0, 0}} {
-		b := append([]byte(nil), raw...)
-		copy(b[6:10], giant)
-		if _, err := ReadSnapshot(bytes.NewReader(b), 0); err == nil {
-			t.Errorf("dim bytes %v should be rejected", giant)
-		}
-	}
-	// A giant shard-count header is rejected before the shard table is
-	// allocated (bytes 10..14).
-	b := append([]byte(nil), raw...)
-	copy(b[10:14], []byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadSnapshot(bytes.NewReader(b), 0); err == nil {
-		t.Error("giant shard count should be rejected")
-	}
-	// Write-time validation: oversized doc-ids never reach disk.
-	long, err := NewDB(8)
+	mpath := filepath.Join(dir, manifestName)
+	clean, err := os.ReadFile(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, edit := range [][2]string{
+		{`"dim": 8`, `"dim": 4294967295`},
+		{`"dim": 8`, `"dim": 9223372036854775807`},
+		{`"dim": 8`, `"dim": 0`},
+		{`"shards": 1`, `"shards": 4294967295`},
+	} {
+		bad := bytes.Replace(clean, []byte(edit[0]), []byte(edit[1]), 1)
+		if bytes.Equal(bad, clean) {
+			t.Fatalf("manifest has no %s to tamper with", edit[0])
+		}
+		if err := os.WriteFile(mpath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, ld := range bothLoaders {
+			got, err := ld.load(dir)
+			var se *SnapshotError
+			if got != nil || !errors.As(err, &se) || se.Path != mpath {
+				t.Errorf("%s with %s: db=%v err=%v, want a *SnapshotError naming the manifest", ld.mode, edit[1], got, err)
+			}
+		}
+	}
+	if err := os.WriteFile(mpath, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Write-time validation: an oversized doc-id never reaches the
+	// manifest, so the previous snapshot stays the loadable one.
 	big := randSigs(rand.New(rand.NewSource(2)), 1, 8, 3)[0]
 	big.DocID = string(make([]byte, maxSnapshotString+1))
-	if err := long.Add(big); err != nil {
+	if err := db.Add(big); err != nil {
 		t.Fatal(err)
 	}
-	if err := long.WriteSnapshot(&bytes.Buffer{}); err == nil {
-		t.Error("oversized doc-id should fail at write time")
+	var se *SnapshotError
+	if err := db.SaveDir(dir); !errors.As(err, &se) || se.Path == "" {
+		t.Fatalf("oversized doc-id: SaveDir err = %v, want a *SnapshotError naming the segment file", err)
 	}
-	// Same for the model snapshot.
-	m := &Model{dim: 8, idf: []float64{0, 1, 0, 2, 0, 0, 0, 0.5}}
-	var msnap bytes.Buffer
-	if err := WriteModelSnapshot(&msnap, m); err != nil {
-		t.Fatal(err)
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("previous snapshot no longer loads after the refused save: %v", err)
 	}
-	mb := msnap.Bytes()
-	copy(mb[6:10], []byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadModelSnapshot(bytes.NewReader(mb)); err == nil {
-		t.Error("giant model dimension should be rejected")
+	if back.Len() != 2 {
+		t.Fatalf("previous snapshot holds %d signatures, want 2", back.Len())
 	}
 }

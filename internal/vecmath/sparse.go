@@ -90,11 +90,16 @@ func SparseFromSortedTrusted(dim int, idx []int32, val []float64, norm2 float64)
 	return &Sparse{dim: dim, idx: idx, val: val, norm2: norm2}
 }
 
-// MapToSparse converts a map-based SparseVector into the array form,
-// dropping explicit zeros so the result honors the minimal-support
-// invariant.
-func MapToSparse(m SparseVector, dim int) (*Sparse, error) {
-	support := m.Support()
+// MapToSparse converts an index → value map (decoded JSON weights) into
+// the array form, sorting the support and dropping explicit zeros so the
+// result honors the minimal-support invariant.
+func MapToSparse(m map[int]float64, dim int) (*Sparse, error) {
+	support := make([]int, 0, len(m))
+	for i := range m {
+		//fmeter:map-order-ok the support is sorted right below
+		support = append(support, i)
+	}
+	sort.Ints(support)
 	s := &Sparse{dim: dim, idx: make([]int32, 0, len(support)), val: make([]float64, 0, len(support))}
 	for _, i := range support {
 		if i < 0 || i >= dim {

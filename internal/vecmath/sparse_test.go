@@ -44,9 +44,7 @@ func TestDenseToSparseRoundTrip(t *testing.T) {
 }
 
 func TestMapToSparse(t *testing.T) {
-	m := NewSparse()
-	m.Set(3, 1.5)
-	m.Set(7, -2)
+	m := map[int]float64{3: 1.5, 7: -2}
 	s, err := MapToSparse(m, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +52,7 @@ func TestMapToSparse(t *testing.T) {
 	if s.NNZ() != 2 || s.Get(3) != 1.5 || s.Get(7) != -2 {
 		t.Fatalf("MapToSparse wrong: %+v", s)
 	}
-	m.Set(99, 1)
+	m[99] = 1
 	if _, err := MapToSparse(m, 10); err == nil {
 		t.Error("out-of-range support should fail")
 	}

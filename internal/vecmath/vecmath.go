@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrDimensionMismatch is returned when an operation is applied to two
@@ -305,100 +304,4 @@ func Mean(vs []Vector) (Vector, error) {
 		out[i] *= inv
 	}
 	return out, nil
-}
-
-// SparseVector is a map from dimension index to value, suited for raw
-// function-count documents where most of the ~3800 dimensions are zero.
-type SparseVector map[int]float64
-
-// NewSparse returns an empty sparse vector.
-func NewSparse() SparseVector { return make(SparseVector) }
-
-// Set assigns value x to dimension i, deleting the entry when x is zero so
-// the support stays minimal.
-func (s SparseVector) Set(i int, x float64) {
-	if x == 0 {
-		delete(s, i)
-		return
-	}
-	s[i] = x
-}
-
-// Get returns the value at dimension i (zero when absent).
-func (s SparseVector) Get(i int) float64 { return s[i] }
-
-// Add accumulates x into dimension i.
-func (s SparseVector) Add(i int, x float64) { s.Set(i, s[i]+x) }
-
-// NNZ returns the number of non-zero entries.
-func (s SparseVector) NNZ() int { return len(s) }
-
-// Sum returns the sum of all entries. Accumulation runs in sorted
-// support order: float addition rounds differently under different
-// orders, and map iteration order is randomized per run.
-func (s SparseVector) Sum() float64 {
-	var t float64
-	for _, i := range s.Support() {
-		t += s[i]
-	}
-	return t
-}
-
-// Clone returns a deep copy of s.
-func (s SparseVector) Clone() SparseVector {
-	out := make(SparseVector, len(s))
-	for i, x := range s {
-		out[i] = x
-	}
-	return out
-}
-
-// Dot returns the inner product of two sparse vectors, iterating the
-// smaller support.
-func (s SparseVector) Dot(t SparseVector) float64 {
-	a, b := s, t
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var sum float64
-	for _, i := range a.Support() {
-		if y, ok := b[i]; ok {
-			sum += a[i] * y
-		}
-	}
-	return sum
-}
-
-// L2 returns the Euclidean norm of s. Like Sum, the accumulation runs
-// in sorted support order so the rounded result is reproducible.
-func (s SparseVector) L2() float64 {
-	var sum float64
-	for _, i := range s.Support() {
-		sum += s[i] * s[i]
-	}
-	return math.Sqrt(sum)
-}
-
-// Dense materializes s as a dense vector of dimension dim. Entries at or
-// beyond dim are an error: the support must fit the requested space.
-func (s SparseVector) Dense(dim int) (Vector, error) {
-	out := NewVector(dim)
-	for i, x := range s {
-		if i < 0 || i >= dim {
-			return nil, fmt.Errorf("vecmath: sparse index %d outside dimension %d", i, dim)
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
-// Support returns the sorted list of non-zero dimension indices.
-func (s SparseVector) Support() []int {
-	idx := make([]int, 0, len(s))
-	for i := range s {
-		//fmeter:map-order-ok the support is sorted right below
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	return idx
 }

@@ -190,29 +190,35 @@ func TestMean(t *testing.T) {
 	}
 }
 
+// fromMap builds the one sparse type from an index → value map.
+func fromMap(t *testing.T, m map[int]float64, dim int) *Sparse {
+	t.Helper()
+	s, err := MapToSparse(m, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSparseBasics(t *testing.T) {
-	s := NewSparse()
-	s.Set(3, 2.5)
-	s.Add(3, 0.5)
-	s.Set(7, 1)
+	s := fromMap(t, map[int]float64{3: 3, 7: 1, 8: 0}, 10)
 	if got := s.Get(3); got != 3 {
 		t.Errorf("Get(3) = %v", got)
 	}
-	if s.NNZ() != 2 {
+	if got := s.Get(4); got != 0 {
+		t.Errorf("Get of an absent index = %v", got)
+	}
+	if s.NNZ() != 2 { // the explicit zero is dropped
 		t.Errorf("NNZ = %d", s.NNZ())
 	}
-	if got := s.Sum(); got != 4 {
-		t.Errorf("Sum = %v", got)
-	}
-	s.Set(7, 0) // zero deletes
-	if s.NNZ() != 1 {
-		t.Errorf("NNZ after zero-set = %d", s.NNZ())
+	if got := s.Norm2(); got != 10 {
+		t.Errorf("Norm2 = %v", got)
 	}
 }
 
 func TestSparseDot(t *testing.T) {
-	a := SparseVector{0: 1, 2: 3}
-	b := SparseVector{2: 2, 5: 10}
+	a := fromMap(t, map[int]float64{0: 1, 2: 3}, 6)
+	b := fromMap(t, map[int]float64{2: 2, 5: 10}, 6)
 	if got := a.Dot(b); got != 6 {
 		t.Errorf("sparse Dot = %v, want 6", got)
 	}
@@ -222,23 +228,18 @@ func TestSparseDot(t *testing.T) {
 }
 
 func TestSparseDense(t *testing.T) {
-	s := SparseVector{1: 5, 3: 7}
-	d, err := s.Dense(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Equal(Vector{0, 5, 0, 7}, 0) {
+	m := map[int]float64{1: 5, 3: 7}
+	if d := fromMap(t, m, 4).Dense(); !d.Equal(Vector{0, 5, 0, 7}, 0) {
 		t.Errorf("Dense = %v", d)
 	}
-	if _, err := s.Dense(2); err == nil {
+	if _, err := MapToSparse(m, 2); err == nil {
 		t.Error("want error when support exceeds dimension")
 	}
 }
 
 func TestSparseSupportSorted(t *testing.T) {
-	s := SparseVector{9: 1, 2: 1, 5: 1}
-	got := s.Support()
-	want := []int{2, 5, 9}
+	got := fromMap(t, map[int]float64{9: 1, 2: 1, 5: 1}, 10).Support()
+	want := []int32{2, 5, 9}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Support = %v, want %v", got, want)
@@ -247,11 +248,11 @@ func TestSparseSupportSorted(t *testing.T) {
 }
 
 func TestSparseClone(t *testing.T) {
-	s := SparseVector{1: 2}
-	c := s.Clone()
-	c.Set(1, 99)
+	m := map[int]float64{1: 2}
+	s := fromMap(t, m, 4)
+	m[1] = 99
 	if s.Get(1) != 2 {
-		t.Error("Clone is not a deep copy")
+		t.Error("MapToSparse result aliases its source map")
 	}
 }
 
@@ -352,17 +353,17 @@ func TestPropertySparseDenseDotAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		dim := 10 + rr.Intn(40)
-		a, b := NewSparse(), NewSparse()
+		ma, mb := map[int]float64{}, map[int]float64{}
 		for i := 0; i < rr.Intn(20); i++ {
-			a.Set(rr.Intn(dim), rr.NormFloat64())
-			b.Set(rr.Intn(dim), rr.NormFloat64())
+			ma[rr.Intn(dim)] = rr.NormFloat64()
+			mb[rr.Intn(dim)] = rr.NormFloat64()
 		}
-		da, err1 := a.Dense(dim)
-		db, err2 := b.Dense(dim)
+		a, err1 := MapToSparse(ma, dim)
+		b, err2 := MapToSparse(mb, dim)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return almostEqual(a.Dot(b), da.MustDot(db), 1e-9)
+		return almostEqual(a.Dot(b), a.Dense().MustDot(b.Dense()), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

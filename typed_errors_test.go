@@ -2,7 +2,12 @@ package fmeter
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,20 +58,61 @@ func TestConfigErrorAsFromFacade(t *testing.T) {
 }
 
 func TestSnapshotErrorAsFromFacade(t *testing.T) {
+	// setup flattens a failure of a case's own preparation into an untyped
+	// error, so it fails the case instead of passing as the expected one.
+	setup := func(err error) error { return fmt.Errorf("case set-up: %v", err) }
 	cases := []struct {
 		name string
 		err  func() error
 	}{
-		{"ReadDBSnapshot bad magic", func() error {
-			_, err := ReadDBSnapshot(strings.NewReader("not a snapshot"), 1)
+		{"OpenDB v1 file", func() error {
+			// The retired single-file format: magic, version 1, dim 4, one
+			// shard, zero records.
+			path := filepath.Join(t.TempDir(), "db.fmdb")
+			v1 := append([]byte("FMDB"), 1, 0, 4, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+			if err := os.WriteFile(path, v1, 0o644); err != nil {
+				return setup(err)
+			}
+			_, err := OpenDB(path)
 			return err
 		}},
-		{"ReadDBSnapshot truncated", func() error {
-			_, err := ReadDBSnapshot(strings.NewReader(""), 1)
-			return err
-		}},
-		{"ReadModelSnapshot bad magic", func() error {
-			_, err := ReadModelSnapshot(strings.NewReader("junk data here"))
+		{"OpenDB version-1 segment", func() error {
+			// The retired segment body, CRC-correct: the version field
+			// rewritten, the footer and the manifest's CRC re-stamped.
+			dir := filepath.Join(t.TempDir(), "store")
+			db, err := NewDB(4)
+			if err != nil {
+				return setup(err)
+			}
+			if err := db.Add(SignatureFromDense("a", "x", Vector{0, 1, 0, 2})); err != nil {
+				return setup(err)
+			}
+			if err := SaveDB(dir, db); err != nil {
+				return setup(err)
+			}
+			seg, man := filepath.Join(dir, "seg-00000000.fms"), filepath.Join(dir, "MANIFEST.json")
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				return setup(err)
+			}
+			m, err := os.ReadFile(man)
+			if err != nil {
+				return setup(err)
+			}
+			body, le := raw[:len(raw)-4], binary.LittleEndian
+			oldCRC := le.Uint32(raw[len(raw)-4:])
+			le.PutUint16(body[4:6], 1)
+			newCRC := crc32.ChecksumIEEE(body)
+			m = bytes.Replace(m, []byte(fmt.Sprint(oldCRC)), []byte(fmt.Sprint(newCRC)), 1)
+			if err := os.WriteFile(seg, le.AppendUint32(body, newCRC), 0o644); err != nil {
+				return setup(err)
+			}
+			if err := os.WriteFile(man, m, 0o644); err != nil {
+				return setup(err)
+			}
+			if _, err = OpenDB(dir); err != nil && !strings.Contains(err.Error(), "unsupported segment version 1") {
+				return setup(err) // refused, but not by the version check
+			}
 			return err
 		}},
 		{"ReadModel bad JSON", func() error {
@@ -96,7 +142,7 @@ func TestSnapshotErrorAsFromFacade(t *testing.T) {
 // unwrap to the typed error, and ConfigError's cause chain (Unwrap) must
 // be visible through errors.Is.
 func TestTypedErrorUnwrapChain(t *testing.T) {
-	_, err := ReadDBSnapshot(bytes.NewReader(nil), 1)
+	_, err := ReadModel(bytes.NewReader(nil))
 	if err == nil {
 		t.Fatal("want error, got nil")
 	}
