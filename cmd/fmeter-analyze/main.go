@@ -120,7 +120,7 @@ func classify(w io.Writer, sigs []fmeter.Signature, k, dim int, saveDB string) e
 	for i, s := range unlabeled {
 		queries[i] = s.W
 	}
-	labels, err := fmeter.ClassifyBatch(db, queries, k, fmeter.EuclideanMetric())
+	labels, err := db.ClassifyBatch(queries, k, fmeter.EuclideanMetric())
 	if err != nil {
 		return err
 	}

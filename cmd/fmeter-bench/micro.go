@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -212,21 +213,21 @@ func runMicroBench(path string, indexOn, pruneOn bool, stderr io.Writer) error {
 		for len(queries) < 64 {
 			queries = append(queries, sigs[len(queries)%len(sigs)].W)
 		}
-		metric := core.EuclideanMetric()
+		ctx := context.Background()
 		for _, workers := range []int{-1, 0} {
 			name := "BenchmarkDBTopKBatch/workers=seq"
 			if workers == 0 {
 				name = "BenchmarkDBTopKBatch/workers=all"
 			}
 			db.SetWorkers(workers)
-			out := make([][]core.SearchResult, len(queries))
-			if err := db.TopKBatchInto(queries, 10, metric, out); err != nil {
+			q := core.Query{Queries: queries, K: 10, Metric: core.EuclideanMetric(), Hits: make([][]core.SearchResult, len(queries))}
+			if err := db.Query(ctx, &q); err != nil {
 				return err
 			}
 			bench(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := db.TopKBatchInto(queries, 10, metric, out); err != nil {
+					if err := db.Query(ctx, &q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -249,15 +250,15 @@ func runMicroBench(path string, indexOn, pruneOn bool, stderr io.Writer) error {
 		for len(queries) < 64 {
 			queries = append(queries, sigs[len(queries)%len(sigs)].W)
 		}
-		metric := core.EuclideanMetric()
-		labels := make([]string, len(queries))
-		if err := db.ClassifyBatchInto(queries, 10, metric, labels); err != nil {
+		ctx := context.Background()
+		q := core.Query{Queries: queries, K: 10, Metric: core.EuclideanMetric(), Labels: make([]string, len(queries))}
+		if err := db.Query(ctx, &q); err != nil {
 			return err
 		}
 		bench("BenchmarkDBClassifyBatch/workers=seq", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := db.ClassifyBatchInto(queries, 10, metric, labels); err != nil {
+				if err := db.Query(ctx, &q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,8 +2,8 @@
 // service: it boots a simulated kernel, collects a warmup corpus to fit
 // the tf-idf model, seeds a live DB, and serves HTTP/JSON queries over
 // it — POST /v1/topk, /v1/classify, /v1/ingest plus GET /healthz and
-// /metrics — each query request running the batched kernels on its own
-// goroutine behind one admission gate (429 + Retry-After past
+// /metrics — each query request one DB.Query call on its own goroutine,
+// under its own context, behind one admission gate (429 + Retry-After past
 // -max-queue), connection read and idle timeouts, and graceful drain on
 // SIGINT/SIGTERM.
 //

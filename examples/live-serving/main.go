@@ -85,7 +85,7 @@ func run() error {
 	fmt.Printf("warmup: %d signatures seed the live DB, serving at %s\n", db.Len(), base)
 
 	// Query frontend: two HTTP clients hammer POST /v1/topk for the
-	// whole streaming phase. Each request is one batched kernel call on
+	// whole streaming phase. Each request is one db.Query call on
 	// its own goroutine, pinning one epoch view, so it reads a consistent
 	// store no matter what the writer, seals, or compactions do
 	// concurrently.

@@ -94,7 +94,7 @@ func run() error {
 	for i, s := range last {
 		queries[i] = s.W
 	}
-	labels, err := fmeter.ClassifyBatch(db, queries, 7, fmeter.EuclideanMetric())
+	labels, err := db.ClassifyBatch(queries, 7, fmeter.EuclideanMetric())
 	if err != nil {
 		return err
 	}

@@ -290,11 +290,11 @@ func TestBatchFacade(t *testing.T) {
 	}
 
 	metric := EuclideanMetric()
-	batch, err := TopKBatch(indexed, queries, 5, metric)
+	batch, err := indexed.TopKBatch(queries, 5, metric)
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, err := ClassifyBatch(indexed, queries, 5, metric)
+	labels, err := indexed.ClassifyBatch(queries, 5, metric)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,10 @@
 //	_ = db.AddAll(sigs[1:])
 //	hits, _ := db.TopKSparse(sigs[0].W, 3, fmeter.EuclideanMetric())
 //
-//	// Batched retrieval amortizes the per-query scratch to zero allocs.
-//	batch, _ := fmeter.TopKBatch(db, []*fmeter.Sparse{sigs[0].W}, 3, fmeter.EuclideanMetric())
-//	_ = batch
+//	// db.Query is the one call behind every shorthand: many queries on
+//	// one view, into slots the caller reuses (zero allocs once warm).
+//	q := fmeter.Query{Queries: []*fmeter.Sparse{sigs[0].W}, K: 3, Metric: fmeter.EuclideanMetric(), Labels: make([]string, 1)}
+//	_ = db.Query(context.Background(), &q)
 //
 //	// Batched classification amortizes the per-query kernel work (the
 //	// corpus holds both classes, as a binary SVM requires).
@@ -85,13 +86,16 @@ type (
 	Metric = core.Metric
 	// SearchResult is one similarity-query hit.
 	SearchResult = core.SearchResult
+	// Query is one request to db.Query: queries, k and metric in; hits
+	// or labels, and optionally PruneStats, out.
+	Query = core.Query
 	// DimensionError is the typed error for mis-sized DB inputs.
 	DimensionError = core.DimensionError
 	// ConfigError is the typed error for out-of-range construction and
 	// configuration parameters (shard count, dimension, tier fan-out).
 	ConfigError = core.ConfigError
 	// PruneStats are one query's threshold-pruning counters (see
-	// db.TopKSparseStats), the inspectable side of WithPruning A/Bs.
+	// Query.Stats), the inspectable side of WithPruning A/Bs.
 	PruneStats = core.PruneStats
 	// CompactionPolicy configures background size-tiered compaction
 	// (see WithCompactionPolicy / db.SetCompactionPolicy).
@@ -114,8 +118,8 @@ type (
 	// that needed a retry, intervals skipped after retries ran out.
 	CollectorStats = daemon.Stats
 	// Server is the HTTP/JSON serving layer: query + ingest endpoints
-	// over a live DB, each query request running the batched kernels on
-	// its own goroutine behind one admission gate, with 429 backpressure
+	// over a live DB, each query request one db.Query call on its own
+	// goroutine behind one admission gate, with 429 backpressure
 	// and graceful shutdown (see NewServer).
 	Server = serve.Server
 	// ServeConfig tunes the serving layer (admission bound, request
@@ -239,8 +243,7 @@ func WithSegmentSize(n int) Option { return func(o *perfOpts) { o.segSize = n } 
 // accumulate-everything indexed walk, for A/B comparison — exact-mode
 // results are bit-identical either way, the pruned walk just skips
 // posting blocks that provably cannot change the top k. Per-query
-// skip counters are available through db.TopKSparseStats /
-// db.ClassifySparseStats (see PruneStats).
+// skip counters come back in Query.Stats (see PruneStats).
 func WithPruning(on bool) Option { return func(o *perfOpts) { o.noPrune = !on } }
 
 // WithPruneTheta sets the approximate pruning mode: remainder bounds
@@ -595,21 +598,6 @@ func configureDB(db *DB, o perfOpts) (*DB, error) {
 	return db, nil
 }
 
-// TopKBatch answers many similarity queries in one call, fanning them
-// over the database's worker pool with per-worker scratch so a
-// steady-state query stream allocates nothing. out[i] is bit-identical
-// to db.TopKSparse(queries[i], ...) at any worker count. Cosine and
-// Euclidean queries ride the per-shard inverted index.
-func TopKBatch(db *DB, queries []*Sparse, k int, metric Metric) ([][]SearchResult, error) {
-	return db.TopKBatch(queries, k, metric)
-}
-
-// ClassifyBatch is the batched k-NN labeler: out[i] is bit-identical to
-// db.ClassifySparse(queries[i], ...) at any worker count.
-func ClassifyBatch(db *DB, queries []*Sparse, k int, metric Metric) ([]string, error) {
-	return db.ClassifyBatch(queries, k, metric)
-}
-
 // SignatureFromDense wraps a dense weight vector as a signature.
 func SignatureFromDense(docID, label string, v Vector) Signature {
 	return core.SignatureFromDense(docID, label, v)
@@ -617,16 +605,17 @@ func SignatureFromDense(docID, label string, v Vector) Signature {
 
 // NewServer builds the HTTP/JSON serving layer over db: POST /v1/topk,
 // /v1/classify, /v1/ingest plus GET /healthz and /metrics. A query
-// request runs the batched kernels on its own goroutine (responses are
-// bit-identical to per-query TopKSparse/ClassifySparse) once it has
-// passed the admission gate: at most cfg.MaxQueue requests admitted,
-// at most GOMAXPROCS of them inside a kernel, 429 + Retry-After past
-// that. Periodic incremental snapshots run when cfg.SnapshotDir is
-// set, and Shutdown lets every admitted request finish before closing
-// the DB. model may be nil for query-only deployments (ingest then
-// answers 503). Serve srv.HTTPServer() (srv.Handler() with read and
-// idle timeouts set) or mount srv.Handler() yourself; the server owns
-// db from here on — Shutdown closes it.
+// request is one db.Query call on its own goroutine, on one view and
+// under the request's context (responses are bit-identical to
+// per-query TopKSparse/ClassifySparse), once it has passed the
+// admission gate: at most cfg.MaxQueue requests admitted, at most
+// GOMAXPROCS of them running, 429 + Retry-After past that. Periodic
+// incremental snapshots run when cfg.SnapshotDir is set, and Shutdown
+// lets every admitted request finish before closing the DB. model may
+// be nil for query-only deployments (ingest then answers 503). Serve
+// srv.HTTPServer() (srv.Handler() with read and idle timeouts set) or
+// mount srv.Handler() yourself; the server owns db from here on —
+// Shutdown closes it.
 func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 	return serve.New(db, model, cfg)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -239,7 +240,9 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 						qi := rr.Intn(len(queries))
 						v := db.pinView()
 						n := v.total
-						got, err := db.topk(v, queries[qi], nil, k, cb.metric, v.cfg.workers, nil)
+						sc := db.scratch.Get()
+						got, err := db.topk(v, sc, queries[qi], k, cb.metric, v.cfg.workers, nil)
+						db.scratch.Put(sc)
 						db.unpinView(v)
 						if n == 0 {
 							if !errors.Is(err, ErrEmptyDB) {
@@ -269,13 +272,13 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				out := make([][]SearchResult, len(queries))
 				for it := 0; it < readerIters && running(); it++ {
 					nLo := db.Len()
-					err := db.TopKBatchInto(queries, k, cb.metric, out)
+					err := db.Query(context.Background(), &Query{Queries: queries, K: k, Metric: cb.metric, Hits: out})
 					nHi := db.Len()
 					if nLo == 0 && err != nil {
 						continue // raced the very first Add; empty view is legal
 					}
 					if err != nil {
-						t.Errorf("TopKBatchInto in [%d, %d]: %v", nLo, nHi, err)
+						t.Errorf("Query in [%d, %d]: %v", nLo, nHi, err)
 						return
 					}
 					found := false
@@ -309,7 +312,9 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 					if it%2 == 0 {
 						label, err = db.ClassifySparse(queries[qi], k, cb.metric)
 					} else {
-						label, _, err = db.ClassifySparseStats(queries[qi], k, cb.metric)
+						labels, stats := make([]string, 1), make([]PruneStats, 1)
+						err = db.Query(context.Background(), &Query{Queries: queries[qi : qi+1], K: k, Metric: cb.metric, Labels: labels, Stats: stats})
+						label = labels[0]
 					}
 					nHi := db.Len()
 					if nLo == 0 && err != nil {

@@ -251,16 +251,16 @@ func TestDBTopKAndClassify(t *testing.T) {
 		t.Error("wrong-dimension signature should fail")
 	}
 
-	query := vecmath.Vector{0.95, 0.05}
+	query := vecmath.DenseToSparse(vecmath.Vector{0.95, 0.05})
 	for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
-		hits, err := db.TopK(query, 2, metric)
+		hits, err := db.TopKSparse(query, 2, metric)
 		if err != nil {
 			t.Fatalf("%s: %v", metric.Name, err)
 		}
 		if hits[0].Signature.Label != "scp" {
 			t.Errorf("%s: nearest = %s, want scp", metric.Name, hits[0].Signature.DocID)
 		}
-		label, err := db.Classify(query, 3, metric)
+		label, err := db.ClassifySparse(query, 3, metric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,14 +269,14 @@ func TestDBTopKAndClassify(t *testing.T) {
 		}
 	}
 
-	if _, err := db.TopK(vecmath.Vector{1}, 1, EuclideanMetric()); err == nil {
+	if _, err := db.TopKSparse(vecmath.DenseToSparse(vecmath.Vector{1}), 1, EuclideanMetric()); err == nil {
 		t.Error("wrong-dimension query should fail")
 	}
-	if _, err := db.TopK(query, 0, EuclideanMetric()); err == nil {
+	if _, err := db.TopKSparse(query, 0, EuclideanMetric()); err == nil {
 		t.Error("k=0 should fail")
 	}
 	// k beyond size returns all
-	hits, err := db.TopK(query, 100, EuclideanMetric())
+	hits, err := db.TopKSparse(query, 100, EuclideanMetric())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestDBTopKAndClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.TopK(query, 1, EuclideanMetric()); err == nil {
+	if _, err := empty.TopKSparse(query, 1, EuclideanMetric()); err == nil {
 		t.Error("TopK on empty db should fail")
 	}
 }

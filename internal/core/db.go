@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -32,7 +33,7 @@ type Metric struct {
 	// kind tags the two built-in metrics whose value can be recovered
 	// from the query–signature dot product and the two cached squared
 	// norms (cosineDotScore, euclideanDotScore) — the contract that lets
-	// TopK route through the inverted index, scoring only posting lists
+	// a query route through the inverted index, scoring only posting lists
 	// in the query's support. The recovery is bit-identical to
 	// SparseScore given a bit-identical dot (the index guarantees that;
 	// see blockPostings.dots). Only the package constructors can set it,
@@ -146,7 +147,7 @@ func MinkowskiMetric(p float64) Metric {
 // match the database's term space. It is a typed error so callers can
 // distinguish a mis-sized input from scan-time failures.
 type DimensionError struct {
-	// What identifies the offending input ("query", "signature <id>").
+	// What identifies the offending input ("query 0", "signature <id>").
 	What string
 	// Got and Want are the mismatched dimensions.
 	Got, Want int
@@ -240,9 +241,9 @@ type SearchResult struct {
 // (score, insertion index). For the built-in cosine and Euclidean
 // metrics a query accumulates dot products down only the posting lists
 // in its support; other metrics take the exhaustive per-shard scan.
-// Both paths order candidates by the same total order, so TopK returns
-// identical results at every shard, segment, and worker count, indexed
-// or not.
+// Both paths order candidates by the same total order, so a query
+// returns identical results at every shard, segment, and worker count,
+// indexed or not.
 //
 // Persistence has one format: SaveDir/LoadDir keep a snapshot directory
 // (manifest + one CRC-checked file per segment, see manifest.go) where
@@ -252,14 +253,13 @@ type SearchResult struct {
 // vote counters) lives in a pool of per-worker scratch, so steady-state
 // queries do not allocate.
 //
-// Concurrency contract (epoch-pinned views, see view.go): queries
-// (TopK*, Classify*, Len, All, the *Stats variants) may
-// run concurrently with each other AND with mutations. Each query pins
-// the current immutable view — the sealed segments plus a frozen
-// prefix of each shard's active segment (its posting runs and the
-// unindexed rows after them) — and computes exactly the
-// result a quiescent DB holding that view's signatures would return;
-// batch calls pin one view for the whole batch. Mutations (Add,
+// Concurrency contract (epoch-pinned views, see view.go): reads (Query
+// and its shorthands, Len, All) may run concurrently with each other
+// AND with mutations. Each Query call pins the current immutable view —
+// the sealed segments plus a frozen prefix of each shard's active
+// segment (its posting runs and the unindexed rows after them) — once,
+// for all its queries, and computes exactly the result a quiescent DB
+// holding that view's signatures would return. Mutations (Add,
 // AddAll, Seal, Compact, SaveDir, Close, and every Set*) remain
 // single-writer: they serialize on an internal mutex, so concurrent
 // mutators are safe but take turns, and each publishes a new view
@@ -362,11 +362,11 @@ func NewShardedDB(dim, shards int) (*DB, error) {
 	return db, nil
 }
 
-// SetWorkers bounds the worker-pool fan-out of TopK scans across shards
-// — and of TopKBatch across queries (parallel.Workers semantics: 0 =
-// one per CPU, <0 = sequential). The effective single-query parallelism
-// is min(workers, shards). In-flight queries keep the setting they
-// pinned.
+// SetWorkers bounds the worker-pool fan-out of a query across shards —
+// and of a multi-query request across queries (parallel.Workers
+// semantics: 0 = one per CPU, <0 = sequential). The effective
+// single-query parallelism is min(workers, shards). In-flight queries
+// keep the setting they pinned.
 func (db *DB) SetWorkers(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -661,14 +661,14 @@ func (db *DB) All() []Signature {
 // per-shard bounded heaps and score accumulators, the global merge
 // heap, the dense-fallback buffer, the dense view of the query, and the
 // classification vote state (a reused label-count map plus a hit
-// buffer, so Classify* steady state allocates nothing). A scratch is
+// buffer, so labelling allocates nothing in steady state). A scratch is
 // checked out of the DB's pool for the duration of one query, so
 // concurrent readers never share one and a steady query stream
 // allocates nothing.
 type dbScratch struct {
 	shards []shardScratch
 	merged topkHeap
-	// qd is all-zero between queries; topkWith scatters the query into it
+	// qd is all-zero between queries; topk scatters the query into it
 	// before the shard fan-out (the shards only read it) and un-scatters
 	// it afterwards over the query's own support.
 	qd    vecmath.Vector
@@ -683,7 +683,7 @@ type shardScratch struct {
 	dense vecmath.Vector
 	prune pruneScratch
 	// stats collects this shard's pruning counters for the current query
-	// (reset by topkShard); the *Stats entry points sum them.
+	// (reset by topkShard); queryOne sums them when asked.
 	stats PruneStats
 }
 
@@ -803,76 +803,97 @@ func (h *topkHeap) pop() (int, float64) {
 	return gid, score
 }
 
-// TopK returns the k stored signatures closest to query under metric,
-// best first. k larger than the database returns everything. The query
-// is sparsified once; see TopKSparse for the allocation-free path when
-// the caller already holds the sparse form.
-func (db *DB) TopK(query vecmath.Vector, k int, metric Metric) ([]SearchResult, error) {
-	if query.Dim() != db.dim {
-		return nil, &DimensionError{What: "query", Got: query.Dim(), Want: db.dim}
+// Query is one request to the store: the K stored signatures nearest each
+// of Queries under Metric, as hits or as their majority label (§2.2's
+// similarity-based retrieval). The fields are one call's inputs and
+// outputs; the caller owns every slice and may reuse them across calls.
+type Query struct {
+	// Queries are in canonical sparse form, each of the store's dimension.
+	Queries []*vecmath.Sparse
+	// K is the neighbour count; K larger than the store returns everything.
+	K      int
+	Metric Metric
+	// Exactly one of Hits and Labels is non-nil, one slot per query.
+	// Hits[i] is overwritten (reusing its capacity) with query i's hits,
+	// best first; Labels[i] with their majority label, ties broken toward
+	// the nearest — hits and votes then stay in pooled scratch. With warm
+	// capacity a steady-state call allocates nothing.
+	Hits   [][]SearchResult
+	Labels []string
+	// Stats, when non-nil, has one slot per query for that query's
+	// pruning counters; the answers are the same either way.
+	Stats []PruneStats
+}
+
+// Query answers one request — the only way into the query path; the
+// shorthands below are this call with the slots made for the caller. The
+// whole request pins one view, so every answer reflects the same store
+// prefix even under concurrent writes, and each is bit-identical to
+// asking that query alone, at any worker count (see batchFanout). Once
+// ctx has ended no further query starts and its error is returned. On
+// error the slots hold a mix of old and new answers: do not read them.
+func (db *DB) Query(ctx context.Context, q *Query) error {
+	n := len(q.Queries)
+	switch {
+	case (q.Hits == nil) == (q.Labels == nil):
+		return &ConfigError{Param: "out", Msg: "Query: exactly one of Hits and Labels must be set"}
+	case len(q.Hits)+len(q.Labels) != n:
+		return &ConfigError{Param: "out", Msg: fmt.Sprintf("Query: %d result slots for %d queries", len(q.Hits)+len(q.Labels), n)}
+	case q.Stats != nil && len(q.Stats) != n:
+		return &ConfigError{Param: "stats", Msg: fmt.Sprintf("Query: %d stats slots for %d queries", len(q.Stats), n)}
 	}
 	v := db.pinView()
 	defer db.unpinView(v)
-	return db.topk(v, vecmath.DenseToSparse(query), query, k, metric, v.cfg.workers, nil)
-}
-
-// TopKSparse is TopK for a query already in canonical sparse form — the
-// native path for signatures produced by Model.Transform.
-func (db *DB) TopKSparse(query *vecmath.Sparse, k int, metric Metric) ([]SearchResult, error) {
-	if query.Dim() != db.dim {
-		return nil, &DimensionError{What: "query", Got: query.Dim(), Want: db.dim}
+	seq, sw := v.batchFanout(n)
+	if !seq {
+		// By value: the closure boxes a copy, and the caller's Query (with
+		// the slices behind it) need not escape to the heap.
+		return db.queryParallel(ctx, v, *q)
 	}
-	v := db.pinView()
-	defer db.unpinView(v)
-	return db.topk(v, query, nil, k, metric, v.cfg.workers, nil)
-}
-
-// TopKBatch answers many queries in one call, fanning them over the
-// worker pool (SetWorkers) with one checked-out scratch per worker.
-// out[i] is query i's TopK result; results are bit-identical to calling
-// TopKSparse per query, at any worker count. Allocation is dominated by
-// the result slices — see TopKBatchInto to reuse them.
-func (db *DB) TopKBatch(queries []*vecmath.Sparse, k int, metric Metric) ([][]SearchResult, error) {
-	out := make([][]SearchResult, len(queries))
-	if err := db.TopKBatchInto(queries, k, metric, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TopKBatchInto is TopKBatch writing into caller-owned result slices:
-// out[i] is overwritten (reusing its capacity) with query i's hits. With
-// warm capacity a steady-state batch allocates nothing. len(out) must
-// equal len(queries). On error out holds a mix of old and new results
-// and must not be interpreted. The whole batch pins one view, so every
-// result reflects the same store prefix even under concurrent writes.
-func (db *DB) TopKBatchInto(queries []*vecmath.Sparse, k int, metric Metric, out [][]SearchResult) error {
-	if len(out) != len(queries) {
-		return &ConfigError{Param: "out", Msg: fmt.Sprintf("TopKBatchInto: %d result slots for %d queries", len(out), len(queries))}
-	}
-	v := db.pinView()
-	defer db.unpinView(v)
-	if seq, sw := v.batchFanout(len(queries)); seq {
-		// Sequential batch: direct calls keep the steady state at zero
-		// allocations (no closure, no worker bookkeeping).
-		for qi := range queries {
-			if err := db.batchQuery(v, qi, queries, k, metric, out, sw); err != nil {
-				return err
-			}
+	// Direct calls keep a sequential request's steady state at zero
+	// allocations (no closure, no worker bookkeeping).
+	for qi := range q.Queries {
+		if err := db.querySlot(ctx, v, q, qi, sw); err != nil {
+			return err
 		}
-		return nil
 	}
-	return db.batchQueriesParallel(v, queries, k, metric, out)
+	return nil
 }
 
-// batchFanout decides how a batch of nq queries uses the worker pool:
+// queryParallel fans a request's queries over the worker pool, shards
+// sequential; split out of Query so the closure exists only on this path.
+func (db *DB) queryParallel(ctx context.Context, v *dbView, q Query) error {
+	return parallel.For(v.cfg.workers, len(q.Queries), func(qi int) error {
+		return db.querySlot(ctx, v, &q, qi, -1)
+	})
+}
+
+// querySlot answers query qi of q into its slots unless ctx has ended.
+func (db *DB) querySlot(ctx context.Context, v *dbView, q *Query, qi, shardWorkers int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var hits *[]SearchResult
+	var label *string
+	var stats *PruneStats
+	if q.Hits != nil {
+		hits = &q.Hits[qi]
+	} else {
+		label = &q.Labels[qi]
+	}
+	if q.Stats != nil {
+		stats = &q.Stats[qi]
+	}
+	return db.queryOne(v, q.Queries[qi], qi, q.K, q.Metric, shardWorkers, hits, label, stats)
+}
+
+// batchFanout decides how a request of nq queries uses the worker pool:
 // seq means the queries run in order on the caller's goroutine, each
 // fanning its shards over shardWorkers (parallel.Workers semantics, -1 =
 // sequential); otherwise the queries fan out and shards stay sequential.
 // Queries fan out whenever there are enough of them to occupy the pool;
-// a batch too small for that — the lone query almost every serving
-// request carries — fans its shards out instead, exactly as
-// TopKSparse does, so cores are not left idle.
+// a request too small for that — the lone query almost every serving
+// request carries — fans its shards out instead, so no core idles.
 func (v *dbView) batchFanout(nq int) (seq bool, shardWorkers int) {
 	switch w := parallel.Workers(v.cfg.workers); {
 	case w == 1:
@@ -883,51 +904,97 @@ func (v *dbView) batchFanout(nq int) (seq bool, shardWorkers int) {
 	return false, -1
 }
 
-// batchQueriesParallel fans batchQuery over the worker pool; split out
-// of TopKBatchInto so the closure exists only on the parallel path.
-func (db *DB) batchQueriesParallel(v *dbView, queries []*vecmath.Sparse, k int, metric Metric, out [][]SearchResult) error {
-	return parallel.For(v.cfg.workers, len(queries), func(qi int) error {
-		return db.batchQuery(v, qi, queries, k, metric, out, -1)
-	})
-}
-
-// batchQuery answers query qi into out[qi], reusing its capacity, with
-// its shards fanned over shardWorkers (see batchFanout).
-func (db *DB) batchQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, metric Metric, out [][]SearchResult, shardWorkers int) error {
-	q := queries[qi]
-	if q == nil {
+// queryOne answers query qi of a request against a pinned view on one
+// checked-out scratch, its shards fanned over shardWorkers: the hits into
+// *hits (reusing its capacity) or, when hits is nil, their majority label
+// into *label; the shards' pruning counters into *stats when non-nil.
+func (db *DB) queryOne(v *dbView, query *vecmath.Sparse, qi, k int, metric Metric, shardWorkers int, hits *[]SearchResult, label *string, stats *PruneStats) error {
+	if query == nil {
 		return &ConfigError{Param: "query", Msg: fmt.Sprintf("query %d is nil", qi)}
 	}
-	if q.Dim() != db.dim {
-		return &DimensionError{What: fmt.Sprintf("query %d", qi), Got: q.Dim(), Want: db.dim}
+	if query.Dim() != db.dim {
+		return &DimensionError{What: fmt.Sprintf("query %d", qi), Got: query.Dim(), Want: db.dim}
 	}
-	res, err := db.topk(v, q, nil, k, metric, shardWorkers, out[qi][:0])
+	sc := db.scratch.Get()
+	defer db.scratch.Put(sc)
+	out := sc.hits[:0]
+	if hits != nil {
+		out = (*hits)[:0]
+	}
+	res, err := db.topk(v, sc, query, k, metric, shardWorkers, out)
 	if err != nil {
 		return err
 	}
-	out[qi] = res
+	if stats != nil {
+		*stats = PruneStats{}
+		for si := range sc.shards {
+			stats.add(&sc.shards[si].stats)
+		}
+	}
+	if hits != nil {
+		*hits = res
+		return nil
+	}
+	sc.hits = res
+	*label = voteLabel(res, sc.voteMap())
 	return nil
 }
 
-// topk evaluates one query against a pinned view: per-shard candidate
-// scoring (inverted index when the metric supports it, bounded-heap
-// scan otherwise) fanned over the worker pool, then a global
-// (score, index) merge. denseQuery may be nil; it is materialized only
-// when the metric lacks a sparse path. Results are appended to out[:0]
-// when it has capacity.
-func (db *DB) topk(v *dbView, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, workers int, out []SearchResult) ([]SearchResult, error) {
-	sc := db.scratch.Get()
-	defer db.scratch.Put(sc)
-	return db.topkWith(v, sc, query, denseQuery, k, metric, workers, out)
+// TopKSparse returns the k stored signatures closest to query under
+// metric, best first, in a fresh slice.
+func (db *DB) TopKSparse(query *vecmath.Sparse, k int, metric Metric) ([]SearchResult, error) {
+	hits, _, err := db.TopKSparseStats(query, k, metric)
+	return hits, err
 }
 
-// topkWith is topk running on a caller-held scratch, so callers that
-// need scratch state around the query (the classify paths, which keep
-// hits and votes there) check out exactly one scratch for the whole
-// operation. It touches only the pinned view, never the live writer
-// state — that is the whole serialized-equivalence argument: the result
-// is exactly what a quiescent DB holding the view's signatures returns.
-func (db *DB) topkWith(v *dbView, sc *dbScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, workers int, out []SearchResult) ([]SearchResult, error) {
+// TopKSparseStats is TopKSparse plus the query's pruning counters.
+func (db *DB) TopKSparseStats(query *vecmath.Sparse, k int, metric Metric) ([]SearchResult, PruneStats, error) {
+	v := db.pinView()
+	defer db.unpinView(v)
+	var hits []SearchResult
+	var st PruneStats
+	err := db.queryOne(v, query, 0, k, metric, v.cfg.workers, &hits, nil, &st)
+	return hits, st, err
+}
+
+// ClassifySparse labels a query by majority vote among its k nearest
+// stored signatures, ties broken toward the nearest.
+func (db *DB) ClassifySparse(query *vecmath.Sparse, k int, metric Metric) (string, error) {
+	v := db.pinView()
+	defer db.unpinView(v)
+	var label string
+	err := db.queryOne(v, query, 0, k, metric, v.cfg.workers, nil, &label, nil)
+	return label, err
+}
+
+// TopKBatch is Query into fresh hit slices: out[i] is bit-identical to
+// TopKSparse(queries[i], ...).
+func (db *DB) TopKBatch(queries []*vecmath.Sparse, k int, metric Metric) ([][]SearchResult, error) {
+	out := make([][]SearchResult, len(queries))
+	if err := db.Query(context.Background(), &Query{Queries: queries, K: k, Metric: metric, Hits: out}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ClassifyBatch is Query into a fresh label slice: out[i] is
+// bit-identical to ClassifySparse(queries[i], ...).
+func (db *DB) ClassifyBatch(queries []*vecmath.Sparse, k int, metric Metric) ([]string, error) {
+	out := make([]string, len(queries))
+	if err := db.Query(context.Background(), &Query{Queries: queries, K: k, Metric: metric, Labels: out}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// topk evaluates one query against a pinned view on the caller-held
+// scratch: per-shard candidate scoring (inverted index when the metric
+// supports it, bounded-heap scan otherwise) fanned over workers, then a
+// global (score, index) merge into out[:0] when it has capacity. It
+// touches only the pinned view, never the live writer state — the whole
+// serialized-equivalence argument: the result is exactly what a
+// quiescent DB holding the view's signatures returns.
+func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metric Metric, workers int, out []SearchResult) ([]SearchResult, error) {
 	if v.closed {
 		// Closed means the segment mappings are gone (or going): fail
 		// with the typed usage error instead of walking released state.
@@ -948,11 +1015,11 @@ func (db *DB) topkWith(v *dbView, sc *dbScratch, query *vecmath.Sparse, denseQue
 	}
 	useIndex := !v.cfg.noIndex && metric.indexable()
 	// The indexed path gathers every canonical dot from a dense view of
-	// the query and the dense fallback scores against one; a caller that
-	// did not bring it gets the pooled vector, scattered once here, only
-	// read by the shards, and zeroed again over the query's own support
-	// on the way out.
-	if denseQuery == nil && (useIndex || metric.SparseScore == nil) {
+	// the query and the dense fallback scores against one: the pooled
+	// vector, scattered once here, only read by the shards, and zeroed
+	// again over the query's own support on the way out.
+	var denseQuery vecmath.Vector
+	if useIndex || metric.SparseScore == nil {
 		denseQuery = sc.qd
 		query.Scatter(denseQuery)
 		defer query.Unscatter(denseQuery)
@@ -1202,107 +1269,6 @@ func offerCosine(h *topkHeap, k int, vs *viewShard, sg viewSegment, acc *vecmath
 			rs, ri = h.score[0], h.idx[0]
 		}
 	}
-}
-
-// Classify labels a query by majority vote among its k nearest stored
-// signatures (ties broken toward the nearest). It is the similarity-based
-// retrieval use case of §2.2 in its simplest form.
-func (db *DB) Classify(query vecmath.Vector, k int, metric Metric) (string, error) {
-	if query.Dim() != db.dim {
-		return "", &DimensionError{What: "query", Got: query.Dim(), Want: db.dim}
-	}
-	return db.classify(vecmath.DenseToSparse(query), query, k, metric)
-}
-
-// ClassifySparse is Classify for a query already in sparse form.
-func (db *DB) ClassifySparse(query *vecmath.Sparse, k int, metric Metric) (string, error) {
-	if query.Dim() != db.dim {
-		return "", &DimensionError{What: "query", Got: query.Dim(), Want: db.dim}
-	}
-	return db.classify(query, nil, k, metric)
-}
-
-// classify retrieves into the pooled hit buffer and votes in the pooled
-// counter, so the whole k-NN labeling path shares TopK's zero-alloc
-// steady state.
-func (db *DB) classify(query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric) (string, error) {
-	v := db.pinView()
-	defer db.unpinView(v)
-	sc := db.scratch.Get()
-	defer db.scratch.Put(sc)
-	hits, err := db.topkWith(v, sc, query, denseQuery, k, metric, v.cfg.workers, sc.hits[:0])
-	if err != nil {
-		return "", err
-	}
-	sc.hits = hits
-	return voteLabel(hits, sc.voteMap()), nil
-}
-
-// ClassifyBatch labels many queries in one batched pass over the worker
-// pool; out[i] is bit-identical to ClassifySparse(queries[i], ...) at
-// any worker count. See ClassifyBatchInto for the allocation-free path.
-func (db *DB) ClassifyBatch(queries []*vecmath.Sparse, k int, metric Metric) ([]string, error) {
-	out := make([]string, len(queries))
-	if err := db.ClassifyBatchInto(queries, k, metric, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ClassifyBatchInto is ClassifyBatch writing into a caller-owned label
-// slice: out[i] is overwritten with query i's label. Hits and vote
-// counts live entirely in pooled per-worker scratch, so a steady-state
-// batch allocates nothing. len(out) must equal len(queries). On error
-// out holds a mix of old and new labels and must not be interpreted.
-func (db *DB) ClassifyBatchInto(queries []*vecmath.Sparse, k int, metric Metric, out []string) error {
-	if len(out) != len(queries) {
-		return &ConfigError{Param: "out", Msg: fmt.Sprintf("ClassifyBatchInto: %d result slots for %d queries", len(out), len(queries))}
-	}
-	// One pinned view for the whole batch: every query in the batch
-	// labels against the same frozen store state.
-	v := db.pinView()
-	defer db.unpinView(v)
-	if seq, sw := v.batchFanout(len(queries)); seq {
-		// Sequential batch: direct calls keep the steady state at zero
-		// allocations (no closure, no worker bookkeeping).
-		for qi := range queries {
-			if err := db.classifyQuery(v, qi, queries, k, metric, out, sw); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return db.classifyQueriesParallel(v, queries, k, metric, out)
-}
-
-// classifyQueriesParallel fans classifyQuery over the worker pool; split
-// out of ClassifyBatchInto so the closure exists only on the parallel
-// path.
-func (db *DB) classifyQueriesParallel(v *dbView, queries []*vecmath.Sparse, k int, metric Metric, out []string) error {
-	return parallel.For(v.cfg.workers, len(queries), func(qi int) error {
-		return db.classifyQuery(v, qi, queries, k, metric, out, -1)
-	})
-}
-
-// classifyQuery labels query qi into out[qi] via the pooled scratch,
-// its shards fanned over shardWorkers (see batchFanout).
-func (db *DB) classifyQuery(v *dbView, qi int, queries []*vecmath.Sparse, k int, metric Metric, out []string, shardWorkers int) error {
-	q := queries[qi]
-	if q == nil {
-		return &ConfigError{Param: "query", Msg: fmt.Sprintf("query %d is nil", qi)}
-	}
-	if q.Dim() != db.dim {
-		return &DimensionError{What: fmt.Sprintf("query %d", qi), Got: q.Dim(), Want: db.dim}
-	}
-	sc := db.scratch.Get()
-	defer db.scratch.Put(sc)
-	hits, err := db.topkWith(v, sc, q, nil, k, metric, shardWorkers, sc.hits[:0])
-	if err != nil {
-		return err
-	}
-	sc.hits = hits
-	out[qi] = voteLabel(hits, sc.voteMap())
-	return nil
 }
 
 // voteMap returns the scratch's vote counter, cleared for a new query

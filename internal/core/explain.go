@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/vecmath"
 )
 
 // TermWeight is one term's contribution to a signature, resolved to a
@@ -161,48 +159,4 @@ func (p *PruneStats) add(s *PruneStats) {
 	p.DimsSkipped += s.DimsSkipped
 	p.BlocksConsidered += s.BlocksConsidered
 	p.BlocksSkipped += s.BlocksSkipped
-}
-
-// TopKSparseStats is TopKSparse returning the query's pruning counters
-// alongside the hits. Results are bit-identical to TopKSparse; only the
-// counters are extra.
-func (db *DB) TopKSparseStats(query *vecmath.Sparse, k int, metric Metric) ([]SearchResult, PruneStats, error) {
-	var st PruneStats
-	if query.Dim() != db.dim {
-		return nil, st, &DimensionError{What: "query", Got: query.Dim(), Want: db.dim}
-	}
-	v := db.pinView()
-	defer db.unpinView(v)
-	sc := db.scratch.Get()
-	defer db.scratch.Put(sc)
-	res, err := db.topkWith(v, sc, query, nil, k, metric, v.cfg.workers, nil)
-	if err != nil {
-		return nil, st, err
-	}
-	for si := range sc.shards {
-		st.add(&sc.shards[si].stats)
-	}
-	return res, st, nil
-}
-
-// ClassifySparseStats is ClassifySparse returning the underlying
-// retrieval's pruning counters alongside the label.
-func (db *DB) ClassifySparseStats(query *vecmath.Sparse, k int, metric Metric) (string, PruneStats, error) {
-	var st PruneStats
-	if query.Dim() != db.dim {
-		return "", st, &DimensionError{What: "query", Got: query.Dim(), Want: db.dim}
-	}
-	v := db.pinView()
-	defer db.unpinView(v)
-	sc := db.scratch.Get()
-	defer db.scratch.Put(sc)
-	hits, err := db.topkWith(v, sc, query, nil, k, metric, v.cfg.workers, sc.hits[:0])
-	if err != nil {
-		return "", st, err
-	}
-	sc.hits = hits
-	for si := range sc.shards {
-		st.add(&sc.shards[si].stats)
-	}
-	return voteLabel(hits, sc.voteMap()), st, nil
 }

@@ -63,20 +63,11 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 
 		for _, metric := range []Metric{CosineMetric(), EuclideanMetric(), MinkowskiMetric(3)} {
 			ctx := name + " " + metric.Name
-			_, err := db.TopK(bad.W.Dense(), 1, metric)
-			requireNonFinite(t, ctx+" TopK", "query", err)
-			_, err = db.TopKSparse(bad.W, 1, metric)
-			requireNonFinite(t, ctx+" TopKSparse", "query", err)
+			for entry, ask := range queryEntries {
+				requireNonFinite(t, ctx+" "+entry, "query", ask(db, bad.W, 1, metric))
+			}
 			_, err = db.TopKBatch([]*vecmath.Sparse{good.W, bad.W}, 1, metric)
-			requireNonFinite(t, ctx+" TopKBatch", "query", err)
-			_, _, err = db.TopKSparseStats(bad.W, 1, metric)
-			requireNonFinite(t, ctx+" TopKSparseStats", "query", err)
-			_, err = db.Classify(bad.W.Dense(), 1, metric)
-			requireNonFinite(t, ctx+" Classify", "query", err)
-			_, err = db.ClassifySparse(bad.W, 1, metric)
-			requireNonFinite(t, ctx+" ClassifySparse", "query", err)
-			_, err = db.ClassifyBatch([]*vecmath.Sparse{bad.W}, 1, metric)
-			requireNonFinite(t, ctx+" ClassifyBatch", "query", err)
+			requireNonFinite(t, ctx+" TopKBatch after a good query", "query", err)
 			// The rejected query left the pooled dense vector clean.
 			if hits, err := db.TopKSparse(good.W, 1, metric); err != nil || hits[0].Signature.DocID != "good" {
 				t.Fatalf("%s: query after rejection = %v, %v", ctx, hits, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -229,12 +230,13 @@ func TestTopKBatchIntoReuses(t *testing.T) {
 	}
 	queries := []*vecmath.Sparse{randSigs(r, 1, dim, nnz)[0].W, randSigs(r, 1, dim, nnz)[0].W}
 	out := make([][]SearchResult, len(queries))
-	if err := db.TopKBatchInto(queries, k, EuclideanMetric(), out); err != nil {
+	q := Query{Queries: queries, K: k, Metric: EuclideanMetric(), Hits: out}
+	if err := db.Query(context.Background(), &q); err != nil {
 		t.Fatal(err)
 	}
 	first := make([][]SearchResult, len(out))
 	copy(first, out)
-	if err := db.TopKBatchInto(queries, k, EuclideanMetric(), out); err != nil {
+	if err := db.Query(context.Background(), &q); err != nil {
 		t.Fatal(err)
 	}
 	for i := range out {
@@ -245,8 +247,10 @@ func TestTopKBatchIntoReuses(t *testing.T) {
 			t.Fatalf("query %d: result slice was reallocated despite warm capacity", i)
 		}
 	}
-	if err := db.TopKBatchInto(queries, k, EuclideanMetric(), make([][]SearchResult, 1)); err == nil {
-		t.Fatal("mismatched out length should fail")
+	var cfgErr *ConfigError
+	q.Hits = make([][]SearchResult, 1)
+	if err := db.Query(context.Background(), &q); !errors.As(err, &cfgErr) || cfgErr.Param != "out" {
+		t.Fatalf("one hit slot for two queries: err = %v, want an out *ConfigError", err)
 	}
 }
 

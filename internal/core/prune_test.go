@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -238,18 +239,22 @@ func TestPruneStatsCounters(t *testing.T) {
 			t.Fatalf("%s: SetPruned(false) still pruned: %+v", metric.Name, st2)
 		}
 		db.SetPruned(true)
-		if label, st3, err := db.ClassifySparseStats(q, 5, metric); err != nil {
+		// The label form reports the same walk; every query of a request
+		// gets its own counters.
+		lq := Query{Queries: []*vecmath.Sparse{q, q}, K: 5, Metric: metric, Labels: make([]string, 2), Stats: make([]PruneStats, 2)}
+		if err := db.Query(context.Background(), &lq); err != nil {
 			t.Fatal(err)
-		} else {
-			if st3.SegmentsPruned == 0 {
-				t.Fatalf("%s: classify path reported no pruning: %+v", metric.Name, st3)
+		}
+		wantLabel, err := db.ClassifySparse(q, 5, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st3 := range lq.Stats {
+			if st3 != st {
+				t.Fatalf("%s: Query{Labels, Stats} slot %d = %+v, want TopKSparseStats' %+v", metric.Name, i, st3, st)
 			}
-			wantLabel, err := db.ClassifySparse(q, 5, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if label != wantLabel {
-				t.Fatalf("%s: ClassifySparseStats label %q, want %q", metric.Name, label, wantLabel)
+			if lq.Labels[i] != wantLabel {
+				t.Fatalf("%s: Query{Labels, Stats} label %d = %q, want %q", metric.Name, i, lq.Labels[i], wantLabel)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -101,38 +102,6 @@ func TestTopKShardedMatchesSort(t *testing.T) {
 	}
 }
 
-// TestTopKDenseQueryMatchesSparseQuery checks that the dense-query entry
-// point is a pure wrapper over the sparse path.
-func TestTopKDenseQueryMatchesSparseQuery(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	const dim = 400
-	sigs := randSigs(r, 200, dim, 30)
-	db, err := NewShardedDB(dim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddAll(sigs); err != nil {
-		t.Fatal(err)
-	}
-	qd := randSigs(r, 1, dim, 30)[0].Dense()
-	for _, metric := range []Metric{CosineMetric(), EuclideanMetric(), MinkowskiMetric(2.5)} {
-		d, err := db.TopK(qd, 10, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := db.TopKSparse(vecmath.DenseToSparse(qd), 10, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range d {
-			if d[i].Signature.DocID != s[i].Signature.DocID || d[i].Score != s[i].Score {
-				t.Fatalf("%s: hit %d differs: (%s, %v) vs (%s, %v)", metric.Name, i,
-					d[i].Signature.DocID, d[i].Score, s[i].Signature.DocID, s[i].Score)
-			}
-		}
-	}
-}
-
 // TestTopKDenseFallbackMetric drives a metric with no sparse path through
 // the dense-materializing fallback scan.
 func TestTopKDenseFallbackMetric(t *testing.T) {
@@ -164,22 +133,62 @@ func TestTopKDenseFallbackMetric(t *testing.T) {
 	}
 }
 
-// TestDBTypedErrors pins the typed validation errors: dimension
-// mismatches surface as *DimensionError before any scan work, and empty
-// databases as ErrEmptyDB.
+// queryEntries is every way into the query path — DB.Query with each
+// output form and the five shorthands over it — asking one query, so the
+// typed-error tests hold all of them to the same contract.
+var queryEntries = map[string]func(db *DB, q *vecmath.Sparse, k int, m Metric) error{
+	"Query{Hits}": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		return db.Query(context.Background(), &Query{Queries: []*vecmath.Sparse{q}, K: k, Metric: m, Hits: make([][]SearchResult, 1)})
+	},
+	"Query{Labels,Stats}": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		return db.Query(context.Background(), &Query{Queries: []*vecmath.Sparse{q}, K: k, Metric: m, Labels: make([]string, 1), Stats: make([]PruneStats, 1)})
+	},
+	"TopKSparse": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		_, err := db.TopKSparse(q, k, m)
+		return err
+	},
+	"TopKSparseStats": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		_, _, err := db.TopKSparseStats(q, k, m)
+		return err
+	},
+	"ClassifySparse": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		_, err := db.ClassifySparse(q, k, m)
+		return err
+	},
+	"TopKBatch": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		_, err := db.TopKBatch([]*vecmath.Sparse{q}, k, m)
+		return err
+	},
+	"ClassifyBatch": func(db *DB, q *vecmath.Sparse, k int, m Metric) error {
+		_, err := db.ClassifyBatch([]*vecmath.Sparse{q}, k, m)
+		return err
+	},
+}
+
+// TestDBTypedErrors pins the typed validation errors through every
+// query entry: nil queries and k < 1 as *ConfigError, dimension
+// mismatches as *DimensionError before any scan work, empty databases
+// as ErrEmptyDB, a closed one as the "database" *ConfigError.
 func TestDBTypedErrors(t *testing.T) {
 	db, err := NewShardedDB(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dimErr *DimensionError
-	if _, err := db.TopK(vecmath.Vector{1, 2}, 3, EuclideanMetric()); !errors.As(err, &dimErr) {
-		t.Fatalf("TopK wrong-dim error = %v, want *DimensionError", err)
-	} else if dimErr.Got != 2 || dimErr.Want != 4 {
-		t.Fatalf("DimensionError = %+v", dimErr)
-	}
-	if _, err := db.TopKSparse(vecmath.DenseToSparse(vecmath.Vector{1}), 1, EuclideanMetric()); !errors.As(err, &dimErr) {
-		t.Fatalf("TopKSparse wrong-dim error = %v, want *DimensionError", err)
+	var cfgErr *ConfigError
+	q := vecmath.DenseToSparse(vecmath.Vector{1, 2, 3, 4})
+	for entry, ask := range queryEntries {
+		if err := ask(db, vecmath.DenseToSparse(vecmath.Vector{1, 2}), 3, EuclideanMetric()); !errors.As(err, &dimErr) {
+			t.Fatalf("%s wrong-dim error = %v, want *DimensionError", entry, err)
+		} else if dimErr.What != "query 0" || dimErr.Got != 2 || dimErr.Want != 4 {
+			t.Fatalf("%s: DimensionError = %+v", entry, dimErr)
+		}
+		if err := ask(db, nil, 3, EuclideanMetric()); !errors.As(err, &cfgErr) || cfgErr.Param != "query" {
+			t.Fatalf("%s nil-query error = %v, want a query *ConfigError", entry, err)
+		}
+		if err := ask(db, q, 1, EuclideanMetric()); !errors.Is(err, ErrEmptyDB) {
+			t.Fatalf("%s empty-db error = %v, want ErrEmptyDB", entry, err)
+		}
 	}
 	if err := db.Add(SignatureFromDense("bad", "", vecmath.Vector{1, 2, 3})); !errors.As(err, &dimErr) {
 		t.Fatalf("Add wrong-dim error = %v, want *DimensionError", err)
@@ -187,20 +196,26 @@ func TestDBTypedErrors(t *testing.T) {
 	if err := db.Add(Signature{DocID: "nil"}); err == nil {
 		t.Error("Add with nil weights should fail")
 	}
-	q := vecmath.Vector{1, 2, 3, 4}
-	if _, err := db.TopK(q, 1, EuclideanMetric()); !errors.Is(err, ErrEmptyDB) {
-		t.Fatalf("empty-db error = %v, want ErrEmptyDB", err)
-	}
 	if err := db.AddAll(randSigs(rand.New(rand.NewSource(1)), 3, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.TopK(q, 0, EuclideanMetric()); err == nil {
-		t.Error("k=0 should fail")
+	for entry, ask := range queryEntries {
+		if err := ask(db, q, 0, EuclideanMetric()); !errors.As(err, &cfgErr) || cfgErr.Param != "k" {
+			t.Fatalf("%s k=0 error = %v, want a k *ConfigError", entry, err)
+		}
 	}
 	// AddAll surfaces the offending signature's typed error.
-	bad := []Signature{SignatureFromDense("ok", "", q), SignatureFromDense("short", "", vecmath.Vector{1})}
+	bad := []Signature{{DocID: "ok", W: q}, SignatureFromDense("short", "", vecmath.Vector{1})}
 	if err := db.AddAll(bad); !errors.As(err, &dimErr) {
 		t.Fatalf("AddAll error = %v, want *DimensionError", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for entry, ask := range queryEntries {
+		if err := ask(db, q, 1, EuclideanMetric()); !errors.As(err, &cfgErr) || cfgErr.Param != "database" {
+			t.Fatalf("%s closed-db error = %v, want a database *ConfigError", entry, err)
+		}
 	}
 }
 
@@ -428,9 +443,9 @@ func BenchmarkTopKFlat(b *testing.B) {
 	b.Run("tiny/nnz=12", func(b *testing.B) { benchScoreArms(b, tiny, randSigs(r, 1, dim, 12)[0].W) })
 }
 
-// TestClassifyBatchInto checks the allocation-free labeling entry
-// point: labels match ClassifyBatch exactly, the caller-owned slice is
-// reused, and validation errors mirror the batch query path.
+// TestClassifyBatchInto checks the label form of Query: labels match
+// ClassifyBatch and ClassifySparse exactly at every worker count, the
+// caller-owned slots are reused, and the request-shape errors are typed.
 func TestClassifyBatchInto(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const dim, n, nnz, k = 120, 150, 15, 5
@@ -445,117 +460,190 @@ func TestClassifyBatchInto(t *testing.T) {
 	for i := range queries {
 		queries[i] = randSigs(r, 1, dim, nnz)[0].W
 	}
+	ctx := context.Background()
+	q := Query{Queries: queries, K: k, Metric: EuclideanMetric(), Labels: make([]string, len(queries)), Stats: make([]PruneStats, len(queries))}
 	for _, workers := range []int{-1, 0, 3} {
 		db.SetWorkers(workers)
 		want, err := db.ClassifyBatch(queries, k, EuclideanMetric())
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]string, len(queries))
-		if err := db.ClassifyBatchInto(queries, k, EuclideanMetric(), out); err != nil {
+		clear(q.Labels)
+		if err := db.Query(ctx, &q); err != nil {
 			t.Fatal(err)
 		}
-		for i := range out {
-			if out[i] != want[i] {
-				t.Fatalf("workers=%d: Into[%d] = %q, want %q", workers, i, out[i], want[i])
+		for i, got := range q.Labels {
+			if got != want[i] {
+				t.Fatalf("workers=%d: Labels[%d] = %q, want %q", workers, i, got, want[i])
 			}
 			if single, err := db.ClassifySparse(queries[i], k, EuclideanMetric()); err != nil || single != want[i] {
 				t.Fatalf("workers=%d: ClassifySparse[%d] = %q (%v), want %q", workers, i, single, err, want[i])
 			}
+			if q.Stats[i].Segments == 0 {
+				t.Fatalf("workers=%d: Stats[%d] not filled: %+v", workers, i, q.Stats[i])
+			}
 		}
 	}
-	if err := db.ClassifyBatchInto(queries, k, EuclideanMetric(), make([]string, 1)); err == nil {
-		t.Fatal("mismatched out length should fail")
+	var cfgErr *ConfigError
+	for name, shape := range map[string]Query{
+		"one label slot for 12 queries": {Queries: queries, K: k, Metric: q.Metric, Labels: make([]string, 1)},
+		"neither Hits nor Labels":       {Queries: queries, K: k, Metric: q.Metric},
+		"both Hits and Labels":          {Queries: queries, K: k, Metric: q.Metric, Hits: make([][]SearchResult, 6), Labels: make([]string, 6)},
+	} {
+		if err := db.Query(ctx, &shape); !errors.As(err, &cfgErr) || cfgErr.Param != "out" {
+			t.Fatalf("%s: err = %v, want an out *ConfigError", name, err)
+		}
+	}
+	misStats := Query{Queries: queries, K: k, Metric: q.Metric, Labels: q.Labels, Stats: make([]PruneStats, 1)}
+	if err := db.Query(ctx, &misStats); !errors.As(err, &cfgErr) || cfgErr.Param != "stats" {
+		t.Fatalf("one stats slot for 12 queries: err = %v, want a stats *ConfigError", err)
 	}
 	var dimErr *DimensionError
-	bad := []*vecmath.Sparse{queries[0], vecmath.DenseToSparse(vecmath.Vector{1})}
-	if err := db.ClassifyBatchInto(bad, k, EuclideanMetric(), make([]string, 2)); !errors.As(err, &dimErr) {
+	bad := Query{Queries: []*vecmath.Sparse{queries[0], vecmath.DenseToSparse(vecmath.Vector{1})}, K: k, Metric: q.Metric, Labels: make([]string, 2)}
+	if err := db.Query(ctx, &bad); !errors.As(err, &dimErr) {
 		t.Fatalf("wrong-dim error = %v, want *DimensionError", err)
 	} else if dimErr.What != "query 1" {
 		t.Fatalf("DimensionError = %+v", dimErr)
 	}
 }
 
-// BenchmarkDBClassifyBatch proves the vote-counting satellite: with
-// hits and vote counts in pooled scratch and a caller-owned label
-// slice, the sequential steady state of the k-NN labeling path runs at
-// 0 allocs/op.
-func BenchmarkDBClassifyBatch(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	const dim, nnz, n, k, batch = 3815, 150, 2000, 10, 64
-	sigs := randSigs(r, n, dim, nnz)
-	queries := make([]*vecmath.Sparse, batch)
-	for i := range queries {
-		queries[i] = randSigs(r, 1, dim, nnz)[0].W
-	}
-	metric := EuclideanMetric()
-	db, err := NewShardedDB(dim, 4)
+// TestQueryCancelled pins where a request stops once its context ends:
+// at the next query boundary, with the context's error, the later slots
+// untouched. The metric cancels the context while query 0 is scoring.
+func TestQueryCancelled(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	const dim, nnz = 40, 6
+	db, err := NewShardedDB(dim, 2)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	if err := db.AddAll(sigs); err != nil {
-		b.Fatal(err)
+	if err := db.AddAll(randSigs(r, 20, dim, nnz)); err != nil {
+		t.Fatal(err)
 	}
-	out := make([]string, len(queries))
-	for _, workers := range []int{-1, 0} {
-		name := "workers=seq"
-		if workers == 0 {
-			name = "workers=all"
+	db.SetWorkers(-1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	metric := Metric{Name: "cancelling", SparseScore: func(x, y *vecmath.Sparse) float64 {
+		cancel()
+		return x.Euclidean(y)
+	}}
+	untouched := []SearchResult{{Score: -1}}
+	qs := randSigs(r, 3, dim, nnz)
+	q := Query{Queries: []*vecmath.Sparse{qs[0].W, qs[1].W, qs[2].W}, K: 3, Metric: metric,
+		Hits: [][]SearchResult{nil, untouched, untouched}}
+	if err := db.Query(ctx, &q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(q.Hits[0]) != 3 {
+		t.Fatalf("query 0, already running when the context ended, left %d hits, want 3", len(q.Hits[0]))
+	}
+	for i := 1; i < 3; i++ {
+		if len(q.Hits[i]) != 1 || q.Hits[i][0].Score != -1 {
+			t.Fatalf("slot %d was written after the context ended: %+v", i, q.Hits[i])
 		}
-		db.SetWorkers(workers)
-		if err := db.ClassifyBatchInto(queries, k, metric, out); err != nil {
-			b.Fatal(err) // warm the scratch pool
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := db.ClassifyBatchInto(queries, k, metric, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
-	db.SetWorkers(0)
+	// An already-ended context runs nothing, on the parallel branch too.
+	db.SetWorkers(2)
+	q.Hits[0] = untouched
+	if err := db.Query(ctx, &q); !errors.Is(err, context.Canceled) || len(q.Hits[0]) != 1 {
+		t.Fatalf("ended context, parallel queries: err = %v, slot 0 = %+v", err, q.Hits[0])
+	}
 }
 
-// BenchmarkDBTopKBatch measures the batched query path with reused
-// result buffers: sequential workers pin the steady-state 0 allocs/op
-// contract, parallel workers show the fan-out speedup (allocation there
-// is the worker pool's bookkeeping, amortized over the batch).
-func BenchmarkDBTopKBatch(b *testing.B) {
+// batchFixture is a 4-shard store of n random signatures and one
+// request's worth of queries against it.
+func batchFixture(tb testing.TB, n, dim, nnz, batch int) (*DB, []*vecmath.Sparse) {
 	r := rand.New(rand.NewSource(1))
-	const dim, nnz, n, k, batch = 3815, 150, 2000, 10, 64
 	sigs := randSigs(r, n, dim, nnz)
 	queries := make([]*vecmath.Sparse, batch)
 	for i := range queries {
 		queries[i] = randSigs(r, 1, dim, nnz)[0].W
 	}
-	metric := EuclideanMetric()
 	db, err := NewShardedDB(dim, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := db.AddAll(sigs); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return db, queries
+}
+
+// TestQueryAllocs is the allocation contract as a test instead of a
+// benchmark readout: with warm scratch and warm result capacity a
+// sequential request allocates nothing, hits or labels, and the
+// lone-query shorthand allocates its result slice and nothing else.
+func TestQueryAllocs(t *testing.T) {
+	db, queries := batchFixture(t, 600, 400, 30, 16)
+	db.SetWorkers(-1)
+	ctx := context.Background()
+	for name, q := range map[string]*Query{
+		"Hits":   {Queries: queries, K: 10, Metric: EuclideanMetric(), Hits: make([][]SearchResult, len(queries))},
+		"Labels": {Queries: queries, K: 10, Metric: EuclideanMetric(), Labels: make([]string, len(queries))},
+	} {
+		ask := func() {
+			if err := db.Query(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ask() // warm the scratch pool and the result capacity
+		if allocs := testing.AllocsPerRun(5, ask); allocs != 0 {
+			t.Errorf("Query{%s}, sequential: %v allocs per request, want 0", name, allocs)
+		}
+	}
+	one, err := NewDB(db.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.AddAll(db.All()); err != nil {
+		t.Fatal(err)
+	}
+	lone := func() {
+		if _, err := one.TopKSparse(queries[0], 10, EuclideanMetric()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lone()
+	if allocs := testing.AllocsPerRun(20, lone); allocs > 1 {
+		t.Errorf("TopKSparse, 1 shard: %v allocs per query, want <= 1 (the result slice)", allocs)
+	}
+}
+
+// benchQuery times one warm request at sequential and all-core workers:
+// sequential pins the steady-state 0 allocs/op contract, parallel shows
+// the fan-out speedup (allocation there is the worker pool's
+// bookkeeping, amortized over the request).
+func benchQuery(b *testing.B, db *DB, q *Query) {
+	ctx := context.Background()
 	for _, workers := range []int{-1, 0} {
 		name := "workers=seq"
 		if workers == 0 {
 			name = "workers=all"
 		}
 		db.SetWorkers(workers)
-		out := make([][]SearchResult, len(queries))
-		if err := db.TopKBatchInto(queries, k, metric, out); err != nil {
+		if err := db.Query(ctx, q); err != nil {
 			b.Fatal(err) // warm the result capacity and scratch pool
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := db.TopKBatchInto(queries, k, metric, out); err != nil {
+				if err := db.Query(ctx, q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	db.SetWorkers(0)
+}
+
+// BenchmarkDBClassifyBatch measures k-NN labeling with hits and vote
+// counts in pooled scratch and caller-owned label slots.
+func BenchmarkDBClassifyBatch(b *testing.B) {
+	db, queries := batchFixture(b, 2000, 3815, 150, 64)
+	benchQuery(b, db, &Query{Queries: queries, K: 10, Metric: EuclideanMetric(), Labels: make([]string, len(queries))})
+}
+
+// BenchmarkDBTopKBatch measures retrieval into reused hit slots.
+func BenchmarkDBTopKBatch(b *testing.B) {
+	db, queries := batchFixture(b, 2000, 3815, 150, 64)
+	benchQuery(b, db, &Query{Queries: queries, K: 10, Metric: EuclideanMetric(), Hits: make([][]SearchResult, len(queries))})
 }

@@ -44,9 +44,9 @@ type metrics struct {
 	latSumUS  atomic.Uint64
 
 	// Sampled PruneStats aggregates: every PruneSampleEvery-th TopK
-	// request answers its first query through TopKSparseStats (results
-	// are bit-identical, only the counters are extra) and accumulates
-	// the per-query counters here.
+	// request sets Stats on its core.Query (same call, same view, same
+	// hits; only the counters are extra) and accumulates its first
+	// query's counters here.
 	pruneTick             atomic.Uint64 // TopK requests seen by the sampler
 	pruneSamples          atomic.Uint64
 	pruneSegments         atomic.Int64

@@ -157,11 +157,18 @@ func sameHits(got, want []core.SearchResult) error {
 // TestCoalescedBitIdentical proves that many requests passing the gate
 // at once each get exactly what per-query TopKSparse/ClassifySparse
 // return — same doc ids, same labels, same float bits — and that one
-// request is one batched kernel call. Requests carry one to three
-// queries, and every second TopK request answers its first query from
-// the sampled stats kernel, so that arm is held to the same oracle.
+// request is one core.Query. Requests carry one to three queries, and
+// every second — then every — TopK request is sampled for PruneStats,
+// so that arm is held to the same oracle and its first query's counters
+// alone reach /metrics.
 func TestCoalescedBitIdentical(t *testing.T) {
-	s, sigs := newTestServer(t, Config{MaxQueue: 256, PruneSampleEvery: 2}, 120)
+	for _, every := range []int{2, 1} {
+		t.Run(fmt.Sprintf("sample-every-%d", every), func(t *testing.T) { coalescedBitIdentical(t, every) })
+	}
+}
+
+func coalescedBitIdentical(t *testing.T, every int) {
+	s, sigs := newTestServer(t, Config{MaxQueue: 256, PruneSampleEvery: every}, 120)
 	defer s.Shutdown(t.Context())
 	db := s.db
 	const k = 5
@@ -172,10 +179,14 @@ func TestCoalescedBitIdentical(t *testing.T) {
 		label string
 	}
 	wants := make([]want, requests+2)
+	var firstQuerySegments int64 // over the first queries of all TopK requests
 	for i := range wants {
-		hits, err := db.TopKSparse(sigs[i*3].W, k, core.CosineMetric())
+		hits, st, err := db.TopKSparseStats(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i < requests {
+			firstQuerySegments += st.Segments
 		}
 		label, err := db.ClassifySparse(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
@@ -232,8 +243,11 @@ func TestCoalescedBitIdentical(t *testing.T) {
 	if m.Queries != uint64(nQueries) || m.Batches != 2*requests {
 		t.Fatalf("metrics count %d queries in %d batches, want %d in %d", m.Queries, m.Batches, nQueries, 2*requests)
 	}
-	if m.Prune.Samples != requests/2 {
-		t.Fatalf("%d prune samples from %d TopK requests at every 2nd, want %d", m.Prune.Samples, requests, requests/2)
+	if m.Prune.Samples != uint64(requests/every) {
+		t.Fatalf("%d prune samples from %d TopK requests at every %d, want %d", m.Prune.Samples, requests, every, requests/every)
+	}
+	if every == 1 && (firstQuerySegments == 0 || m.Prune.Segments != firstQuerySegments) {
+		t.Fatalf("prune sums count %d walk units, want the first queries' %d", m.Prune.Segments, firstQuerySegments)
 	}
 	if m.QueueDepth != 0 {
 		t.Fatalf("queue depth %d with nothing in flight", m.QueueDepth)
@@ -461,7 +475,7 @@ func TestAbandonedWaiterLeaves(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan error, 2)
 	go func() {
-		_, err := s.topK(ctx, q, 3, core.CosineMetric())
+		err := s.run(ctx, &core.Query{Queries: q, K: 3, Metric: core.CosineMetric(), Hits: make([][]core.SearchResult, 1)})
 		if !errors.Is(err, context.Canceled) {
 			gone <- fmt.Errorf("abandoned topK: err = %v, want context.Canceled", err)
 			return
@@ -496,6 +510,27 @@ func TestAbandonedWaiterLeaves(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Queries != 1 || m.Batches != 1 || m.QueueDepth != 0 {
 		t.Fatalf("at rest: %d queries, %d batches, depth %d; want 1, 1, 0", m.Queries, m.Batches, m.QueueDepth)
+	}
+
+	// Admitted, then abandoned: the request holds a run slot when its
+	// client leaves during query 0 of 3. It stops at the next query
+	// boundary (queries in order: sequential workers), gives the slot
+	// back and is counted nowhere.
+	s.db.SetWorkers(-1)
+	ctx, cancel = context.WithCancel(context.Background())
+	leaving := core.Metric{Name: "leaving", SparseScore: func(x, y *vecmath.Sparse) float64 {
+		cancel()
+		return x.Cosine(y)
+	}}
+	three := core.Query{Queries: []*vecmath.Sparse{sigs[0].W, sigs[1].W, sigs[2].W}, K: 3, Metric: leaving, Hits: make([][]core.SearchResult, 3)}
+	if err := s.run(ctx, &three); !errors.Is(err, context.Canceled) {
+		t.Fatalf("request abandoned while running: err = %v, want context.Canceled", err)
+	}
+	if three.Hits[0] == nil || three.Hits[1] != nil || three.Hits[2] != nil {
+		t.Fatalf("abandoned request ran past the query boundary: %d, %d, %d hits", len(three.Hits[0]), len(three.Hits[1]), len(three.Hits[2]))
+	}
+	if m := s.Metrics(); m.Queries != 1 || m.Batches != 1 || m.QueueDepth != 0 || len(s.gate.slots) != 0 {
+		t.Fatalf("after abandonment in a slot: %d queries, %d batches, depth %d, %d slots held; want 1, 1, 0, 0", m.Queries, m.Batches, m.QueueDepth, len(s.gate.slots))
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package serve is the HTTP/JSON serving layer over the fmeter DB: a
-// query + ingest API in which every query request runs the batched
-// kernels on its own goroutine, behind one admission gate (gate.go)
-// bounding the requests admitted and the kernels running at once. The
-// production shape follows the translation services the Marian line of
-// work converged on: bounded admission, Retry-After backpressure
-// instead of unbounded goroutines, health and metrics endpoints, and a
-// graceful shutdown that lets every admitted request finish first.
+// query + ingest API in which every query request is one core.Query,
+// answered by DB.Query on the request's own goroutine and under its
+// context, behind one admission gate (gate.go) bounding the requests
+// admitted and the requests running at once. The production shape
+// follows the translation services the Marian line of work converged
+// on: bounded admission, Retry-After backpressure instead of unbounded
+// goroutines, health and metrics endpoints, and a graceful shutdown
+// that lets every admitted request finish first.
 package serve
 
 import (
@@ -197,34 +198,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // same admission bound and backpressure. out[i] is queries[i]'s hits,
 // bit-identical to db.TopKSparse(queries[i], k, metric).
 func (s *Server) TopK(queries []*vecmath.Sparse, k int, metric core.Metric) ([][]core.SearchResult, error) {
-	return s.topK(context.Background(), queries, k, metric)
+	q := core.Query{Queries: queries, K: k, Metric: metric, Hits: make([][]core.SearchResult, len(queries))}
+	if err := s.run(context.Background(), &q); err != nil {
+		return nil, err
+	}
+	return q.Hits, nil
 }
 
 // Classify is the programmatic classify twin of TopK.
 func (s *Server) Classify(queries []*vecmath.Sparse, k int, metric core.Metric) ([]string, error) {
-	return s.classify(context.Background(), queries, k, metric)
-}
-
-func (s *Server) topK(ctx context.Context, queries []*vecmath.Sparse, k int, metric core.Metric) ([][]core.SearchResult, error) {
-	out := make([][]core.SearchResult, len(queries))
-	err := s.run(ctx, len(queries), func() error {
-		rest := 0
-		if len(queries) > 0 && queries[0] != nil && s.samplePrune() {
-			// Answered by the stats kernel itself (bit-identical hits by
-			// its contract), on a view pinned apart from the rest's.
-			hits, st, err := s.db.TopKSparseStats(queries[0], k, metric)
-			if err != nil {
-				return err
-			}
-			s.met.observePrune(st)
-			out[0], rest = hits, 1
-		}
-		return s.db.TopKBatchInto(queries[rest:], k, metric, out[rest:])
-	})
-	if err != nil {
+	q := core.Query{Queries: queries, K: k, Metric: metric, Labels: make([]string, len(queries))}
+	if err := s.run(context.Background(), &q); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return q.Labels, nil
+}
+
+// run passes the gate and answers q, one request, on the caller's
+// goroutine and one view. A request refused by the gate, or whose ctx
+// ends while it waits for a run slot or between two of its queries,
+// counts in neither Queries nor Batches. Every PruneSampleEvery-th TopK
+// request also asks for PruneStats — same call, same view, same hits —
+// and its first query's counters feed the /metrics aggregates.
+//
+//fmeter:nondeterministic-ok serving telemetry: per-request kernel wall-clock feeds the Retry-After EWMA
+func (s *Server) run(ctx context.Context, q *core.Query) error {
+	if err := s.gate.enter(ctx); err != nil {
+		return err
+	}
+	if len(q.Hits) > 0 && s.samplePrune() {
+		q.Stats = make([]core.PruneStats, len(q.Queries))
+	}
+	start := time.Now()
+	err := s.db.Query(ctx, q)
+	s.gate.exit(time.Since(start))
+	if err != nil {
+		return err
+	}
+	s.met.observeBatch(len(q.Queries))
+	if len(q.Stats) > 0 {
+		s.met.observePrune(q.Stats[0])
+	}
+	return nil
 }
 
 // samplePrune reports whether this TopK request is the every-Nth one
@@ -232,34 +247,6 @@ func (s *Server) topK(ctx context.Context, queries []*vecmath.Sparse, k int, met
 func (s *Server) samplePrune() bool {
 	every := uint64(s.cfg.PruneSampleEvery)
 	return every != 0 && s.met.pruneTick.Add(1)%every == 0
-}
-
-func (s *Server) classify(ctx context.Context, queries []*vecmath.Sparse, k int, metric core.Metric) ([]string, error) {
-	out := make([]string, len(queries))
-	err := s.run(ctx, len(queries), func() error { return s.db.ClassifyBatchInto(queries, k, metric, out) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// run passes the gate and calls kernel, one request's batched kernel
-// call over nq queries, on the caller's goroutine. A request refused by
-// the gate, or whose ctx ends while it waits for a run slot, never
-// reaches the kernel and counts in neither Queries nor Batches.
-//
-//fmeter:nondeterministic-ok serving telemetry: per-request kernel wall-clock feeds the Retry-After EWMA
-func (s *Server) run(ctx context.Context, nq int, kernel func() error) error {
-	if err := s.gate.enter(ctx); err != nil {
-		return err
-	}
-	start := time.Now()
-	err := kernel()
-	s.gate.exit(time.Since(start))
-	if err == nil {
-		s.met.observeBatch(nq)
-	}
-	return err
 }
 
 // snapshotLoop polls the sealed-segment watermark and snapshots
@@ -348,17 +335,17 @@ type errorBody struct {
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.met.topkRequests.Add(1)
-	queries, k, metric, ok := s.decodeQueryRequest(w, r)
-	if !ok {
+	var q core.Query
+	if !s.decodeQueryRequest(w, r, &q) {
 		return
 	}
-	hits, err := s.topK(r.Context(), queries, k, metric)
-	if err != nil {
+	q.Hits = make([][]core.SearchResult, len(q.Queries))
+	if err := s.run(r.Context(), &q); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	resp := topkResponse{Results: make([][]wireHit, len(hits))}
-	for i, hs := range hits {
+	resp := topkResponse{Results: make([][]wireHit, len(q.Hits))}
+	for i, hs := range q.Hits {
 		row := make([]wireHit, len(hs))
 		for j, h := range hs {
 			row[j] = wireHit{DocID: h.Signature.DocID, Label: h.Signature.Label, Score: h.Score}
@@ -373,16 +360,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.met.classifyRequests.Add(1)
-	queries, k, metric, ok := s.decodeQueryRequest(w, r)
-	if !ok {
+	var q core.Query
+	if !s.decodeQueryRequest(w, r, &q) {
 		return
 	}
-	labels, err := s.classify(r.Context(), queries, k, metric)
-	if err != nil {
+	q.Labels = make([]string, len(q.Queries))
+	if err := s.run(r.Context(), &q); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, classifyResponse{Labels: labels})
+	s.writeJSON(w, http.StatusOK, classifyResponse{Labels: q.Labels})
 	s.met.observeLatency(time.Since(start))
 }
 
@@ -462,67 +449,67 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 }
 
 // decodeQueryRequest decodes and validates a topk/classify body into
-// kernel inputs. On failure it has already written the error response.
-func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) ([]*vecmath.Sparse, int, core.Metric, bool) {
+// q's inputs (Queries, K, Metric). On failure it has already written the
+// error response.
+func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request, q *core.Query) bool {
 	var req queryRequest
 	if !s.decodeBody(w, r, &req) {
-		return nil, 0, core.Metric{}, false
+		return false
 	}
 	if len(req.Queries) == 0 {
 		s.writeTyped(w, http.StatusBadRequest, "bad_request", "request carries no queries")
-		return nil, 0, core.Metric{}, false
+		return false
 	}
 	if len(req.Queries) > s.cfg.MaxQueriesPerRequest {
 		s.writeTyped(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("request carries %d queries, limit %d", len(req.Queries), s.cfg.MaxQueriesPerRequest))
-		return nil, 0, core.Metric{}, false
+		return false
 	}
-	k := req.K
-	if k == 0 {
-		k = 10
+	q.K = req.K
+	if q.K == 0 {
+		q.K = 10
 	}
-	if k < 1 || k > s.cfg.MaxK {
+	if q.K < 1 || q.K > s.cfg.MaxK {
 		s.writeTyped(w, http.StatusBadRequest, "config",
-			fmt.Sprintf("k=%d outside [1, %d]", k, s.cfg.MaxK))
-		return nil, 0, core.Metric{}, false
+			fmt.Sprintf("k=%d outside [1, %d]", q.K, s.cfg.MaxK))
+		return false
 	}
-	var metric core.Metric
 	switch req.Metric {
 	case "", "cosine":
-		metric = core.CosineMetric()
+		q.Metric = core.CosineMetric()
 	case "euclidean":
-		metric = core.EuclideanMetric()
+		q.Metric = core.EuclideanMetric()
 	default:
 		s.writeTyped(w, http.StatusBadRequest, "config",
 			fmt.Sprintf("unknown metric %q (want cosine or euclidean)", req.Metric))
-		return nil, 0, core.Metric{}, false
+		return false
 	}
 	dim := s.db.Dim()
 	if req.Dim != 0 && req.Dim != dim {
 		s.writeError(w, &core.DimensionError{What: "request", Got: req.Dim, Want: dim})
-		return nil, 0, core.Metric{}, false
+		return false
 	}
-	queries := make([]*vecmath.Sparse, len(req.Queries))
-	for i, q := range req.Queries {
-		sp, err := vecmath.SparseFromSorted(dim, q.Idx, q.Val)
+	q.Queries = make([]*vecmath.Sparse, len(req.Queries))
+	for i, wq := range req.Queries {
+		sp, err := vecmath.SparseFromSorted(dim, wq.Idx, wq.Val)
 		if err != nil {
 			// Out-of-range or unsorted indices are dimension-class
 			// errors on the wire: the query doesn't fit the store's
 			// vector space.
 			s.writeTyped(w, http.StatusBadRequest, "dimension",
 				fmt.Sprintf("query %d: %v", i, err))
-			return nil, 0, core.Metric{}, false
+			return false
 		}
 		if n2 := sp.Norm2(); math.IsNaN(n2) || math.IsInf(n2, 0) {
 			// The kernel rejects such a query too, but only once it holds
 			// a run slot: refusing it here costs no admission.
 			s.writeTyped(w, http.StatusBadRequest, "config",
 				fmt.Sprintf("query %d has non-finite weights (squared norm %v)", i, n2))
-			return nil, 0, core.Metric{}, false
+			return false
 		}
-		queries[i] = sp
+		q.Queries[i] = sp
 	}
-	return queries, k, metric, true
+	return true
 }
 
 // --- response writing ---
@@ -577,7 +564,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrEmptyDB):
 		s.writeTyped(w, http.StatusConflict, "empty_db", err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client left, or its deadline passed, waiting for a run slot.
+		// The client left, or its deadline passed, waiting for a run slot
+		// or between two of its queries.
 		s.writeTyped(w, http.StatusServiceUnavailable, "unavailable", err.Error())
 	default:
 		s.writeTyped(w, http.StatusInternalServerError, "internal", err.Error())
