@@ -50,36 +50,12 @@ stress:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
-## bench-smoke: a quick perf-trajectory record (BENCH_baseline.json for
-## wall-clock, BENCH_indexed.json for the retrieval micro-benchmarks:
-## Transform sparse vs dense view, exhaustive-scan vs inverted-index
-## TopK — BenchmarkDBTopKSharded vs BenchmarkDBTopKIndexed — the batched
-## BenchmarkDBTopKBatch/BenchmarkDBClassifyBatch 0-allocs records,
-## BENCH_segments.json for the segmented-store persistence benchmark:
-## full vs incremental SaveDir,
-## BENCH_postings.json for the posting-compression benchmark: index
-## bytes unsealed vs sealed, TopK over both, cold-load
-## mapped vs resident vs rebuild, and BENCH_pruned.json for the pruning
-## scaling ladder: TopK pruned vs unpruned vs theta=0.5 at
-## 10k/100k/1M signatures plus the sealed-segment trajectory under the
-## tier policy, and BENCH_concurrent.json for the mixed read/write
-## benchmark: TopK p50/p99 read-only vs under a fixed-rate concurrent
-## writer with live seals and tier compactions) so future PRs can
-## compare like against like.
-## The serving layer has no record here: its end-to-end numbers are
-## bench/ (BENCHMARK.json), its micro-benchmark is
-## `go test ./internal/serve -run '^$$' -bench ServeTopKParallel`.
-## `fmeter-bench -index=on|off` reproduces the scan/index comparison
-## from the CLI and `-prune=on|off` the pruned/plain sealed walk;
-## `-cpuprofile`/`-memprofile` wrap any run in pprof.
+## bench-smoke: what bench/ cannot show yet — table/figure wall-clock and the
+## 10k → 100k scale ladder (the 1M rung is an off-CI run at the default -scale).
 bench-smoke:
 	$(GO) run ./cmd/fmeter-bench -run table4,fig5 -perclass 60 \
 		-benchjson BENCH_baseline.json -out /tmp/fmeter-reports
-	$(GO) run ./cmd/fmeter-bench -microjson BENCH_indexed.json
-	$(GO) run ./cmd/fmeter-bench -segjson BENCH_segments.json
-	$(GO) run ./cmd/fmeter-bench -postjson BENCH_postings.json
-	$(GO) run ./cmd/fmeter-bench -prunejson BENCH_pruned.json
-	$(GO) run ./cmd/fmeter-bench -mixedjson BENCH_concurrent.json
+	$(GO) run ./cmd/fmeter-bench -prunejson BENCH_pruned.json -scale 100000
 
 fmt:
 	gofmt -l -w .

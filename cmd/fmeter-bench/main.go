@@ -48,13 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers    = fs.Int("workers", 0, "worker-pool bound for parallel sweeps (0 = one per CPU, <0 = sequential; results are identical at any setting)")
 		sparse     = fs.Bool("sparse", false, "use the O(nnz) norm-cached K-means assignment step in the clustering experiments")
 		benchJSON  = fs.String("benchjson", "", "write per-experiment wall-clock seconds to this JSON file (perf trajectory for future PRs)")
-		microJSON  = fs.String("microjson", "", "run the retrieval micro-benchmarks (Transform, scan vs indexed TopK, batched TopK) and write them to this JSON file, then exit")
-		segJSON    = fs.String("segjson", "", "run the segmented-store persistence benchmark (full vs incremental SaveDir) and write it to this JSON file, then exit")
-		postJSON   = fs.String("postjson", "", "run the posting-compression benchmark (index bytes unsealed vs sealed, TopK over both, cold-load mapped vs resident vs rebuild) and write it to this JSON file, then exit")
-		indexMode  = fs.String("index", "off", "route the BenchmarkDBTopKSharded micro-benchmark DBs through the inverted index (on) or the exhaustive scan (off) — the CLI knob for reproducing the scan/index comparison; BenchmarkDBTopKIndexed and BenchmarkDBTopKBatch are always indexed")
-		pruneMode  = fs.String("prune", "on", "route the BenchmarkDBTopKSealed micro-benchmark DBs through the threshold-pruned walk (on) or the plain sealed walk (off) — the CLI knob for A/B-ing pruning, like -index A/Bs the scan")
-		pruneJSON  = fs.String("prunejson", "", "run the threshold-pruning scale benchmark (synthetic signature ladder up to -scale, pruned vs unpruned vs approximate TopK, sealed-segment trajectory under the tier compaction policy; both pruning arms are always measured regardless of -prune) and write it to this JSON file, then exit")
-		mixedJSON  = fs.String("mixedjson", "", "run the concurrent-query benchmark (TopK p50/p99 read-only vs under a fixed-rate concurrent writer with live seals and tier compactions) and write it to this JSON file, then exit")
+		pruneJSON  = fs.String("prunejson", "", "run the scale benchmark (synthetic signature ladder up to -scale: TopK latency, pruning counters and the sealed-segment trajectory under the tier compaction policy at each rung) and write it to this JSON file, then exit")
 		scale      = fs.Int("scale", 1_000_000, "corpus ceiling for -prunejson: the ladder measures at 10k and 100k signatures, then at this count")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -88,38 +82,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 	}
-	var indexOn bool
-	switch *indexMode {
-	case "on":
-		indexOn = true
-	case "off":
-		indexOn = false
-	default:
-		return fmt.Errorf("-index must be on or off, got %q", *indexMode)
-	}
-	var pruneOn bool
-	switch *pruneMode {
-	case "on":
-		pruneOn = true
-	case "off":
-		pruneOn = false
-	default:
-		return fmt.Errorf("-prune must be on or off, got %q", *pruneMode)
-	}
-	if *microJSON != "" {
-		return runMicroBench(*microJSON, indexOn, pruneOn, stderr)
-	}
 	if *pruneJSON != "" {
 		return runPruneBench(*pruneJSON, *scale, stderr)
-	}
-	if *segJSON != "" {
-		return runSegBench(*segJSON, stderr)
-	}
-	if *postJSON != "" {
-		return runPostBench(*postJSON, stderr)
-	}
-	if *mixedJSON != "" {
-		return runMixedBench(*mixedJSON, stderr)
 	}
 
 	selected := make(map[string]bool)

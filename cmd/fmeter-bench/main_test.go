@@ -65,13 +65,6 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadIndexMode(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-run", "fig1", "-index", "maybe"}, &out, &errBuf); err == nil {
-		t.Error("-index=maybe should fail")
-	}
-}
-
 func TestCapSizes(t *testing.T) {
 	p := experiments.DefaultFig5Params()
 	capSizes(&p, 80)

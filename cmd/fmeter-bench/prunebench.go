@@ -17,12 +17,12 @@ import (
 
 // pruneRecord is the BENCH_pruned.json artifact: TopK latency over a
 // synthetic corpus ladder (10k → -scale signatures in the paper's
-// 3815-dim space) with threshold pruning on, off, and in approximate
-// mode, plus the sealed-segment trajectory under the tier compaction
-// policy. The headline numbers are the growth factors at the bottom: a
-// 100× corpus must grow pruned TopK latency by well under 100× (the
-// sub-linear claim), while the policy keeps the sealed-segment count
-// inside the tier budget throughout ingestion.
+// 3815-dim space) plus the sealed-segment trajectory under the tier
+// compaction policy — the scale rung bench/ does not have yet. The
+// headline numbers are the growth factors at the bottom: a 100× corpus
+// must grow TopK latency by well under 100× (the sub-linear claim),
+// while the policy keeps the sealed-segment count inside the tier
+// budget throughout ingestion.
 type pruneRecord struct {
 	Timestamp   string `json:"timestamp"`
 	GoMaxProcs  int    `json:"gomaxprocs"`
@@ -36,9 +36,24 @@ type pruneRecord struct {
 	Scales []pruneScale `json:"scales"`
 
 	// Growth factors between the smallest and largest rung.
-	GrowthCorpus         float64 `json:"growth_corpus_factor"`
-	GrowthPrunedCosine   float64 `json:"growth_pruned_cosine_latency_factor"`
-	GrowthUnprunedCosine float64 `json:"growth_unpruned_cosine_latency_factor"`
+	GrowthCorpus float64 `json:"growth_corpus_factor"`
+	GrowthCosine float64 `json:"growth_cosine_latency_factor"`
+}
+
+// microBench is one benchmark's headline numbers.
+type microBench struct {
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+}
+
+// toMicroBench converts a testing.BenchmarkResult.
+func toMicroBench(r testing.BenchmarkResult) microBench {
+	return microBench{
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+	}
 }
 
 // pruneScale is one rung of the corpus ladder.
@@ -61,16 +76,11 @@ type pruneScale struct {
 	SealedMaxDuringIngest int `json:"sealed_max_during_ingest"`
 	TierBudget            int `json:"tier_budget"`
 
-	// TopK latency per arm: "<metric>/pruned", "<metric>/unpruned",
-	// "<metric>/theta=0.5".
+	// TopK latency per metric name.
 	TopK map[string]microBench `json:"topk"`
 
-	// ThetaRecall is approximate mode's recall@k against the exact
-	// result over the probe queries.
-	ThetaRecall map[string]float64 `json:"theta_recall"`
-
-	// PruneStats are one exact-mode cosine query's counters at this
-	// rung — what fraction of the corpus the walk actually touched.
+	// PruneStats are one cosine query's counters at this rung — what
+	// fraction of the corpus the walk actually touched.
 	PruneStats core.PruneStats `json:"prune_stats"`
 }
 
@@ -187,8 +197,9 @@ func tierBudget(perShard, segSize, fanout, shards int) int {
 }
 
 // runPruneBench builds the ladder corpus once (each rung extends the
-// previous), measuring ingestion, the segment trajectory, and the TopK
-// arms at every rung, then writes the JSON record.
+// previous), measuring ingestion, the segment trajectory, and TopK
+// under both indexable metrics at every rung, then writes the JSON
+// record.
 //
 //fmeter:nondeterministic-ok bench harness: ladder timing and run timestamps
 func runPruneBench(path string, scale int, stderr io.Writer) error {
@@ -282,86 +293,38 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 			SealedMaxDuringIngest: sealedMax,
 			TierBudget:            tierBudget((docs+shards-1)/shards, segSize, fanout, shards),
 			TopK:                  make(map[string]microBench),
-			ThetaRecall:           make(map[string]float64),
 		}
 		fmt.Fprintf(stderr, "== %d signatures: %d segments (%d sealed, budget %d), %.1f MiB postings, %.1f MiB heap in use ==\n",
 			docs, sc.Segments, sc.SealedSegments, sc.TierBudget,
 			float64(sc.IndexBytes)/(1<<20), float64(sc.HeapInuseBytes)/(1<<20))
 
 		for _, metric := range metrics {
-			exact := make([][]core.SearchResult, nProbe)
-			for qi, q := range queries {
-				if exact[qi], err = db.TopKSparse(q, k, metric); err != nil {
-					return err
-				}
-			}
-			arms := []struct {
-				name  string
-				prune bool
-				theta float64
-			}{
-				{"pruned", true, 1},
-				{"unpruned", false, 1},
-				{"theta=0.5", true, 0.5},
-			}
-			for _, arm := range arms {
-				db.SetPruned(arm.prune)
-				db.SetPruneTheta(arm.theta)
-				name := metric.Name + "/" + arm.name
-				res := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := db.TopKSparse(queries[i%nProbe], k, metric); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				sc.TopK[name] = toMicroBench(res)
-				fmt.Fprintf(stderr, "%-28s %14.0f ns/op %8d B/op %6d allocs/op\n",
-					name, sc.TopK[name].NsPerOp, sc.TopK[name].BytesPerOp, sc.TopK[name].AllocsPerOp)
-			}
-			// Approximate-mode recall against the exact result.
-			db.SetPruned(true)
-			db.SetPruneTheta(0.5)
-			overlap, total := 0, 0
-			for qi, q := range queries {
-				approx, err := db.TopKSparse(q, k, metric)
-				if err != nil {
-					return err
-				}
-				got := make(map[string]bool, len(approx))
-				for _, h := range approx {
-					got[h.Signature.DocID] = true
-				}
-				for _, h := range exact[qi] {
-					total++
-					if got[h.Signature.DocID] {
-						overlap++
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.TopKSparse(queries[i%nProbe], k, metric); err != nil {
+						b.Fatal(err)
 					}
 				}
-			}
-			sc.ThetaRecall[metric.Name] = float64(overlap) / float64(total)
-			db.SetPruneTheta(1)
-			if metric.Name == "cosine" {
-				if _, st, err := db.TopKSparseStats(queries[0], k, metric); err != nil {
-					return err
-				} else {
-					sc.PruneStats = st
-				}
-			}
+			})
+			mb := toMicroBench(res)
+			sc.TopK[metric.Name] = mb
+			fmt.Fprintf(stderr, "%-28s %14.0f ns/op %8d B/op %6d allocs/op\n",
+				metric.Name, mb.NsPerOp, mb.BytesPerOp, mb.AllocsPerOp)
 		}
-		db.SetPruned(true)
-		db.SetPruneTheta(1)
+		_, st, err := db.TopKSparseStats(queries[0], k, core.CosineMetric())
+		if err != nil {
+			return err
+		}
+		sc.PruneStats = st
 		rec.Scales = append(rec.Scales, sc)
 	}
 
 	if len(rec.Scales) > 1 {
 		first, last := rec.Scales[0], rec.Scales[len(rec.Scales)-1]
 		rec.GrowthCorpus = float64(last.Docs) / float64(first.Docs)
-		rec.GrowthPrunedCosine = last.TopK["cosine/pruned"].NsPerOp / first.TopK["cosine/pruned"].NsPerOp
-		rec.GrowthUnprunedCosine = last.TopK["cosine/unpruned"].NsPerOp / first.TopK["cosine/unpruned"].NsPerOp
-		fmt.Fprintf(stderr, "corpus x%.0f: pruned cosine TopK x%.1f, unpruned x%.1f\n",
-			rec.GrowthCorpus, rec.GrowthPrunedCosine, rec.GrowthUnprunedCosine)
+		rec.GrowthCosine = last.TopK["cosine"].NsPerOp / first.TopK["cosine"].NsPerOp
+		fmt.Fprintf(stderr, "corpus x%.0f: cosine TopK x%.1f\n", rec.GrowthCorpus, rec.GrowthCosine)
 	}
 
 	buf, err := json.MarshalIndent(rec, "", "  ")

@@ -248,9 +248,16 @@ func TestShardedDBFacade(t *testing.T) {
 	}
 }
 
+// scanOf rebuilds m from its public fields. The copy carries no kind,
+// so — like any custom metric — it takes the scan arm: the reference
+// the indexed and pruned answers are held to.
+func scanOf(m Metric) Metric {
+	return Metric{Name: m.Name, Score: m.Score, SparseScore: m.SparseScore, HigherIsCloser: m.HigherIsCloser}
+}
+
 // TestBatchFacade drives the batched retrieval facade: TopKBatch and
-// ClassifyBatch are bit-identical to their per-query counterparts, and
-// WithIndex(false) forces the scan without changing any result.
+// ClassifyBatch are bit-identical to their per-query counterparts on
+// the scan arm (scanOf).
 func TestBatchFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 9, Workers: -1})
 	if err != nil {
@@ -278,14 +285,7 @@ func TestBatchFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := NewDB(sys.Dim(), WithShards(3), WithIndex(false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := indexed.AddAll(store); err != nil {
-		t.Fatal(err)
-	}
-	if err := scanned.AddAll(store); err != nil {
 		t.Fatal(err)
 	}
 
@@ -299,7 +299,7 @@ func TestBatchFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		single, err := scanned.TopKSparse(q, 5, metric)
+		single, err := indexed.TopKSparse(q, 5, scanOf(metric))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestBatchFacade(t *testing.T) {
 					batch[qi][i].Signature.DocID, batch[qi][i].Score, single[i].Signature.DocID, single[i].Score)
 			}
 		}
-		label, err := scanned.ClassifySparse(q, 5, metric)
+		label, err := indexed.ClassifySparse(q, 5, scanOf(metric))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,6 +395,13 @@ func TestSaveOpenDBFacade(t *testing.T) {
 	back, err := OpenDB(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh, err := NewDB(sys.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, n := back.Publishes(), fresh.Publishes(); o != 0 || n != 0 {
+		t.Fatalf("an option-less OpenDB / NewDB published %d / %d views before any mutation, want 0 / 0", o, n)
 	}
 	got, err := back.TopKSparse(query.W, 3, EuclideanMetric())
 	if err != nil {
@@ -552,10 +559,10 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 	}
 }
 
-// TestPruningFacade wires the new retrieval knobs through the facade:
-// WithPruning/WithPruneTheta/WithCompactionPolicy reach the DB, pruned
-// results stay bit-identical to the forced scan, the pruning counters
-// are visible, and a bad tier fan-out surfaces as a typed ConfigError.
+// TestPruningFacade drives the pruned walk through the facade:
+// WithCompactionPolicy reaches the DB, the sealed store's results stay
+// bit-identical to the scan arm's, the pruning counters are visible,
+// and a bad tier fan-out surfaces as a typed ConfigError.
 func TestPruningFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 17, Workers: -1})
 	if err != nil {
@@ -571,31 +578,17 @@ func TestPruningFacade(t *testing.T) {
 	}
 	query, rest := sigs[0], sigs[1:]
 
-	pruned, err := NewDB(sys.Dim(), WithShards(2), WithSegmentSize(8),
-		WithPruning(true), WithCompactionPolicy(2))
+	pruned, err := NewDB(sys.Dim(), WithShards(2), WithSegmentSize(8), WithCompactionPolicy(2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !pruned.Pruned() {
-		t.Fatal("WithPruning(true) did not stick")
 	}
 	if pruned.CompactionPolicy().TierFanout != 2 {
 		t.Fatalf("tier fan-out = %d, want 2", pruned.CompactionPolicy().TierFanout)
-	}
-	scan, err := NewDB(sys.Dim(), WithPruning(false), WithIndex(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.Pruned() {
-		t.Fatal("WithPruning(false) did not stick")
 	}
 	if err := pruned.AddAll(rest); err != nil {
 		t.Fatal(err)
 	}
 	pruned.Seal()
-	if err := scan.AddAll(rest); err != nil {
-		t.Fatal(err)
-	}
 	got, st, err := pruned.TopKSparseStats(query.W, 5, CosineMetric())
 	if err != nil {
 		t.Fatal(err)
@@ -603,7 +596,7 @@ func TestPruningFacade(t *testing.T) {
 	if st.Segments == 0 {
 		t.Fatalf("stats saw no segments: %+v", st)
 	}
-	want, err := scan.TopKSparse(query.W, 5, CosineMetric())
+	want, err := pruned.TopKSparse(query.W, 5, scanOf(CosineMetric()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,14 +605,6 @@ func TestPruningFacade(t *testing.T) {
 			t.Fatalf("pruned hit %d = (%s, %v), scan says (%s, %v)",
 				i, got[i].Signature.DocID, got[i].Score, want[i].Signature.DocID, want[i].Score)
 		}
-	}
-
-	approx, err := NewDB(sys.Dim(), WithPruneTheta(0.75))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := approx.PruneTheta(); got != 0.75 {
-		t.Fatalf("PruneTheta = %v, want 0.75", got)
 	}
 
 	var ce *ConfigError

@@ -95,7 +95,7 @@ type (
 	// configuration parameters (shard count, dimension, tier fan-out).
 	ConfigError = core.ConfigError
 	// PruneStats are one query's threshold-pruning counters (see
-	// Query.Stats), the inspectable side of WithPruning A/Bs.
+	// Query.Stats).
 	PruneStats = core.PruneStats
 	// CompactionPolicy configures background size-tiered compaction
 	// (see WithCompactionPolicy / db.SetCompactionPolicy).
@@ -202,9 +202,6 @@ type perfOpts struct {
 	sparse     bool
 	shards     int
 	segSize    int
-	noIndex    bool
-	noPrune    bool
-	pruneTheta float64
 	tierFanout int
 	mapped     bool
 }
@@ -224,12 +221,6 @@ func WithSparse(on bool) Option { return func(o *perfOpts) { o.sparse = on } }
 // TopK scan fan-out across the worker pool.
 func WithShards(n int) Option { return func(o *perfOpts) { o.shards = n } }
 
-// WithIndex routes NewDB queries through the per-shard inverted index
-// (the default) or forces the exhaustive scan, for A/B comparison —
-// results are bit-identical either way. Cosine and Euclidean ride the
-// index; other metrics always scan.
-func WithIndex(on bool) Option { return func(o *perfOpts) { o.noIndex = !on } }
-
 // WithSegmentSize sets NewDB's per-shard seal threshold (n < 1 keeps
 // the default): an active segment rolling past it is sealed, which
 // re-encodes its posting lists into the block-compressed form (several
@@ -237,21 +228,6 @@ func WithIndex(on bool) Option { return func(o *perfOpts) { o.noIndex = !on } }
 // results are bit-identical at any setting. Call db.Seal() to compress
 // the current actives explicitly, e.g. before a save.
 func WithSegmentSize(n int) Option { return func(o *perfOpts) { o.segSize = n } }
-
-// WithPruning routes NewDB's indexed cosine/Euclidean queries through
-// the threshold-pruned walk (the default) or forces the plain
-// accumulate-everything indexed walk, for A/B comparison — exact-mode
-// results are bit-identical either way, the pruned walk just skips
-// posting blocks that provably cannot change the top k. Per-query
-// skip counters come back in Query.Stats (see PruneStats).
-func WithPruning(on bool) Option { return func(o *perfOpts) { o.noPrune = !on } }
-
-// WithPruneTheta sets the approximate pruning mode: remainder bounds
-// are scaled by theta before being compared against the current k-th
-// best score, so theta in (0, 1) prunes more aggressively with a
-// bounded recall loss. 1 (the default) is exact; values outside (0, 1]
-// clamp to 1.
-func WithPruneTheta(theta float64) Option { return func(o *perfOpts) { o.pruneTheta = theta } }
 
 // WithCompactionPolicy enables NewDB's background size-tiered
 // compaction: whenever a segment seals, runs of tierFanout adjacent
@@ -577,17 +553,16 @@ func NewDB(dim int, opts ...Option) (*DB, error) {
 }
 
 // configureDB applies the perf options shared by NewDB and OpenDB to a
-// constructed or loaded database. With zero-value options every setter
-// is a keep-the-default no-op, so plain opens behave exactly as before.
+// constructed or loaded database. Only an option that was given calls
+// its setter, so a plain NewDB or OpenDB publishes no view of its own.
 // On error the DB is closed first, so a mapped load never leaks its
 // file mappings.
 func configureDB(db *DB, o perfOpts) (*DB, error) {
-	db.SetWorkers(o.workers)
-	db.SetIndexed(!o.noIndex)
-	db.SetSegmentSize(o.segSize)
-	db.SetPruned(!o.noPrune)
-	if o.pruneTheta != 0 {
-		db.SetPruneTheta(o.pruneTheta)
+	if o.workers != 0 {
+		db.SetWorkers(o.workers)
+	}
+	if o.segSize > 0 {
+		db.SetSegmentSize(o.segSize)
 	}
 	if o.tierFanout > 0 {
 		if err := db.SetCompactionPolicy(core.CompactionPolicy{TierFanout: o.tierFanout}); err != nil {

@@ -26,10 +26,11 @@ func stressN(normal, stressed int) int {
 // refResults precomputes, for every store prefix length n in [0, N],
 // the serialized-execution answer of each query: TopK hits and the
 // classify label a quiescent DB holding exactly sigs[:n] returns. The
-// reference DB is single-shard, default layout — the bit-identical-at-
-// any-layout guarantee (property-swept elsewhere) makes it a valid
-// reference for every sharding, sealing, compaction, and mapped/
-// resident combination the concurrent sweep runs.
+// reference DB is single-shard, default layout, queried on the scan arm
+// (scanMetric) — the bit-identical-at-any-layout guarantee
+// (property-swept elsewhere) makes it a valid reference for every
+// sharding, sealing, compaction, and mapped/resident combination the
+// concurrent sweep runs.
 type refResults struct {
 	hits   [][][]SearchResult // [n][qi]
 	labels [][]string         // [n][qi]
@@ -57,12 +58,8 @@ func buildRef(t *testing.T, sigs []Signature, queries []*vecmath.Sparse, k int, 
 			continue
 		}
 		for qi, q := range queries {
-			hits, err := rdb.TopKSparse(q, k, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.hits[n][qi] = hits
-			label, err := rdb.ClassifySparse(q, k, metric)
+			ref.hits[n][qi] = scanResults(t, rdb, q, k, metric)
+			label, err := rdb.ClassifySparse(q, k, scanMetric(metric))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,9 +209,13 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 							return
 						}
 					case i%23 == 0:
-						db.SetPruned(i%46 == 0)
-					case i%29 == 0:
-						db.SetIndexed(i%58 == 0)
+						// A query-config publish: no shard reaches the
+						// floor (plain walk), then every shard does.
+						if i%46 == 0 {
+							db.setPruneFloor(1)
+						} else {
+							db.setPruneFloor(math.MaxInt)
+						}
 					}
 				}
 			}()

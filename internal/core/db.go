@@ -273,13 +273,8 @@ type DB struct {
 	dim     int
 	workers int
 	total   int
-	noIndex bool
-	// noPrune forces the plain indexed walk; pruneTheta (0 meaning 1)
-	// is the approximate-mode relaxation; pruneFloor (0 meaning
-	// pruneMinRows) is the shard-size floor below which pruning is not
-	// attempted — see prune.go.
-	noPrune    bool
-	pruneTheta float64
+	// pruneFloor (0 meaning pruneMinRows) is the shard-size floor below
+	// which pruning is not attempted — see prune.go.
 	pruneFloor int
 	// runLen (0 meaning activeRunLen) is the active-segment run length;
 	// only tests override it — see segment.go.
@@ -372,24 +367,6 @@ func (db *DB) SetWorkers(n int) {
 	defer db.mu.Unlock()
 	db.workers = n
 	db.publishLocked()
-}
-
-// SetIndexed routes queries through the inverted index (the default) or
-// forces the exhaustive scan, for A/B comparison; results are identical
-// either way. The posting structures are maintained regardless, so
-// flipping back is free. In-flight queries keep the setting they pinned.
-func (db *DB) SetIndexed(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.noIndex = !on
-	db.publishLocked()
-}
-
-// Indexed reports whether queries ride the inverted index.
-func (db *DB) Indexed() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return !db.noIndex
 }
 
 // Shards returns the shard count.
@@ -1013,13 +990,12 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 	if k > v.total {
 		k = v.total
 	}
-	useIndex := !v.cfg.noIndex && metric.indexable()
 	// The indexed path gathers every canonical dot from a dense view of
 	// the query and the dense fallback scores against one: the pooled
 	// vector, scattered once here, only read by the shards, and zeroed
 	// again over the query's own support on the way out.
 	var denseQuery vecmath.Vector
-	if useIndex || metric.SparseScore == nil {
+	if metric.indexable() || metric.SparseScore == nil {
 		denseQuery = sc.qd
 		query.Scatter(denseQuery)
 		defer query.Unscatter(denseQuery)
@@ -1029,11 +1005,11 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 		// (queries fan out, shards stay sequential) builds no closure
 		// and stays allocation-free.
 		for si := range v.shards {
-			if err := topkShard(v, si, &sc.shards[si], query, denseQuery, k, metric, useIndex, qNorm2); err != nil {
+			if err := topkShard(v, si, &sc.shards[si], query, denseQuery, k, metric, qNorm2); err != nil {
 				return nil, err
 			}
 		}
-	} else if err := topkShardsParallel(v, workers, sc, query, denseQuery, k, metric, useIndex, qNorm2); err != nil {
+	} else if err := topkShardsParallel(v, workers, sc, query, denseQuery, k, metric, qNorm2); err != nil {
 		return nil, err
 	}
 	merged := &sc.shards[0].heap
@@ -1066,21 +1042,21 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 // It lives apart from topk so the closure (and the captures it boxes)
 // exists only on the parallel path; the sequential path stays
 // allocation-free.
-func topkShardsParallel(v *dbView, workers int, sc *dbScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, useIndex bool, qNorm2 float64) error {
+func topkShardsParallel(v *dbView, workers int, sc *dbScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, qNorm2 float64) error {
 	return parallel.For(workers, len(v.shards), func(si int) error {
-		return topkShard(v, si, &sc.shards[si], query, denseQuery, k, metric, useIndex, qNorm2)
+		return topkShard(v, si, &sc.shards[si], query, denseQuery, k, metric, qNorm2)
 	})
 }
 
 // topkShard scores one shard's signatures against the query into the
 // shard's scratch heap, walking the shard's segments in order: the
-// inverted-index accumulate when useIndex, the sparse merge-walk scan
-// when the metric has a sparse path, the dense-materializing scan
+// inverted-index accumulate when the metric is indexable, the sparse
+// merge-walk scan when it has a sparse path, the dense-materializing scan
 // otherwise. Segment boundaries never change a score — each candidate's
 // arithmetic is per-signature — and the heap's (score, insertion index)
 // total order never depends on arrival order, so results are
 // bit-identical at any segment layout.
-func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, useIndex bool, qNorm2 float64) error {
+func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, qNorm2 float64) error {
 	vs := &v.shards[si]
 	h := &ss.heap
 	h.reset(metric.HigherIsCloser)
@@ -1091,7 +1067,7 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 		return nil
 	}
 	switch {
-	case useIndex:
+	case metric.indexable():
 		// Inverted-index path, one walk unit at a time. Every score that
 		// reaches the heap is the same float sequence whichever arm
 		// produces it: the row's products with the query in ascending
@@ -1103,25 +1079,24 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 		// the pruning seeds, the pruned walk's survivors, and any indexed
 		// unit the walk would cost more than scanning (scanBeatsWalk).
 		//
-		// With pruning on (the default) and the shard's first rows indexed,
-		// a strided sample of min(k, len) candidates plus the head of the
-		// query's highest-impact posting list is scored up front so the
+		// With the shard at or above the prune floor and its first rows
+		// indexed, a strided sample of min(k, len) candidates plus the head
+		// of the query's highest-impact posting list is scored up front so the
 		// heap holds a displacement threshold before any unit is walked;
 		// indexed units then take the threshold-pruned walk (prune.go) and
 		// the seed rows are excluded from every later offer loop. The
 		// heap's (score, index) total order is arrival-independent, so
-		// results stay bit-identical with pruning on or off.
+		// results are bit-identical whether a shard is pruned or not.
 		cosine := metric.kind == metricKindCosine
-		prune := !v.cfg.noPrune && vs.segs[0].blocks != nil && len(vs.sigs) >= v.cfg.pruneFloor
+		prune := vs.segs[0].blocks != nil && len(vs.sigs) >= v.cfg.pruneFloor
 		var seeds []int32
 		if prune {
 			seeds = seedHeap(vs, &ss.prune, h, k, query, denseQuery, cosine, qNorm2)
 			prune = len(h.idx) == k
 		}
-		theta := v.cfg.pruneTheta
 		for _, sg := range vs.segs {
 			ss.stats.Segments++
-			if prune && sg.blocks != nil && prunedSegment(vs, sg, ss, h, k, query, denseQuery, cosine, qNorm2, theta, seeds) {
+			if prune && sg.blocks != nil && prunedSegment(vs, sg, ss, h, k, query, denseQuery, cosine, qNorm2, seeds) {
 				continue
 			}
 			if sg.blocks == nil || sg.blocks.scanBeatsWalk(query) {

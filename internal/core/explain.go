@@ -112,9 +112,8 @@ func abs(x float64) float64 {
 }
 
 // PruneStats are one query's threshold-pruning counters — the
-// operator-facing "what did pruning actually buy" view for -prune A/Bs
-// (see prune.go). All counters cover the indexed path only; scan
-// queries report zeros.
+// operator-facing "what did pruning actually buy" view (see prune.go).
+// All counters cover the indexed path only; scan queries report zeros.
 type PruneStats struct {
 	// Segments is the number of walk units the indexed walk visited —
 	// sealed segments, each posting run of an active segment, and an

@@ -69,14 +69,19 @@ func TestIndexDimensionPanics(t *testing.T) {
 	mustPanic("Dots", func() { ix.Dots(bad, &acc) })
 }
 
-// scanResults evaluates TopKSparse with the index disabled, restoring
-// the previous routing afterwards.
+// scanMetric is m with its kind cleared: the same SparseScore, no
+// longer indexable, so a query under it takes the generic scan arm
+// (topkShard's SparseScore case) by construction — the sweeps'
+// reference answer.
+func scanMetric(m Metric) Metric {
+	m.kind = metricKindOther
+	return m
+}
+
+// scanResults evaluates TopKSparse on the scan arm.
 func scanResults(t *testing.T, db *DB, q *vecmath.Sparse, k int, m Metric) []SearchResult {
 	t.Helper()
-	prev := db.Indexed()
-	db.SetIndexed(false)
-	defer db.SetIndexed(prev)
-	res, err := db.TopKSparse(q, k, m)
+	res, err := db.TopKSparse(q, k, scanMetric(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +133,6 @@ func TestTopKIndexedMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref.SetWorkers(-1)
-		ref.SetIndexed(false)
 		if err := ref.AddAll(sigs); err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +154,7 @@ func TestTopKIndexedMatchesScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameResults(t, tag+" indexed-vs-scan", indexed, scanResults(t, db, query, k, m))
-					want, err := ref.TopKSparse(query, k, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, tag+" vs-single-shard-ref", indexed, want)
+					sameResults(t, tag+" vs-single-shard-ref", indexed, scanResults(t, ref, query, k, m))
 				}
 			}
 		}
@@ -316,16 +316,14 @@ func TestIndexedTypedErrors(t *testing.T) {
 	ok := vecmath.DenseToSparse(vecmath.Vector{1, 0, 0, 2, 0, 0, 0, 3})
 
 	// Empty DB: both entry points, both routings.
-	for _, indexed := range []bool{true, false} {
-		db.SetIndexed(indexed)
-		if _, err := db.TopKSparse(ok, 1, EuclideanMetric()); !errors.Is(err, ErrEmptyDB) {
-			t.Fatalf("indexed=%v empty-db error = %v, want ErrEmptyDB", indexed, err)
+	for _, m := range []Metric{EuclideanMetric(), scanMetric(EuclideanMetric())} {
+		if _, err := db.TopKSparse(ok, 1, m); !errors.Is(err, ErrEmptyDB) {
+			t.Fatalf("indexable=%v empty-db error = %v, want ErrEmptyDB", m.indexable(), err)
 		}
-		if _, err := db.TopKBatch([]*vecmath.Sparse{ok}, 1, EuclideanMetric()); !errors.Is(err, ErrEmptyDB) {
-			t.Fatalf("indexed=%v batch empty-db error = %v, want ErrEmptyDB", indexed, err)
+		if _, err := db.TopKBatch([]*vecmath.Sparse{ok}, 1, m); !errors.Is(err, ErrEmptyDB) {
+			t.Fatalf("indexable=%v batch empty-db error = %v, want ErrEmptyDB", m.indexable(), err)
 		}
 	}
-	db.SetIndexed(true)
 
 	// Dimension mismatch: typed, and batch errors name the query index.
 	if err := db.AddAll(randSigs(rand.New(rand.NewSource(1)), 6, 8, 3)); err != nil {
@@ -452,9 +450,6 @@ func TestIndexSurvivesSnapshotRoundTrip(t *testing.T) {
 	}
 	restored := reshard(t, loaded, 5)
 	sameStore(t, "resharded", restored, db)
-	if !restored.Indexed() {
-		t.Fatal("restored DB should route through the index by default")
-	}
 	for tag, d := range map[string]*DB{"post-reload": loaded, "post-reshard": restored} {
 		got, err := d.TopKSparse(query, k, EuclideanMetric())
 		if err != nil {

@@ -33,14 +33,11 @@ import (
 //     Unlisted candidates are covered wholesale by step 1's bound.
 //
 // Bound arithmetic only ever *filters*; every score that reaches the
-// heap is the canonical one, so exact mode (theta == 1) is bit-identical
-// to the scan at any segment layout, shard count, or worker count — see
+// heap is the canonical one, so the result is bit-identical to the scan
+// at any segment layout, shard count, or worker count — see
 // DESIGN-PERF.md Layer 7 for the full exactness argument, including why
 // pruneEps absorbs the float non-associativity between the bound sums
-// and the canonical dot. theta < 1 shrinks the remainder bounds before
-// comparison (opt-in approximate mode): blocks and candidates whose
-// possible contribution is small relative to the threshold get dropped
-// early, trading a bounded recall loss for speed.
+// and the canonical dot.
 //
 // The walk prunes against the shard heap's root, so it only engages
 // once the heap is full; topkShard seeds the heap (seedHeap) before the
@@ -134,54 +131,6 @@ func (s *impactSorter) Less(a, b int) bool {
 	return s.ord[a] < s.ord[b]
 }
 func (s *impactSorter) Swap(a, b int) { s.ord[a], s.ord[b] = s.ord[b], s.ord[a] }
-
-// SetPruned routes indexed queries through the threshold-pruned walk
-// (the default) or forces the plain accumulate-everything indexed walk,
-// for A/B comparison; exact-mode results are bit-identical either way.
-// In-flight queries keep the setting they pinned.
-func (db *DB) SetPruned(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.noPrune = !on
-	db.publishLocked()
-}
-
-// Pruned reports whether indexed queries use the threshold-pruned walk.
-func (db *DB) Pruned() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return !db.noPrune
-}
-
-// SetPruneTheta sets the approximate-mode relaxation: remainder bounds
-// are scaled by theta before being compared against the heap root.
-// theta == 1 (the default) is exact; theta in (0, 1) prunes more
-// aggressively with a bounded recall loss. Values outside (0, 1] are
-// clamped to 1. In-flight queries keep the setting they pinned.
-func (db *DB) SetPruneTheta(theta float64) {
-	if !(theta > 0 && theta <= 1) {
-		theta = 1
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.pruneTheta = theta
-	db.publishLocked()
-}
-
-// PruneTheta returns the active approximate-mode relaxation (1 = exact).
-func (db *DB) PruneTheta() float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.pruneThetaLocked()
-}
-
-// pruneThetaLocked is PruneTheta for callers already holding db.mu.
-func (db *DB) pruneThetaLocked() float64 {
-	if db.pruneTheta == 0 {
-		return 1
-	}
-	return db.pruneTheta
-}
 
 // beginStamps opens a fresh stamp epoch over the n rows of the walk unit
 // starting at shard row start, with the seed rows inside it already
@@ -312,7 +261,7 @@ func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecma
 // proven skippable or the walk stops paying before it ends; the caller
 // then scores the unit whole. seeds holds the shard rows the seed passes
 // already offered (ascending); the caller guarantees the heap is full.
-func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2, theta float64, seeds []int32) bool {
+func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2 float64, seeds []int32) bool {
 	bp := sg.blocks
 	ps := &ss.prune
 	idx, val := query.Support(), query.Values()
@@ -368,7 +317,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// this unit is provably skippable.
 	cut := -1
 	for i := 0; i <= m; i++ {
-		if canSkip(theta * ps.suffix[i] * (1 + pruneEps)) {
+		if canSkip(ps.suffix[i] * (1 + pruneEps)) {
 			cut = i
 			break
 		}
@@ -410,7 +359,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 			bb := aq * bd.maxAbsW
 			if bb == 0 {
 				blocksSkipped++
-			} else if canSkip(theta * (ps.suffix[cut] + skipped + bb) * (1 + pruneEps)) {
+			} else if canSkip((ps.suffix[cut] + skipped + bb) * (1 + pruneEps)) {
 				skipped += bb
 				blocksSkipped++
 			} else {
@@ -439,7 +388,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// pruneEps·suffix[0] absorbs the float drift between the bound sums
 	// and the real-number sums they stand for. Untouched candidates were
 	// covered wholesale by the cutoff/block checks.
-	rem := theta*(ps.suffix[cut]+skipped)*(1+pruneEps) + pruneEps*(ps.suffix[0]+skipped)
+	rem := (ps.suffix[cut]+skipped)*(1+pruneEps) + pruneEps*(ps.suffix[0]+skipped)
 	rs, ri := h.score[0], h.idx[0]
 	for _, id := range ps.touched {
 		j := sg.start + int(id)

@@ -99,12 +99,11 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 		// fill with poor scores (weak thresholds, little pruning).
 		queries[3] = sigs[0].W
 
-		// Scan reference: single shard, index and pruning off.
+		// Scan reference: single shard, queried on the scan arm.
 		ref, err := NewDB(dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.SetIndexed(false)
 		if err := ref.AddAll(sigs); err != nil {
 			t.Fatal(err)
 		}
@@ -114,10 +113,8 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 				want := make([][]SearchResult, len(queries))
 				wantLabel := make([]string, len(queries))
 				for qi, q := range queries {
-					if want[qi], err = ref.TopKSparse(q, k, metric); err != nil {
-						t.Fatal(err)
-					}
-					if wantLabel[qi], err = ref.ClassifySparse(q, k, metric); err != nil {
+					want[qi] = scanResults(t, ref, q, k, metric)
+					if wantLabel[qi], err = ref.ClassifySparse(q, k, scanMetric(metric)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -184,11 +181,12 @@ func clusterSigs(r *rand.Rand, n, dim, classSize int) []Signature {
 }
 
 // TestPruneStatsCounters checks that the pruned walk actually skips
-// work on a sealed store and that the counters expose it coherently —
-// while the results stay identical to the unpruned indexed walk. The
-// corpus is batch-clustered (clusterSigs): on shapeless uniform data
-// the walk's profitability check correctly falls back to the plain
-// kernels, so this is the corpus where the counters must light up.
+// work on a sealed store and that the counters expose it coherently
+// (TestQueryRouting holds the same fixture's pruned answer against the
+// plain walk and the scan). The corpus is batch-clustered (clusterSigs):
+// on shapeless uniform data the walk's profitability check correctly
+// falls back to the plain kernels, so this is the corpus where the
+// counters must light up.
 func TestPruneStatsCounters(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	sigs := clusterSigs(r, 3000, 200, 250)
@@ -203,7 +201,7 @@ func TestPruneStatsCounters(t *testing.T) {
 		}
 		db.Seal()
 		q := sigs[1234].W // a class-4 member: its class postings dominate
-		hits, st, err := db.TopKSparseStats(q, 5, metric)
+		_, st, err := db.TopKSparseStats(q, 5, metric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,18 +225,6 @@ func TestPruneStatsCounters(t *testing.T) {
 		} else if stf.SegmentsScanned == 0 || stf.SegmentsScanned+stf.SegmentsPruned > stf.Segments {
 			t.Fatalf("%s: pool-only query: scanned units miscounted: %+v", metric.Name, stf)
 		}
-		db.SetPruned(false)
-		want, err := db.TopKSparse(q, 5, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameHits(t, metric.Name+" pruned vs unpruned", hits, want)
-		if _, st2, err := db.TopKSparseStats(q, 5, metric); err != nil {
-			t.Fatal(err)
-		} else if st2.SegmentsPruned != 0 {
-			t.Fatalf("%s: SetPruned(false) still pruned: %+v", metric.Name, st2)
-		}
-		db.SetPruned(true)
 		// The label form reports the same walk; every query of a request
 		// gets its own counters.
 		lq := Query{Queries: []*vecmath.Sparse{q, q}, K: 5, Metric: metric, Labels: make([]string, 2), Stats: make([]PruneStats, 2)}
@@ -257,6 +243,61 @@ func TestPruneStatsCounters(t *testing.T) {
 				t.Fatalf("%s: Query{Labels, Stats} label %d = %q, want %q", metric.Name, i, lq.Labels[i], wantLabel)
 			}
 		}
+	}
+}
+
+// TestQueryRouting pins that the arm a query takes is decided by its
+// metric and the stored data alone: an indexable metric over sealed
+// shards at or above the prune floor takes the pruned walk, the same
+// store with no shard reaching the floor the plain walk, and a metric
+// without a kind — Minkowski, or a copy of a built-in with the kind
+// cleared, which is all a custom metric can be — the scan, whose
+// counters stay zero. All three arms return the same hits.
+func TestQueryRouting(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	sigs := clusterSigs(r, 3000, 200, 250)
+	db, err := NewShardedDB(200, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetSegmentSize(256)
+	if err := db.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	db.Seal()
+	q := sigs[1234].W
+	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
+		want, st, err := db.TopKSparseStats(q, 5, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SegmentsPruned == 0 {
+			t.Fatalf("%s: shards of %d rows at floor %d were not pruned: %+v", metric.Name, len(sigs)/2, pruneMinRows, st)
+		}
+		for _, arm := range []struct {
+			name     string
+			metric   Metric
+			floor    int
+			scan     bool // the scan arm: every counter stays zero
+			sameHits bool
+		}{
+			{"below the floor", metric, math.MaxInt, false, true},
+			{"kind-less copy", scanMetric(metric), 0, true, true},
+			{"minkowski", MinkowskiMetric(3), 0, true, false},
+		} {
+			db.setPruneFloor(arm.floor)
+			got, st, err := db.TopKSparseStats(q, 5, arm.metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arm.scan != (st == PruneStats{}) || st.SegmentsPruned != 0 {
+				t.Fatalf("%s, %s: took the wrong arm: %+v", metric.Name, arm.name, st)
+			}
+			if arm.sameHits {
+				requireSameHits(t, metric.Name+", "+arm.name, got, want)
+			}
+		}
+		db.setPruneFloor(0)
 	}
 }
 
@@ -382,7 +423,6 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.SetIndexed(false)
 		if err := ref.AddAll(sh.sigs); err != nil {
 			t.Fatal(err)
 		}
@@ -392,9 +432,7 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 			for _, k := range []int{1, 10, classSize + 100} {
 				want := make([][]SearchResult, len(sh.queries))
 				for qi, q := range sh.queries {
-					if want[qi], err = ref.TopKSparse(q, k, metric); err != nil {
-						t.Fatal(err)
-					}
+					want[qi] = scanResults(t, ref, q, k, metric)
 				}
 				for _, shards := range []int{1, 2} {
 					for _, layout := range []string{"sealed", "runs"} {
@@ -435,67 +473,6 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPruneThetaRecall pins the approximate mode: theta < 1 may drop
-// true neighbors, but recall@k against the exact result must stay above
-// a floor, and theta outside (0, 1] must clamp back to exact.
-func TestPruneThetaRecall(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	sigs := randSigs(r, 2000, 200, 20)
-	db, err := NewShardedDB(200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetSegmentSize(256)
-	if err := db.AddAll(sigs); err != nil {
-		t.Fatal(err)
-	}
-	db.Seal()
-	const k, nq = 10, 20
-	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
-		overlap, total := 0, 0
-		for qi := 0; qi < nq; qi++ {
-			q := randSigs(r, 1, 200, 20)[0].W
-			db.SetPruneTheta(1)
-			exact, err := db.TopKSparse(q, k, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db.SetPruneTheta(0.5)
-			approx, err := db.TopKSparse(q, k, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make(map[string]bool, len(approx))
-			for _, h := range approx {
-				got[h.Signature.DocID] = true
-			}
-			for _, h := range exact {
-				total++
-				if got[h.Signature.DocID] {
-					overlap++
-				}
-			}
-		}
-		recall := float64(overlap) / float64(total)
-		if recall < 0.5 {
-			t.Fatalf("%s: recall@%d = %.3f below floor 0.5", metric.Name, k, recall)
-		}
-		t.Logf("%s: theta=0.5 recall@%d = %.3f", metric.Name, k, recall)
-	}
-	db.SetPruneTheta(0)
-	if got := db.PruneTheta(); got != 1 {
-		t.Fatalf("PruneTheta after SetPruneTheta(0) = %v, want clamp to 1", got)
-	}
-	db.SetPruneTheta(1.7)
-	if got := db.PruneTheta(); got != 1 {
-		t.Fatalf("PruneTheta after SetPruneTheta(1.7) = %v, want clamp to 1", got)
-	}
-	db.SetPruneTheta(math.NaN())
-	if got := db.PruneTheta(); got != 1 {
-		t.Fatalf("PruneTheta after SetPruneTheta(NaN) = %v, want clamp to 1", got)
 	}
 }
 

@@ -65,7 +65,6 @@ func TestActiveRunsMatchScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				ref.SetWorkers(-1)
-				ref.SetIndexed(false)
 				if err := ref.AddAll(sigs); err != nil {
 					t.Fatal(err)
 				}
@@ -140,17 +139,14 @@ func TestActiveRunsMatchScan(t *testing.T) {
 
 						for _, m := range metrics {
 							for qi, q := range queries {
-								want, err := ref.TopKSparse(q, k, m)
-								if err != nil {
-									t.Fatal(err)
-								}
+								want := scanResults(t, ref, q, k, m)
 								got, err := db.TopKSparse(q, k, m)
 								if err != nil {
 									t.Fatal(err)
 								}
 								sameResults(t, fmt.Sprintf("%s %s q=%d", tag, m.Name, qi), got, want)
 							}
-							wantLabels, err := ref.ClassifyBatch(queries, min(k, 5), m)
+							wantLabels, err := ref.ClassifyBatch(queries, min(k, 5), scanMetric(m))
 							if err != nil {
 								t.Fatal(err)
 							}

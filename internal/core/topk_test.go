@@ -249,20 +249,19 @@ func BenchmarkDBTopK(b *testing.B) {
 
 // BenchmarkDBTopKSharded measures the exhaustive sharded scan at paper
 // scale: per-shard bounded heaps merged through the global heap, one
-// worker per CPU. The index is disabled — this is the scan baseline the
-// indexed benchmarks are compared against.
+// worker per CPU. The kind-less metric takes the scan arm — this is the
+// scan baseline the indexed benchmarks are compared against.
 func BenchmarkDBTopKSharded(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	const dim, nnz, n, k = 3815, 150, 2000, 10
 	sigs := randSigs(r, n, dim, nnz)
 	query := randSigs(r, 1, dim, nnz)[0].W
-	metric := EuclideanMetric()
+	metric := scanMetric(EuclideanMetric())
 	for _, shards := range []int{1, 4} {
 		db, err := NewShardedDB(dim, shards)
 		if err != nil {
 			b.Fatal(err)
 		}
-		db.SetIndexed(false)
 		if err := db.AddAll(sigs); err != nil {
 			b.Fatal(err)
 		}

@@ -69,13 +69,10 @@ type dbView struct {
 }
 
 // viewCfg is the query configuration frozen into a view. Values are
-// normalized (theta in (0,1], floor >= 1) so query paths never consult
-// the live DB fields.
+// normalized (floor >= 1) so query paths never consult the live DB
+// fields.
 type viewCfg struct {
 	workers    int
-	noIndex    bool
-	noPrune    bool
-	pruneTheta float64
 	pruneFloor int
 }
 
@@ -137,9 +134,6 @@ func (db *DB) buildViewLocked() *dbView {
 		total:  db.total,
 		cfg: viewCfg{
 			workers:    db.workers,
-			noIndex:    db.noIndex,
-			noPrune:    db.noPrune,
-			pruneTheta: db.pruneThetaLocked(),
 			pruneFloor: db.pruneRowFloorLocked(),
 		},
 		shards: make([]viewShard, len(db.shards)),

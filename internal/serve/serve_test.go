@@ -535,7 +535,8 @@ func TestAbandonedWaiterLeaves(t *testing.T) {
 }
 
 // TestHTTPServerTimeouts asserts the http.Server the binaries mount has
-// every read-side limit set and sizes the body budget from MaxBodyBytes.
+// every limit set, sizes the body budget from MaxBodyBytes, and leaves a
+// response the Retry-After ceiling past the read budget.
 func TestHTTPServerTimeouts(t *testing.T) {
 	small, _ := newTestServer(t, Config{MaxBodyBytes: 1 << 20}, 1)
 	defer small.Shutdown(t.Context())
@@ -547,6 +548,9 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 	if hs.ReadTimeout <= hs.ReadHeaderTimeout || hb.ReadTimeout <= hs.ReadTimeout {
 		t.Fatalf("ReadTimeout %v for 1MiB bodies, %v for 64MiB: want both past the header budget and growing with the body bound", hs.ReadTimeout, hb.ReadTimeout)
+	}
+	if hs.WriteTimeout != hs.ReadTimeout+60*time.Second || hb.WriteTimeout != hb.ReadTimeout+60*time.Second {
+		t.Fatalf("WriteTimeout %v / %v: want the read budget (%v / %v) plus the 60s Retry-After ceiling", hs.WriteTimeout, hb.WriteTimeout, hs.ReadTimeout, hb.ReadTimeout)
 	}
 }
 

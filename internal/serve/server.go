@@ -141,17 +141,21 @@ const ( // what one connection may hold open under HTTPServer
 	readHeaderTimeout = 5 * time.Second
 	minBodyRate       = 256 << 10 // bytes per second a body must arrive at
 	idleTimeout       = 2 * time.Minute
+	writeSlack        = 60 * time.Second // a response's time past the read budget: the Retry-After ceiling, so a wait at the gate is never cut
 )
 
 // HTTPServer returns an http.Server over Handler with read-header, read
-// (sized for a MaxBodyBytes body at minBodyRate) and idle timeouts set,
-// so a stalled or abandoned connection cannot hold a goroutine forever.
-// The caller owns the listener and the http.Server's own Shutdown.
+// (sized for a MaxBodyBytes body at minBodyRate), write and idle
+// timeouts set, so a connection that stalls, is abandoned or stops
+// reading its response cannot hold a goroutine forever. The caller owns
+// the listener and the http.Server's own Shutdown.
 func (s *Server) HTTPServer() *http.Server {
+	readTimeout := readHeaderTimeout + time.Duration(s.cfg.MaxBodyBytes/minBodyRate)*time.Second
 	return &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readHeaderTimeout + time.Duration(s.cfg.MaxBodyBytes/minBodyRate)*time.Second,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      readTimeout + writeSlack,
 		IdleTimeout:       idleTimeout,
 	}
 }

@@ -1,0 +1,162 @@
+package fmeter
+
+import (
+	"flag"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+var updateSurface = flag.Bool("update", false, "rewrite testdata/surface.golden from the source")
+
+// flagNameArg maps the flag-package registration calls to the position
+// of their name argument.
+var flagNameArg = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1,
+	"UintVar": 1, "Uint64Var": 1, "TextVar": 1, "Var": 1,
+}
+
+// TestSurfaceFrozen holds the configuration surface — every exported
+// identifier (and exported struct field) declared in fmeter.go, every
+// field of serve.Config, every flag of every binary — to the committed
+// testdata/surface.golden, so the standing "no new Option, Set*,
+// ServeConfig field or flag without a workload on which it wins" rule
+// (ROADMAP) fails a build instead of relying on review. A deliberate
+// change reruns with -update and shows up in the diff.
+func TestSurfaceFrozen(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var lines []string
+	add := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	fields := func(prefix string, st *ast.StructType) {
+		for _, f := range st.Fields.List {
+			for _, n := range f.Names {
+				if n.IsExported() {
+					add("%s.%s", prefix, n.Name)
+				}
+			}
+		}
+	}
+
+	for _, d := range parse("fmeter.go").Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				add("fmeter.go func %s", d.Name.Name)
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			add("fmeter.go method %s.%s", recv.(*ast.Ident).Name, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					if !spec.Name.IsExported() {
+						continue
+					}
+					add("fmeter.go type %s", spec.Name.Name)
+					if st, ok := spec.Type.(*ast.StructType); ok {
+						fields("fmeter.go field "+spec.Name.Name, st)
+					}
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						if n.IsExported() {
+							add("fmeter.go %s %s", d.Tok, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	ast.Inspect(parse("internal/serve/server.go"), func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Config" {
+			fields("serve.Config", ts.Type.(*ast.StructType))
+		}
+		return true
+	})
+
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go found: %v", err)
+	}
+	for _, path := range mains {
+		bin := filepath.Base(filepath.Dir(path))
+		ast.Inspect(parse(path), func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			arg, ok := flagNameArg[sel.Sel.Name]
+			if !ok || len(call.Args) <= arg {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				add("cmd/%s flag -%s", bin, name)
+			}
+			return true
+		})
+	}
+
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	const golden = "testdata/surface.golden"
+	if *updateSurface {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	for _, d := range []struct {
+		verb     string
+		from, in []string
+	}{{"added to", lines, wantLines}, {"removed from", wantLines, lines}} {
+		in := make(map[string]bool, len(d.in))
+		for _, l := range d.in {
+			in[l] = true
+		}
+		for _, l := range d.from {
+			if !in[l] {
+				t.Errorf("%s the surface: %s", d.verb, l)
+			}
+		}
+	}
+	t.Errorf("the configuration surface differs from %s; if the change is deliberate (ROADMAP: a workload on which the new value wins), rerun with -update", golden)
+}
