@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build crossbuild vet lint test race stress bench bench-smoke fmt
+.PHONY: check build crossbuild vet lint test race stress bench bench-compile bench-smoke fmt
 
 ## check: the tier-1 gate — what CI runs.
 check: vet lint build crossbuild test race
@@ -49,6 +49,13 @@ stress:
 ## bench: the full reproduction benchmark harness.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
+
+## bench-compile: one iteration of the set-up micro-benchmarks
+## (Transform, TransformAll, Corpus.Add) that DESIGN-PERF.md's numbers
+## come from, so they cannot rot into code that no longer compiles or
+## panics. It times nothing.
+bench-compile:
+	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd' -benchtime 1x ./internal/core/
 
 ## bench-smoke: what bench/ cannot show yet — table/figure wall-clock and the
 ## 10k → 100k scale ladder (the 1M rung is an off-CI run at the default -scale).

@@ -27,9 +27,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
+	"sync"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/vecmath"
 )
 
@@ -107,6 +109,7 @@ type Corpus struct {
 	dim  int
 	docs []*Document
 	df   []int // document frequency per term, maintained incrementally
+	undo []int // terms the Add in progress has counted into df, reused across Adds
 }
 
 // NewCorpus creates an empty corpus over dim terms.
@@ -129,24 +132,32 @@ func (c *Corpus) Len() int { return len(c.docs) }
 // the returned slice.
 func (c *Corpus) Docs() []*Document { return c.docs }
 
-// Add appends a document to the corpus, validating its term indices.
+// Add appends a document to the corpus, validating its term indices. The
+// document's counts are ranged once: each term is checked and counted
+// into the document frequencies as it is met, and a term out of range
+// takes back what the terms before it counted, so a refused document
+// leaves the corpus as it was.
 //
 //fmeter:errdomain config
 func (c *Corpus) Add(doc *Document) error {
 	if doc == nil {
 		return &ConfigError{Param: "document", Msg: "nil document"}
 	}
-	for i := range doc.Counts {
+	c.undo = c.undo[:0]
+	for i, n := range doc.Counts {
 		if i < 0 || i >= c.dim {
+			for _, j := range c.undo {
+				c.df[j]--
+			}
 			return &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s has term %d outside dimension %d", doc.ID, i, c.dim)}
+		}
+		if n > 0 {
+			c.df[i]++
+			//fmeter:map-order-ok a rollback list: every entry is decremented or none is, in whatever order
+			c.undo = append(c.undo, i)
 		}
 	}
 	c.docs = append(c.docs, doc)
-	for i, n := range doc.Counts {
-		if n > 0 {
-			c.df[i]++
-		}
-	}
 	return nil
 }
 
@@ -189,6 +200,39 @@ func (c *Corpus) ByLabel(label string) []*Document {
 type Model struct {
 	dim int
 	idf []float64
+	// scratch lends each Transform call in flight its own dense
+	// workspace (*transformScratch), so concurrent calls on one Model
+	// never share one; an idle model's scratch goes with the next
+	// collections instead of staying on the heap.
+	scratch sync.Pool
+}
+
+// newModel returns a model over dim terms with every idf zero, for Fit
+// and ReadModel to fill in.
+func newModel(dim int) *Model {
+	m := &Model{dim: dim, idf: make([]float64, dim)}
+	m.scratch.New = func() any {
+		return &transformScratch{counts: make([]uint64, dim), set: make([]uint64, (dim+63)/64)}
+	}
+	return m
+}
+
+// transformScratch is the dense workspace of one Transform call: the
+// document's counts scattered by term, and a bitmap of the terms
+// written. Both are all-zero whenever the scratch is in the pool.
+type transformScratch struct {
+	counts []uint64 // dim long
+	set    []uint64 // ⌈dim/64⌉ words, bit i set = counts[i] was written
+}
+
+// reset zeroes what a document abandoned half-scattered left behind.
+func (sc *transformScratch) reset() {
+	for wi, word := range sc.set {
+		for ; word != 0; word &= word - 1 {
+			sc.counts[wi<<6|bits.TrailingZeros64(word)] = 0
+		}
+		sc.set[wi] = 0
+	}
 }
 
 // Fit computes the idf model from the corpus:
@@ -203,7 +247,7 @@ func (c *Corpus) Fit() (*Model, error) {
 	if len(c.docs) == 0 {
 		return nil, &ConfigError{Param: "corpus", Msg: "cannot fit tf-idf on an empty corpus"}
 	}
-	m := &Model{dim: c.dim, idf: make([]float64, c.dim)}
+	m := newModel(c.dim)
 	n := float64(len(c.docs))
 	for i, df := range c.df {
 		if df > 0 {
@@ -224,58 +268,77 @@ func (m *Model) IDF() []float64 {
 }
 
 // Transform embeds one document into the vector space: w_i = tf_i × idf_i.
-// The signature is built sparse-first — the document's support is sorted
-// and weighted in O(nnz log nnz), with no dense intermediate, so
-// embedding cost scales with the interval's footprint rather than the
-// symbol table. Weights that come out exactly zero (idf-damped ubiquitous
-// terms) are dropped from the support, matching what extracting the
-// dense form would store. The returned signature is NOT
-// length-normalized; use Normalize when a method requires unit vectors,
-// as the paper does for SVM classification ("scaled into the unit-ball
-// using the L2 norm").
+// The document is read once: a single range over its counts checks each
+// term, sums the tf denominator and scatters the count into a pooled
+// dense scratch, marking the term in a bitmap. Walking the bitmap's set
+// bits then yields the support in ascending order and zeroes the scratch
+// on the way, so a call costs O(nnz + dim/64) and allocates only the
+// signature it returns.
+// Weights that come out exactly zero (idf-damped ubiquitous terms) are
+// dropped from the support, matching what extracting the dense form
+// would store. The returned signature is NOT length-normalized; use
+// Normalize when a method requires unit vectors, as the paper does for
+// SVM classification ("scaled into the unit-ball using the L2 norm").
+// Safe for concurrent use.
 //
 //fmeter:errdomain config
 func (m *Model) Transform(doc *Document) (Signature, error) {
 	if doc == nil {
 		return Signature{}, &ConfigError{Param: "document", Msg: "nil document"}
 	}
-	idx := make([]int32, 0, len(doc.Counts))
-	for i := range doc.Counts {
+	sc := m.scratch.Get().(*transformScratch)
+	defer m.scratch.Put(sc)
+	var sum uint64
+	for i, c := range doc.Counts {
 		if i < 0 || i >= m.dim {
+			sc.reset()
 			return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s term %d outside dimension %d", doc.ID, i, m.dim)}
 		}
-		//fmeter:map-order-ok support indices are sorted right below
-		idx = append(idx, int32(i))
+		sum += c
+		sc.counts[i] = c
+		sc.set[i>>6] |= 1 << (i & 63)
 	}
-	slices.Sort(idx)
-	val := make([]float64, 0, len(idx))
-	nz := idx[:0]
-	if total := float64(doc.Total()); total > 0 {
-		for _, i := range idx {
-			if w := float64(doc.Counts[int(i)]) / total * m.idf[i]; w != 0 {
-				nz = append(nz, i)
-				val = append(val, w)
+	idx := make([]int32, 0, len(doc.Counts))
+	val := make([]float64, 0, len(doc.Counts))
+	total := float64(sum)
+	for wi, word := range sc.set {
+		if word == 0 {
+			continue
+		}
+		sc.set[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			c := sc.counts[i]
+			sc.counts[i] = 0
+			if total > 0 {
+				if w := float64(c) / total * m.idf[i]; w != 0 {
+					idx = append(idx, int32(i))
+					val = append(val, w)
+				}
 			}
 		}
 	}
-	w, err := vecmath.SparseFromSorted(m.dim, nz, val)
+	w, err := vecmath.SparseFromSorted(m.dim, idx, val)
 	if err != nil {
 		return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s", doc.ID), Err: err}
 	}
 	return Signature{DocID: doc.ID, Label: doc.Label, W: w}, nil
 }
 
-// TransformAll embeds a slice of documents.
+// TransformAll embeds a slice of documents, one per task across the
+// available cores. Signature i depends on document i alone, so the result
+// is identical at any core count; of several bad documents the one at the
+// lowest index is reported, as a sequential pass would.
 //
 //fmeter:errdomain config
 func (m *Model) TransformAll(docs []*Document) ([]Signature, error) {
-	out := make([]Signature, 0, len(docs))
-	for _, d := range docs {
-		s, err := m.Transform(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+	out, err := parallel.Map(0, len(docs), func(i int) (Signature, error) {
+		return m.Transform(docs[i])
+	})
+	if err != nil {
+		// parallel.Map returns a task's error as it got it: the
+		// *ConfigError Transform built.
+		return nil, err.(*ConfigError)
 	}
 	return out, nil
 }
@@ -296,13 +359,16 @@ func (c *Corpus) Signatures() ([]Signature, *Model, error) {
 	return sigs, m, nil
 }
 
-// Normalize L2-normalizes the signatures in place (unit-ball scaling).
-// Signatures with no weight vector are skipped, matching the old dense
-// representation's tolerance of zero-value signatures.
+// Normalize L2-normalizes the signatures in place (unit-ball scaling),
+// a contiguous range of the slice per core; each element must own its
+// weight vector. Signatures with no weight vector are skipped, matching
+// the old dense representation's tolerance of zero-value signatures.
 func Normalize(sigs []Signature) {
-	for i := range sigs {
-		if sigs[i].W != nil {
-			sigs[i].W.Normalize()
+	parallel.Chunks(0, len(sigs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if sigs[i].W != nil {
+				sigs[i].W.Normalize()
+			}
 		}
-	}
+	})
 }

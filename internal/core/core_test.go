@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -86,6 +90,20 @@ func TestCorpusValidation(t *testing.T) {
 	}
 	if _, err := c.Fit(); err == nil {
 		t.Error("Fit on empty corpus should fail")
+	}
+	// A refused document leaves the corpus as it was, whichever of its
+	// terms the map range met before the bad one.
+	if err := c.Add(doc("ok", "", map[int]uint64{0: 2, 1: 0, 3: 9})); err != nil {
+		t.Fatal(err)
+	}
+	before := c.DocumentFrequency()
+	for try := 0; try < 20; try++ {
+		if err := c.Add(doc("bad", "", map[int]uint64{0: 1, 1: 1, 2: 1, 3: 1, -1: 1})); err == nil {
+			t.Fatal("negative term should fail")
+		}
+		if got := c.DocumentFrequency(); !slices.Equal(got, before) || c.Len() != 1 {
+			t.Fatalf("after a refused Add: df = %v, Len = %d; want %v, 1", got, c.Len(), before)
+		}
 	}
 }
 
@@ -473,6 +491,313 @@ func TestPropertyDocumentRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// transformOracle is the embedding Transform replaced, kept as the
+// reference: collect the support, sort it, then look each term's count up
+// again and weight it against a separately summed total.
+func transformOracle(m *Model, doc *Document) (Signature, error) {
+	idx := make([]int32, 0, len(doc.Counts))
+	for i := range doc.Counts {
+		if i < 0 || i >= m.dim {
+			return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s term %d outside dimension %d", doc.ID, i, m.dim)}
+		}
+		idx = append(idx, int32(i))
+	}
+	slices.Sort(idx)
+	val := make([]float64, 0, len(idx))
+	nz := idx[:0]
+	if total := float64(doc.Total()); total > 0 {
+		for _, i := range idx {
+			if w := float64(doc.Counts[int(i)]) / total * m.idf[i]; w != 0 {
+				nz = append(nz, i)
+				val = append(val, w)
+			}
+		}
+	}
+	w, err := vecmath.SparseFromSorted(m.dim, nz, val)
+	if err != nil {
+		return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s", doc.ID), Err: err}
+	}
+	return Signature{DocID: doc.ID, Label: doc.Label, W: w}, nil
+}
+
+// sameSignature reports the first difference between two signatures,
+// weights compared by their bits.
+func sameSignature(got, want Signature) error {
+	if got.DocID != want.DocID || got.Label != want.Label || got.Dim() != want.Dim() {
+		return fmt.Errorf("got (%s,%s,dim %d), want (%s,%s,dim %d)", got.DocID, got.Label, got.Dim(), want.DocID, want.Label, want.Dim())
+	}
+	if !slices.Equal(got.W.Support(), want.W.Support()) {
+		return fmt.Errorf("%s: support %v, want %v", want.DocID, got.W.Support(), want.W.Support())
+	}
+	for k, v := range want.W.Values() {
+		if g := got.W.Values()[k]; math.Float64bits(g) != math.Float64bits(v) {
+			return fmt.Errorf("%s: weight of term %d = %v, want %v", want.DocID, want.W.Support()[k], g, v)
+		}
+	}
+	if math.Float64bits(got.W.Norm2()) != math.Float64bits(want.W.Norm2()) {
+		return fmt.Errorf("%s: norm2 %v, want %v", want.DocID, got.W.Norm2(), want.W.Norm2())
+	}
+	return nil
+}
+
+// randomCorpus fits a model on n random documents over dim terms. Term 0
+// is in every document (idf 0), a few terms carry a zero count, and the
+// last term is used now and then.
+func randomCorpus(t testing.TB, r *rand.Rand, dim, n int) (*Model, []*Document) {
+	t.Helper()
+	c, err := NewCorpus(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < n; d++ {
+		counts := map[int]uint64{0: uint64(1 + r.Intn(1000))}
+		for j := r.Intn(40); j > 0; j-- {
+			counts[r.Intn(dim)] = uint64(r.Intn(5)) * uint64(r.Intn(100000)) // one in five is a zero count
+		}
+		if r.Intn(4) == 0 {
+			counts[dim-1] = uint64(1 + r.Intn(9))
+		}
+		if err := c.Add(doc(fmt.Sprintf("d%d", d), fmt.Sprintf("l%d", d%3), counts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := c.Fit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, c.Docs()
+}
+
+// Property: the bitmap-walk Transform is bit-equal to the sort-based
+// oracle — on random documents, on the edges, and after a refused
+// document has been through the pooled scratch.
+func TestTransformMatchesOracle(t *testing.T) {
+	check := func(m *Model, d *Document) {
+		t.Helper()
+		want, err := transformOracle(m, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Transform(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSignature(got, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dim := range []int{1, 63, 64, 65, 200, 3815} {
+		r := rand.New(rand.NewSource(int64(dim)))
+		m, docs := randomCorpus(t, r, dim, 60)
+		for _, d := range docs {
+			check(m, d)
+		}
+		edges := []*Document{
+			doc("empty", "", map[int]uint64{}),
+			doc("nil-counts", "", nil),
+			doc("all-zero", "", map[int]uint64{0: 0, dim - 1: 0}),
+			doc("idf-zero-only", "", map[int]uint64{0: 7}),
+			doc("last", "x", map[int]uint64{dim - 1: 3}),
+			doc("single", "x", map[int]uint64{dim / 2: 1}),
+			doc("wraps", "", map[int]uint64{0: math.MaxUint64, dim - 1: 1}), // the uint64 total wraps to 0
+		}
+		for _, d := range edges {
+			check(m, d)
+		}
+		// A refused document hands its scratch back all-zero: the good
+		// documents after it, on this goroutine, still match.
+		for try := 0; try < 10; try++ {
+			bad := doc("bad", "", map[int]uint64{dim: 1, -1: 2})
+			for j := 0; j < dim && j < 30; j++ {
+				bad.Counts[j] = uint64(1 + j)
+			}
+			_, err := m.Transform(bad)
+			var ce *ConfigError
+			if !errors.As(err, &ce) || !strings.Contains(err.Error(), "bad") {
+				t.Fatalf("dim %d: out-of-range document: err = %v, want a *ConfigError naming it", dim, err)
+			}
+			check(m, docs[try])
+			check(m, edges[try%len(edges)])
+		}
+	}
+}
+
+// Concurrent Transform calls on one Model each get their own scratch:
+// every goroutine reproduces the sequential signatures.
+func TestTransformConcurrent(t *testing.T) {
+	m, docs := randomCorpus(t, rand.New(rand.NewSource(5)), 3815, 200)
+	want := make([]Signature, len(docs))
+	for i, d := range docs {
+		var err error
+		if want[i], err = m.Transform(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := doc("bad", "", map[int]uint64{1: 1, 2: 2, 9999: 1})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range docs {
+				i := (k + g*len(docs)/8) % len(docs)
+				got, err := m.Transform(docs[i])
+				if err == nil {
+					err = sameSignature(got, want[i])
+				}
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if _, err := m.Transform(bad); err == nil {
+					t.Errorf("goroutine %d: out-of-range document accepted", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TransformAll gives the same signatures at any core count, and of two
+// bad documents reports the one a sequential pass meets first.
+func TestTransformAllDeterministic(t *testing.T) {
+	m, docs := randomCorpus(t, rand.New(rand.NewSource(6)), 3815, 300)
+	want := make([]Signature, len(docs))
+	for i, d := range docs {
+		var err error
+		if want[i], err = transformOracle(m, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twoBad := slices.Clone(docs)
+	twoBad[120] = doc("first-bad", "", map[int]uint64{4000: 1})
+	twoBad[121] = doc("second-bad", "", map[int]uint64{-3: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := m.TransformAll(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: %d signatures, want %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			if err := sameSignature(got[i], want[i]); err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+		}
+		for try := 0; try < 20; try++ {
+			sigs, err := m.TransformAll(twoBad)
+			var ce *ConfigError
+			if sigs != nil || !errors.As(err, &ce) || !strings.Contains(err.Error(), "first-bad") {
+				t.Fatalf("GOMAXPROCS %d: two bad documents: %d signatures, err = %v; want none and first-bad's *ConfigError", procs, len(sigs), err)
+			}
+		}
+	}
+	if sigs, err := m.TransformAll(nil); err != nil || len(sigs) != 0 {
+		t.Errorf("TransformAll(nil) = %d signatures, %v", len(sigs), err)
+	}
+}
+
+// TestTransformAllocs pins what the pooled scratch buys: a warm Transform
+// allocates the signature it returns — its index slice, its value slice
+// and the Sparse header — and nothing else. The least of several runs is
+// taken because a sync.Pool may come back empty: after a collection, and
+// under -race for one Put in four.
+func TestTransformAllocs(t *testing.T) {
+	m, docs := randomCorpus(t, rand.New(rand.NewSource(7)), 3815, 50)
+	embed := func() {
+		if _, err := m.Transform(docs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	least := math.Inf(1)
+	for try := 0; try < 20; try++ {
+		least = min(least, testing.AllocsPerRun(5, embed))
+	}
+	if least > 3 {
+		t.Errorf("Transform: %v allocs per document, want <= 3", least)
+	}
+}
+
+// peakedDocs builds n documents of the shape bench/gen.go calls peaked:
+// 50 heavy functions shared by a class of 40 consecutive documents, over
+// a pool of 200 functions each document touches lightly with
+// probability 0.75.
+func peakedDocs(n int) []*Document {
+	const dim, classDims, pool, classSize = 3815, 50, 200, 40
+	r := rand.New(rand.NewSource(1))
+	perm := r.Perm(dim)
+	docs := make([]*Document, n)
+	var class []int
+	for i := range docs {
+		if i%classSize == 0 {
+			class = class[:0]
+			for _, j := range r.Perm(dim - pool)[:classDims] {
+				class = append(class, perm[pool+j])
+			}
+		}
+		counts := make(map[int]uint64, classDims+pool)
+		for _, d := range class {
+			counts[d] = uint64(5000 + r.Intn(5001))
+		}
+		for _, d := range perm[:pool] {
+			if r.Float64() < 0.75 {
+				counts[d] = uint64(10 + r.Intn(41))
+			}
+		}
+		docs[i] = doc(fmt.Sprintf("s%d", i), fmt.Sprintf("c%d", i/classSize), counts)
+	}
+	return docs
+}
+
+// BenchmarkCorpusAdd is the fit stage of a bulk load: one op adds 4000
+// peaked documents to a fresh corpus.
+func BenchmarkCorpusAdd(b *testing.B) {
+	docs := peakedDocs(4000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := NewCorpus(3815)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range docs {
+			if err := c.Add(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkTransformAllPeaked is the embedding stage of a bulk load: one
+// op embeds 4000 peaked documents on every available core.
+func BenchmarkTransformAllPeaked(b *testing.B) {
+	docs := peakedDocs(4000)
+	c, err := NewCorpus(3815)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range docs {
+		if err := c.Add(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m, err := c.Fit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.TransformAll(docs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if mj.Dim < 1 || mj.Dim > maxSnapshotDim {
 		return nil, &SnapshotError{Err: fmt.Errorf("model dimension %d outside [1, %d]", mj.Dim, maxSnapshotDim)}
 	}
-	m := &Model{dim: mj.Dim, idf: make([]float64, mj.Dim)}
+	m := newModel(mj.Dim)
 	for i, x := range mj.IDF {
 		if i < 0 || i >= mj.Dim {
 			return nil, &SnapshotError{Err: fmt.Errorf("idf index %d outside dimension %d", i, mj.Dim)}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,15 +23,8 @@ func sameStore(t *testing.T, tag string, got, want *DB) {
 		t.Fatalf("%s: len/dim %d/%d, want %d/%d", tag, len(a), got.Dim(), len(b), want.Dim())
 	}
 	for gid := range a {
-		if a[gid].DocID != b[gid].DocID || a[gid].Label != b[gid].Label || a[gid].W.NNZ() != b[gid].W.NNZ() {
-			t.Fatalf("%s: signature %d = (%s, %s, nnz %d), want (%s, %s, nnz %d)", tag, gid,
-				a[gid].DocID, a[gid].Label, a[gid].W.NNZ(), b[gid].DocID, b[gid].Label, b[gid].W.NNZ())
-		}
-		ai, av, bi, bv := a[gid].W.Support(), a[gid].W.Values(), b[gid].W.Support(), b[gid].W.Values()
-		for k := range ai {
-			if ai[k] != bi[k] || math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
-				t.Fatalf("%s: signature %d support entry %d = (%d, %v), want (%d, %v)", tag, gid, k, ai[k], av[k], bi[k], bv[k])
-			}
+		if err := sameSignature(a[gid], b[gid]); err != nil {
+			t.Fatalf("%s: signature %d: %v", tag, gid, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -612,6 +613,26 @@ func TestIngestSinglePublish(t *testing.T) {
 	}
 	if db.Len() != len(docs) {
 		t.Fatalf("db has %d signatures, want %d", db.Len(), len(docs))
+	}
+
+	// A body with two documents out of range is refused whole, as a 400
+	// that names the first of them, and adds nothing.
+	bad := []*core.Document{
+		mkdoc("fine"),
+		{ID: "stray-a", Counts: map[int]uint64{dim + 5: 1}},
+		mkdoc("fine-too"),
+		{ID: "stray-b", Counts: map[int]uint64{-1: 1}},
+	}
+	body, _ = json.Marshal(ingestRequest{Documents: bad})
+	rec = postJSON(t, s.Handler(), "/v1/ingest", string(body))
+	if rec.Code != http.StatusBadRequest || decodeErrorKind(t, rec) != "config" {
+		t.Fatalf("out-of-range ingest: status %d, body %s", rec.Code, rec.Body.String())
+	}
+	if msg := rec.Body.String(); !strings.Contains(msg, "stray-a") || strings.Contains(msg, "stray-b") {
+		t.Fatalf("out-of-range ingest: body %s does not name stray-a alone", msg)
+	}
+	if db.Len() != len(docs) {
+		t.Fatalf("refused body left %d signatures, want %d", db.Len(), len(docs))
 	}
 }
 

@@ -395,19 +395,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeTyped(w, http.StatusServiceUnavailable, "unavailable", "server has no fitted model; ingest is disabled")
 		return
 	}
-	sigs := make([]core.Signature, 0, len(req.Documents))
-	for i, doc := range req.Documents {
-		sig, err := s.model.Transform(doc)
-		if err != nil {
-			s.writeError(w, fmt.Errorf("document %d: %w", i, err))
-			return
-		}
-		sigs = append(sigs, sig)
+	// The bulk-load embedding; a refused document is named by its ID in
+	// the *ConfigError.
+	sigs, err := s.model.TransformAll(req.Documents)
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
 	core.Normalize(sigs)
 	// One publish for the whole body — the batched-ingest amortization.
 	s.ingestMu.Lock()
-	err := s.db.AddAll(sigs)
+	err = s.db.AddAll(sigs)
 	s.ingestMu.Unlock()
 	if err != nil {
 		s.writeError(w, err)
