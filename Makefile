@@ -37,13 +37,15 @@ race:
 
 ## stress: the concurrency property sweep (interleaved
 ## Add/Seal/Compact/TopK/Classify vs serialized execution against each
-## pinned epoch view) and the SaveDir/LoadDir fault-injection matrices,
+## pinned epoch view), the writers' plan/build exactness sweep (batched
+## AddAll vs one Add at a time, at several core counts) and the
+## SaveDir/LoadDir fault-injection matrices,
 ## under the race detector with iteration counts elevated via
 ## FMETER_STRESS. This is the long-soak proof behind the concurrent
 ## read/write contract; CI runs it on every push.
 stress:
 	FMETER_STRESS=1 $(GO) test -race -count=1 -timeout 20m ./internal/core/ \
-		-run 'TestConcurrent|TestCloseUnderLoad|TestSaveDir|TestLoadDirFault' -v
+		-run 'TestConcurrent|TestCloseUnderLoad|TestWritePlan|TestSaveDir|TestLoadDirFault' -v
 	$(GO) test -race -count=1 ./internal/daemon/
 
 ## bench: the full reproduction benchmark harness.
@@ -51,11 +53,12 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
 ## bench-compile: one iteration of the set-up micro-benchmarks
-## (Transform, TransformAll, Corpus.Add) that DESIGN-PERF.md's numbers
-## come from, so they cannot rot into code that no longer compiles or
-## panics. It times nothing.
+## (Transform, TransformAll, Corpus.Add, the AddAll bulk load and the
+## Seal that ends it) that DESIGN-PERF.md's numbers come from, so they
+## cannot rot into code that no longer compiles or panics. It times
+## nothing.
 bench-compile:
-	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal' -benchtime 1x ./internal/core/
 
 ## bench-smoke: what bench/ cannot show yet — table/figure wall-clock and the
 ## 10k → 100k scale ladder (the 1M rung is an off-CI run at the default -scale).

@@ -149,7 +149,7 @@ func (c *Corpus) Add(doc *Document) error {
 			for _, j := range c.undo {
 				c.df[j]--
 			}
-			return &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s has term %d outside dimension %d", doc.ID, i, c.dim)}
+			return &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s has term %d outside dimension %d", doc.ID, smallestOutOfRange(doc, c.dim), c.dim)}
 		}
 		if n > 0 {
 			c.df[i]++
@@ -159,6 +159,21 @@ func (c *Corpus) Add(doc *Document) error {
 	}
 	c.docs = append(c.docs, doc)
 	return nil
+}
+
+// smallestOutOfRange returns the smallest term of doc outside [0, dim),
+// which the caller has seen exists. The error paths name it rather than
+// the one a map range happens to meet first, so a bad document always
+// gets the same message.
+func smallestOutOfRange(doc *Document, dim int) int {
+	bad := math.MaxInt
+	for i := range doc.Counts {
+		if (i < 0 || i >= dim) && i < bad {
+			//fmeter:map-order-ok a minimum: the same term wins in any visit order
+			bad = i
+		}
+	}
+	return bad
 }
 
 // DocumentFrequency returns |{d : t_i ∈ d}| for every term.
@@ -292,7 +307,7 @@ func (m *Model) Transform(doc *Document) (Signature, error) {
 	for i, c := range doc.Counts {
 		if i < 0 || i >= m.dim {
 			sc.reset()
-			return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s term %d outside dimension %d", doc.ID, i, m.dim)}
+			return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s term %d outside dimension %d", doc.ID, smallestOutOfRange(doc, m.dim), m.dim)}
 		}
 		sum += c
 		sc.counts[i] = c

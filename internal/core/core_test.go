@@ -107,6 +107,51 @@ func TestCorpusValidation(t *testing.T) {
 	}
 }
 
+// A document with several out-of-range terms is refused with one
+// message, naming the smallest of them, however the map range visits
+// them — by Corpus.Add, df untouched, and by Model.Transform.
+func TestOutOfRangeErrorStable(t *testing.T) {
+	c, err := NewCorpus(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(doc("ok", "", map[int]uint64{1: 2, 3: 1, 9: 4})); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Fit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.DocumentFrequency()
+	bad := doc("bad", "", map[int]uint64{0: 1, 2: 3, 12: 1, 5: 1, -4: 2, 7: 1, 40: 1, 9: 1})
+	addMsgs, transformMsgs := map[string]bool{}, map[string]bool{}
+	for try := 0; try < 50; try++ {
+		err := c.Add(bad)
+		if err == nil {
+			t.Fatal("out-of-range terms accepted")
+		}
+		addMsgs[err.Error()] = true
+		if got := c.DocumentFrequency(); !slices.Equal(got, before) || c.Len() != 1 {
+			t.Fatalf("after a refused Add: df = %v, Len = %d; want %v, 1", got, c.Len(), before)
+		}
+		if _, err := m.Transform(bad); err == nil {
+			t.Fatal("Transform accepted out-of-range terms")
+		} else {
+			transformMsgs[err.Error()] = true
+		}
+	}
+	for _, msgs := range []map[string]bool{addMsgs, transformMsgs} {
+		if len(msgs) != 1 {
+			t.Fatalf("%d distinct messages for one document: %v", len(msgs), msgs)
+		}
+		for msg := range msgs {
+			if !strings.Contains(msg, "term -4 ") {
+				t.Errorf("%q does not name the smallest bad term, -4", msg)
+			}
+		}
+	}
+}
+
 func TestIDFMatchesDefinition(t *testing.T) {
 	c, err := NewCorpus(3)
 	if err != nil {
@@ -799,6 +844,88 @@ func BenchmarkTransformAllPeaked(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// embedPeaked embeds n peaked documents as a bulk load does: fit, embed,
+// normalise.
+func embedPeaked(b *testing.B, n int) []Signature {
+	b.Helper()
+	c, err := NewCorpus(3815)
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := peakedDocs(n)
+	for _, d := range docs {
+		if err := c.Add(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m, err := c.Fit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sigs, err := m.TransformAll(docs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	Normalize(sigs)
+	return sigs
+}
+
+// loadChunks adds sigs to a fresh store of the given shard count in
+// AddAll calls of chunk signatures.
+func loadChunks(b *testing.B, sigs []Signature, shards, chunk int) *DB {
+	b.Helper()
+	db, err := NewShardedDB(3815, shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < len(sigs); i += chunk {
+		if err := db.AddAll(sigs[i:min(i+chunk, len(sigs))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkAddAllPeaked is the indexing stage of a bulk load: one op
+// stores 24 000 peaked signatures in a fresh store, in the 256-signature
+// chunks of the end-to-end benchmark at 2 shards, or in one whole-store
+// AddAll at 1 and 4 shards (every row sealed or in a run, none encoded
+// twice).
+func BenchmarkAddAllPeaked(b *testing.B) {
+	sigs := embedPeaked(b, 24000)
+	for _, c := range []struct {
+		name          string
+		shards, chunk int
+	}{
+		{"chunks256/shards=2", 2, 256},
+		{"whole/shards=1", 1, len(sigs)},
+		{"whole/shards=4", 4, len(sigs)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				loadChunks(b, sigs, c.shards, c.chunk)
+			}
+		})
+	}
+}
+
+// BenchmarkSeal is the seal that ends a bulk load: one op seals a store
+// of 24 000 peaked signatures loaded in 256-signature chunks at 2 shards
+// (the load is not timed).
+func BenchmarkSeal(b *testing.B) {
+	sigs := embedPeaked(b, 24000)
+	b.Run("peaked24000/shards=2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := loadChunks(b, sigs, 2, 256)
+			b.StartTimer()
+			db.Seal()
+		}
+	})
 }
 
 func BenchmarkTransform3815(b *testing.B) {

@@ -314,10 +314,10 @@ type DB struct {
 	// orphanErr records the first error out of a deferred orphan-file
 	// removal, surfaced by the next SaveDir that drains synchronously.
 	orphanErr error
-	// staleMaps collects segments whose mmap'd blobs a compaction
-	// spliced away; the next publish attaches their release as a
-	// reclaim action. Guarded by mu.
-	staleMaps []*segment
+	// staleMaps collects the mappings of segments whose mmap'd blobs a
+	// compaction spliced away; the next publish attaches their release as
+	// a reclaim action. Guarded by mu.
+	staleMaps []*mapFile
 }
 
 // dbShard holds the signatures routed to one shard alongside their
@@ -408,7 +408,9 @@ func (db *DB) Add(sig Signature) error {
 	if err := db.checkSig(sig); err != nil {
 		return err
 	}
-	si, resealed := db.addLocked(sig)
+	var p writePlan
+	si, resealed := db.addLocked(&p, sig)
+	p.build(db.dim)
 	if resealed {
 		db.publishLocked(db.takeStaleActionsLocked()...)
 	} else {
@@ -436,10 +438,11 @@ func (db *DB) checkSig(sig Signature) error {
 }
 
 // addLocked appends one validated signature without publishing,
-// reporting the target shard and whether a seal (and possibly a policy
-// compaction) changed the segment structure. Caller holds db.mu and
-// publishes afterwards.
-func (db *DB) addLocked(sig Signature) (si int, resealed bool) {
+// planning into p the run, seal or policy merges the row completes, and
+// reports the target shard and whether a seal (and possibly a policy
+// compaction) changed the segment structure. Caller holds db.mu, builds
+// p and publishes afterwards.
+func (db *DB) addLocked(p *writePlan, sig Signature) (si int, resealed bool) {
 	si = db.total % len(db.shards)
 	sh := &db.shards[si]
 	sg := sh.activeSegment()
@@ -452,24 +455,23 @@ func (db *DB) addLocked(sig Signature) (si int, resealed bool) {
 	sg.end++
 	sg.dirty = true
 	if sg.len() >= db.segSizeLocked() {
-		sg.seal(db.dim, sh)
+		p.seal(sh, sg)
 		// A roll is the compaction policy's trigger: merging here (not on
 		// a timer, not manually) keeps the sealed count bounded at every
 		// point of a continuous ingestion stream.
-		db.policyCompact(sh)
+		db.policyCompact(p, sh)
 		resealed = true
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {
 		// The unindexed tail is a full run: index exactly those rows. The
 		// run is immutable from birth, so the publish that follows hands
 		// it to views like any sealed postings.
-		sg.runs = append(sg.runs, encodeBlocks(db.dim, sh.sigs[sg.runEnd:sg.end]))
-		sg.runEnd = sg.end
+		p.indexRun(sh, sg)
 	}
 	db.total++
 	return si, resealed
 }
 
-// takeStaleActionsLocked wraps the segments whose mapped blobs were
+// takeStaleActionsLocked wraps the mappings of segments whose blobs were
 // spliced away since the last publish into one reclaim action: release
 // the mappings once no pinned view can reach the blobs. Caller holds
 // db.mu; the action runs under db.reclMu (see tryReclaim), where it may
@@ -481,8 +483,8 @@ func (db *DB) takeStaleActionsLocked() []func() {
 	stale := db.staleMaps
 	db.staleMaps = nil
 	return []func(){func() {
-		for _, sg := range stale {
-			if err := sg.releaseMap(); err != nil && db.closeErr == nil {
+		for _, mf := range stale {
+			if err := releaseMap(mf); err != nil && db.closeErr == nil {
 				db.closeErr = err
 			}
 		}
@@ -569,10 +571,9 @@ func (db *DB) Close() error {
 	rel := db.takeStaleActionsLocked()
 	for si := range db.shards {
 		for _, sg := range db.shards[si].segs {
-			if sg.mf != nil {
-				sg := sg
+			if mf := sg.takeMap(); mf != nil {
 				rel = append(rel, func() {
-					if err := sg.releaseMap(); err != nil && db.closeErr == nil {
+					if err := releaseMap(mf); err != nil && db.closeErr == nil {
 						db.closeErr = err
 					}
 				})
@@ -599,7 +600,9 @@ func (db *DB) Close() error {
 // AddAll stores a batch of signatures, validating each, and publishes
 // them as one atomic step: a concurrent query sees either none of the
 // batch or all of it. A batch holding an invalid signature is rejected
-// whole, before anything is stored.
+// whole, before anything is stored. The batch's posting runs, seals and
+// merges are planned row by row and built together over the cores; a
+// run of a segment the batch goes on to seal is never built.
 func (db *DB) AddAll(sigs []Signature) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -611,9 +614,11 @@ func (db *DB) AddAll(sigs []Signature) error {
 			return err
 		}
 	}
+	var p writePlan
 	for _, s := range sigs {
-		db.addLocked(s)
+		db.addLocked(&p, s)
 	}
+	p.build(db.dim)
 	db.publishLocked(db.takeStaleActionsLocked()...)
 	return nil
 }

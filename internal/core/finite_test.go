@@ -78,7 +78,9 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 		// than this package wrote it; plant one behind Add's back and
 		// every loader must refuse the file.
 		db.mu.Lock()
-		db.addLocked(bad)
+		var p writePlan
+		db.addLocked(&p, bad)
+		p.build(db.dim)
 		db.publishLocked()
 		db.mu.Unlock()
 		var se *SnapshotError

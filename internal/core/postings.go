@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/vecmath"
@@ -143,6 +144,10 @@ func (bp *blockPostings) setNormBounds(rows []Signature) {
 	}
 }
 
+// encodeCount counts encodeBlocks calls process-wide; tests assert that a
+// writer builds no run its own call seals away.
+var encodeCount atomic.Int64
+
 // encodeBlocks builds the block-compressed posting lists of rows (local
 // id = position in rows) — the one encoder behind seal, the active
 // segment's runs, and loads of segment bodies that carry no postings
@@ -154,6 +159,7 @@ func (bp *blockPostings) setNormBounds(rows []Signature) {
 // The output depends only on the rows, so a segment sealed after any
 // history of runs is byte-identical to one sealed in one step.
 func encodeBlocks(dim int, rows []Signature) *blockPostings {
+	encodeCount.Add(1)
 	n := len(rows)
 	bp := &blockPostings{dim: dim, n: n, vals: make([][]float64, n), dir: make([]int32, dim+1)}
 	// pos[d] counts dimension d's postings, then walks from first[d], the

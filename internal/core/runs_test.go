@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -205,12 +207,224 @@ func TestActiveRunsSealBytes(t *testing.T) {
 		return dirState(t, dir)
 	}
 	through, direct := save(8, true), save(n+1, false)
-	if len(through) != len(direct) {
-		t.Fatalf("%d files sealed through runs, %d sealed in one step", len(through), len(direct))
+	sameDir(t, "sealed through runs vs in one step", through, direct)
+}
+
+// sameDir asserts two snapshot directories hold the same files, byte for
+// byte.
+func sameDir(t *testing.T, tag string, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d files, want %d", tag, len(got), len(want))
 	}
-	for name, want := range direct {
-		if !bytes.Equal(through[name], want) {
-			t.Fatalf("%s differs between a store sealed through runs and one sealed in one step", name)
+	for name, w := range want {
+		if !bytes.Equal(got[name], w) {
+			t.Fatalf("%s: %s differs", tag, name)
+		}
+	}
+}
+
+// storeShape is what a writer leaves behind that queries and saves do
+// not show: the segment structure and the posting footprint, runs
+// included.
+type storeShape struct {
+	segments, sealed, unindexed int
+	indexBytes, postings        int64
+}
+
+func shapeOf(db *DB) storeShape {
+	return storeShape{db.Segments(), db.SealedSegments(), db.ActiveUnindexedRows(), db.IndexBytes(), db.IndexPostings()}
+}
+
+// TestWritePlanMatchesOneByOne is the exactness property of the writers'
+// plan/build split: a store fed in AddAll batches — whose encodes run
+// over the cores, built before any policy merge splices them, and which
+// never build a run their own call seals — must match a store fed one Add at a time,
+// with Seal and Compact called at the same rows. At every schedule point
+// the segment counts, posting footprint and unindexed rows agree; at the
+// end both write byte-identical snapshot directories and answer TopK and
+// Classify bit-identically; and every call published exactly once. The
+// sweep crosses shard counts, run lengths, the tier policy (fan-out 2
+// cascades merges inside one call), batch sizes from one row to the
+// whole set, and core counts; FMETER_STRESS repeats it on more data.
+func TestWritePlanMatchesOneByOne(t *testing.T) {
+	const dim, nnz, segSize = 60, 8, 64
+	procs0 := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs0)
+	metrics := []Metric{EuclideanMetric(), CosineMetric()}
+	save := func(db *DB) map[string][]byte {
+		dir := filepath.Join(t.TempDir(), "db")
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dirState(t, dir)
+	}
+	for trial := 0; trial < 4*stressN(1, 3); trial++ {
+		shards := 1 + trial%4
+		r := rand.New(rand.NewSource(int64(26 + trial)))
+		// Per shard: two sealed segments and a run of 8 plus five rows,
+		// sealed mid-run; three more rows (four in shard 0), sealed; two
+		// more, compacted; then four and a half segments more — enough
+		// seals in one call for fan-out 2 to cascade.
+		sealAt := shards * (2*segSize + 8 + 5)
+		points := []int{sealAt, sealAt + 3*shards + 1, sealAt + 5*shards + 1}
+		ops := []func(*DB){(*DB).Seal, (*DB).Seal, (*DB).Compact}
+		n := points[2] + shards*(4*segSize+segSize/2)
+		sigs := randSigs(r, n, dim, nnz)
+		queries := make([]*vecmath.Sparse, 4)
+		for i := range queries {
+			queries[i] = randSigs(r, 1, dim, nnz)[0].W
+		}
+		for _, run := range []int{8, 0} {
+			oneRun := shards * run
+			if run == 0 {
+				oneRun = shards * activeRunLen
+			}
+			for _, fanout := range []int{0, 2} {
+				// feed builds a store one Add at a time, or in AddAll
+				// batches of at most batch rows cut at the schedule points,
+				// and records its shape after each scheduled call.
+				feed := func(batch int, add bool) (*DB, []storeShape) {
+					tag := fmt.Sprintf("shards=%d run=%d fanout=%d batch=%d add=%v", shards, run, fanout, batch, add)
+					db, err := NewShardedDB(dim, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					db.SetSegmentSize(segSize)
+					db.setRunLen(run)
+					if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: fanout}); err != nil {
+						t.Fatal(err)
+					}
+					start, calls := db.Publishes(), uint64(0)
+					var shapes []storeShape
+					for lo, next := 0, 0; lo < n; calls++ {
+						hi := min(lo+batch, n)
+						if next < len(points) {
+							hi = min(hi, points[next])
+						}
+						if add {
+							err = db.Add(sigs[lo])
+						} else {
+							err = db.AddAll(sigs[lo:hi])
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if lo = hi; next < len(points) && lo == points[next] {
+							ops[next](db)
+							next++
+							calls++
+							shapes = append(shapes, shapeOf(db))
+						}
+					}
+					shapes = append(shapes, shapeOf(db))
+					if got := db.Publishes() - start; got != calls {
+						t.Fatalf("%s: %d publishes for %d calls", tag, got, calls)
+					}
+					return db, shapes
+				}
+
+				ref, refShapes := feed(1, true)
+				refDir := save(ref)
+				for _, batch := range []int{1, 7, oneRun, shards*segSize + 3, n} {
+					for _, procs := range []int{1, 2, 8} {
+						tag := fmt.Sprintf("shards=%d run=%d fanout=%d batch=%d procs=%d", shards, run, fanout, batch, procs)
+						runtime.GOMAXPROCS(procs)
+						db, shapes := feed(batch, false)
+						runtime.GOMAXPROCS(procs0)
+						if !slices.Equal(shapes, refShapes) {
+							t.Fatalf("%s: shapes at the schedule points %+v, one by one %+v", tag, shapes, refShapes)
+						}
+						sameDir(t, tag, save(db), refDir)
+						for _, m := range metrics {
+							for qi, q := range queries {
+								want, err := ref.TopKSparse(q, 10, m)
+								if err != nil {
+									t.Fatal(err)
+								}
+								got, err := db.TopKSparse(q, 10, m)
+								if err != nil {
+									t.Fatal(err)
+								}
+								sameResults(t, fmt.Sprintf("%s %s q=%d", tag, m.Name, qi), got, want)
+								wantLabel, err := ref.ClassifySparse(q, 5, m)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if got, err := db.ClassifySparse(q, 5, m); err != nil || got != wantLabel {
+									t.Fatalf("%s %s q=%d: Classify = %q, %v; want %q", tag, m.Name, qi, got, err, wantLabel)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWritePlanEncodes counts posting encodes: a batch builds no run for
+// a segment it goes on to seal, and a 256-row chunk at 2 shards — the
+// end-to-end benchmark's bulk load — builds exactly the runs and seals
+// its rows complete.
+func TestWritePlanEncodes(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	const dim, nnz = 60, 8
+
+	// 3.5 segments per shard in one AddAll: three seals and the four runs
+	// of the half segment, where one Add at a time also builds the seven
+	// runs of every sealed segment.
+	sigs := randSigs(r, 2*(3*64+32), dim, nnz)
+	for _, oneByOne := range []bool{false, true} {
+		db, err := NewShardedDB(dim, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetSegmentSize(64)
+		db.setRunLen(8)
+		before := encodeCount.Load()
+		if oneByOne {
+			for _, s := range sigs {
+				if err := db.Add(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := db.AddAll(sigs); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(2 * (3 + 4))
+		if oneByOne {
+			want += 2 * 3 * 7
+		}
+		if got := encodeCount.Load() - before; got != want {
+			t.Errorf("oneByOne=%v: %d encodes, want %d", oneByOne, got, want)
+		}
+		if runs, tail := activeShape(db); !slices.Equal(runs, []int{4, 4}) || !slices.Equal(tail, []int{0, 0}) {
+			t.Errorf("oneByOne=%v: active runs %v, tails %v; want 4 runs and no tail per shard", oneByOne, runs, tail)
+		}
+	}
+
+	// Chunks of 256 at 2 shards and the default sizes: a chunk adds 128
+	// rows per shard, so it seals both shards when their rows reach a
+	// segment, else builds a run in each when they reach a run, else
+	// encodes nothing.
+	const chunk = 256
+	sigs = randSigs(r, 2*DefaultSegmentSize+3*chunk, dim, nnz)
+	db, err := NewShardedDB(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c*chunk <= len(sigs); c++ {
+		before := encodeCount.Load()
+		if err := db.AddAll(sigs[(c-1)*chunk : c*chunk]); err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		if rows := c * chunk / 2; rows%DefaultSegmentSize == 0 || rows%activeRunLen == 0 {
+			want = 2
+		}
+		if got := encodeCount.Load() - before; got != want {
+			t.Fatalf("chunk %d: %d encodes, want %d", c, got, want)
 		}
 	}
 }

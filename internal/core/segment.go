@@ -1,6 +1,11 @@
 package core
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/parallel"
+)
 
 // Segmented storage: each shard's signatures live in a run of
 // append-only segments. A segment is a view over a contiguous range of
@@ -44,7 +49,8 @@ type segment struct {
 	// runs holds the active segment's posting runs in row order: run i
 	// covers the runs[i].n shard-local rows after run i-1's, the first
 	// starting at start, the last ending at runEnd; rows [runEnd, end)
-	// are the unindexed tail. Both are unused once sealed.
+	// are the unindexed tail. Both are unused once sealed. A run slot is
+	// nil only between the writePlan that opens it and that plan's build.
 	runs   []*blockPostings
 	runEnd int
 	// blocks holds the sealed segment's block-compressed posting lists
@@ -68,10 +74,10 @@ type segment struct {
 	crc uint32
 	// mf is the read-only mapping of the segment's file when the
 	// postings blob was mapped rather than copied (LoadDirMapped):
-	// blocks.blob aliases it. The segment owns the handle — it is
-	// released when the blob stops being served from it (a compaction
-	// splice copies the bytes to the heap) or when the DB closes. Nil
-	// for heap-backed segments.
+	// blocks.blob aliases it. The segment owns the handle until it hands
+	// it over (takeMap, under db.mu) for release: when the blob stops
+	// being served from it (a compaction splice copies the bytes to the
+	// heap) or when the DB closes. Nil for heap-backed segments.
 	mf *mapFile
 }
 
@@ -79,18 +85,23 @@ type segment struct {
 // assert mappings are released exactly once across close/compact races.
 var mapReleaseCount atomic.Int64
 
-// releaseMap releases the segment's file mapping, if any. The caller
-// must guarantee the mapped blob is no longer reachable from queries
-// (the segment was spliced away and the views that could reach it have
-// drained, or the DB is closing). Idempotent.
-func (sg *segment) releaseMap() error {
-	if sg.mf == nil {
-		return nil
-	}
-	err := sg.mf.close()
+// takeMap hands over the segment's file mapping, nil when it has none.
+// Caller holds db.mu. The segment forgets the handle here, so each
+// mapping is taken once and the reclaim action that later releases it
+// never touches the segment, which the writer may still be reading.
+func (sg *segment) takeMap() *mapFile {
+	mf := sg.mf
 	sg.mf = nil
+	return mf
+}
+
+// releaseMap releases a mapping taken from a segment. The caller must
+// guarantee its blob is no longer reachable from queries (the segment
+// was spliced away and the views that could reach it have drained, or
+// the DB is closing).
+func releaseMap(mf *mapFile) error {
 	mapReleaseCount.Add(1)
-	return err
+	return mf.close()
 }
 
 // len returns the segment's record count.
@@ -112,18 +123,73 @@ func (db *DB) runLenLocked() int {
 	return activeRunLen
 }
 
-// seal makes the segment immutable: the whole record range is encoded
-// into one blockPostings from the rows and the runs are dropped. Query
-// results are bit-identical before and after — runs, tail scan and
-// sealed blocks all score a row from the same weights in the same
-// order. Sealing a sealed segment is a no-op.
-func (sg *segment) seal(dim int, sh *dbShard) {
-	if sg.sealed {
-		return
-	}
-	sg.blocks = encodeBlocks(dim, sh.sigs[sg.start:sg.end])
+// Writers plan, then build. The row-adding mutators (Add, AddAll, Seal)
+// do their bookkeeping in order under db.mu — row appends, segment opens,
+// seal and merge decisions, segment ids — and record the encodes those
+// decisions call for in a writePlan instead of running them. build runs
+// the recorded encodes over the cores, still under db.mu: once before the
+// call's one publish, and before a policy merge splices, since a part
+// sealed earlier in the same call has postings only once built. The
+// result is byte-for-byte what encoding each structure at its decision
+// point would give: an encode reads a row range captured when it was
+// planned (rows never change once appended) and fills a slot no other
+// encode touches, and merges splice in decision order as they always
+// did. A run is never built for a segment the same call seals — sealing
+// discards runs.
+
+// writePlan is the encode work one mutator call decided on and has not
+// built yet.
+type writePlan struct {
+	encodes []encodeJob
+}
+
+// encodeJob builds the postings of rows, a range captured at plan time,
+// into sg.runs[run], or into sg.blocks when run < 0.
+type encodeJob struct {
+	rows []Signature
+	sg   *segment
+	run  int
+}
+
+// indexRun plans one run over the active segment's unindexed tail: the
+// run slot exists from here on, its postings once the plan is built.
+func (p *writePlan) indexRun(sh *dbShard, sg *segment) {
+	p.encodes = append(p.encodes, encodeJob{rows: sh.sigs[sg.runEnd:sg.end], sg: sg, run: len(sg.runs)})
+	sg.runs = append(sg.runs, nil)
+	sg.runEnd = sg.end
+}
+
+// seal makes the active segment sg immutable: its whole record range is
+// encoded into one blockPostings from the rows and its runs are dropped,
+// with them any this plan has not built yet. Query results are
+// bit-identical before and after — runs, tail scan and sealed blocks all
+// score a row from the same weights in the same order.
+func (p *writePlan) seal(sh *dbShard, sg *segment) {
+	p.encodes = slices.DeleteFunc(p.encodes, func(j encodeJob) bool { return j.sg == sg })
+	p.encodes = append(p.encodes, encodeJob{rows: sh.sigs[sg.start:sg.end], sg: sg, run: -1})
 	sg.runs = nil
 	sg.sealed = true
+}
+
+// build runs the plan's pending encodes over the cores and empties it.
+// A plan of one encode runs on the caller's goroutine, and an empty plan
+// (most Adds) builds no closure. Caller holds db.mu.
+func (p *writePlan) build(dim int) {
+	encodes := p.encodes
+	if len(encodes) == 0 {
+		return
+	}
+	_ = parallel.For(0, len(encodes), func(k int) error {
+		j := &encodes[k]
+		bp := encodeBlocks(dim, j.rows)
+		if j.run < 0 {
+			j.sg.blocks = bp
+		} else {
+			j.sg.runs[j.run] = bp
+		}
+		return nil
+	})
+	p.encodes = encodes[:0]
 }
 
 // DefaultSegmentSize is the seal threshold when SetSegmentSize was not
@@ -247,13 +313,15 @@ func (db *DB) Seal() {
 	if db.closed {
 		return
 	}
+	var p writePlan
 	for si := range db.shards {
 		sh := &db.shards[si]
 		if sg := sh.activeSegment(); sg != nil && sg.len() > 0 {
-			sg.seal(db.dim, sh)
-			db.policyCompact(sh)
+			p.seal(sh, sg)
+			db.policyCompact(&p, sh)
 		}
 	}
+	p.build(db.dim)
 	db.publishLocked(db.takeStaleActionsLocked()...)
 }
 
@@ -310,14 +378,14 @@ func (db *DB) compactShard(sh *dbShard) {
 
 // mergeRun splices the adjacent sealed segments sh.segs[i:j) into one,
 // reusing sh.segs[i] as the merged segment and returning it; the caller
-// rebuilds the shard's segment slice. Adjacent segments cover adjacent
-// id ranges, so rebasing each part's blocks by its range offset keeps
-// every posting list ascending — descriptor edits plus byte-stream
-// copies, no varint is decoded and nothing is re-scored. The merged
-// segment takes a fresh id so its file never collides with the ones it
-// replaces, and it is fully built (postings, bounds, range) before the
-// caller links it into the segment run — a query never sees a
-// half-merged segment.
+// rebuilds the shard's segment slice. Every part's postings must be
+// built. Adjacent segments cover adjacent id ranges, so rebasing each
+// part's blocks by its range offset keeps every posting list ascending —
+// descriptor edits plus byte-stream copies, no varint is decoded and
+// nothing is re-scored. The merged segment takes a fresh id so its file
+// never collides with the ones it replaces, and it is fully built
+// (postings, bounds, range) before the caller links it into the segment
+// run — a query never sees a half-merged segment.
 func (db *DB) mergeRun(sh *dbShard, i, j int) *segment {
 	merged := sh.segs[i]
 	parts := make([]*blockPostings, 0, j-i)
@@ -333,8 +401,8 @@ func (db *DB) mergeRun(sh *dbShard, i, j int) *segment {
 	// queue the mappings for release when the last view that could reach
 	// them drains (takeStaleActionsLocked attaches them to the publish).
 	for _, sg := range sh.segs[i:j] {
-		if sg.mf != nil {
-			db.staleMaps = append(db.staleMaps, sg)
+		if mf := sg.takeMap(); mf != nil {
+			db.staleMaps = append(db.staleMaps, mf)
 		}
 	}
 	merged.id = db.nextSeg
@@ -396,7 +464,9 @@ func (db *DB) tierOf(n, f int) int {
 // can promote its output a tier and complete a run there, so the loop
 // cascades until every tier holds fewer than TierFanout adjacent
 // segments. Each iteration shrinks the segment count, so it terminates.
-func (db *DB) policyCompact(sh *dbShard) {
+// A merge splices at once, so it first builds p's pending encodes: a
+// part sealed earlier in the same call has postings only then.
+func (db *DB) policyCompact(p *writePlan, sh *dbShard) {
 	f := db.policy.TierFanout
 	if f < 2 {
 		return
@@ -406,6 +476,7 @@ func (db *DB) policyCompact(sh *dbShard) {
 		if i < 0 {
 			return
 		}
+		p.build(db.dim)
 		db.mergeRun(sh, i, j)
 		// Close the gap [i+1, j) left by the merged-away segments,
 		// dropping the tail references so they can be collected.
