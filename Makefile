@@ -52,13 +52,16 @@ stress:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
-## bench-compile: one iteration of the set-up micro-benchmarks
-## (Transform, TransformAll, Corpus.Add, the AddAll bulk load and the
-## Seal that ends it) that DESIGN-PERF.md's numbers come from, so they
-## cannot rot into code that no longer compiles or panics. It times
-## nothing.
+## bench-compile: one iteration of the micro-benchmarks DESIGN-PERF.md's
+## numbers come from, so they cannot rot into code that no longer
+## compiles or panics: the set-up path (Transform, TransformAll,
+## Corpus.Add, the AddAll bulk load and the Seal that ends it), the
+## kernel_large query in process (BenchmarkTopKFlat's class arm) and the
+## query-body decoder against encoding/json. It times nothing.
 bench-compile:
 	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'TopKFlat/peaked/class' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'DecodeQueryRequest' -benchtime 1x ./internal/serve/
 
 ## bench-smoke: what bench/ cannot show yet — table/figure wall-clock and the
 ## 10k → 100k scale ladder (the 1M rung is an off-CI run at the default -scale).

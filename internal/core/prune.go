@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/vecmath"
 )
@@ -15,11 +14,11 @@ import (
 // to a per-dim directory bound at seal time) to spend work only where
 // the top-k outcome can still change:
 //
-//  1. The query dims present in the unit are ranked by worst-case
-//     contribution |q_d|·dimBound[d] and suffix-summed in that order.
-//     Once the heap is full, the first suffix whose remaining mass
-//     provably cannot lift any untouched candidate past the heap root
-//     splits the dims into an essential prefix and a skippable tail.
+//  1. The query dims present in the unit are weighed by worst-case
+//     contribution |q_d|·dimBound[d] and taken heaviest first until the
+//     mass of the rest provably cannot lift any untouched candidate past
+//     the heap root: an essential prefix, in order, and a skippable
+//     tail, never sorted (essentialPrefix).
 //  2. The essential dims' blocks are walked for their ids only: every
 //     candidate in a block accumulates the block's constant bound
 //     |q_d|·maxAbsW and is listed on first touch. No posting weight is
@@ -77,7 +76,7 @@ func (db *DB) setPruneFloor(n int) {
 }
 
 // pruneEps is the relative slack added to every remainder bound before
-// it is compared against the heap root. The bound sums (suffix sums of
+// it is compared against the heap root. The bound sums (tail sums of
 // per-dim bounds, sums of block bounds) dominate the canonical dot term
 // by term in real arithmetic, but each side is a float sum with its own
 // rounding, so they can disagree by a few ULPs per term — bounded by
@@ -95,16 +94,16 @@ type pruneScratch struct {
 	// (ascending dim order) and their impact bounds |q_d|·dimBound[d].
 	slots []int32
 	bound []float64
-	// ord permutes slots into descending impact order; suffix[i] is the
-	// impact mass of ord[i:] (suffix[len] == 0).
-	ord    []int32
-	suffix []float64
+	// ord[:cut] is the essential prefix — positions into slots, heaviest
+	// impact first — and heap[:m-cut] the skippable tail, in max-heap
+	// order; essentialPrefix fills both.
+	ord  []int32
+	heap []int32
 	// touched lists the unit-local candidates the walk met, in first-
 	// touch order; stamp/epoch mark them and the seed rows (beginStamps).
 	touched []int32
 	stamp   []uint32
 	epoch   uint32
-	sorter  impactSorter
 	// seeds holds the shard rows offered by the seed passes (ascending),
 	// which every later offer loop must exclude. seedsTmp is the merge
 	// buffer probeSeed splices its run into.
@@ -114,23 +113,81 @@ type pruneScratch struct {
 	ids [postingBlockSize]int32
 }
 
-// impactSorter orders ord by descending impact bound, ties toward the
-// lower slot — a total order, so the essential prefix is deterministic.
-// It is a stored sort.Interface so sorting allocates nothing.
-type impactSorter struct {
-	ord   []int32
-	bound []float64
+// heavier orders impact slots by descending bound, ties toward the lower
+// slot — a total order, so the essential prefix is deterministic.
+func (ps *pruneScratch) heavier(a, b int32) bool {
+	x, y := ps.bound[a], ps.bound[b]
+	return x > y || (x == y && a < b)
 }
 
-func (s *impactSorter) Len() int { return len(s.ord) }
-func (s *impactSorter) Less(a, b int) bool {
-	x, y := s.bound[s.ord[a]], s.bound[s.ord[b]]
-	if x != y {
-		return x > y
+// siftDown restores the max-heap property of h below position i.
+//
+//fmeter:noalloc
+func (ps *pruneScratch) siftDown(h []int32, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && ps.heavier(h[c+1], h[c]) {
+			c++
+		}
+		if !ps.heavier(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return s.ord[a] < s.ord[b]
 }
-func (s *impactSorter) Swap(a, b int) { s.ord[a], s.ord[b] = s.ord[b], s.ord[a] }
+
+// essentialPrefix splits the unit's impact slots into the essential
+// prefix, which the walk visits heaviest first, and a skippable tail,
+// without sorting the tail: slots are popped off a max-heap into ord
+// until the mass still in the heap provably cannot displace the heap
+// root (canSkip). It returns the prefix length — -1 when not even the
+// empty tail, a candidate sharing no dim with the query, is skippable —
+// the tail's mass summed once in heap order, and the total mass.
+//
+// The mass a cut is decided on is total − popped, two float sums and a
+// subtraction that can cancel: it may undershoot the exact tail mass by
+// a few ULPs of total per slot, far more than the relative (1+pruneEps)
+// slack covers once the tail is small. The absolute pruneEps·total term
+// — the same budget the survivor filter adds — covers it for any support
+// under ~10^6 dims, so the decision mass always dominates the exact
+// tail, and the cut is never earlier than the one an exact sort and
+// suffix sum would choose (TestEssentialPrefix).
+//
+//fmeter:noalloc
+func (ps *pruneScratch) essentialPrefix(canSkip func(rem float64) bool) (cut int, tail, total float64) {
+	h := ps.heap
+	for _, b := range ps.bound {
+		total += b
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		ps.siftDown(h, i)
+	}
+	popped := 0.0
+	for ; len(h) > 0; cut++ {
+		if canSkip((total-popped)*(1+pruneEps) + pruneEps*total) {
+			for _, s := range h {
+				tail += ps.bound[s]
+			}
+			ps.heap = h
+			return cut, tail, total
+		}
+		top := h[0]
+		ps.ord[cut] = top
+		popped += ps.bound[top]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		ps.siftDown(h, 0)
+	}
+	ps.heap = h
+	if !canSkip(0) {
+		return -1, 0, total
+	}
+	return cut, 0, total
+}
 
 // beginStamps opens a fresh stamp epoch over the n rows of the walk unit
 // starting at shard row start, with the seed rows inside it already
@@ -255,6 +312,44 @@ func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecma
 	ps.seeds = out
 }
 
+// impacts loads the query dims present in unit bp into the scratch —
+// slots, their impact bounds |q_d|·dimBound[d], every slot on the heap —
+// and returns the unit's block count under them.
+func (ps *pruneScratch) impacts(bp *blockPostings, query *vecmath.Sparse) (totalBlk int) {
+	idx, val := query.Support(), query.Values()
+	ps.slots, ps.bound, ps.heap = ps.slots[:0], ps.bound[:0], ps.heap[:0]
+	for s, d := range idx {
+		lo, hi := bp.dir[d], bp.dir[d+1]
+		if lo == hi {
+			continue
+		}
+		ps.heap = append(ps.heap, int32(len(ps.slots)))
+		ps.slots = append(ps.slots, int32(s))
+		ps.bound = append(ps.bound, math.Abs(val[s])*bp.dimBound[d])
+		totalBlk += int(hi - lo)
+	}
+	if cap(ps.ord) < len(ps.slots) {
+		ps.ord = make([]int32, len(ps.slots))
+	}
+	ps.ord = ps.ord[:len(ps.slots)]
+	return totalBlk
+}
+
+// rootSafe reports whether NO candidate of unit bp whose unaccumulated
+// dot mass is at most rem can displace the heap root: the dot bound
+// becomes a score bound through the norm that maximizes the score, and
+// only a strictly-worse bound is conclusive (an equal score could still
+// displace through the smaller-gid tie-break). The pruned walk reads the
+// root live, but no offer happens until the survivors are scored, after
+// every such decision — the threshold is constant while bounds are
+// evaluated.
+func rootSafe(h *topkHeap, bp *blockPostings, cosine bool, qNorm2, rem float64) bool {
+	if cosine {
+		return cosineDotScore(rem, qNorm2, bp.minPosNorm2) < h.score[0]
+	}
+	return euclideanDotScore(rem, qNorm2, bp.minNorm2) > h.score[0]
+}
+
 // prunedSegment runs the threshold-pruned walk over one indexed walk
 // unit, offering every candidate that could still belong to the top k.
 // It reports false — leaving the heap untouched — when no dim can be
@@ -266,62 +361,17 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	ps := &ss.prune
 	idx, val := query.Support(), query.Values()
 
-	// Impact bounds of the query dims present in this unit.
-	ps.slots, ps.bound, ps.ord = ps.slots[:0], ps.bound[:0], ps.ord[:0]
-	totalBlk, walkAll := 0, int64(0)
-	for s, d := range idx {
-		lo, hi := bp.dir[d], bp.dir[d+1]
-		if lo == hi {
-			continue
-		}
-		ps.ord = append(ps.ord, int32(len(ps.slots)))
-		ps.slots = append(ps.slots, int32(s))
-		ps.bound = append(ps.bound, math.Abs(val[s])*bp.dimBound[d])
-		totalBlk += int(hi - lo)
-		walkAll += bp.dimPostings(d)
-	}
+	totalBlk := ps.impacts(bp, query)
 	m := len(ps.slots)
 	ss.stats.DimsConsidered += int64(m)
 	ss.stats.BlocksConsidered += int64(totalBlk)
+	canSkip := func(rem float64) bool { return rootSafe(h, bp, cosine, qNorm2, rem) }
 
-	// Descending-impact order and suffix mass.
-	ps.sorter.ord, ps.sorter.bound = ps.ord, ps.bound
-	sort.Sort(&ps.sorter)
-	if cap(ps.suffix) < m+1 {
-		ps.suffix = make([]float64, m+1)
-	}
-	ps.suffix = ps.suffix[:m+1]
-	ps.suffix[m] = 0
-	for i := m - 1; i >= 0; i-- {
-		ps.suffix[i] = ps.suffix[i+1] + ps.bound[ps.ord[i]]
-	}
-
-	// canSkip reports whether NO candidate whose unaccumulated dot mass
-	// is at most rem can displace the heap root: the dot bound becomes a
-	// score bound through the norm that maximizes the score, and only a
-	// strictly-worse bound is conclusive (an equal score could still
-	// displace through the smaller-gid tie-break). The heap root is read
-	// live, but no offer happens until the survivors are scored, after
-	// every canSkip decision — the threshold is constant while bounds
-	// are evaluated.
-	canSkip := func(rem float64) bool {
-		if cosine {
-			return cosineDotScore(rem, qNorm2, bp.minPosNorm2) < h.score[0]
-		}
-		return euclideanDotScore(rem, qNorm2, bp.minNorm2) > h.score[0]
-	}
-
-	// Essential cutoff: the first suffix (the whole support included, at
-	// i == m, covering candidates with no query overlap at all) whose
-	// mass cannot displace the root. No such suffix means nothing in
-	// this unit is provably skippable.
-	cut := -1
-	for i := 0; i <= m; i++ {
-		if canSkip(ps.suffix[i] * (1 + pruneEps)) {
-			cut = i
-			break
-		}
-	}
+	// Essential cutoff: the shortest heaviest-first prefix (the whole
+	// support included, covering candidates with no query overlap at all)
+	// whose complement's mass cannot displace the root. No such prefix
+	// means nothing in this unit is provably skippable.
+	cut, tail, total := ps.essentialPrefix(canSkip)
 	if cut < 0 {
 		return false
 	}
@@ -331,24 +381,29 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// |q_d|·maxAbsW — no weight is gathered — and is listed on first
 	// touch. skipped accumulates the bounds of individually skipped
 	// blocks: a candidate sits in at most one block per dim, so its mass
-	// outside the walked blocks is bounded by the skippable-tail suffix
+	// outside the walked blocks is bounded by the skippable tail's mass
 	// plus the skipped-block total. A zero cut covers the whole unit and
 	// walks nothing.
 	//
 	// The walk gives the unit up as soon as it has cost more than scoring
-	// the unit whole would, in walked postings: budget is the cheaper of
-	// the plain walk (the postings under the query's dims) and the dense
-	// scan (scanWalkRatio non-zeros to the posting); against it go a
+	// the unit whole would, in walked postings: the budget is the cheaper
+	// of the dense scan (scanWalkRatio non-zeros to the posting) and the
+	// plain walk (the postings under the query's dims); against it go a
 	// posting per decoded id and a gather dot per listed candidate — the
 	// skippable tail usually sits just under the threshold, so the filter
 	// below passes most of what the walk lists, and a walk that lists
-	// much of the unit has already lost.
+	// much of the unit has already lost. The plain walk's postings are
+	// counted only as far as a decision needs: dim by dim, until they
+	// pass the cost reached so far, which decides exactly as the full
+	// count would and spares a class query — whose walk ends far below
+	// either budget — reading the block descriptors of every query dim.
 	acc := &ss.acc
 	acc.Reset(bp.n)
 	ps.beginStamps(sg.start, bp.n, seeds)
 	ps.touched = ps.touched[:0]
-	budget := min(float64(walkAll), float64(bp.nPostings)/scanWalkRatio)
+	scanCost := float64(bp.nPostings) / scanWalkRatio
 	rowCost := float64(bp.nPostings) / float64(bp.n) / scanWalkRatio
+	counted, walkAll := 0, int64(0)
 	walked, blocksSkipped, skipped := 0, 0, 0.0
 	for i := 0; i < cut; i++ {
 		s := ps.slots[ps.ord[i]]
@@ -359,7 +414,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 			bb := aq * bd.maxAbsW
 			if bb == 0 {
 				blocksSkipped++
-			} else if canSkip((ps.suffix[cut] + skipped + bb) * (1 + pruneEps)) {
+			} else if canSkip((tail + skipped + bb) * (1 + pruneEps)) {
 				skipped += bb
 				blocksSkipped++
 			} else {
@@ -367,12 +422,20 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 				walked += int(bd.count)
 			}
 		}
-		if float64(walked)+float64(len(ps.touched))*rowCost > budget {
+		cost := float64(walked) + float64(len(ps.touched))*rowCost
+		if cost > scanCost {
+			return false
+		}
+		for float64(walkAll) < cost && counted < m {
+			walkAll += bp.dimPostings(idx[ps.slots[counted]])
+			counted++
+		}
+		if cost > float64(walkAll) {
 			return false
 		}
 	}
-	for i := cut; i < m; i++ {
-		d := idx[ps.slots[ps.ord[i]]]
+	for _, o := range ps.heap {
+		d := idx[ps.slots[o]]
 		blocksSkipped += int(bp.dir[d+1] - bp.dir[d])
 	}
 	ss.stats.SegmentsPruned++
@@ -385,10 +448,10 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// mass it may hold outside the walked blocks; if even that cannot
 	// displace the root (the predicate offer decides with) it is dropped,
 	// otherwise it gets the canonical gather dot. The extra
-	// pruneEps·suffix[0] absorbs the float drift between the bound sums
-	// and the real-number sums they stand for. Untouched candidates were
+	// pruneEps·total absorbs the float drift between the bound sums and
+	// the real-number sums they stand for. Untouched candidates were
 	// covered wholesale by the cutoff/block checks.
-	rem := (ps.suffix[cut]+skipped)*(1+pruneEps) + pruneEps*(ps.suffix[0]+skipped)
+	rem := (tail+skipped)*(1+pruneEps) + pruneEps*(total+skipped)
 	rs, ri := h.score[0], h.idx[0]
 	for _, id := range ps.touched {
 		j := sg.start + int(id)

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -473,6 +476,209 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sortedPrefix is the essential cutoff as a full sort decides it, kept
+// as essentialPrefix's oracle: every slot ordered by descending bound,
+// ties toward the lower slot, suffix-summed from the lightest, and the
+// first suffix whose mass (with the relative slack) canSkip accepts —
+// the whole support included, at m. cut is -1 when none is.
+func sortedPrefix(bound []float64, canSkip func(float64) bool) (ord []int32, cut int) {
+	m := len(bound)
+	ord = make([]int32, m)
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	sort.Slice(ord, func(a, b int) bool {
+		x, y := bound[ord[a]], bound[ord[b]]
+		if x != y {
+			return x > y
+		}
+		return ord[a] < ord[b]
+	})
+	suffix := make([]float64, m+1)
+	for i := m - 1; i >= 0; i-- {
+		suffix[i] = suffix[i+1] + bound[ord[i]]
+	}
+	for i := 0; i <= m; i++ {
+		if canSkip(suffix[i] * (1 + pruneEps)) {
+			return ord, i
+		}
+	}
+	return ord, -1
+}
+
+// checkPrefix runs essentialPrefix on the scratch's bounds and holds it to
+// sortedPrefix: the prefix is the oracle's order up to the cut, the cut
+// is never earlier than the oracle's, the tail is exactly the slots left
+// over, the mass of that tail — summed exactly — is one canSkip accepts,
+// and the returned tail and total masses are that sum and the bound total
+// to within rounding. It returns both cuts.
+func checkPrefix(t *testing.T, ctx string, ps *pruneScratch, canSkip func(float64) bool) (got, want int) {
+	t.Helper()
+	ord, want := sortedPrefix(ps.bound, canSkip)
+	got, tail, total := ps.essentialPrefix(canSkip)
+	m := len(ps.bound)
+	if got < 0 {
+		if want >= 0 || canSkip(0) {
+			t.Fatalf("%s: no cut, the oracle cuts at %d", ctx, want)
+		}
+		return got, want
+	}
+	if want < 0 || got < want {
+		t.Fatalf("%s: cut %d, earlier than the oracle's %d", ctx, got, want)
+	}
+	if !slices.Equal(ps.ord[:got], ord[:got]) {
+		t.Fatalf("%s: prefix %v, want the oracle's %v", ctx, ps.ord[:got], ord[:got])
+	}
+	rest := slices.Sorted(slices.Values(ps.heap))
+	if want := slices.Sorted(slices.Values(ord[got:])); !slices.Equal(rest, want) {
+		t.Fatalf("%s: tail slots %v, want %v", ctx, rest, want)
+	}
+	exact, all := new(big.Float), new(big.Float)
+	for _, s := range ps.heap {
+		exact.Add(exact, big.NewFloat(ps.bound[s]))
+	}
+	for _, b := range ps.bound {
+		all.Add(all, big.NewFloat(b))
+	}
+	// canSkip is monotone in the mass: asking it about the exact mass
+	// rounded up can only make the check stricter.
+	up, _ := exact.Float64()
+	if exact.Cmp(big.NewFloat(up)) > 0 {
+		up = math.Nextafter(up, math.Inf(1))
+	}
+	if !canSkip(up) {
+		t.Fatalf("%s: cut %d of %d skips a tail of exact mass %v that can displace the root", ctx, got, m, exact)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		want *big.Float
+	}{{"tail", tail, exact}, {"total", total, all}} {
+		w, _ := c.want.Float64()
+		if math.Abs(c.got-w) > 1e-12*w {
+			t.Fatalf("%s: %s mass %v, exact %v", ctx, c.name, c.got, w)
+		}
+	}
+	return got, want
+}
+
+// loadBounds points the scratch at bound with every slot on the heap,
+// as impacts leaves it.
+func loadBounds(ps *pruneScratch, bound []float64) {
+	ps.bound = bound
+	ps.heap = ps.heap[:0]
+	for i := range bound {
+		ps.heap = append(ps.heap, int32(i))
+	}
+	ps.ord = make([]int32, len(bound))
+}
+
+// TestEssentialPrefix holds the heap selection of the essential prefix
+// to the full sort it replaced. On random impact vectors — up to 300
+// slots, ties, zeros, magnitudes 1e-300…1e3, thresholds on and around
+// every oracle boundary — the prefix is the sorted order, the cut never
+// comes before the sort's and never skips a tail whose exact mass could
+// displace the root. On the kernel_large-shaped store (peakedSigs, class
+// members as queries, the real seeded walk) every unit's cut is the
+// sort's.
+func TestEssentialPrefix(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var ps pruneScratch
+	for trial := 0; trial < 3000; trial++ {
+		m := r.Intn(301)
+		lo := -300 + 303*r.Float64()
+		span := (3 - lo) * r.Float64()
+		bound := make([]float64, m)
+		for i := range bound {
+			switch {
+			case r.Intn(8) == 0:
+				bound[i] = 0
+			case i > 0 && r.Intn(5) == 0:
+				bound[i] = bound[r.Intn(i)]
+			default:
+				bound[i] = math.Pow(10, lo+span*r.Float64())
+			}
+		}
+		loadBounds(&ps, slices.Clone(bound))
+		// θ sits on a random oracle boundary — its decision mass, just
+		// above or below it, or the bare suffix — or at the extremes.
+		ord, _ := sortedPrefix(bound, func(float64) bool { return false })
+		mass := 0.0
+		for _, s := range ord[r.Intn(m+1):] {
+			mass += bound[s]
+		}
+		var theta float64
+		switch r.Intn(7) {
+		case 0:
+			theta = mass * (1 + pruneEps)
+		case 1:
+			theta = math.Nextafter(mass*(1+pruneEps), math.Inf(1))
+		case 2:
+			theta = mass * (1 + 1e-12)
+		case 3:
+			theta = mass * (1 + 3*pruneEps)
+		case 4:
+			theta = mass
+		case 5:
+			theta = 0
+		default:
+			theta = math.Inf(1)
+		}
+		canSkip := func(x float64) bool { return x < theta }
+		checkPrefix(t, fmt.Sprintf("trial %d (m=%d θ=%v)", trial, m, theta), &ps, canSkip)
+	}
+
+	const dim, n, classSize, k = 3815, 8000, 2000, 10
+	db, err := NewShardedDB(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetSegmentSize(1024)
+	if err := db.AddAll(peakedSigs(r, dim, n, classSize)); err != nil {
+		t.Fatal(err)
+	}
+	db.Seal()
+	// Two fresh members of every class (classSize 1 gives class i to
+	// signature i), the shape of bench's kernel_large probes.
+	queries := append(peakedSigs(r, dim, n/classSize, 1), peakedSigs(r, dim, n/classSize, 1)...)
+	v := db.pinView()
+	defer db.unpinView(v)
+	units, pruned := 0, 0
+	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
+		cosine := metric.kind == metricKindCosine
+		for qi, q := range queries {
+			qd, qNorm2 := q.W.Dense(), q.W.Norm2()
+			for si := range v.shards {
+				// topkShard's pruned arm, unit by unit, with every cut
+				// also taken by the oracle against the same live root.
+				vs := &v.shards[si]
+				var ss shardScratch
+				h := &ss.heap
+				h.reset(metric.HigherIsCloser)
+				seeds := seedHeap(vs, &ss.prune, h, k, q.W, qd, cosine, qNorm2)
+				for ui, sg := range vs.segs {
+					var cmp pruneScratch
+					cmp.impacts(sg.blocks, q.W)
+					ctx := fmt.Sprintf("%s query %d shard %d unit %d", metric.Name, qi, si, ui)
+					canSkip := func(rem float64) bool { return rootSafe(h, sg.blocks, cosine, qNorm2, rem) }
+					if got, want := checkPrefix(t, ctx, &cmp, canSkip); got != want {
+						t.Fatalf("%s: cut %d, the oracle's %d", ctx, got, want)
+					}
+					units++
+					if prunedSegment(vs, sg, &ss, h, k, q.W, qd, cosine, qNorm2, seeds) {
+						pruned++
+					} else {
+						offerCanonical(h, k, vs, sg, qd, cosine, qNorm2, seeds)
+					}
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatalf("none of %d units took the pruned walk", units)
 	}
 }
 

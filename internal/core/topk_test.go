@@ -414,8 +414,10 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 // 0.75·pool/200 of a unit's non-zeros — 1/8 at pool=33, 1/4 at pool=66,
 // and 3/4 at pool=200, what a real kernel signature's ubiquitous
 // functions look like; a 12-nnz query over 2000 12-nnz rows (the
-// wire_small store) walks 1/160 and must keep the walk. The walk and
-// scan arms run on one goroutine; topk fans the shards out.
+// wire_small store) walks 1/160 and must keep the walk. The class arm
+// is the query pruning is for — kernel_large's, in process — timed
+// against the same two whole-unit arms. The walk and scan arms run on
+// one goroutine; topk fans the shards out.
 func BenchmarkTopKFlat(b *testing.B) {
 	const dim = 3815
 	sealed := func(sigs []Signature) *DB {
@@ -440,6 +442,10 @@ func BenchmarkTopKFlat(b *testing.B) {
 	}
 	tiny := sealed(randSigs(r, 2000, dim, 12))
 	b.Run("tiny/nnz=12", func(b *testing.B) { benchScoreArms(b, tiny, randSigs(r, 1, dim, 12)[0].W) })
+	// The kernel_large query: a fresh member of one of the 12 classes,
+	// which topk takes down the pruned walk.
+	class := peakedSigs(r, dim, 6, 1)[5].W
+	b.Run("peaked/class", func(b *testing.B) { benchScoreArms(b, peaked, class) })
 }
 
 // TestClassifyBatchInto checks the label form of Query: labels match

@@ -88,34 +88,46 @@ func wireFromSparse(sp *vecmath.Sparse) wireQuery {
 	return q
 }
 
+// badRequests are bodies every server refuses before admission, with
+// the status and kind it answers them with; FuzzDecodeQueryRequest
+// starts from them too.
+var badRequests = []struct {
+	name   string
+	path   string
+	body   string
+	status int
+	kind   string
+}{
+	{"malformed json", "/v1/topk", `{"queries": [`, http.StatusBadRequest, "bad_request"},
+	{"unknown field", "/v1/topk", `{"nope": 1}`, http.StatusBadRequest, "bad_request"},
+	{"no queries", "/v1/topk", `{"queries": []}`, http.StatusBadRequest, "bad_request"},
+	{"dim mismatch", "/v1/topk", `{"dim": 7, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "dimension"},
+	{"index out of range", "/v1/topk", fmt.Sprintf(`{"queries": [{"idx":[%d],"val":[1]}]}`, testDim), http.StatusBadRequest, "dimension"},
+	{"unsorted indices", "/v1/topk", `{"queries": [{"idx":[3,1],"val":[1,1]}]}`, http.StatusBadRequest, "dimension"},
+	{"overflowing topk weights", "/v1/topk", `{"queries": [{"idx":[0],"val":[1]}, {"idx":[0,2],"val":[1,1e200]}]}`, http.StatusBadRequest, "config"},
+	{"overflowing classify weights", "/v1/classify", `{"queries": [{"idx":[1],"val":[-1e200]}]}`, http.StatusBadRequest, "config"},
+	{"bad k", "/v1/topk", `{"k": -2, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config"},
+	{"k over limit", "/v1/topk", `{"k": 1000, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config"},
+	{"bad metric", "/v1/classify", `{"metric": "manhattan", "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config"},
+	{"topk body then ]", "/v1/topk", `{"queries": [{"idx":[0],"val":[1]}]}]`, http.StatusBadRequest, "bad_request"},
+	{"classify body then }", "/v1/classify", `{"queries": [{"idx":[0],"val":[1]}]} }`, http.StatusBadRequest, "bad_request"},
+	{"second body", "/v1/topk", `{"queries": [{"idx":[0],"val":[1]}]} {}`, http.StatusBadRequest, "bad_request"},
+	{"index not an int32", "/v1/topk", `{"queries": [{"idx":[1.0],"val":[1]}]}`, http.StatusBadRequest, "bad_request"},
+	{"weight out of range", "/v1/topk", `{"queries": [{"idx":[0],"val":[1e400]}]}`, http.StatusBadRequest, "bad_request"},
+	{"leading zero", "/v1/classify", `{"k": 01, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "bad_request"},
+	{"query not an object", "/v1/topk", `{"queries": [[0, 1]]}`, http.StatusBadRequest, "bad_request"},
+	{"malformed ingest", "/v1/ingest", `{]`, http.StatusBadRequest, "bad_request"},
+	{"ingest body then }", "/v1/ingest", `{"documents": [{"ID":"x","Counts":{"0":1}}]}}`, http.StatusBadRequest, "bad_request"},
+	{"ingest body then ]", "/v1/ingest", `{"documents": [{"ID":"x","Counts":{"0":1}}]}]`, http.StatusBadRequest, "bad_request"},
+	{"no model", "/v1/ingest", `{"documents": [{"ID":"x","Counts":{"0":1}}]}`, http.StatusServiceUnavailable, "unavailable"},
+}
+
 func TestHandlerBadRequests(t *testing.T) {
-	s, sigs := newTestServer(t, Config{}, 50)
+	s, _ := newTestServer(t, Config{}, 50)
 	defer s.Shutdown(t.Context())
 	h := s.Handler()
 
-	cases := []struct {
-		name     string
-		path     string
-		body     string
-		status   int
-		kind     string
-		hasRetry bool
-	}{
-		{"malformed json", "/v1/topk", `{"queries": [`, http.StatusBadRequest, "bad_request", false},
-		{"unknown field", "/v1/topk", `{"nope": 1}`, http.StatusBadRequest, "bad_request", false},
-		{"no queries", "/v1/topk", `{"queries": []}`, http.StatusBadRequest, "bad_request", false},
-		{"dim mismatch", "/v1/topk", `{"dim": 7, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "dimension", false},
-		{"index out of range", "/v1/topk", fmt.Sprintf(`{"queries": [{"idx":[%d],"val":[1]}]}`, testDim), http.StatusBadRequest, "dimension", false},
-		{"unsorted indices", "/v1/topk", `{"queries": [{"idx":[3,1],"val":[1,1]}]}`, http.StatusBadRequest, "dimension", false},
-		{"overflowing topk weights", "/v1/topk", `{"queries": [{"idx":[0],"val":[1]}, {"idx":[0,2],"val":[1,1e200]}]}`, http.StatusBadRequest, "config", false},
-		{"overflowing classify weights", "/v1/classify", `{"queries": [{"idx":[1],"val":[-1e200]}]}`, http.StatusBadRequest, "config", false},
-		{"bad k", "/v1/topk", `{"k": -2, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config", false},
-		{"k over limit", "/v1/topk", `{"k": 1000, "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config", false},
-		{"bad metric", "/v1/classify", `{"metric": "manhattan", "queries": [{"idx":[0],"val":[1]}]}`, http.StatusBadRequest, "config", false},
-		{"malformed ingest", "/v1/ingest", `{]`, http.StatusBadRequest, "bad_request", false},
-		{"no model", "/v1/ingest", `{"documents": [{"ID":"x","Counts":{"0":1}}]}`, http.StatusServiceUnavailable, "unavailable", false},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := postJSON(t, h, tc.path, tc.body)
 			if rec.Code != tc.status {
@@ -126,7 +138,6 @@ func TestHandlerBadRequests(t *testing.T) {
 			}
 		})
 	}
-	_ = sigs
 
 	// Wrong method on a POST route gets the mux's 405.
 	req := httptest.NewRequest("GET", "/v1/topk", nil)

@@ -10,10 +10,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -432,9 +434,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- request decoding ---
 
-// decodeBody strictly decodes one JSON body into dst, mapping failures
-// to 400 bad_request. The body is size-capped and must contain exactly
-// one JSON value.
+// requestError refuses a request before admission: a 400 whose payload
+// names kind.
+type requestError struct{ kind, msg string }
+
+func (e *requestError) Error() string { return e.msg }
+
+// decodeBody strictly decodes one /v1/ingest JSON body into dst, mapping
+// failures to 400 bad_request. The body is size-capped and must hold
+// exactly one JSON value and nothing after it but whitespace.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -443,38 +451,66 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 		s.writeTyped(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
 		return false
 	}
-	if dec.More() {
+	// Token, not More: More reports false before a closing bracket, which
+	// let a stray '}' or ']' after the body through.
+	if _, err := dec.Token(); err != io.EOF {
 		s.writeTyped(w, http.StatusBadRequest, "bad_request", "trailing data after JSON body")
 		return false
 	}
 	return true
 }
 
-// decodeQueryRequest decodes and validates a topk/classify body into
-// q's inputs (Queries, K, Metric). On failure it has already written the
-// error response.
+// decodeQueryRequest reads a topk/classify body once, under the body
+// limit, decodes it with parseQueryRequest (decode.go) and validates it
+// into q's inputs (Queries, K, Metric). On failure it has already
+// written the error response.
 func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request, q *core.Query) bool {
 	var req queryRequest
-	if !s.decodeBody(w, r, &req) {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err == nil {
+		err = parseQueryRequest(body, &req)
+	}
+	if err != nil {
+		err = &requestError{"bad_request", "malformed JSON body: " + err.Error()}
+	} else {
+		err = s.queryOf(&req, q)
+	}
+	if err != nil {
+		s.writeError(w, err)
 		return false
 	}
+	return true
+}
+
+// readBody reads r to the end into one buffer, sized up front from the
+// declared length up to bodyHint so a claimed length alone cannot make
+// the server allocate.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(declared, 0), bodyHint)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// bodyHint bounds the buffer readBody sizes from a declared length (over
+// 150 queries of 200 terms); a longer body grows it as it arrives.
+const bodyHint = 1 << 20
+
+// queryOf validates a decoded topk/classify body into q's inputs
+// (Queries, K, Metric): a *requestError or *core.DimensionError names
+// what is wrong.
+func (s *Server) queryOf(req *queryRequest, q *core.Query) error {
 	if len(req.Queries) == 0 {
-		s.writeTyped(w, http.StatusBadRequest, "bad_request", "request carries no queries")
-		return false
+		return &requestError{"bad_request", "request carries no queries"}
 	}
 	if len(req.Queries) > s.cfg.MaxQueriesPerRequest {
-		s.writeTyped(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("request carries %d queries, limit %d", len(req.Queries), s.cfg.MaxQueriesPerRequest))
-		return false
+		return &requestError{"bad_request", fmt.Sprintf("request carries %d queries, limit %d", len(req.Queries), s.cfg.MaxQueriesPerRequest)}
 	}
 	q.K = req.K
 	if q.K == 0 {
 		q.K = 10
 	}
 	if q.K < 1 || q.K > s.cfg.MaxK {
-		s.writeTyped(w, http.StatusBadRequest, "config",
-			fmt.Sprintf("k=%d outside [1, %d]", q.K, s.cfg.MaxK))
-		return false
+		return &requestError{"config", fmt.Sprintf("k=%d outside [1, %d]", q.K, s.cfg.MaxK)}
 	}
 	switch req.Metric {
 	case "", "cosine":
@@ -482,14 +518,11 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request, q *c
 	case "euclidean":
 		q.Metric = core.EuclideanMetric()
 	default:
-		s.writeTyped(w, http.StatusBadRequest, "config",
-			fmt.Sprintf("unknown metric %q (want cosine or euclidean)", req.Metric))
-		return false
+		return &requestError{"config", fmt.Sprintf("unknown metric %q (want cosine or euclidean)", req.Metric)}
 	}
 	dim := s.db.Dim()
 	if req.Dim != 0 && req.Dim != dim {
-		s.writeError(w, &core.DimensionError{What: "request", Got: req.Dim, Want: dim})
-		return false
+		return &core.DimensionError{What: "request", Got: req.Dim, Want: dim}
 	}
 	q.Queries = make([]*vecmath.Sparse, len(req.Queries))
 	for i, wq := range req.Queries {
@@ -498,20 +531,16 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request, q *c
 			// Out-of-range or unsorted indices are dimension-class
 			// errors on the wire: the query doesn't fit the store's
 			// vector space.
-			s.writeTyped(w, http.StatusBadRequest, "dimension",
-				fmt.Sprintf("query %d: %v", i, err))
-			return false
+			return &requestError{"dimension", fmt.Sprintf("query %d: %v", i, err)}
 		}
 		if n2 := sp.Norm2(); math.IsNaN(n2) || math.IsInf(n2, 0) {
 			// The kernel rejects such a query too, but only once it holds
 			// a run slot: refusing it here costs no admission.
-			s.writeTyped(w, http.StatusBadRequest, "config",
-				fmt.Sprintf("query %d has non-finite weights (squared norm %v)", i, n2))
-			return false
+			return &requestError{"config", fmt.Sprintf("query %d has non-finite weights (squared norm %v)", i, n2)}
 		}
 		q.Queries[i] = sp
 	}
-	return true
+	return nil
 }
 
 // --- response writing ---
@@ -538,6 +567,7 @@ func (s *Server) writeTyped(w http.ResponseWriter, status int, kind, msg string)
 
 // writeError maps the repo's typed errors onto wire payloads:
 //
+//	*requestError            → 400 kind=its kind
 //	*DimensionError          → 400 kind=dimension
 //	*OverloadError           → 429 kind=overload + Retry-After
 //	draining / closed DB     → 503 kind=unavailable
@@ -546,10 +576,13 @@ func (s *Server) writeTyped(w http.ResponseWriter, status int, kind, msg string)
 //	ErrEmptyDB               → 409 kind=empty_db
 //	anything else            → 500 kind=internal
 func (s *Server) writeError(w http.ResponseWriter, err error) {
+	var re *requestError
 	var de *core.DimensionError
 	var oe *OverloadError
 	var ce *core.ConfigError
 	switch {
+	case errors.As(err, &re):
+		s.writeTyped(w, http.StatusBadRequest, re.kind, re.msg)
 	case errors.As(err, &de):
 		s.writeTyped(w, http.StatusBadRequest, "dimension", de.Error())
 	case errors.As(err, &oe):

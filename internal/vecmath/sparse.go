@@ -196,7 +196,10 @@ func (s *Sparse) Dot(t *Sparse) float64 {
 }
 
 // DotDense returns s·v by gathering v at s's support, accumulating in
-// ascending index order; bit-identical to the dense dot.
+// ascending index order; bit-identical to the dense dot. It is the
+// per-candidate kernel of every indexed query, so val is resliced to
+// idx's length once: the compiler then proves val[k] in range and the
+// loop keeps only the gather's own bounds check.
 //
 //fmeter:noalloc
 func (s *Sparse) DotDense(v Vector) float64 {
@@ -204,9 +207,10 @@ func (s *Sparse) DotDense(v Vector) float64 {
 		//fmeter:alloc-ok the panic path aborts the query; only misuse allocates
 		panic(fmt.Sprintf("vecmath: sparse DotDense dimension mismatch %d vs %d", s.dim, len(v)))
 	}
+	val := s.val[:len(s.idx)]
 	var sum float64
 	for k, i := range s.idx {
-		sum += s.val[k] * v[i]
+		sum += val[k] * v[i]
 	}
 	return sum
 }
