@@ -56,11 +56,13 @@ bench:
 ## numbers come from, so they cannot rot into code that no longer
 ## compiles or panics: the set-up path (Transform, TransformAll,
 ## Corpus.Add, the AddAll bulk load and the Seal that ends it), the
-## kernel_large query in process (BenchmarkTopKFlat's class arm) and the
-## query-body decoder against encoding/json. It times nothing.
+## kernel_large query in process (BenchmarkTopKFlat's class arm), the
+## wire_small store's query with the whole-unit posting walk forced
+## (its tiny arm) and the query-body decoder against encoding/json. It
+## times nothing.
 bench-compile:
 	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal' -benchtime 1x ./internal/core/
-	$(GO) test -run '^$$' -bench 'TopKFlat/peaked/class' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'TopKFlat/(peaked|tiny)/(class|nnz=12)' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'DecodeQueryRequest' -benchtime 1x ./internal/serve/
 
 ## bench-smoke: what bench/ cannot show yet — table/figure wall-clock and the

@@ -1078,8 +1078,9 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 		// produces it: the row's products with the query in ascending
 		// dimension order, through the cached-norm algebra. The posting
 		// walk (blockPostings.dots) accumulates them down the query's
-		// lists and scores every row of the unit from its (possibly zero)
-		// sum in O(1); the gather dot (viewShard.score) sums them for one
+		// lists and scores the rows it touched from their sums in O(1),
+		// the untouched ones only if a zero dot could still get in
+		// (offerWalk); the gather dot (viewShard.score) sums them for one
 		// row at a time, and scores the active segment's unindexed tail,
 		// the pruning seeds, the pruned walk's survivors, and any indexed
 		// unit the walk would cost more than scanning (scanBeatsWalk).
@@ -1109,15 +1110,9 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 				offerCanonical(h, k, vs, sg, denseQuery, cosine, qNorm2, seeds)
 				continue
 			}
-			sg.blocks.dots(query, &ss.acc)
-			// Score every candidate from its accumulated dot, with a
-			// heap-root pre-filter that rejects exactly the candidates
-			// offer would reject.
-			if cosine {
-				offerCosine(h, k, vs, sg, &ss.acc, qNorm2, seeds)
-			} else {
-				offerEuclidean(h, k, vs, sg, &ss.acc, qNorm2, seeds)
-			}
+			ss.prune.beginStamps(sg.start, sg.blocks.n, seeds)
+			sg.blocks.dots(query, &ss.acc, &ss.prune)
+			offerWalk(h, k, vs, sg, &ss.acc, &ss.prune, cosine, qNorm2)
 		}
 	case metric.SparseScore != nil:
 		for _, sg := range vs.segs {
@@ -1153,11 +1148,16 @@ func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, dense
 //
 //fmeter:noalloc
 func (vs *viewShard) score(j int, qd vecmath.Vector, cosine bool, qNorm2 float64) float64 {
-	dot := vs.sigs[j].W.DotDense(qd)
+	return dotScore(vs.sigs[j].W.DotDense(qd), qNorm2, vs.norms[j], cosine)
+}
+
+// dotScore puts a dot product through the indexed metric's cached-norm
+// algebra — the one score formula of the indexed path.
+func dotScore(dot, qNorm2, sNorm2 float64, cosine bool) float64 {
 	if cosine {
-		return cosineDotScore(dot, qNorm2, vs.norms[j])
+		return cosineDotScore(dot, qNorm2, sNorm2)
 	}
-	return euclideanDotScore(dot, qNorm2, vs.norms[j])
+	return euclideanDotScore(dot, qNorm2, sNorm2)
 }
 
 // offerCanonical scores one walk unit row by row with the canonical
@@ -1180,73 +1180,29 @@ func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, qd vecmat
 	}
 }
 
-// offerEuclidean scores one segment's candidates under the Euclidean
-// metric and offers them to the shard heap, skipping the shard rows in
-// seeds (ascending; already offered by the pruning seed pass — a
-// single merge cursor excludes them in O(1) amortized). Once the heap
-// is full, a candidate is pre-filtered against the root with exactly
-// offer's displacement predicate (farther, or equal and a larger
-// insertion index, never displaces), so the kept set is identical to
-// calling offer for every candidate — the fast path only skips calls
-// that would have returned without mutating the heap.
+// offerWalk scores one walked unit from its accumulated dots and offers
+// the rows to the shard heap: the rows dots listed in ps.touched, then —
+// only if some could still get in — the rest of the unit's rows outside
+// the seeds, which ps.stamp leaves unmarked. An untouched row shares no
+// dim with the query, so its dot is an exact zero and its score at best
+// cosineDotScore(0, …) = 0 or euclideanDotScore(0, qNorm2, minNorm2):
+// rootSafe(0), the bound the pruned walk's cut is decided on, rules them
+// all out at once. The heap's (score, index) total order keeps the same
+// set whatever order the rows arrive in.
 //
 //fmeter:noalloc
-func offerEuclidean(h *topkHeap, k int, vs *viewShard, sg viewSegment, acc *vecmath.Accumulator, qNorm2 float64, seeds []int32) {
-	full := len(h.idx) == k
-	var rs float64
-	var ri int
-	if full {
-		rs, ri = h.score[0], h.idx[0]
+func offerWalk(h *topkHeap, k int, vs *viewShard, sg viewSegment, acc *vecmath.Accumulator, ps *pruneScratch, cosine bool, qNorm2 float64) {
+	for _, l := range ps.touched {
+		j := sg.start + int(l)
+		h.offer(k, vs.gids[j], dotScore(acc.Get(int(l)), qNorm2, vs.norms[j], cosine))
 	}
-	si := 0
-	for j := sg.start; j < sg.end; j++ {
-		for si < len(seeds) && int(seeds[si]) < j {
-			si++
-		}
-		if si < len(seeds) && int(seeds[si]) == j {
-			continue
-		}
-		score := euclideanDotScore(acc.Get(j-sg.start), qNorm2, vs.norms[j])
-		gid := vs.gids[j]
-		if full && (score > rs || (score == rs && gid > ri)) {
-			continue
-		}
-		h.offer(k, gid, score)
-		if len(h.idx) == k {
-			full = true
-			rs, ri = h.score[0], h.idx[0]
-		}
+	if len(h.idx) == k && rootSafe(h, sg.blocks, cosine, qNorm2, 0) {
+		return
 	}
-}
-
-// offerCosine is offerEuclidean for the cosine similarity (higher is
-// closer, so the root pre-filter flips).
-//
-//fmeter:noalloc
-func offerCosine(h *topkHeap, k int, vs *viewShard, sg viewSegment, acc *vecmath.Accumulator, qNorm2 float64, seeds []int32) {
-	full := len(h.idx) == k
-	var rs float64
-	var ri int
-	if full {
-		rs, ri = h.score[0], h.idx[0]
-	}
-	si := 0
-	for j := sg.start; j < sg.end; j++ {
-		for si < len(seeds) && int(seeds[si]) < j {
-			si++
-		}
-		if si < len(seeds) && int(seeds[si]) == j {
-			continue
-		}
-		score := cosineDotScore(acc.Get(j-sg.start), qNorm2, vs.norms[j])
-		gid := vs.gids[j]
-		if full && (score < rs || (score == rs && gid > ri)) {
-			continue
-		}
-		h.offer(k, gid, score)
-		if len(h.idx) == k {
-			full = true
-			rs, ri = h.score[0], h.idx[0]
+	for l, st := range ps.stamp {
+		if st != ps.epoch {
+			j := sg.start + l
+			h.offer(k, vs.gids[j], dotScore(0, qNorm2, vs.norms[j], cosine))
 		}
 	}
 }

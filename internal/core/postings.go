@@ -318,16 +318,18 @@ func spliceBlockPostings(dim int, parts []*blockPostings, offsets []int32) *bloc
 }
 
 // dots accumulates q·signature for every covered signature into acc
-// (acc.Get(id) is an exact zero for signatures with no support overlap).
-// The query support is walked in ascending dimension order and every
-// block decodes into ascending local ids, so each candidate accumulates
-// its intersection terms in exactly the order Sparse.Dot visits them —
-// bit-identical dot products. Dimensions absent from a query never touch
-// a descriptor (dir[d] == dir[d+1] for dims with no postings; dims not
-// in the support are never looked up), which is the exact block-skip:
-// skipped blocks contribute nothing by construction, not by
-// approximation.
-func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator) {
+// (acc.Get(id) is an exact zero for signatures with no support overlap)
+// and lists each row on its first touch in ps.touched, skipping the rows
+// already stamped — the caller opens the epoch (ps.beginStamps) with the
+// seeds in it. The query support is walked in ascending dimension order
+// and every block decodes into ascending local ids, so each candidate
+// accumulates its intersection terms in exactly the order Sparse.Dot
+// visits them — bit-identical dot products. Dimensions absent from a
+// query never touch a descriptor (dir[d] == dir[d+1] for dims with no
+// postings; dims not in the support are never looked up), which is the
+// exact block-skip: skipped blocks contribute nothing by construction,
+// not by approximation.
+func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator, ps *pruneScratch) {
 	if q.Dim() != bp.dim {
 		panic(fmt.Sprintf("core: postings dots dimension mismatch %d vs %d", q.Dim(), bp.dim))
 	}
@@ -350,9 +352,9 @@ func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator) {
 				continue
 			}
 			if sums != nil && bd.ordW == 1 {
-				bp.accumBlockDense(qv, bd, sums)
+				bp.accumBlockDense(qv, bd, sums, ps)
 			} else {
-				bp.accumBlock(qv, bd, acc)
+				bp.accumBlock(qv, bd, acc, ps)
 			}
 		}
 	}
@@ -362,13 +364,14 @@ func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator) {
 // accumulator mode (the segment-capped common case) and one-byte
 // ordinals, adding straight into the dense sum array. Same products in
 // the same order as the general path — identical sums.
-func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float64) {
+func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float64, ps *pruneScratch) {
 	blob := bp.blob
 	vals := bp.vals
 	gp := int(bd.off)
 	op := gp + int(bd.idLen)
 	id := bd.firstID
 	sums[id] += qv * vals[id][blob[op]]
+	ps.touch(id)
 	op++
 	for k := 1; k < int(bd.count); k++ {
 		b := blob[gp]
@@ -387,6 +390,7 @@ func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float
 		}
 		id += int32(gap) + 1
 		sums[id] += qv * vals[id][blob[op]]
+		ps.touch(id)
 		op++
 	}
 }
@@ -400,12 +404,16 @@ func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float
 // signatures hold, so the accumulated sums are bit-identical to the
 // merge-walk dot. One-byte ordinals (every real signature: supports up
 // to 256 entries) take the branch-light specialized loop; wider
-// ordinals decode through the scratch.
-func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accumulator) {
+// ordinals decode through the scratch. Every row is listed on its
+// first touch, as in accumBlockDense.
+func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accumulator, ps *pruneScratch) {
 	if bd.ordW != 1 {
 		var sc postingScratch
 		ids, ws := bp.decodeBlock(bd, &sc)
 		acc.ScatterMulAdd(qv, ids, ws)
+		for _, id := range ids {
+			ps.touch(id)
+		}
 		return
 	}
 	blob := bp.blob
@@ -414,6 +422,7 @@ func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accu
 	op := gp + int(bd.idLen)
 	id := bd.firstID
 	acc.Add(id, qv*vals[id][blob[op]])
+	ps.touch(id)
 	op++
 	for k := 1; k < int(bd.count); k++ {
 		b := blob[gp]
@@ -432,6 +441,7 @@ func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accu
 		}
 		id += int32(gap) + 1
 		acc.Add(id, qv*vals[id][blob[op]])
+		ps.touch(id)
 		op++
 	}
 }

@@ -30,6 +30,25 @@ func buildFlatAndCompressed(t *testing.T, sigs []Signature, dim int) (*Index, *b
 	return ix, bp
 }
 
+// unitDots runs dots over a whole unit with no seeds, in the stamp epoch
+// it lists first touches under, and returns the rows it touched.
+func unitDots(bp *blockPostings, q *vecmath.Sparse, acc *vecmath.Accumulator) []int32 {
+	var ps pruneScratch
+	ps.beginStamps(0, bp.n, nil)
+	bp.dots(q, acc, &ps)
+	return ps.touched
+}
+
+// overlaps reports whether a and b share a support dim.
+func overlaps(a, b *vecmath.Sparse) bool {
+	for _, d := range a.Support() {
+		if _, ok := slices.BinarySearch(b.Support(), d); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // samePostings asserts two blockPostings are the same encoding: equal
 // counts, directory, descriptors (offsets and bounds included), blob
 // bytes, and pruning bounds.
@@ -55,8 +74,9 @@ func samePostings(t *testing.T, tag string, got, want *blockPostings) {
 // TestBlockPostingsMatchesFlat is the kernel-level equivalence the
 // compressed layout rests on: for random corpora — including posting
 // lists long enough to span several blocks — dots over the compressed
-// form must equal dots over the flat form bit-for-bit, and the decoded
-// blocks must enumerate exactly the flat posting lists.
+// form must equal dots over the flat form bit-for-bit and list exactly
+// the rows that share a dim with the query, and the decoded blocks must
+// enumerate exactly the flat posting lists.
 func TestBlockPostingsMatchesFlat(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -103,12 +123,23 @@ func TestBlockPostingsMatchesFlat(t *testing.T) {
 		for q := 0; q < 10; q++ {
 			query := randSigs(r, 1, dim, nnz)[0].W
 			ix.Dots(query, &accFlat)
-			bp.dots(query, &accComp)
+			touched := unitDots(bp, query, &accComp)
 			for id := 0; id < n; id++ {
 				if accFlat.Get(id) != accComp.Get(id) {
 					t.Fatalf("seed %d query %d id %d: flat dot %v, compressed %v",
 						seed, q, id, accFlat.Get(id), accComp.Get(id))
 				}
+			}
+			// The touched list is exactly the rows sharing a dim with the
+			// query, each once.
+			var want []int32
+			for id := range sigs {
+				if overlaps(sigs[id].W, query) {
+					want = append(want, int32(id))
+				}
+			}
+			if got := slices.Sorted(slices.Values(touched)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d query %d: touched %v, want %v", seed, q, got, want)
 			}
 		}
 
@@ -139,7 +170,7 @@ func TestBlockPostingsWideOrdinals(t *testing.T) {
 	for q := 0; q < 8; q++ {
 		query := randSigs(r, 1, dim, nnz)[0].W
 		ix.Dots(query, &accFlat)
-		bp.dots(query, &accComp)
+		unitDots(bp, query, &accComp)
 		for id := 0; id < n; id++ {
 			if accFlat.Get(id) != accComp.Get(id) {
 				t.Fatalf("query %d id %d: flat dot %v, compressed %v", q, id, accFlat.Get(id), accComp.Get(id))
@@ -171,8 +202,8 @@ func TestSpliceBlockPostings(t *testing.T) {
 	var accA, accB vecmath.Accumulator
 	for q := 0; q < 10; q++ {
 		query := randSigs(r, 1, dim, nnz)[0].W
-		whole.dots(query, &accA)
-		merged.dots(query, &accB)
+		unitDots(whole, query, &accA)
+		unitDots(merged, query, &accB)
 		for id := 0; id < n; id++ {
 			if accA.Get(id) != accB.Get(id) {
 				t.Fatalf("query %d id %d: whole %v, spliced %v", q, id, accA.Get(id), accB.Get(id))

@@ -99,8 +99,9 @@ type pruneScratch struct {
 	// order; essentialPrefix fills both.
 	ord  []int32
 	heap []int32
-	// touched lists the unit-local candidates the walk met, in first-
-	// touch order; stamp/epoch mark them and the seed rows (beginStamps).
+	// touched lists the unit-local candidates a walk met — pruned or
+	// whole (dots) — in first-touch order; stamp/epoch mark them and the
+	// seed rows (beginStamps).
 	touched []int32
 	stamp   []uint32
 	epoch   uint32
@@ -191,9 +192,11 @@ func (ps *pruneScratch) essentialPrefix(canSkip func(rem float64) bool) (cut int
 
 // beginStamps opens a fresh stamp epoch over the n rows of the walk unit
 // starting at shard row start, with the seed rows inside it already
-// stamped: a stamped row is one some pass has already taken care of, so
-// neither the probe nor the pruned walk ever lists a seed again.
+// stamped and the touched list empty: a stamped row is one some pass has
+// already taken care of, so neither the probe nor a walk ever lists a
+// seed again.
 func (ps *pruneScratch) beginStamps(start, n int, seeds []int32) {
+	ps.touched = ps.touched[:0]
 	if cap(ps.stamp) < n {
 		ps.stamp = make([]uint32, n)
 		ps.epoch = 0
@@ -210,6 +213,17 @@ func (ps *pruneScratch) beginStamps(start, n int, seeds []int32) {
 		if l := int(j) - start; l >= 0 && l < n {
 			ps.stamp[l] = ps.epoch
 		}
+	}
+}
+
+// touch lists unit row id on its first touch in the current epoch.
+//
+//fmeter:noalloc
+func (ps *pruneScratch) touch(id int32) {
+	if ps.stamp[id] != ps.epoch {
+		ps.stamp[id] = ps.epoch
+		//fmeter:alloc-ok touched grows to the largest unit once; the scratch pool reuses it across queries
+		ps.touched = append(ps.touched, id)
 	}
 }
 
@@ -370,11 +384,14 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// Essential cutoff: the shortest heaviest-first prefix (the whole
 	// support included, covering candidates with no query overlap at all)
 	// whose complement's mass cannot displace the root. No such prefix
-	// means nothing in this unit is provably skippable.
-	cut, tail, total := ps.essentialPrefix(canSkip)
-	if cut < 0 {
+	// means nothing in this unit is provably skippable, which is known
+	// before a slot is popped: canSkip is monotone in the mass, so there
+	// is none exactly when not even a candidate sharing no dim with the
+	// query is skippable.
+	if !canSkip(0) {
 		return false
 	}
+	cut, tail, total := ps.essentialPrefix(canSkip)
 
 	// The ids-only walk over the essential dims, heaviest first: every
 	// candidate of a walked block accumulates the block's bound
@@ -400,7 +417,6 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	acc := &ss.acc
 	acc.Reset(bp.n)
 	ps.beginStamps(sg.start, bp.n, seeds)
-	ps.touched = ps.touched[:0]
 	scanCost := float64(bp.nPostings) / scanWalkRatio
 	rowCost := float64(bp.nPostings) / float64(bp.n) / scanWalkRatio
 	counted, walkAll := 0, int64(0)
@@ -480,10 +496,6 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 func (bp *blockPostings) accumBlockBound(bb float64, bd *blockDesc, acc *vecmath.Accumulator, ps *pruneScratch) {
 	for _, id := range bp.decodeIDs(bd, &ps.ids) {
 		acc.Add(id, bb)
-		if ps.stamp[id] != ps.epoch {
-			ps.stamp[id] = ps.epoch
-			//fmeter:alloc-ok touched grows to the largest unit once; the scratch pool reuses it across queries
-			ps.touched = append(ps.touched, id)
-		}
+		ps.touch(id)
 	}
 }

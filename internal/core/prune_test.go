@@ -479,6 +479,131 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 	}
 }
 
+// touchDim is the function space of the whole-unit walk's fixtures.
+const touchDim = 300
+
+// walkSigs builds n signatures over touchDim dims for the whole-unit
+// walk's edge cases: rows before split use the low half of the dims and
+// the rest the high half, so a low-dim query is disjoint from a unit of
+// high rows. Among every ten rows are one at a hundredth of the norm,
+// one at ten times it, one empty (zero norm), one with negated weights,
+// and one whose dot with walkQueryFew is exactly zero although the walk
+// touches it (+½ and -½ on the half's dims 3 and 7).
+func walkSigs(r *rand.Rand, n, split int) []Signature {
+	out := make([]Signature, n)
+	for i := range out {
+		base := 0
+		if i >= split {
+			base = touchDim / 2
+		}
+		v := vecmath.NewVector(touchDim)
+		for j := 0; j < 4; j++ {
+			v[base+r.Intn(touchDim/2)] = 0.1 + 0.9*r.Float64()
+		}
+		scale := 1.0
+		switch i % 10 {
+		case 5:
+			scale = 0.01
+		case 6:
+			scale = 10
+		case 7:
+			scale = 0
+		case 8:
+			scale = -1
+		case 9:
+			v[base+3], v[base+7] = 0.5, -0.5
+		}
+		for d := range v {
+			v[d] *= scale
+		}
+		out[i] = SignatureFromDense(fmt.Sprintf("d%d", i), fmt.Sprintf("l%d", i%3), v)
+	}
+	return out
+}
+
+// walkQueryFew touches dims 3 and 7 only: a few dozen rows of a low unit,
+// none of a high one.
+func walkQueryFew() *vecmath.Sparse {
+	v := vecmath.NewVector(touchDim)
+	v[3], v[7] = 1, 1
+	return vecmath.DenseToSparse(v)
+}
+
+// TestWalkScoresTouchedRows holds the whole-unit posting walk — dots
+// listing the rows it touches, offerWalk scoring those and the untouched
+// rest only when a zero dot could still get in — to the scan. Its fixture
+// (walkSigs) has units the query touches fewer than k rows of, units it
+// touches none of, zero-norm rows, Euclidean rows whose norms differ so
+// much that an untouched small row beats every touched large one, touched
+// rows whose dot is exactly zero or negative, seed rows inside the walked
+// unit (prune floor 1, where the seeded walk gives up to the whole walk),
+// and a compacted unit of more than 4096 rows, where the
+// accumulator stamps instead of clearing.
+func TestWalkScoresTouchedRows(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	wide := vecmath.NewVector(touchDim)
+	for j := 0; j < 10; j++ {
+		wide[r.Intn(touchDim/2)] = 0.2 + 0.8*r.Float64()
+	}
+	both := walkQueryFew().Dense()
+	both[touchDim/2+3], both[touchDim/2+7] = 1, -1
+	queries := []*vecmath.Sparse{walkQueryFew(), vecmath.DenseToSparse(wide), vecmath.DenseToSparse(both)}
+	fixtures := []struct {
+		name          string
+		n, split, seg int
+		chunk         int // rows sealed at a time; Compact merges the chunks
+	}{
+		{"two units", 1200, 600, 600, 1200},
+		{"merged", 4500, 3000, 4200, 1500},
+	}
+	for _, fx := range fixtures {
+		sigs := walkSigs(r, fx.n, fx.split)
+		ref, err := NewDB(touchDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.AddAll(sigs); err != nil {
+			t.Fatal(err)
+		}
+		db, err := NewDB(touchDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetSegmentSize(fx.seg)
+		for lo := 0; lo < fx.n; lo += fx.chunk {
+			if err := db.AddAll(sigs[lo:min(lo+fx.chunk, fx.n)]); err != nil {
+				t.Fatal(err)
+			}
+			db.Seal()
+		}
+		db.Compact()
+		// 4096 rows is the accumulator's largest bulk-clear size.
+		if fx.name == "merged" && (len(db.shards[0].segs) != 1 || db.shards[0].segs[0].len() <= 4096) {
+			t.Fatalf("%s: want one unit over 4096 rows, have %d units", fx.name, len(db.shards[0].segs))
+		}
+		for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
+			for _, floor := range []int{math.MaxInt, 1} {
+				db.setPruneFloor(floor)
+				walked := int64(0)
+				for qi, q := range queries {
+					for _, k := range []int{1, 5, 40, 200} {
+						ctx := fmt.Sprintf("%s %s floor=%d query %d k=%d", fx.name, metric.Name, floor, qi, k)
+						got, st, err := db.TopKSparseStats(q, k, metric)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameHits(t, ctx, got, scanResults(t, ref, q, k, metric))
+						walked += st.Segments - st.SegmentsPruned - st.SegmentsScanned
+					}
+				}
+				if walked == 0 {
+					t.Fatalf("%s %s floor=%d: no unit took the whole walk", fx.name, metric.Name, floor)
+				}
+			}
+		}
+	}
+}
+
 // sortedPrefix is the essential cutoff as a full sort decides it, kept
 // as essentialPrefix's oracle: every slot ordered by descending bound,
 // ties toward the lower slot, suffix-summed from the lightest, and the

@@ -385,6 +385,7 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 	defer db.unpinView(v)
 	var h topkHeap
 	var acc vecmath.Accumulator
+	var ps pruneScratch
 	qd := q.Dense()
 	arm := func(scan bool) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -396,8 +397,9 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 						if scan {
 							offerCanonical(&h, k, vs, sg, qd, true, q.Norm2(), nil)
 						} else {
-							sg.blocks.dots(q, &acc)
-							offerCosine(&h, k, vs, sg, &acc, q.Norm2(), nil)
+							ps.beginStamps(sg.start, sg.blocks.n, nil)
+							sg.blocks.dots(q, &acc, &ps)
+							offerWalk(&h, k, vs, sg, &acc, &ps, true, q.Norm2())
 						}
 					}
 				}

@@ -36,6 +36,13 @@ func Workers(n int) int {
 // with the lowest index is returned (a deterministic choice: the same
 // failing input yields the same reported error at any worker count, even
 // though which later tasks were skipped may vary).
+//
+// For returns as soon as every task has finished (or, after a failure,
+// every claimed one). It never waits for a helper goroutine that has not
+// claimed a task: the caller is one of the workers, so when the helpers
+// are not scheduled before the caller has run the last task — tasks of a
+// few microseconds — the fan-out costs what the sequential loop does, and
+// a helper that starts late finds the counter past n and exits.
 func For(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -52,43 +59,57 @@ func For(workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	worker := func() {
-		for {
-			if failed.Load() {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}
-	}
-	// The caller is one of the workers: a fan-out of w costs w-1 spawns,
-	// and the caller claims tasks instead of parking until the others
-	// finish — the difference shows on microsecond-scale tasks.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	f := &fanout{n: n, fn: fn, errs: make([]error, n)}
+	f.left.Store(int64(n))
+	// done is held until the last task is accounted for; whoever accounts
+	// for it unlocks, and the caller's second Lock is the wait.
+	f.done.Lock()
 	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
+		go f.work()
 	}
-	worker()
-	wg.Wait()
-	for _, err := range errs {
+	f.work()
+	f.done.Lock()
+	for _, err := range f.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fanout is one For call's shared state. A helper that starts after the
+// call returned still claims from next (and finds no task), so the state
+// belongs to one call and is never reused.
+type fanout struct {
+	n    int
+	fn   func(i int) error
+	errs []error
+	// next counts claims; a claim at or past n is no task.
+	next atomic.Int64
+	// left counts the tasks neither finished nor abandoned after a failure.
+	left atomic.Int64
+	done sync.Mutex
+}
+
+func (f *fanout) work() {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			return
+		}
+		settled := int64(1)
+		if err := f.fn(i); err != nil {
+			f.errs[i] = err
+			// Close the counter: claims so far still finish, the rest are
+			// abandoned here, once.
+			if claimed := f.next.Swap(int64(f.n)); claimed < int64(f.n) {
+				settled += int64(f.n) - claimed
+			}
+		}
+		if f.left.Add(-settled) == 0 {
+			f.done.Unlock()
+		}
+	}
 }
 
 // Map runs fn(0..n-1) on up to workers goroutines and collects the results

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -65,6 +66,75 @@ func TestForLowestIndexError(t *testing.T) {
 		}
 		if workers == 1 && err.Error() != "task 3" {
 			t.Errorf("sequential error = %v, want task 3", err)
+		}
+	}
+}
+
+// At GOMAXPROCS(1) a helper For spawns cannot run while the caller does,
+// and tasks that never yield never let it: the caller runs every task,
+// and For must return without parking until the helper is scheduled —
+// the helper is still pending when For returns. Once it runs it finds no
+// task left.
+func TestForDoesNotWaitForUnstartedHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 6
+	var ran [n]int
+	sink := 0
+	before := runtime.NumGoroutine()
+	err := For(2, n, func(i int) error {
+		for j := 0; j < 1000; j++ {
+			sink += j ^ i
+		}
+		ran[i]++
+		return nil
+	})
+	pending := runtime.NumGoroutine() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending != 1 {
+		t.Fatalf("For returned with %d helpers pending, want the 1 it must not wait for", pending)
+	}
+	for runtime.NumGoroutine() > before {
+		runtime.Gosched()
+	}
+	for i, c := range ran {
+		if c != 1 {
+			t.Fatalf("task %d ran %d times (sink %d)", i, c, sink)
+		}
+	}
+}
+
+// Failures settle the tasks nobody will claim: For returns (it does not
+// wait forever for them), runs no task twice, and reports the lowest-index
+// error among the tasks that ran.
+func TestForFailureSettles(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		workers, n := 2+r.Intn(15), 1+r.Intn(300)
+		fail := make([]bool, n)
+		for i := range fail {
+			fail[i] = r.Intn(40) == 0
+		}
+		counts := make([]atomic.Int32, n)
+		err := For(workers, n, func(i int) error {
+			counts[i].Add(1)
+			if fail[i] {
+				return fmt.Errorf("task %d", i)
+			}
+			return nil
+		})
+		var want error
+		for i := range counts {
+			switch c := counts[i].Load(); {
+			case c > 1:
+				t.Fatalf("trial %d: task %d ran %d times", trial, i, c)
+			case c == 1 && fail[i] && want == nil:
+				want = fmt.Errorf("task %d", i)
+			}
+		}
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: For = %v, want %v", trial, err, want)
 		}
 	}
 }

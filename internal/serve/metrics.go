@@ -51,6 +51,7 @@ type metrics struct {
 	pruneSamples          atomic.Uint64
 	pruneSegments         atomic.Int64
 	pruneSegmentsPruned   atomic.Int64
+	pruneSegmentsScanned  atomic.Int64
 	pruneCandidates       atomic.Int64
 	pruneCandidatesScored atomic.Int64
 	pruneDimsConsidered   atomic.Int64
@@ -104,6 +105,7 @@ func (m *metrics) observePrune(st core.PruneStats) {
 	m.pruneSamples.Add(1)
 	m.pruneSegments.Add(st.Segments)
 	m.pruneSegmentsPruned.Add(st.SegmentsPruned)
+	m.pruneSegmentsScanned.Add(st.SegmentsScanned)
 	m.pruneCandidates.Add(st.Candidates)
 	m.pruneCandidatesScored.Add(st.CandidatesScored)
 	m.pruneDimsConsidered.Add(st.DimsConsidered)
@@ -183,6 +185,7 @@ type PruneAggr struct {
 	Samples          uint64 `json:"samples"`
 	Segments         int64  `json:"segments"`
 	SegmentsPruned   int64  `json:"segments_pruned"`
+	SegmentsScanned  int64  `json:"segments_scanned"`
 	Candidates       int64  `json:"candidates"`
 	CandidatesScored int64  `json:"candidates_scored"`
 	DimsConsidered   int64  `json:"dims_considered"`
@@ -240,6 +243,7 @@ func (m *metrics) snapshot(db *core.DB, queueDepth, queueCap int) MetricsSnapsho
 			Samples:          m.pruneSamples.Load(),
 			Segments:         m.pruneSegments.Load(),
 			SegmentsPruned:   m.pruneSegmentsPruned.Load(),
+			SegmentsScanned:  m.pruneSegmentsScanned.Load(),
 			Candidates:       m.pruneCandidates.Load(),
 			CandidatesScored: m.pruneCandidatesScored.Load(),
 			DimsConsidered:   m.pruneDimsConsidered.Load(),

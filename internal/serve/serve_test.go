@@ -172,7 +172,7 @@ func sameHits(got, want []core.SearchResult) error {
 // request is one core.Query. Requests carry one to three queries, and
 // every second — then every — TopK request is sampled for PruneStats,
 // so that arm is held to the same oracle and its first query's counters
-// alone reach /metrics.
+// alone reach /metrics — every one of them, the scanned units included.
 func TestCoalescedBitIdentical(t *testing.T) {
 	for _, every := range []int{2, 1} {
 		t.Run(fmt.Sprintf("sample-every-%d", every), func(t *testing.T) { coalescedBitIdentical(t, every) })
@@ -191,14 +191,22 @@ func coalescedBitIdentical(t *testing.T, every int) {
 		label string
 	}
 	wants := make([]want, requests+2)
-	var firstQuerySegments int64 // over the first queries of all TopK requests
+	var first PruneAggr // the counters of the first queries of all TopK requests
 	for i := range wants {
 		hits, st, err := db.TopKSparseStats(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i < requests {
-			firstQuerySegments += st.Segments
+			first.Segments += st.Segments
+			first.SegmentsPruned += st.SegmentsPruned
+			first.SegmentsScanned += st.SegmentsScanned
+			first.Candidates += st.Candidates
+			first.CandidatesScored += st.CandidatesScored
+			first.DimsConsidered += st.DimsConsidered
+			first.DimsSkipped += st.DimsSkipped
+			first.BlocksConsidered += st.BlocksConsidered
+			first.BlocksSkipped += st.BlocksSkipped
 		}
 		label, err := db.ClassifySparse(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
@@ -258,8 +266,9 @@ func coalescedBitIdentical(t *testing.T, every int) {
 	if m.Prune.Samples != uint64(requests/every) {
 		t.Fatalf("%d prune samples from %d TopK requests at every %d, want %d", m.Prune.Samples, requests, every, requests/every)
 	}
-	if every == 1 && (firstQuerySegments == 0 || m.Prune.Segments != firstQuerySegments) {
-		t.Fatalf("prune sums count %d walk units, want the first queries' %d", m.Prune.Segments, firstQuerySegments)
+	first.Samples = m.Prune.Samples
+	if every == 1 && (first.Segments == 0 || first.SegmentsScanned == 0 || m.Prune != first) {
+		t.Fatalf("prune sums %+v, want the first queries' %+v", m.Prune, first)
 	}
 	if m.QueueDepth != 0 {
 		t.Fatalf("queue depth %d with nothing in flight", m.QueueDepth)
