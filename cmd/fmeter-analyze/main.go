@@ -1,5 +1,5 @@
 // Command fmeter-analyze performs offline analysis of signature logs
-// collected by fmeter/fmeterd: it builds a shared tf-idf corpus over one
+// collected by fmeterd: it builds a shared tf-idf corpus over one
 // or more JSONL files (labels come from the documents), then classifies
 // unlabeled documents against the labeled ones, clusters the corpus, or
 // explains what distinguishes two labels.

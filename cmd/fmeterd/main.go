@@ -1,120 +1,139 @@
-// Command fmeterd is the long-running logging-daemon simulation: it
-// collects signatures continuously over many intervals (the deployment
-// mode §1 argues for — "signature generation can be turned on at
-// production time for long continuous periods of time"), streaming each
-// interval document to the log as soon as it is collected and printing a
-// status line periodically.
+// Command fmeterd is the fmeter daemon. It collects signatures over
+// many intervals — the deployment §1 argues for: "signature generation
+// can be turned on at production time for long continuous periods of
+// time" — appending each interval document to the -log as soon as it
+// exists, and optionally keeps a live signature DB, snapshots it and
+// serves it over HTTP/JSON, all in this one process.
 //
 // Usage:
 //
-//	fmeterd -workload dbench -intervals 360 -interval 10s -log run.jsonl
+//	fmeterd -workload dbench -intervals 360 -interval 10s -log run.jsonl   # collect only
+//	fmeterd -workload dbench -intervals 360 -db /var/lib/fmeter/db -warmup 20
+//	fmeterd -workload dbench -db /var/lib/fmeter/db -serve :8080 -ingest-batch 8
+//	fmeterd -smoke -warmup 6 -intervals 12 -interval 2s                    # self-test
 //
-// With -db the daemon additionally maintains a live signature database:
-// the first -warmup intervals fit the tf-idf model, then every further
-// interval is embedded and ingested into the DB while it stays fully
-// queryable (the epoch-view concurrency contract), with periodic
-// crash-safe snapshots to the -db directory:
+// With -db DIR, -serve ADDR or -smoke the first -warmup intervals fit the
+// tf-idf model and every later one is embedded into the live DB (in
+// chunks of -ingest-batch, one publish each) while it stays queryable.
+// -db opens DIR's snapshot when DIR exists and creates a DB seeded with
+// the warmup signatures only when it does not. One fmeter.Server owns the
+// DB: it saves into DIR whenever the sealed-segment watermark advances
+// and once more when it drains. -serve adds a listener (POST /v1/topk,
+// /v1/classify, /v1/ingest; GET /healthz, /metrics; 429 + Retry-After
+// past -max-queue admitted requests) and keeps serving after the last
+// interval until signalled. -smoke serves on a loopback port, runs one
+// round trip through every endpoint after the stream, drains and exits.
 //
-//	fmeterd -workload dbench -intervals 360 -db /var/lib/fmeter/db -warmup 20 -save-every 60
-//
-// With -serve the live DB is additionally fronted by the HTTP/JSON
-// serving layer (internal/serve) for the duration of the stream, and
-// -ingest-batch N streams intervals in chunks of N so each chunk lands
-// with a single RCU publish:
-//
-//	fmeterd -workload dbench -intervals 360 -db /var/lib/fmeter/db -serve :8080 -ingest-batch 8
-//
-// Transient debugfs read failures are retried with jittered backoff
-// (-read-retries/-read-backoff) and an interval that stays unreadable is
-// skipped with a counted warning instead of killing the daemon.
+// SIGINT or SIGTERM stops collection after the current chunk; then the
+// listener closes, admitted requests finish, the server takes its final
+// snapshot and the DB closes. A debugfs read that keeps failing after
+// -read-retries jittered retries skips its interval with a warning.
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	fmeter "repro"
 )
 
+// shards is a new DB's shard count; an opened snapshot keeps its own.
+const shards = 2
+
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fmeterd:", err)
 		os.Exit(1)
 	}
 }
 
-//fmeter:nondeterministic-ok daemon loop: interval timestamps and collection pacing are wall-clock by design
-func run(args []string, stdout, stderr io.Writer) error {
+// workloads and drivers are the CLI's name tables.
+var (
+	workloads = map[string]func() fmeter.WorkloadSpec{
+		"scp": fmeter.ScpWorkload, "kcompile": fmeter.KcompileWorkload, "dbench": fmeter.DbenchWorkload,
+		"apachebench": fmeter.ApachebenchWorkload, "netperf": fmeter.NetperfWorkload, "boot": fmeter.BootWorkload,
+	}
+	drivers = map[string]fmeter.DriverVariant{
+		"1.5.1": fmeter.Driver151, "1.4.3": fmeter.Driver143, "1.5.1-nolro": fmeter.Driver151NoLRO,
+	}
+)
+
+func workloadByName(name string) (fmeter.WorkloadSpec, error) {
+	if w, ok := workloads[name]; ok {
+		return w(), nil
+	}
+	return fmeter.WorkloadSpec{}, fmt.Errorf("unknown workload %q (scp|kcompile|dbench|apachebench|netperf|boot)", name)
+}
+
+func driverByName(name string) (fmeter.DriverVariant, error) {
+	if v, ok := drivers[name]; ok {
+		return v, nil
+	}
+	return 0, fmt.Errorf("unknown driver %q (1.5.1|1.4.3|1.5.1-nolro)", name)
+}
+
+//fmeter:nondeterministic-ok daemon loop: the status line reports wall-clock time by design
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("fmeterd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workloadName = fs.String("workload", "dbench", "workload to monitor: scp|kcompile|dbench|apachebench|netperf")
-		driverName   = fs.String("driver", "", "myri10ge variant when monitoring netperf")
-		intervals    = fs.Int("intervals", 360, "number of monitoring intervals before exiting")
-		interval     = fs.Duration("interval", 10*time.Second, "collection interval (virtual time)")
-		seed         = fs.Int64("seed", 1, "random seed")
-		logPath      = fs.String("log", "-", "JSONL signature log, - for stdout")
+		workloadName = fs.String("workload", "dbench", "workload to monitor: scp|kcompile|dbench|apachebench|netperf|boot")
+		driverName   = fs.String("driver", "", "myri10ge variant to load: 1.5.1|1.4.3|1.5.1-nolro (netperf loads 1.5.1 when unset)")
+		intervals    = fs.Int("intervals", 360, "number of monitoring intervals to collect")
+		interval     = fs.Duration("interval", 10*time.Second, "collection interval (virtual time; the paper uses 2-10s)")
+		seed         = fs.Int64("seed", 1, "random seed (runs are reproducible)")
+		logPath      = fs.String("log", "-", "JSONL signature log to append to, - for stdout")
 		statusEvery  = fs.Int("status-every", 30, "print a status line every N intervals (0 disables)")
-		dbDir        = fs.String("db", "", "maintain a live signature DB in this snapshot directory (ingests every post-warmup interval)")
-		warmup       = fs.Int("warmup", 20, "with -db: intervals collected to fit the tf-idf model before live ingestion")
-		saveEvery    = fs.Int("save-every", 60, "with -db: snapshot the DB every N ingested intervals (0 = only at exit)")
+		dbDir        = fs.String("db", "", "snapshot directory of the live DB: opened when it exists, created otherwise, saved into as segments seal and at drain")
+		warmup       = fs.Int("warmup", 20, "with a live DB: intervals collected to fit the tf-idf model before live ingestion")
 		readRetries  = fs.Int("read-retries", 3, "retries per failed debugfs counter read before skipping the interval")
 		readBackoff  = fs.Duration("read-backoff", 10*time.Millisecond, "base backoff before a counter-read retry (jittered, doubles per attempt)")
-		serveAddr    = fs.String("serve", "", "with -db: serve the live DB over HTTP/JSON on this address while streaming")
-		ingestBatch  = fs.Int("ingest-batch", 1, "with -db: stream intervals in chunks of N, publishing each chunk with one AddAll")
+		serveAddr    = fs.String("serve", "", "serve the live DB over HTTP/JSON on this address until signalled")
+		ingestBatch  = fs.Int("ingest-batch", 1, "with a live DB: stream intervals in chunks of N, publishing each chunk with one AddAll")
+		maxQueue     = fs.Int("max-queue", 1024, "query requests admitted at once, running + waiting; one more answers 429 + Retry-After")
+		smoke        = fs.Bool("smoke", false, "self-test: serve on a loopback port, run one query/ingest/metrics round trip after the stream, drain and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	live := *dbDir != "" || *serveAddr != "" || *smoke
 	if *intervals < 1 {
 		return fmt.Errorf("-intervals must be >= 1")
 	}
-	if *dbDir != "" && (*warmup < 2 || *warmup >= *intervals) {
-		return fmt.Errorf("-warmup must be in [2, intervals) when -db is set, have %d of %d", *warmup, *intervals)
-	}
-	if *serveAddr != "" && *dbDir == "" {
-		return fmt.Errorf("-serve requires -db (the server fronts the live DB)")
+	if live && (*warmup < 2 || *warmup >= *intervals) {
+		return fmt.Errorf("-warmup must be in [2, intervals) with a live DB, have %d of %d", *warmup, *intervals)
 	}
 	if *ingestBatch < 1 {
 		return fmt.Errorf("-ingest-batch must be >= 1, have %d", *ingestBatch)
 	}
-
-	var spec fmeter.WorkloadSpec
-	switch *workloadName {
-	case "scp":
-		spec = fmeter.ScpWorkload()
-	case "kcompile":
-		spec = fmeter.KcompileWorkload()
-	case "dbench":
-		spec = fmeter.DbenchWorkload()
-	case "apachebench":
-		spec = fmeter.ApachebenchWorkload()
-	case "netperf":
-		spec = fmeter.NetperfWorkload()
-	default:
-		return fmt.Errorf("unknown workload %q", *workloadName)
+	spec, err := workloadByName(*workloadName)
+	if err != nil {
+		return err
 	}
 
 	sys, err := fmeter.New(fmeter.Config{Seed: *seed})
 	if err != nil {
 		return err
 	}
-	if *workloadName == "netperf" {
-		v := fmeter.Driver151
-		switch *driverName {
-		case "", "1.5.1":
-		case "1.4.3":
-			v = fmeter.Driver143
-		case "1.5.1-nolro":
-			v = fmeter.Driver151NoLRO
-		default:
-			return fmt.Errorf("unknown driver %q", *driverName)
+	if *driverName != "" || *workloadName == "netperf" {
+		v, err := driverByName(cmp.Or(*driverName, "1.5.1")) // netperf needs a NIC driver: the paper's baseline by default
+		if err != nil {
+			return err
 		}
 		if err := sys.LoadDriver(v); err != nil {
 			return err
@@ -135,131 +154,296 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out = f
 	}
 
-	sys.SetRetryPolicy(fmeter.RetryPolicy{Retries: *readRetries, Backoff: *readBackoff, Jitter: 0.5})
-	sys.SetCollectorWarnf(func(format string, a ...any) {
+	warnf := func(format string, a ...any) {
 		fmt.Fprintf(stderr, "[fmeterd] "+format+"\n", a...)
-	})
+	}
+	sys.SetRetryPolicy(fmeter.RetryPolicy{Retries: *readRetries, Backoff: *readBackoff, Jitter: 0.5})
+	sys.SetCollectorWarnf(warnf)
 
 	start := time.Now()
 	var totalCalls uint64
-	status := func(i int) {
-		if *statusEvery > 0 && (i+1)%*statusEvery == 0 {
-			fmt.Fprintf(stderr, "[fmeterd] %d/%d intervals, %d calls counted, wall %v\n",
-				i+1, *intervals, totalCalls, time.Since(start).Round(time.Millisecond))
+	done := 0 // intervals collected (or skipped as unreadable)
+	status := func(prev int) {
+		if *statusEvery > 0 && done/(*statusEvery) > prev/(*statusEvery) {
+			warnf("%d/%d intervals, %d calls counted, wall %v",
+				done, *intervals, totalCalls, time.Since(start).Round(time.Millisecond))
 		}
+	}
+	summary := func() {
+		if ctx.Err() != nil {
+			warnf("signalled after %d of %d intervals", done, *intervals)
+		}
+		st := sys.CollectorStats()
+		warnf("done: %d intervals of %v (%s), %d kernel function calls, %d read retries, %d intervals skipped",
+			done, *interval, spec.Name, totalCalls, st.Retries, st.SkippedIntervals)
 	}
 
 	// Collect one interval at a time so each document hits the log as
 	// soon as it exists — the daemon's whole point is continuous,
 	// crash-surviving logging (§1: post-mortem analysis).
 	warm := *intervals
-	if *dbDir != "" {
+	if live {
 		warm = *warmup
 	}
 	var warmDocs []*fmeter.Document
-	for i := 0; i < warm; i++ {
+	for done < warm && ctx.Err() == nil {
 		docs, err := sys.Collect(spec, 1, *interval, out)
 		if err != nil {
-			return fmt.Errorf("interval %d: %w", i, err)
+			return fmt.Errorf("interval %d: %w", done, err)
 		}
 		if len(docs) == 1 { // an unreadable interval is skipped, not fatal
 			totalCalls += docs[0].Total()
-			if *dbDir != "" {
-				warmDocs = append(warmDocs, docs[0])
-			}
+			warmDocs = append(warmDocs, docs[0])
 		}
-		status(i)
+		done++
+		status(done - 1)
+	}
+	if !live || ctx.Err() != nil {
+		summary()
+		return nil
 	}
 
-	if *dbDir != "" {
-		// Fit the vector space on the warmup corpus, seed the live DB with
-		// it, then stream every further interval into the DB while it
-		// remains queryable (and periodically snapshot it crash-safely).
-		sigs, model, err := fmeter.BuildSignatures(warmDocs, sys.Dim())
+	// Fit the vector space on the warmup corpus, hand the live DB to the
+	// server, then stream every further interval into the DB while it
+	// stays queryable.
+	sigs, model, err := fmeter.BuildSignatures(warmDocs, sys.Dim())
+	if err != nil {
+		return fmt.Errorf("fitting warmup model: %w", err)
+	}
+	addr := *serveAddr
+	if *smoke {
+		addr = "127.0.0.1:0"
+	}
+	d, err := openLive(*dbDir, addr, sys.Dim(), sigs, model, fmeter.ServeConfig{
+		MaxQueue:    *maxQueue,
+		SnapshotDir: *dbDir,
+		Warnf:       warnf,
+	}, warnf)
+	if err != nil {
+		return err
+	}
+
+	sys.SetIngestBatch(*ingestBatch)
+	streamed := 0
+	for done < *intervals && ctx.Err() == nil && err == nil {
+		chunk := min(*ingestBatch, *intervals-done)
+		var added int
+		added, err = sys.CollectStream(spec, chunk, *interval, model, d.db, out)
+		streamed += added
 		if err != nil {
-			return fmt.Errorf("fitting warmup model: %w", err)
+			err = fmt.Errorf("interval %d: %w", done, err)
 		}
-		db, err := fmeter.NewDB(sys.Dim(), fmeter.WithShards(2))
+		done += chunk
+		status(done - chunk)
+	}
+	switch {
+	case err != nil, ctx.Err() != nil: // drain at once
+	case *smoke:
+		if err = smokeTest(d.addr, sigs[0], warmDocs[0]); err != nil {
+			err = fmt.Errorf("smoke test: %w", err)
+		} else {
+			warnf("smoke OK")
+		}
+	case addr != "":
+		select {
+		case <-ctx.Done():
+		case <-d.served:
+			err = fmt.Errorf("http server: %w", d.serveErr)
+		}
+	}
+	m, derr := d.drain()
+	if err == nil {
+		err = derr
+	}
+	warnf("db %s: %d signatures (%d %s + %d streamed + %d over HTTP), %d snapshots",
+		cmp.Or(*dbDir, "(in memory)"), m.DBSignatures, d.seeded, d.seededBy, streamed, m.DocsIngested, m.Snapshots)
+	if addr != "" {
+		warnf("served %d queries in %d requests (mean %.2f), %d rejected",
+			m.Queries, m.Batches, m.MeanBatchSize, m.Rejected)
+	}
+	summary()
+	return err
+}
+
+// liveDB is the daemon's store side: the DB, the one fmeter.Server that
+// owns it (the only snapshot policy and the only drain) and, when
+// serving, its HTTP listener.
+type liveDB struct {
+	db       *fmeter.DB
+	srv      *fmeter.Server
+	seeded   int    // signatures the DB held before streaming
+	seededBy string // "loaded" from the snapshot or "warmup"
+	http     *http.Server
+	addr     string
+	served   chan struct{} // closed once Serve has returned serveErr
+	serveErr error
+}
+
+// openLive opens dir's snapshot when dir exists and otherwise builds a
+// new DB seeded with the warmup signatures, starts listening on addr
+// when it is set, and hands the DB to one fmeter.Server.
+func openLive(dir, addr string, dim int, sigs []fmeter.Signature, model *fmeter.Model, cfg fmeter.ServeConfig, warnf func(string, ...any)) (*liveDB, error) {
+	d := &liveDB{seededBy: "warmup"}
+	var err error
+	if _, serr := os.Stat(dir); dir != "" && !errors.Is(serr, os.ErrNotExist) {
+		if d.db, err = fmeter.OpenDB(dir); err != nil { // reports any other stat failure too
+			return nil, fmt.Errorf("opening db %s: %w", dir, err)
+		}
+		if d.db.Dim() != dim {
+			d.db.Close()
+			return nil, fmt.Errorf("db %s has dimension %d, system has %d", dir, d.db.Dim(), dim)
+		}
+		d.seededBy = "loaded"
+	} else {
+		if d.db, err = fmeter.NewDB(dim, fmeter.WithShards(shards)); err != nil {
+			return nil, err
+		}
+		if err := d.db.AddAll(sigs); err != nil {
+			d.db.Close()
+			return nil, err
+		}
+	}
+	d.seeded = d.db.Len()
+	var ln net.Listener
+	if addr != "" {
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			d.db.Close()
+			return nil, err
+		}
+	}
+	if d.srv, err = fmeter.NewServer(d.db, model, cfg); err != nil {
+		d.db.Close()
+		if ln != nil {
+			ln.Close()
+		}
+		return nil, err
+	}
+	if ln != nil {
+		d.http = d.srv.HTTPServer()
+		d.addr = ln.Addr().String()
+		d.served = make(chan struct{})
+		go func() { d.serveErr = d.http.Serve(ln); close(d.served) }()
+		warnf("serving %s (dim %d, %d signatures, max-queue %d)", d.addr, dim, d.seeded, cfg.MaxQueue)
+	}
+	return d, nil
+}
+
+// drain stops the listener (letting in-flight HTTP requests finish),
+// then lets the server wait out every admitted query, take its final
+// snapshot and close the DB. It fails when the final snapshot did.
+func (d *liveDB) drain() (fmeter.ServeMetrics, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var err error
+	if d.http != nil {
+		err = d.http.Shutdown(ctx)
+		<-d.served // Serve returns as soon as Shutdown closes the listener
+	}
+	failed := d.srv.Metrics().SnapshotErrors
+	err = errors.Join(err, d.srv.Shutdown(ctx))
+	m := d.srv.Metrics()
+	if m.SnapshotErrors > failed {
+		err = errors.Join(err, errors.New("final snapshot failed"))
+	}
+	return m, err
+}
+
+// smokeTest drives one round trip through every endpoint against the
+// live listener: healthz, a topk query built from a warmup signature, a
+// classify, an ingest of a warmup document, and a metrics scrape that
+// must reflect all of it.
+func smokeTest(addr string, sig fmeter.Signature, doc *fmeter.Document) error {
+	base := "http://" + addr
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	get := func(path string) (map[string]any, error) {
+		resp, err := client.Get(base + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			return nil, fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		var m map[string]any
+		return m, json.NewDecoder(resp.Body).Decode(&m)
+	}
+	post := func(path string, body any, out any) error {
+		buf, err := json.Marshal(body)
 		if err != nil {
 			return err
 		}
-		defer db.Close()
-		if err := db.AddAll(sigs); err != nil {
+		resp, err := client.Post(base+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
 			return err
 		}
-
-		// With -serve, front the live DB with the HTTP serving layer
-		// while the stream below keeps ingesting into it — queries ride
-		// epoch-pinned views, so serving and ingestion never block each
-		// other. The server owns the graceful drain (the deferred Close
-		// above then finds an already-closed DB, which is harmless).
-		var srv *fmeter.Server
-		var httpSrv *http.Server
-		var serveDone chan error
-		if *serveAddr != "" {
-			srv, err = fmeter.NewServer(db, model, fmeter.ServeConfig{
-				SnapshotDir: *dbDir,
-				Warnf: func(format string, a ...any) {
-					fmt.Fprintf(stderr, "[fmeterd] "+format+"\n", a...)
-				},
-			})
-			if err != nil {
-				return err
-			}
-			ln, lerr := net.Listen("tcp", *serveAddr)
-			if lerr != nil {
-				return lerr
-			}
-			httpSrv = srv.HTTPServer()
-			serveDone = make(chan error, 1)
-			go func() { serveDone <- httpSrv.Serve(ln) }()
-			fmt.Fprintf(stderr, "[fmeterd] serving live DB on %s\n", ln.Addr())
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, b)
 		}
-
-		sys.SetIngestBatch(*ingestBatch)
-		ingested := 0
-		for i := warm; i < *intervals; {
-			chunk := *ingestBatch
-			if rem := *intervals - i; chunk > rem {
-				chunk = rem
-			}
-			added, err := sys.CollectStream(spec, chunk, *interval, model, db, out)
-			if err != nil {
-				return fmt.Errorf("interval %d: %w", i, err)
-			}
-			ingested += added
-			if *saveEvery > 0 && ingested > 0 && ingested/(*saveEvery) > (ingested-added)/(*saveEvery) {
-				if err := fmeter.SaveDB(*dbDir, db); err != nil {
-					return fmt.Errorf("snapshotting db: %w", err)
-				}
-			}
-			i += chunk
-			status(i - 1)
-		}
-		dbLen := db.Len()
-		if srv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			if err := httpSrv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(stderr, "[fmeterd] http shutdown: %v\n", err)
-			}
-			<-serveDone
-			m := srv.Metrics()
-			fmt.Fprintf(stderr, "[fmeterd] served %d queries in %d requests (%d rejected)\n",
-				m.Queries, m.Batches, m.Rejected)
-			if err := srv.Shutdown(ctx); err != nil {
-				cancel()
-				return fmt.Errorf("server shutdown: %w", err)
-			}
-			cancel()
-		} else if err := fmeter.SaveDB(*dbDir, db); err != nil {
-			return fmt.Errorf("snapshotting db: %w", err)
-		}
-		fmt.Fprintf(stderr, "[fmeterd] db %s: %d signatures (%d warmup + %d streamed)\n",
-			*dbDir, dbLen, len(sigs), ingested)
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
 
-	st := sys.CollectorStats()
-	fmt.Fprintf(stderr, "[fmeterd] done: %d intervals of %v (%s), %d kernel function calls, %d read retries, %d intervals skipped\n",
-		*intervals, *interval, spec.Name, totalCalls, st.Retries, st.SkippedIntervals)
+	if _, err := get("/healthz"); err != nil {
+		return err
+	}
+
+	// Render the signature's sparse vector in the wire's parallel-array
+	// form.
+	var idx []int32
+	var val []float64
+	sig.W.ForEach(func(i int, x float64) {
+		idx = append(idx, int32(i))
+		val = append(val, x)
+	})
+	query := map[string]any{"queries": []map[string]any{{"idx": idx, "val": val}}, "k": 3}
+
+	var topk struct {
+		Results [][]struct {
+			DocID string  `json:"doc_id"`
+			Score float64 `json:"score"`
+		} `json:"results"`
+	}
+	if err := post("/v1/topk", query, &topk); err != nil {
+		return err
+	}
+	if len(topk.Results) != 1 || len(topk.Results[0]) == 0 {
+		return fmt.Errorf("topk returned no hits: %+v", topk)
+	}
+
+	var classify struct {
+		Labels []string `json:"labels"`
+	}
+	if err := post("/v1/classify", query, &classify); err != nil {
+		return err
+	}
+	if len(classify.Labels) != 1 || classify.Labels[0] == "" {
+		return fmt.Errorf("classify returned no label: %+v", classify)
+	}
+
+	var ingest struct {
+		Added int `json:"added"`
+	}
+	if err := post("/v1/ingest", map[string]any{"documents": []*fmeter.Document{doc}}, &ingest); err != nil {
+		return err
+	}
+	if ingest.Added != 1 {
+		return fmt.Errorf("ingest added %d, want 1", ingest.Added)
+	}
+
+	m, err := get("/metrics")
+	if err != nil {
+		return err
+	}
+	for _, key := range []string{"queries", "batches", "latency_p50_us", "docs_ingested"} {
+		if _, ok := m[key]; !ok {
+			return fmt.Errorf("metrics missing %q: %v", key, m)
+		}
+	}
+	if q, _ := m["queries"].(float64); q < 2 {
+		return fmt.Errorf("metrics count %v queries, want >= 2", m["queries"])
+	}
 	return nil
 }

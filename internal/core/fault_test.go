@@ -65,6 +65,38 @@ func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 	return db, dir, 100, 150
 }
 
+// buildForeignCorpus makes a snapshot directory holding another DB's
+// 40 signatures, then builds a fresh 70-signature DB that has never
+// saved there: its segment ids start at 0 like the old DB's did, so the
+// next SaveDir into the directory must not reuse a name the old
+// manifest still holds. Returns the fresh DB, the directory, and the
+// old/new counts.
+func buildForeignCorpus(t *testing.T) (*DB, string, int, int) {
+	t.Helper()
+	const dim, nnz = 24, 6
+	r := rand.New(rand.NewSource(37))
+	dir := t.TempDir()
+	for _, n := range []int{40, 70} {
+		db, err := NewShardedDB(dim, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetSegmentSize(16)
+		if err := db.AddAll(randSigs(r, n, dim, nnz)); err != nil {
+			t.Fatal(err)
+		}
+		db.Seal()
+		if n == 70 {
+			return db, dir, 40, 70
+		}
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+	}
+	panic("unreachable")
+}
+
 // verifyLoadable proves the directory is a complete snapshot: it loads
 // without error and holds one of the two legal counts — the previous
 // snapshot (fault before the manifest landed) or the new one (fault
@@ -130,8 +162,15 @@ func TestSaveDirTransientFaultMatrix(t *testing.T) {
 // cleanup, exactly like a killed process — and the DB is abandoned. The
 // directory must still load (previous or new snapshot, never partial),
 // and a recovery sequence — load, append, save — must converge to a
-// clean directory with no temp-file or orphan leftovers.
+// clean directory with no temp-file or orphan leftovers. The matrix runs
+// two arms: the DB re-saving into its own directory, and a fresh DB
+// saving into a directory that holds another DB's snapshot.
 func TestSaveDirCrashMatrix(t *testing.T) {
+	t.Run("own-dir", func(t *testing.T) { crashMatrix(t, buildFaultCorpus) })
+	t.Run("foreign-dir", func(t *testing.T) { crashMatrix(t, buildForeignCorpus) })
+}
+
+func crashMatrix(t *testing.T, build func(*testing.T) (*DB, string, int, int)) {
 	defer func() { fsFault = nil }()
 	const dim, nnz = 24, 6
 	r := rand.New(rand.NewSource(31))
@@ -140,7 +179,7 @@ func TestSaveDirCrashMatrix(t *testing.T) {
 		extra[i].DocID = fmt.Sprintf("extra-%d", i)
 	}
 	for step := 0; ; step++ {
-		db, dir, oldN, newN := buildFaultCorpus(t)
+		db, dir, oldN, newN := build(t)
 		plan := &faultPlan{step: step, crash: true}
 		fsFault = plan.hook
 		err := db.SaveDir(dir)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -157,10 +158,22 @@ func (db *DB) SaveDir(path string) error {
 	}
 	if db.saveDir != path {
 		// A different target directory knows nothing of this DB: every
-		// segment must land there.
+		// segment must land there, under an id past every one the
+		// directory already uses — renaming over a file its current
+		// manifest names would leave neither snapshot loadable if the
+		// save died before the new manifest is durable.
+		floor, err := dirNextSeg(path)
+		if err != nil {
+			return err
+		}
+		db.nextSeg = max(db.nextSeg, floor)
 		for si := range db.shards {
 			for _, sg := range db.shards[si].segs {
 				sg.dirty = true
+				if !sg.saved && sg.id < floor { // a saved one gets a fresh id below
+					sg.id = db.nextSeg
+					db.nextSeg++
+				}
 			}
 		}
 	}
@@ -265,6 +278,40 @@ func (db *DB) SaveDir(path string) error {
 		return err
 	}
 	return nil
+}
+
+// dirNextSeg returns the first segment id past dir's manifest
+// next_segment and past every segment file in dir.
+//
+//fmeter:errdomain snapshot
+func dirNextSeg(dir string) (uint64, error) {
+	entries, err := fsReadDir(dir)
+	if err != nil {
+		return 0, &SnapshotError{Path: dir, Err: err}
+	}
+	var next uint64
+	for _, e := range entries {
+		name := e.Name()
+		if name == manifestName {
+			mpath := filepath.Join(dir, name)
+			raw, err := fsReadFile(mpath)
+			if err != nil {
+				return 0, &SnapshotError{Path: mpath, Err: err}
+			}
+			var m manifestJSON
+			if json.Unmarshal(raw, &m) == nil { // a corrupt manifest names nothing loadable
+				next = max(next, m.NextSeg)
+			}
+			continue
+		}
+		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".fms") {
+			continue
+		}
+		if id, err := strconv.ParseUint(name[len("seg-"):len(name)-len(".fms")], 10, 64); err == nil {
+			next = max(next, id+1)
+		}
+	}
+	return next, nil
 }
 
 // listOrphans names segment and temp files the manifest no longer
