@@ -28,7 +28,6 @@ type pruneRecord struct {
 	GoMaxProcs  int    `json:"gomaxprocs"`
 	Dim         int    `json:"dim"`
 	NNZ         int    `json:"nnz"`
-	Shards      int    `json:"shards"`
 	SegmentSize int    `json:"segment_size"`
 	TierFanout  int    `json:"tier_fanout"`
 	K           int    `json:"k"`
@@ -69,7 +68,7 @@ type pruneScale struct {
 	// Segment trajectory under the compaction policy: the sealed count
 	// observed while ingesting up to this rung never exceeded
 	// SealedMaxDuringIngest, which must stay within TierBudget (the
-	// policy's O(F·log_F) bound, summed over shards) — without the
+	// policy's O(F·log_F) bound) — without the
 	// policy the sealed count would be docs/segment_size.
 	Segments              int `json:"segments"`
 	SealedSegments        int `json:"sealed_segments"`
@@ -184,16 +183,16 @@ func (s *idxValSorter) Swap(a, b int) {
 	s.val[a], s.val[b] = s.val[b], s.val[a]
 }
 
-// tierBudget is the policy's sealed-count bound for perShard records:
-// fewer than F adjacent same-tier segments per tier, summed over the
-// tiers a store of that size can populate (plus slack for the
-// in-flight cascade), times the shard count.
-func tierBudget(perShard, segSize, fanout, shards int) int {
+// tierBudget is the policy's sealed-count bound for a store of rows
+// records: fewer than F adjacent same-tier segments per tier, summed over
+// the tiers a store of that size can populate (plus slack for the
+// in-flight cascade).
+func tierBudget(rows, segSize, fanout int) int {
 	tiers := 2
-	for bound := segSize * fanout; bound <= perShard; bound *= fanout {
+	for bound := segSize * fanout; bound <= rows; bound *= fanout {
 		tiers++
 	}
-	return (fanout - 1) * tiers * shards
+	return (fanout - 1) * tiers
 }
 
 // runPruneBench builds the ladder corpus once (each rung extends the
@@ -205,7 +204,6 @@ func tierBudget(perShard, segSize, fanout, shards int) int {
 func runPruneBench(path string, scale int, stderr io.Writer) error {
 	const (
 		dim     = 3815
-		shards  = 4
 		segSize = 4096
 		fanout  = 4
 		k       = 10
@@ -222,7 +220,7 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 	}
 	rungs = append(rungs, scale)
 
-	db, err := core.NewShardedDB(dim, shards)
+	db, err := core.NewDB(dim)
 	if err != nil {
 		return err
 	}
@@ -249,7 +247,6 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Dim:         dim,
 		NNZ:         pruneClassDims + pruneSharedPool*3/4,
-		Shards:      shards,
 		SegmentSize: segSize,
 		TierFanout:  fanout,
 		K:           k,
@@ -291,7 +288,7 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 			Segments:              db.Segments(),
 			SealedSegments:        db.SealedSegments(),
 			SealedMaxDuringIngest: sealedMax,
-			TierBudget:            tierBudget((docs+shards-1)/shards, segSize, fanout, shards),
+			TierBudget:            tierBudget(docs, segSize, fanout),
 			TopK:                  make(map[string]microBench),
 		}
 		fmt.Fprintf(stderr, "== %d signatures: %d segments (%d sealed, budget %d), %.1f MiB postings, %.1f MiB heap in use ==\n",

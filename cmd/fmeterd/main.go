@@ -49,9 +49,6 @@ import (
 	fmeter "repro"
 )
 
-// shards is a new DB's shard count; an opened snapshot keeps its own.
-const shards = 2
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
@@ -295,7 +292,7 @@ func openLive(dir, addr string, dim int, sigs []fmeter.Signature, model *fmeter.
 		}
 		d.seededBy = "loaded"
 	} else {
-		if d.db, err = fmeter.NewDB(dim, fmeter.WithShards(shards)); err != nil {
+		if d.db, err = fmeter.NewDB(dim); err != nil {
 			return nil, err
 		}
 		if err := d.db.AddAll(sigs); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -106,6 +107,13 @@ func TestDaemonNetperfDriverSelection(t *testing.T) {
 }
 
 func TestDaemonRejectsBadFlags(t *testing.T) {
+	// A snapshot whose manifest names two shards: refused on open, with
+	// the loader's typed error naming the manifest.
+	sharded := t.TempDir()
+	manifest := filepath.Join(sharded, "MANIFEST.json")
+	if err := os.WriteFile(manifest, []byte(`{"format":"fmdb-dir","version":2,"dim":1,"shards":2,"count":0,"next_segment":0,"segments":[[],[]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out, errBuf bytes.Buffer
 	for _, args := range [][]string{
 		{"-workload", "nope"},
@@ -113,9 +121,16 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 		{"-workload", "netperf", "-driver", "bogus"},
 		{"-driver", "bogus", "-intervals", "1"},
 		{"-ingest-batch", "0", "-intervals", "4"},
+		{"-db", sharded, "-intervals", "4", "-warmup", "2"},
 	} {
-		if err := runDaemon(args, &out, &errBuf); err == nil {
+		err := runDaemon(args, &out, &errBuf)
+		if err == nil {
 			t.Errorf("args %v should fail", args)
+			continue
+		}
+		var se *fmeter.SnapshotError
+		if args[0] == "-db" && (!errors.As(err, &se) || se.Path != manifest) {
+			t.Errorf("args %v: %v, want a *SnapshotError naming %s", args, err, manifest)
 		}
 	}
 }

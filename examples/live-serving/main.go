@@ -56,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	db, err := fmeter.NewDB(sys.Dim(), fmeter.WithShards(2))
+	db, err := fmeter.NewDB(sys.Dim())
 	if err != nil {
 		return err
 	}

@@ -47,11 +47,11 @@ func run() error {
 	}
 	fmt.Printf("tf-idf model fitted over %d documents (dim %d)\n", len(sigs), model.Dim())
 
-	// Index all but one signature in a labeled database — sharded four
-	// ways, as an operator's long-lived store would be — then retrieve
+	// Index all but one signature in a labeled database, then retrieve
 	// the held-out one by similarity. Queries use the signatures'
-	// canonical sparse form and cost O(nnz) per stored signature.
-	db, err := fmeter.NewDB(sys.Dim(), fmeter.WithShards(4))
+	// canonical sparse form, ride an inverted index and walk it on every
+	// core.
+	db, err := fmeter.NewDB(sys.Dim())
 	if err != nil {
 		return err
 	}
@@ -116,22 +116,5 @@ func run() error {
 	defer reopened.Close()
 	fmt.Printf("incremental on-disk store: %d signatures across %d segment files (%d posting bytes mapped, %d on heap)\n",
 		reopened.Len(), reopened.Segments(), reopened.MappedBytes(), reopened.IndexBytes())
-
-	// A stored DB keeps its shard count; re-sharding is a rebuild through
-	// the public API, and free of surprises — global indices are
-	// insertion-ordered, so results are identical at any shard count.
-	resharded, err := fmeter.NewDB(reopened.Dim(), fmeter.WithShards(2))
-	if err != nil {
-		return err
-	}
-	// (All is in insertion order: leave out the query added last.)
-	if err := resharded.AddAll(reopened.All()[:len(rest)]); err != nil {
-		return err
-	}
-	label2, err := resharded.ClassifySparse(query.W, 5, fmeter.EuclideanMetric())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("after save/reopen and re-shard (%d -> %d shards): %s\n", reopened.Shards(), resharded.Shards(), label2)
 	return nil
 }

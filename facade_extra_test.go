@@ -156,9 +156,9 @@ func TestMinkowskiMetricFacade(t *testing.T) {
 	}
 }
 
-// TestShardedDBFacade drives the sharded store through the facade:
-// WithShards/WithWorkers construction, identical TopK across shard
-// counts, and a save/reopen round trip with re-sharding.
+// TestShardedDBFacade pins that the deprecated WithShards is a no-op:
+// a store built or reopened with it answers exactly like one without,
+// at any worker count, and its snapshot manifest records one shard.
 func TestShardedDBFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 5, Workers: -1})
 	if err != nil {
@@ -178,12 +178,9 @@ func TestShardedDBFacade(t *testing.T) {
 	}
 	query, rest := sigs[0], sigs[1:]
 
-	single, err := NewDB(sys.Dim())
+	single, err := NewDB(sys.Dim(), WithWorkers(-1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if single.Shards() != 1 {
-		t.Fatalf("default shards = %d", single.Shards())
 	}
 	if err := single.AddAll(rest); err != nil {
 		t.Fatal(err)
@@ -192,60 +189,48 @@ func TestShardedDBFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(tag string, db *DB) {
+		t.Helper()
+		got, err := db.TopKSparse(query.W, 5, EuclideanMetric())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i].Signature.DocID != want[i].Signature.DocID || got[i].Score != want[i].Score {
+				t.Fatalf("%s: hit %d differs: (%s, %v) vs (%s, %v)",
+					tag, i, got[i].Signature.DocID, got[i].Score, want[i].Signature.DocID, want[i].Score)
+			}
+		}
+	}
 
 	sharded, err := NewDB(sys.Dim(), WithShards(4), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Shards() != 4 {
-		t.Fatalf("shards = %d", sharded.Shards())
-	}
 	if err := sharded.AddAll(rest); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sharded.TopKSparse(query.W, 5, EuclideanMetric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Signature.DocID != want[i].Signature.DocID || got[i].Score != want[i].Score {
-			t.Fatalf("hit %d differs across shard counts: (%s, %v) vs (%s, %v)",
-				i, got[i].Signature.DocID, got[i].Score, want[i].Signature.DocID, want[i].Score)
-		}
-	}
+	same("WithShards(4)", sharded)
 
-	// Save, reopen (WithShards is ignored: a stored DB keeps its layout),
-	// and re-shard the way OpenDB's doc says to.
 	dir := filepath.Join(t.TempDir(), "store")
 	if err := SaveDB(dir, sharded); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenDB(dir, WithShards(2))
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reopened.Shards() != 4 {
-		t.Fatalf("reopened shards = %d, want the saved layout's 4", reopened.Shards())
+	if !strings.Contains(string(raw), `"shards": 1,`) {
+		t.Fatalf("manifest does not record one shard:\n%s", raw)
 	}
-	restored, err := NewDB(reopened.Dim(), WithShards(2))
+	reopened, err := OpenDB(dir, WithShards(2), WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.AddAll(reopened.All()); err != nil {
-		t.Fatal(err)
+	if reopened.Len() != sharded.Len() {
+		t.Fatalf("reopened len = %d, want %d", reopened.Len(), sharded.Len())
 	}
-	if restored.Shards() != 2 || restored.Len() != sharded.Len() {
-		t.Fatalf("restored shards/len = %d/%d", restored.Shards(), restored.Len())
-	}
-	back, err := restored.TopKSparse(query.W, 5, EuclideanMetric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if back[i].Signature.DocID != want[i].Signature.DocID || back[i].Score != want[i].Score {
-			t.Fatalf("hit %d differs after snapshot reload", i)
-		}
-	}
+	same("reopened with WithShards(2)", reopened)
 }
 
 // scanOf rebuilds m from its public fields. The copy carries no kind,

@@ -19,7 +19,7 @@
 // # Quick start
 //
 // Signatures are sparse-first: Signature.W holds the canonical sorted
-// sparse form, and every pipeline stage — embedding, the sharded
+// sparse form, and every pipeline stage — embedding, the signature
 // database, SVM training and classification, K-means — runs in O(nnz)
 // per signature. Each learner is the paper's one: an SVM with SVM^light's
 // default cubic polynomial kernel, K-means with random restarts, and
@@ -30,9 +30,9 @@
 //	dbench, _ := sys.Collect(fmeter.DbenchWorkload(), 50, 10*time.Second, nil)
 //	sigs, model, _ := fmeter.BuildSignatures(append(scp, dbench...), sys.Dim())
 //
-//	// Sharded similarity database; cosine/Euclidean queries ride a
-//	// per-shard inverted index, and snapshots survive restarts.
-//	db, _ := fmeter.NewDB(sys.Dim(), fmeter.WithShards(4))
+//	// Similarity database; cosine/Euclidean queries ride an inverted
+//	// index, walked on every core, and snapshots survive restarts.
+//	db, _ := fmeter.NewDB(sys.Dim())
 //	_ = db.AddAll(sigs[1:])
 //	hits, _ := db.TopKSparse(sigs[0].W, 3, fmeter.EuclideanMetric())
 //
@@ -95,7 +95,7 @@ type (
 	// DimensionError is the typed error for mis-sized DB inputs.
 	DimensionError = core.DimensionError
 	// ConfigError is the typed error for out-of-range construction and
-	// configuration parameters (shard count, dimension, tier fan-out).
+	// configuration parameters (dimension, k, tier fan-out).
 	ConfigError = core.ConfigError
 	// PruneStats are one query's threshold-pruning counters (see
 	// Query.Stats).
@@ -186,10 +186,6 @@ type Config struct {
 	// CPU, <0 = sequential). Results are bit-identical at any worker
 	// count; see DESIGN-PERF.md.
 	Workers int
-	// Shards is the signature-database shard count used by NewDB through
-	// Options (0 = single shard). TopK results are identical at any
-	// shard count; shards bound the scan fan-out.
-	Shards int
 }
 
 // Option tunes the host-side performance of the learning helpers
@@ -198,7 +194,6 @@ type Option func(*perfOpts)
 
 type perfOpts struct {
 	workers    int
-	shards     int
 	segSize    int
 	tierFanout int
 	mapped     bool
@@ -209,12 +204,14 @@ type perfOpts struct {
 // The computed result is bit-identical at any setting.
 func WithWorkers(n int) Option { return func(o *perfOpts) { o.workers = n } }
 
-// WithShards sets the shard count for NewDB (n < 1 means one shard).
-// Queries return identical results at any shard count; shards bound the
-// TopK scan fan-out across the worker pool.
-func WithShards(n int) Option { return func(o *perfOpts) { o.shards = n } }
+// WithShards does nothing: a database stores its rows once, in
+// insertion order, and a query fans out over WithWorkers lanes instead.
+//
+// Deprecated: drop the option; the database is no longer split into
+// shards.
+func WithShards(int) Option { return func(*perfOpts) {} }
 
-// WithSegmentSize sets NewDB's per-shard seal threshold (n < 1 keeps
+// WithSegmentSize sets NewDB's seal threshold (n < 1 keeps
 // the default): an active segment rolling past it is sealed, which
 // re-encodes its posting lists into the block-compressed form (several
 // times smaller resident, persisted directly by SaveDB) — query
@@ -338,11 +335,11 @@ func New(cfg Config) (*System, error) {
 }
 
 // Options returns the performance options implied by the system's Config
-// (Workers, Shards), for passing to the learning helpers and NewDB:
+// (Workers), for passing to the learning helpers and NewDB:
 //
 //	res, err := fmeter.ClusterSignatures(sigs, 3, 1, sys.Options()...)
 func (s *System) Options() []Option {
-	return []Option{WithWorkers(s.cfg.Workers), WithShards(s.cfg.Shards)}
+	return []Option{WithWorkers(s.cfg.Workers)}
 }
 
 // Dim returns the signature dimension: the number of instrumented
@@ -519,10 +516,9 @@ func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
 	return sigs, model, nil
 }
 
-// NewDB creates an empty labeled signature database. Pass WithShards to
-// split the store over N shards (bounding TopK's scan fan-out) and
-// WithWorkers to bound the scan worker pool; query results are identical
-// at any setting.
+// NewDB creates an empty labeled signature database. Pass WithWorkers
+// to bound the lanes a query walks in parallel (and the queries a batch
+// fans out); query results are identical at any setting.
 //
 // The database is safe for fully concurrent use: queries pin an
 // immutable epoch view and run against it without blocking writers,
@@ -534,11 +530,7 @@ func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
 // after Close return a typed *ConfigError.
 func NewDB(dim int, opts ...Option) (*DB, error) {
 	o := applyOpts(opts)
-	shards := o.shards
-	if shards < 1 {
-		shards = 1
-	}
-	db, err := core.NewShardedDB(dim, shards)
+	db, err := core.NewDB(dim)
 	if err != nil {
 		return nil, err
 	}
@@ -607,13 +599,10 @@ func SaveDB(path string, db *DB) error { return db.SaveDir(path) }
 // file inside it, fails with a typed *SnapshotError naming the path.
 // Options tune the loaded store like NewDB's do; WithMapped serves the
 // posting lists off read-only file mappings (call db.Close() to release
-// them). A stored DB keeps the shard count it was saved with (WithShards
-// is ignored); to re-shard, rebuild through the public API — global
-// indices are insertion-ordered, so results are identical:
-//
-//	old, _ := fmeter.OpenDB(path)
-//	db, _ := fmeter.NewDB(old.Dim(), fmeter.WithShards(n))
-//	_ = db.AddAll(old.All())
+// them). A snapshot whose manifest names more than one shard — written
+// before a database became one row sequence — is refused; rewrite it
+// with a build that still reads it (OpenDB, NewDB with WithShards(1),
+// AddAll(old.All()), SaveDB).
 func OpenDB(path string, opts ...Option) (*DB, error) {
 	o := applyOpts(opts)
 	if fi, err := os.Stat(path); err != nil {

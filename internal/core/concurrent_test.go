@@ -26,10 +26,10 @@ func stressN(normal, stressed int) int {
 // refResults precomputes, for every store prefix length n in [0, N],
 // the serialized-execution answer of each query: TopK hits and the
 // classify label a quiescent DB holding exactly sigs[:n] returns. The
-// reference DB is single-shard, default layout, queried on the scan arm
+// reference DB is sequential, default layout, queried on the scan arm
 // (scanMetric) — the bit-identical-at-any-layout guarantee
 // (property-swept elsewhere) makes it a valid reference for every
-// sharding, sealing, compaction, and mapped/resident combination the
+// lane count, sealing, compaction, and mapped/resident combination the
 // concurrent sweep runs.
 type refResults struct {
 	hits   [][][]SearchResult // [n][qi]
@@ -87,8 +87,8 @@ func sameHits(a, b []SearchResult) bool {
 // TestConcurrentInterleavingSweep is the serialized-equivalence
 // property sweep: goroutines interleave Add/AddAll/Seal/Compact/
 // SaveDir/config flips with TopK/TopKBatch/Classify*/Stats queries
-// under every layout axis (shards × workers × segment size × run length
-// × policy compaction × mapped/resident), and every query result must be
+// under every layout axis (lanes × segment size × run length × policy
+// compaction × mapped/resident), and every query result must be
 // bit-identical to a serialized execution against the store prefix its
 // pinned view froze. Run lengths are far below the segment sizes (and
 // one combo never rolls a segment by size), so readers hold views pinned
@@ -107,9 +107,12 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 		queries[i] = queryRows[i].W
 	}
 
+	// The leading count of a case name is its worker count, the lanes a
+	// query walks (names kept from when the axis was a shard count, so
+	// the case ids stay stable); the early prefixes have fewer walk units
+	// than lanes.
 	combos := []struct {
 		name    string
-		shards  int
 		workers int
 		segSize int
 		runLen  int
@@ -117,12 +120,12 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 		mapped  bool
 		metric  Metric
 	}{
-		{"1shard-seq-cosine", 1, -1, 64, 8, 0, false, CosineMetric()},
-		{"3shard-par-tiered-cosine", 3, 0, 32, 5, 2, false, CosineMetric()},
-		{"2shard-par-euclidean", 2, 2, 48, 7, 0, false, EuclideanMetric()},
-		{"2shard-par-longruns-euclidean", 2, 2, DefaultSegmentSize, 6, 0, false, EuclideanMetric()},
-		{"2shard-mapped-euclidean", 2, 2, 48, 16, 0, true, EuclideanMetric()},
-		{"3shard-mapped-tiered-cosine", 3, 0, 32, 3, 2, true, CosineMetric()},
+		{"1shard-seq-cosine", 1, 64, 8, 0, false, CosineMetric()},
+		{"3shard-par-tiered-cosine", 3, 32, 5, 2, false, CosineMetric()},
+		{"2shard-par-euclidean", 2, 48, 7, 0, false, EuclideanMetric()},
+		{"2shard-par-longruns-euclidean", 2, DefaultSegmentSize, 6, 0, false, EuclideanMetric()},
+		{"2shard-mapped-euclidean", 2, 48, 16, 0, true, EuclideanMetric()},
+		{"3shard-mapped-tiered-cosine", 3, 32, 3, 2, true, CosineMetric()},
 	}
 	for _, cb := range combos {
 		cb := cb
@@ -136,7 +139,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				// Mapped mode starts from a sealed, mapped prefix and
 				// streams the rest — compactions then splice mapped blobs
 				// away under pinned views (the deferred-reclaim path).
-				seed, err := NewShardedDB(dim, cb.shards)
+				seed, err := NewDB(dim)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +160,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				}
 			} else {
 				var err error
-				if db, err = NewShardedDB(dim, cb.shards); err != nil {
+				if db, err = NewDB(dim); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -209,8 +212,8 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 							return
 						}
 					case i%23 == 0:
-						// A query-config publish: no shard reaches the
-						// floor (plain walk), then every shard does.
+						// A query-config publish: the store is below the
+						// floor (plain walk), then above it.
 						if i%46 == 0 {
 							db.setPruneFloor(1)
 						} else {
@@ -240,7 +243,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 					for it := 0; it < readerIters && running(); it++ {
 						qi := rr.Intn(len(queries))
 						v := db.pinView()
-						n := v.total
+						n := len(v.sigs)
 						sc := db.scratch.Get()
 						got, err := db.topk(v, sc, queries[qi], k, cb.metric, v.cfg.workers, nil)
 						db.scratch.Put(sc)
@@ -371,11 +374,12 @@ func TestConcurrentWriters(t *testing.T) {
 	all := randSigs(r, writers*perWriter, dim, nnz)
 	q := randSigs(r, 1, dim, nnz)[0].W
 
-	db, err := NewShardedDB(dim, 3)
+	db, err := NewDB(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.SetWorkers(3)
 	db.SetSegmentSize(64)
 	db.setRunLen(8)
 	var wg sync.WaitGroup
@@ -441,7 +445,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	q := randSigs(r, 1, dim, nnz)[0].W
 
 	dir := t.TempDir()
-	seed, err := NewShardedDB(dim, 2)
+	seed, err := NewDB(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +465,9 @@ func TestCloseUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapped := 0
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			if sg.mf != nil {
-				mapped++
-			}
+	for _, sg := range db.segs {
+		if sg.mf != nil {
+			mapped++
 		}
 	}
 	if mapped == 0 {

@@ -872,11 +872,11 @@ func embedPeaked(b *testing.B, n int) []Signature {
 	return sigs
 }
 
-// loadChunks adds sigs to a fresh store of the given shard count in
-// AddAll calls of chunk signatures.
-func loadChunks(b *testing.B, sigs []Signature, shards, chunk int) *DB {
+// loadChunks adds sigs to a fresh store in AddAll calls of chunk
+// signatures.
+func loadChunks(b *testing.B, sigs []Signature, chunk int) *DB {
 	b.Helper()
-	db, err := NewShardedDB(3815, shards)
+	db, err := NewDB(3815)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -890,38 +890,36 @@ func loadChunks(b *testing.B, sigs []Signature, shards, chunk int) *DB {
 
 // BenchmarkAddAllPeaked is the indexing stage of a bulk load: one op
 // stores 24 000 peaked signatures in a fresh store, in the 256-signature
-// chunks of the end-to-end benchmark at 2 shards, or in one whole-store
-// AddAll at 1 and 4 shards (every row sealed or in a run, none encoded
-// twice).
+// chunks of the end-to-end benchmark, or in one whole-store AddAll
+// (every row sealed or in a run, none encoded twice).
 func BenchmarkAddAllPeaked(b *testing.B) {
 	sigs := embedPeaked(b, 24000)
 	for _, c := range []struct {
-		name          string
-		shards, chunk int
+		name  string
+		chunk int
 	}{
-		{"chunks256/shards=2", 2, 256},
-		{"whole/shards=1", 1, len(sigs)},
-		{"whole/shards=4", 4, len(sigs)},
+		{"chunks256", 256},
+		{"whole", len(sigs)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				loadChunks(b, sigs, c.shards, c.chunk)
+				loadChunks(b, sigs, c.chunk)
 			}
 		})
 	}
 }
 
 // BenchmarkSeal is the seal that ends a bulk load: one op seals a store
-// of 24 000 peaked signatures loaded in 256-signature chunks at 2 shards
-// (the load is not timed).
+// of 24 000 peaked signatures loaded in 256-signature chunks (the load
+// is not timed).
 func BenchmarkSeal(b *testing.B) {
 	sigs := embedPeaked(b, 24000)
-	b.Run("peaked24000/shards=2", func(b *testing.B) {
+	b.Run("peaked24000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			db := loadChunks(b, sigs, 2, 256)
+			db := loadChunks(b, sigs, 256)
 			b.StartTimer()
 			db.Seal()
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -159,11 +160,11 @@ func (e *DimensionError) Error() string {
 }
 
 // ConfigError reports a construction or configuration parameter outside
-// its accepted range (a non-positive dimension or shard count, a
-// compaction fan-out below 2). It is a typed error so callers can
+// its accepted range (a non-positive dimension, a compaction fan-out
+// below 2). It is a typed error so callers can
 // distinguish a bad knob from runtime failures.
 type ConfigError struct {
-	// Param names the offending parameter ("dimension", "shard count")
+	// Param names the offending parameter ("dimension", "k")
 	// or, for usage errors, the misused object ("database").
 	Param string
 	// Value is the rejected value.
@@ -229,21 +230,22 @@ type SearchResult struct {
 // maintaining (§2.2): signatures of forensically identified behaviours,
 // stored for later retrieval, comparison, and classifier training.
 //
-// Storage is sparse-first, sharded, and segmented: signatures are
-// distributed round-robin over N shards by insertion order, and inside
-// each shard they live in a run of append-only segments — Add appends
-// to the shard's active segment (indexed in immutable posting runs as
-// it grows), which Seal (or the segment size threshold) rolls into an
-// immutable sealed segment carrying its own posting lists and cached
-// norms, and Compact merges small sealed segments by splicing their
-// posting lists (see segment.go). Queries walk the segments in order;
-// the per-shard top-k survivors merge through a global heap keyed on
-// (score, insertion index). For the built-in cosine and Euclidean
-// metrics a query accumulates dot products down only the posting lists
-// in its support; other metrics take the exhaustive per-shard scan.
-// Both paths order candidates by the same total order, so a query
-// returns identical results at every shard, segment, and worker count,
-// indexed or not.
+// Storage is sparse-first and segmented: signatures live once, in
+// insertion order — a signature's row index is its insertion index, the
+// (score, index) tie-break key — and the rows are cut into a run of
+// append-only segments. Add appends to the active segment (indexed in
+// immutable posting runs as it grows), which Seal (or the segment size
+// threshold) rolls into an immutable sealed segment carrying its own
+// posting lists and cached norms, and Compact merges small sealed
+// segments by splicing their posting lists (see segment.go). For the
+// built-in cosine and Euclidean metrics a query accumulates dot products
+// down only the posting lists in its support; other metrics take the
+// exhaustive scan. A query walks the segments in lanes, one per worker
+// (view.go deals them the rows), each pruning against the one
+// store-wide seed threshold, and merges the lanes' survivors through a
+// heap keyed on (score, insertion index). Both paths order candidates by the same total order,
+// so a query returns identical results at every segment layout and
+// worker count, indexed or not.
 //
 // Persistence has one format: SaveDir/LoadDir keep a snapshot directory
 // (manifest + one CRC-checked file per segment, see manifest.go) where
@@ -256,8 +258,8 @@ type SearchResult struct {
 // Concurrency contract (epoch-pinned views, see view.go): reads (Query
 // and its shorthands, Len, All) may run concurrently with each other
 // AND with mutations. Each Query call pins the current immutable view —
-// the sealed segments plus a frozen prefix of each shard's active
-// segment (its posting runs and the unindexed rows after them) — once,
+// the sealed segments plus a frozen prefix of the active segment (its
+// posting runs and the unindexed rows after them) — once,
 // for all its queries, and computes exactly the result a quiescent DB
 // holding that view's signatures would return. Mutations (Add,
 // AddAll, Seal, Compact, SaveDir, Close, and every Set*) remain
@@ -272,13 +274,14 @@ type SearchResult struct {
 type DB struct {
 	dim     int
 	workers int
-	total   int
-	// pruneFloor (0 meaning pruneMinRows) is the shard-size floor below
+	// pruneFloor (0 meaning pruneMinRows) is the store-size floor below
 	// which pruning is not attempted — see prune.go.
 	pruneFloor int
-	// runLen (0 meaning activeRunLen) is the active-segment run length;
-	// only tests override it — see segment.go.
-	runLen int
+	// runLen (0 meaning activeRunLen) is the active-segment run length
+	// and laneFloor (0 meaning laneMinRows) the fewest rows a query lane
+	// is given; only tests override them — see segment.go, view.go.
+	runLen    int
+	laneFloor int
 	// policy, when enabled, keeps sealed-segment counts bounded by
 	// merging same-tier runs on every seal — see segment.go.
 	policy  CompactionPolicy
@@ -289,8 +292,13 @@ type DB struct {
 	saveDir string
 	// closed marks a DB whose Close ran: segment mappings are released
 	// and every query or mutation returns a typed *ConfigError.
-	closed  bool
-	shards  []dbShard
+	closed bool
+	// sigs and norms are the stored rows in insertion order and their
+	// cached squared norms, append-only; segs partitions them (see
+	// segment.go).
+	sigs    []Signature
+	norms   []float64
+	segs    []*segment
 	scratch *percpu.Pool[*dbScratch]
 
 	// mu serializes every mutation (and the writer-side accessors that
@@ -320,48 +328,28 @@ type DB struct {
 	staleMaps []*mapFile
 }
 
-// dbShard holds the signatures routed to one shard alongside their
-// global insertion indices (the TopK tie-break key) and cached squared
-// norms. The backing arrays are append-only; segs partitions them into
-// the shard's segment run (each segment owns the posting lists of its
-// range — see segment.go).
-type dbShard struct {
-	gids  []int
-	sigs  []Signature
-	norms []float64
-	segs  []*segment
-}
-
-// NewDB creates an empty single-shard database for signatures of the
-// given dimension.
-func NewDB(dim int) (*DB, error) { return NewShardedDB(dim, 1) }
-
-// NewShardedDB creates an empty database with the given shard count.
-// Shards bound the fan-out of TopK scans; the query results are
-// identical at any shard count.
+// NewDB creates an empty database for signatures of the given
+// dimension.
 //
 //fmeter:errdomain config
-func NewShardedDB(dim, shards int) (*DB, error) {
+func NewDB(dim int) (*DB, error) {
 	if dim < 1 {
 		return nil, &ConfigError{Param: "dimension", Value: dim, Min: 1}
 	}
-	if shards < 1 {
-		return nil, &ConfigError{Param: "shard count", Value: shards, Min: 1}
-	}
-	db := &DB{dim: dim, shards: make([]dbShard, shards)}
+	db := &DB{dim: dim}
 	db.scratch = percpu.NewPool(func() *dbScratch {
-		return &dbScratch{shards: make([]shardScratch, len(db.shards)), qd: vecmath.NewVector(dim)}
+		return &dbScratch{qd: vecmath.NewVector(dim)}
 	})
 	db.reclCond = sync.NewCond(&db.reclMu)
 	db.cur.Store(db.buildViewLocked())
 	return db, nil
 }
 
-// SetWorkers bounds the worker-pool fan-out of a query across shards —
-// and of a multi-query request across queries (parallel.Workers
-// semantics: 0 = one per CPU, <0 = sequential). The effective
-// single-query parallelism is min(workers, shards). In-flight queries
-// keep the setting they pinned.
+// SetWorkers bounds the worker-pool fan-out of a query across its lanes
+// — and of a multi-query request across queries (parallel.Workers
+// semantics: 0 = one per CPU, <0 = sequential). A query walks its view
+// in parallel.Workers(n) lanes, fewer on a store too small to pay for
+// them (laneMinRows). In-flight queries keep the setting they pinned.
 func (db *DB) SetWorkers(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -369,13 +357,10 @@ func (db *DB) SetWorkers(n int) {
 	db.publishLocked()
 }
 
-// Shards returns the shard count.
-func (db *DB) Shards() int { return len(db.shards) }
-
 // Len returns the number of stored signatures in the current view.
 func (db *DB) Len() int {
 	v := db.pinView()
-	n := v.total
+	n := len(v.sigs)
 	db.unpinView(v)
 	return n
 }
@@ -390,9 +375,8 @@ func (db *DB) Dim() int { return db.dim }
 // once per signature.
 func (db *DB) Publishes() uint64 { return db.publishes.Load() }
 
-// Add stores a signature, routing it to the next shard round-robin and
-// appending it to that shard's active segment (the row into the shard's
-// backing arrays, its squared norm into the norm cache; every
+// Add stores a signature, appending it to the active segment (the row
+// into the backing arrays, its squared norm into the norm cache; every
 // activeRunLen-th row indexes the rows since the last run). An active
 // segment that reaches the segment size is sealed and the next Add
 // opens a fresh one. Add is safe to call concurrently with
@@ -409,13 +393,9 @@ func (db *DB) Add(sig Signature) error {
 		return err
 	}
 	var p writePlan
-	si, resealed := db.addLocked(&p, sig)
+	db.addLocked(&p, sig)
 	p.build(db.dim)
-	if resealed {
-		db.publishLocked(db.takeStaleActionsLocked()...)
-	} else {
-		db.publishAddLocked(si)
-	}
+	db.publishLocked(db.takeStaleActionsLocked()...)
 	return nil
 }
 
@@ -438,37 +418,29 @@ func (db *DB) checkSig(sig Signature) error {
 }
 
 // addLocked appends one validated signature without publishing,
-// planning into p the run, seal or policy merges the row completes, and
-// reports the target shard and whether a seal (and possibly a policy
-// compaction) changed the segment structure. Caller holds db.mu, builds
-// p and publishes afterwards.
-func (db *DB) addLocked(p *writePlan, sig Signature) (si int, resealed bool) {
-	si = db.total % len(db.shards)
-	sh := &db.shards[si]
-	sg := sh.activeSegment()
+// planning into p the run, seal or policy merges the row completes.
+// Caller holds db.mu, builds p and publishes afterwards.
+func (db *DB) addLocked(p *writePlan, sig Signature) {
+	sg := db.activeSegment()
 	if sg == nil {
-		sg = db.appendSegment(sh)
+		sg = db.appendSegment()
 	}
-	sh.gids = append(sh.gids, db.total)
-	sh.sigs = append(sh.sigs, sig)
-	sh.norms = append(sh.norms, sig.W.Norm2())
+	db.sigs = append(db.sigs, sig)
+	db.norms = append(db.norms, sig.W.Norm2())
 	sg.end++
 	sg.dirty = true
 	if sg.len() >= db.segSizeLocked() {
-		p.seal(sh, sg)
+		p.seal(db.sigs, sg)
 		// A roll is the compaction policy's trigger: merging here (not on
 		// a timer, not manually) keeps the sealed count bounded at every
 		// point of a continuous ingestion stream.
-		db.policyCompact(p, sh)
-		resealed = true
+		db.policyCompact(p)
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {
 		// The unindexed tail is a full run: index exactly those rows. The
 		// run is immutable from birth, so the publish that follows hands
 		// it to views like any sealed postings.
-		p.indexRun(sh, sg)
+		p.indexRun(db.sigs, sg)
 	}
-	db.total++
-	return si, resealed
 }
 
 // takeStaleActionsLocked wraps the mappings of segments whose blobs were
@@ -498,14 +470,12 @@ func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var n int64
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			if sg.blocks != nil {
-				n += f(sg.blocks)
-			}
-			for _, r := range sg.runs {
-				n += f(r)
-			}
+	for _, sg := range db.segs {
+		if sg.blocks != nil {
+			n += f(sg.blocks)
+		}
+		for _, r := range sg.runs {
+			n += f(r)
 		}
 	}
 	return n
@@ -525,19 +495,16 @@ func (db *DB) IndexBytes() int64 { return db.sumPostings((*blockPostings).memByt
 func (db *DB) IndexPostings() int64 { return db.sumPostings((*blockPostings).postingCount) }
 
 // ActiveUnindexedRows returns how many stored signatures no posting
-// structure covers yet — the rows after the last run of each shard's
-// active segment, which queries score one by one. It stays below
-// shards × the run length (256) and returns to zero on Seal.
+// structure covers yet — the rows after the active segment's last run,
+// which queries score one by one. It stays below the run length (256)
+// and returns to zero on Seal.
 func (db *DB) ActiveUnindexedRows() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n := 0
-	for si := range db.shards {
-		if sg := db.shards[si].activeSegment(); sg != nil {
-			n += sg.end - sg.runEnd
-		}
+	if sg := db.activeSegment(); sg != nil {
+		return sg.end - sg.runEnd
 	}
-	return n
+	return 0
 }
 
 // MappedBytes returns how many posting-blob bytes are served off
@@ -569,29 +536,25 @@ func (db *DB) Close() error {
 	// (a Compact's deferred splice release always precedes), once no
 	// pinned view can reach the mapped blobs.
 	rel := db.takeStaleActionsLocked()
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			if mf := sg.takeMap(); mf != nil {
-				rel = append(rel, func() {
-					if err := releaseMap(mf); err != nil && db.closeErr == nil {
-						db.closeErr = err
-					}
-				})
-			}
-			// Drop the posting structures from the writer state: a
-			// mapped blob must never be reachable once its mapping is
-			// gone, and the terminal view below carries no segments.
-			sg.blocks = nil
-			sg.runs = nil
+	for _, sg := range db.segs {
+		if mf := sg.takeMap(); mf != nil {
+			rel = append(rel, func() {
+				if err := releaseMap(mf); err != nil && db.closeErr == nil {
+					db.closeErr = err
+				}
+			})
 		}
+		// Drop the posting structures from the writer state: a mapped
+		// blob must never be reachable once its mapping is gone, and the
+		// terminal view below carries no segments.
+		sg.blocks = nil
+		sg.runs = nil
 	}
 	// The terminal view keeps the signature rows (heap copies — Len and
 	// All still answer) but no segments, and fails every query with the
 	// typed closed error before it can walk anything.
 	nv := db.buildViewLocked()
-	for si := range nv.shards {
-		nv.shards[si].segs = nil
-	}
+	nv.segs = nil
 	db.publishViewLocked(nv, rel)
 	db.mu.Unlock()
 	return db.waitReclaimed()
@@ -629,43 +592,33 @@ func (db *DB) AddAll(sigs []Signature) error {
 func (db *DB) All() []Signature {
 	v := db.pinView()
 	defer db.unpinView(v)
-	out := make([]Signature, v.total)
-	for si := range v.shards {
-		vs := &v.shards[si]
-		for j, gid := range vs.gids {
-			out[gid] = vs.sigs[j]
-		}
-	}
-	return out
+	return slices.Clone(v.sigs)
 }
 
 // dbScratch is the per-worker working state of one query evaluation:
-// per-shard bounded heaps and score accumulators, the global merge
-// heap, the dense-fallback buffer, the dense view of the query, and the
-// classification vote state (a reused label-count map plus a hit
-// buffer, so labelling allocates nothing in steady state). A scratch is
-// checked out of the DB's pool for the duration of one query, so
-// concurrent readers never share one and a steady query stream
-// allocates nothing.
+// per-lane bounded heaps and score accumulators, the dense view of the query, and the classification vote state (a reused
+// label-count map plus a hit buffer, so labelling allocates nothing in
+// steady state). A scratch is checked out of the DB's pool for the
+// duration of one query, so concurrent readers never share one and a
+// steady query stream allocates nothing.
 type dbScratch struct {
-	shards []shardScratch
-	merged topkHeap
+	lanes []laneScratch
 	// qd is all-zero between queries; topk scatters the query into it
-	// before the shard fan-out (the shards only read it) and un-scatters
-	// it afterwards over the query's own support.
+	// before the lanes run (they only read it) and un-scatters it
+	// afterwards over the query's own support.
 	qd    vecmath.Vector
 	votes map[string]int
 	hits  []SearchResult
 }
 
-// shardScratch is one shard's slice of the query working state.
-type shardScratch struct {
+// laneScratch is one lane's slice of the query working state.
+type laneScratch struct {
 	heap  topkHeap
 	acc   vecmath.Accumulator
 	dense vecmath.Vector
 	prune pruneScratch
-	// stats collects this shard's pruning counters for the current query
-	// (reset by topkShard); queryOne sums them when asked.
+	// stats collects this lane's pruning counters for the current query
+	// (reset by topk); queryOne sums them when asked.
 	stats PruneStats
 }
 
@@ -673,7 +626,7 @@ type shardScratch struct {
 // far, worst at the root. "Worse" means farther under the metric, ties
 // broken toward the larger insertion index — (score, index) is a total
 // order, which is what makes the result independent of scan and merge
-// order and hence of the shard and worker counts.
+// order and hence of the segment layout and the worker count.
 type topkHeap struct {
 	idx    []int
 	score  []float64
@@ -842,7 +795,7 @@ func (db *DB) Query(ctx context.Context, q *Query) error {
 	return nil
 }
 
-// queryParallel fans a request's queries over the worker pool, shards
+// queryParallel fans a request's queries over the worker pool, lanes
 // sequential; split out of Query so the closure exists only on this path.
 func (db *DB) queryParallel(ctx context.Context, v *dbView, q Query) error {
 	return parallel.For(v.cfg.workers, len(q.Queries), func(qi int) error {
@@ -851,7 +804,7 @@ func (db *DB) queryParallel(ctx context.Context, v *dbView, q Query) error {
 }
 
 // querySlot answers query qi of q into its slots unless ctx has ended.
-func (db *DB) querySlot(ctx context.Context, v *dbView, q *Query, qi, shardWorkers int) error {
+func (db *DB) querySlot(ctx context.Context, v *dbView, q *Query, qi, laneWorkers int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -866,31 +819,33 @@ func (db *DB) querySlot(ctx context.Context, v *dbView, q *Query, qi, shardWorke
 	if q.Stats != nil {
 		stats = &q.Stats[qi]
 	}
-	return db.queryOne(v, q.Queries[qi], qi, q.K, q.Metric, shardWorkers, hits, label, stats)
+	return db.queryOne(v, q.Queries[qi], qi, q.K, q.Metric, laneWorkers, hits, label, stats)
 }
 
 // batchFanout decides how a request of nq queries uses the worker pool:
 // seq means the queries run in order on the caller's goroutine, each
-// fanning its shards over shardWorkers (parallel.Workers semantics, -1 =
-// sequential); otherwise the queries fan out and shards stay sequential.
-// Queries fan out whenever there are enough of them to occupy the pool;
-// a request too small for that — the lone query almost every serving
-// request carries — fans its shards out instead, so no core idles.
-func (v *dbView) batchFanout(nq int) (seq bool, shardWorkers int) {
+// running its lanes over laneWorkers (parallel.Workers semantics, -1 =
+// sequential); otherwise the queries fan out and each runs its lanes one
+// after another. Queries fan out whenever there are enough of them to
+// occupy the pool; a request too small for that — the lone query almost
+// every serving request carries — runs its lanes in parallel instead, so
+// no core idles. Either way a query walks the same lanes, so its answer
+// and its PruneStats do not depend on the fan-out.
+func (v *dbView) batchFanout(nq int) (seq bool, laneWorkers int) {
 	switch w := parallel.Workers(v.cfg.workers); {
 	case w == 1:
 		return true, -1
-	case nq < min(w, len(v.shards)):
+	case nq < min(w, v.lanes):
 		return true, v.cfg.workers
 	}
 	return false, -1
 }
 
 // queryOne answers query qi of a request against a pinned view on one
-// checked-out scratch, its shards fanned over shardWorkers: the hits into
+// checked-out scratch, its lanes run over laneWorkers: the hits into
 // *hits (reusing its capacity) or, when hits is nil, their majority label
-// into *label; the shards' pruning counters into *stats when non-nil.
-func (db *DB) queryOne(v *dbView, query *vecmath.Sparse, qi, k int, metric Metric, shardWorkers int, hits *[]SearchResult, label *string, stats *PruneStats) error {
+// into *label; the lanes' pruning counters into *stats when non-nil.
+func (db *DB) queryOne(v *dbView, query *vecmath.Sparse, qi, k int, metric Metric, laneWorkers int, hits *[]SearchResult, label *string, stats *PruneStats) error {
 	if query == nil {
 		return &ConfigError{Param: "query", Msg: fmt.Sprintf("query %d is nil", qi)}
 	}
@@ -903,14 +858,14 @@ func (db *DB) queryOne(v *dbView, query *vecmath.Sparse, qi, k int, metric Metri
 	if hits != nil {
 		out = (*hits)[:0]
 	}
-	res, err := db.topk(v, sc, query, k, metric, shardWorkers, out)
+	res, err := db.topk(v, sc, query, k, metric, laneWorkers, out)
 	if err != nil {
 		return err
 	}
 	if stats != nil {
 		*stats = PruneStats{}
-		for si := range sc.shards {
-			stats.add(&sc.shards[si].stats)
+		for l := range v.lanes {
+			stats.add(&sc.lanes[l].stats)
 		}
 	}
 	if hits != nil {
@@ -970,12 +925,14 @@ func (db *DB) ClassifyBatch(queries []*vecmath.Sparse, k int, metric Metric) ([]
 }
 
 // topk evaluates one query against a pinned view on the caller-held
-// scratch: per-shard candidate scoring (inverted index when the metric
-// supports it, bounded-heap scan otherwise) fanned over workers, then a
-// global (score, index) merge into out[:0] when it has capacity. It
-// touches only the pinned view, never the live writer state — the whole
-// serialized-equivalence argument: the result is exactly what a
-// quiescent DB holding the view's signatures returns.
+// scratch: one seed pass fills lane 0's heap, every other lane's heap
+// starts as a copy of it (seed), the lanes score their rows over
+// workers, and the other lanes' non-seed survivors merge into lane 0's
+// heap, which drains into out[:0] when it has capacity — exact at any
+// lane count (DESIGN-PERF.md Layer 3). It touches only the pinned view,
+// never the live writer state — the whole serialized-equivalence
+// argument: the result is exactly what a quiescent DB holding the
+// view's signatures returns.
 func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metric Metric, workers int, out []SearchResult) ([]SearchResult, error) {
 	if v.closed {
 		// Closed means the segment mappings are gone (or going): fail
@@ -989,166 +946,195 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 	if !finite(qNorm2) {
 		return nil, errNonFinite("query", "query", qNorm2)
 	}
-	if v.total == 0 {
+	n := len(v.sigs)
+	if n == 0 {
 		return nil, ErrEmptyDB
 	}
-	if k > v.total {
-		k = v.total
-	}
+	k = min(k, n)
+	nl := v.lanes
+	lq := laneQuery{v: v, query: query, k: k, metric: metric, cosine: metric.kind == metricKindCosine, qNorm2: qNorm2, p: nl}
 	// The indexed path gathers every canonical dot from a dense view of
 	// the query and the dense fallback scores against one: the pooled
-	// vector, scattered once here, only read by the shards, and zeroed
+	// vector, scattered once here, only read by the lanes, and zeroed
 	// again over the query's own support on the way out.
-	var denseQuery vecmath.Vector
 	if metric.indexable() || metric.SparseScore == nil {
-		denseQuery = sc.qd
-		query.Scatter(denseQuery)
-		defer query.Unscatter(denseQuery)
+		lq.qd = sc.qd
+		query.Scatter(lq.qd)
+		defer query.Unscatter(lq.qd)
 	}
-	if parallel.Workers(workers) == 1 || len(v.shards) == 1 {
-		// Sequential shard walk: direct calls, so the hot batched path
-		// (queries fan out, shards stay sequential) builds no closure
-		// and stays allocation-free.
-		for si := range v.shards {
-			if err := topkShard(v, si, &sc.shards[si], query, denseQuery, k, metric, qNorm2); err != nil {
+	for len(sc.lanes) < nl {
+		sc.lanes = append(sc.lanes, laneScratch{})
+	}
+	lanes := sc.lanes[:nl]
+	for l := range lanes {
+		lanes[l].stats = PruneStats{}
+	}
+	if nl == 1 || parallel.Workers(workers) == 1 {
+		// Sequential lanes: direct calls, so the hot batched path
+		// (queries fan out, lanes run one after another) builds no
+		// closure and stays allocation-free.
+		lq.seed(lanes)
+		for l := range lanes {
+			if err := lq.walk(&lanes[l], l); err != nil {
 				return nil, err
 			}
 		}
-	} else if err := topkShardsParallel(v, workers, sc, query, denseQuery, k, metric, qNorm2); err != nil {
-		return nil, err
+	} else {
+		seeds, err := walkLanesParallel(lq, workers, lanes)
+		if err != nil {
+			return nil, err
+		}
+		lq.seeds = seeds
 	}
-	merged := &sc.shards[0].heap
-	if len(v.shards) > 1 {
-		merged = &sc.merged
-		merged.reset(metric.HigherIsCloser)
-		for si := range v.shards {
-			h := &sc.shards[si].heap
-			for j := range h.idx {
-				merged.offer(k, h.idx[j], h.score[j])
+	h := &lanes[0].heap
+	for l := 1; l < nl; l++ {
+		lh := &lanes[l].heap
+		for j, gid := range lh.idx {
+			if _, seed := slices.BinarySearch(lq.seeds, int32(gid)); !seed {
+				h.offer(k, gid, lh.score[j])
 			}
 		}
 	}
-	// Drain the merge heap worst-first into the tail of out, leaving the
-	// hits best-first. The (score, index) total order makes this the
-	// exact sequence a stable sort of all scores would produce.
-	n := len(merged.idx)
-	if cap(out) < n {
-		out = make([]SearchResult, n)
+	// Drain the heap worst-first into the tail of out, leaving the hits
+	// best-first. The (score, index) total order makes this the exact
+	// sequence a stable sort of all scores would produce.
+	m := len(h.idx)
+	if cap(out) < m {
+		out = make([]SearchResult, m)
 	}
-	out = out[:n]
-	for j := n - 1; j >= 0; j-- {
-		gid, score := merged.pop()
-		out[j] = SearchResult{Signature: v.at(gid), Score: score}
+	out = out[:m]
+	for j := m - 1; j >= 0; j-- {
+		gid, score := h.pop()
+		out[j] = SearchResult{Signature: v.sigs[gid], Score: score}
 	}
 	return out, nil
 }
 
-// topkShardsParallel fans the per-shard scoring over the worker pool.
-// It lives apart from topk so the closure (and the captures it boxes)
-// exists only on the parallel path; the sequential path stays
-// allocation-free.
-func topkShardsParallel(v *dbView, workers int, sc *dbScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, qNorm2 float64) error {
-	return parallel.For(workers, len(v.shards), func(si int) error {
-		return topkShard(v, si, &sc.shards[si], query, denseQuery, k, metric, qNorm2)
-	})
+// laneQuery is what the p lanes of one query read: the pinned view, the
+// query, the metric, and the seed pass's rows (ascending) and whether
+// it filled the heaps, so indexed units may take the pruned walk.
+type laneQuery struct {
+	v      *dbView
+	query  *vecmath.Sparse
+	qd     vecmath.Vector
+	k      int
+	metric Metric
+	cosine bool
+	qNorm2 float64
+	p      int
+	prune  bool
+	seeds  []int32
 }
 
-// topkShard scores one shard's signatures against the query into the
-// shard's scratch heap, walking the shard's segments in order: the
-// inverted-index accumulate when the metric is indexable, the sparse
-// merge-walk scan when it has a sparse path, the dense-materializing scan
-// otherwise. Segment boundaries never change a score — each candidate's
-// arithmetic is per-signature — and the heap's (score, insertion index)
-// total order never depends on arrival order, so results are
-// bit-identical at any segment layout.
-func topkShard(v *dbView, si int, ss *shardScratch, query *vecmath.Sparse, denseQuery vecmath.Vector, k int, metric Metric, qNorm2 float64) error {
-	vs := &v.shards[si]
-	h := &ss.heap
-	h.reset(metric.HigherIsCloser)
-	ss.stats = PruneStats{}
-	if len(vs.sigs) == 0 {
-		// More shards than signatures: nothing stored here yet (and no
-		// segments to walk).
-		return nil
+// seed fills lane 0's heap and starts every other lane's heap as a copy
+// of it: with the store at or above the prune floor and its first rows
+// indexed, seedHeap gives every lane a displacement threshold before
+// any unit is walked, and indexed units take the pruned walk (prune.go).
+func (lq *laneQuery) seed(lanes []laneScratch) {
+	h := &lanes[0].heap
+	h.reset(lq.metric.HigherIsCloser)
+	if lq.metric.indexable() && lq.v.segs[0].blocks != nil && len(lq.v.sigs) >= lq.v.cfg.pruneFloor {
+		lq.seeds = seedHeap(lq, &lanes[0].prune, h)
+		lq.prune = len(h.idx) == lq.k
 	}
+	for l := 1; l < len(lanes); l++ {
+		lh := &lanes[l].heap
+		lh.idx, lh.score, lh.higher = append(lh.idx[:0], h.idx...), append(lh.score[:0], h.score...), h.higher
+	}
+}
+
+// walkLanesParallel seeds and runs the lanes over the worker pool and
+// returns the seed rows; the other lanes start up while lane 0 seeds.
+// The closure (and the copy of lq it boxes) exists only on this path,
+// so the sequential path stays allocation-free.
+func walkLanesParallel(lq laneQuery, workers int, lanes []laneScratch) ([]int32, error) {
+	seeded := make(chan struct{})
+	err := parallel.For(workers, len(lanes), func(l int) error {
+		if l == 0 {
+			lq.seed(lanes)
+			close(seeded)
+		} else {
+			<-seeded
+		}
+		return lq.walk(&lanes[l], l)
+	})
+	return lq.seeds, err
+}
+
+// walk scores lane l's rows against the query into the lane's heap,
+// unit by unit in order: the inverted-index accumulate when the metric
+// is indexable, the sparse merge-walk scan when it has a sparse path,
+// the dense-materializing scan otherwise. Unit boundaries never change a
+// score — each candidate's arithmetic is per-signature — and the heap's
+// (score, insertion index) total order never depends on arrival order,
+// so results are bit-identical at any segment layout and lane count.
+func (lq *laneQuery) walk(ls *laneScratch, l int) error {
+	v, h, k, p := lq.v, &ls.heap, lq.k, lq.p
 	switch {
-	case metric.indexable():
-		// Inverted-index path, one walk unit at a time. Every score that
-		// reaches the heap is the same float sequence whichever arm
-		// produces it: the row's products with the query in ascending
-		// dimension order, through the cached-norm algebra. The posting
-		// walk (blockPostings.dots) accumulates them down the query's
-		// lists and scores the rows it touched from their sums in O(1),
-		// the untouched ones only if a zero dot could still get in
-		// (offerWalk); the gather dot (viewShard.score) sums them for one
-		// row at a time, and scores the active segment's unindexed tail,
-		// the pruning seeds, the pruned walk's survivors, and any indexed
-		// unit the walk would cost more than scanning (scanBeatsWalk).
-		//
-		// With the shard at or above the prune floor and its first rows
-		// indexed, a strided sample of min(k, len) candidates plus the head
-		// of the query's highest-impact posting list is scored up front so the
-		// heap holds a displacement threshold before any unit is walked;
-		// indexed units then take the threshold-pruned walk (prune.go) and
-		// the seed rows are excluded from every later offer loop. The
-		// heap's (score, index) total order is arrival-independent, so
-		// results are bit-identical whether a shard is pruned or not.
-		cosine := metric.kind == metricKindCosine
-		prune := vs.segs[0].blocks != nil && len(vs.sigs) >= v.cfg.pruneFloor
-		var seeds []int32
-		if prune {
-			seeds = seedHeap(vs, &ss.prune, h, k, query, denseQuery, cosine, qNorm2)
-			prune = len(h.idx) == k
-		}
-		for _, sg := range vs.segs {
-			ss.stats.Segments++
-			if prune && sg.blocks != nil && prunedSegment(vs, sg, ss, h, k, query, denseQuery, cosine, qNorm2, seeds) {
+	case lq.metric.indexable():
+		// Every score that reaches the heap is the same float sequence
+		// whichever arm produces it: the row's products with the query in
+		// ascending dimension order, through the cached-norm algebra. The
+		// posting walk (blockPostings.dots) accumulates them down the
+		// query's lists and scores the rows it touched from their sums in
+		// O(1), the untouched ones only if a zero dot could still get in
+		// (offerWalk); the gather dot (dbView.score) sums them for one row
+		// at a time, and scores the active segment's unindexed tail, the
+		// seeds, the pruned walk's survivors, and any indexed unit the
+		// walk would cost more than scanning (scanBeatsWalk).
+		for _, sg := range v.segs {
+			ls.stats.Segments++
+			if lq.prune && sg.blocks != nil && prunedSegment(lq, sg, ls, l) {
 				continue
 			}
-			if sg.blocks == nil || sg.blocks.scanBeatsWalk(query) {
-				ss.stats.SegmentsScanned++
-				offerCanonical(h, k, vs, sg, denseQuery, cosine, qNorm2, seeds)
+			if sg.blocks == nil || sg.blocks.scanBeatsWalk(lq.query) {
+				ls.stats.SegmentsScanned++
+				offerCanonical(h, k, v, sg, lq.qd, lq.cosine, lq.qNorm2, lq.seeds, l, p)
 				continue
 			}
-			ss.prune.beginStamps(sg.start, sg.blocks.n, seeds)
-			sg.blocks.dots(query, &ss.acc, &ss.prune)
-			offerWalk(h, k, vs, sg, &ss.acc, &ss.prune, cosine, qNorm2)
+			ls.prune.beginStamps(sg.start, sg.blocks.n, lq.seeds, l, p)
+			sg.blocks.dots(lq.query, &ls.acc, &ls.prune)
+			offerWalk(h, k, v, sg, &ls.acc, &ls.prune, lq.cosine, lq.qNorm2)
 		}
-	case metric.SparseScore != nil:
-		for _, sg := range vs.segs {
-			for j := sg.start; j < sg.end; j++ {
-				h.offer(k, vs.gids[j], metric.SparseScore(query, vs.sigs[j].W))
+	case lq.metric.SparseScore != nil:
+		for _, sg := range v.segs {
+			for c := laneFirst(sg.start, l, p); c < sg.end; c += p * laneChunk {
+				for j := max(c, sg.start); j < min(c+laneChunk, sg.end); j++ {
+					h.offer(k, j, lq.metric.SparseScore(lq.query, v.sigs[j].W))
+				}
 			}
 		}
 	default:
-		// One scratch buffer per shard keeps the dense-fallback scan at
+		// One scratch buffer per lane keeps the dense-fallback scan at
 		// O(1) allocation instead of one materialization per stored
 		// signature.
-		if len(ss.dense) != query.Dim() {
-			ss.dense = vecmath.NewVector(query.Dim())
+		if len(ls.dense) != lq.query.Dim() {
+			ls.dense = vecmath.NewVector(lq.query.Dim())
 		}
-		for _, sg := range vs.segs {
-			for j := sg.start; j < sg.end; j++ {
-				score, err := metric.Score(denseQuery, vs.sigs[j].W.DenseInto(ss.dense))
-				if err != nil {
-					return err
+		for _, sg := range v.segs {
+			for c := laneFirst(sg.start, l, p); c < sg.end; c += p * laneChunk {
+				for j := max(c, sg.start); j < min(c+laneChunk, sg.end); j++ {
+					score, err := lq.metric.Score(lq.qd, v.sigs[j].W.DenseInto(ls.dense))
+					if err != nil {
+						return err
+					}
+					h.offer(k, j, score)
 				}
-				h.offer(k, vs.gids[j], score)
 			}
 		}
 	}
 	return nil
 }
 
-// score is the canonical score of shard row j on the indexed path: the
-// row's gather dot against the dense query qd — the products Sparse.Dot
-// sums, in the same ascending order, plus an exact ±0 for every
-// dimension of the row the query lacks (vecmath.Sparse.Scatter) — put
-// through the metric's cached-norm algebra.
+// score is the canonical score of row j on the indexed path: the row's
+// gather dot against the dense query qd — the products Sparse.Dot sums,
+// in the same ascending order, plus an exact ±0 for every dimension of
+// the row the query lacks (vecmath.Sparse.Scatter) — put through the
+// metric's cached-norm algebra.
 //
 //fmeter:noalloc
-func (vs *viewShard) score(j int, qd vecmath.Vector, cosine bool, qNorm2 float64) float64 {
-	return dotScore(vs.sigs[j].W.DotDense(qd), qNorm2, vs.norms[j], cosine)
+func (v *dbView) score(j int, qd vecmath.Vector, cosine bool, qNorm2 float64) float64 {
+	return dotScore(v.sigs[j].W.DotDense(qd), qNorm2, v.norms[j], cosine)
 }
 
 // dotScore puts a dot product through the indexed metric's cached-norm
@@ -1160,30 +1146,32 @@ func dotScore(dot, qNorm2, sNorm2 float64, cosine bool) float64 {
 	return euclideanDotScore(dot, qNorm2, sNorm2)
 }
 
-// offerCanonical scores one walk unit row by row with the canonical
-// gather dot and offers the results, skipping the shard rows in seeds
-// like the other offer loops. It is the indexed path's dense scan: the
-// active segment's unindexed tail (the rows no posting run covers yet)
-// and the indexed units scanBeatsWalk hands it.
+// offerCanonical scores lane l of p's rows of one walk unit with the
+// canonical gather dot and offers the results, skipping the rows in
+// seeds like the other offer loops. It is the indexed path's dense scan:
+// the active segment's unindexed tail (the rows no posting run covers
+// yet) and the indexed units scanBeatsWalk hands it.
 //
 //fmeter:noalloc
-func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, qd vecmath.Vector, cosine bool, qNorm2 float64, seeds []int32) {
+func offerCanonical(h *topkHeap, k int, v *dbView, sg viewSegment, qd vecmath.Vector, cosine bool, qNorm2 float64, seeds []int32, l, p int) {
 	si := 0
-	for j := sg.start; j < sg.end; j++ {
-		for si < len(seeds) && int(seeds[si]) < j {
-			si++
+	for c := laneFirst(sg.start, l, p); c < sg.end; c += p * laneChunk {
+		for j := max(c, sg.start); j < min(c+laneChunk, sg.end); j++ {
+			for si < len(seeds) && int(seeds[si]) < j {
+				si++
+			}
+			if si < len(seeds) && int(seeds[si]) == j {
+				continue
+			}
+			h.offer(k, j, v.score(j, qd, cosine, qNorm2))
 		}
-		if si < len(seeds) && int(seeds[si]) == j {
-			continue
-		}
-		h.offer(k, vs.gids[j], vs.score(j, qd, cosine, qNorm2))
 	}
 }
 
 // offerWalk scores one walked unit from its accumulated dots and offers
-// the rows to the shard heap: the rows dots listed in ps.touched, then —
-// only if some could still get in — the rest of the unit's rows outside
-// the seeds, which ps.stamp leaves unmarked. An untouched row shares no
+// the rows to the lane heap: the rows dots listed in ps.touched, then —
+// only if some could still get in — the rest of the lane's rows of the
+// unit outside the seeds, which ps.stamp leaves unmarked. An untouched row shares no
 // dim with the query, so its dot is an exact zero and its score at best
 // cosineDotScore(0, …) = 0 or euclideanDotScore(0, qNorm2, minNorm2):
 // rootSafe(0), the bound the pruned walk's cut is decided on, rules them
@@ -1191,18 +1179,19 @@ func offerCanonical(h *topkHeap, k int, vs *viewShard, sg viewSegment, qd vecmat
 // set whatever order the rows arrive in.
 //
 //fmeter:noalloc
-func offerWalk(h *topkHeap, k int, vs *viewShard, sg viewSegment, acc *vecmath.Accumulator, ps *pruneScratch, cosine bool, qNorm2 float64) {
+func offerWalk(h *topkHeap, k int, v *dbView, sg viewSegment, acc *vecmath.Accumulator, ps *pruneScratch, cosine bool, qNorm2 float64) {
 	for _, l := range ps.touched {
 		j := sg.start + int(l)
-		h.offer(k, vs.gids[j], dotScore(acc.Get(int(l)), qNorm2, vs.norms[j], cosine))
+		h.offer(k, j, dotScore(acc.Get(int(l)), qNorm2, v.norms[j], cosine))
 	}
 	if len(h.idx) == k && rootSafe(h, sg.blocks, cosine, qNorm2, 0) {
 		return
 	}
-	for l, st := range ps.stamp {
-		if st != ps.epoch {
-			j := sg.start + l
-			h.offer(k, vs.gids[j], dotScore(0, qNorm2, vs.norms[j], cosine))
+	for c := laneFirst(sg.start, ps.lane, ps.lanes); c < sg.end; c += ps.lanes * laneChunk {
+		for j := max(c, sg.start); j < min(c+laneChunk, sg.end); j++ {
+			if ps.stamp[j-sg.start] != ps.epoch {
+				h.offer(k, j, dotScore(0, qNorm2, v.norms[j], cosine))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -49,7 +50,7 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	query := randSigs(r, 1, dim, nnz)[0].W
 	dir := filepath.Join(t.TempDir(), "db")
 
-	src, err := NewShardedDB(dim, 3)
+	src, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +73,8 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != src.Len() || back.Dim() != src.Dim() || back.Shards() != src.Shards() {
-		t.Fatalf("reloaded len/dim/shards = %d/%d/%d, want %d/%d/%d",
-			back.Len(), back.Dim(), back.Shards(), src.Len(), src.Dim(), src.Shards())
+	if back.Len() != src.Len() || back.Dim() != src.Dim() {
+		t.Fatalf("reloaded len/dim = %d/%d, want %d/%d", back.Len(), back.Dim(), src.Len(), src.Dim())
 	}
 	if back.Segments() != src.Segments() {
 		t.Fatalf("reloaded segments = %d, want %d", back.Segments(), src.Segments())
@@ -144,14 +144,13 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 
 // TestSaveDirIncremental is the O(new data) assertion behind the
 // tentpole: after ingesting N and saving, adding M << N signatures and
-// saving again must rewrite only the active segments (at most one per
-// shard) plus the manifest — every sealed segment file stays
-// byte-identical on disk.
+// saving again must rewrite only the active segment plus the manifest —
+// every sealed segment file stays byte-identical on disk.
 func TestSaveDirIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
-	const dim, nnz, shards = 100, 12, 2
+	const dim, nnz = 100, 12
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := NewShardedDB(dim, shards)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +163,13 @@ func TestSaveDirIncremental(t *testing.T) {
 	}
 	before := dirState(t, dir)
 
-	// M = 4 new signatures land in the (new) active segments of at most
-	// two shards.
+	// M = 4 new signatures land in the new active segment.
 	if err := db.AddAll(randSigs(r, 4, dim, nnz)); err != nil {
 		t.Fatal(err)
 	}
 	dirty := db.DirtySegments()
-	if dirty < 1 || dirty > shards {
-		t.Fatalf("after 4 adds: %d dirty segments, want 1..%d", dirty, shards)
+	if dirty != 1 {
+		t.Fatalf("after 4 adds: %d dirty segments, want 1", dirty)
 	}
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
@@ -284,7 +282,7 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 			continue // superseded file removed: expected
 		}
 	}
-	if len(second) != 2 { // one segment file + manifest (single shard, one segment)
+	if len(second) != 2 { // one segment file + manifest
 		t.Fatalf("directory holds %d files, want 2", len(second))
 	}
 	// And the final state loads with everything present.
@@ -301,25 +299,25 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 const matrixDim = 30
 
 // saveMatrixBaseline saves the healthy store the corruption matrix and
-// FuzzLoadSegment start from and returns its directory: two shards, each
-// holding a tier-merged (spliced) segment, a freshly sealed one and a
-// still-active one with no postings section.
+// FuzzLoadSegment start from and returns its directory: a tier-merged
+// (spliced) segment, a freshly sealed one and a still-active one with no
+// postings section.
 func saveMatrixBaseline(t testing.TB) string {
 	t.Helper()
-	db, err := NewShardedDB(matrixDim, 2)
+	db, err := newTestDB(matrixDim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.SetSegmentSize(4)
-	// Fan-out 2 merges each shard's first two sealed segments.
+	// Fan-out 2 merges the first two sealed segments.
 	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(randSigs(rand.New(rand.NewSource(131)), 27, matrixDim, 5)); err != nil {
+	if err := db.AddAll(randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Segments(); got != 6 {
-		t.Fatalf("baseline holds %d segments, want 6 (merged 8 + sealed 4 + active per shard)", got)
+	if got := db.Segments(); got != 3 {
+		t.Fatalf("baseline holds %d segments, want 3 (merged 8 + sealed 4 + active 2)", got)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
 	if err := db.SaveDir(dir); err != nil {
@@ -457,15 +455,19 @@ func TestDirCorruptionMatrix(t *testing.T) {
 	restore()
 
 	// Manifest tampering: invalid JSON, wrong format marker, wrong
-	// version, inconsistent counts — all name the manifest.
+	// version, inconsistent counts, a shard count other than 1 — all name
+	// the manifest.
 	mpath := filepath.Join(dir, manifestName)
 	for tag, content := range map[string]string{
-		"bad-json":      "{not json",
-		"bad-format":    `{"format":"other","version":2,"dim":30,"shards":2,"count":11,"segments":[[],[]]}`,
-		"bad-version":   `{"format":"fmdb-dir","version":9,"dim":30,"shards":2,"count":11,"segments":[[],[]]}`,
-		"bad-dim":       `{"format":"fmdb-dir","version":2,"dim":0,"shards":2,"count":11,"segments":[[],[]]}`,
-		"short-count":   `{"format":"fmdb-dir","version":2,"dim":30,"shards":2,"count":11,"segments":[[],[]]}`,
-		"missing-shard": `{"format":"fmdb-dir","version":2,"dim":30,"shards":2,"count":11,"segments":[[]]}`,
+		"bad-json":    "{not json",
+		"bad-format":  `{"format":"other","version":2,"dim":30,"shards":1,"count":11,"segments":[[]]}`,
+		"bad-version": `{"format":"fmdb-dir","version":9,"dim":30,"shards":1,"count":11,"segments":[[]]}`,
+		"bad-dim":     `{"format":"fmdb-dir","version":2,"dim":0,"shards":1,"count":11,"segments":[[]]}`,
+		"short-count": `{"format":"fmdb-dir","version":2,"dim":30,"shards":1,"count":11,"segments":[[]]}`,
+		"two-shards":  `{"format":"fmdb-dir","version":2,"dim":30,"shards":2,"count":0,"segments":[[],[]]}`,
+		"two-lists":   `{"format":"fmdb-dir","version":2,"dim":30,"shards":1,"count":0,"segments":[[],[]]}`,
+		"no-list":     `{"format":"fmdb-dir","version":2,"dim":30,"shards":1,"count":0,"segments":[]}`,
+		"zero-shards": `{"format":"fmdb-dir","version":2,"dim":30,"shards":0,"count":0,"segments":[[]]}`,
 	} {
 		if err := os.WriteFile(mpath, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
@@ -498,7 +500,7 @@ func TestCompactedStoreReopens(t *testing.T) {
 	sigs := randSigs(r, n, dim, nnz)
 	queries := randSigs(r, 4, dim, nnz)
 	for _, mode := range []string{"policy", "compact"} {
-		db, err := NewShardedDB(dim, 2)
+		db, err := newTestDB(dim, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -589,7 +591,7 @@ func TestV1SnapshotInterop(t *testing.T) {
 	// the version check and not from a checksum.
 	r := rand.New(rand.NewSource(139))
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := NewShardedDB(90, 2)
+	db, err := newTestDB(90, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,4 +610,54 @@ func TestV1SnapshotInterop(t *testing.T) {
 	binary.LittleEndian.PutUint16(body[4:6], 1)
 	rewriteSegment(t, dir, seg, body)
 	refused("version-1 segment", dir, filepath.Join(dir, seg), "unsupported segment version 1")
+}
+
+// TestManifestShardsRefused pins the one-store format: a manifest that
+// names a shard count other than 1 — hand-written, or left by a store
+// that was split into shards, its segments in two lists — is refused by
+// both loaders with a *SnapshotError naming the manifest and the way to
+// rewrite it as one store, before a segment file is mapped.
+func TestManifestShardsRefused(t *testing.T) {
+	dir := saveMatrixBaseline(t)
+	mpath := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifestJSON
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards != 1 || len(m.Segments) != 1 || len(m.Segments[0]) != 3 {
+		t.Fatalf("healthy manifest: %d shards, segment lists %v", m.Shards, m.Segments)
+	}
+	split := m
+	split.Shards = 2
+	split.Segments = [][]manifestSegment{m.Segments[0][:1], m.Segments[0][1:]}
+	handWritten := bytes.Replace(raw, []byte(`"shards": 1,`), []byte(`"shards": 2,`), 1)
+	for tag, manifest := range map[string]any{"hand-written": handWritten, "two-shard lists": split} {
+		content, ok := manifest.([]byte)
+		if !ok {
+			if content, err = json.Marshal(manifest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(mpath, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		released := mapReleaseCount.Load()
+		for _, ld := range bothLoaders {
+			db, err := ld.load(dir)
+			var se *SnapshotError
+			if db != nil || !errors.As(err, &se) || se.Path != mpath {
+				t.Fatalf("%s/%s: db=%v err=%v, want no DB and a *SnapshotError naming %s", tag, ld.mode, db, err, mpath)
+			}
+			if !strings.Contains(err.Error(), "WithShards(1)") {
+				t.Fatalf("%s/%s: %v does not say how to rewrite the snapshot", tag, ld.mode, err)
+			}
+		}
+		if n := mapReleaseCount.Load() - released; n != 0 {
+			t.Fatalf("%s: refused loads mapped and released %d segment files", tag, n)
+		}
+	}
 }

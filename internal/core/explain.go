@@ -112,13 +112,14 @@ func abs(x float64) float64 {
 }
 
 // PruneStats are one query's threshold-pruning counters — the
-// operator-facing "what did pruning actually buy" view (see prune.go).
-// All counters cover the indexed path only; scan queries report zeros.
+// operator-facing "what did pruning actually buy" view (see prune.go),
+// summed over the query's lanes. All counters cover the indexed path
+// only; scan queries report zeros.
 type PruneStats struct {
 	// Segments is the number of walk units the indexed walk visited —
 	// sealed segments, each posting run of an active segment, and an
-	// active segment's unindexed tail each count once, so it can exceed
-	// DB.Segments(), which counts persisted segments only.
+	// active segment's unindexed tail each count once per lane, so it can
+	// exceed DB.Segments(), which counts persisted segments only.
 	// SegmentsPruned of them took the threshold-pruned walk and
 	// SegmentsScanned the dense scan — every row scored with the gather
 	// dot: an unindexed tail, or an indexed unit the query's posting
@@ -127,7 +128,8 @@ type PruneStats struct {
 	Segments        int64
 	SegmentsPruned  int64
 	SegmentsScanned int64
-	// Candidates counts the signatures covered by pruned walks;
+	// Candidates counts the signatures covered by pruned walks (each
+	// lane's walk covers its own rows of the unit);
 	// CandidatesScored of them survived the block-bound filter and had
 	// their gather dot computed. The filter works from bounds alone, so
 	// it passes more candidates than a partial-dot filter would, and the
@@ -147,7 +149,7 @@ type PruneStats struct {
 	BlocksSkipped    int64
 }
 
-// add accumulates s into p (the per-shard to per-query reduction).
+// add accumulates s into p (the per-lane to per-query reduction).
 func (p *PruneStats) add(s *PruneStats) {
 	p.Segments += s.Segments
 	p.SegmentsPruned += s.SegmentsPruned

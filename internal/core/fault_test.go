@@ -44,7 +44,7 @@ func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 	const dim, nnz = 24, 6
 	r := rand.New(rand.NewSource(29))
 	sigs := randSigs(r, 150, dim, nnz)
-	db, err := NewShardedDB(dim, 2)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func buildForeignCorpus(t *testing.T) (*DB, string, int, int) {
 	r := rand.New(rand.NewSource(37))
 	dir := t.TempDir()
 	for _, n := range []int{40, 70} {
-		db, err := NewShardedDB(dim, 2)
+		db, err := newTestDB(dim, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,10 +319,8 @@ func TestSaveDirDeferredOrphanRemoval(t *testing.T) {
 	}
 	live := map[string]bool{manifestName: true}
 	db.mu.Lock()
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			live[segmentFileName(sg.id)] = true
-		}
+	for _, sg := range db.segs {
+		live[segmentFileName(sg.id)] = true
 	}
 	db.mu.Unlock()
 	for _, e := range final {

@@ -48,7 +48,7 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 	good := SignatureFromDense("good", "l", vecmath.Vector{0, 1, 0, 0, 2, 0, 0, 3, 0, 0})
 	for name, w := range hostileWeights {
 		bad := Signature{DocID: "bad", Label: "l", W: hostileSparse(t, dim, w)}
-		db, err := NewShardedDB(dim, 2)
+		db, err := newTestDB(dim, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

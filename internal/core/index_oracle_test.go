@@ -8,7 +8,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Index is an inverted index over a shard's sparse signatures: one
+// Index is an inverted index over a store's sparse signatures: one
 // posting list per dimension, each holding the (local id, weight) pairs
 // of the signatures whose support contains that dimension. A TopK query
 // then touches only the posting lists in the query's support — with

@@ -71,7 +71,7 @@ func TestIndexDimensionPanics(t *testing.T) {
 
 // scanMetric is m with its kind cleared: the same SparseScore, no
 // longer indexable, so a query under it takes the generic scan arm
-// (topkShard's SparseScore case) by construction — the sweeps'
+// (laneQuery.walk's SparseScore case) by construction — the sweeps'
 // reference answer.
 func scanMetric(m Metric) Metric {
 	m.kind = metricKindOther
@@ -104,12 +104,12 @@ func sameResults(t *testing.T, tag string, got, want []SearchResult) {
 }
 
 // TestTopKIndexedMatchesScan is the randomized equivalence property the
-// index is built on: over random corpora (seeds 1..5), shard counts
-// {1,3,4}, and worker counts {1,4}, the indexed TopK must be
-// bit-identical to the exhaustive scan for the indexable metrics
-// (cosine, euclidean) and trivially for the scan-fallback Minkowski
-// orders — and every configuration must match the single-shard
-// sequential scan, the simplest reference.
+// index is built on: over random corpora (seeds 1..5) walked in 1, 2,
+// 3 and 7 lanes, the indexed TopK must be bit-identical to the
+// exhaustive scan for the indexable metrics (cosine, euclidean) and
+// trivially for the scan-fallback Minkowski orders — and every
+// configuration must match the sequential scan, the simplest
+// reference.
 func TestTopKIndexedMatchesScan(t *testing.T) {
 	metrics := []Metric{CosineMetric(), EuclideanMetric(), MinkowskiMetric(1), MinkowskiMetric(3)}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -137,25 +137,23 @@ func TestTopKIndexedMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, shards := range []int{1, 3, 4} {
-			for _, workers := range []int{1, 4} {
-				db, err := NewShardedDB(dim, shards)
+		for _, workers := range []int{1, 2, 3, 7} {
+			db, err := newTestDB(dim, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetSegmentSize(16)
+			if err := db.AddAll(sigs); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range metrics {
+				tag := fmt.Sprintf("seed=%d workers=%d %s k=%d", seed, workers, m.Name, k)
+				indexed, err := db.TopKSparse(query, k, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				db.SetWorkers(workers)
-				if err := db.AddAll(sigs); err != nil {
-					t.Fatal(err)
-				}
-				for _, m := range metrics {
-					tag := fmt.Sprintf("seed=%d shards=%d workers=%d %s k=%d", seed, shards, workers, m.Name, k)
-					indexed, err := db.TopKSparse(query, k, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, tag+" indexed-vs-scan", indexed, scanResults(t, db, query, k, m))
-					sameResults(t, tag+" vs-single-shard-ref", indexed, scanResults(t, ref, query, k, m))
-				}
+				sameResults(t, tag+" indexed-vs-scan", indexed, scanResults(t, db, query, k, m))
+				sameResults(t, tag+" vs-sequential-ref", indexed, scanResults(t, ref, query, k, m))
 			}
 		}
 	}
@@ -163,10 +161,12 @@ func TestTopKIndexedMatchesScan(t *testing.T) {
 
 // TestTopKBatchMatchesPerQuery checks that the batched path is a pure
 // fan-out: TopKBatch output is bit-identical to per-query TopKSparse at
-// several worker counts, and ClassifyBatch to per-query ClassifySparse.
-// Batch sizes straddle the point where the fan-out flips from shards to
-// queries (fewer queries than min(workers, shards) = 4: a lone query, 2,
-// workers-1; then workers+1 and a long batch).
+// several worker counts, and ClassifyBatch to per-query ClassifySparse;
+// a batch's PruneStats equal the direct query's. Batch sizes straddle
+// the point where the fan-out flips from lanes to queries (fewer queries
+// than min(workers, lanes) = 4: a lone query, 2, workers-1; then
+// workers+1 and a long batch), over a store of one walk unit and one of
+// many.
 func TestTopKBatchMatchesPerQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	const dim, n, nnz, k = 150, 220, 20, 7
@@ -175,11 +175,13 @@ func TestTopKBatchMatchesPerQuery(t *testing.T) {
 	for i := range queries {
 		queries[i] = randSigs(r, 1, dim, nnz)[0].W
 	}
-	for _, shards := range []int{1, 4} {
-		db, err := NewShardedDB(dim, shards)
+	for _, segSize := range []int{DefaultSegmentSize, 32} {
+		db, err := NewDB(dim)
 		if err != nil {
 			t.Fatal(err)
 		}
+		db.SetSegmentSize(segSize)
+		db.setPruneFloor(1)
 		if err := db.AddAll(sigs); err != nil {
 			t.Fatal(err)
 		}
@@ -188,8 +190,9 @@ func TestTopKBatchMatchesPerQuery(t *testing.T) {
 				db.SetWorkers(workers)
 				for _, size := range []int{1, 2, 3, 5, len(queries)} {
 					batchQ := queries[:size]
-					batch, err := db.TopKBatch(batchQ, k, m)
-					if err != nil {
+					batch := make([][]SearchResult, size)
+					stats := make([]PruneStats, size)
+					if err := db.Query(context.Background(), &Query{Queries: batchQ, K: k, Metric: m, Hits: batch, Stats: stats}); err != nil {
 						t.Fatal(err)
 					}
 					labels, err := db.ClassifyBatch(batchQ, k, m)
@@ -197,11 +200,15 @@ func TestTopKBatchMatchesPerQuery(t *testing.T) {
 						t.Fatal(err)
 					}
 					for qi, q := range batchQ {
-						want, err := db.TopKSparse(q, k, m)
+						want, st, err := db.TopKSparseStats(q, k, m)
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameResults(t, fmt.Sprintf("shards=%d workers=%d batch=%d %s q=%d", shards, workers, size, m.Name, qi), batch[qi], want)
+						tag := fmt.Sprintf("segsize=%d workers=%d batch=%d %s q=%d", segSize, workers, size, m.Name, qi)
+						sameResults(t, tag, batch[qi], want)
+						if stats[qi] != st {
+							t.Fatalf("%s: batch stats %+v, direct %+v", tag, stats[qi], st)
+						}
 						wantLabel, err := db.ClassifySparse(q, k, m)
 						if err != nil {
 							t.Fatal(err)
@@ -221,7 +228,7 @@ func TestTopKBatchMatchesPerQuery(t *testing.T) {
 func TestTopKBatchIntoReuses(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	const dim, n, nnz, k = 100, 80, 15, 5
-	db, err := NewShardedDB(dim, 3)
+	db, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +267,7 @@ func TestTopKBatchIntoReuses(t *testing.T) {
 func TestIndexMaintenance(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const dim, nnz, k = 90, 12, 9
-	db, err := NewShardedDB(dim, 3)
+	db, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +314,7 @@ func TestIndexMaintenance(t *testing.T) {
 // before any scoring work, ErrEmptyDB on an empty store, and the
 // vecmath validation error for duplicate-dimension queries.
 func TestIndexedTypedErrors(t *testing.T) {
-	db, err := NewShardedDB(8, 2)
+	db, err := newTestDB(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +378,7 @@ func TestIndexedTypedErrors(t *testing.T) {
 func TestTopKConcurrentReaders(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const dim, n, nnz, k = 200, 300, 25, 10
-	db, err := NewShardedDB(dim, 4)
+	db, err := newTestDB(dim, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,12 +430,12 @@ func TestTopKConcurrentReaders(t *testing.T) {
 }
 
 // TestIndexSurvivesSnapshotRoundTrip checks the persistence story: a
-// reloaded DB, and the same store rebuilt at a different shard count,
-// answer indexed queries bit-identically.
+// reloaded DB, and the same store rebuilt and queried in another lane
+// count, answer indexed queries bit-identically.
 func TestIndexSurvivesSnapshotRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	const dim, n, nnz, k = 120, 90, 14, 8
-	db, err := NewShardedDB(dim, 3)
+	db, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,9 +455,9 @@ func TestIndexSurvivesSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := reshard(t, loaded, 5)
-	sameStore(t, "resharded", restored, db)
-	for tag, d := range map[string]*DB{"post-reload": loaded, "post-reshard": restored} {
+	restored := rebuild(t, loaded, 5)
+	sameStore(t, "rebuilt", restored, db)
+	for tag, d := range map[string]*DB{"post-reload": loaded, "post-rebuild": restored} {
 		got, err := d.TopKSparse(query, k, EuclideanMetric())
 		if err != nil {
 			t.Fatal(err)

@@ -19,8 +19,8 @@ import (
 // O(new data) instead of O(total). Layout:
 //
 //	<dir>/MANIFEST.json   — format marker, dim/shards/count, and the
-//	                        ordered per-shard segment lists (file name,
-//	                        record count, CRC32 of the file body)
+//	                        ordered segment list (file name, record
+//	                        count, CRC32 of the file body)
 //	<dir>/seg-<id>.fms    — one file per segment:
 //	  magic   "FMSG"                      (4 bytes)
 //	  version uint16                      (2, the "v2.1" record; any
@@ -54,11 +54,13 @@ import (
 // single record, and any mismatch, truncation, or missing file yields a
 // *SnapshotError naming the file — never a partial DB.
 //
-// Global insertion indices are not stored: segment k's records occupy
-// the shard-local range right after segment k-1's, and shard-local
-// position j in shard s maps to gid j·shards + s (the round-robin
-// inverse), so a reload reconstructs the exact (score, insertion index)
-// total order and answers TopK bit-identically.
+// Insertion indices are not stored: segment k's records occupy the
+// range right after segment k-1's, and a record's position is its
+// insertion index, so a reload reconstructs the exact (score, insertion
+// index) total order and answers TopK bit-identically. The manifest's
+// "shards" field is always 1 and its segment list is a one-element
+// list of lists — the layout the format has always had; a manifest
+// naming any other shard count is refused.
 const (
 	manifestName    = "MANIFEST.json"
 	manifestFormat  = "fmdb-dir"
@@ -107,10 +109,11 @@ type manifestJSON struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 	Dim     int    `json:"dim"`
+	// Shards is always 1 (see above).
 	Shards  int    `json:"shards"`
 	Count   int    `json:"count"`
 	NextSeg uint64 `json:"next_segment"`
-	// Segments lists each shard's segments in shard-local record order.
+	// Segments holds one list: the segments in record order.
 	Segments [][]manifestSegment `json:"segments"`
 }
 
@@ -150,9 +153,6 @@ func (db *DB) SaveDir(path string) error {
 	if db.dim > maxSnapshotDim {
 		return &SnapshotError{Path: path, Err: fmt.Errorf("dimension %d exceeds snapshot format bound %d", db.dim, maxSnapshotDim)}
 	}
-	if len(db.shards) > maxSnapshotShards {
-		return &SnapshotError{Path: path, Err: fmt.Errorf("shard count %d exceeds snapshot format bound %d", len(db.shards), maxSnapshotShards)}
-	}
 	if err := fsMkdirAll(path, 0o755); err != nil {
 		return &SnapshotError{Path: path, Err: err}
 	}
@@ -167,43 +167,37 @@ func (db *DB) SaveDir(path string) error {
 			return err
 		}
 		db.nextSeg = max(db.nextSeg, floor)
-		for si := range db.shards {
-			for _, sg := range db.shards[si].segs {
-				sg.dirty = true
-				if !sg.saved && sg.id < floor { // a saved one gets a fresh id below
-					sg.id = db.nextSeg
-					db.nextSeg++
-				}
+		for _, sg := range db.segs {
+			sg.dirty = true
+			if !sg.saved && sg.id < floor { // a saved one gets a fresh id below
+				sg.id = db.nextSeg
+				db.nextSeg++
 			}
 		}
 	}
 	wrote := false
-	for si := range db.shards {
-		sh := &db.shards[si]
-		for _, sg := range sh.segs {
-			if !sg.dirty {
-				continue
-			}
-			if sg.saved {
-				// This segment's file is (or may be) referenced by a
-				// durable manifest — a grown active segment being
-				// re-saved, or a save into a fresh directory. Write
-				// under a fresh id and let the old file live as an
-				// orphan until the new manifest is durable, so a crash
-				// anywhere in this save leaves the previous snapshot
-				// loadable.
-				sg.id = db.nextSeg
-				db.nextSeg++
-			}
-			crc, err := db.writeSegmentFile(path, sh, sg)
-			if err != nil {
-				return err
-			}
-			sg.crc = crc
-			sg.dirty = false
-			sg.saved = true
-			wrote = true
+	for _, sg := range db.segs {
+		if !sg.dirty {
+			continue
 		}
+		if sg.saved {
+			// This segment's file is (or may be) referenced by a durable
+			// manifest — a grown active segment being re-saved, or a save
+			// into a fresh directory. Write under a fresh id and let the
+			// old file live as an orphan until the new manifest is
+			// durable, so a crash anywhere in this save leaves the
+			// previous snapshot loadable.
+			sg.id = db.nextSeg
+			db.nextSeg++
+		}
+		crc, err := db.writeSegmentFile(path, sg)
+		if err != nil {
+			return err
+		}
+		sg.crc = crc
+		sg.dirty = false
+		sg.saved = true
+		wrote = true
 	}
 	// Make the segment renames durable before the manifest can name
 	// them: without this ordering a crash could persist the new manifest
@@ -213,24 +207,21 @@ func (db *DB) SaveDir(path string) error {
 			return &SnapshotError{Path: path, Err: err}
 		}
 	}
+	entries := []manifestSegment{}
+	live := map[string]bool{manifestName: true}
+	for _, sg := range db.segs {
+		name := segmentFileName(sg.id)
+		entries = append(entries, manifestSegment{ID: sg.id, File: name, Records: sg.len(), CRC32: sg.crc})
+		live[name] = true
+	}
 	m := manifestJSON{
 		Format:   manifestFormat,
 		Version:  manifestVersion,
 		Dim:      db.dim,
-		Shards:   len(db.shards),
-		Count:    db.total,
+		Shards:   1,
+		Count:    len(db.sigs),
 		NextSeg:  db.nextSeg,
-		Segments: make([][]manifestSegment, len(db.shards)),
-	}
-	live := map[string]bool{manifestName: true}
-	for si := range db.shards {
-		entries := []manifestSegment{}
-		for _, sg := range db.shards[si].segs {
-			name := segmentFileName(sg.id)
-			entries = append(entries, manifestSegment{ID: sg.id, File: name, Records: sg.len(), CRC32: sg.crc})
-			live[name] = true
-		}
-		m.Segments[si] = entries
+		Segments: [][]manifestSegment{entries},
 	}
 	buf, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -339,7 +330,7 @@ func listOrphans(dir string, live map[string]bool) ([]string, error) {
 // CRC32 of its body (everything before the footer).
 //
 //fmeter:errdomain snapshot
-func (db *DB) writeSegmentFile(dir string, sh *dbShard, sg *segment) (uint32, error) {
+func (db *DB) writeSegmentFile(dir string, sg *segment) (uint32, error) {
 	final := filepath.Join(dir, segmentFileName(sg.id))
 	f, err := fsCreateTemp(dir, ".tmp-seg-*")
 	if err != nil {
@@ -370,7 +361,7 @@ func (db *DB) writeSegmentFile(dir string, sh *dbShard, sg *segment) (uint32, er
 		return fail(err)
 	}
 	for j := sg.start; j < sg.end; j++ {
-		if err := writeSigRecordV2(bw, sh.sigs[j]); err != nil {
+		if err := writeSigRecordV2(bw, db.sigs[j]); err != nil {
 			return fail(fmt.Errorf("record %d: %w", j-sg.start, err))
 		}
 	}
@@ -501,13 +492,11 @@ func LoadDirOpts(path string, opts LoadOptions) (*DB, error) {
 	if m.Dim < 1 || m.Dim > maxSnapshotDim {
 		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("dimension %d outside [1, %d]", m.Dim, maxSnapshotDim)}
 	}
-	if m.Shards < 1 || m.Shards > maxSnapshotShards {
-		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("shard count %d outside [1, %d]", m.Shards, maxSnapshotShards)}
+	if m.Shards != 1 || len(m.Segments) != 1 {
+		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("%d shards in %d segment lists, want 1 in 1 (a store is one row sequence; "+
+			"rewrite a sharded snapshot with a build that still reads it: fmeter.OpenDB it, AddAll its All() into NewDB(dim, WithShards(1)), SaveDB)", m.Shards, len(m.Segments))}
 	}
-	if m.Count < 0 || len(m.Segments) != m.Shards {
-		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("count %d / %d shard segment lists inconsistent with %d shards", m.Count, len(m.Segments), m.Shards)}
-	}
-	db, err := NewShardedDB(m.Dim, m.Shards)
+	db, err := NewDB(m.Dim)
 	if err != nil {
 		return nil, err
 	}
@@ -518,34 +507,24 @@ func LoadDirOpts(path string, opts LoadOptions) (*DB, error) {
 		return nil, err
 	}
 	seen := make(map[uint64]bool)
-	for si, list := range m.Segments {
-		sh := &db.shards[si]
-		for _, ent := range list {
-			if seen[ent.ID] {
-				return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d listed twice", ent.ID)})
-			}
-			seen[ent.ID] = true
-			if ent.ID >= m.NextSeg {
-				return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d >= next_segment %d", ent.ID, m.NextSeg)})
-			}
-			if ent.File != segmentFileName(ent.ID) {
-				return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment %d file %q, want %q", ent.ID, ent.File, segmentFileName(ent.ID))})
-			}
-			if err := db.loadSegmentFile(path, si, sh, ent, opts); err != nil {
-				return fail(err)
-			}
+	for _, ent := range m.Segments[0] {
+		if seen[ent.ID] {
+			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d listed twice", ent.ID)})
 		}
-		// The round-robin inverse: shard si must hold exactly the gids
-		// congruent to si mod shards below count.
-		want := 0
-		if m.Count > si {
-			want = (m.Count - si + m.Shards - 1) / m.Shards
+		seen[ent.ID] = true
+		if ent.ID >= m.NextSeg {
+			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d >= next_segment %d", ent.ID, m.NextSeg)})
 		}
-		if len(sh.sigs) != want {
-			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("shard %d holds %d records, want %d of %d total", si, len(sh.sigs), want, m.Count)})
+		if ent.File != segmentFileName(ent.ID) {
+			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment %d file %q, want %q", ent.ID, ent.File, segmentFileName(ent.ID))})
+		}
+		if err := db.loadSegmentFile(path, ent, opts); err != nil {
+			return fail(err)
 		}
 	}
-	db.total = m.Count
+	if len(db.sigs) != m.Count {
+		return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segments hold %d records, manifest count says %d", len(db.sigs), m.Count)})
+	}
 	db.nextSeg = m.NextSeg
 	db.saveDir = path
 	// The DB is still private to this goroutine; refresh the published
@@ -555,7 +534,7 @@ func LoadDirOpts(path string, opts LoadOptions) (*DB, error) {
 }
 
 // loadSegmentFile verifies and parses one segment file, appending its
-// records to shard si as a sealed segment. With opts.MapPostings the
+// records to the store as a sealed segment. With opts.MapPostings the
 // file is memory-mapped instead of read: every validation below runs
 // against the mapped bytes, signature rows are still decoded onto the
 // heap (they outlive any one segment layout), but the postings blob is
@@ -565,7 +544,7 @@ func LoadDirOpts(path string, opts LoadOptions) (*DB, error) {
 // silently falls back to the heap read path.
 //
 //fmeter:errdomain snapshot
-func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegment, opts LoadOptions) error {
+func (db *DB) loadSegmentFile(dir string, ent manifestSegment, opts LoadOptions) error {
 	path := filepath.Join(dir, ent.File)
 	var mf *mapFile
 	var raw []byte
@@ -620,7 +599,7 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 	if int64(count) > int64(len(body)-segHeaderSize)/minRecord {
 		return fail(fmt.Errorf("record count %d exceeds file capacity", count))
 	}
-	sg := &segment{id: ent.ID, start: len(sh.sigs), end: len(sh.sigs), sealed: true, crc: crc, saved: true}
+	sg := &segment{id: ent.ID, start: len(db.sigs), end: len(db.sigs), sealed: true, crc: crc, saved: true}
 	// Decoded with the direct byte cursor (no reader indirection on the
 	// half-million-uvarint hot path of a cold open).
 	cur := byteCursor{b: body[segHeaderSize:]}
@@ -637,12 +616,11 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 		if err != nil {
 			return fail(fmt.Errorf("record %d: %w", i, err))
 		}
-		sh.gids = append(sh.gids, len(sh.sigs)*len(db.shards)+si)
-		sh.sigs = append(sh.sigs, sig)
-		sh.norms = append(sh.norms, sig.W.Norm2())
+		db.sigs = append(db.sigs, sig)
+		db.norms = append(db.norms, sig.W.Norm2())
 		sg.end++
 	}
-	rows := sh.sigs[sg.start:sg.end]
+	rows := db.sigs[sg.start:sg.end]
 	if flags&segFlagPostings != 0 {
 		bp, err := readPostingsSection(&cur, rows, db.dim, mf != nil)
 		if err != nil {
@@ -665,7 +643,7 @@ func (db *DB) loadSegmentFile(dir string, si int, sh *dbShard, ent manifestSegme
 	} else {
 		mf.close()
 	}
-	sh.segs = append(sh.segs, sg)
+	db.segs = append(db.segs, sg)
 	return nil
 }
 

@@ -14,11 +14,12 @@ import (
 	"repro/internal/vecmath"
 )
 
-// saveSealedCorpus builds a sealed sharded store from sigs and persists
-// it to a fresh temp directory, returning the directory.
-func saveSealedCorpus(t *testing.T, sigs []Signature, shards int) string {
+// saveSealedCorpus builds a sealed store of 64-row segments from sigs,
+// queried in workers lanes, and persists it to a fresh temp directory,
+// returning the directory.
+func saveSealedCorpus(t *testing.T, sigs []Signature, workers int) string {
 	t.Helper()
-	db, err := NewShardedDB(sigs[0].Dim(), shards)
+	db, err := newTestDB(sigs[0].Dim(), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,9 @@ func TestMappedMutateAfterLoad(t *testing.T) {
 	dir := saveSealedCorpus(t, sigs, 2)
 
 	mutate := func(db *DB) {
-		db.SetSegmentSize(64)
+		// Every loaded segment is below the new size, so Compact splices
+		// the mapped ones with the new rows.
+		db.SetSegmentSize(128)
 		if err := db.AddAll(extra); err != nil {
 			t.Fatal(err)
 		}

@@ -137,9 +137,6 @@ const (
 	// idf vector), so a corrupt header must fail instead of attempting a
 	// multi-gigabyte allocation. 1<<24 is ~4000x the paper's symbol table.
 	maxSnapshotDim = 1 << 24
-	// maxSnapshotShards bounds the manifest shard count (the shard table
-	// is allocated before any record is validated).
-	maxSnapshotShards = 1 << 16
 )
 
 // writeSigRecordV2 appends one signature record in the v2.1 segment

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/parallel"
 	"repro/internal/vecmath"
 )
 
@@ -14,7 +16,7 @@ import (
 // *blockPostings. A sealed segment holds one over its whole record range;
 // an active segment holds one per completed run of activeRunLen rows
 // (segment.go), so the ingest tail is indexed too and only the last
-// < activeRunLen rows of a shard are ever scored row by row. Every
+// < activeRunLen rows are ever scored row by row. Every
 // blockPostings is produced by encodeBlocks straight from the signature
 // rows (or, for compaction, spliced from ones that were), and feeds the
 // vecmath.Accumulator kernel the signatures' own weights in ascending
@@ -148,23 +150,28 @@ func (bp *blockPostings) setNormBounds(rows []Signature) {
 // writer builds no run its own call seals away.
 var encodeCount atomic.Int64
 
+// encodeMinRange is the fewest postings encodeBlocks hands one core: a
+// smaller range costs more to fan out than it saves.
+const encodeMinRange = 1 << 13
+
 // encodeBlocks builds the block-compressed posting lists of rows (local
 // id = position in rows) — the one encoder behind seal, the active
 // segment's runs, and loads of segment bodies that carry no postings
 // section. The rows' value arrays become the weight store. A counting
 // transposition turns the row-major supports into one dimension-major id
 // array (count per dimension, prefix-sum, scatter), which is then cut
-// into blocks; because the sweep ascends dimensions and supports are
-// dimension-sorted, a per-row cursor yields each posting's ordinal.
-// The output depends only on the rows, so a segment sealed after any
-// history of runs is byte-identical to one sealed in one step.
+// into blocks, over contiguous dimension ranges of about equal posting
+// count, one per core (encodeRange): the range streams concatenate,
+// offsets rebased, into the bytes one sequential pass writes. The output
+// depends only on the rows, so a segment sealed after any history of
+// runs is byte-identical to one sealed in one step.
 func encodeBlocks(dim int, rows []Signature) *blockPostings {
 	encodeCount.Add(1)
 	n := len(rows)
 	bp := &blockPostings{dim: dim, n: n, vals: make([][]float64, n), dir: make([]int32, dim+1)}
 	// pos[d] counts dimension d's postings, then walks from first[d], the
-	// start of its slice of ids, to the end as the scatter fills it.
-	pos, first := make([]int32, dim), make([]int32, dim)
+	// start of its slice of ids, to first[d+1] as the scatter fills it.
+	pos, first := make([]int32, dim), make([]int32, dim+1)
 	for j := range rows {
 		bp.vals[j] = rows[j].W.Values()
 		for _, d := range rows[j].W.Support() {
@@ -178,16 +185,69 @@ func encodeBlocks(dim int, rows []Signature) *blockPostings {
 		pos[d], first[d] = total, total
 		total += c
 	}
-	bp.dir[dim] = nBlocks
+	bp.dir[dim], first[dim] = nBlocks, total
 	bp.nPostings = int64(total)
 	bp.blocks = make([]blockDesc, nBlocks)
-	// The scatter is the one pass that meets the weights in memory order,
-	// so it also folds each block's max |weight|: the posting landing in
-	// slot p belongs to its dimension's block (p-first[d])/blockSize.
-	ids := make([]int32, total)
-	for j := range rows {
-		val := bp.vals[j]
-		for k, d := range rows[j].W.Support() {
+	e := encoder{bp: bp, rows: rows, pos: pos, first: first, ids: make([]int32, total)}
+	ranges := max(1, min(parallel.Workers(0), int(total)/encodeMinRange))
+	cuts := make([]int, ranges+1)
+	for r, d := 1, 0; r < ranges; r++ {
+		for d < dim && int64(first[d])*int64(ranges) < int64(total)*int64(r) {
+			d++
+		}
+		cuts[r] = d
+	}
+	cuts[ranges] = dim
+	blobs := make([][]byte, ranges)
+	_ = parallel.For(0, ranges, func(r int) error {
+		blobs[r] = e.encodeRange(cuts[r], cuts[r+1])
+		return nil
+	})
+	size := 0
+	for _, b := range blobs {
+		size += len(b)
+	}
+	// The kept blob is an exact-size copy.
+	bp.blob = make([]byte, 0, size)
+	for r, b := range blobs {
+		base := uint32(len(bp.blob))
+		for bi := bp.dir[cuts[r]]; bi < bp.dir[cuts[r+1]]; bi++ {
+			bp.blocks[bi].off += base
+		}
+		bp.blob = append(bp.blob, b...)
+	}
+	bp.buildDimBound()
+	bp.setNormBounds(rows)
+	return bp
+}
+
+// encoder is one encodeBlocks call's shared state, which its ranges
+// fill at disjoint positions.
+type encoder struct {
+	bp         *blockPostings
+	rows       []Signature
+	pos, first []int32
+	ids        []int32
+}
+
+// encodeRange scatters the postings of dimensions [dlo, dhi) and writes
+// their blocks, returning the range's stream bytes with the descriptors'
+// offsets relative to its start. Supports are dimension-sorted, so a
+// row's postings in the range are one run of its support: the scatter
+// finds where it starts, and because the writes ascend dimensions, a
+// per-row cursor from there yields each posting's ordinal. The scatter
+// is the one pass that meets the weights in memory order, so it also
+// folds each block's max |weight|: the posting landing in slot p belongs
+// to its dimension's block (p-first[d])/blockSize.
+func (e *encoder) encodeRange(dlo, dhi int) []byte {
+	bp, pos, first, ids := e.bp, e.pos, e.first, e.ids
+	cursor := make([]int32, len(e.rows)) // next unconsumed support position per row
+	for j := range e.rows {
+		sup, val := e.rows[j].W.Support(), bp.vals[j]
+		k, _ := slices.BinarySearch(sup, int32(dlo))
+		cursor[j] = int32(k)
+		for ; k < len(sup) && int(sup[k]) < dhi; k++ {
+			d := sup[k]
 			p := pos[d]
 			ids[p] = int32(j)
 			pos[d] = p + 1
@@ -199,17 +259,16 @@ func encodeBlocks(dim int, rows []Signature) *blockPostings {
 	}
 	// Streams are written by index into the scratch blob[:w]; a block
 	// needs at most blockMax bytes, kept free ahead of w (two bytes per
-	// posting is the common case, so the initial size rarely grows). The
-	// kept blob is an exact-size copy.
+	// posting is the common case, so the initial size rarely grows).
 	const blockMax = postingBlockSize * (binary.MaxVarintLen32 + 4)
-	blob, w := make([]byte, int(total)*2+blockMax), 0
-	cursor := make([]int32, n) // next unconsumed support position per row
-	bi, lo := 0, int32(0)
-	for d := 0; d < dim; d++ {
-		for hi := pos[d]; lo < hi; bi++ {
-			c := int(min(hi-lo, postingBlockSize))
+	lo := first[dlo]
+	blob, w := make([]byte, int(first[dhi]-lo)*2+blockMax), 0
+	bi := bp.dir[dlo]
+	for d := dlo; d < dhi; d++ {
+		for hi := first[d+1]; lo < hi; bi++ {
+			c := min(hi-lo, postingBlockSize)
 			list := ids[lo:][:c]
-			lo += int32(c)
+			lo += c
 			if len(blob)-w < blockMax {
 				blob = append(blob, make([]byte, len(blob))...)
 			}
@@ -218,15 +277,13 @@ func encodeBlocks(dim int, rows []Signature) *blockPostings {
 			var ords [postingBlockSize]int32
 			maxOrd := int32(0)
 			for k, id := range list {
-				ord := cursor[id]
-				cursor[id] = ord + 1
-				ords[k] = ord
-				if ord > maxOrd {
-					maxOrd = ord
-				}
+				o := cursor[id]
+				cursor[id] = o + 1
+				ords[k] = o
+				maxOrd = max(maxOrd, o)
 			}
 			desc.ordW = ordWidth(maxOrd)
-			for k := 1; k < c; k++ {
+			for k := 1; k < int(c); k++ {
 				if g := uint32(list[k]-list[k-1]) - 1; g < 0x80 {
 					blob[w] = byte(g)
 					w++
@@ -235,23 +292,20 @@ func encodeBlocks(dim int, rows []Signature) *blockPostings {
 				}
 			}
 			desc.idLen = uint16(w - int(desc.off))
-			for _, ord := range ords[:c] {
+			for _, o := range ords[:c] {
 				switch desc.ordW {
 				case 1:
-					blob[w] = byte(ord)
+					blob[w] = byte(o)
 				case 2:
-					binary.LittleEndian.PutUint16(blob[w:], uint16(ord))
+					binary.LittleEndian.PutUint16(blob[w:], uint16(o))
 				default:
-					binary.LittleEndian.PutUint32(blob[w:], uint32(ord))
+					binary.LittleEndian.PutUint32(blob[w:], uint32(o))
 				}
 				w += int(desc.ordW)
 			}
 		}
 	}
-	bp.blob = append(make([]byte, 0, w), blob[:w]...)
-	bp.buildDimBound()
-	bp.setNormBounds(rows)
-	return bp
+	return blob[:w]
 }
 
 // ordWidth returns the fixed ordinal byte width covering maxOrd.
@@ -344,11 +398,12 @@ func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator, ps *p
 		qv := val[k]
 		for bi := lo; bi < hi; bi++ {
 			bd := &bp.blocks[bi]
-			if bd.maxAbsW == 0 {
+			if bd.maxAbsW == 0 || ps.otherLanes(bp, bi, hi) {
 				// Every weight in the block is zero: its terms are exact
 				// zeros, so skipping preserves bit-identity. (Signature
 				// supports exclude zeros, so this only guards degenerate
-				// hand-built stores.)
+				// hand-built stores.) Or every row it holds is another
+				// lane's, which this walk never lists.
 				continue
 			}
 			if sums != nil && bd.ordW == 1 {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -34,7 +37,7 @@ func buildFlatAndCompressed(t *testing.T, sigs []Signature, dim int) (*Index, *b
 // it lists first touches under, and returns the rows it touched.
 func unitDots(bp *blockPostings, q *vecmath.Sparse, acc *vecmath.Accumulator) []int32 {
 	var ps pruneScratch
-	ps.beginStamps(0, bp.n, nil)
+	ps.beginStamps(0, bp.n, nil, 0, 1)
 	bp.dots(q, acc, &ps)
 	return ps.touched
 }
@@ -219,8 +222,8 @@ func TestSpliceBlockPostings(t *testing.T) {
 // indexed), and queries stay bit-identical across the swap.
 func TestSealCompressesPostings(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	const dim, n, nnz, k, shards, run = 200, 250, 20, 15, 3, 16
-	db, err := NewShardedDB(dim, shards)
+	const dim, n, nnz, k, run = 200, 250, 20, 15, 16
+	db, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +237,12 @@ func TestSealCompressesPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shard si holds rows si, si+shards, ...; its last len%run rows are
-	// the unindexed tail, and only they are missing from the postings.
-	var unindexed int
+	// The last n%run rows are the unindexed tail, and only they are
+	// missing from the postings.
+	unindexed := n % run
 	var tailNNZ int64
-	for si := 0; si < shards; si++ {
-		rows := (n - si + shards - 1) / shards
-		for j := rows - rows%run; j < rows; j++ {
-			unindexed++
-			tailNNZ += int64(sigs[j*shards+si].W.NNZ())
-		}
+	for _, s := range sigs[n-unindexed:] {
+		tailNNZ += int64(s.W.NNZ())
 	}
 	if got := db.ActiveUnindexedRows(); got != unindexed {
 		t.Fatalf("ActiveUnindexedRows %d, want %d", got, unindexed)
@@ -276,11 +275,11 @@ func TestSealCompressesPostings(t *testing.T) {
 func TestSealEmptyActiveNoOp(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	const dim, nnz = 40, 6
-	db, err := NewShardedDB(dim, 2)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Seal() // empty DB: no shard has any segment to seal
+	db.Seal() // empty DB: no segment to seal
 	if got := db.Segments(); got != 0 {
 		t.Fatalf("Seal on empty DB created %d segments", got)
 	}
@@ -296,11 +295,9 @@ func TestSealEmptyActiveNoOp(t *testing.T) {
 	if got := db.Segments(); got != segs {
 		t.Fatalf("repeated Seal grew segments %d -> %d", segs, got)
 	}
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			if sg.len() == 0 {
-				t.Fatalf("zero-length segment %d in shard %d", sg.id, si)
-			}
+	for _, sg := range db.segs {
+		if sg.len() == 0 {
+			t.Fatalf("zero-length segment %d", sg.id)
 		}
 	}
 	// And a save/load cycle must not see phantom segments either.
@@ -384,7 +381,7 @@ func nPostings(db *DB) int {
 }
 
 // TestCompressedTopKPropertySweep is the postings-PR acceptance sweep:
-// across seeds × shards{1,3,4} × workers{1,4} × seal/compaction points,
+// across seeds × workers{1,2,3,7} × seal/compaction points,
 // TopK, TopKBatch, and ClassifyBatch over stores holding compressed
 // (sealed), flat (active), and mixed segments must agree bit-for-bit
 // with the never-sealed flat reference.
@@ -402,7 +399,7 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 			queries[i] = randSigs(r, 1, dim, nnz)[0].W
 		}
 
-		// Reference: single shard, never sealed — pure flat layout.
+		// Reference: sequential, never sealed — pure flat layout.
 		ref, err := NewDB(dim)
 		if err != nil {
 			t.Fatal(err)
@@ -422,75 +419,233 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, shards := range []int{1, 3, 4} {
-			for _, workers := range []int{1, 4} {
-				for _, mode := range []string{"sealed", "mixed", "compacted", "mapped"} {
-					db, err := NewShardedDB(dim, shards)
-					if err != nil {
+		for _, workers := range []int{1, 2, 3, 7} {
+			for _, mode := range []string{"sealed", "mixed", "compacted", "mapped"} {
+				db, err := newTestDB(dim, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.SetSegmentSize(32)
+				for i, s := range sigs {
+					if err := db.Add(s); err != nil {
 						t.Fatal(err)
 					}
-					db.SetWorkers(workers)
-					db.SetSegmentSize(32)
-					for i, s := range sigs {
-						if err := db.Add(s); err != nil {
-							t.Fatal(err)
-						}
-						if mode != "mixed" && i%53 == 52 {
-							db.Seal()
-						}
-					}
-					switch mode {
-					case "sealed":
+					if mode != "mixed" && i%53 == 52 {
 						db.Seal()
-					case "compacted":
-						db.Seal()
-						db.SetSegmentSize(DefaultSegmentSize)
-						db.Compact()
-					case "mapped":
-						// Seal, snapshot, and reload with postings served
-						// off the file mapping — bit-identical walk required.
-						db.Seal()
-						dir := t.TempDir()
-						if err := db.SaveDir(dir); err != nil {
-							t.Fatal(err)
-						}
-						if db, err = LoadDirMapped(dir); err != nil {
-							t.Fatal(err)
-						}
-						mdb := db
-						t.Cleanup(func() { mdb.Close() })
-						db.SetWorkers(workers)
-					}
-					tag := fmt.Sprintf("seed=%d shards=%d workers=%d mode=%s segs=%d",
-						seed, shards, workers, mode, db.Segments())
-					for _, m := range metrics {
-						want, err := ref.TopKSparse(queries[0], k, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := db.TopKSparse(queries[0], k, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, tag+" "+m.Name, got, want)
-					}
-					gotBatch, err := db.TopKBatch(queries, k, metrics[0])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range queries {
-						sameResults(t, fmt.Sprintf("%s batch query %d", tag, i), gotBatch[i], wantTop[i])
-					}
-					gotLabels, err := db.ClassifyBatch(queries, 5, metrics[0])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range wantLabels {
-						if gotLabels[i] != wantLabels[i] {
-							t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", tag, i, gotLabels[i], wantLabels[i])
-						}
 					}
 				}
+				switch mode {
+				case "sealed":
+					db.Seal()
+				case "compacted":
+					db.Seal()
+					db.SetSegmentSize(DefaultSegmentSize)
+					db.Compact()
+				case "mapped":
+					// Seal, snapshot, and reload with postings served
+					// off the file mapping — bit-identical walk required.
+					db.Seal()
+					dir := t.TempDir()
+					if err := db.SaveDir(dir); err != nil {
+						t.Fatal(err)
+					}
+					if db, err = LoadDirMapped(dir); err != nil {
+						t.Fatal(err)
+					}
+					mdb := db
+					t.Cleanup(func() { mdb.Close() })
+					db.SetWorkers(workers)
+				}
+				tag := fmt.Sprintf("seed=%d workers=%d mode=%s segs=%d",
+					seed, workers, mode, db.Segments())
+				for _, m := range metrics {
+					want, err := ref.TopKSparse(queries[0], k, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := db.TopKSparse(queries[0], k, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, tag+" "+m.Name, got, want)
+				}
+				gotBatch, err := db.TopKBatch(queries, k, metrics[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range queries {
+					sameResults(t, fmt.Sprintf("%s batch query %d", tag, i), gotBatch[i], wantTop[i])
+				}
+				gotLabels, err := db.ClassifyBatch(queries, 5, metrics[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantLabels {
+					if gotLabels[i] != wantLabels[i] {
+						t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", tag, i, gotLabels[i], wantLabels[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// encodeBlocksOracle is encodeBlocks as one sequential pass: a counting
+// transposition (count per dimension, prefix-sum, scatter) cut into
+// blocks, where — because the sweep ascends dimensions and supports are
+// dimension-sorted — a per-row cursor yields each posting's ordinal. It
+// is the reference the range-split encoder must match byte for byte.
+func encodeBlocksOracle(dim int, rows []Signature) *blockPostings {
+	n := len(rows)
+	bp := &blockPostings{dim: dim, n: n, vals: make([][]float64, n), dir: make([]int32, dim+1)}
+	// pos[d] counts dimension d's postings, then walks from first[d], the
+	// start of its slice of ids, to the end as the scatter fills it.
+	pos, first := make([]int32, dim), make([]int32, dim)
+	for j := range rows {
+		bp.vals[j] = rows[j].W.Values()
+		for _, d := range rows[j].W.Support() {
+			pos[d]++
+		}
+	}
+	total, nBlocks := int32(0), int32(0)
+	for d, c := range pos {
+		bp.dir[d] = nBlocks
+		nBlocks += (c + postingBlockSize - 1) / postingBlockSize
+		pos[d], first[d] = total, total
+		total += c
+	}
+	bp.dir[dim] = nBlocks
+	bp.nPostings = int64(total)
+	bp.blocks = make([]blockDesc, nBlocks)
+	// The scatter is the one pass that meets the weights in memory order,
+	// so it also folds each block's max |weight|: the posting landing in
+	// slot p belongs to its dimension's block (p-first[d])/blockSize.
+	ids := make([]int32, total)
+	for j := range rows {
+		val := bp.vals[j]
+		for k, d := range rows[j].W.Support() {
+			p := pos[d]
+			ids[p] = int32(j)
+			pos[d] = p + 1
+			bd := &bp.blocks[bp.dir[d]+(p-first[d])/postingBlockSize]
+			if a := math.Abs(val[k]); a > bd.maxAbsW {
+				bd.maxAbsW = a
+			}
+		}
+	}
+	// Streams are written by index into the scratch blob[:w]; a block
+	// needs at most blockMax bytes, kept free ahead of w (two bytes per
+	// posting is the common case, so the initial size rarely grows). The
+	// kept blob is an exact-size copy.
+	const blockMax = postingBlockSize * (binary.MaxVarintLen32 + 4)
+	blob, w := make([]byte, int(total)*2+blockMax), 0
+	cursor := make([]int32, n) // next unconsumed support position per row
+	bi, lo := 0, int32(0)
+	for d := 0; d < dim; d++ {
+		for hi := pos[d]; lo < hi; bi++ {
+			c := int(min(hi-lo, postingBlockSize))
+			list := ids[lo:][:c]
+			lo += int32(c)
+			if len(blob)-w < blockMax {
+				blob = append(blob, make([]byte, len(blob))...)
+			}
+			desc := &bp.blocks[bi]
+			desc.off, desc.firstID, desc.count = uint32(w), list[0], uint16(c)
+			var ords [postingBlockSize]int32
+			maxOrd := int32(0)
+			for k, id := range list {
+				ord := cursor[id]
+				cursor[id] = ord + 1
+				ords[k] = ord
+				if ord > maxOrd {
+					maxOrd = ord
+				}
+			}
+			desc.ordW = ordWidth(maxOrd)
+			for k := 1; k < c; k++ {
+				if g := uint32(list[k]-list[k-1]) - 1; g < 0x80 {
+					blob[w] = byte(g)
+					w++
+				} else {
+					w += binary.PutUvarint(blob[w:], uint64(g))
+				}
+			}
+			desc.idLen = uint16(w - int(desc.off))
+			for _, ord := range ords[:c] {
+				switch desc.ordW {
+				case 1:
+					blob[w] = byte(ord)
+				case 2:
+					binary.LittleEndian.PutUint16(blob[w:], uint16(ord))
+				default:
+					binary.LittleEndian.PutUint32(blob[w:], uint32(ord))
+				}
+				w += int(desc.ordW)
+			}
+		}
+	}
+	bp.blob = append(make([]byte, 0, w), blob[:w]...)
+	bp.buildDimBound()
+	bp.setNormBounds(rows)
+	return bp
+}
+
+// TestEncodeBlocksMatchesOracle holds the range-split encoder to the
+// sequential one: the same blob (to its capacity), descriptors,
+// directory and bounds, on a one-row segment, an encode too small to
+// split, a range cut landing on a dimension with no postings, and
+// ordinals of 256 and up (two-byte ordinals), at several core counts.
+func TestEncodeBlocksMatchesOracle(t *testing.T) {
+	procs0 := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs0)
+	r := rand.New(rand.NewSource(71))
+	// gapped rows hold postings only below dim/4 and above 3·dim/4, so
+	// a cut at half the postings lands inside the empty middle.
+	gapped := func(n, dim, nnz int) []Signature {
+		out := make([]Signature, n)
+		for i := range out {
+			v := vecmath.NewVector(dim)
+			for c := 0; c < nnz; {
+				d := r.Intn(dim / 4)
+				if c%2 == 1 {
+					d += dim - dim/4
+				}
+				if v[d] == 0 {
+					v[d] = r.Float64() - 0.5
+					c++
+				}
+			}
+			out[i] = SignatureFromDense(fmt.Sprint(i), "", v)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name  string
+		dim   int
+		rows  []Signature
+		split bool
+	}{
+		{"one-row", 50, randSigs(r, 1, 50, 9), false},
+		{"too-small", 300, randSigs(r, 40, 300, 12), false},
+		{"empty-dim-cut", 400, gapped(300, 400, 60), true},
+		{"wide-ordinals", 600, randSigs(r, 60, 600, 400), true},
+		{"peaked", 3815, peakedSigs(r, 3815, 400, 50), true},
+	} {
+		want := encodeBlocksOracle(c.dim, c.rows)
+		if c.split != (want.nPostings >= 2*encodeMinRange) {
+			t.Fatalf("%s: %d postings, want a fixture that splits=%v at two cores", c.name, want.nPostings, c.split)
+		}
+		if c.name == "wide-ordinals" && !slices.ContainsFunc(want.blocks, func(b blockDesc) bool { return b.ordW > 1 }) {
+			t.Fatalf("%s: no two-byte ordinals", c.name)
+		}
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := encodeBlocks(c.dim, c.rows)
+			runtime.GOMAXPROCS(procs0)
+			tag := fmt.Sprintf("%s procs=%d", c.name, procs)
+			samePostings(t, tag, got, want)
+			if cap(got.blob) != cap(want.blob) || got.memBytes() != want.memBytes() {
+				t.Fatalf("%s: blob capacity %d, want %d", tag, cap(got.blob), cap(want.blob))
 			}
 		}
 	}

@@ -28,34 +28,35 @@ import (
 //     the caller — once the walk has cost more than that would.
 //  3. Listed candidates whose summed block bounds plus the remaining
 //     bound cannot displace the root are dropped; the survivors get the
-//     canonical gather dot (viewShard.score) and are offered normally.
+//     canonical gather dot (dbView.score) and are offered normally.
 //     Unlisted candidates are covered wholesale by step 1's bound.
 //
 // Bound arithmetic only ever *filters*; every score that reaches the
 // heap is the canonical one, so the result is bit-identical to the scan
-// at any segment layout, shard count, or worker count — see
+// at any segment layout or worker count — see
 // DESIGN-PERF.md Layer 7 for the full exactness argument, including why
 // pruneEps absorbs the float non-associativity between the bound sums
 // and the canonical dot.
 //
-// The walk prunes against the shard heap's root, so it only engages
-// once the heap is full; topkShard seeds the heap (seedHeap) before the
-// first unit, which makes the very first — often the largest,
-// post-compaction — segment prunable too, with a threshold that is
-// already near its final value for batch-clustered corpora.
+// The walk prunes against its lane heap's root, so it only engages once
+// the heap is full; topk seeds one heap over the whole store (seedHeap)
+// and starts every lane from a copy of it, which makes the very first —
+// often the largest, post-compaction — segment of every lane prunable
+// too, with a threshold that is already near its final value for
+// batch-clustered corpora.
 
-// pruneMinRows is the default shard-size floor below which the pruned
+// pruneMinRows is the default store-size floor below which the pruned
 // walk is not attempted: seeding the heap costs up to k strided gather
-// dots plus probeBlocks decoded blocks of them, so on a shard with fewer
+// dots plus probeBlocks decoded blocks of them, so on a store with fewer
 // rows than that the seed pass alone costs more than the plain walk it
 // is meant to undercut (a 100-signature sealed store measured ~4×
 // slower pruned than plain). Pruning exists for the
-// large-corpus regime; tiny shards take the plain sealed walk, whose
+// large-corpus regime; tiny stores take the plain sealed walk, whose
 // results are bit-identical anyway. Tests lower db.pruneFloor to keep
 // the equivalence sweeps exercising the pruned path on small fixtures.
 const pruneMinRows = 512
 
-// pruneRowFloorLocked returns the active shard-size floor
+// pruneRowFloorLocked returns the active store-size floor
 // (db.pruneFloor, defaulting to pruneMinRows when unset). Caller holds
 // db.mu; queries read the value frozen into their view.
 func (db *DB) pruneRowFloorLocked() int {
@@ -65,7 +66,7 @@ func (db *DB) pruneRowFloorLocked() int {
 	return pruneMinRows
 }
 
-// setPruneFloor overrides the shard-size floor below which pruning is
+// setPruneFloor overrides the store-size floor below which pruning is
 // not attempted (0 restores pruneMinRows) — a test knob, published like
 // every other query-configuration change.
 func (db *DB) setPruneFloor(n int) {
@@ -86,7 +87,7 @@ func (db *DB) setPruneFloor(n int) {
 // admits extra candidates to the gather dot, never drops one.
 const pruneEps = 1e-9
 
-// pruneScratch is the per-shard working state of the pruned walk; like
+// pruneScratch is the per-lane working state of the pruned walk; like
 // the accumulator it is pooled per worker, so steady-state queries do
 // not allocate.
 type pruneScratch struct {
@@ -105,7 +106,9 @@ type pruneScratch struct {
 	touched []int32
 	stamp   []uint32
 	epoch   uint32
-	// seeds holds the shard rows offered by the seed passes (ascending),
+	// start, lane and lanes are the epoch's unit start row and lane.
+	start, lane, lanes int
+	// seeds holds the rows offered by the seed passes (ascending),
 	// which every later offer loop must exclude. seedsTmp is the merge
 	// buffer probeSeed splices its run into.
 	seeds    []int32
@@ -191,12 +194,15 @@ func (ps *pruneScratch) essentialPrefix(canSkip func(rem float64) bool) (cut int
 }
 
 // beginStamps opens a fresh stamp epoch over the n rows of the walk unit
-// starting at shard row start, with the seed rows inside it already
-// stamped and the touched list empty: a stamped row is one some pass has
-// already taken care of, so neither the probe nor a walk ever lists a
-// seed again.
-func (ps *pruneScratch) beginStamps(start, n int, seeds []int32) {
+// starting at row start for lane l of p, with the seed rows inside it
+// already stamped and the touched list empty: a stamped row is one some
+// pass has already taken care of, so neither the probe nor a walk ever
+// lists it. Rows of the other lanes are stamped on their first touch
+// and never listed (touch), so opening an epoch costs O(seeds), not
+// O(n), whatever the lane count.
+func (ps *pruneScratch) beginStamps(start, n int, seeds []int32, l, p int) {
 	ps.touched = ps.touched[:0]
+	ps.start, ps.lane, ps.lanes = start, l, p
 	if cap(ps.stamp) < n {
 		ps.stamp = make([]uint32, n)
 		ps.epoch = 0
@@ -216,40 +222,65 @@ func (ps *pruneScratch) beginStamps(start, n int, seeds []int32) {
 	}
 }
 
-// touch lists unit row id on its first touch in the current epoch.
+// otherLanes reports whether every row block bi can hold — from its
+// firstID to the next block's of its dimension (whose blocks end at
+// dirEnd), or to the unit's end — is another lane's, so a walk skips it.
+//
+//fmeter:noalloc
+func (ps *pruneScratch) otherLanes(bp *blockPostings, bi, dirEnd int32) bool {
+	if ps.lanes == 1 {
+		return false
+	}
+	last := bp.n - 1
+	if bi+1 < dirEnd {
+		last = int(bp.blocks[bi+1].firstID) - 1
+	}
+	for c := (ps.start + int(bp.blocks[bi].firstID)) / laneChunk; c <= (ps.start+last)/laneChunk; c++ {
+		if c%ps.lanes == ps.lane {
+			return false
+		}
+	}
+	return true
+}
+
+// touch lists unit row id on its first touch in the current epoch if
+// it is a row of the epoch's lane.
 //
 //fmeter:noalloc
 func (ps *pruneScratch) touch(id int32) {
 	if ps.stamp[id] != ps.epoch {
 		ps.stamp[id] = ps.epoch
-		//fmeter:alloc-ok touched grows to the largest unit once; the scratch pool reuses it across queries
-		ps.touched = append(ps.touched, id)
+		if ps.lanes == 1 || (ps.start+int(id))/laneChunk%ps.lanes == ps.lane {
+			//fmeter:alloc-ok touched grows to the largest unit once; the scratch pool reuses it across queries
+			ps.touched = append(ps.touched, id)
+		}
 	}
 }
 
 // seedHeap fills the heap before the first unit is walked, so the
 // pruned walk has a displacement threshold from the start, and returns
-// the shard rows it offered (ascending) for every later offer loop to
-// exclude — no candidate is offered twice. Seed choice cannot affect
-// results: every seed gets the canonical score and the heap's
-// (score, index) total order makes the kept set arrival-independent.
-// The sample is min(k, len) rows at a fixed stride across the whole
-// shard — real corpora arrive in workload batches, so a spread sample
-// usually holds a few same-class neighbors of the query, and it depends
-// only on the shard length, never on the segment layout — sharpened by
-// probeSeed once it has filled the heap.
-func seedHeap(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2 float64) []int32 {
-	n := len(vs.sigs)
-	warm := min(k, n)
+// the rows it offered (ascending) for every later offer loop to exclude
+// — no candidate is offered twice. Seed choice cannot affect results:
+// every seed gets the canonical score and the heap's (score, index)
+// total order makes the kept set arrival-independent. The sample is k
+// rows (k is at most the store length) at a fixed stride across the
+// whole store — real corpora arrive in workload batches, so a spread
+// sample usually holds a few same-class neighbors of the query, and it
+// depends only on the store length, never on the segment layout —
+// sharpened by probeSeed once it has filled the heap. There is one seed
+// pass per query, whatever the lane count, and every lane starts from a
+// copy of its heap: a lane seeded only from its own rows would keep a
+// weak threshold wherever the query's class lies outside it.
+func seedHeap(lq *laneQuery, ps *pruneScratch, h *topkHeap) []int32 {
+	v, k := lq.v, lq.k
+	n := len(v.sigs)
 	ps.seeds = ps.seeds[:0]
-	for i := 0; i < warm; i++ {
-		j := i * n / warm
+	for i := 0; i < k; i++ {
+		j := i * n / k
 		ps.seeds = append(ps.seeds, int32(j))
-		h.offer(k, vs.gids[j], vs.score(j, qd, cosine, qNorm2))
+		h.offer(k, j, v.score(j, lq.qd, lq.cosine, lq.qNorm2))
 	}
-	if warm == k {
-		probeSeed(vs, ps, h, k, query, qd, cosine, qNorm2)
-	}
+	probeSeed(lq, ps, h)
 	return ps.seeds
 }
 
@@ -259,16 +290,17 @@ const probeBlocks = 2
 // probeSeed adds a query-adaptive sample to the strided one in
 // ps.seeds: k spread draws rarely include near neighbors when the
 // query's class is a sliver of the corpus, so the first probeBlocks
-// blocks of the single highest-impact posting list across the shard's
+// blocks of the single highest-impact posting list across the store's
 // units — max |q_d|·dimBound[d], the list a near neighbor most likely
 // sits in; for batch-clustered signatures it belongs to the query's own
 // class — are decoded and their rows offered, which puts the root near
 // its final value before even the largest unit is met.
-func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2 float64) {
-	idx, val := query.Support(), query.Values()
+func probeSeed(lq *laneQuery, ps *pruneScratch, h *topkHeap) {
+	v, k := lq.v, lq.k
+	idx, val := lq.query.Support(), lq.query.Values()
 	var bestSeg viewSegment
 	bestDim, best := -1, 0.0
-	for _, sg := range vs.segs {
+	for _, sg := range v.segs {
 		if sg.blocks == nil {
 			continue
 		}
@@ -287,7 +319,7 @@ func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecma
 	}
 	base := len(ps.seeds) // the sorted strided run
 	bp := bestSeg.blocks
-	ps.beginStamps(bestSeg.start, bp.n, ps.seeds)
+	ps.beginStamps(bestSeg.start, bp.n, ps.seeds, 0, 1)
 	lo, hi := bp.dir[bestDim], min(bp.dir[bestDim]+probeBlocks, bp.dir[bestDim+1])
 	for bi := lo; bi < hi; bi++ {
 		for _, id := range bp.decodeIDs(&bp.blocks[bi], &ps.ids) {
@@ -296,7 +328,7 @@ func probeSeed(vs *viewShard, ps *pruneScratch, h *topkHeap, k int, query *vecma
 			}
 			j := bestSeg.start + int(id)
 			ps.seeds = append(ps.seeds, int32(j))
-			h.offer(k, vs.gids[j], vs.score(j, qd, cosine, qNorm2))
+			h.offer(k, j, v.score(j, lq.qd, lq.cosine, lq.qNorm2))
 		}
 	}
 	if len(ps.seeds) == base {
@@ -368,17 +400,19 @@ func rootSafe(h *topkHeap, bp *blockPostings, cosine bool, qNorm2, rem float64) 
 // unit, offering every candidate that could still belong to the top k.
 // It reports false — leaving the heap untouched — when no dim can be
 // proven skippable or the walk stops paying before it ends; the caller
-// then scores the unit whole. seeds holds the shard rows the seed passes
-// already offered (ascending); the caller guarantees the heap is full.
-func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap, k int, query *vecmath.Sparse, qd vecmath.Vector, cosine bool, qNorm2 float64, seeds []int32) bool {
+// then scores lane l's rows of the unit whole. The lane heap ls.heap
+// must be full; the seed rows lq.seeds are never offered again. The walk
+// decodes the postings of every lane's rows and lists lane l's only.
+func prunedSegment(lq *laneQuery, sg viewSegment, ls *laneScratch, l int) bool {
 	bp := sg.blocks
-	ps := &ss.prune
-	idx, val := query.Support(), query.Values()
+	ps, h, k := &ls.prune, &ls.heap, lq.k
+	cosine, qNorm2 := lq.cosine, lq.qNorm2
+	idx, val := lq.query.Support(), lq.query.Values()
 
-	totalBlk := ps.impacts(bp, query)
+	totalBlk := ps.impacts(bp, lq.query)
 	m := len(ps.slots)
-	ss.stats.DimsConsidered += int64(m)
-	ss.stats.BlocksConsidered += int64(totalBlk)
+	ls.stats.DimsConsidered += int64(m)
+	ls.stats.BlocksConsidered += int64(totalBlk)
 	canSkip := func(rem float64) bool { return rootSafe(h, bp, cosine, qNorm2, rem) }
 
 	// Essential cutoff: the shortest heaviest-first prefix (the whole
@@ -414,9 +448,9 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	// pass the cost reached so far, which decides exactly as the full
 	// count would and spares a class query — whose walk ends far below
 	// either budget — reading the block descriptors of every query dim.
-	acc := &ss.acc
+	acc := &ls.acc
 	acc.Reset(bp.n)
-	ps.beginStamps(sg.start, bp.n, seeds)
+	ps.beginStamps(sg.start, bp.n, lq.seeds, l, lq.p)
 	scanCost := float64(bp.nPostings) / scanWalkRatio
 	rowCost := float64(bp.nPostings) / float64(bp.n) / scanWalkRatio
 	counted, walkAll := 0, int64(0)
@@ -428,7 +462,7 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 		for bi := bp.dir[d]; bi < bp.dir[d+1]; bi++ {
 			bd := &bp.blocks[bi]
 			bb := aq * bd.maxAbsW
-			if bb == 0 {
+			if bb == 0 || ps.otherLanes(bp, bi, bp.dir[d+1]) {
 				blocksSkipped++
 			} else if canSkip((tail + skipped + bb) * (1 + pruneEps)) {
 				skipped += bb
@@ -454,10 +488,12 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 		d := idx[ps.slots[o]]
 		blocksSkipped += int(bp.dir[d+1] - bp.dir[d])
 	}
-	ss.stats.SegmentsPruned++
-	ss.stats.Candidates += int64(bp.n)
-	ss.stats.DimsSkipped += int64(m - cut)
-	ss.stats.BlocksSkipped += int64(blocksSkipped)
+	ls.stats.SegmentsPruned++
+	for c := laneFirst(sg.start, l, lq.p); c < sg.end; c += lq.p * laneChunk {
+		ls.stats.Candidates += int64(min(c+laneChunk, sg.end) - max(c, sg.start))
+	}
+	ls.stats.DimsSkipped += int64(m - cut)
+	ls.stats.BlocksSkipped += int64(blocksSkipped)
 
 	// Filter the touched candidates, then score the survivors. A
 	// candidate's dot is at most its accumulated block bounds plus the
@@ -471,17 +507,16 @@ func prunedSegment(vs *viewShard, sg viewSegment, ss *shardScratch, h *topkHeap,
 	rs, ri := h.score[0], h.idx[0]
 	for _, id := range ps.touched {
 		j := sg.start + int(id)
-		gid := vs.gids[j]
 		ub := acc.Get(int(id)) + rem
 		if cosine {
-			if b := cosineDotScore(ub, qNorm2, vs.norms[j]); b < rs || (b == rs && gid > ri) {
+			if b := cosineDotScore(ub, qNorm2, lq.v.norms[j]); b < rs || (b == rs && j > ri) {
 				continue
 			}
-		} else if b := euclideanDotScore(ub, qNorm2, vs.norms[j]); b > rs || (b == rs && gid > ri) {
+		} else if b := euclideanDotScore(ub, qNorm2, lq.v.norms[j]); b > rs || (b == rs && j > ri) {
 			continue
 		}
-		ss.stats.CandidatesScored++
-		h.offer(k, gid, vs.score(j, qd, cosine, qNorm2))
+		ls.stats.CandidatesScored++
+		h.offer(k, j, lq.v.score(j, lq.qd, cosine, qNorm2))
 		rs, ri = h.score[0], h.idx[0]
 	}
 	return true

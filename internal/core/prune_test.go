@@ -20,16 +20,15 @@ import (
 // so the sealed run is a merge history), or "mapped" (the sealed store
 // round-tripped through SaveDir and reloaded with postings served off
 // read-only file mappings).
-func buildPrunedDB(t *testing.T, sigs []Signature, shards, workers, segSize int, layout string) *DB {
+func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout string) *DB {
 	t.Helper()
-	db, err := NewShardedDB(sigs[0].Dim(), shards)
+	db, err := newTestDB(sigs[0].Dim(), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small fixtures sit under the production shard-size floor; lower it
+	// Small fixtures sit under the production store-size floor; lower it
 	// so the sweep actually exercises the pruned walk.
 	db.setPruneFloor(1)
-	db.SetWorkers(workers)
 	db.SetSegmentSize(segSize)
 	if layout == "compacted" {
 		if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
@@ -80,7 +79,7 @@ func requireSameHits(t *testing.T, ctx string, got, want []SearchResult) {
 }
 
 // TestPrunedTopKMatchesScan is the exact-mode property sweep: across
-// seeds, shard counts, worker counts, storage layouts, and both
+// seeds, lane counts, storage layouts, and both
 // indexable metrics, the threshold-pruned TopK/TopKBatch/Classify must
 // be bit-identical to the unpruned exhaustive scan. Duplicate
 // signatures force equal scores through the insertion-order tie-break,
@@ -102,7 +101,7 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 		// fill with poor scores (weak thresholds, little pruning).
 		queries[3] = sigs[0].W
 
-		// Scan reference: single shard, queried on the scan arm.
+		// Scan reference: sequential, queried on the scan arm.
 		ref, err := NewDB(dim)
 		if err != nil {
 			t.Fatal(err)
@@ -121,34 +120,32 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for _, shards := range []int{1, 3, 4} {
-					for _, workers := range []int{1, 4} {
-						for _, layout := range []string{"sealed", "mixed", "compacted", "mapped"} {
-							ctx := fmt.Sprintf("seed=%d metric=%s k=%d shards=%d workers=%d layout=%s",
-								seed, metric.Name, k, shards, workers, layout)
-							db := buildPrunedDB(t, sigs, shards, workers, segSize, layout)
-							for qi, q := range queries {
-								got, err := db.TopKSparse(q, k, metric)
-								if err != nil {
-									t.Fatal(err)
-								}
-								requireSameHits(t, ctx+" TopKSparse", got, want[qi])
-							}
-							batch, err := db.TopKBatch(queries, k, metric)
+				for _, workers := range []int{1, 2, 3, 7} {
+					for _, layout := range []string{"sealed", "mixed", "compacted", "mapped"} {
+						ctx := fmt.Sprintf("seed=%d metric=%s k=%d workers=%d layout=%s",
+							seed, metric.Name, k, workers, layout)
+						db := buildPrunedDB(t, sigs, workers, segSize, layout)
+						for qi, q := range queries {
+							got, err := db.TopKSparse(q, k, metric)
 							if err != nil {
 								t.Fatal(err)
 							}
-							for qi := range queries {
-								requireSameHits(t, ctx+" TopKBatch", batch[qi], want[qi])
-							}
-							labels, err := db.ClassifyBatch(queries, k, metric)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for qi := range queries {
-								if labels[qi] != wantLabel[qi] {
-									t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", ctx, qi, labels[qi], wantLabel[qi])
-								}
+							requireSameHits(t, ctx+" TopKSparse", got, want[qi])
+						}
+						batch, err := db.TopKBatch(queries, k, metric)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for qi := range queries {
+							requireSameHits(t, ctx+" TopKBatch", batch[qi], want[qi])
+						}
+						labels, err := db.ClassifyBatch(queries, k, metric)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for qi := range queries {
+							if labels[qi] != wantLabel[qi] {
+								t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", ctx, qi, labels[qi], wantLabel[qi])
 							}
 						}
 					}
@@ -194,7 +191,7 @@ func TestPruneStatsCounters(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	sigs := clusterSigs(r, 3000, 200, 250)
 	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
-		db, err := NewShardedDB(200, 2)
+		db, err := newTestDB(200, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,16 +247,16 @@ func TestPruneStatsCounters(t *testing.T) {
 }
 
 // TestQueryRouting pins that the arm a query takes is decided by its
-// metric and the stored data alone: an indexable metric over sealed
-// shards at or above the prune floor takes the pruned walk, the same
-// store with no shard reaching the floor the plain walk, and a metric
+// metric and the stored data alone: an indexable metric over a sealed
+// store at or above the prune floor takes the pruned walk, the same
+// store below the floor the plain walk, and a metric
 // without a kind — Minkowski, or a copy of a built-in with the kind
 // cleared, which is all a custom metric can be — the scan, whose
 // counters stay zero. All three arms return the same hits.
 func TestQueryRouting(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	sigs := clusterSigs(r, 3000, 200, 250)
-	db, err := NewShardedDB(200, 2)
+	db, err := newTestDB(200, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +272,7 @@ func TestQueryRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.SegmentsPruned == 0 {
-			t.Fatalf("%s: shards of %d rows at floor %d were not pruned: %+v", metric.Name, len(sigs)/2, pruneMinRows, st)
+			t.Fatalf("%s: a store of %d rows at floor %d was not pruned: %+v", metric.Name, len(sigs), pruneMinRows, st)
 		}
 		for _, arm := range []struct {
 			name     string
@@ -437,11 +434,11 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 				for qi, q := range sh.queries {
 					want[qi] = scanResults(t, ref, q, k, metric)
 				}
-				for _, shards := range []int{1, 2} {
+				for _, workers := range []int{1, 2, 3, 7} {
 					for _, layout := range []string{"sealed", "runs"} {
 						for _, floor := range []int{1, 0} {
-							ctx := fmt.Sprintf("%s metric=%s k=%d shards=%d layout=%s floor=%d", sh.name, metric.Name, k, shards, layout, floor)
-							db, err := NewShardedDB(shapeDim, shards)
+							ctx := fmt.Sprintf("%s metric=%s k=%d workers=%d layout=%s floor=%d", sh.name, metric.Name, k, workers, layout, floor)
+							db, err := newTestDB(shapeDim, workers)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -537,8 +534,9 @@ func walkQueryFew() *vecmath.Sparse {
 // much that an untouched small row beats every touched large one, touched
 // rows whose dot is exactly zero or negative, seed rows inside the walked
 // unit (prune floor 1, where the seeded walk gives up to the whole walk),
-// and a compacted unit of more than 4096 rows, where the
-// accumulator stamps instead of clearing.
+// and a compacted unit of more than DefaultSegmentSize rows — the
+// accumulator's largest bulk-clear size — where it stamps instead of
+// clearing, as it does in every tier-merged unit past that size.
 func TestWalkScoresTouchedRows(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	wide := vecmath.NewVector(touchDim)
@@ -554,7 +552,7 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 		chunk         int // rows sealed at a time; Compact merges the chunks
 	}{
 		{"two units", 1200, 600, 600, 1200},
-		{"merged", 4500, 3000, 4200, 1500},
+		{"merged", 9000, 6000, 8400, 3000},
 	}
 	for _, fx := range fixtures {
 		sigs := walkSigs(r, fx.n, fx.split)
@@ -577,9 +575,8 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 			db.Seal()
 		}
 		db.Compact()
-		// 4096 rows is the accumulator's largest bulk-clear size.
-		if fx.name == "merged" && (len(db.shards[0].segs) != 1 || db.shards[0].segs[0].len() <= 4096) {
-			t.Fatalf("%s: want one unit over 4096 rows, have %d units", fx.name, len(db.shards[0].segs))
+		if fx.name == "merged" && (len(db.segs) != 1 || db.segs[0].len() <= DefaultSegmentSize) {
+			t.Fatalf("%s: want one unit over %d rows, have %d units", fx.name, DefaultSegmentSize, len(db.segs))
 		}
 		for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
 			for _, floor := range []int{math.MaxInt, 1} {
@@ -757,7 +754,7 @@ func TestEssentialPrefix(t *testing.T) {
 	}
 
 	const dim, n, classSize, k = 3815, 8000, 2000, 10
-	db, err := NewShardedDB(dim, 2)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,27 +773,27 @@ func TestEssentialPrefix(t *testing.T) {
 		cosine := metric.kind == metricKindCosine
 		for qi, q := range queries {
 			qd, qNorm2 := q.W.Dense(), q.W.Norm2()
-			for si := range v.shards {
-				// topkShard's pruned arm, unit by unit, with every cut
+			{
+				// One lane's pruned arm, unit by unit, with every cut
 				// also taken by the oracle against the same live root.
-				vs := &v.shards[si]
-				var ss shardScratch
-				h := &ss.heap
+				lq := laneQuery{v: v, query: q.W, qd: qd, k: k, metric: metric, cosine: cosine, qNorm2: qNorm2, p: 1}
+				var ls laneScratch
+				h := &ls.heap
 				h.reset(metric.HigherIsCloser)
-				seeds := seedHeap(vs, &ss.prune, h, k, q.W, qd, cosine, qNorm2)
-				for ui, sg := range vs.segs {
+				lq.seeds = seedHeap(&lq, &ls.prune, h)
+				for ui, sg := range v.segs {
 					var cmp pruneScratch
 					cmp.impacts(sg.blocks, q.W)
-					ctx := fmt.Sprintf("%s query %d shard %d unit %d", metric.Name, qi, si, ui)
+					ctx := fmt.Sprintf("%s query %d unit %d", metric.Name, qi, ui)
 					canSkip := func(rem float64) bool { return rootSafe(h, sg.blocks, cosine, qNorm2, rem) }
 					if got, want := checkPrefix(t, ctx, &cmp, canSkip); got != want {
 						t.Fatalf("%s: cut %d, the oracle's %d", ctx, got, want)
 					}
 					units++
-					if prunedSegment(vs, sg, &ss, h, k, q.W, qd, cosine, qNorm2, seeds) {
+					if prunedSegment(&lq, sg, &ls, 0) {
 						pruned++
 					} else {
-						offerCanonical(h, k, vs, sg, qd, cosine, qNorm2, seeds)
+						offerCanonical(h, k, v, sg, qd, cosine, qNorm2, lq.seeds, 0, 1)
 					}
 				}
 			}
@@ -815,7 +812,7 @@ func TestCompactionPolicyBoundsSegments(t *testing.T) {
 	const dim, nnz, n, segSize, fanout = 120, 12, 6000, 32, 3
 	r := rand.New(rand.NewSource(9))
 	sigs := randSigs(r, n, dim, nnz)
-	db, err := NewShardedDB(dim, 2)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,17 +820,17 @@ func TestCompactionPolicyBoundsSegments(t *testing.T) {
 	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: fanout}); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewShardedDB(dim, 2)
+	plain, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain.SetSegmentSize(segSize)
 
-	budget := func(perShard int) int {
+	budget := func(rows int) int {
 		// After policyCompact, every adjacent same-tier run holds fewer
-		// than F segments; tiers range up to log_F(perShard/segSize)+1.
+		// than F segments; tiers range up to log_F(rows/segSize)+1.
 		tiers := 2
-		for bound := segSize * fanout; bound <= perShard; bound *= fanout {
+		for bound := segSize * fanout; bound <= rows; bound *= fanout {
 			tiers++
 		}
 		return (fanout - 1) * tiers
@@ -847,17 +844,8 @@ func TestCompactionPolicyBoundsSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		if (i+1)%500 == 0 || i == len(sigs)-1 {
-			perShard := (i + 1 + 1) / 2
-			for si := 0; si < 2; si++ {
-				sealed := 0
-				for _, sg := range db.shards[si].segs {
-					if sg.sealed {
-						sealed++
-					}
-				}
-				if max := budget(perShard); sealed > max {
-					t.Fatalf("after %d adds: shard %d holds %d sealed segments, budget %d", i+1, si, sealed, max)
-				}
+			if sealed, max := db.SealedSegments(), budget(i+1); sealed > max {
+				t.Fatalf("after %d adds: %d sealed segments, budget %d", i+1, sealed, max)
 			}
 			got, err := db.TopKSparse(query, 10, EuclideanMetric())
 			if err != nil {
@@ -879,14 +867,8 @@ func TestCompactionPolicyBoundsSegments(t *testing.T) {
 // configuration knobs.
 func TestConfigErrors(t *testing.T) {
 	var ce *ConfigError
-	if _, err := NewShardedDB(0, 1); !errors.As(err, &ce) || ce.Param != "dimension" || ce.Value != 0 {
-		t.Fatalf("NewShardedDB(0, 1) = %v, want dimension ConfigError", err)
-	}
-	if _, err := NewShardedDB(5, 0); !errors.As(err, &ce) || ce.Param != "shard count" || ce.Value != 0 {
-		t.Fatalf("NewShardedDB(5, 0) = %v, want shard-count ConfigError", err)
-	}
-	if _, err := NewShardedDB(5, -3); !errors.As(err, &ce) || ce.Value != -3 {
-		t.Fatalf("NewShardedDB(5, -3) = %v, want shard-count ConfigError", err)
+	if _, err := NewDB(0); !errors.As(err, &ce) || ce.Param != "dimension" || ce.Value != 0 {
+		t.Fatalf("NewDB(0) = %v, want dimension ConfigError", err)
 	}
 	if _, err := NewIndex(0); !errors.As(err, &ce) || ce.Param != "index dimension" {
 		t.Fatalf("NewIndex(0) = %v, want index-dimension ConfigError", err)
@@ -920,5 +902,68 @@ func TestConfigErrors(t *testing.T) {
 	}
 	if err := db.SetCompactionPolicy(CompactionPolicy{}); err != nil {
 		t.Fatalf("SetCompactionPolicy(zero) = %v, want disabled ok", err)
+	}
+}
+
+// TestLanesShareTheSeedThreshold is why a query seeds once for all its
+// lanes. Each class here owns its 50 heavy functions and is a quarter of
+// a lane chunk, so a query's class sits wholly in one lane and the other
+// lane holds none of the answer: seeded from its own rows alone, that
+// lane would prune against a weak threshold and score most of them.
+// Started from a copy of the store-wide seed heap instead — whose probe
+// decodes the query's class — every lane prunes against the final k-th
+// score, so two lanes score no more gather dots than one lane does.
+func TestLanesShareTheSeedThreshold(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const dim, classSize, k = 3815, laneChunk / 4, 10
+	const classes = 16
+	class := func(c, n int) []Signature {
+		out := make([]Signature, n)
+		for i := range out {
+			v := vecmath.NewVector(dim)
+			for d := 200 + 50*c; d < 250+50*c; d++ {
+				v[d] = 0.5 + 0.5*r.Float64()
+			}
+			for d := 0; d < 200; d++ {
+				if r.Float64() < 0.75 {
+					v[d] = 2e-4 + 8e-4*r.Float64()
+				}
+			}
+			out[i] = SignatureFromDense(fmt.Sprintf("c%d-%d", c, i), fmt.Sprintf("c%d", c), v)
+		}
+		Normalize(out)
+		return out
+	}
+	var sigs, queries []Signature
+	for c := 0; c < classes; c++ {
+		sigs = append(sigs, class(c, classSize)...)
+		queries = append(queries, class(c, 1)...)
+	}
+	db, err := newTestDB(dim, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetSegmentSize(len(sigs) / 2)
+	if err := db.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
+		for qi, q := range queries {
+			var scored [2]int64
+			for p, workers := range []int{1, 2} {
+				db.SetWorkers(workers)
+				_, st, err := db.TopKSparseStats(q.W, k, metric)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.SegmentsPruned != st.Segments {
+					t.Fatalf("%s query %d workers=%d: %d of %d unit walks pruned", metric.Name, qi, workers, st.SegmentsPruned, st.Segments)
+				}
+				scored[p] = st.CandidatesScored
+			}
+			if scored[1] > scored[0] {
+				t.Fatalf("%s query %d: two lanes scored %d gather dots, one lane %d", metric.Name, qi, scored[1], scored[0])
+			}
+		}
 	}
 }

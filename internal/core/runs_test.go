@@ -21,37 +21,33 @@ func (db *DB) setRunLen(n int) {
 	db.runLen = n
 }
 
-// activeShape returns each shard's active-segment run count and
+// activeShape returns the active segment's run count and
 // unindexed-tail length.
-func activeShape(db *DB) (runs, tail []int) {
+func activeShape(db *DB) (runs, tail int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for si := range db.shards {
-		nr, nt := 0, 0
-		if sg := db.shards[si].activeSegment(); sg != nil {
-			nr, nt = len(sg.runs), sg.end-sg.runEnd
-		}
-		runs, tail = append(runs, nr), append(tail, nt)
+	if sg := db.activeSegment(); sg != nil {
+		return len(sg.runs), sg.end - sg.runEnd
 	}
-	return runs, tail
+	return 0, 0
 }
 
 // TestActiveRunsMatchScan is the equivalence property the run-indexed
-// ingest tail rests on. Per-shard sizes straddle the run boundary (run-1,
+// ingest tail rests on. Store sizes straddle the run boundary (run-1,
 // run, run+1, several runs plus a remainder), built row by row, in one
 // AddAll, with a Seal landing mid-run, and across a save/reopen followed
-// by appends; at each, TopK and Classify must be bit-identical to the
-// naive scan of a never-indexed single-shard reference, with the pruned
+// by appends, queried in one lane and in three; at each, TopK and
+// Classify must be bit-identical to the naive scan of a never-indexed
+// sequential reference, with the pruned
 // walk forced on (floor 1) and at its default floor — and the active
 // segment must hold exactly the runs and tail the row count implies.
 func TestActiveRunsMatchScan(t *testing.T) {
 	const dim, nnz = 70, 9
 	metrics := []Metric{EuclideanMetric(), CosineMetric()}
 	for _, run := range []int{4, 16} {
-		for _, shards := range []int{1, 3} {
-			for _, perShard := range []int{run - 1, run, run + 1, 3*run + run/2} {
-				r := rand.New(rand.NewSource(int64(1000*run + 10*shards + perShard)))
-				n := perShard * shards
+		for _, workers := range []int{1, 3} {
+			for _, n := range []int{run - 1, run, run + 1, 3*run + run/2} {
+				r := rand.New(rand.NewSource(int64(1000*run + 10*workers + n)))
 				sigs := randSigs(r, n, dim, nnz)
 				dup := sigs[r.Intn(n)] // an equal score across a run boundary
 				dup.DocID = "dup"
@@ -73,14 +69,14 @@ func TestActiveRunsMatchScan(t *testing.T) {
 
 				for _, mode := range []string{"add", "addall", "seal-mid-run", "reopen-append"} {
 					for _, floor := range []int{1, 0} {
-						db, err := NewShardedDB(dim, shards)
+						db, err := newTestDB(dim, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
 						db.setRunLen(run)
 						db.setPruneFloor(floor)
-						// sealedAt is how many rows per shard sit in sealed
-						// segments when the build ends.
+						// sealedAt is how many rows sit in sealed segments
+						// when the build ends.
 						sealedAt := 0
 						switch mode {
 						case "add":
@@ -94,20 +90,20 @@ func TestActiveRunsMatchScan(t *testing.T) {
 								t.Fatal(err)
 							}
 						case "seal-mid-run":
-							// Seal with half a run unindexed in every shard.
-							sealedAt = min(run+run/2, perShard)
-							if err := db.AddAll(sigs[:sealedAt*shards]); err != nil {
+							// Seal with half a run unindexed.
+							sealedAt = min(run+run/2, n)
+							if err := db.AddAll(sigs[:sealedAt]); err != nil {
 								t.Fatal(err)
 							}
 							db.Seal()
-							if err := db.AddAll(sigs[sealedAt*shards:]); err != nil {
+							if err := db.AddAll(sigs[sealedAt:]); err != nil {
 								t.Fatal(err)
 							}
 						case "reopen-append":
 							// Save with runs and a tail in place; a reload
 							// seals everything, and appends start new runs.
-							sealedAt = perShard / 2
-							if err := db.AddAll(sigs[:sealedAt*shards]); err != nil {
+							sealedAt = n / 2
+							if err := db.AddAll(sigs[:sealedAt]); err != nil {
 								t.Fatal(err)
 							}
 							dir := filepath.Join(t.TempDir(), "db")
@@ -117,25 +113,24 @@ func TestActiveRunsMatchScan(t *testing.T) {
 							if db, err = LoadDir(dir); err != nil {
 								t.Fatal(err)
 							}
+							db.SetWorkers(workers)
 							db.setRunLen(run)
 							db.setPruneFloor(floor)
-							for _, s := range sigs[sealedAt*shards:] {
+							for _, s := range sigs[sealedAt:] {
 								if err := db.Add(s); err != nil {
 									t.Fatal(err)
 								}
 							}
 						}
-						tag := fmt.Sprintf("run=%d shards=%d perShard=%d mode=%s floor=%d k=%d", run, shards, perShard, mode, floor, k)
+						tag := fmt.Sprintf("run=%d workers=%d n=%d mode=%s floor=%d k=%d", run, workers, n, mode, floor, k)
 
 						runs, tail := activeShape(db)
-						active := perShard - sealedAt
-						for si := range runs {
-							if runs[si] != active/run || tail[si] != active%run {
-								t.Fatalf("%s: shard %d holds %d runs + %d unindexed rows, want %d + %d",
-									tag, si, runs[si], tail[si], active/run, active%run)
-							}
+						active := n - sealedAt
+						if runs != active/run || tail != active%run {
+							t.Fatalf("%s: active segment holds %d runs + %d unindexed rows, want %d + %d",
+								tag, runs, tail, active/run, active%run)
 						}
-						if got, want := db.ActiveUnindexedRows(), shards*(active%run); got != want {
+						if got, want := db.ActiveUnindexedRows(), active%run; got != want {
 							t.Fatalf("%s: ActiveUnindexedRows %d, want %d", tag, got, want)
 						}
 
@@ -179,7 +174,7 @@ func TestActiveRunsSealBytes(t *testing.T) {
 	const dim, nnz, n = 120, 14, 300
 	sigs := randSigs(r, n, dim, nnz)
 	save := func(runLen int, oneByOne bool) map[string][]byte {
-		db, err := NewShardedDB(dim, 2)
+		db, err := newTestDB(dim, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +186,7 @@ func TestActiveRunsSealBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i == n/2 {
-					if runs, _ := activeShape(db); runs[0] == 0 {
+					if runs, _ := activeShape(db); runs == 0 {
 						t.Fatal("fixture built no run before the midpoint")
 					}
 				}
@@ -244,7 +239,7 @@ func shapeOf(db *DB) storeShape {
 // the segment counts, posting footprint and unindexed rows agree; at the
 // end both write byte-identical snapshot directories and answer TopK and
 // Classify bit-identically; and every call published exactly once. The
-// sweep crosses shard counts, run lengths, the tier policy (fan-out 2
+// sweep crosses lane counts, run lengths, the tier policy (fan-out 2
 // cascades merges inside one call), batch sizes from one row to the
 // whole set, and core counts; FMETER_STRESS repeats it on more data.
 func TestWritePlanMatchesOneByOne(t *testing.T) {
@@ -260,33 +255,33 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 		return dirState(t, dir)
 	}
 	for trial := 0; trial < 4*stressN(1, 3); trial++ {
-		shards := 1 + trial%4
+		workers := 1 + trial%4
 		r := rand.New(rand.NewSource(int64(26 + trial)))
-		// Per shard: two sealed segments and a run of 8 plus five rows,
-		// sealed mid-run; three more rows (four in shard 0), sealed; two
-		// more, compacted; then four and a half segments more — enough
-		// seals in one call for fan-out 2 to cascade.
-		sealAt := shards * (2*segSize + 8 + 5)
-		points := []int{sealAt, sealAt + 3*shards + 1, sealAt + 5*shards + 1}
+		// Two sealed segments and a run of 8 plus five rows, sealed
+		// mid-run; four more rows, sealed; two more, compacted; then four
+		// and a half segments more — enough seals in one call for fan-out
+		// 2 to cascade.
+		sealAt := 2*segSize + 8 + 5
+		points := []int{sealAt, sealAt + 4, sealAt + 6}
 		ops := []func(*DB){(*DB).Seal, (*DB).Seal, (*DB).Compact}
-		n := points[2] + shards*(4*segSize+segSize/2)
+		n := points[2] + 4*segSize + segSize/2
 		sigs := randSigs(r, n, dim, nnz)
 		queries := make([]*vecmath.Sparse, 4)
 		for i := range queries {
 			queries[i] = randSigs(r, 1, dim, nnz)[0].W
 		}
 		for _, run := range []int{8, 0} {
-			oneRun := shards * run
+			oneRun := run
 			if run == 0 {
-				oneRun = shards * activeRunLen
+				oneRun = activeRunLen
 			}
 			for _, fanout := range []int{0, 2} {
 				// feed builds a store one Add at a time, or in AddAll
 				// batches of at most batch rows cut at the schedule points,
 				// and records its shape after each scheduled call.
 				feed := func(batch int, add bool) (*DB, []storeShape) {
-					tag := fmt.Sprintf("shards=%d run=%d fanout=%d batch=%d add=%v", shards, run, fanout, batch, add)
-					db, err := NewShardedDB(dim, shards)
+					tag := fmt.Sprintf("workers=%d run=%d fanout=%d batch=%d add=%v", workers, run, fanout, batch, add)
+					db, err := newTestDB(dim, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -326,9 +321,9 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 
 				ref, refShapes := feed(1, true)
 				refDir := save(ref)
-				for _, batch := range []int{1, 7, oneRun, shards*segSize + 3, n} {
+				for _, batch := range []int{1, 7, oneRun, segSize + 3, n} {
 					for _, procs := range []int{1, 2, 8} {
-						tag := fmt.Sprintf("shards=%d run=%d fanout=%d batch=%d procs=%d", shards, run, fanout, batch, procs)
+						tag := fmt.Sprintf("workers=%d run=%d fanout=%d batch=%d procs=%d", workers, run, fanout, batch, procs)
 						runtime.GOMAXPROCS(procs)
 						db, shapes := feed(batch, false)
 						runtime.GOMAXPROCS(procs0)
@@ -364,19 +359,19 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 }
 
 // TestWritePlanEncodes counts posting encodes: a batch builds no run for
-// a segment it goes on to seal, and a 256-row chunk at 2 shards — the
-// end-to-end benchmark's bulk load — builds exactly the runs and seals
-// its rows complete.
+// a segment it goes on to seal, and a 256-row chunk — the end-to-end
+// benchmark's bulk load — builds exactly the run or the seal its rows
+// complete.
 func TestWritePlanEncodes(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	const dim, nnz = 60, 8
 
-	// 3.5 segments per shard in one AddAll: three seals and the four runs
-	// of the half segment, where one Add at a time also builds the seven
-	// runs of every sealed segment.
-	sigs := randSigs(r, 2*(3*64+32), dim, nnz)
+	// 3.5 segments in one AddAll: three seals and the four runs of the
+	// half segment, where one Add at a time also builds the seven runs of
+	// every sealed segment.
+	sigs := randSigs(r, 3*64+32, dim, nnz)
 	for _, oneByOne := range []bool{false, true} {
-		db, err := NewShardedDB(dim, 2)
+		db, err := newTestDB(dim, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,25 +387,24 @@ func TestWritePlanEncodes(t *testing.T) {
 		} else if err := db.AddAll(sigs); err != nil {
 			t.Fatal(err)
 		}
-		want := int64(2 * (3 + 4))
+		want := int64(3 + 4)
 		if oneByOne {
-			want += 2 * 3 * 7
+			want += 3 * 7
 		}
 		if got := encodeCount.Load() - before; got != want {
 			t.Errorf("oneByOne=%v: %d encodes, want %d", oneByOne, got, want)
 		}
-		if runs, tail := activeShape(db); !slices.Equal(runs, []int{4, 4}) || !slices.Equal(tail, []int{0, 0}) {
-			t.Errorf("oneByOne=%v: active runs %v, tails %v; want 4 runs and no tail per shard", oneByOne, runs, tail)
+		if runs, tail := activeShape(db); runs != 4 || tail != 0 {
+			t.Errorf("oneByOne=%v: %d active runs, tail %d; want 4 runs and no tail", oneByOne, runs, tail)
 		}
 	}
 
-	// Chunks of 256 at 2 shards and the default sizes: a chunk adds 128
-	// rows per shard, so it seals both shards when their rows reach a
-	// segment, else builds a run in each when they reach a run, else
-	// encodes nothing.
+	// Chunks of 256 at the default sizes: a chunk seals the active
+	// segment when the rows reach a segment, else builds a run when they
+	// reach a run, else encodes nothing.
 	const chunk = 256
-	sigs = randSigs(r, 2*DefaultSegmentSize+3*chunk, dim, nnz)
-	db, err := NewShardedDB(dim, 2)
+	sigs = randSigs(r, DefaultSegmentSize+3*chunk, dim, nnz)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +414,8 @@ func TestWritePlanEncodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want int64
-		if rows := c * chunk / 2; rows%DefaultSegmentSize == 0 || rows%activeRunLen == 0 {
-			want = 2
+		if rows := c * chunk; rows%DefaultSegmentSize == 0 || rows%activeRunLen == 0 {
+			want = 1
 		}
 		if got := encodeCount.Load() - before; got != want {
 			t.Fatalf("chunk %d: %d encodes, want %d", c, got, want)

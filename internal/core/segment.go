@@ -7,20 +7,20 @@ import (
 	"repro/internal/parallel"
 )
 
-// Segmented storage: each shard's signatures live in a run of
-// append-only segments. A segment is a view over a contiguous range of
-// the shard's backing arrays (gids/sigs/norms, which only ever append —
+// Segmented storage: the stored signatures live in a run of append-only
+// segments. A segment is a view over a contiguous range of the backing
+// arrays (sigs/norms, which only ever append —
 // the in-memory analogue of a log-structured store) plus the segment's
 // own inverted index over segment-local ids and its persistence state.
 //
-// The last segment of a shard may be *active*: DB.Add appends into it
+// The last segment may be *active*: DB.Add appends into it
 // until it reaches the segment size, at which point it is sealed and the
 // next Add opens a fresh active segment. The active segment is indexed
 // in *runs*: every time its unindexed tail reaches activeRunLen rows,
 // those rows get one immutable blockPostings built straight from the
 // rows (encodeBlocks), which every later view walks exactly like a small
-// sealed segment — so at most activeRunLen-1 rows per shard are ever
-// scored row by row, and nothing about the index is mutable. Runs are a
+// sealed segment — so at most activeRunLen-1 rows are ever scored row
+// by row, and nothing about the index is mutable. Runs are a
 // query-side structure only: they are not segments (Segments, the
 // manifest, SaveDir and compaction never see them) and sealing discards
 // them, re-encoding the whole range from the rows so the sealed postings
@@ -44,10 +44,11 @@ type segment struct {
 	// monotonically increasing, so compaction outputs never collide with
 	// the files they replace.
 	id uint64
-	// start/end delimit the shard-local record range [start, end).
+	// start/end delimit the record range [start, end): row indexes,
+	// which are insertion indexes.
 	start, end int
 	// runs holds the active segment's posting runs in row order: run i
-	// covers the runs[i].n shard-local rows after run i-1's, the first
+	// covers the runs[i].n rows after run i-1's, the first
 	// starting at start, the last ending at runEnd; rows [runEnd, end)
 	// are the unindexed tail. Both are unused once sealed. A run slot is
 	// nil only between the writePlan that opens it and that plan's build.
@@ -56,8 +57,8 @@ type segment struct {
 	// blocks holds the sealed segment's block-compressed posting lists
 	// (see postings.go); nil while the segment is active.
 	blocks *blockPostings
-	// sealed marks the segment immutable; only the last segment of a
-	// shard may be unsealed.
+	// sealed marks the segment immutable; only the last segment may be
+	// unsealed.
 	sealed bool
 	// dirty marks the segment as not yet persisted to the DB's current
 	// save directory. Cleared by SaveDir, set by Add and Compact.
@@ -109,7 +110,7 @@ func (sg *segment) len() int { return sg.end - sg.start }
 
 // activeRunLen is how many unindexed rows an active segment accumulates
 // before they are indexed as one run. It bounds the row-by-row tail of a
-// query (< activeRunLen gather dots per shard) against the fixed cost
+// query (< activeRunLen gather dots) against the fixed cost
 // of a run (a dim-sized directory and bound table, ~46 KB at the paper's
 // 3815 dimensions, and one more pruned walk per query).
 const activeRunLen = 256
@@ -151,10 +152,11 @@ type encodeJob struct {
 	run  int
 }
 
-// indexRun plans one run over the active segment's unindexed tail: the
-// run slot exists from here on, its postings once the plan is built.
-func (p *writePlan) indexRun(sh *dbShard, sg *segment) {
-	p.encodes = append(p.encodes, encodeJob{rows: sh.sigs[sg.runEnd:sg.end], sg: sg, run: len(sg.runs)})
+// indexRun plans one run over the active segment's unindexed tail of
+// the store rows sigs: the run slot exists from here on, its postings
+// once the plan is built.
+func (p *writePlan) indexRun(sigs []Signature, sg *segment) {
+	p.encodes = append(p.encodes, encodeJob{rows: sigs[sg.runEnd:sg.end], sg: sg, run: len(sg.runs)})
 	sg.runs = append(sg.runs, nil)
 	sg.runEnd = sg.end
 }
@@ -164,16 +166,18 @@ func (p *writePlan) indexRun(sh *dbShard, sg *segment) {
 // with them any this plan has not built yet. Query results are
 // bit-identical before and after — runs, tail scan and sealed blocks all
 // score a row from the same weights in the same order.
-func (p *writePlan) seal(sh *dbShard, sg *segment) {
+func (p *writePlan) seal(sigs []Signature, sg *segment) {
 	p.encodes = slices.DeleteFunc(p.encodes, func(j encodeJob) bool { return j.sg == sg })
-	p.encodes = append(p.encodes, encodeJob{rows: sh.sigs[sg.start:sg.end], sg: sg, run: -1})
+	p.encodes = append(p.encodes, encodeJob{rows: sigs[sg.start:sg.end], sg: sg, run: -1})
 	sg.runs = nil
 	sg.sealed = true
 }
 
-// build runs the plan's pending encodes over the cores and empties it.
-// A plan of one encode runs on the caller's goroutine, and an empty plan
-// (most Adds) builds no closure. Caller holds db.mu.
+// build runs the plan's pending encodes over the cores and empties it:
+// the encodes fan out across each other, and each one across its
+// dimension ranges (encodeBlocks), so a plan of one encode — a 256-row
+// AddAll's run, a seal — still uses every core. An empty plan (most
+// Adds) builds no closure. Caller holds db.mu.
 func (p *writePlan) build(dim int) {
 	encodes := p.encodes
 	if len(encodes) == 0 {
@@ -195,9 +199,9 @@ func (p *writePlan) build(dim int) {
 // DefaultSegmentSize is the seal threshold when SetSegmentSize was not
 // called: an active segment rolls into an immutable sealed segment once
 // it holds this many signatures.
-const DefaultSegmentSize = 4096
+const DefaultSegmentSize = 8192
 
-// SetSegmentSize sets the per-shard seal threshold: an active segment is
+// SetSegmentSize sets the seal threshold: an active segment is
 // sealed as soon as it reaches n signatures (n < 1 restores
 // DefaultSegmentSize). Only future seals are affected; existing segment
 // boundaries never move except through Compact. Query results are
@@ -226,35 +230,26 @@ func (db *DB) segSizeLocked() int {
 	return db.segSize
 }
 
-// Segments returns the total segment count across all shards
-// (introspection for tests, benchmarks, and operators sizing Compact).
-// Segments are the units of persistence and compaction; an active
-// segment counts once however many posting runs it holds.
+// Segments returns the segment count (introspection for tests,
+// benchmarks, and operators sizing Compact). Segments are the units of
+// persistence and compaction; an active segment counts once however
+// many posting runs it holds.
 func (db *DB) Segments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n := 0
-	for si := range db.shards {
-		n += len(db.shards[si].segs)
-	}
-	return n
+	return len(db.segs)
 }
 
-// SealedSegments returns the sealed segment count across all shards —
-// the number the compaction policy bounds under continuous ingestion
-// (Segments minus SealedSegments is the active-segment count, at most
-// one per shard; an active segment's posting runs are not sealed
-// segments and are not counted).
+// SealedSegments returns the sealed segment count — the number the
+// compaction policy bounds under continuous ingestion (Segments minus
+// SealedSegments is the active-segment count, at most one; an active
+// segment's posting runs are not sealed segments and are not counted).
 func (db *DB) SealedSegments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n := 0
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			if sg.sealed {
-				n++
-			}
-		}
+	n := len(db.segs)
+	if db.activeSegment() != nil {
+		n--
 	}
 	return n
 }
@@ -268,37 +263,35 @@ func (db *DB) DirtySegments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	n := 0
-	for si := range db.shards {
-		for _, sg := range db.shards[si].segs {
-			if sg.dirty {
-				n++
-			}
+	for _, sg := range db.segs {
+		if sg.dirty {
+			n++
 		}
 	}
 	return n
 }
 
-// activeSegment returns the shard's unsealed tail segment, or nil when
-// the shard is empty or its tail is sealed.
-func (sh *dbShard) activeSegment() *segment {
-	if n := len(sh.segs); n > 0 && !sh.segs[n-1].sealed {
-		return sh.segs[n-1]
+// activeSegment returns the unsealed tail segment, or nil when the
+// store is empty or its tail is sealed. Caller holds db.mu.
+func (db *DB) activeSegment() *segment {
+	if n := len(db.segs); n > 0 && !db.segs[n-1].sealed {
+		return db.segs[n-1]
 	}
 	return nil
 }
 
-// appendSegment opens a fresh active segment at the shard's tail.
-func (db *DB) appendSegment(sh *dbShard) *segment {
-	n := len(sh.sigs)
+// appendSegment opens a fresh active segment at the tail.
+func (db *DB) appendSegment() *segment {
+	n := len(db.sigs)
 	sg := &segment{id: db.nextSeg, start: n, end: n, runEnd: n, dirty: true}
 	db.nextSeg++
-	sh.segs = append(sh.segs, sg)
+	db.segs = append(db.segs, sg)
 	return sg
 }
 
-// Seal seals every shard's active segment, making the whole store
-// immutable until the next Add (which opens fresh active segments) and
-// encoding each sealed segment's posting lists from its rows. Sealing
+// Seal seals the active segment, making the whole store immutable
+// until the next Add (which opens a fresh active segment) and encoding
+// the sealed segment's posting lists from its rows. Sealing
 // is what lets SaveDir stop rewriting a segment: a sealed, saved
 // segment costs nothing on later saves. An empty active segment is left
 // alone — sealing it would push a zero-length sealed segment into the
@@ -314,12 +307,9 @@ func (db *DB) Seal() {
 		return
 	}
 	var p writePlan
-	for si := range db.shards {
-		sh := &db.shards[si]
-		if sg := sh.activeSegment(); sg != nil && sg.len() > 0 {
-			p.seal(sh, sg)
-			db.policyCompact(&p, sh)
-		}
+	if sg := db.activeSegment(); sg != nil && sg.len() > 0 {
+		p.seal(db.sigs, sg)
+		db.policyCompact(&p)
 	}
 	p.build(db.dim)
 	db.publishLocked(db.takeStaleActionsLocked()...)
@@ -340,45 +330,32 @@ func (db *DB) Compact() {
 	if db.closed {
 		return
 	}
-	for si := range db.shards {
-		db.compactShard(&db.shards[si])
-	}
-	db.publishLocked(db.takeStaleActionsLocked()...)
-}
-
-// compactShard merges each maximal run of >= 2 adjacent sealed
-// small segments into one sealed segment.
-func (db *DB) compactShard(sh *dbShard) {
+	// Merge each maximal run of >= 2 adjacent small sealed segments into
+	// one sealed segment.
 	small := func(sg *segment) bool { return sg.sealed && sg.len() < db.segSizeLocked() }
-	out := sh.segs[:0]
-	for i := 0; i < len(sh.segs); {
-		if !small(sh.segs[i]) {
-			out = append(out, sh.segs[i])
-			i++
-			continue
-		}
+	segs := db.segs
+	out := segs[:0]
+	for i := 0; i < len(segs); {
 		j := i + 1
-		for j < len(sh.segs) && small(sh.segs[j]) {
+		for small(segs[i]) && j < len(segs) && small(segs[j]) {
 			j++
 		}
 		if j-i == 1 {
-			out = append(out, sh.segs[i])
-			i++
-			continue
+			out = append(out, segs[i])
+		} else {
+			out = append(out, db.mergeRun(i, j))
 		}
-		out = append(out, db.mergeRun(sh, i, j))
 		i = j
 	}
 	// Drop the tail references so merged-away segments can be collected.
-	for k := len(out); k < len(sh.segs); k++ {
-		sh.segs[k] = nil
-	}
-	sh.segs = out
+	clear(segs[len(out):])
+	db.segs = out
+	db.publishLocked(db.takeStaleActionsLocked()...)
 }
 
-// mergeRun splices the adjacent sealed segments sh.segs[i:j) into one,
-// reusing sh.segs[i] as the merged segment and returning it; the caller
-// rebuilds the shard's segment slice. Every part's postings must be
+// mergeRun splices the adjacent sealed segments db.segs[i:j) into one,
+// reusing db.segs[i] as the merged segment and returning it; the caller
+// rebuilds the segment slice. Every part's postings must be
 // built. Adjacent segments cover adjacent id ranges, so rebasing each
 // part's blocks by its range offset keeps every posting list ascending —
 // descriptor edits plus byte-stream copies, no varint is decoded and
@@ -386,11 +363,11 @@ func (db *DB) compactShard(sh *dbShard) {
 // never collides with the ones it replaces, and it is fully built
 // (postings, bounds, range) before the caller links it into the segment
 // run — a query never sees a half-merged segment.
-func (db *DB) mergeRun(sh *dbShard, i, j int) *segment {
-	merged := sh.segs[i]
+func (db *DB) mergeRun(i, j int) *segment {
+	merged := db.segs[i]
 	parts := make([]*blockPostings, 0, j-i)
 	offsets := make([]int32, 0, j-i)
-	for _, sg := range sh.segs[i:j] {
+	for _, sg := range db.segs[i:j] {
 		parts = append(parts, sg.blocks)
 		offsets = append(offsets, int32(sg.start-merged.start))
 		merged.end = sg.end
@@ -400,7 +377,7 @@ func (db *DB) mergeRun(sh *dbShard, i, j int) *segment {
 	// pinned view may still be scoring an input segment's mapped blob —
 	// queue the mappings for release when the last view that could reach
 	// them drains (takeStaleActionsLocked attaches them to the publish).
-	for _, sg := range sh.segs[i:j] {
+	for _, sg := range db.segs[i:j] {
 		if mf := sg.takeMap(); mf != nil {
 			db.staleMaps = append(db.staleMaps, mf)
 		}
@@ -416,8 +393,8 @@ func (db *DB) mergeRun(sh *dbShard, i, j int) *segment {
 // floor(log_F(max(1, n / segmentSize))), and whenever F adjacent sealed
 // segments of one tier accumulate they are merged into (at most) one
 // segment of the next. Triggered on every seal (the segment-size roll
-// in Add, or an explicit Seal), the policy keeps each shard's sealed
-// count at O(F · log_F(N / segmentSize)) under continuous ingestion —
+// in Add, or an explicit Seal), the policy keeps the sealed count at
+// O(F · log_F(N / segmentSize)) under continuous ingestion —
 // no manual Compact calls — which also keeps the pruned walk's
 // per-segment directory bounds over few, large segments instead of many
 // loose ones. The zero value (TierFanout 0) disables the policy.
@@ -458,7 +435,7 @@ func (db *DB) tierOf(n, f int) int {
 	return t
 }
 
-// policyCompact enforces the tier policy on one shard after a seal:
+// policyCompact enforces the tier policy after a seal:
 // while any run of TierFanout adjacent same-tier sealed segments
 // exists, merge its leftmost TierFanout members and rescan — a merge
 // can promote its output a tier and complete a run there, so the loop
@@ -466,37 +443,33 @@ func (db *DB) tierOf(n, f int) int {
 // segments. Each iteration shrinks the segment count, so it terminates.
 // A merge splices at once, so it first builds p's pending encodes: a
 // part sealed earlier in the same call has postings only then.
-func (db *DB) policyCompact(p *writePlan, sh *dbShard) {
+func (db *DB) policyCompact(p *writePlan) {
 	f := db.policy.TierFanout
 	if f < 2 {
 		return
 	}
 	for {
-		i, j := db.findTierRun(sh, f)
+		i, j := db.findTierRun(f)
 		if i < 0 {
 			return
 		}
 		p.build(db.dim)
-		db.mergeRun(sh, i, j)
+		db.mergeRun(i, j)
 		// Close the gap [i+1, j) left by the merged-away segments,
 		// dropping the tail references so they can be collected.
-		copy(sh.segs[i+1:], sh.segs[j:])
-		n := len(sh.segs) - (j - i - 1)
-		for x := n; x < len(sh.segs); x++ {
-			sh.segs[x] = nil
-		}
-		sh.segs = sh.segs[:n]
+		db.segs = slices.Delete(db.segs, i+1, j)
 	}
 }
 
 // findTierRun returns the leftmost [i, i+F) window of adjacent sealed
 // segments sharing a size tier, or (-1, -1) when none exists. Only the
 // sealed prefix is scanned — an active tail never merges.
-func (db *DB) findTierRun(sh *dbShard, f int) (int, int) {
-	for i := 0; i < len(sh.segs) && sh.segs[i].sealed; {
-		t := db.tierOf(sh.segs[i].len(), f)
+func (db *DB) findTierRun(f int) (int, int) {
+	segs := db.segs
+	for i := 0; i < len(segs) && segs[i].sealed; {
+		t := db.tierOf(segs[i].len(), f)
 		j := i + 1
-		for j < len(sh.segs) && sh.segs[j].sealed && db.tierOf(sh.segs[j].len(), f) == t {
+		for j < len(segs) && segs[j].sealed && db.tierOf(segs[j].len(), f) == t {
 			j++
 		}
 		if j-i >= f {

@@ -11,9 +11,9 @@ import (
 // TestTopKSegmentedMatchesUnsegmented is the equivalence property the
 // segment re-architecture rests on: over random corpora, every
 // combination of seal points (segment sizes, explicit Seal calls),
-// compactions, shard counts, and worker counts must answer TopK —
-// indexed and scan — and ClassifyBatch bit-identically to the
-// unsegmented single-shard sequential reference.
+// compactions, and lane counts must answer TopK — indexed and scan —
+// and ClassifyBatch bit-identically to the unsegmented sequential
+// reference.
 func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 	metrics := []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -35,7 +35,7 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 		}
 		k := 1 + r.Intn(n)
 
-		// Reference: one shard, one giant segment, sequential.
+		// Reference: one giant segment, sequential.
 		ref, err := NewDB(dim)
 		if err != nil {
 			t.Fatal(err)
@@ -49,56 +49,53 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 		}
 
 		for _, segSize := range []int{1, 3, 16, DefaultSegmentSize} {
-			for _, shards := range []int{1, 3} {
-				for _, workers := range []int{1, 4} {
-					for _, compact := range []bool{false, true} {
-						db, err := NewShardedDB(dim, shards)
-						if err != nil {
+			for _, workers := range []int{1, 2, 3, 7} {
+				for _, compact := range []bool{false, true} {
+					db, err := newTestDB(dim, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					db.SetSegmentSize(segSize)
+					// Interleave Adds with explicit seal points so
+					// segment boundaries land mid-stream, not only at
+					// size multiples.
+					for i, s := range sigs {
+						if err := db.Add(s); err != nil {
 							t.Fatal(err)
 						}
-						db.SetSegmentSize(segSize)
-						db.SetWorkers(workers)
-						// Interleave Adds with explicit seal points so
-						// segment boundaries land mid-stream, not only at
-						// size multiples.
-						for i, s := range sigs {
-							if err := db.Add(s); err != nil {
-								t.Fatal(err)
-							}
-							if i%37 == 36 {
-								db.Seal()
-							}
-						}
-						if compact {
+						if i%37 == 36 {
 							db.Seal()
-							db.Compact()
 						}
-						tag := fmt.Sprintf("seed=%d segsize=%d shards=%d workers=%d compact=%v segs=%d",
-							seed, segSize, shards, workers, compact, db.Segments())
-						for _, m := range metrics {
-							want, err := ref.TopKSparse(queries[0], k, m)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := db.TopKSparse(queries[0], k, m)
-							if err != nil {
-								t.Fatal(err)
-							}
-							sameResults(t, tag+" "+m.Name+" indexed", got, want)
-							sameResults(t, tag+" "+m.Name+" scan", scanResults(t, db, queries[0], k, m), want)
-						}
-						wantLabels, err := ref.ClassifyBatch(queries, 5, EuclideanMetric())
+					}
+					if compact {
+						db.Seal()
+						db.Compact()
+					}
+					tag := fmt.Sprintf("seed=%d segsize=%d workers=%d compact=%v segs=%d",
+						seed, segSize, workers, compact, db.Segments())
+					for _, m := range metrics {
+						want, err := ref.TopKSparse(queries[0], k, m)
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotLabels, err := db.ClassifyBatch(queries, 5, EuclideanMetric())
+						got, err := db.TopKSparse(queries[0], k, m)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for qi := range wantLabels {
-							if gotLabels[qi] != wantLabels[qi] {
-								t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", tag, qi, gotLabels[qi], wantLabels[qi])
-							}
+						sameResults(t, tag+" "+m.Name+" indexed", got, want)
+						sameResults(t, tag+" "+m.Name+" scan", scanResults(t, db, queries[0], k, m), want)
+					}
+					wantLabels, err := ref.ClassifyBatch(queries, 5, EuclideanMetric())
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotLabels, err := db.ClassifyBatch(queries, 5, EuclideanMetric())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for qi := range wantLabels {
+						if gotLabels[qi] != wantLabels[qi] {
+							t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", tag, qi, gotLabels[qi], wantLabels[qi])
 						}
 					}
 				}

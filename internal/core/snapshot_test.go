@@ -15,7 +15,7 @@ import (
 
 // sameStore asserts two databases hold the same signatures in the same
 // insertion order — doc-id, label, and the support's indices and weight
-// bits — whatever their shard or segment layout.
+// bits — whatever their segment layout.
 func sameStore(t *testing.T, tag string, got, want *DB) {
 	t.Helper()
 	a, b := got.All(), want.All()
@@ -29,12 +29,11 @@ func sameStore(t *testing.T, tag string, got, want *DB) {
 	}
 }
 
-// reshard rebuilds db at another shard count through the public API —
-// what a stored DB's owner does to change its layout: global indices are
-// insertion-ordered either way.
-func reshard(t *testing.T, db *DB, shards int) *DB {
+// rebuild copies db into a fresh store queried in workers lanes through
+// the public API — insertion order, and so every answer, carries over.
+func rebuild(t *testing.T, db *DB, workers int) *DB {
 	t.Helper()
-	out, err := NewShardedDB(db.Dim(), shards)
+	out, err := newTestDB(db.Dim(), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +43,20 @@ func reshard(t *testing.T, db *DB, shards int) *DB {
 	return out
 }
 
-// TestSnapshotRoundTripAcrossShardCounts saves a sharded DB, reloads it,
-// rebuilds the reloaded store at several shard counts, and checks that
-// TopK results are identical — the operator guarantee: a restart, with
-// or without re-sharding, never changes query results.
+// TestSnapshotRoundTripAcrossShardCounts saves a DB, reloads it, and
+// queries the reloaded store — and a rebuild of it — at several lane
+// counts (the axis that replaced the shard count), checking that TopK
+// results are identical: the operator guarantee that neither a restart
+// nor the core count ever changes query results.
 func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const dim = 200
 	sigs := randSigs(r, 150, dim, 20)
-	src, err := NewShardedDB(dim, 3)
+	src, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src.SetSegmentSize(16)
 	if err := src.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}
@@ -67,28 +68,24 @@ func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Shards() != 3 {
-		t.Fatalf("reloaded with %d shards, want the saved layout's 3", loaded.Shards())
-	}
 	sameStore(t, "reloaded", loaded, src)
 
 	query := randSigs(r, 1, dim, 20)[0].W
-	for _, shards := range []int{1, 2, 3, 5, 8} {
-		db := reshard(t, loaded, shards)
-		if db.Shards() != shards {
-			t.Fatalf("shards=%d: rebuilt with %d shards", shards, db.Shards())
-		}
-		sameStore(t, fmt.Sprintf("shards=%d", shards), db, src)
-		for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
-			got, err := db.TopKSparse(query, 20, metric)
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, metric.Name, err)
+	for _, workers := range []int{1, 2, 3, 5, 8} {
+		loaded.SetWorkers(workers)
+		for _, db := range []*DB{loaded, rebuild(t, loaded, workers)} {
+			sameStore(t, fmt.Sprintf("workers=%d", workers), db, src)
+			for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
+				got, err := db.TopKSparse(query, 20, metric)
+				if err != nil {
+					t.Fatalf("workers=%d %s: %v", workers, metric.Name, err)
+				}
+				ref, err := src.TopKSparse(query, 20, metric)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, fmt.Sprintf("workers=%d %s", workers, metric.Name), got, ref)
 			}
-			ref, err := src.TopKSparse(query, 20, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, fmt.Sprintf("shards=%d %s", shards, metric.Name), got, ref)
 		}
 	}
 }

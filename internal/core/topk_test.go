@@ -53,10 +53,10 @@ func sortTopK(sigs []Signature, query *vecmath.Sparse, k int, metric Metric) []S
 	return results[:k]
 }
 
-// TestTopKShardedMatchesSort checks the heap + shard-merge machinery
-// against the stable-sort reference at several shard and worker counts,
-// including duplicate signatures so equal scores exercise the
-// insertion-order tie-break across shard boundaries.
+// TestTopKShardedMatchesSort checks the heap + lane-merge machinery
+// against the stable-sort reference at several lane counts, including
+// duplicate signatures so equal scores exercise the insertion-order
+// tie-break across lane boundaries.
 func TestTopKShardedMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const dim = 120
@@ -69,13 +69,13 @@ func TestTopKShardedMatchesSort(t *testing.T) {
 	sigs = append(sigs, dup2)
 	query := randSigs(r, 1, dim, 25)[0].W
 
-	for _, shards := range []int{1, 2, 3, 7} {
-		for _, workers := range []int{-1, 0, 2} {
-			db, err := NewShardedDB(dim, shards)
+	for _, workers := range []int{-1, 0, 1, 2, 3, 7} {
+		for _, segSize := range []int{DefaultSegmentSize, 40} {
+			db, err := newTestDB(dim, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			db.SetWorkers(workers)
+			db.SetSegmentSize(segSize)
 			if err := db.AddAll(sigs); err != nil {
 				t.Fatal(err)
 			}
@@ -87,12 +87,12 @@ func TestTopKShardedMatchesSort(t *testing.T) {
 					}
 					want := sortTopK(sigs, query, k, metric)
 					if len(got) != len(want) {
-						t.Fatalf("shards=%d %s k=%d: len %d vs %d", shards, metric.Name, k, len(got), len(want))
+						t.Fatalf("workers=%d segsize=%d %s k=%d: len %d vs %d", workers, segSize, metric.Name, k, len(got), len(want))
 					}
 					for i := range got {
 						if got[i].Signature.DocID != want[i].Signature.DocID || got[i].Score != want[i].Score {
-							t.Fatalf("shards=%d workers=%d %s k=%d: hit %d = (%s, %v), want (%s, %v)",
-								shards, workers, metric.Name, k, i, got[i].Signature.DocID, got[i].Score,
+							t.Fatalf("workers=%d segsize=%d %s k=%d: hit %d = (%s, %v), want (%s, %v)",
+								workers, segSize, metric.Name, k, i, got[i].Signature.DocID, got[i].Score,
 								want[i].Signature.DocID, want[i].Score)
 						}
 					}
@@ -108,7 +108,7 @@ func TestTopKDenseFallbackMetric(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const dim = 60
 	sigs := randSigs(r, 50, dim, 10)
-	db, err := NewShardedDB(dim, 3)
+	db, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ var queryEntries = map[string]func(db *DB, q *vecmath.Sparse, k int, m Metric) e
 // mismatches as *DimensionError before any scan work, empty databases
 // as ErrEmptyDB, a closed one as the "database" *ConfigError.
 func TestDBTypedErrors(t *testing.T) {
-	db, err := NewShardedDB(4, 2)
+	db, err := newTestDB(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +219,8 @@ func TestDBTypedErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkDBTopK pins the bounded-heap scan at paper scale on a single
-// shard (the PR-1 baseline shape).
+// BenchmarkDBTopK pins the bounded-heap scan at paper scale on a default
+// store (the first baseline shape).
 func BenchmarkDBTopK(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	const dim, nnz, n, k = 3815, 150, 2000, 10
@@ -247,25 +247,25 @@ func BenchmarkDBTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkDBTopKSharded measures the exhaustive sharded scan at paper
-// scale: per-shard bounded heaps merged through the global heap, one
-// worker per CPU. The kind-less metric takes the scan arm — this is the
-// scan baseline the indexed benchmarks are compared against.
+// BenchmarkDBTopKSharded measures the exhaustive scan at paper scale,
+// walked in one lane and in four (bounded lane heaps merged into lane
+// 0's). The kind-less metric takes the scan arm — this is the scan
+// baseline the indexed benchmarks are compared against.
 func BenchmarkDBTopKSharded(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	const dim, nnz, n, k = 3815, 150, 2000, 10
 	sigs := randSigs(r, n, dim, nnz)
 	query := randSigs(r, 1, dim, nnz)[0].W
 	metric := scanMetric(EuclideanMetric())
-	for _, shards := range []int{1, 4} {
-		db, err := NewShardedDB(dim, shards)
+	for _, workers := range []int{1, 4} {
+		db, err := newTestDB(dim, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := db.AddAll(sigs); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.TopKSparse(query, k, metric); err != nil {
@@ -285,8 +285,8 @@ func BenchmarkDBTopKIndexed(b *testing.B) {
 	const dim, nnz, n, k = 3815, 150, 2000, 10
 	sigs := randSigs(r, n, dim, nnz)
 	query := randSigs(r, 1, dim, nnz)[0].W
-	for _, shards := range []int{1, 4} {
-		db, err := NewShardedDB(dim, shards)
+	for _, workers := range []int{1, 4} {
+		db, err := newTestDB(dim, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func BenchmarkDBTopKIndexed(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, metric := range []Metric{EuclideanMetric(), CosineMetric()} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, metric.Name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("workers=%d/%s", workers, metric.Name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := db.TopKSparse(query, k, metric); err != nil {
@@ -316,8 +316,8 @@ func BenchmarkDBTopKCompressed(b *testing.B) {
 	const dim, nnz, n, k = 3815, 150, 2000, 10
 	sigs := randSigs(r, n, dim, nnz)
 	query := randSigs(r, 1, dim, nnz)[0].W
-	for _, shards := range []int{1, 4} {
-		db, err := NewShardedDB(dim, shards)
+	for _, workers := range []int{1, 4} {
+		db, err := newTestDB(dim, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,10 +326,10 @@ func BenchmarkDBTopKCompressed(b *testing.B) {
 		}
 		flatBytes := db.IndexBytes()
 		db.Seal()
-		b.Logf("shards=%d: index bytes flat %d -> sealed %d (%.2fx)",
-			shards, flatBytes, db.IndexBytes(), float64(flatBytes)/float64(db.IndexBytes()))
+		b.Logf("workers=%d: index bytes flat %d -> sealed %d (%.2fx)",
+			workers, flatBytes, db.IndexBytes(), float64(flatBytes)/float64(db.IndexBytes()))
 		for _, metric := range []Metric{EuclideanMetric(), CosineMetric()} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, metric.Name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("workers=%d/%s", workers, metric.Name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := db.TopKSparse(query, k, metric); err != nil {
@@ -390,17 +390,14 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 	arm := func(scan bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for si := range v.shards {
-					vs := &v.shards[si]
-					h.reset(true)
-					for _, sg := range vs.segs {
-						if scan {
-							offerCanonical(&h, k, vs, sg, qd, true, q.Norm2(), nil)
-						} else {
-							ps.beginStamps(sg.start, sg.blocks.n, nil)
-							sg.blocks.dots(q, &acc, &ps)
-							offerWalk(&h, k, vs, sg, &acc, &ps, true, q.Norm2())
-						}
+				h.reset(true)
+				for _, sg := range v.segs {
+					if scan {
+						offerCanonical(&h, k, v, sg, qd, true, q.Norm2(), nil, 0, 1)
+					} else {
+						ps.beginStamps(sg.start, sg.blocks.n, nil, 0, 1)
+						sg.blocks.dots(q, &acc, &ps)
+						offerWalk(&h, k, v, sg, &acc, &ps, true, q.Norm2())
 					}
 				}
 			}
@@ -419,11 +416,11 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 // wire_small store) walks 1/160 and must keep the walk. The class arm
 // is the query pruning is for — kernel_large's, in process — timed
 // against the same two whole-unit arms. The walk and scan arms run on
-// one goroutine; topk fans the shards out.
+// one goroutine; topk fans the lanes out.
 func BenchmarkTopKFlat(b *testing.B) {
 	const dim = 3815
 	sealed := func(sigs []Signature) *DB {
-		db, err := NewShardedDB(dim, 2)
+		db, err := newTestDB(dim, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,7 +453,7 @@ func BenchmarkTopKFlat(b *testing.B) {
 func TestClassifyBatchInto(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const dim, n, nnz, k = 120, 150, 15, 5
-	db, err := NewShardedDB(dim, 3)
+	db, err := newTestDB(dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +517,7 @@ func TestClassifyBatchInto(t *testing.T) {
 func TestQueryCancelled(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	const dim, nnz = 40, 6
-	db, err := NewShardedDB(dim, 2)
+	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,8 +554,8 @@ func TestQueryCancelled(t *testing.T) {
 	}
 }
 
-// batchFixture is a 4-shard store of n random signatures and one
-// request's worth of queries against it.
+// batchFixture is a store of n random signatures queried in four lanes
+// and one request's worth of queries against it.
 func batchFixture(tb testing.TB, n, dim, nnz, batch int) (*DB, []*vecmath.Sparse) {
 	r := rand.New(rand.NewSource(1))
 	sigs := randSigs(r, n, dim, nnz)
@@ -566,7 +563,7 @@ func batchFixture(tb testing.TB, n, dim, nnz, batch int) (*DB, []*vecmath.Sparse
 	for i := range queries {
 		queries[i] = randSigs(r, 1, dim, nnz)[0].W
 	}
-	db, err := NewShardedDB(dim, 4)
+	db, err := newTestDB(dim, 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -579,7 +576,8 @@ func batchFixture(tb testing.TB, n, dim, nnz, batch int) (*DB, []*vecmath.Sparse
 // TestQueryAllocs is the allocation contract as a test instead of a
 // benchmark readout: with warm scratch and warm result capacity a
 // sequential request allocates nothing, hits or labels, and the
-// lone-query shorthand allocates its result slice and nothing else.
+// lone-query shorthand on a sequential store allocates its result slice
+// and nothing else.
 func TestQueryAllocs(t *testing.T) {
 	db, queries := batchFixture(t, 600, 400, 30, 16)
 	db.SetWorkers(-1)
@@ -598,7 +596,7 @@ func TestQueryAllocs(t *testing.T) {
 			t.Errorf("Query{%s}, sequential: %v allocs per request, want 0", name, allocs)
 		}
 	}
-	one, err := NewDB(db.Dim())
+	one, err := newTestDB(db.Dim(), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +610,7 @@ func TestQueryAllocs(t *testing.T) {
 	}
 	lone()
 	if allocs := testing.AllocsPerRun(20, lone); allocs > 1 {
-		t.Errorf("TopKSparse, 1 shard: %v allocs per query, want <= 1 (the result slice)", allocs)
+		t.Errorf("TopKSparse, sequential: %v allocs per query, want <= 1 (the result slice)", allocs)
 	}
 }
 
@@ -653,4 +651,27 @@ func BenchmarkDBClassifyBatch(b *testing.B) {
 func BenchmarkDBTopKBatch(b *testing.B) {
 	db, queries := batchFixture(b, 2000, 3815, 150, 64)
 	benchQuery(b, db, &Query{Queries: queries, K: 10, Metric: EuclideanMetric(), Hits: make([][]SearchResult, len(queries))})
+}
+
+// newTestDB is NewDB with its queries walked in parallel.Workers(workers)
+// lanes however few rows it holds — the axis the sweeps run their
+// oracles across.
+func newTestDB(dim, workers int) (*DB, error) {
+	db, err := NewDB(dim)
+	if err != nil {
+		return nil, err
+	}
+	db.setLaneFloor(1)
+	db.SetWorkers(workers)
+	return db, nil
+}
+
+// setLaneFloor overrides the fewest rows a query lane is given (0
+// restores laneMinRows), so small fixtures walk several lanes. Test-only:
+// the floor is not a knob.
+func (db *DB) setLaneFloor(n int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.laneFloor = n
+	db.publishLocked()
 }

@@ -2,13 +2,15 @@ package core
 
 import (
 	"sync/atomic"
+
+	"repro/internal/parallel"
 )
 
 // Epoch-pinned views: the concurrency backbone of the DB.
 //
 // Every query runs against a dbView — an immutable snapshot of the
-// reader-visible state: the frozen per-shard prefixes of the backing
-// arrays, the segment list (sealed segments and the active segment's
+// reader-visible state: the frozen prefixes of the backing arrays, the
+// segment list (sealed segments and the active segment's
 // posting runs by their compressed postings, the active segment's
 // unindexed tail by its frozen bounds), and the query configuration.
 // The current view is published through an atomic pointer; readers pin
@@ -20,7 +22,7 @@ import (
 //
 //   - Sealed segments are immutable (segment.go): their blockPostings
 //     never change after seal, so any view may score them freely.
-//   - The shard backing arrays (gids/sigs/norms) are append-only. A
+//   - The backing arrays (sigs/norms) are append-only. A
 //     view captures length-clamped slices, so a writer's append — even
 //     one that reallocates the backing array — never changes a byte a
 //     reader can reach: appends beyond the captured length touch
@@ -30,7 +32,7 @@ import (
 //     posting runs are immutable blockPostings like a sealed segment's
 //     (segment.go), and the < activeRunLen rows after the last run are
 //     scored with the canonical gather dot over the frozen row prefix
-//     (bit-identical to the indexed accumulation, see topkShard).
+//     (bit-identical to the indexed accumulation, see laneQuery.walk).
 //   - Publication is an atomic pointer swap after the mutation is
 //     complete, so a reader either sees the whole mutation or none of
 //     it. The pin protocol (increment, then revalidate the pointer)
@@ -52,14 +54,17 @@ type dbView struct {
 	// against it fails with the typed closed error before touching any
 	// (released) segment state.
 	closed bool
-	// total is the store size this view froze — the (score, insertion
-	// index) universe of every query that pins it.
-	total int
 	// cfg snapshots the query configuration, so setters never race
 	// in-flight queries.
 	cfg viewCfg
-	// shards are the frozen per-shard prefixes.
-	shards []viewShard
+	// sigs and norms are length-clamped aliases of the backing arrays:
+	// the store prefix this view froze.
+	sigs  []Signature
+	norms []float64
+	// segs is the frozen walk-unit list, in row order.
+	segs []viewSegment
+	// lanes is how many lanes a query walks (laneMinRows, laneChunk).
+	lanes int
 	// refs counts pins: 1 for being the current view (dropped on
 	// retirement) plus 1 per in-flight reader.
 	refs atomic.Int64
@@ -76,15 +81,6 @@ type viewCfg struct {
 	pruneFloor int
 }
 
-// viewShard is one shard's frozen prefix: length-clamped aliases of the
-// shard's append-only backing arrays plus the frozen segment list.
-type viewShard struct {
-	gids  []int
-	sigs  []Signature
-	norms []float64
-	segs  []viewSegment
-}
-
 // viewSegment is one walk unit as a view sees it: a sealed segment or
 // one posting run of the active segment (blocks is its immutable
 // compressed postings over rows [start, end)), or — blocks nil — the
@@ -94,10 +90,27 @@ type viewSegment struct {
 	blocks     *blockPostings
 }
 
-// at returns the signature with the given global insertion index, which
-// must be below the view's total.
-func (v *dbView) at(gid int) Signature {
-	return v.shards[gid%len(v.shards)].sigs[gid/len(v.shards)]
+// laneMinRows is the fewest rows a lane is given: a lane repeats the
+// walk of the posting blocks it shares with the others and costs a
+// goroutine hand-off, which a small store does not repay (measured in
+// DESIGN-PERF.md Layer 3).
+const laneMinRows = 4096
+
+// laneChunk is how many consecutive rows the lanes are dealt at a time:
+// lane l of p takes chunks l, l+p, l+2p, … (chunk c is rows
+// [c·laneChunk, (c+1)·laneChunk)). A class of signatures arrives as a
+// batch of consecutive rows, so its candidates split over the lanes,
+// while each lane reads runs of rows and skips the posting blocks whose
+// rows are all another lane's (pruneScratch.otherLanes).
+const laneChunk = 512
+
+// laneFirst returns the first row of lane l of p's first chunk that ends
+// after row start. Lane l's rows from start on are therefore the chunks
+// [c, c+laneChunk) for c = laneFirst, laneFirst + p·laneChunk, …, each
+// cut to start.
+func laneFirst(start, l, p int) int {
+	c := start / laneChunk
+	return (c + (l-c%p+p)%p) * laneChunk
 }
 
 // pinView returns the current view with a reader pin held. The
@@ -128,54 +141,50 @@ func (db *DB) unpinView(v *dbView) {
 // buildViewLocked assembles a fresh view from the writer state. Caller
 // holds db.mu. The view starts with one reference — the current-pin —
 // dropped when a later publish retires it.
+//
+// The view holds length-clamped array aliases (a later append can never
+// write through them) and value copies of the segment bounds (seal and
+// merge mutate segment structs in place, so views must never hold
+// *segment). The active segment freezes into one viewSegment per
+// posting run plus one blocks == nil segment for the rows no run covers
+// yet.
 func (db *DB) buildViewLocked() *dbView {
+	n := len(db.sigs)
 	nv := &dbView{
 		closed: db.closed,
-		total:  db.total,
 		cfg: viewCfg{
 			workers:    db.workers,
 			pruneFloor: db.pruneRowFloorLocked(),
 		},
-		shards: make([]viewShard, len(db.shards)),
+		sigs:  db.sigs[:n:n],
+		norms: db.norms[:n:n],
 	}
 	nv.refs.Store(1)
-	for si := range db.shards {
-		db.freezeShardLocked(si, &nv.shards[si])
-	}
-	return nv
-}
-
-// freezeShardLocked captures shard si's frozen prefix into vs:
-// length-clamped array aliases (a later append can never write through
-// them) and value copies of the segment bounds (seal and merge mutate
-// segment structs in place, so views must never hold *segment). The
-// active segment freezes into one viewSegment per posting run plus one
-// blocks == nil segment for the rows no run covers yet.
-func (db *DB) freezeShardLocked(si int, vs *viewShard) {
-	sh := &db.shards[si]
-	n := len(sh.sigs)
-	vs.gids = sh.gids[:n:n]
-	vs.sigs = sh.sigs[:n:n]
-	vs.norms = sh.norms[:n:n]
-	units := len(sh.segs)
-	if sg := sh.activeSegment(); sg != nil {
+	units := len(db.segs)
+	if sg := db.activeSegment(); sg != nil {
 		units += len(sg.runs)
 	}
-	vs.segs = make([]viewSegment, 0, units)
-	for _, sg := range sh.segs {
+	nv.segs = make([]viewSegment, 0, units)
+	for _, sg := range db.segs {
 		if sg.sealed {
-			vs.segs = append(vs.segs, viewSegment{start: sg.start, end: sg.end, blocks: sg.blocks})
+			nv.segs = append(nv.segs, viewSegment{start: sg.start, end: sg.end, blocks: sg.blocks})
 			continue
 		}
 		at := sg.start
 		for _, r := range sg.runs {
-			vs.segs = append(vs.segs, viewSegment{start: at, end: at + r.n, blocks: r})
+			nv.segs = append(nv.segs, viewSegment{start: at, end: at + r.n, blocks: r})
 			at += r.n
 		}
 		if at < sg.end {
-			vs.segs = append(vs.segs, viewSegment{start: at, end: sg.end})
+			nv.segs = append(nv.segs, viewSegment{start: at, end: sg.end})
 		}
 	}
+	floor := laneMinRows
+	if db.laneFloor > 0 {
+		floor = db.laneFloor
+	}
+	nv.lanes = max(1, min(parallel.Workers(db.workers), n/floor))
+	return nv
 }
 
 // publishLocked swaps in a freshly built view and retires the old one,
@@ -183,19 +192,6 @@ func (db *DB) freezeShardLocked(si int, vs *viewShard) {
 // Caller holds db.mu.
 func (db *DB) publishLocked(actions ...func()) {
 	db.publishViewLocked(db.buildViewLocked(), actions)
-}
-
-// publishAddLocked is the incremental publish after an Add that did not
-// change segment structure: every other shard's frozen state is shared
-// with the previous view, only shard si is refrozen. Caller holds
-// db.mu.
-func (db *DB) publishAddLocked(si int) {
-	old := db.cur.Load()
-	nv := &dbView{total: db.total, cfg: old.cfg, shards: make([]viewShard, len(old.shards))}
-	nv.refs.Store(1)
-	copy(nv.shards, old.shards)
-	db.freezeShardLocked(si, &nv.shards[si])
-	db.publishViewLocked(nv, nil)
 }
 
 // publishViewLocked installs nv as the current view and queues the old

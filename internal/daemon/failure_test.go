@@ -292,7 +292,7 @@ func TestCollectStreamIngestsLiveDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	core.Normalize(sigs)
-	db, err := core.NewShardedDB(h.st.Len(), 2)
+	db, err := core.NewDB(h.st.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestCollectStreamBatchedIngestAmortizesPublishes(t *testing.T) {
 	const intervals = 8
 	stream := func(batch int) (*core.DB, uint64) {
 		t.Helper()
-		db, err := core.NewShardedDB(h.st.Len(), 2)
+		db, err := core.NewDB(h.st.Len())
 		if err != nil {
 			t.Fatal(err)
 		}

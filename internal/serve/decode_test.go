@@ -187,7 +187,7 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	db, err := core.NewShardedDB(benchDim, 2)
+	db, err := core.NewDB(benchDim)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 // of 12 and of 200 terms, with the hand-written decoder and with the
 // encoding/json oracle it replaced.
 func BenchmarkDecodeQueryRequest(b *testing.B) {
-	db, err := core.NewShardedDB(benchDim, 2)
+	db, err := core.NewDB(benchDim)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,11 +37,11 @@ func testSigs(seed int64, n, nnz int) []core.Signature {
 	return out
 }
 
-// newTestServer builds a server over a fresh 2-shard DB seeded with n
+// newTestServer builds a server over a fresh DB seeded with n
 // signatures. Callers own shutdown.
 func newTestServer(t *testing.T, cfg Config, n int) (*Server, []core.Signature) {
 	t.Helper()
-	db, err := core.NewShardedDB(testDim, 2)
+	db, err := core.NewDB(testDim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestIngestSinglePublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := core.NewShardedDB(dim, 2)
+	db, err := core.NewDB(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,7 +738,7 @@ func BenchmarkServeTopKParallel(b *testing.B) {
 	}
 	for _, per := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("goroutines=%dxGOMAXPROCS", per), func(b *testing.B) {
-			db, err := core.NewShardedDB(dim, 2)
+			db, err := core.NewDB(dim)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,10 +25,10 @@ type Accumulator struct {
 }
 
 // denseResetMax bounds the bulk-clear mode: up to this many candidates
-// the reset is a memclr (at most 32 KiB, cheaper than per-posting stamp
-// maintenance for any non-trivial walk). The default segment size keeps
-// every segmented store at or below it.
-const denseResetMax = 4096
+// the reset is a memclr (at most 64 KiB, cheaper than per-posting stamp
+// maintenance for any non-trivial walk). The default segment size (8192
+// rows) keeps every segmented store at or below it.
+const denseResetMax = 8192
 
 // Reset prepares the accumulator for n candidates. Small counts clear
 // the sums outright; larger ones switch to epoch stamping, where only
