@@ -8,9 +8,8 @@ check: vet lint build crossbuild test race
 build:
 	$(GO) build ./...
 
-## crossbuild: compile for a non-linux GOOS so the portable mmap
-## fallback (mapfile_fallback.go) stays buildable, not just the linux
-## fast path the tests exercise.
+## crossbuild: compile for a non-linux GOOS, so nothing linux-only
+## creeps into the module unnoticed.
 crossbuild:
 	GOOS=darwin $(GO) build ./...
 
@@ -18,7 +17,7 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the repo-specific contract checkers (internal/lint): the
-## determinism, view-pinning, typed-error, and no-alloc contracts,
+## determinism, typed-error, and no-alloc contracts,
 ## machine-checked over every package. Failures print file:line with
 ## the violated contract's name; suppressions are //fmeter: directives
 ## that always carry a reason.
@@ -37,7 +36,7 @@ race:
 
 ## stress: the concurrency property sweep (interleaved
 ## Add/Seal/Compact/TopK/Classify vs serialized execution against each
-## pinned epoch view), the writers' plan/build exactness sweep (batched
+## epoch view a query loaded), the writers' plan/build exactness sweep (batched
 ## AddAll vs one Add at a time, at several core counts) and the
 ## SaveDir/LoadDir fault-injection matrices,
 ## under the race detector with iteration counts elevated via

@@ -62,7 +62,7 @@ type pruneScale struct {
 	IndexBytes    int64   `json:"index_bytes"`
 	// HeapInuseBytes is runtime.MemStats.HeapInuse after a GC at this
 	// rung — the whole process's live heap (signatures + postings +
-	// scratch), the footprint a mapped-mode deployment avoids growing.
+	// scratch).
 	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
 
 	// Segment trajectory under the compaction policy: the sealed count

@@ -1,7 +1,7 @@
 // fmeter-vet is the repo's contract checker: a multichecker over the
 // custom analyzers in internal/lint that machine-check the determinism,
-// view-pinning, typed-error, and no-alloc contracts DESIGN-PERF.md
-// states. `make lint` runs it over ./...; any finding is a contract
+// typed-error, and no-alloc contracts DESIGN-PERF.md states.
+// `make lint` runs it over ./...; any finding is a contract
 // violation and fails the build with file:line and the contract name.
 //
 // Usage:

@@ -405,14 +405,14 @@ func TestSaveOpenDBFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// WithMapped serves the directory's postings off file mappings —
-	// same hits, blob bytes off-heap, and Close retires the store.
+	// The deprecated WithMapped changes nothing: the same resident
+	// store, no mapped bytes, the same hits; Close retires the store.
 	mdb, err := OpenDB(dir, WithMapped(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mdb.MappedBytes() <= 0 {
-		t.Fatalf("mapped open reports %d mapped bytes", mdb.MappedBytes())
+	if mdb.MappedBytes() != 0 || mdb.IndexBytes() != back.IndexBytes() {
+		t.Fatalf("WithMapped open: %d mapped / %d index bytes, want 0 / %d", mdb.MappedBytes(), mdb.IndexBytes(), back.IndexBytes())
 	}
 	gotM, err := mdb.TopKSparse(query.W, 3, EuclideanMetric())
 	if err != nil {
@@ -420,7 +420,7 @@ func TestSaveOpenDBFacade(t *testing.T) {
 	}
 	for i := range want {
 		if gotM[i].Signature.DocID != want[i].Signature.DocID || gotM[i].Score != want[i].Score {
-			t.Fatalf("mapped hit %d differs from resident", i)
+			t.Fatalf("WithMapped hit %d differs", i)
 		}
 	}
 	if err := mdb.Close(); err != nil {

@@ -196,7 +196,6 @@ type perfOpts struct {
 	workers    int
 	segSize    int
 	tierFanout int
-	mapped     bool
 }
 
 // WithWorkers bounds the helper's worker-pool fan-out: 0 (the default)
@@ -230,17 +229,10 @@ func WithCompactionPolicy(tierFanout int) Option {
 	return func(o *perfOpts) { o.tierFanout = tierFanout }
 }
 
-// WithMapped makes OpenDB serve sealed posting lists directly off
-// read-only mappings of the snapshot's segment files instead of copying
-// them onto the heap: cold opens skip the big read, the page cache owns
-// the bytes (so corpora larger than RAM stay queryable), and results
-// are bit-identical to a resident open. All integrity checks (per-file
-// CRC, manifest cross-checks, structural validation) still run. Call
-// db.Close() when done to release the mappings, and do not modify or
-// delete the snapshot files underneath a mapped DB. On platforms
-// without mmap support the option silently degrades to the resident
-// read path. Only meaningful for OpenDB.
-func WithMapped(on bool) Option { return func(o *perfOpts) { o.mapped = on } }
+// WithMapped does nothing: OpenDB loads every segment onto the heap.
+//
+// Deprecated: drop the option; snapshots are no longer memory-mapped.
+func WithMapped(bool) Option { return func(*perfOpts) {} }
 
 func applyOpts(opts []Option) perfOpts {
 	var o perfOpts
@@ -520,14 +512,14 @@ func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
 // to bound the lanes a query walks in parallel (and the queries a batch
 // fans out); query results are identical at any setting.
 //
-// The database is safe for fully concurrent use: queries pin an
+// The database is safe for fully concurrent use: queries load an
 // immutable epoch view and run against it without blocking writers,
 // while Add/AddAll/Seal/Compact/SaveDB serialize among themselves and
-// publish atomically. A query that pinned its view before a concurrent
+// publish atomically. A query that loaded its view before a concurrent
 // write returns exactly what a serialized execution against that state
-// would — bit-identical, under any interleaving. db.Close() drains
-// in-flight queries before releasing resources; operations arriving
-// after Close return a typed *ConfigError.
+// would — bit-identical, under any interleaving. After db.Close() every
+// operation returns a typed *ConfigError; a query already running
+// finishes on the view it loaded.
 func NewDB(dim int, opts ...Option) (*DB, error) {
 	o := applyOpts(opts)
 	db, err := core.NewDB(dim)
@@ -540,8 +532,6 @@ func NewDB(dim int, opts ...Option) (*DB, error) {
 // configureDB applies the perf options shared by NewDB and OpenDB to a
 // constructed or loaded database. Only an option that was given calls
 // its setter, so a plain NewDB or OpenDB publishes no view of its own.
-// On error the DB is closed first, so a mapped load never leaks its
-// file mappings.
 func configureDB(db *DB, o perfOpts) (*DB, error) {
 	if o.workers != 0 {
 		db.SetWorkers(o.workers)
@@ -551,7 +541,6 @@ func configureDB(db *DB, o perfOpts) (*DB, error) {
 	}
 	if o.tierFanout > 0 {
 		if err := db.SetCompactionPolicy(core.CompactionPolicy{TierFanout: o.tierFanout}); err != nil {
-			db.Close()
 			return nil, err
 		}
 	}
@@ -589,20 +578,18 @@ func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 //
 // SaveDB runs safely while other goroutines query or ingest: it
 // persists the committed state at the moment it acquires the writer
-// lock, and it never deletes a replaced segment file while any
-// in-flight query's pinned view can still reach it (removal is
-// deferred to the last reader draining).
+// lock. Queries read the heap, never the files, so the replaced
+// segment files are removed before SaveDB returns.
 func SaveDB(path string, db *DB) error { return db.SaveDir(path) }
 
 // OpenDB loads a database saved by SaveDB. path must be a snapshot
 // directory; anything else, and any corrupt, missing, or retired-format
 // file inside it, fails with a typed *SnapshotError naming the path.
-// Options tune the loaded store like NewDB's do; WithMapped serves the
-// posting lists off read-only file mappings (call db.Close() to release
-// them). A snapshot whose manifest names more than one shard — written
-// before a database became one row sequence — is refused; rewrite it
-// with a build that still reads it (OpenDB, NewDB with WithShards(1),
-// AddAll(old.All()), SaveDB).
+// Options tune the loaded store like NewDB's do. A snapshot whose
+// manifest names more than one shard — written before a database became
+// one row sequence — is refused; rewrite it with a build that still
+// reads it (OpenDB, NewDB with WithShards(1), AddAll(old.All()),
+// SaveDB).
 func OpenDB(path string, opts ...Option) (*DB, error) {
 	o := applyOpts(opts)
 	if fi, err := os.Stat(path); err != nil {
@@ -610,7 +597,7 @@ func OpenDB(path string, opts ...Option) (*DB, error) {
 	} else if !fi.IsDir() {
 		return nil, &SnapshotError{Path: path, Err: errors.New("not a snapshot directory (a database is stored as a directory: MANIFEST.json plus segment files)")}
 	}
-	db, err := core.LoadDirOpts(path, core.LoadOptions{MapPostings: o.mapped})
+	db, err := core.LoadDir(path)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func stressN(normal, stressed int) int {
 // reference DB is sequential, default layout, queried on the scan arm
 // (scanMetric) — the bit-identical-at-any-layout guarantee
 // (property-swept elsewhere) makes it a valid reference for every
-// lane count, sealing, compaction, and mapped/resident combination the
+// lane count, sealing, compaction, and loaded-prefix combination the
 // concurrent sweep runs.
 type refResults struct {
 	hits   [][][]SearchResult // [n][qi]
@@ -88,10 +88,10 @@ func sameHits(a, b []SearchResult) bool {
 // property sweep: goroutines interleave Add/AddAll/Seal/Compact/
 // SaveDir/config flips with TopK/TopKBatch/Classify*/Stats queries
 // under every layout axis (lanes × segment size × run length × policy
-// compaction × mapped/resident), and every query result must be
+// compaction × fresh/loaded prefix), and every query result must be
 // bit-identical to a serialized execution against the store prefix its
-// pinned view froze. Run lengths are far below the segment sizes (and
-// one combo never rolls a segment by size), so readers hold views pinned
+// view froze. Run lengths are far below the segment sizes (and
+// one combo never rolls a segment by size), so readers hold views
 // across run builds as well as seals. Run under -race this is the
 // epoch-view safety proof: no torn reads, no result a quiescent DB
 // could not produce.
@@ -110,14 +110,15 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 	// The leading count of a case name is its worker count, the lanes a
 	// query walks (names kept from when the axis was a shard count, so
 	// the case ids stay stable); the early prefixes have fewer walk units
-	// than lanes.
+	// than lanes. The "mapped" cases start from a loaded prefix (named
+	// when a loaded store's postings were memory-mapped).
 	combos := []struct {
 		name    string
 		workers int
 		segSize int
 		runLen  int
 		fanout  int
-		mapped  bool
+		loaded  bool
 		metric  Metric
 	}{
 		{"1shard-seq-cosine", 1, 64, 8, 0, false, CosineMetric()},
@@ -135,10 +136,11 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			var db *DB
 			dir := t.TempDir()
 			start := 0
-			if cb.mapped {
-				// Mapped mode starts from a sealed, mapped prefix and
-				// streams the rest — compactions then splice mapped blobs
-				// away under pinned views (the deferred-reclaim path).
+			if cb.loaded {
+				// Start from a sealed prefix saved and loaded back and
+				// stream the rest: the writer mutates a loaded store
+				// (splicing its segments, re-saving into its directory)
+				// under the readers.
 				seed, err := NewDB(dim)
 				if err != nil {
 					t.Fatal(err)
@@ -155,7 +157,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				if err := seed.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if db, err = LoadDirMapped(dir); err != nil {
+				if db, err = LoadDir(dir); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -181,7 +183,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			// Writer: stream the remaining signatures with seals,
 			// compactions, incremental saves, and query-config flips
 			// interleaved — every mutation publishes a fresh view the
-			// readers race to pin.
+			// readers race to load.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -232,7 +234,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				}
 			}
 
-			// Reader A: exact serialized-equivalence. Pin a view, read
+			// Reader A: exact serialized-equivalence. Load a view, read
 			// the prefix length it froze, and demand the bit-identical
 			// reference answer for that exact prefix.
 			for g := 0; g < 2; g++ {
@@ -242,12 +244,11 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 					rr := rand.New(rand.NewSource(seed))
 					for it := 0; it < readerIters && running(); it++ {
 						qi := rr.Intn(len(queries))
-						v := db.pinView()
+						v := db.cur.Load()
 						n := len(v.sigs)
 						sc := db.scratch.Get()
 						got, err := db.topk(v, sc, queries[qi], k, cb.metric, v.cfg.workers, nil)
 						db.scratch.Put(sc)
-						db.unpinView(v)
 						if n == 0 {
 							if !errors.Is(err, ErrEmptyDB) {
 								t.Errorf("empty view: err=%v, want ErrEmptyDB", err)
@@ -260,14 +261,14 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 							return
 						}
 						if !sameHits(got, ref.hits[n][qi]) {
-							t.Errorf("query %d at pinned prefix %d diverges from serialized execution", qi, n)
+							t.Errorf("query %d at view prefix %d diverges from serialized execution", qi, n)
 							return
 						}
 					}
 				}(int64(100 + g))
 			}
 
-			// Reader B: public batch path. The batch pins one view, so
+			// Reader B: public batch path. The batch loads one view, so
 			// all results must agree with the reference at one single
 			// prefix inside the [before, after] Len window.
 			wg.Add(1)
@@ -431,12 +432,11 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestCloseUnderLoad closes a mapped DB while queries and an Add stream
-// are in flight: in-flight calls either complete normally against their
-// pinned views or fail with the typed *ConfigError, Close drains every
-// reader before releasing the segment mappings, each mapping is
-// released exactly once, and every call arriving after Close fails
-// typed. Run under -race.
+// TestCloseUnderLoad closes a loaded DB while queries, an Add stream
+// and compactions are in flight: in-flight calls either complete
+// normally (a query with k hits, on the view it loaded) or fail with the
+// typed *ConfigError, concurrent and repeated Close calls return nil,
+// and every call arriving after Close fails typed. Run under -race.
 func TestCloseUnderLoad(t *testing.T) {
 	const dim, nnz, k = 32, 8, 5
 	nSeed := stressN(400, 1500)
@@ -457,25 +457,12 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := seed.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db, err := LoadDirMapped(dir)
+	db, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped := 0
-	for _, sg := range db.segs {
-		if sg.mf != nil {
-			mapped++
-		}
-	}
-	if mapped == 0 {
-		t.Skip("platform without mmap support: no mappings to race against Close")
-	}
-	rel0 := mapReleaseCount.Load()
 
-	var typedLate, completed atomic.Int64
+	var completed atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Query load.
@@ -494,9 +481,7 @@ func TestCloseUnderLoad(t *testing.T) {
 					var ce *ConfigError
 					if !errors.As(err, &ce) {
 						t.Errorf("in-flight query failed untyped: %v", err)
-						return
 					}
-					typedLate.Add(1)
 					return // closed: every later call fails too
 				}
 				if len(hits) != k {
@@ -521,13 +506,11 @@ func TestCloseUnderLoad(t *testing.T) {
 				var ce *ConfigError
 				if !errors.As(err, &ce) {
 					t.Errorf("in-flight Add failed untyped: %v", err)
-				} else {
-					typedLate.Add(1)
 				}
 				return
 			}
 			if i%100 == 0 {
-				db.Compact() // splice mapped blobs under load
+				db.Compact() // splice loaded segments under load
 			}
 		}
 	}()
@@ -557,9 +540,6 @@ func TestCloseUnderLoad(t *testing.T) {
 			t.Fatalf("Close[%d]: %v", c, err)
 		}
 	}
-	if got := mapReleaseCount.Load() - rel0; got != int64(mapped) {
-		t.Fatalf("%d mapping releases across load+Compact+Close, want exactly %d", got, mapped)
-	}
 	// Late arrivals: every operation on the closed DB fails typed.
 	var ce *ConfigError
 	if _, err := db.TopKSparse(q, k, CosineMetric()); !errors.As(err, &ce) {
@@ -574,13 +554,8 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if got := mapReleaseCount.Load() - rel0; got != int64(mapped) {
-		t.Fatalf("second Close changed release count to %d, want %d", got, mapped)
-	}
 	// The previous snapshot must still load: Close never touches disk.
-	re, err := LoadDir(dir)
-	if err != nil {
+	if _, err := LoadDir(dir); err != nil {
 		t.Fatalf("reload after Close: %v", err)
 	}
-	re.Close()
 }

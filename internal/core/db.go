@@ -255,9 +255,9 @@ type SearchResult struct {
 // vote counters) lives in a pool of per-worker scratch, so steady-state
 // queries do not allocate.
 //
-// Concurrency contract (epoch-pinned views, see view.go): reads (Query
+// Concurrency contract (epoch views, see view.go): reads (Query
 // and its shorthands, Len, All) may run concurrently with each other
-// AND with mutations. Each Query call pins the current immutable view —
+// AND with mutations. Each Query call loads the current immutable view —
 // the sealed segments plus a frozen prefix of the active segment (its
 // posting runs and the unindexed rows after them) — once,
 // for all its queries, and computes exactly the result a quiescent DB
@@ -265,12 +265,9 @@ type SearchResult struct {
 // AddAll, Seal, Compact, SaveDir, Close, and every Set*) remain
 // single-writer: they serialize on an internal mutex, so concurrent
 // mutators are safe but take turns, and each publishes a new view
-// atomically when it completes. Resources a superseded view can still
-// reach (mmap'd posting blobs spliced by Compact, snapshot files
-// orphaned by SaveDir) are reclaimed only after the last reader of
-// that view drains; Close publishes a terminal view, waits for every
-// in-flight query to drain, releases all mappings exactly once, and
-// fails late arrivals with a typed *ConfigError.
+// atomically when it completes. Close publishes a terminal view that
+// fails late arrivals with a typed *ConfigError; a query already
+// running finishes on the view it loaded.
 type DB struct {
 	dim     int
 	workers int
@@ -290,8 +287,8 @@ type DB struct {
 	// saveDir is the directory the last SaveDir wrote to; segment dirty
 	// bits are relative to it (saving elsewhere rewrites everything).
 	saveDir string
-	// closed marks a DB whose Close ran: segment mappings are released
-	// and every query or mutation returns a typed *ConfigError.
+	// closed marks a DB whose Close ran: every query or mutation
+	// returns a typed *ConfigError.
 	closed bool
 	// sigs and norms are the stored rows in insertion order and their
 	// cached squared norms, append-only; segs partitions them (see
@@ -302,30 +299,15 @@ type DB struct {
 	scratch *percpu.Pool[*dbScratch]
 
 	// mu serializes every mutation (and the writer-side accessors that
-	// read segment persistence state); queries never take it — they pin
+	// read segment persistence state); queries never take it — they load
 	// views (view.go).
 	mu sync.Mutex
-	// cur is the published view every query pins.
+	// cur is the published view every query loads.
 	cur atomic.Pointer[dbView]
 	// publishes counts view publications (every Add/AddAll/Seal/Compact/
 	// SaveDir/setter that swapped cur) — the currency batched ingest
 	// saves, observable via Publishes().
 	publishes atomic.Uint64
-	// reclMu guards the retirement queue, its condition variable, and
-	// the deferred-reclaim error; reclaim actions run under it.
-	reclMu       sync.Mutex
-	reclCond     *sync.Cond
-	pendingViews []*dbView
-	// closeErr records the first error out of a deferred mapping
-	// release, surfaced by Close after the drain.
-	closeErr error
-	// orphanErr records the first error out of a deferred orphan-file
-	// removal, surfaced by the next SaveDir that drains synchronously.
-	orphanErr error
-	// staleMaps collects the mappings of segments whose mmap'd blobs a
-	// compaction spliced away; the next publish attaches their release as
-	// a reclaim action. Guarded by mu.
-	staleMaps []*mapFile
 }
 
 // NewDB creates an empty database for signatures of the given
@@ -340,7 +322,6 @@ func NewDB(dim int) (*DB, error) {
 	db.scratch = percpu.NewPool(func() *dbScratch {
 		return &dbScratch{qd: vecmath.NewVector(dim)}
 	})
-	db.reclCond = sync.NewCond(&db.reclMu)
 	db.cur.Store(db.buildViewLocked())
 	return db, nil
 }
@@ -349,7 +330,7 @@ func NewDB(dim int) (*DB, error) {
 // — and of a multi-query request across queries (parallel.Workers
 // semantics: 0 = one per CPU, <0 = sequential). A query walks its view
 // in parallel.Workers(n) lanes, fewer on a store too small to pay for
-// them (laneMinRows). In-flight queries keep the setting they pinned.
+// them (laneMinRows). In-flight queries keep the setting they loaded.
 func (db *DB) SetWorkers(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -359,10 +340,7 @@ func (db *DB) SetWorkers(n int) {
 
 // Len returns the number of stored signatures in the current view.
 func (db *DB) Len() int {
-	v := db.pinView()
-	n := len(v.sigs)
-	db.unpinView(v)
-	return n
+	return len(db.cur.Load().sigs)
 }
 
 // Dim returns the signature dimension.
@@ -380,7 +358,7 @@ func (db *DB) Publishes() uint64 { return db.publishes.Load() }
 // activeRunLen-th row indexes the rows since the last run). An active
 // segment that reaches the segment size is sealed and the next Add
 // opens a fresh one. Add is safe to call concurrently with
-// queries (which keep the view they pinned) and with other mutators
+// queries (which keep the view they loaded) and with other mutators
 // (which serialize); the new signature is visible to every query that
 // starts after Add returns.
 func (db *DB) Add(sig Signature) error {
@@ -395,7 +373,7 @@ func (db *DB) Add(sig Signature) error {
 	var p writePlan
 	db.addLocked(&p, sig)
 	p.build(db.dim)
-	db.publishLocked(db.takeStaleActionsLocked()...)
+	db.publishLocked()
 	return nil
 }
 
@@ -443,29 +421,8 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 	}
 }
 
-// takeStaleActionsLocked wraps the mappings of segments whose blobs were
-// spliced away since the last publish into one reclaim action: release
-// the mappings once no pinned view can reach the blobs. Caller holds
-// db.mu; the action runs under db.reclMu (see tryReclaim), where it may
-// record the first failure for Close to surface.
-func (db *DB) takeStaleActionsLocked() []func() {
-	if len(db.staleMaps) == 0 {
-		return nil
-	}
-	stale := db.staleMaps
-	db.staleMaps = nil
-	return []func(){func() {
-		for _, mf := range stale {
-			if err := releaseMap(mf); err != nil && db.closeErr == nil {
-				db.closeErr = err
-			}
-		}
-	}}
-}
-
 // sumPostings folds f over every posting structure queries walk — each
-// sealed segment's blocks and each active segment's runs. A closed DB
-// holds none.
+// sealed segment's blocks and each active segment's runs.
 func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -484,8 +441,7 @@ func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 // IndexBytes returns the resident heap footprint of every posting
 // structure: sealed segments' compressed blocks plus the active
 // segments' posting runs (rows no run covers yet have no postings and
-// cost nothing here). Blobs served off segment file mappings
-// (LoadDirMapped) are not heap and not counted — see MappedBytes.
+// cost nothing here).
 func (db *DB) IndexBytes() int64 { return db.sumPostings((*blockPostings).memBytes) }
 
 // IndexPostings returns the total posting-entry count across sealed
@@ -507,57 +463,30 @@ func (db *DB) ActiveUnindexedRows() int {
 	return 0
 }
 
-// MappedBytes returns how many posting-blob bytes are served off
-// read-only segment-file mappings (page cache, not heap) — non-zero
-// only after LoadDirMapped, and shrinking as Compact splices mapped
-// segments into heap copies. IndexBytes + MappedBytes is the full
-// posting footprint; the split is the mapped-mode residency headline.
-func (db *DB) MappedBytes() int64 { return db.sumPostings((*blockPostings).mappedBytes) }
+// MappedBytes returns 0: every loaded segment lives on the heap and is
+// counted by IndexBytes.
+//
+// Deprecated: snapshots are no longer memory-mapped; use IndexBytes.
+func (db *DB) MappedBytes() int64 { return 0 }
 
-// Close marks the database closed, waits for every in-flight query to
-// drain off its pinned view, then releases every segment-file mapping
-// exactly once: any query or mutation arriving after Close begins
-// returns a typed *ConfigError instead of touching released memory,
-// while queries already in flight complete normally against the views
-// they pinned. Closing a never-mapped DB just marks it closed and
-// drains. Close is idempotent, safe to call concurrently with queries
-// and mutators, and returns the first release error (the DB is marked
-// closed regardless).
+// Close marks the database closed, drops its segments and publishes a
+// terminal view: any query or mutation arriving after Close begins
+// returns a typed *ConfigError, while a query already running finishes
+// on the view it loaded; Len and All still answer. Close is idempotent,
+// safe to call concurrently with queries and mutators, and returns nil.
 func (db *DB) Close() error {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
-		// A concurrent first Close may still be draining — wait with it
-		// so every caller returns only after the mappings are released.
-		return db.waitReclaimed()
+		return nil
 	}
 	db.closed = true
-	// Releases run as reclaim actions behind every already-queued one
-	// (a Compact's deferred splice release always precedes), once no
-	// pinned view can reach the mapped blobs.
-	rel := db.takeStaleActionsLocked()
-	for _, sg := range db.segs {
-		if mf := sg.takeMap(); mf != nil {
-			rel = append(rel, func() {
-				if err := releaseMap(mf); err != nil && db.closeErr == nil {
-					db.closeErr = err
-				}
-			})
-		}
-		// Drop the posting structures from the writer state: a mapped
-		// blob must never be reachable once its mapping is gone, and the
-		// terminal view below carries no segments.
-		sg.blocks = nil
-		sg.runs = nil
-	}
-	// The terminal view keeps the signature rows (heap copies — Len and
-	// All still answer) but no segments, and fails every query with the
-	// typed closed error before it can walk anything.
-	nv := db.buildViewLocked()
-	nv.segs = nil
-	db.publishViewLocked(nv, rel)
-	db.mu.Unlock()
-	return db.waitReclaimed()
+	// The terminal view keeps the signature rows but no segments, and
+	// fails every query with the typed closed error before it can walk
+	// anything.
+	db.segs = nil
+	db.publishLocked()
+	return nil
 }
 
 // AddAll stores a batch of signatures, validating each, and publishes
@@ -582,7 +511,7 @@ func (db *DB) AddAll(sigs []Signature) error {
 		db.addLocked(&p, s)
 	}
 	p.build(db.dim)
-	db.publishLocked(db.takeStaleActionsLocked()...)
+	db.publishLocked()
 	return nil
 }
 
@@ -590,9 +519,7 @@ func (db *DB) AddAll(sigs []Signature) error {
 // order. The slice is freshly assembled; the signatures share storage
 // with the database and must not be mutated.
 func (db *DB) All() []Signature {
-	v := db.pinView()
-	defer db.unpinView(v)
-	return slices.Clone(v.sigs)
+	return slices.Clone(db.cur.Load().sigs)
 }
 
 // dbScratch is the per-worker working state of one query evaluation:
@@ -762,7 +689,7 @@ type Query struct {
 
 // Query answers one request — the only way into the query path; the
 // shorthands below are this call with the slots made for the caller. The
-// whole request pins one view, so every answer reflects the same store
+// whole request loads one view, so every answer reflects the same store
 // prefix even under concurrent writes, and each is bit-identical to
 // asking that query alone, at any worker count (see batchFanout). Once
 // ctx has ended no further query starts and its error is returned. On
@@ -777,8 +704,7 @@ func (db *DB) Query(ctx context.Context, q *Query) error {
 	case q.Stats != nil && len(q.Stats) != n:
 		return &ConfigError{Param: "stats", Msg: fmt.Sprintf("Query: %d stats slots for %d queries", len(q.Stats), n)}
 	}
-	v := db.pinView()
-	defer db.unpinView(v)
+	v := db.cur.Load()
 	seq, sw := v.batchFanout(n)
 	if !seq {
 		// By value: the closure boxes a copy, and the caller's Query (with
@@ -841,7 +767,7 @@ func (v *dbView) batchFanout(nq int) (seq bool, laneWorkers int) {
 	return false, -1
 }
 
-// queryOne answers query qi of a request against a pinned view on one
+// queryOne answers query qi of a request against a loaded view on one
 // checked-out scratch, its lanes run over laneWorkers: the hits into
 // *hits (reusing its capacity) or, when hits is nil, their majority label
 // into *label; the lanes' pruning counters into *stats when non-nil.
@@ -886,8 +812,7 @@ func (db *DB) TopKSparse(query *vecmath.Sparse, k int, metric Metric) ([]SearchR
 
 // TopKSparseStats is TopKSparse plus the query's pruning counters.
 func (db *DB) TopKSparseStats(query *vecmath.Sparse, k int, metric Metric) ([]SearchResult, PruneStats, error) {
-	v := db.pinView()
-	defer db.unpinView(v)
+	v := db.cur.Load()
 	var hits []SearchResult
 	var st PruneStats
 	err := db.queryOne(v, query, 0, k, metric, v.cfg.workers, &hits, nil, &st)
@@ -897,8 +822,7 @@ func (db *DB) TopKSparseStats(query *vecmath.Sparse, k int, metric Metric) ([]Se
 // ClassifySparse labels a query by majority vote among its k nearest
 // stored signatures, ties broken toward the nearest.
 func (db *DB) ClassifySparse(query *vecmath.Sparse, k int, metric Metric) (string, error) {
-	v := db.pinView()
-	defer db.unpinView(v)
+	v := db.cur.Load()
 	var label string
 	err := db.queryOne(v, query, 0, k, metric, v.cfg.workers, nil, &label, nil)
 	return label, err
@@ -924,19 +848,19 @@ func (db *DB) ClassifyBatch(queries []*vecmath.Sparse, k int, metric Metric) ([]
 	return out, nil
 }
 
-// topk evaluates one query against a pinned view on the caller-held
+// topk evaluates one query against a loaded view on the caller-held
 // scratch: one seed pass fills lane 0's heap, every other lane's heap
 // starts as a copy of it (seed), the lanes score their rows over
 // workers, and the other lanes' non-seed survivors merge into lane 0's
 // heap, which drains into out[:0] when it has capacity — exact at any
-// lane count (DESIGN-PERF.md Layer 3). It touches only the pinned view,
+// lane count (DESIGN-PERF.md Layer 3). It touches only the loaded view,
 // never the live writer state — the whole serialized-equivalence
 // argument: the result is exactly what a quiescent DB holding the
 // view's signatures returns.
 func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metric Metric, workers int, out []SearchResult) ([]SearchResult, error) {
 	if v.closed {
-		// Closed means the segment mappings are gone (or going): fail
-		// with the typed usage error instead of walking released state.
+		// The terminal view holds no segments: fail with the typed
+		// usage error.
 		return nil, errClosed()
 	}
 	if k < 1 {
@@ -1010,7 +934,7 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 	return out, nil
 }
 
-// laneQuery is what the p lanes of one query read: the pinned view, the
+// laneQuery is what the p lanes of one query read: the loaded view, the
 // query, the metric, and the seed pass's rows (ascending) and whether
 // it filled the heaps, so indexed units may take the pruned walk.
 type laneQuery struct {

@@ -13,13 +13,6 @@ import (
 	"testing"
 )
 
-// bothLoaders are the two ways a snapshot directory is opened; a refusal
-// must hold, and a load must agree, through each.
-var bothLoaders = []struct {
-	mode string
-	load func(string) (*DB, error)
-}{{"resident", LoadDir}, {"mapped", LoadDirMapped}}
-
 // dirState reads every file in a snapshot directory, keyed by name —
 // the before/after probe the incrementality assertions compare.
 func dirState(t *testing.T, dir string) map[string][]byte {
@@ -221,6 +214,109 @@ func TestSaveDirIncremental(t *testing.T) {
 	sameResults(t, "post-compaction reload", got, want)
 }
 
+// TestSaveDirNeverRewritesMappedFiles pins that SaveDir back into the
+// directory a store was loaded from never rewrites a clean loaded
+// segment: each keeps its inode and mtime, the grown rows land in new
+// files, and the store still saves to a fresh directory and answers.
+// (The name dates from the mmap load mode; it is kept so the id stays
+// stable.)
+func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	const dim, nnz = 80, 9
+	sigs := randSigs(r, 200, dim, nnz)
+	src, err := newTestDB(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetSegmentSize(64)
+	if err := src.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	src.Seal()
+	dir := t.TempDir()
+	if err := src.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	stat := func(d string) map[string]os.FileInfo {
+		m := map[string]os.FileInfo{}
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), "seg-") {
+				fi, err := os.Stat(filepath.Join(d, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m[e.Name()] = fi
+			}
+		}
+		return m
+	}
+	before := stat(dir)
+
+	db, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	q := randSigs(r, 1, dim, nnz)[0].W
+	want, err := db.TopKSparse(q, 8, CosineMetric())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Grow the store, then save back into the directory it was loaded
+	// from.
+	extra := randSigs(r, 50, dim, nnz)
+	for i := range extra {
+		extra[i].DocID = fmt.Sprintf("grown-%d", i)
+	}
+	if err := db.AddAll(extra); err != nil {
+		t.Fatal(err)
+	}
+	db.Seal()
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	after := stat(dir)
+	for name, fi := range before {
+		got, ok := after[name]
+		if !ok {
+			t.Fatalf("loaded segment file %s disappeared after SaveDir", name)
+		}
+		if !os.SameFile(got, fi) || !got.ModTime().Equal(fi.ModTime()) {
+			t.Fatalf("loaded segment file %s was rewritten", name)
+		}
+	}
+	if len(after) <= len(before) {
+		t.Fatalf("grown store wrote no new segment files (%d -> %d)", len(before), len(after))
+	}
+
+	// Save to a fresh directory too — serialized from the loaded segments.
+	fresh := t.TempDir()
+	if err := db.SaveDir(fresh); err != nil {
+		t.Fatal(err)
+	}
+	reload, err := LoadDir(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reload.Len() != len(sigs)+len(extra) {
+		t.Fatalf("fresh snapshot Len = %d, want %d", reload.Len(), len(sigs)+len(extra))
+	}
+
+	got, err := db.TopKSparse(q, 8, CosineMetric())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("query after saves: %d hits, want %d", len(got), len(want))
+	}
+}
+
 // TestSaveDirNeverRewritesReferencedFiles pins the crash-safety
 // invariant behind the manifest-last ordering: a file referenced by the
 // previous (durable) manifest is never renamed over, even when its
@@ -333,12 +429,8 @@ func saveMatrixBaseline(t testing.TB) string {
 // a *SnapshotError naming the offending file — never a partial DB.
 func TestDirCorruptionMatrix(t *testing.T) {
 	dir := saveMatrixBaseline(t)
-	for _, load := range []func(string) (*DB, error){LoadDir, LoadDirMapped} {
-		back, err := load(dir)
-		if err != nil {
-			t.Fatalf("healthy baseline failed to load: %v", err)
-		}
-		back.Close()
+	if _, err := LoadDir(dir); err != nil {
+		t.Fatalf("healthy baseline failed to load: %v", err)
 	}
 	clean := dirState(t, dir)
 	var segName string
@@ -360,25 +452,23 @@ func TestDirCorruptionMatrix(t *testing.T) {
 			}
 		}
 	}
-	// mustFailNaming asserts both the resident and mapped loaders fail
-	// with a *SnapshotError naming the expected file.
+	// mustFailNaming asserts the load fails with a *SnapshotError naming
+	// the expected file.
 	mustFailNaming := func(tag, file string) {
 		t.Helper()
-		for _, ld := range bothLoaders {
-			got, err := ld.load(dir)
-			if err == nil {
-				t.Fatalf("%s/%s: load succeeded", tag, ld.mode)
-			}
-			if got != nil {
-				t.Fatalf("%s/%s: load returned a DB alongside the error", tag, ld.mode)
-			}
-			var snapErr *SnapshotError
-			if !errors.As(err, &snapErr) {
-				t.Fatalf("%s/%s: error %v is not a *SnapshotError", tag, ld.mode, err)
-			}
-			if filepath.Base(snapErr.Path) != file {
-				t.Fatalf("%s/%s: error names %s, want %s", tag, ld.mode, snapErr.Path, file)
-			}
+		got, err := LoadDir(dir)
+		if err == nil {
+			t.Fatalf("%s: load succeeded", tag)
+		}
+		if got != nil {
+			t.Fatalf("%s: load returned a DB alongside the error", tag)
+		}
+		var snapErr *SnapshotError
+		if !errors.As(err, &snapErr) {
+			t.Fatalf("%s: error %v is not a *SnapshotError", tag, err)
+		}
+		if filepath.Base(snapErr.Path) != file {
+			t.Fatalf("%s: error names %s, want %s", tag, snapErr.Path, file)
 		}
 	}
 
@@ -493,7 +583,7 @@ func TestDirCorruptionMatrix(t *testing.T) {
 // part by part while the file format (and load-time validation) orders
 // block streams dimension-major, so a store holding a compacted segment
 // saved fine and then failed to open. Policy-merged and Compact-merged
-// stores must reload, resident and mapped, and answer bit-identically.
+// stores must reload and answer bit-identically.
 func TestCompactedStoreReopens(t *testing.T) {
 	r := rand.New(rand.NewSource(137))
 	const dim, nnz, n, k = 60, 8, 150, 9
@@ -528,30 +618,22 @@ func TestCompactedStoreReopens(t *testing.T) {
 		if err := db.SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		for _, ld := range []struct {
-			name string
-			load func(string) (*DB, error)
-		}{{"resident", LoadDir}, {"mapped", LoadDirMapped}} {
-			back, err := ld.load(dir)
-			if err != nil {
-				t.Fatalf("%s/%s: reopen: %v", mode, ld.name, err)
-			}
-			back.setPruneFloor(1)
-			for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
-				for qi, q := range queries {
-					want, err := db.TopKSparse(q.W, k, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := back.TopKSparse(q.W, k, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, fmt.Sprintf("%s/%s %s q=%d", mode, ld.name, m.Name, qi), got, want)
+		back, err := LoadDir(dir)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", mode, err)
+		}
+		back.setPruneFloor(1)
+		for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
+			for qi, q := range queries {
+				want, err := db.TopKSparse(q.W, k, m)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if err := back.Close(); err != nil {
-				t.Fatal(err)
+				got, err := back.TopKSparse(q.W, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, fmt.Sprintf("%s %s q=%d", mode, m.Name, qi), got, want)
 			}
 		}
 	}
@@ -559,22 +641,20 @@ func TestCompactedStoreReopens(t *testing.T) {
 
 // TestV1SnapshotInterop pins what the retired formats meet now: a
 // single-file v1 "FMDB" snapshot and a CRC-correct version-1 segment
-// file are each refused by both loaders with a typed *SnapshotError
+// file are each refused by LoadDir with a typed *SnapshotError
 // naming the path — never a panic, never a partial DB. (The fmeter.OpenDB
 // arm lives in the facade's TestSnapshotErrorAsFromFacade: this package
 // cannot import it.)
 func TestV1SnapshotInterop(t *testing.T) {
 	refused := func(tag, path, wantPath, wantMsg string) {
 		t.Helper()
-		for _, ld := range bothLoaders {
-			got, err := ld.load(path)
-			var se *SnapshotError
-			if got != nil || !errors.As(err, &se) {
-				t.Fatalf("%s/%s: db=%v err=%v, want a *SnapshotError and no DB", tag, ld.mode, got, err)
-			}
-			if !strings.HasPrefix(se.Path, wantPath) || !strings.Contains(err.Error(), wantMsg) {
-				t.Fatalf("%s/%s: error %q, want one naming %s and saying %q", tag, ld.mode, err, wantPath, wantMsg)
-			}
+		got, err := LoadDir(path)
+		var se *SnapshotError
+		if got != nil || !errors.As(err, &se) {
+			t.Fatalf("%s: db=%v err=%v, want a *SnapshotError and no DB", tag, got, err)
+		}
+		if !strings.HasPrefix(se.Path, wantPath) || !strings.Contains(err.Error(), wantMsg) {
+			t.Fatalf("%s: error %q, want one naming %s and saying %q", tag, err, wantPath, wantMsg)
 		}
 	}
 
@@ -615,8 +695,8 @@ func TestV1SnapshotInterop(t *testing.T) {
 // TestManifestShardsRefused pins the one-store format: a manifest that
 // names a shard count other than 1 — hand-written, or left by a store
 // that was split into shards, its segments in two lists — is refused by
-// both loaders with a *SnapshotError naming the manifest and the way to
-// rewrite it as one store, before a segment file is mapped.
+// LoadDir with a *SnapshotError naming the manifest and the way to
+// rewrite it as one store, before a segment file is read.
 func TestManifestShardsRefused(t *testing.T) {
 	dir := saveMatrixBaseline(t)
 	mpath := filepath.Join(dir, manifestName)
@@ -645,19 +725,13 @@ func TestManifestShardsRefused(t *testing.T) {
 		if err := os.WriteFile(mpath, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		released := mapReleaseCount.Load()
-		for _, ld := range bothLoaders {
-			db, err := ld.load(dir)
-			var se *SnapshotError
-			if db != nil || !errors.As(err, &se) || se.Path != mpath {
-				t.Fatalf("%s/%s: db=%v err=%v, want no DB and a *SnapshotError naming %s", tag, ld.mode, db, err, mpath)
-			}
-			if !strings.Contains(err.Error(), "WithShards(1)") {
-				t.Fatalf("%s/%s: %v does not say how to rewrite the snapshot", tag, ld.mode, err)
-			}
+		db, err := LoadDir(dir)
+		var se *SnapshotError
+		if db != nil || !errors.As(err, &se) || se.Path != mpath {
+			t.Fatalf("%s: db=%v err=%v, want no DB and a *SnapshotError naming %s", tag, db, err, mpath)
 		}
-		if n := mapReleaseCount.Load() - released; n != 0 {
-			t.Fatalf("%s: refused loads mapped and released %d segment files", tag, n)
+		if !strings.Contains(err.Error(), "WithShards(1)") {
+			t.Fatalf("%s: %v does not say how to rewrite the snapshot", tag, err)
 		}
 	}
 }

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -278,41 +281,54 @@ func TestLoadDirFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestSaveDirDeferredOrphanRemoval pins a view across a compaction and
-// a save, proving the replaced segment files are NOT removed while the
-// view can still reach them, and ARE removed (exactly the named ones)
-// once the last pin drops and a quiescent SaveDir drains the queue.
-func TestSaveDirDeferredOrphanRemoval(t *testing.T) {
-	db, dir, _, _ := buildFaultCorpus(t)
+// TestSaveDirRemovesOrphansUnderLoad saves a fully compacted layout
+// while queries run: SaveDir removes the replaced segment files before it
+// returns, leaving exactly the manifest and the live segment files, and
+// the directory loads with the full store.
+func TestSaveDirRemovesOrphansUnderLoad(t *testing.T) {
+	db, dir, _, newN := buildFaultCorpus(t)
 	defer db.Close()
-
+	// Every sealed segment is small under the default size: Compact
+	// merges them into one, orphaning every file the directory holds.
+	db.SetSegmentSize(DefaultSegmentSize)
+	db.Compact()
 	before, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := randSigs(rand.New(rand.NewSource(41)), 1, db.Dim(), 6)[0].W
 
-	// Pin a view, then commit the compacted layout: the compaction
-	// inputs' files become orphans of the new manifest, but the pinned
-	// view predates the save, so removal must wait for it.
-	v := db.pinView()
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatalf("SaveDir under pin: %v", err)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var queried atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.TopKSparse(q, 5, CosineMetric()); err != nil {
+					t.Errorf("query during SaveDir: %v", err)
+					return
+				}
+				queried.Add(1)
+			}
+		}()
 	}
-	after, err := os.ReadDir(dir)
+	for queried.Load() < 10 {
+		runtime.Gosched()
+	}
+	err = db.SaveDir(dir)
+	close(stop)
+	wg.Wait()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) < len(before) {
-		t.Fatalf("files removed while a pinned view could reach them: %d -> %d", len(before), len(after))
+		t.Fatalf("SaveDir under load: %v", err)
 	}
 
-	// Drop the pin: the deferred removal runs. A follow-up quiescent
-	// SaveDir both surfaces any deferred failure and proves the
-	// directory converged (manifest + live segments only).
-	db.unpinView(v)
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatalf("quiescent SaveDir after drain: %v", err)
-	}
 	final, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -323,12 +339,28 @@ func TestSaveDirDeferredOrphanRemoval(t *testing.T) {
 		live[segmentFileName(sg.id)] = true
 	}
 	db.mu.Unlock()
+	if len(final) != len(live) {
+		t.Fatalf("directory holds %d files, want the manifest and %d segment files", len(final), len(live)-1)
+	}
 	for _, e := range final {
 		if !live[e.Name()] {
-			t.Fatalf("orphan %s survives the post-drain save", e.Name())
+			t.Fatalf("orphan %s survives the save", e.Name())
 		}
 	}
-	if _, err := LoadDir(dir); err != nil {
-		t.Fatalf("converged directory unloadable: %v", err)
+	replaced := 0
+	for _, e := range before {
+		if !live[e.Name()] {
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("the compacted layout replaced no file: nothing was orphaned")
+	}
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("saved directory unloadable: %v", err)
+	}
+	if back.Len() != newN {
+		t.Fatalf("saved directory loads %d signatures, want %d", back.Len(), newN)
 	}
 }

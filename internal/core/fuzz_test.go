@@ -9,18 +9,87 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/vecmath"
 )
 
-// FuzzLoadSegment feeds mutated segment bodies to both loaders. The
-// harness stamps the footer CRC and writes a one-segment manifest around
-// every input (CRC and record count taken from the input itself), so a
+// bruteTopK is the naive retrieval oracle: it scores every signature of
+// sigs against q with m.SparseScore, orders them closest first (ties by
+// insertion order) and keeps the first k.
+func bruteTopK(sigs []Signature, q *vecmath.Sparse, k int, m Metric) []SearchResult {
+	out := make([]SearchResult, len(sigs))
+	for i, s := range sigs {
+		out[i] = SearchResult{Signature: s, Score: m.SparseScore(q, s.W)}
+	}
+	slices.SortStableFunc(out, func(a, b SearchResult) int {
+		switch {
+		case a.Score == b.Score:
+			return 0
+		case (a.Score > b.Score) == m.HigherIsCloser:
+			return -1
+		}
+		return 1
+	})
+	return out[:min(k, len(out))]
+}
+
+// checkLoadedStore holds a store that loaded from fuzzed bytes to two
+// oracles: its answers are bit-identical to bruteTopK over its own
+// All(), and a SaveDir → LoadDir round trip into a fresh directory
+// gives back the same signatures and the same answers.
+func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
+	t.Helper()
+	metrics := []Metric{EuclideanMetric(), CosineMetric()}
+	all := db.All()
+	hits := make([][]SearchResult, len(metrics))
+	for i, m := range metrics {
+		var err error
+		if hits[i], err = db.TopKSparse(query, 5, m); err != nil {
+			t.Fatalf("%s query on a loaded DB: %v", m.Name, err)
+		}
+		if want := bruteTopK(all, query, 5, m); !sameHits(hits[i], want) {
+			t.Fatalf("%s: loaded store answers %v, the brute-force scan %v", m.Name, hits[i], want)
+		}
+	}
+	dir := t.TempDir()
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatalf("re-saving a loaded store: %v", err)
+	}
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("reloading a re-saved store: %v", err)
+	}
+	backAll := back.All()
+	if len(backAll) != len(all) {
+		t.Fatalf("round trip holds %d signatures, want %d", len(backAll), len(all))
+	}
+	for i := range all {
+		if err := sameSignature(backAll[i], all[i]); err != nil {
+			t.Fatalf("round trip signature %d: %v", i, err)
+		}
+	}
+	for i, m := range metrics {
+		got, err := back.TopKSparse(query, 5, m)
+		if err != nil {
+			t.Fatalf("%s query after the round trip: %v", m.Name, err)
+		}
+		if !sameHits(got, hits[i]) {
+			t.Fatalf("%s: round trip answers %v, the loaded store %v", m.Name, got, hits[i])
+		}
+	}
+}
+
+// FuzzLoadSegment feeds mutated segment bodies to LoadDir. The harness
+// stamps the footer CRC and writes a one-segment manifest around every
+// input (CRC and record count taken from the input itself), so a
 // mutation is judged by the header, record and postings decoders rather
-// than stopped at a checksum. Either loader may refuse the file — with a
-// *SnapshotError naming a file and no DB — or both load it, and then
-// they hold the same number of signatures and answer a query
-// bit-identically. The seeds are the corruption matrix's healthy files.
+// than stopped at a checksum. The loader may refuse the file — with a
+// *SnapshotError naming a file and no DB — or load it, and then the
+// store holds the header's record count and passes checkLoadedStore.
+// The seeds are the corruption matrix's healthy files.
 func FuzzLoadSegment(f *testing.F) {
 	seeds := saveMatrixBaseline(f)
 	entries, err := os.ReadDir(seeds)
@@ -63,43 +132,28 @@ func FuzzLoadSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		var hits [2][]SearchResult
-		var loaded [2]bool
-		for i, ld := range bothLoaders {
-			db, err := ld.load(dir)
-			if err != nil {
-				var se *SnapshotError
-				if db != nil || !errors.As(err, &se) || se.Path == "" {
-					t.Fatalf("%s: db=%v err=%v, want no DB and a *SnapshotError naming a file", ld.mode, db, err)
-				}
-				continue
+		db, err := LoadDir(dir)
+		if err != nil {
+			var se *SnapshotError
+			if db != nil || !errors.As(err, &se) || se.Path == "" {
+				t.Fatalf("db=%v err=%v, want no DB and a *SnapshotError naming a file", db, err)
 			}
-			loaded[i] = true
-			if db.Len() != count {
-				t.Fatalf("%s: loaded %d signatures of the header's %d", ld.mode, db.Len(), count)
-			}
-			if hits[i], err = db.TopKSparse(query, 5, EuclideanMetric()); err != nil {
-				t.Fatalf("%s: query on a loaded DB: %v", ld.mode, err)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
+			return
 		}
-		if loaded[0] != loaded[1] {
-			t.Fatalf("resident loaded=%v, mapped loaded=%v", loaded[0], loaded[1])
+		if db.Len() != count {
+			t.Fatalf("loaded %d signatures of the header's %d", db.Len(), count)
 		}
-		if !sameHits(hits[0], hits[1]) {
-			t.Fatalf("resident and mapped loads answer differently: %v vs %v", hits[0], hits[1])
-		}
+		checkLoadedStore(t, db, query)
 	})
 }
 
-// FuzzLoadManifest feeds mutated manifests to both loaders over the
-// corruption matrix's healthy segment files. Either loader may refuse —
+// FuzzLoadManifest feeds mutated manifests to LoadDir over the
+// corruption matrix's healthy segment files. The loader may refuse —
 // with a *SnapshotError naming a file and no DB — or load a store that
-// answers like the healthy one: the same signatures in the same order
-// and the same hits. The seeds are the healthy manifest and two
-// refusals: a shard count of 2, and the segments split over two lists.
+// answers like the healthy one (the same signatures in the same order
+// and the same hits) and passes checkLoadedStore. The seeds are the
+// healthy manifest and two refusals: a shard count of 2, and the
+// segments split over two lists.
 func FuzzLoadManifest(f *testing.F) {
 	base := saveMatrixBaseline(f)
 	entries, err := os.ReadDir(base)
@@ -141,34 +195,30 @@ func FuzzLoadManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, ld := range bothLoaders {
-			db, err := ld.load(dir)
-			if err != nil {
-				var se *SnapshotError
-				if db != nil || !errors.As(err, &se) || se.Path == "" {
-					t.Fatalf("%s: db=%v err=%v, want no DB and a *SnapshotError naming a file", ld.mode, db, err)
-				}
-				continue
+		db, err := LoadDir(dir)
+		if err != nil {
+			var se *SnapshotError
+			if db != nil || !errors.As(err, &se) || se.Path == "" {
+				t.Fatalf("db=%v err=%v, want no DB and a *SnapshotError naming a file", db, err)
 			}
-			all := db.All()
-			if len(all) != len(wantAll) {
-				t.Fatalf("%s: loaded %d signatures, the healthy store holds %d", ld.mode, len(all), len(wantAll))
-			}
-			for i := range all {
-				if err := sameSignature(all[i], wantAll[i]); err != nil {
-					t.Fatalf("%s: signature %d: %v", ld.mode, i, err)
-				}
-			}
-			got, err := db.TopKSparse(query, 5, EuclideanMetric())
-			if err != nil {
-				t.Fatalf("%s: query on a loaded DB: %v", ld.mode, err)
-			}
-			if !sameHits(got, want) {
-				t.Fatalf("%s: loaded store answers %v, the healthy one %v", ld.mode, got, want)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
+			return
+		}
+		all := db.All()
+		if len(all) != len(wantAll) {
+			t.Fatalf("loaded %d signatures, the healthy store holds %d", len(all), len(wantAll))
+		}
+		for i := range all {
+			if err := sameSignature(all[i], wantAll[i]); err != nil {
+				t.Fatalf("signature %d: %v", i, err)
 			}
 		}
+		got, err := db.TopKSparse(query, 5, EuclideanMetric())
+		if err != nil {
+			t.Fatalf("query on a loaded DB: %v", err)
+		}
+		if !sameHits(got, want) {
+			t.Fatalf("loaded store answers %v, the healthy one %v", got, want)
+		}
+		checkLoadedStore(t, db, query)
 	})
 }

@@ -132,14 +132,11 @@ type manifestSegment struct {
 // therefore saves in O(new data). Every file is written to a temp name,
 // fsynced, and renamed; the manifest goes last, so a crash mid-save
 // never corrupts the previous snapshot. Files from replaced segments
-// (compaction inputs) and abandoned temp files are removed after the new
-// manifest is durable — except files a pinned epoch view may still be
-// reading (spliced-away mapped segments), whose removal is deferred
-// until the last such view drains; a deferred removal's failure
-// surfaces from the next SaveDir that reaches a quiescent store.
+// (compaction inputs) and abandoned temp files are removed once the new
+// manifest is durable, before SaveDir returns.
 //
 // SaveDir serializes with Add/Seal/Compact (one writer side) but never
-// blocks queries, which keep scoring their pinned views throughout.
+// blocks queries, which keep scoring their loaded views throughout.
 // Every failure is a typed *SnapshotError (or *ConfigError for misuse
 // of a closed database).
 //
@@ -235,38 +232,18 @@ func (db *DB) SaveDir(path string) error {
 		return &SnapshotError{Path: path, Err: err}
 	}
 	db.saveDir = path
-	// The replaced files are garbage now that the manifest is durable,
-	// but a pinned view may still be scoring a mapped blob in one of
-	// them — so list the orphans NOW (a later listing could catch a
-	// subsequent save's fresh temp files) and remove the named files
-	// only when every view predating this save has drained.
+	// The replaced files are garbage now that the manifest is durable.
+	// Views hold the rows and postings on the heap, so no query reads
+	// them: remove them now.
 	stale, err := listOrphans(path, live)
 	if err != nil {
 		return err
 	}
-	if len(stale) > 0 {
-		db.publishLocked(func() {
-			for _, name := range stale {
-				fp := filepath.Join(path, name)
-				// Two overlapping saves can both list the same orphan
-				// (the first's removal was still deferred when the
-				// second scanned), so an already-gone file is success.
-				if err := fsRemove(fp); err != nil && !os.IsNotExist(err) && db.orphanErr == nil {
-					db.orphanErr = &SnapshotError{Path: fp, Err: err}
-				}
-			}
-		})
-	}
-	// With no concurrent readers the publish drained synchronously, so a
-	// removal failure surfaces here — the quiescent-caller contract. A
-	// failure during a genuinely deferred removal is reported by the
-	// next SaveDir to find the store quiescent.
-	db.reclMu.Lock()
-	defer db.reclMu.Unlock()
-	if len(db.pendingViews) == 0 {
-		err := db.orphanErr
-		db.orphanErr = nil
-		return err
+	for _, name := range stale {
+		fp := filepath.Join(path, name)
+		if err := fsRemove(fp); err != nil && !os.IsNotExist(err) {
+			return &SnapshotError{Path: fp, Err: err}
+		}
 	}
 	return nil
 }
@@ -437,24 +414,6 @@ func syncDir(path string) error {
 	return d.Sync()
 }
 
-// LoadOptions tunes how LoadDirOpts materializes a snapshot directory.
-type LoadOptions struct {
-	// MapPostings serves sealed segments' postings blobs out of
-	// read-only memory mappings of their segment files instead of heap
-	// copies: cold opens stop copying postings bytes, resident heap
-	// drops to signature rows plus descriptors, and the OS pages cold
-	// posting blocks in and out on demand — the larger-than-RAM-corpus
-	// mode. Validation is unchanged (CRC, manifest cross-check, and the
-	// full postings bijection all run against the mapped bytes before
-	// any query can see them), and queries are bit-identical to a heap
-	// load. On platforms without mmap support, or when a mapping fails,
-	// the load silently degrades to the heap read path segment by
-	// segment. A mapped DB must be released with Close; mutating the
-	// mapped files (or their filesystem) behind a live mapping is
-	// undefined, so keep the snapshot directory owned by the DB.
-	MapPostings bool
-}
-
 // LoadDir loads a snapshot directory written by SaveDir. Every
 // segment file's CRC is verified against both its own footer and the
 // manifest before any record is parsed; corruption, truncation, or a
@@ -462,18 +421,9 @@ type LoadOptions struct {
 // partially loaded database. All loaded segments are sealed — the next
 // Add opens a fresh active segment — and the DB remembers the directory,
 // so an immediate SaveDir back to it rewrites nothing but the manifest.
-func LoadDir(path string) (*DB, error) { return LoadDirOpts(path, LoadOptions{}) }
-
-// LoadDirMapped is LoadDir with MapPostings: sealed postings are served
-// off read-only mappings of the segment files (see LoadOptions).
-func LoadDirMapped(path string) (*DB, error) {
-	return LoadDirOpts(path, LoadOptions{MapPostings: true})
-}
-
-// LoadDirOpts is LoadDir under explicit options.
 //
 //fmeter:errdomain snapshot
-func LoadDirOpts(path string, opts LoadOptions) (*DB, error) {
+func LoadDir(path string) (*DB, error) {
 	mpath := filepath.Join(path, manifestName)
 	raw, err := fsReadFile(mpath)
 	if err != nil {
@@ -500,71 +450,45 @@ func LoadDirOpts(path string, opts LoadOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// From here on the DB may hold live segment mappings; every failure
-	// path must release them (Close) before discarding it.
-	fail := func(err error) (*DB, error) {
-		db.Close()
-		return nil, err
-	}
 	seen := make(map[uint64]bool)
 	for _, ent := range m.Segments[0] {
 		if seen[ent.ID] {
-			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d listed twice", ent.ID)})
+			return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d listed twice", ent.ID)}
 		}
 		seen[ent.ID] = true
 		if ent.ID >= m.NextSeg {
-			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d >= next_segment %d", ent.ID, m.NextSeg)})
+			return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d >= next_segment %d", ent.ID, m.NextSeg)}
 		}
 		if ent.File != segmentFileName(ent.ID) {
-			return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segment %d file %q, want %q", ent.ID, ent.File, segmentFileName(ent.ID))})
+			return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segment %d file %q, want %q", ent.ID, ent.File, segmentFileName(ent.ID))}
 		}
-		if err := db.loadSegmentFile(path, ent, opts); err != nil {
-			return fail(err)
+		if err := db.loadSegmentFile(path, ent); err != nil {
+			return nil, err
 		}
 	}
 	if len(db.sigs) != m.Count {
-		return fail(&SnapshotError{Path: mpath, Err: fmt.Errorf("segments hold %d records, manifest count says %d", len(db.sigs), m.Count)})
+		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segments hold %d records, manifest count says %d", len(db.sigs), m.Count)}
 	}
 	db.nextSeg = m.NextSeg
 	db.saveDir = path
 	// The DB is still private to this goroutine; refresh the published
-	// view to cover the loaded segments before anyone can pin it.
+	// view to cover the loaded segments before any query can load it.
 	db.cur.Store(db.buildViewLocked())
 	return db, nil
 }
 
 // loadSegmentFile verifies and parses one segment file, appending its
-// records to the store as a sealed segment. With opts.MapPostings the
-// file is memory-mapped instead of read: every validation below runs
-// against the mapped bytes, signature rows are still decoded onto the
-// heap (they outlive any one segment layout), but the postings blob is
-// aliased straight into the read-only mapping — the segment keeps the
-// mapping handle and owns its lifetime (released by Close, or by
-// Compact when the blob is spliced into a heap copy). A failed mapping
-// silently falls back to the heap read path.
+// records to the store as a sealed segment. Signature rows and the
+// postings blob are copied out of the file's bytes onto the heap.
 //
 //fmeter:errdomain snapshot
-func (db *DB) loadSegmentFile(dir string, ent manifestSegment, opts LoadOptions) error {
+func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
 	path := filepath.Join(dir, ent.File)
-	var mf *mapFile
-	var raw []byte
-	if opts.MapPostings {
-		if m, err := mapOpen(path); err == nil {
-			mf = m
-			raw = m.bytes()
-		}
+	raw, err := fsReadFile(path)
+	if err != nil {
+		return &SnapshotError{Path: path, Err: err}
 	}
-	if raw == nil {
-		r, err := fsReadFile(path)
-		if err != nil {
-			return &SnapshotError{Path: path, Err: err}
-		}
-		raw = r
-	}
-	// Any failure below discards the whole load: release the mapping
-	// before the error can orphan it.
 	fail := func(err error) error {
-		mf.close()
 		return &SnapshotError{Path: path, Err: err}
 	}
 	if len(raw) < segHeaderSize+4 {
@@ -622,7 +546,7 @@ func (db *DB) loadSegmentFile(dir string, ent manifestSegment, opts LoadOptions)
 	}
 	rows := db.sigs[sg.start:sg.end]
 	if flags&segFlagPostings != 0 {
-		bp, err := readPostingsSection(&cur, rows, db.dim, mf != nil)
+		bp, err := readPostingsSection(&cur, rows, db.dim)
 		if err != nil {
 			return fail(fmt.Errorf("postings: %w", err))
 		}
@@ -634,14 +558,6 @@ func (db *DB) loadSegmentFile(dir string, ent manifestSegment, opts LoadOptions)
 	}
 	if rest := len(cur.b) - cur.pos; rest != 0 {
 		return fail(fmt.Errorf("%d trailing bytes after record %d", rest, count))
-	}
-	if sg.blocks != nil && sg.blocks.blobMapped {
-		// The blob aliases the mapping: the segment owns the handle from
-		// here (Close/Compact release it). Without a kept alias the
-		// mapping has served its purpose — drop it now.
-		sg.mf = mf
-	} else {
-		mf.close()
 	}
 	db.segs = append(db.segs, sg)
 	return nil
@@ -738,8 +654,7 @@ func (c *byteCursor) uvarint() (uint64, error) {
 }
 
 // take consumes n bytes, returning them as a capacity-clamped alias of
-// the underlying body (callers copy what they keep — unless the body is
-// a mapping they own, the mapped-postings case).
+// the underlying body (callers copy what they keep).
 func (c *byteCursor) take(n int) ([]byte, error) {
 	if n > len(c.b)-c.pos {
 		return nil, io.ErrUnexpectedEOF
@@ -762,12 +677,7 @@ func (c *byteCursor) rem() int { return len(c.b) - c.pos }
 // support sizes, every posting mapping to a distinct in-range
 // (id, ordinal) whose support entry names the posting's dimension, the
 // section is a bijection onto the signatures' non-zeros.
-//
-// With aliasBlob the blob is not copied: it aliases the cursor's bytes
-// (a read-only mapping whose lifetime the caller manages), and the
-// returned blockPostings is marked blobMapped. Validation is identical
-// either way — it runs against the very bytes queries will read.
-func readPostingsSection(cur *byteCursor, rows []Signature, dim int, aliasBlob bool) (*blockPostings, error) {
+func readPostingsSection(cur *byteCursor, rows []Signature, dim int) (*blockPostings, error) {
 	n := len(rows)
 	sup := make([][]int32, n)
 	vals := make([][]float64, n)
@@ -860,12 +770,7 @@ func readPostingsSection(cur *byteCursor, rows []Signature, dim int, aliasBlob b
 	if err != nil {
 		return nil, fmt.Errorf("blob: %w", err)
 	}
-	if aliasBlob {
-		bp.blob = blob
-		bp.blobMapped = true
-	} else {
-		bp.blob = append(make([]byte, 0, len(blob)), blob...)
-	}
+	bp.blob = append(make([]byte, 0, len(blob)), blob...)
 	if err := bp.validate(sup, blockDims); err != nil {
 		return nil, err
 	}
@@ -894,8 +799,8 @@ func readPostingsSection(cur *byteCursor, rows []Signature, dim int, aliasBlob b
 // in compact arrays turns the two random per-posting lookups into
 // L1-resident reads plus one sequential per-signature advance; this is
 // equivalent to checking sup[sid][ord] == d posting by posting (either
-// both accept a file or both reject it) and is what makes cold opens
-// fast enough to serve mapped segments on demand.
+// both accept a file or both reject it) and is what keeps cold opens
+// fast.
 func (bp *blockPostings) validate(sup [][]int32, blockDims []int32) error {
 	n := bp.n
 	cur := make([]int32, n)     // next expected ordinal per signature

@@ -82,9 +82,7 @@ func rewriteSegment(t *testing.T, dir, name string, body []byte) {
 // count, an overlong (bad) varint, a truncated block stream, and an
 // ordinal that names the wrong dimension. A plain CRC mismatch on the
 // postings bytes is checked too. Every case yields a *SnapshotError
-// naming the segment file and loads nothing — under both the resident
-// loader and LoadDirMapped, since the mapped path runs the identical
-// validation against the mapped bytes.
+// naming the segment file and loads nothing.
 func TestV21PostingsCorruptionMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(211))
 	const dim, nnz, n = 40, 7, 9
@@ -122,30 +120,21 @@ func TestV21PostingsCorruptionMatrix(t *testing.T) {
 			}
 		}
 	}
-	loaders := []struct {
-		mode string
-		load func(string) (*DB, error)
-	}{
-		{"resident", LoadDir},
-		{"mapped", LoadDirMapped},
-	}
 	mustFail := func(tag string) {
 		t.Helper()
-		for _, ld := range loaders {
-			got, err := ld.load(dir)
-			if err == nil {
-				t.Fatalf("%s/%s: load succeeded", tag, ld.mode)
-			}
-			if got != nil {
-				t.Fatalf("%s/%s: load returned a DB alongside the error", tag, ld.mode)
-			}
-			var snapErr *SnapshotError
-			if !errors.As(err, &snapErr) {
-				t.Fatalf("%s/%s: error %v is not a *SnapshotError", tag, ld.mode, err)
-			}
-			if filepath.Base(snapErr.Path) != segName {
-				t.Fatalf("%s/%s: error names %s, want %s", tag, ld.mode, snapErr.Path, segName)
-			}
+		got, err := LoadDir(dir)
+		if err == nil {
+			t.Fatalf("%s: load succeeded", tag)
+		}
+		if got != nil {
+			t.Fatalf("%s: load returned a DB alongside the error", tag)
+		}
+		var snapErr *SnapshotError
+		if !errors.As(err, &snapErr) {
+			t.Fatalf("%s: error %v is not a *SnapshotError", tag, err)
+		}
+		if filepath.Base(snapErr.Path) != segName {
+			t.Fatalf("%s: error names %s, want %s", tag, snapErr.Path, segName)
 		}
 		restore()
 	}

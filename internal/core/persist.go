@@ -214,11 +214,10 @@ func (a *sigArena) take(n int) ([]int32, []float64) {
 
 // readSigRecordV2 parses one signature record written by
 // writeSigRecordV2, decoding straight off the verified segment body via
-// the byte cursor (segment bodies are always fully in memory — read or
-// mapped — and the per-byte reader indirection used to dominate cold
-// opens). The decoded strings and weight arrays are always heap copies:
-// a signature must outlive the body it was decoded from, which may be a
-// mapping released by Compact or Close. Truncation surfaces as
+// the byte cursor (segment bodies are always fully in memory, and the
+// per-byte reader indirection used to dominate cold opens). The decoded
+// strings and weight arrays are copies: a signature must not keep the
+// whole file body it was decoded from alive. Truncation surfaces as
 // io.ErrUnexpectedEOF.
 func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 	docID, err := readCursorString(c)
@@ -298,8 +297,8 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 
 // readCursorString reads one uvarint-length-prefixed string from the
 // cursor, bounding the length so a corrupt prefix cannot trigger a giant
-// allocation. The returned string is a copy — safe to keep after the
-// cursor's body (possibly a mapping) is released.
+// allocation. The returned string is a copy, so it does not keep the
+// cursor's body alive.
 func readCursorString(c *byteCursor) (string, error) {
 	n, err := c.uvarint()
 	if err != nil {

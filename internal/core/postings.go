@@ -86,12 +86,6 @@ type blockPostings struct {
 	dir       []int32
 	blocks    []blockDesc
 	blob      []byte
-	// blobMapped marks blob as an alias into a read-only segment-file
-	// mapping (LoadOptions.MapPostings) rather than a heap allocation:
-	// memBytes excludes it, mappedBytes reports it, and the owning
-	// segment's mapFile handle decides when the bytes go away (splice
-	// copies them to the heap first; Close releases them for good).
-	blobMapped bool
 	// vals[id] aliases signature id's sparse value array (no copy; the
 	// one weight store is the canonical signature data).
 	vals [][]float64
@@ -599,26 +593,12 @@ func (bp *blockPostings) postingCount() int64 { return bp.nPostings }
 // memBytes returns the resident heap footprint (backing-array
 // capacities included): blob + descriptors + directory + the
 // per-signature value-slice table (24 bytes each — the headers only;
-// the values themselves belong to the signatures). A mapped blob is
-// page cache, not heap, so it is excluded here and reported by
-// mappedBytes instead.
+// the values themselves belong to the signatures).
 func (bp *blockPostings) memBytes() int64 {
-	b := int64(unsafe.Sizeof(*bp)) +
+	return int64(unsafe.Sizeof(*bp)) +
+		int64(cap(bp.blob)) +
 		int64(cap(bp.blocks))*blockDescSize +
 		int64(cap(bp.dir))*4 +
 		int64(cap(bp.dimBound))*8 +
 		int64(cap(bp.vals))*24
-	if !bp.blobMapped {
-		b += int64(cap(bp.blob))
-	}
-	return b
-}
-
-// mappedBytes returns the blob length when it aliases a read-only
-// segment-file mapping, zero for heap-backed blocks.
-func (bp *blockPostings) mappedBytes() int64 {
-	if bp.blobMapped {
-		return int64(len(bp.blob))
-	}
-	return 0
 }

@@ -420,7 +420,7 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 2, 3, 7} {
-			for _, mode := range []string{"sealed", "mixed", "compacted", "mapped"} {
+			for _, mode := range []string{"sealed", "mixed", "compacted", "loaded"} {
 				db, err := newTestDB(dim, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -441,19 +441,17 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 					db.Seal()
 					db.SetSegmentSize(DefaultSegmentSize)
 					db.Compact()
-				case "mapped":
-					// Seal, snapshot, and reload with postings served
-					// off the file mapping — bit-identical walk required.
+				case "loaded":
+					// Seal, snapshot, and reload — bit-identical walk
+					// required.
 					db.Seal()
 					dir := t.TempDir()
 					if err := db.SaveDir(dir); err != nil {
 						t.Fatal(err)
 					}
-					if db, err = LoadDirMapped(dir); err != nil {
+					if db, err = LoadDir(dir); err != nil {
 						t.Fatal(err)
 					}
-					mdb := db
-					t.Cleanup(func() { mdb.Close() })
 					db.SetWorkers(workers)
 				}
 				tag := fmt.Sprintf("seed=%d workers=%d mode=%s segs=%d",

@@ -17,9 +17,8 @@ import (
 // buildPrunedDB assembles a DB in one of the sweep's storage layouts:
 // "sealed" (everything block-compressed), "mixed" (sealed prefix plus a
 // flat active tail), "compacted" (tier policy enabled while ingesting,
-// so the sealed run is a merge history), or "mapped" (the sealed store
-// round-tripped through SaveDir and reloaded with postings served off
-// read-only file mappings).
+// so the sealed run is a merge history), or "loaded" (the sealed store
+// round-tripped through SaveDir and LoadDir).
 func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout string) *DB {
 	t.Helper()
 	db, err := newTestDB(sigs[0].Dim(), workers)
@@ -46,19 +45,18 @@ func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout 
 	if err := db.AddAll(sigs[cut:]); err != nil {
 		t.Fatal(err)
 	}
-	if layout == "mapped" {
+	if layout == "loaded" {
 		dir := t.TempDir()
 		if err := db.SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		mdb, err := LoadDirMapped(dir)
+		ldb, err := LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { mdb.Close() })
-		mdb.setPruneFloor(1)
-		mdb.SetWorkers(workers)
-		return mdb
+		ldb.setPruneFloor(1)
+		ldb.SetWorkers(workers)
+		return ldb
 	}
 	return db
 }
@@ -121,7 +119,7 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
-					for _, layout := range []string{"sealed", "mixed", "compacted", "mapped"} {
+					for _, layout := range []string{"sealed", "mixed", "compacted", "loaded"} {
 						ctx := fmt.Sprintf("seed=%d metric=%s k=%d workers=%d layout=%s",
 							seed, metric.Name, k, workers, layout)
 						db := buildPrunedDB(t, sigs, workers, segSize, layout)
@@ -766,8 +764,7 @@ func TestEssentialPrefix(t *testing.T) {
 	// Two fresh members of every class (classSize 1 gives class i to
 	// signature i), the shape of bench's kernel_large probes.
 	queries := append(peakedSigs(r, dim, n/classSize, 1), peakedSigs(r, dim, n/classSize, 1)...)
-	v := db.pinView()
-	defer db.unpinView(v)
+	v := db.cur.Load()
 	units, pruned := 0, 0
 	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
 		cosine := metric.kind == metricKindCosine

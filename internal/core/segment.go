@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -73,36 +72,6 @@ type segment struct {
 	// (recorded in the manifest so a tampered file is caught even when
 	// its own footer was recomputed).
 	crc uint32
-	// mf is the read-only mapping of the segment's file when the
-	// postings blob was mapped rather than copied (LoadDirMapped):
-	// blocks.blob aliases it. The segment owns the handle until it hands
-	// it over (takeMap, under db.mu) for release: when the blob stops
-	// being served from it (a compaction splice copies the bytes to the
-	// heap) or when the DB closes. Nil for heap-backed segments.
-	mf *mapFile
-}
-
-// mapReleaseCount counts segment-file mapping releases DB-wide; tests
-// assert mappings are released exactly once across close/compact races.
-var mapReleaseCount atomic.Int64
-
-// takeMap hands over the segment's file mapping, nil when it has none.
-// Caller holds db.mu. The segment forgets the handle here, so each
-// mapping is taken once and the reclaim action that later releases it
-// never touches the segment, which the writer may still be reading.
-func (sg *segment) takeMap() *mapFile {
-	mf := sg.mf
-	sg.mf = nil
-	return mf
-}
-
-// releaseMap releases a mapping taken from a segment. The caller must
-// guarantee its blob is no longer reachable from queries (the segment
-// was spliced away and the views that could reach it have drained, or
-// the DB is closing).
-func releaseMap(mf *mapFile) error {
-	mapReleaseCount.Add(1)
-	return mf.close()
 }
 
 // len returns the segment's record count.
@@ -297,9 +266,8 @@ func (db *DB) appendSegment() *segment {
 // alone — sealing it would push a zero-length sealed segment into the
 // manifest and every later compaction run for no data at all.
 //
-// Concurrent queries keep the view they pinned: the new segment lists
-// are published atomically afterward, and any mapping a policy merge
-// spliced away is released only once every older view drains.
+// Concurrent queries keep the view they loaded: the new segment lists
+// are published atomically afterward.
 func (db *DB) Seal() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -312,7 +280,7 @@ func (db *DB) Seal() {
 		db.policyCompact(&p)
 	}
 	p.build(db.dim)
-	db.publishLocked(db.takeStaleActionsLocked()...)
+	db.publishLocked()
 }
 
 // Compact merges runs of adjacent small sealed segments (each below the
@@ -322,8 +290,7 @@ func (db *DB) Seal() {
 // alone. Query results are bit-identical before and after; the merged
 // segments are rewritten by the next SaveDir and their old files
 // removed. In-flight queries keep scoring the pre-merge segments from
-// the view they pinned; spliced-away file mappings are released only
-// once the last such view drains.
+// the view they loaded.
 func (db *DB) Compact() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -350,7 +317,7 @@ func (db *DB) Compact() {
 	// Drop the tail references so merged-away segments can be collected.
 	clear(segs[len(out):])
 	db.segs = out
-	db.publishLocked(db.takeStaleActionsLocked()...)
+	db.publishLocked()
 }
 
 // mergeRun splices the adjacent sealed segments db.segs[i:j) into one,
@@ -373,15 +340,6 @@ func (db *DB) mergeRun(i, j int) *segment {
 		merged.end = sg.end
 	}
 	merged.blocks = spliceBlockPostings(db.dim, parts, offsets)
-	// The splice copied every part's blob bytes onto the heap, but a
-	// pinned view may still be scoring an input segment's mapped blob —
-	// queue the mappings for release when the last view that could reach
-	// them drains (takeStaleActionsLocked attaches them to the publish).
-	for _, sg := range db.segs[i:j] {
-		if mf := sg.takeMap(); mf != nil {
-			db.staleMaps = append(db.staleMaps, mf)
-		}
-	}
 	merged.id = db.nextSeg
 	db.nextSeg++
 	merged.dirty = true

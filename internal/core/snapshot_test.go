@@ -155,12 +155,10 @@ func TestSnapshotGiantHeaderRejected(t *testing.T) {
 		if err := os.WriteFile(mpath, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, ld := range bothLoaders {
-			got, err := ld.load(dir)
-			var se *SnapshotError
-			if got != nil || !errors.As(err, &se) || se.Path != mpath {
-				t.Errorf("%s with %s: db=%v err=%v, want a *SnapshotError naming the manifest", ld.mode, edit[1], got, err)
-			}
+		got, err := LoadDir(dir)
+		var se *SnapshotError
+		if got != nil || !errors.As(err, &se) || se.Path != mpath {
+			t.Errorf("%s: db=%v err=%v, want a *SnapshotError naming the manifest", edit[1], got, err)
 		}
 	}
 	if err := os.WriteFile(mpath, clean, 0o644); err != nil {

@@ -381,8 +381,7 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 			}
 		}
 	})
-	v := db.pinView()
-	defer db.unpinView(v)
+	v := db.cur.Load()
 	var h topkHeap
 	var acc vecmath.Accumulator
 	var ps pruneScratch

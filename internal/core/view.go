@@ -1,22 +1,18 @@
 package core
 
-import (
-	"sync/atomic"
+import "repro/internal/parallel"
 
-	"repro/internal/parallel"
-)
-
-// Epoch-pinned views: the concurrency backbone of the DB.
+// Epoch views: the concurrency backbone of the DB.
 //
 // Every query runs against a dbView — an immutable snapshot of the
 // reader-visible state: the frozen prefixes of the backing arrays, the
 // segment list (sealed segments and the active segment's
 // posting runs by their compressed postings, the active segment's
 // unindexed tail by its frozen bounds), and the query configuration.
-// The current view is published through an atomic pointer; readers pin
-// it with a refcount for the duration of one query (or one batch),
-// writers mutate the writer-private structures under db.mu and publish
-// a fresh view when the mutation completes.
+// The current view is published through an atomic pointer; a query
+// loads it once for its whole duration, writers mutate the
+// writer-private structures under db.mu and publish a fresh view when
+// the mutation completes.
 //
 // Why this is safe without a reader lock:
 //
@@ -35,24 +31,16 @@ import (
 //     (bit-identical to the indexed accumulation, see laneQuery.walk).
 //   - Publication is an atomic pointer swap after the mutation is
 //     complete, so a reader either sees the whole mutation or none of
-//     it. The pin protocol (increment, then revalidate the pointer)
-//     guarantees a validated pin was taken while the view was current,
-//     and the view's current-pin reference keeps its refcount above
-//     zero until the writer retires it — a validated pin therefore
-//     always holds a view whose resources are still live.
+//     it.
 //
-// Deferred reclamation: resources that must outlive the views that can
-// reach them — mmap'd posting blobs spliced away by Compact, snapshot
-// files orphaned by SaveDir — are attached to the superseded view as
-// reclaim actions. Retired views queue FIFO, and actions run only when
-// a view and every older view have drained (refcount zero), preserving
-// publication order; with no concurrent readers this happens
-// synchronously inside the publish, so quiescent callers observe the
-// exact pre-epoch behavior.
+// Everything a view reaches lives on the heap, so a superseded view
+// needs no reclamation: a reader still holding it keeps what it scores
+// alive, and the garbage collector frees it when the last reader lets
+// go.
 type dbView struct {
 	// closed marks the terminal view Close publishes: every query
-	// against it fails with the typed closed error before touching any
-	// (released) segment state.
+	// against it fails with the typed closed error (it holds no
+	// segments).
 	closed bool
 	// cfg snapshots the query configuration, so setters never race
 	// in-flight queries.
@@ -65,12 +53,6 @@ type dbView struct {
 	segs []viewSegment
 	// lanes is how many lanes a query walks (laneMinRows, laneChunk).
 	lanes int
-	// refs counts pins: 1 for being the current view (dropped on
-	// retirement) plus 1 per in-flight reader.
-	refs atomic.Int64
-	// reclaim runs when this view and all older ones have drained;
-	// set at retirement, executed exactly once under db.reclMu.
-	reclaim []func()
 }
 
 // viewCfg is the query configuration frozen into a view. Values are
@@ -113,34 +95,8 @@ func laneFirst(start, l, p int) int {
 	return (c + (l-c%p+p)%p) * laneChunk
 }
 
-// pinView returns the current view with a reader pin held. The
-// increment-then-revalidate loop makes the pin race-free against
-// publication: a pin that lands on a just-superseded view fails the
-// revalidation (the view pointer moved) and retries — it never
-// dereferences the stale view beyond its refcount, so reclamation
-// already in flight is harmless.
-func (db *DB) pinView() *dbView {
-	for {
-		v := db.cur.Load()
-		v.refs.Add(1)
-		if db.cur.Load() == v {
-			return v
-		}
-		db.unpinView(v)
-	}
-}
-
-// unpinView drops one pin; the last pin off a retired view triggers
-// reclamation.
-func (db *DB) unpinView(v *dbView) {
-	if v.refs.Add(-1) == 0 {
-		db.tryReclaim()
-	}
-}
-
 // buildViewLocked assembles a fresh view from the writer state. Caller
-// holds db.mu. The view starts with one reference — the current-pin —
-// dropped when a later publish retires it.
+// holds db.mu.
 //
 // The view holds length-clamped array aliases (a later append can never
 // write through them) and value copies of the segment bounds (seal and
@@ -159,7 +115,6 @@ func (db *DB) buildViewLocked() *dbView {
 		sigs:  db.sigs[:n:n],
 		norms: db.norms[:n:n],
 	}
-	nv.refs.Store(1)
 	units := len(db.segs)
 	if sg := db.activeSegment(); sg != nil {
 		units += len(sg.runs)
@@ -187,61 +142,8 @@ func (db *DB) buildViewLocked() *dbView {
 	return nv
 }
 
-// publishLocked swaps in a freshly built view and retires the old one,
-// attaching actions to run when it (and every older view) drains.
-// Caller holds db.mu.
-func (db *DB) publishLocked(actions ...func()) {
-	db.publishViewLocked(db.buildViewLocked(), actions)
-}
-
-// publishViewLocked installs nv as the current view and queues the old
-// one for in-order reclamation. Caller holds db.mu.
-func (db *DB) publishViewLocked(nv *dbView, actions []func()) {
-	old := db.cur.Swap(nv)
+// publishLocked swaps in a freshly built view. Caller holds db.mu.
+func (db *DB) publishLocked() {
+	db.cur.Store(db.buildViewLocked())
 	db.publishes.Add(1)
-	db.reclMu.Lock()
-	old.reclaim = actions
-	db.pendingViews = append(db.pendingViews, old)
-	db.reclMu.Unlock()
-	// Drop the current-pin. With no concurrent readers this drains the
-	// queue synchronously, so quiescent callers see deferred work (map
-	// releases, orphan removal) complete before their call returns.
-	db.unpinView(old)
-}
-
-// tryReclaim pops drained views off the head of the retirement queue in
-// FIFO order and runs their reclaim actions. A view is popped before
-// its actions run and the queue is walked under db.reclMu, so each
-// action runs exactly once; younger drained views wait for older pinned
-// ones, preserving publication order (a Compact's map release always
-// precedes a later Close's).
-func (db *DB) tryReclaim() {
-	db.reclMu.Lock()
-	for len(db.pendingViews) > 0 && db.pendingViews[0].refs.Load() == 0 {
-		v := db.pendingViews[0]
-		db.pendingViews[0] = nil
-		db.pendingViews = db.pendingViews[1:]
-		for _, f := range v.reclaim {
-			f()
-		}
-	}
-	if len(db.pendingViews) == 0 {
-		db.reclCond.Broadcast()
-	}
-	db.reclMu.Unlock()
-}
-
-// waitReclaimed blocks until every retired view has drained and its
-// reclaim actions have run, then returns (and clears) the first
-// recorded reclaim error. Close uses it to guarantee all mappings are
-// released before it returns.
-func (db *DB) waitReclaimed() error {
-	db.reclMu.Lock()
-	for len(db.pendingViews) > 0 {
-		db.reclCond.Wait()
-	}
-	err := db.closeErr
-	db.closeErr = nil
-	db.reclMu.Unlock()
-	return err
 }

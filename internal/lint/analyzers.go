@@ -2,5 +2,5 @@ package lint
 
 // All returns the full fmeter-vet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PinPair, TypedErr, NoAllocZone}
+	return []*Analyzer{Determinism, TypedErr, NoAllocZone}
 }

@@ -13,12 +13,11 @@ import (
 // testdata/src/<analyzer> package carries `// want "regexp"` comments on
 // the lines where a diagnostic must fire (several wants on one line for
 // several diagnostics), and every diagnostic must be claimed by a want.
-// The testdata packages declare their own pinView/unpinView and
-// SnapshotError/ConfigError — the analyzers match those contracts by
-// name, so the suites run without importing the real core package.
+// The testdata packages declare their own SnapshotError/ConfigError —
+// the analyzers match those contracts by name, so the suites run without
+// importing the real core package.
 
 func TestGoldenDeterminism(t *testing.T) { runGolden(t, Determinism, "determinism") }
-func TestGoldenPinPair(t *testing.T)     { runGolden(t, PinPair, "pinpair") }
 func TestGoldenTypedErr(t *testing.T)    { runGolden(t, TypedErr, "typederr") }
 func TestGoldenNoAllocZone(t *testing.T) { runGolden(t, NoAllocZone, "noalloczone") }
 

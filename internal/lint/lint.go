@@ -1,9 +1,8 @@
-// Package lint is fmeter's repo-specific static-analysis suite: four
+// Package lint is fmeter's repo-specific static-analysis suite: three
 // analyzers that machine-check the contracts DESIGN-PERF.md states and
 // the property tests only sample — determinism (no wall-clock or
 // unseeded randomness in result paths, no map-iteration order leaking
-// into results), view-pinning (every pinView is unpinned on every
-// path), typed errors (snapshot/config failures surface as
+// into results), typed errors (snapshot/config failures surface as
 // *SnapshotError/*ConfigError), and no-alloc zones (the batched query
 // paths stay allocation-free).
 //
@@ -38,7 +37,6 @@
 //	//fmeter:untyped-ok <reason>            allow one untyped error site in an errdomain
 //	//fmeter:noalloc                        function must not allocate
 //	//fmeter:alloc-ok <reason>              allow one allocation site in a noalloc zone
-//	//fmeter:pin-ok <reason>                allow a pinView the checker cannot prove released
 package lint
 
 import (

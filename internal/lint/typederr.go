@@ -217,7 +217,7 @@ func checkErrValue(pass *Pass, fd *ast.FuncDecl, e ast.Expr, retPos token.Pos, d
 		}
 		report(pass, e.Pos(), "untyped error composite escapes an errdomain function")
 	case *ast.SelectorExpr:
-		// Struct fields holding errors (db.orphanErr): assume stores
+		// Struct fields holding errors (s.err): assume stores
 		// upheld the contract where they were assigned.
 		return
 	case *ast.IndexExpr, *ast.TypeAssertExpr:

@@ -35,7 +35,7 @@ var errDraining = &core.ConfigError{Param: "server", Msg: "server is draining"}
 // goroutine. It admits at most limit requests (running + waiting) and
 // lets at most GOMAXPROCS of them hold a run slot, i.e. be inside a
 // batched kernel, at once. A request waiting for a slot holds only its
-// decoded body — no scratch, no pinned view — so limit bounds the memory
+// decoded body — no scratch, no view — so limit bounds the memory
 // queries can claim, and the kernels never oversubscribe the cores.
 type gate struct {
 	limit int

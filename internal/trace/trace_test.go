@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +129,52 @@ func TestUnmarshalCountersErrors(t *testing.T) {
 	if _, err := MarshalCounters(st, make([]uint64, 3)); err == nil {
 		t.Error("MarshalCounters with wrong snapshot length should fail")
 	}
+}
+
+// FuzzUnmarshalCounters feeds arbitrary bytes to the counter-export
+// parser: it returns an error or a count vector of the symbol table's
+// length, never panics, and a vector it returns re-marshals and
+// re-parses to itself. The seeds are MarshalCounters output and the
+// refusals of TestUnmarshalCountersErrors.
+func FuzzUnmarshalCounters(f *testing.F) {
+	st := kernel.NewSymbolTable()
+	fm, err := NewFmeter(st, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fm.OnCalls(0, 3, 7)
+	fm.OnCalls(1, 100, 1)
+	fm.OnCalls(1, kernel.FuncID(st.Len()-1), 1<<40)
+	seed, err := MarshalCounters(st, fm.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(""))
+	for _, bad := range []string{"justonefield\n", "zzzz 5\n", "ffffffff81000000 x\n", "1234 5\n"} {
+		f.Add([]byte(bad))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		counts, err := UnmarshalCounters(st, data)
+		if err != nil {
+			return
+		}
+		if len(counts) != st.Len() {
+			t.Fatalf("parsed %d counts, the table holds %d functions", len(counts), st.Len())
+		}
+		again, err := MarshalCounters(st, counts)
+		if err != nil {
+			t.Fatalf("re-marshalling a parsed vector: %v", err)
+		}
+		back, err := UnmarshalCounters(st, again)
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", again, err)
+		}
+		if !slices.Equal(back, counts) {
+			t.Fatal("the re-marshalled vector parses to different counts")
+		}
+	})
 }
 
 func TestFmeterDebugfs(t *testing.T) {
