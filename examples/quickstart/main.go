@@ -89,9 +89,9 @@ func run() error {
 	store := filepath.Join(dir, "db")
 	// Seal before the save: sealing indexes every row of the segment in
 	// one block-compressed posting structure (an unsealed store indexes
-	// only completed runs of 256 rows and scans the rest), persisted
-	// directly so reopening maps postings instead of rebuilding them —
-	// queries stay bit-identical.
+	// only completed runs of 256 rows and scans the rest). The snapshot
+	// holds the rows; reopening rebuilds the postings with the same
+	// encoder, so queries stay bit-identical.
 	unindexed := db.ActiveUnindexedRows()
 	db.Seal()
 	fmt.Printf("sealed store: %d unindexed rows -> 0, resident index %d bytes\n", unindexed, db.IndexBytes())

@@ -213,7 +213,8 @@ func WithShards(int) Option { return func(*perfOpts) {} }
 // WithSegmentSize sets NewDB's seal threshold (n < 1 keeps
 // the default): an active segment rolling past it is sealed, which
 // re-encodes its posting lists into the block-compressed form (several
-// times smaller resident, persisted directly by SaveDB) — query
+// times smaller resident; SaveDB persists the rows, and OpenDB rebuilds
+// the same form from them) — query
 // results are bit-identical at any setting. Call db.Seal() to compress
 // the current actives explicitly, e.g. before a save.
 func WithSegmentSize(n int) Option { return func(o *perfOpts) { o.segSize = n } }

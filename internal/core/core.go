@@ -298,6 +298,20 @@ func (m *Model) IDF() []float64 {
 //
 //fmeter:errdomain config
 func (m *Model) Transform(doc *Document) (Signature, error) {
+	n := 0
+	if doc != nil {
+		n = len(doc.Counts)
+	}
+	return m.transform(doc, make([]int32, 0, n), make([]float64, 0, n))
+}
+
+// transform is Transform writing the support into idx and the weights
+// into val, both empty with room for len(doc.Counts) entries. The
+// returned signature's slices are capacity-clamped to its support, so
+// an append to them never reaches past the region it was given.
+//
+//fmeter:errdomain config
+func (m *Model) transform(doc *Document, idx []int32, val []float64) (Signature, error) {
 	if doc == nil {
 		return Signature{}, &ConfigError{Param: "document", Msg: "nil document"}
 	}
@@ -313,9 +327,8 @@ func (m *Model) Transform(doc *Document) (Signature, error) {
 		sc.counts[i] = c
 		sc.set[i>>6] |= 1 << (i & 63)
 	}
-	idx := make([]int32, 0, len(doc.Counts))
-	val := make([]float64, 0, len(doc.Counts))
 	total := float64(sum)
+	var norm2 float64
 	for wi, word := range sc.set {
 		if word == 0 {
 			continue
@@ -329,30 +342,42 @@ func (m *Model) Transform(doc *Document) (Signature, error) {
 				if w := float64(c) / total * m.idf[i]; w != 0 {
 					idx = append(idx, int32(i))
 					val = append(val, w)
+					norm2 += w * w
 				}
 			}
 		}
 	}
-	w, err := vecmath.SparseFromSorted(m.dim, idx, val)
-	if err != nil {
-		return Signature{}, &ConfigError{Param: "document", Msg: fmt.Sprintf("document %s", doc.ID), Err: err}
-	}
+	// The bitmap walk yields strictly ascending in-range terms, zeros are
+	// dropped above, and norm2 accumulated in index order: the invariants
+	// SparseFromSorted would check.
+	w := vecmath.SparseFromSortedTrusted(m.dim, idx[:len(idx):len(idx)], val[:len(val):len(val)], norm2)
 	return Signature{DocID: doc.ID, Label: doc.Label, W: w}, nil
 }
 
 // TransformAll embeds a slice of documents, one per task across the
 // available cores. Signature i depends on document i alone, so the result
 // is identical at any core count; of several bad documents the one at the
-// lowest index is reported, as a sequential pass would.
+// lowest index is reported, as a sequential pass would. The signatures'
+// supports share one index slab and their weights one value slab, sized
+// from the documents' term counts; each signature fills its own region.
 //
 //fmeter:errdomain config
 func (m *Model) TransformAll(docs []*Document) ([]Signature, error) {
+	off := make([]int, len(docs)+1)
+	for i, doc := range docs {
+		off[i+1] = off[i]
+		if doc != nil {
+			off[i+1] += len(doc.Counts)
+		}
+	}
+	idx, val := make([]int32, off[len(docs)]), make([]float64, off[len(docs)])
 	out, err := parallel.Map(0, len(docs), func(i int) (Signature, error) {
-		return m.Transform(docs[i])
+		lo, hi := off[i], off[i+1]
+		return m.transform(docs[i], idx[lo:lo:hi], val[lo:lo:hi])
 	})
 	if err != nil {
 		// parallel.Map returns a task's error as it got it: the
-		// *ConfigError Transform built.
+		// *ConfigError transform built.
 		return nil, err.(*ConfigError)
 	}
 	return out, nil

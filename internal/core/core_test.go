@@ -652,6 +652,22 @@ func TestTransformMatchesOracle(t *testing.T) {
 		for _, d := range edges {
 			check(m, d)
 		}
+		// TransformAll fills one slab per call: every signature, its
+		// cached norm included, still matches the oracle.
+		all := append(append([]*Document(nil), docs...), edges...)
+		sigs, err := m.TransformAll(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range all {
+			want, err := transformOracle(m, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameSignature(sigs[i], want); err != nil {
+				t.Fatalf("dim %d: TransformAll: %v", dim, err)
+			}
+		}
 		// A refused document hands its scratch back all-zero: the good
 		// documents after it, on this goroutine, still match.
 		for try := 0; try < 10; try++ {
@@ -666,6 +682,36 @@ func TestTransformMatchesOracle(t *testing.T) {
 			}
 			check(m, docs[try])
 			check(m, edges[try%len(edges)])
+		}
+	}
+}
+
+// TransformAll's signatures share one slab, each in its own region:
+// appending to one signature's support or weights — past the terms its
+// document dropped, too — leaves every other signature unchanged.
+func TestTransformAllRegionsDisjoint(t *testing.T) {
+	m, docs := randomCorpus(t, rand.New(rand.NewSource(17)), 200, 80)
+	sigs, err := m.TransformAll(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sigs {
+		sup, vals := sigs[i].W.Support(), sigs[i].W.Values()
+		for k := 0; k < 64; k++ {
+			sup = append(sup, int32(k))
+			vals = append(vals, -1)
+		}
+		for j, d := range docs {
+			if j == i {
+				continue
+			}
+			want, err := m.Transform(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameSignature(sigs[j], want); err != nil {
+				t.Fatalf("after appending to signature %d: signature %d: %v", i, j, err)
+			}
 		}
 	}
 }
@@ -848,7 +894,7 @@ func BenchmarkTransformAllPeaked(b *testing.B) {
 
 // embedPeaked embeds n peaked documents as a bulk load does: fit, embed,
 // normalise.
-func embedPeaked(b *testing.B, n int) []Signature {
+func embedPeaked(b testing.TB, n int) []Signature {
 	b.Helper()
 	c, err := NewCorpus(3815)
 	if err != nil {
@@ -874,7 +920,7 @@ func embedPeaked(b *testing.B, n int) []Signature {
 
 // loadChunks adds sigs to a fresh store in AddAll calls of chunk
 // signatures.
-func loadChunks(b *testing.B, sigs []Signature, chunk int) *DB {
+func loadChunks(b testing.TB, sigs []Signature, chunk int) *DB {
 	b.Helper()
 	db, err := NewDB(3815)
 	if err != nil {

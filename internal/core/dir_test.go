@@ -396,8 +396,7 @@ const matrixDim = 30
 
 // saveMatrixBaseline saves the healthy store the corruption matrix and
 // FuzzLoadSegment start from and returns its directory: a tier-merged
-// (spliced) segment, a freshly sealed one and a still-active one with no
-// postings section.
+// (spliced) segment, a freshly sealed one and a still-active one.
 func saveMatrixBaseline(t testing.TB) string {
 	t.Helper()
 	db, err := newTestDB(matrixDim, 2)

@@ -85,26 +85,29 @@ func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 // FuzzLoadSegment feeds mutated segment bodies to LoadDir. The harness
 // stamps the footer CRC and writes a one-segment manifest around every
 // input (CRC and record count taken from the input itself), so a
-// mutation is judged by the header, record and postings decoders rather
-// than stopped at a checksum. The loader may refuse the file — with a
+// mutation is judged by the header and record decoders rather than
+// stopped at a checksum. The loader may refuse the file — with a
 // *SnapshotError naming a file and no DB — or load it, and then the
 // store holds the header's record count and passes checkLoadedStore.
-// The seeds are the corruption matrix's healthy files.
+// The seeds are the corruption matrix's healthy files and the segments
+// of the older build's fixture (v21Fixture), whose postings sections
+// keep the path that skips them fuzzed.
 func FuzzLoadSegment(f *testing.F) {
-	seeds := saveMatrixBaseline(f)
-	entries, err := os.ReadDir(seeds)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), "seg-") {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(seeds, e.Name()))
+	for _, seeds := range []string{saveMatrixBaseline(f), v21Fixture} {
+		entries, err := os.ReadDir(seeds)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw[:len(raw)-4])
+		for _, e := range entries {
+			if !strings.HasPrefix(e.Name(), "seg-") {
+				continue
+			}
+			raw, err := os.ReadFile(filepath.Join(seeds, e.Name()))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(raw[:len(raw)-4])
+		}
 	}
 	query := randSigs(rand.New(rand.NewSource(7)), 1, matrixDim, 8)[0].W
 	le := binary.LittleEndian

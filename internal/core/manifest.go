@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -27,23 +26,20 @@ import (
 //	                                       other version is refused)
 //	  dim     uint32
 //	  count   uint32
-//	  flags   uint8                       (bit 0: postings section present)
+//	  flags   uint8                       (written 0)
 //	  count × signature records           (uvarint-gap support indices,
 //	                                       raw float64 weights — see
 //	                                       writeSigRecordV2)
-//	  postings section (iff flags&1):     the sealed segment's
-//	                                       block-compressed posting lists
-//	                                       (see writePostingsSection) so a
-//	                                       load maps them directly instead
-//	                                       of rebuilding the inverted
-//	                                       index posting by posting
 //	  crc32   uint32                      (IEEE, over all preceding bytes)
 //
-// Loading validates the postings section fully:
-// every posting's (dimension, id, ordinal) must name exactly its
-// signature's support entry, ids must ascend, and the total must equal
-// the summed support sizes — a bijection check, so a crafted postings
-// section can never make queries disagree with the stored signatures.
+// A snapshot holds signatures, not their index: the posting blocks are
+// a pure function of the rows, so LoadDir rebuilds every segment's with
+// encodeBlocks, the encoder seal uses — a segment sealed in one step
+// reloads with byte-identical postings. Files written by older builds
+// set flags bit 0 and carry the sealed segment's posting blocks after
+// the records; a load skips that section unread (the footer and
+// manifest CRCs still cover it). Any other flag bit is refused, and a
+// flags-0 body must end exactly after its last record.
 //
 // SaveDir writes only segments dirtied since the last save; every file
 // lands via temp + fsync + rename, and the manifest is renamed last, so
@@ -67,10 +63,10 @@ const (
 	manifestVersion = 2
 	segMagic        = "FMSG"
 	// segVersionBlocks is the v2.1 record body, the only one read or
-	// written: gap-encoded signature records plus the sealed segment's
-	// compressed posting blocks.
+	// written: gap-encoded signature records.
 	segVersionBlocks = 2
-	// segFlagPostings marks a v2.1 record carrying a postings section.
+	// segFlagPostings marks an older build's body carrying a postings
+	// section after its records; loads skip it.
 	segFlagPostings = 0x01
 	// segHeaderSize is the fixed segment prefix: magic + version + dim +
 	// count.
@@ -330,21 +326,12 @@ func (db *DB) writeSegmentFile(dir string, sg *segment) (uint32, error) {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fail(err)
 	}
-	var flags byte
-	if sg.blocks != nil {
-		flags |= segFlagPostings
-	}
-	if err := bw.WriteByte(flags); err != nil {
+	if err := bw.WriteByte(0); err != nil { // flags
 		return fail(err)
 	}
 	for j := sg.start; j < sg.end; j++ {
 		if err := writeSigRecordV2(bw, db.sigs[j]); err != nil {
 			return fail(fmt.Errorf("record %d: %w", j-sg.start, err))
-		}
-	}
-	if sg.blocks != nil {
-		if err := writePostingsSection(bw, sg.blocks); err != nil {
-			return fail(fmt.Errorf("postings: %w", err))
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -478,8 +465,8 @@ func LoadDir(path string) (*DB, error) {
 }
 
 // loadSegmentFile verifies and parses one segment file, appending its
-// records to the store as a sealed segment. Signature rows and the
-// postings blob are copied out of the file's bytes onto the heap.
+// records to the store as a sealed segment whose posting blocks are
+// encoded from those rows.
 //
 //fmeter:errdomain snapshot
 func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
@@ -544,81 +531,13 @@ func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
 		db.norms = append(db.norms, sig.W.Norm2())
 		sg.end++
 	}
-	rows := db.sigs[sg.start:sg.end]
-	if flags&segFlagPostings != 0 {
-		bp, err := readPostingsSection(&cur, rows, db.dim)
-		if err != nil {
-			return fail(fmt.Errorf("postings: %w", err))
-		}
-		sg.blocks = bp
-	} else {
-		// No postings section (the segment was saved while still active):
-		// the one load that still pays the encode from rows.
-		sg.blocks = encodeBlocks(db.dim, rows)
-	}
-	if rest := len(cur.b) - cur.pos; rest != 0 {
+	// An older build's postings section is skipped unread.
+	if rest := len(cur.b) - cur.pos; rest != 0 && flags&segFlagPostings == 0 {
 		return fail(fmt.Errorf("%d trailing bytes after record %d", rest, count))
 	}
+	sg.blocks = encodeBlocks(db.dim, db.sigs[sg.start:sg.end])
 	db.segs = append(db.segs, sg)
 	return nil
-}
-
-// writePostingsSection appends a sealed segment's compressed posting
-// lists: the posting total and blob length (both cross-checked on
-// load), then for each dimension holding postings its uvarint gap from
-// the previous such dimension, its block count, and each block's
-// (firstID, count) pair, then the raw block byte streams. Block blob
-// offsets and the per-block max-|weight| are not stored — the load-time
-// validation pass recomputes both while it walks the blob once.
-func writePostingsSection(bw *bufio.Writer, bp *blockPostings) error {
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := put(uint64(bp.nPostings)); err != nil {
-		return err
-	}
-	if err := put(uint64(len(bp.blob))); err != nil {
-		return err
-	}
-	nDims := 0
-	for d := 0; d < bp.dim; d++ {
-		if bp.dir[d] != bp.dir[d+1] {
-			nDims++
-		}
-	}
-	if err := put(uint64(nDims)); err != nil {
-		return err
-	}
-	prevD := -1
-	for d := 0; d < bp.dim; d++ {
-		lo, hi := bp.dir[d], bp.dir[d+1]
-		if lo == hi {
-			continue
-		}
-		if err := put(uint64(d-prevD) - 1); err != nil {
-			return err
-		}
-		prevD = d
-		if err := put(uint64(hi - lo)); err != nil {
-			return err
-		}
-		for bi := lo; bi < hi; bi++ {
-			if err := put(uint64(bp.blocks[bi].firstID)); err != nil {
-				return err
-			}
-			if err := put(uint64(bp.blocks[bi].count)); err != nil {
-				return err
-			}
-			if err := put(uint64(bp.blocks[bi].ordW)); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := bw.Write(bp.blob)
-	return err
 }
 
 // byteCursor is a direct cursor over a CRC-verified segment body — the
@@ -662,278 +581,4 @@ func (c *byteCursor) take(n int) ([]byte, error) {
 	s := c.b[c.pos : c.pos+n : c.pos+n]
 	c.pos += n
 	return s, nil
-}
-
-// rem returns the unconsumed byte count.
-func (c *byteCursor) rem() int { return len(c.b) - c.pos }
-
-// readPostingsSection parses and fully validates a postings section
-// against the already-decoded rows. Structural damage (bad varint,
-// truncated blob, out-of-range ids or ordinals, a posting that names a
-// dimension its signature does not hold, a count that is not exactly
-// the summed support size) is reported as a plain error the caller
-// wraps into a *SnapshotError. On success the returned blockPostings is
-// provably the transpose of rows: with the total matching the summed
-// support sizes, every posting mapping to a distinct in-range
-// (id, ordinal) whose support entry names the posting's dimension, the
-// section is a bijection onto the signatures' non-zeros.
-func readPostingsSection(cur *byteCursor, rows []Signature, dim int) (*blockPostings, error) {
-	n := len(rows)
-	sup := make([][]int32, n)
-	vals := make([][]float64, n)
-	var totalNNZ int64
-	for j, s := range rows {
-		sup[j] = s.W.Support()
-		vals[j] = s.W.Values()
-		totalNNZ += int64(s.W.NNZ())
-	}
-	nPost, err := cur.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("posting count: %w", err)
-	}
-	if int64(nPost) != totalNNZ {
-		return nil, fmt.Errorf("posting count %d, signatures hold %d non-zeros", nPost, totalNNZ)
-	}
-	blobLen, err := cur.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("blob length: %w", err)
-	}
-	if blobLen > uint64(cur.rem()) {
-		return nil, fmt.Errorf("blob length %d exceeds remaining %d bytes", blobLen, cur.rem())
-	}
-	nDims, err := cur.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("dimension count: %w", err)
-	}
-	if nDims > uint64(dim) {
-		return nil, fmt.Errorf("%d posting dimensions exceed dimension %d", nDims, dim)
-	}
-	bp := &blockPostings{dim: dim, n: n, nPostings: int64(nPost), vals: vals}
-	bp.dir = make([]int32, dim+1)
-	var blockDims []int32
-	d := -1
-	for t := uint64(0); t < nDims; t++ {
-		gap, err := cur.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("dimension gap: %w", err)
-		}
-		if gap >= uint64(dim) {
-			return nil, fmt.Errorf("posting dimension gap %d outside dimension %d", gap, dim)
-		}
-		nd := int64(d) + 1 + int64(gap)
-		if nd >= int64(dim) {
-			return nil, fmt.Errorf("posting dimension %d outside dimension %d", nd, dim)
-		}
-		d = int(nd)
-		bc, err := cur.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("dimension %d block count: %w", d, err)
-		}
-		if bc == 0 || bc > nPost {
-			return nil, fmt.Errorf("dimension %d lists %d blocks", d, bc)
-		}
-		for b := uint64(0); b < bc; b++ {
-			first, err := cur.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("dimension %d block %d first id: %w", d, b, err)
-			}
-			if first >= uint64(n) {
-				return nil, fmt.Errorf("dimension %d block %d first id %d outside segment of %d", d, b, first, n)
-			}
-			cnt, err := cur.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("dimension %d block %d count: %w", d, b, err)
-			}
-			if cnt < 1 || cnt > postingBlockSize {
-				return nil, fmt.Errorf("dimension %d block %d count %d outside [1, %d]", d, b, cnt, postingBlockSize)
-			}
-			ow, err := cur.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("dimension %d block %d ordinal width: %w", d, b, err)
-			}
-			if ow != 1 && ow != 2 && ow != 4 {
-				return nil, fmt.Errorf("dimension %d block %d ordinal width %d not 1, 2, or 4", d, b, ow)
-			}
-			bp.blocks = append(bp.blocks, blockDesc{firstID: int32(first), count: uint16(cnt), ordW: uint8(ow)})
-			blockDims = append(blockDims, int32(d))
-		}
-	}
-	// Fill the directory from the ascending block dimensions.
-	bi := 0
-	for x := 0; x <= dim; x++ {
-		for bi < len(blockDims) && int(blockDims[bi]) < x {
-			bi++
-		}
-		bp.dir[x] = int32(bi)
-	}
-	blob, err := cur.take(int(blobLen))
-	if err != nil {
-		return nil, fmt.Errorf("blob: %w", err)
-	}
-	bp.blob = append(make([]byte, 0, len(blob)), blob...)
-	if err := bp.validate(sup, blockDims); err != nil {
-		return nil, err
-	}
-	// validate just recomputed every block's maxAbsW; derive the pruning
-	// bounds from them (and the rows' cached norms) exactly as seal-time
-	// compression would, so a loaded segment prunes like a freshly sealed
-	// one.
-	bp.buildDimBound()
-	bp.setNormBounds(rows)
-	return bp, nil
-}
-
-// validate walks the blob once, assigning each block's offset while
-// checking every posting: varints must decode inside the blob, ids must
-// stay in range and strictly ascend within a dimension (across its
-// blocks too), and each ordinal must point at the support entry of
-// exactly this dimension. The blob must be consumed exactly, and every
-// support entry must be referenced exactly once. A second sequential
-// pass then fills each block's max-|weight|.
-//
-// The per-posting check exploits the format's dual sort order: blocks
-// sweep dimensions ascending, supports are dimension-sorted, and a
-// signature holds at most one posting per dimension — so a valid file
-// consumes each signature's support entries in ascending ordinal order.
-// Staging each signature's next expected (ordinal, dimension, weight)
-// in compact arrays turns the two random per-posting lookups into
-// L1-resident reads plus one sequential per-signature advance; this is
-// equivalent to checking sup[sid][ord] == d posting by posting (either
-// both accept a file or both reject it) and is what keeps cold opens
-// fast.
-func (bp *blockPostings) validate(sup [][]int32, blockDims []int32) error {
-	n := bp.n
-	cur := make([]int32, n)     // next expected ordinal per signature
-	nextDim := make([]int32, n) // sup[sid][cur[sid]], -1 when exhausted
-	for j := 0; j < n; j++ {
-		if len(sup[j]) > 0 {
-			nextDim[j] = sup[j][0]
-		} else {
-			nextDim[j] = -1
-		}
-	}
-	blob := bp.blob
-	pos := 0
-	var ids [postingBlockSize]int32
-	var ordv [postingBlockSize]uint32
-	prevDim := int32(-1)
-	lastID := int64(-1)
-	var total int64
-	for bi := range bp.blocks {
-		bd := &bp.blocks[bi]
-		d := blockDims[bi]
-		if d != prevDim {
-			prevDim, lastID = d, -1
-		}
-		bd.off = uint32(pos)
-		id := int64(bd.firstID)
-		if id <= lastID {
-			return fmt.Errorf("dimension %d block first id %d not ascending (previous %d)", d, id, lastID)
-		}
-		cnt := int(bd.count)
-		ids[0] = int32(id)
-		for k := 1; k < cnt; k++ {
-			var gap uint64
-			if pos < len(blob) && blob[pos] < 0x80 {
-				gap = uint64(blob[pos])
-				pos++
-			} else {
-				v, m := binary.Uvarint(blob[pos:])
-				if m <= 0 {
-					return fmt.Errorf("bad varint at postings blob byte %d", pos)
-				}
-				gap, pos = v, pos+m
-			}
-			// Bound the gap before accumulating: a 64-bit uvarint must
-			// not wrap the id sum past the range check below.
-			if gap >= uint64(n) {
-				return fmt.Errorf("dimension %d posting id gap %d outside segment of %d", d, gap, n)
-			}
-			id += 1 + int64(gap)
-			if id >= int64(n) {
-				return fmt.Errorf("dimension %d posting id %d outside segment of %d", d, id, n)
-			}
-			ids[k] = int32(id)
-		}
-		bd.idLen = uint16(pos - int(bd.off))
-		lastID = id
-		if pos+cnt*int(bd.ordW) > len(blob) {
-			return fmt.Errorf("dimension %d ordinal stream truncated at blob byte %d", d, pos)
-		}
-		// Decode the fixed-width ordinal stream into a scratch array with
-		// per-width loops, hoisting the width switch and blob bounds
-		// checks out of the per-posting check loop below.
-		ords := blob[pos : pos+cnt*int(bd.ordW)]
-		pos += len(ords)
-		switch bd.ordW {
-		case 1:
-			for k := 0; k < cnt; k++ {
-				ordv[k] = uint32(ords[k])
-			}
-		case 2:
-			for k := 0; k < cnt; k++ {
-				ordv[k] = uint32(ords[2*k]) | uint32(ords[2*k+1])<<8
-			}
-		default:
-			for k := 0; k < cnt; k++ {
-				ordv[k] = uint32(ords[4*k]) | uint32(ords[4*k+1])<<8 | uint32(ords[4*k+2])<<16 | uint32(ords[4*k+3])<<24
-			}
-		}
-		for k := 0; k < cnt; k++ {
-			ord := uint64(ordv[k])
-			sid := ids[k]
-			o := cur[sid]
-			if ord != uint64(o) {
-				if ord >= uint64(len(sup[sid])) {
-					return fmt.Errorf("dimension %d posting for id %d ordinal %d outside support of %d", d, sid, ord, len(sup[sid]))
-				}
-				return fmt.Errorf("dimension %d posting for id %d ordinal %d out of order (expected %d)", d, sid, ord, o)
-			}
-			if nextDim[sid] != d {
-				return fmt.Errorf("posting (dimension %d, id %d) ordinal %d names dimension %d", d, sid, ord, nextDim[sid])
-			}
-			o++
-			cur[sid] = o
-			if int(o) < len(sup[sid]) {
-				nextDim[sid] = sup[sid][o]
-			} else {
-				nextDim[sid] = -1
-			}
-		}
-		total += int64(cnt)
-	}
-	if pos != len(blob) {
-		return fmt.Errorf("%d trailing bytes in postings blob", len(blob)-pos)
-	}
-	if total != bp.nPostings {
-		return fmt.Errorf("blocks hold %d postings, header says %d", total, bp.nPostings)
-	}
-	for j := 0; j < n; j++ {
-		if int(cur[j]) != len(sup[j]) {
-			return fmt.Errorf("signature %d: %d of %d support entries referenced by postings", j, cur[j], len(sup[j]))
-		}
-	}
-	// Second pass: block max-|weight|, folded signature-major so the
-	// support/value reads stream sequentially and the directory probes
-	// ascend (supports are dimension-sorted). The bijection just proven
-	// maps each (signature, ordinal) to the unique posting block of that
-	// dimension covering the id, so this folds exactly the multiset of
-	// weights the posting walk visits — and max is order-independent, so
-	// the result matches folding per posting in walk order bit for bit.
-	for j := 0; j < n; j++ {
-		sj := sup[j]
-		vj := bp.vals[j]
-		for o := range sj {
-			d := sj[o]
-			bi := int(bp.dir[d])
-			hi := int(bp.dir[d+1])
-			for bi+1 < hi && int32(j) >= bp.blocks[bi+1].firstID {
-				bi++
-			}
-			if a := math.Abs(vj[o]); a > bp.blocks[bi].maxAbsW {
-				bp.blocks[bi].maxAbsW = a
-			}
-		}
-	}
-	return nil
 }

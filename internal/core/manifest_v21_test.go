@@ -6,17 +6,22 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/vecmath"
 )
 
-// v21SegmentLayout locates the sections of a sealed v2.1 segment file:
-// the flags byte, the row records, and the postings section. rows must
-// be the segment's signatures in record order.
-func v21SegmentLayout(t *testing.T, body []byte, rows []Signature) (rowsStart, postStart int) {
+// v21PostingsStart returns where an older build's sealed segment body
+// starts its postings section, after the flags byte and the row
+// records. rows must be the segment's signatures in record order.
+func v21PostingsStart(t *testing.T, body []byte, rows []Signature) int {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -28,15 +33,15 @@ func v21SegmentLayout(t *testing.T, body []byte, rows []Signature) (rowsStart, p
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rowsStart = segHeaderSize + 1 // header + flags byte
-	postStart = rowsStart + buf.Len()
+	rowsStart := segHeaderSize + 1 // header + flags byte
+	postStart := rowsStart + buf.Len()
 	if postStart >= len(body) {
 		t.Fatalf("postings section out of range: rows end at %d of %d body bytes", postStart, len(body))
 	}
 	if !bytes.Equal(body[rowsStart:postStart], buf.Bytes()) {
 		t.Fatal("row re-encoding does not match the written segment file")
 	}
-	return rowsStart, postStart
+	return postStart
 }
 
 // rewriteSegment replaces a segment file's body, recomputing both the
@@ -75,43 +80,30 @@ func rewriteSegment(t *testing.T, dir, name string, body []byte) {
 	}
 }
 
-// TestV21PostingsCorruptionMatrix drives the corruption classes
-// specific to the v2.1 postings section, each with a *valid* CRC (the
-// footer and manifest are recomputed after the damage), so the typed
-// error must come from the structural validation: a tampered posting
-// count, an overlong (bad) varint, a truncated block stream, and an
-// ordinal that names the wrong dimension. A plain CRC mismatch on the
-// postings bytes is checked too. Every case yields a *SnapshotError
-// naming the segment file and loads nothing.
-func TestV21PostingsCorruptionMatrix(t *testing.T) {
-	r := rand.New(rand.NewSource(211))
-	const dim, nnz, n = 40, 7, 9
-	sigs := randSigs(r, n, dim, nnz)
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := NewDB(dim)
+// TestV21PostingsSectionIgnored holds the loader to skipping an older
+// build's postings section unread: the fixture's sealed segment, its
+// section tampered in every way the retired validator refused (posting
+// count, an overlong varint, a truncated blob, a wrong ordinal, trailing
+// bytes) and both CRCs re-stamped, still loads and answers like a
+// brute-force scan of its rows. Plain CRC damage inside the section is
+// still a *SnapshotError naming the file, as are a section behind a
+// flags byte of 0 and an unknown flag bit.
+func TestV21PostingsSectionIgnored(t *testing.T) {
+	dir := copyV21Fixture(t)
+	db, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(sigs); err != nil {
-		t.Fatal(err)
-	}
-	db.Seal()
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	rows := db.All()
 	clean := dirState(t, dir)
-	var segName string
-	for name := range clean {
-		if name != manifestName {
-			segName = name
-		}
-	}
+	segName := segmentFileName(db.segs[0].id)
 	raw := clean[segName]
 	body := raw[:len(raw)-4]
-	if body[segHeaderSize]&segFlagPostings == 0 {
-		t.Fatal("sealed segment written without a postings section")
+	if body[segHeaderSize] != segFlagPostings {
+		t.Fatalf("fixture segment %s flags %#02x, want a postings section", segName, body[segHeaderSize])
 	}
-	_, postStart := v21SegmentLayout(t, body, sigs)
+	postStart := v21PostingsStart(t, body, rows[:db.segs[0].len()])
+	queries := fixtureQueries(rows)
 
 	restore := func() {
 		for name, b := range clean {
@@ -120,85 +112,59 @@ func TestV21PostingsCorruptionMatrix(t *testing.T) {
 			}
 		}
 	}
+	mutate := func(fn func(b []byte) []byte) {
+		t.Helper()
+		rewriteSegment(t, dir, segName, fn(append([]byte(nil), body...)))
+	}
 	mustFail := func(tag string) {
 		t.Helper()
 		got, err := LoadDir(dir)
-		if err == nil {
-			t.Fatalf("%s: load succeeded", tag)
-		}
-		if got != nil {
-			t.Fatalf("%s: load returned a DB alongside the error", tag)
-		}
 		var snapErr *SnapshotError
-		if !errors.As(err, &snapErr) {
-			t.Fatalf("%s: error %v is not a *SnapshotError", tag, err)
-		}
-		if filepath.Base(snapErr.Path) != segName {
-			t.Fatalf("%s: error names %s, want %s", tag, snapErr.Path, segName)
+		if got != nil || !errors.As(err, &snapErr) || filepath.Base(snapErr.Path) != segName {
+			t.Fatalf("%s: db=%v err=%v, want no DB and a *SnapshotError naming %s", tag, got, err, segName)
 		}
 		restore()
 	}
-	mutate := func(tag string, fn func(b []byte) []byte) {
-		t.Helper()
-		rewriteSegment(t, dir, segName, fn(append([]byte(nil), body...)))
-		mustFail(tag)
+	for _, c := range []struct {
+		tag string
+		fn  func(b []byte) []byte
+	}{
+		{"posting-count", func(b []byte) []byte { b[postStart] ^= 0x05; return b }},
+		{"bad-varint", func(b []byte) []byte {
+			out := append([]byte(nil), b[:postStart]...)
+			out = append(out, bytes.Repeat([]byte{0xFF}, 10)...)
+			return append(out, b[postStart:]...)
+		}},
+		{"truncated-blocks", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"wrong-ordinal", func(b []byte) []byte { b[len(b)-1] ^= 0x07; return b }},
+		{"trailing-postings", func(b []byte) []byte { return append(b, 0x00) }},
+		{"no-section", func(b []byte) []byte { return b[:postStart] }},
+	} {
+		mutate(c.fn)
+		got, err := LoadDir(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", c.tag, err)
+		}
+		if err := sameRows(got.All(), rows); err != nil {
+			t.Fatalf("%s: %v", c.tag, err)
+		}
+		checkBruteForce(t, c.tag, got, queries)
+		restore()
 	}
 
-	// Tampered posting count (the first uvarint of the section): the
-	// bijection check against the summed supports rejects it.
-	mutate("posting-count", func(b []byte) []byte {
-		b[postStart]++ // n*nnz = 63 < 128: a single-byte uvarint
-		return b
-	})
-	// An overlong varint (ten 0xFF bytes never terminate a uvarint)
-	// where the posting count should be.
-	mutate("bad-varint", func(b []byte) []byte {
-		out := append([]byte(nil), b[:postStart]...)
-		out = append(out, bytes.Repeat([]byte{0xFF}, 10)...)
-		return append(out, b[postStart:]...)
-	})
-	// Truncated postings: the blob (the file tail) loses bytes, so a
-	// block's streams run out mid-decode.
-	mutate("truncated-blocks", func(b []byte) []byte {
-		return b[:len(b)-3]
-	})
-	// The last blob byte is the final block's last ordinal: any other
-	// value either leaves its signature's support (out of range) or
-	// lands on a support entry of a different dimension — the per-
-	// posting dimension check catches both.
-	mutate("wrong-ordinal", func(b []byte) []byte {
-		b[len(b)-1] ^= 0x07
-		return b
-	})
-	// Extra bytes after the blob: the section must consume the body
-	// exactly.
-	mutate("trailing-postings", func(b []byte) []byte {
-		return append(b, 0x00)
-	})
-	// And a plain bit flip in the postings bytes without recomputing the
-	// footer: the CRC rejects it before validation runs.
+	// A section behind a flags byte of 0 is trailing bytes, and an unknown
+	// flag bit is refused.
+	mutate(func(b []byte) []byte { b[segHeaderSize] = 0; return b })
+	mustFail("flags-0-with-section")
+	mutate(func(b []byte) []byte { b[segHeaderSize] |= 0x02; return b })
+	mustFail("unknown-flag")
+	// A bit flip in the section without re-stamping: the CRC rejects it.
 	flipped := append([]byte(nil), raw...)
 	flipped[postStart+2] ^= 0x20
 	if err := os.WriteFile(filepath.Join(dir, segName), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	mustFail("crc-mismatch")
-
-	// The restored directory still loads and answers identically.
-	back, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := randSigs(r, 1, dim, nnz)[0].W
-	want, err := db.TopKSparse(q, 5, EuclideanMetric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.TopKSparse(q, 5, EuclideanMetric())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "restored dir", got, want)
 }
 
 // TestReadSigRecordV2Bounds pins the overflow guards of the v2.1 row
@@ -222,22 +188,224 @@ func TestReadSigRecordV2Bounds(t *testing.T) {
 	}
 }
 
-// TestValidateGapOverflowErrors pins the postings-blob id-gap guard: a
-// gap uvarint large enough to wrap the id sum negative must be a typed
-// validation error, not an index-out-of-range panic.
-func TestValidateGapOverflowErrors(t *testing.T) {
-	sup := [][]int32{{0}, {0}}
-	bp := &blockPostings{
-		dim:       1,
-		n:         2,
-		nPostings: 2,
-		vals:      [][]float64{{1}, {1}},
-		dir:       []int32{0, 1},
-		blocks:    []blockDesc{{firstID: 0, count: 2, ordW: 1}},
+// v21Fixture is a snapshot directory written by the build that still
+// persisted postings (dimension matrixDim, 421 rows): a tier-merged (spliced)
+// segment of 256 rows and a sealed one of 128, both carrying a postings
+// section, and a 37-row segment saved while active, without one.
+const v21Fixture = "testdata/v21-postings"
+
+// copyV21Fixture copies the fixture into a fresh directory and returns
+// it, so a test may save into it.
+func copyV21Fixture(t *testing.T) string {
+	t.Helper()
+	entries, err := os.ReadDir(v21Fixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bp.blob = binary.AppendUvarint(nil, 1<<63+1<<31) // the id gap
-	bp.blob = append(bp.blob, 0, 0)                  // two ordinals
-	if err := bp.validate(sup, []int32{0}); err == nil {
-		t.Fatal("overflowing id gap should fail validation")
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(v21Fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// segFlags returns the flags byte of every segment file in dir.
+func segFlags(t *testing.T, dir string) map[string]byte {
+	t.Helper()
+	out := map[string]byte{}
+	for name, b := range dirState(t, dir) {
+		if strings.HasPrefix(name, "seg-") {
+			out[name] = b[segHeaderSize]
+		}
+	}
+	return out
+}
+
+// fixtureQueries is a fixed query set over rows: every 37th stored
+// signature and eight random ones.
+func fixtureQueries(rows []Signature) []*vecmath.Sparse {
+	var qs []*vecmath.Sparse
+	for i := 0; i < len(rows); i += 37 {
+		qs = append(qs, rows[i].W)
+	}
+	for _, s := range randSigs(rand.New(rand.NewSource(340)), 8, rows[0].Dim(), 6) {
+		qs = append(qs, s.W)
+	}
+	return qs
+}
+
+// checkBruteForce holds every cosine and Euclidean top-10 of db to a
+// brute-force scan of db.All().
+func checkBruteForce(t *testing.T, tag string, db *DB, queries []*vecmath.Sparse) {
+	t.Helper()
+	all := db.All()
+	for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
+		for qi, q := range queries {
+			got, err := db.TopKSparse(q, 10, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteTopK(all, q, 10, m); !sameHits(got, want) {
+				t.Fatalf("%s: %s query %d answers %v, the brute-force scan %v", tag, m.Name, qi, got, want)
+			}
+		}
+	}
+}
+
+// sameRows reports the first difference between two row sequences.
+func sameRows(got, want []Signature) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if err := sameSignature(got[i], want[i]); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// TestV21FixtureLoads loads the older build's snapshot — postings
+// sections skipped, every segment's postings rebuilt from its rows — and
+// holds it to a brute-force scan; a SaveDir into a fresh directory
+// writes rows only (every flags byte 0) and reloads with the same rows
+// and answers.
+func TestV21FixtureLoads(t *testing.T) {
+	dir := copyV21Fixture(t)
+	flags := segFlags(t, dir)
+	if want := map[string]byte{"seg-00000002.fms": 1, "seg-00000003.fms": 1, "seg-00000004.fms": 0}; !maps.Equal(flags, want) {
+		t.Fatalf("fixture flags %v, want %v", flags, want)
+	}
+	db, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Len() != 421 || db.Segments() != 3 {
+		t.Fatalf("fixture loads %d rows in %d segments, want 421 in 3", db.Len(), db.Segments())
+	}
+	queries := fixtureQueries(db.All())
+	checkBruteForce(t, "fixture", db, queries)
+
+	fresh := filepath.Join(t.TempDir(), "resaved")
+	if err := db.SaveDir(fresh); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range segFlags(t, fresh) {
+		if f != 0 {
+			t.Fatalf("re-saved %s flags %#02x, want 0", name, f)
+		}
+	}
+	back, err := LoadDir(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(back.All(), db.All()); err != nil {
+		t.Fatal(err)
+	}
+	checkBruteForce(t, "re-saved", back, queries)
+}
+
+// TestV21FixtureIncrementalSave grows the loaded fixture and saves it
+// back into its own directory: the older build's files stay as they
+// were beside the new rows-only file, and the mixed directory loads.
+func TestV21FixtureIncrementalSave(t *testing.T) {
+	dir := copyV21Fixture(t)
+	before := dirState(t, dir)
+	db, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddAll(randSigs(rand.New(rand.NewSource(341)), 50, matrixDim, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	after := dirState(t, dir)
+	newFiles := 0
+	for name, b := range after {
+		if name == manifestName {
+			continue
+		}
+		if old, ok := before[name]; ok {
+			if !bytes.Equal(b, old) {
+				t.Fatalf("incremental save rewrote the older build's %s", name)
+			}
+			continue
+		}
+		if b[segHeaderSize] != 0 {
+			t.Fatalf("new %s flags %#02x, want 0", name, b[segHeaderSize])
+		}
+		newFiles++
+	}
+	if newFiles != 1 || len(after) != len(before)+1 {
+		t.Fatalf("incremental save left %d files (%d new), want the fixture's %d and one new", len(after), newFiles, len(before))
+	}
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 471 {
+		t.Fatalf("mixed directory loads %d rows, want 471", back.Len())
+	}
+	if err := sameRows(back.All(), db.All()); err != nil {
+		t.Fatal(err)
+	}
+	checkBruteForce(t, "mixed", back, fixtureQueries(back.All()))
+}
+
+// TestReloadRebuildsSealedPostings pins "rebuilt equals sealed": a
+// store loaded in 256-row AddAll chunks and fully sealed reloads from
+// its rows-only snapshot with the same IndexBytes, and every query of a
+// fixed set gets the same hits and the same PruneStats.
+func TestReloadRebuildsSealedPostings(t *testing.T) {
+	sigs := embedPeaked(t, 9000)
+	db := loadChunks(t, sigs, 256)
+	db.Seal()
+	if db.Segments() != 2 || db.ActiveUnindexedRows() != 0 {
+		t.Fatalf("%d segments, %d unindexed rows; want 2 sealed", db.Segments(), db.ActiveUnindexedRows())
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.IndexBytes(), db.IndexBytes(); got != want {
+		t.Fatalf("reloaded IndexBytes %d, sealed %d", got, want)
+	}
+	var skipped int64
+	for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
+		for i := 0; i < len(sigs); i += 450 {
+			want, wantStats, err := db.TopKSparseStats(sigs[i].W, 10, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := back.TopKSparseStats(sigs[i].W, 10, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameHits(got, want) {
+				t.Fatalf("%s query %d: reloaded %v, sealed %v", m.Name, i, got, want)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("%s query %d: reloaded PruneStats %+v, sealed %+v", m.Name, i, gotStats, wantStats)
+			}
+			skipped += gotStats.BlocksSkipped
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no query skipped a block: the PruneStats comparison pins nothing")
 	}
 }

@@ -580,10 +580,6 @@ func TestHTTPServerTimeouts(t *testing.T) {
 // by exactly one.
 func TestIngestSinglePublish(t *testing.T) {
 	dim := testDim
-	corpus, err := core.NewCorpus(dim)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(9))
 	mkdoc := func(id string) *core.Document {
 		counts := make(map[int]uint64)
@@ -592,20 +588,11 @@ func TestIngestSinglePublish(t *testing.T) {
 		}
 		return &core.Document{ID: id, Label: "l", Counts: counts}
 	}
-	for i := 0; i < 20; i++ {
-		if err := corpus.Add(mkdoc(fmt.Sprintf("seed%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	model, err := corpus.Fit()
-	if err != nil {
-		t.Fatal(err)
-	}
 	db, err := core.NewDB(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(db, model, Config{})
+	s, err := New(db, ingestModel(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
