@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		workers    = fs.Int("workers", 0, "worker-pool bound for parallel sweeps (0 = one per CPU, <0 = sequential; results are identical at any setting)")
 		benchJSON  = fs.String("benchjson", "", "write per-experiment wall-clock seconds to this JSON file (perf trajectory for future PRs)")
-		pruneJSON  = fs.String("prunejson", "", "run the scale benchmark (synthetic signature ladder up to -scale: TopK latency, pruning counters and the sealed-segment trajectory under the tier compaction policy at each rung) and write it to this JSON file, then exit")
+		pruneJSON  = fs.String("prunejson", "", "run the scale benchmark (synthetic signature ladder up to -scale: TopK latency, pruning counters and segment counts at each rung) and write it to this JSON file, then exit")
 		scale      = fs.Int("scale", 1_000_000, "corpus ceiling for -prunejson: the ladder measures at 10k and 100k signatures, then at this count")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")

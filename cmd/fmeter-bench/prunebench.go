@@ -17,19 +17,16 @@ import (
 
 // pruneRecord is the BENCH_pruned.json artifact: TopK latency over a
 // synthetic corpus ladder (10k → -scale signatures in the paper's
-// 3815-dim space) plus the sealed-segment trajectory under the tier
-// compaction policy — the scale rung bench/ does not have yet. The
-// headline numbers are the growth factors at the bottom: a 100× corpus
-// must grow TopK latency by well under 100× (the sub-linear claim),
-// while the policy keeps the sealed-segment count inside the tier
-// budget throughout ingestion.
+// 3815-dim space, sealed at the store's own segment size) — the scale
+// rung bench/ does not have yet. The headline numbers are the growth
+// factors at the bottom: a 100× corpus must grow TopK latency by well
+// under 100× (the sub-linear claim).
 type pruneRecord struct {
 	Timestamp   string `json:"timestamp"`
 	GoMaxProcs  int    `json:"gomaxprocs"`
 	Dim         int    `json:"dim"`
 	NNZ         int    `json:"nnz"`
 	SegmentSize int    `json:"segment_size"`
-	TierFanout  int    `json:"tier_fanout"`
 	K           int    `json:"k"`
 
 	Scales []pruneScale `json:"scales"`
@@ -65,15 +62,10 @@ type pruneScale struct {
 	// scratch).
 	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
 
-	// Segment trajectory under the compaction policy: the sealed count
-	// observed while ingesting up to this rung never exceeded
-	// SealedMaxDuringIngest, which must stay within TierBudget (the
-	// policy's O(F·log_F) bound) — without the
-	// policy the sealed count would be docs/segment_size.
-	Segments              int `json:"segments"`
-	SealedSegments        int `json:"sealed_segments"`
-	SealedMaxDuringIngest int `json:"sealed_max_during_ingest"`
-	TierBudget            int `json:"tier_budget"`
+	// Segments at this rung: one per segment_size rows, plus the short
+	// one each rung's closing Seal cuts.
+	Segments       int `json:"segments"`
+	SealedSegments int `json:"sealed_segments"`
 
 	// TopK latency per metric name.
 	TopK map[string]microBench `json:"topk"`
@@ -183,31 +175,17 @@ func (s *idxValSorter) Swap(a, b int) {
 	s.val[a], s.val[b] = s.val[b], s.val[a]
 }
 
-// tierBudget is the policy's sealed-count bound for a store of rows
-// records: fewer than F adjacent same-tier segments per tier, summed over
-// the tiers a store of that size can populate (plus slack for the
-// in-flight cascade).
-func tierBudget(rows, segSize, fanout int) int {
-	tiers := 2
-	for bound := segSize * fanout; bound <= rows; bound *= fanout {
-		tiers++
-	}
-	return (fanout - 1) * tiers
-}
-
 // runPruneBench builds the ladder corpus once (each rung extends the
-// previous), measuring ingestion, the segment trajectory, and TopK
+// previous), measuring ingestion, the segment count, and TopK
 // under both indexable metrics at every rung, then writes the JSON
 // record.
 //
 //fmeter:nondeterministic-ok bench harness: ladder timing and run timestamps
 func runPruneBench(path string, scale int, stderr io.Writer) error {
 	const (
-		dim     = 3815
-		segSize = 4096
-		fanout  = 4
-		k       = 10
-		nProbe  = 8
+		dim    = 3815
+		k      = 10
+		nProbe = 8
 	)
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
@@ -222,10 +200,6 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 
 	db, err := core.NewDB(dim)
 	if err != nil {
-		return err
-	}
-	db.SetSegmentSize(segSize)
-	if err := db.SetCompactionPolicy(core.CompactionPolicy{TierFanout: fanout}); err != nil {
 		return err
 	}
 
@@ -247,14 +221,12 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Dim:         dim,
 		NNZ:         pruneClassDims + pruneSharedPool*3/4,
-		SegmentSize: segSize,
-		TierFanout:  fanout,
+		SegmentSize: core.SegmentSize,
 		K:           k,
 	}
 
 	metrics := []core.Metric{core.CosineMetric(), core.EuclideanMetric()}
 	added := 0
-	sealedMax := 0
 	for _, docs := range rungs {
 		start := time.Now()
 		for added < docs {
@@ -262,37 +234,27 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 				return err
 			}
 			added++
-			if added%1024 == 0 {
-				if s := db.SealedSegments(); s > sealedMax {
-					sealedMax = s
-				}
-			}
 			if added%100_000 == 0 {
 				fmt.Fprintf(stderr, "ingested %d signatures (%d segments)...\n", added, db.Segments())
 			}
 		}
 		db.Seal()
-		if s := db.SealedSegments(); s > sealedMax {
-			sealedMax = s
-		}
 		ingest := time.Since(start).Seconds()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 
 		sc := pruneScale{
-			Docs:                  docs,
-			IngestSeconds:         ingest,
-			IndexBytes:            db.IndexBytes(),
-			HeapInuseBytes:        ms.HeapInuse,
-			Segments:              db.Segments(),
-			SealedSegments:        db.SealedSegments(),
-			SealedMaxDuringIngest: sealedMax,
-			TierBudget:            tierBudget(docs, segSize, fanout),
-			TopK:                  make(map[string]microBench),
+			Docs:           docs,
+			IngestSeconds:  ingest,
+			IndexBytes:     db.IndexBytes(),
+			HeapInuseBytes: ms.HeapInuse,
+			Segments:       db.Segments(),
+			SealedSegments: db.SealedSegments(),
+			TopK:           make(map[string]microBench),
 		}
-		fmt.Fprintf(stderr, "== %d signatures: %d segments (%d sealed, budget %d), %.1f MiB postings, %.1f MiB heap in use ==\n",
-			docs, sc.Segments, sc.SealedSegments, sc.TierBudget,
+		fmt.Fprintf(stderr, "== %d signatures: %d segments (%d sealed), %.1f MiB postings, %.1f MiB heap in use ==\n",
+			docs, sc.Segments, sc.SealedSegments,
 			float64(sc.IndexBytes)/(1<<20), float64(sc.HeapInuseBytes)/(1<<20))
 
 		for _, metric := range metrics {

@@ -87,8 +87,7 @@ func run() error {
 	// Query frontend: two HTTP clients hammer POST /v1/topk for the
 	// whole streaming phase. Each request is one db.Query call on
 	// its own goroutine, on one epoch view, so it reads a consistent
-	// store no matter what the writer, seals, or compactions do
-	// concurrently.
+	// store no matter what the writer or its seals do concurrently.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var answered atomic.Int64

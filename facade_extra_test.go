@@ -363,10 +363,7 @@ func TestSaveOpenDBFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(4)
-	if err := db.AddAll(rest); err != nil {
-		t.Fatal(err)
-	}
+	addSealedChunks(t, db, rest, 4)
 	db.Seal()
 	want, err := db.TopKSparse(query.W, 3, EuclideanMetric())
 	if err != nil {
@@ -471,6 +468,21 @@ func TestSaveOpenDBFacade(t *testing.T) {
 	}
 }
 
+// addSealedChunks stores sigs in AddAll chunks of n rows and seals after
+// each full one: the segment layout a seal threshold of n would cut.
+func addSealedChunks(t *testing.T, db *DB, sigs []Signature, n int) {
+	t.Helper()
+	for lo := 0; lo < len(sigs); lo += n {
+		hi := min(lo+n, len(sigs))
+		if err := db.AddAll(sigs[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		if hi-lo == n {
+			db.Seal()
+		}
+	}
+}
+
 func TestSegmentSizeAndSealFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 7, Workers: -1})
 	if err != nil {
@@ -486,16 +498,11 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 	}
 	query, rest := sigs[0], sigs[1:]
 
-	db, err := NewDB(sys.Dim(), WithSegmentSize(4))
+	db, err := NewDB(sys.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.SegmentSize(); got != 4 {
-		t.Fatalf("SegmentSize = %d, want 4", got)
-	}
-	if err := db.AddAll(rest); err != nil {
-		t.Fatal(err)
-	}
+	addSealedChunks(t, db, rest, 4)
 	want, err := db.TopKSparse(query.W, 5, EuclideanMetric())
 	if err != nil {
 		t.Fatal(err)
@@ -544,10 +551,9 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 	}
 }
 
-// TestPruningFacade drives the pruned walk through the facade:
-// WithCompactionPolicy reaches the DB, the sealed store's results stay
-// bit-identical to the scan arm's, the pruning counters are visible,
-// and a bad tier fan-out surfaces as a typed ConfigError.
+// TestPruningFacade drives the pruned walk through the facade: a store
+// sealed in 8-row segments answers bit-identically to the scan arm, and
+// the pruning counters are visible.
 func TestPruningFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 17, Workers: -1})
 	if err != nil {
@@ -563,16 +569,11 @@ func TestPruningFacade(t *testing.T) {
 	}
 	query, rest := sigs[0], sigs[1:]
 
-	pruned, err := NewDB(sys.Dim(), WithShards(2), WithSegmentSize(8), WithCompactionPolicy(2))
+	pruned, err := NewDB(sys.Dim(), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.CompactionPolicy().TierFanout != 2 {
-		t.Fatalf("tier fan-out = %d, want 2", pruned.CompactionPolicy().TierFanout)
-	}
-	if err := pruned.AddAll(rest); err != nil {
-		t.Fatal(err)
-	}
+	addSealedChunks(t, pruned, rest, 8)
 	pruned.Seal()
 	got, st, err := pruned.TopKSparseStats(query.W, 5, CosineMetric())
 	if err != nil {
@@ -590,11 +591,6 @@ func TestPruningFacade(t *testing.T) {
 			t.Fatalf("pruned hit %d = (%s, %v), scan says (%s, %v)",
 				i, got[i].Signature.DocID, got[i].Score, want[i].Signature.DocID, want[i].Score)
 		}
-	}
-
-	var ce *ConfigError
-	if _, err := NewDB(sys.Dim(), WithCompactionPolicy(1)); !errors.As(err, &ce) {
-		t.Fatalf("WithCompactionPolicy(1) = %v, want ConfigError", err)
 	}
 }
 

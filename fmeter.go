@@ -95,14 +95,11 @@ type (
 	// DimensionError is the typed error for mis-sized DB inputs.
 	DimensionError = core.DimensionError
 	// ConfigError is the typed error for out-of-range construction and
-	// configuration parameters (dimension, k, tier fan-out).
+	// configuration parameters (dimension, k).
 	ConfigError = core.ConfigError
 	// PruneStats are one query's threshold-pruning counters (see
 	// Query.Stats).
 	PruneStats = core.PruneStats
-	// CompactionPolicy configures background size-tiered compaction
-	// (see WithCompactionPolicy / db.SetCompactionPolicy).
-	CompactionPolicy = core.CompactionPolicy
 	// SnapshotError is the typed error for corrupt, missing, or
 	// unreadable snapshot-directory files; it names the offending file.
 	SnapshotError = core.SnapshotError
@@ -193,9 +190,7 @@ type Config struct {
 type Option func(*perfOpts)
 
 type perfOpts struct {
-	workers    int
-	segSize    int
-	tierFanout int
+	workers int
 }
 
 // WithWorkers bounds the helper's worker-pool fan-out: 0 (the default)
@@ -210,25 +205,19 @@ func WithWorkers(n int) Option { return func(o *perfOpts) { o.workers = n } }
 // shards.
 func WithShards(int) Option { return func(*perfOpts) {} }
 
-// WithSegmentSize sets NewDB's seal threshold (n < 1 keeps
-// the default): an active segment rolling past it is sealed, which
-// re-encodes its posting lists into the block-compressed form (several
-// times smaller resident; SaveDB persists the rows, and OpenDB rebuilds
-// the same form from them) — query
-// results are bit-identical at any setting. Call db.Seal() to compress
-// the current actives explicitly, e.g. before a save.
-func WithSegmentSize(n int) Option { return func(o *perfOpts) { o.segSize = n } }
+// WithSegmentSize does nothing: an active segment seals at a fixed
+// size, and db.Seal() ends a segment early — before a save, say, or to
+// cut segments at chosen boundaries.
+//
+// Deprecated: drop the option; the seal threshold is not tunable.
+func WithSegmentSize(int) Option { return func(*perfOpts) {} }
 
-// WithCompactionPolicy enables NewDB's background size-tiered
-// compaction: whenever a segment seals, runs of tierFanout adjacent
-// same-tier sealed segments are spliced into the next tier, keeping the
-// sealed-segment count logarithmic in the store size under continuous
-// ingestion — no manual Compact calls. tierFanout < 1 leaves the policy
-// off; 1 is rejected by NewDB (a typed *ConfigError). Query results are
-// bit-identical with any policy.
-func WithCompactionPolicy(tierFanout int) Option {
-	return func(o *perfOpts) { o.tierFanout = tierFanout }
-}
+// WithCompactionPolicy does nothing: a database merges its small sealed
+// segments only when db.Compact() is called.
+//
+// Deprecated: drop the option; background size-tiered compaction was
+// removed.
+func WithCompactionPolicy(int) Option { return func(*perfOpts) {} }
 
 // WithMapped does nothing: OpenDB loads every segment onto the heap.
 //
@@ -527,25 +516,17 @@ func NewDB(dim int, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return configureDB(db, o)
+	return configureDB(db, o), nil
 }
 
 // configureDB applies the perf options shared by NewDB and OpenDB to a
 // constructed or loaded database. Only an option that was given calls
 // its setter, so a plain NewDB or OpenDB publishes no view of its own.
-func configureDB(db *DB, o perfOpts) (*DB, error) {
+func configureDB(db *DB, o perfOpts) *DB {
 	if o.workers != 0 {
 		db.SetWorkers(o.workers)
 	}
-	if o.segSize > 0 {
-		db.SetSegmentSize(o.segSize)
-	}
-	if o.tierFanout > 0 {
-		if err := db.SetCompactionPolicy(core.CompactionPolicy{TierFanout: o.tierFanout}); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
+	return db
 }
 
 // SignatureFromDense wraps a dense weight vector as a signature.
@@ -602,7 +583,7 @@ func OpenDB(path string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return configureDB(db, o)
+	return configureDB(db, o), nil
 }
 
 // CosineMetric is the cosine similarity of §2.1.

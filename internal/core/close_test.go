@@ -17,7 +17,7 @@ func TestDBCloseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.SetSegmentSize(64)
+	src.setSegmentSize(64)
 	if err := src.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}

@@ -87,8 +87,8 @@ func sameHits(a, b []SearchResult) bool {
 // TestConcurrentInterleavingSweep is the serialized-equivalence
 // property sweep: goroutines interleave Add/AddAll/Seal/Compact/
 // SaveDir/config flips with TopK/TopKBatch/Classify*/Stats queries
-// under every layout axis (lanes × segment size × run length × policy
-// compaction × fresh/loaded prefix), and every query result must be
+// under every layout axis (lanes × segment size × run length × compaction
+// after every seal × fresh/loaded prefix), and every query result must be
 // bit-identical to a serialized execution against the store prefix its
 // view froze. Run lengths are far below the segment sizes (and
 // one combo never rolls a segment by size), so readers hold views
@@ -111,22 +111,24 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 	// query walks (names kept from when the axis was a shard count, so
 	// the case ids stay stable); the early prefixes have fewer walk units
 	// than lanes. The "mapped" cases start from a loaded prefix (named
-	// when a loaded store's postings were memory-mapped).
+	// when a loaded store's postings were memory-mapped). The "tiered"
+	// cases compact after every explicit seal (named when a size-tiered
+	// policy merged on seal).
 	combos := []struct {
 		name    string
 		workers int
 		segSize int
 		runLen  int
-		fanout  int
+		tiered  bool
 		loaded  bool
 		metric  Metric
 	}{
-		{"1shard-seq-cosine", 1, 64, 8, 0, false, CosineMetric()},
-		{"3shard-par-tiered-cosine", 3, 32, 5, 2, false, CosineMetric()},
-		{"2shard-par-euclidean", 2, 48, 7, 0, false, EuclideanMetric()},
-		{"2shard-par-longruns-euclidean", 2, DefaultSegmentSize, 6, 0, false, EuclideanMetric()},
-		{"2shard-mapped-euclidean", 2, 48, 16, 0, true, EuclideanMetric()},
-		{"3shard-mapped-tiered-cosine", 3, 32, 3, 2, true, CosineMetric()},
+		{"1shard-seq-cosine", 1, 64, 8, false, false, CosineMetric()},
+		{"3shard-par-tiered-cosine", 3, 32, 5, true, false, CosineMetric()},
+		{"2shard-par-euclidean", 2, 48, 7, false, false, EuclideanMetric()},
+		{"2shard-par-longruns-euclidean", 2, SegmentSize, 6, false, false, EuclideanMetric()},
+		{"2shard-mapped-euclidean", 2, 48, 16, false, true, EuclideanMetric()},
+		{"3shard-mapped-tiered-cosine", 3, 32, 3, true, true, CosineMetric()},
 	}
 	for _, cb := range combos {
 		cb := cb
@@ -139,13 +141,13 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			if cb.loaded {
 				// Start from a sealed prefix saved and loaded back and
 				// stream the rest: the writer mutates a loaded store
-				// (splicing its segments, re-saving into its directory)
+				// (merging its segments, re-saving into its directory)
 				// under the readers.
 				seed, err := NewDB(dim)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seed.SetSegmentSize(cb.segSize)
+				seed.setSegmentSize(cb.segSize)
 				start = nSigs / 2
 				if err := seed.AddAll(sigs[:start]); err != nil {
 					t.Fatal(err)
@@ -168,14 +170,9 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			}
 			defer db.Close()
 			db.SetWorkers(cb.workers)
-			db.SetSegmentSize(cb.segSize)
+			db.setSegmentSize(cb.segSize)
 			db.setRunLen(cb.runLen)
 			db.setPruneFloor(1)
-			if cb.fanout > 0 {
-				if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: cb.fanout}); err != nil {
-					t.Fatal(err)
-				}
-			}
 
 			done := make(chan struct{})
 			var wg sync.WaitGroup
@@ -206,6 +203,9 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 					switch {
 					case i%37 == 0:
 						db.Seal()
+						if cb.tiered {
+							db.Compact()
+						}
 					case i%53 == 0:
 						db.Compact()
 					case i%61 == 0:
@@ -381,7 +381,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	defer db.Close()
 	db.SetWorkers(3)
-	db.SetSegmentSize(64)
+	db.setSegmentSize(64)
 	db.setRunLen(8)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -449,7 +449,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed.SetSegmentSize(64)
+	seed.setSegmentSize(64)
 	if err := seed.AddAll(sigs[:nSeed]); err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestCloseUnderLoad(t *testing.T) {
 				return
 			}
 			if i%100 == 0 {
-				db.Compact() // splice loaded segments under load
+				db.Compact() // merge loaded segments under load
 			}
 		}
 	}()

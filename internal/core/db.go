@@ -160,8 +160,8 @@ func (e *DimensionError) Error() string {
 }
 
 // ConfigError reports a construction or configuration parameter outside
-// its accepted range (a non-positive dimension, a compaction fan-out
-// below 2). It is a typed error so callers can
+// its accepted range (a non-positive dimension, a k below 1). It is a
+// typed error so callers can
 // distinguish a bad knob from runtime failures.
 type ConfigError struct {
 	// Param names the offending parameter ("dimension", "k")
@@ -237,9 +237,10 @@ type SearchResult struct {
 // immutable posting runs as it grows), which Seal (or the segment size
 // threshold) rolls into an immutable sealed segment carrying its own
 // posting lists and cached norms, and Compact merges small sealed
-// segments by splicing their posting lists (see segment.go). For the
-// built-in cosine and Euclidean metrics a query accumulates dot products
-// down only the posting lists in its support; other metrics take the
+// segments, encoding each merge's posting lists from its rows (see
+// segment.go). For the built-in cosine and Euclidean metrics a query
+// accumulates dot products down only the posting lists in its support;
+// other metrics take the
 // exhaustive scan. A query walks the segments in lanes, one per worker
 // (view.go deals them the rows), each pruning against the one
 // store-wide seed threshold, and merges the lanes' survivors through a
@@ -274,16 +275,14 @@ type DB struct {
 	// pruneFloor (0 meaning pruneMinRows) is the store-size floor below
 	// which pruning is not attempted — see prune.go.
 	pruneFloor int
-	// runLen (0 meaning activeRunLen) is the active-segment run length
-	// and laneFloor (0 meaning laneMinRows) the fewest rows a query lane
-	// is given; only tests override them — see segment.go, view.go.
+	// runLen (0 meaning activeRunLen) is the active-segment run length,
+	// segSize (0 meaning SegmentSize) the seal threshold and laneFloor
+	// (0 meaning laneMinRows) the fewest rows a query lane is given;
+	// only tests override them — see segment.go, view.go.
 	runLen    int
+	segSize   int
 	laneFloor int
-	// policy, when enabled, keeps sealed-segment counts bounded by
-	// merging same-tier runs on every seal — see segment.go.
-	policy  CompactionPolicy
-	segSize int
-	nextSeg uint64
+	nextSeg   uint64
 	// saveDir is the directory the last SaveDir wrote to; segment dirty
 	// bits are relative to it (saving elsewhere rewrites everything).
 	saveDir string
@@ -396,7 +395,7 @@ func (db *DB) checkSig(sig Signature) error {
 }
 
 // addLocked appends one validated signature without publishing,
-// planning into p the run, seal or policy merges the row completes.
+// planning into p the run or seal the row completes.
 // Caller holds db.mu, builds p and publishes afterwards.
 func (db *DB) addLocked(p *writePlan, sig Signature) {
 	sg := db.activeSegment()
@@ -409,10 +408,6 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 	sg.dirty = true
 	if sg.len() >= db.segSizeLocked() {
 		p.seal(db.sigs, sg)
-		// A roll is the compaction policy's trigger: merging here (not on
-		// a timer, not manually) keeps the sealed count bounded at every
-		// point of a continuous ingestion stream.
-		db.policyCompact(p)
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {
 		// The unindexed tail is a full run: index exactly those rows. The
 		// run is immutable from birth, so the publish that follows hands
@@ -492,8 +487,8 @@ func (db *DB) Close() error {
 // AddAll stores a batch of signatures, validating each, and publishes
 // them as one atomic step: a concurrent query sees either none of the
 // batch or all of it. A batch holding an invalid signature is rejected
-// whole, before anything is stored. The batch's posting runs, seals and
-// merges are planned row by row and built together over the cores; a
+// whole, before anything is stored. The batch's posting runs and seals
+// are planned row by row and built together over the cores; a
 // run of a segment the batch goes on to seal is never built.
 func (db *DB) AddAll(sigs []Signature) error {
 	db.mu.Lock()

@@ -47,7 +47,7 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.SetSegmentSize(16)
+	src.setSegmentSize(16)
 	if err := src.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSaveDirIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(20)
+	db.setSegmentSize(20)
 	if err := db.AddAll(randSigs(r, 200, dim, nnz)); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.SetSegmentSize(64)
+	src.setSegmentSize(64)
 	if err := src.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(64)
+	db.setSegmentSize(64)
 	// 10 signatures: one partially filled active segment.
 	if err := db.AddAll(randSigs(r, 10, dim, nnz)); err != nil {
 		t.Fatal(err)
@@ -395,20 +395,25 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 const matrixDim = 30
 
 // saveMatrixBaseline saves the healthy store the corruption matrix and
-// FuzzLoadSegment start from and returns its directory: a tier-merged
-// (spliced) segment, a freshly sealed one and a still-active one.
+// FuzzLoadSegment start from and returns its directory: a compacted
+// segment, a freshly sealed one and a still-active one.
 func saveMatrixBaseline(t testing.TB) string {
 	t.Helper()
 	db, err := newTestDB(matrixDim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(4)
-	// Fan-out 2 merges the first two sealed segments.
-	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
+	sigs := randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5)
+	db.setSegmentSize(4)
+	if err := db.AddAll(sigs[:8]); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5)); err != nil {
+	// Compact merges segments below the threshold: raised to 8, it
+	// merges the two sealed 4-row segments.
+	db.setSegmentSize(8)
+	db.Compact()
+	db.setSegmentSize(4)
+	if err := db.AddAll(sigs[8:]); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Segments(); got != 3 {
@@ -577,62 +582,67 @@ func TestDirCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestCompactedStoreReopens is the regression test for the tier-merged
-// reopen defect: spliceBlockPostings used to lay the merged blob out
-// part by part while the file format (and load-time validation) orders
-// block streams dimension-major, so a store holding a compacted segment
-// saved fine and then failed to open. Policy-merged and Compact-merged
-// stores must reload and answer bit-identically.
+// TestCompactedStoreReopens pins that a compacted store holds the index
+// its reload does. 600 rows sealed in 64-row segments leave every
+// dimension several partial posting blocks; Compact merges them into
+// one segment, which SaveDir writes as rows and LoadDir re-encodes. The
+// merged segment must already hold those re-encoded postings: equal
+// IndexBytes, and for every query under both metrics the same hits
+// and the same PruneStats from identically configured stores. A merge
+// that splices its parts' blocks answers alike and fails here: it keeps
+// each part's partial block per dimension, ~1.5× the index bytes and
+// ~10× the blocks a query considers.
 func TestCompactedStoreReopens(t *testing.T) {
 	r := rand.New(rand.NewSource(137))
-	const dim, nnz, n, k = 60, 8, 150, 9
+	const dim, nnz, n, seg, k, workers = 60, 8, 600, 64, 9, 2
 	sigs := randSigs(r, n, dim, nnz)
 	queries := randSigs(r, 4, dim, nnz)
-	for _, mode := range []string{"policy", "compact"} {
-		db, err := newTestDB(dim, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.SetSegmentSize(8)
-		db.setPruneFloor(1)
-		if mode == "policy" {
-			if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
+	db, err := newTestDB(dim, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.setSegmentSize(seg)
+	db.setPruneFloor(1)
+	if err := db.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	db.Seal()
+	if got, want := db.Segments(), (n+seg-1)/seg; got != want {
+		t.Fatalf("%d segments before Compact, want %d", got, want)
+	}
+	db.setSegmentSize(SegmentSize)
+	db.Compact()
+	if got := db.Segments(); got != 1 {
+		t.Fatalf("%d segments after Compact, want 1", got)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	back.setLaneFloor(1)
+	back.SetWorkers(workers)
+	back.setPruneFloor(1)
+	if got, want := back.IndexBytes(), db.IndexBytes(); got != want {
+		t.Fatalf("IndexBytes: reloaded %d, compacted %d", got, want)
+	}
+	for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
+		for qi, q := range queries {
+			tag := fmt.Sprintf("%s q=%d", m.Name, qi)
+			want, wantSt, err := db.TopKSparseStats(q.W, k, m)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, s := range sigs {
-			if err := db.Add(s); err != nil {
+			got, gotSt, err := back.TopKSparseStats(q.W, k, m)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		db.Seal()
-		if mode == "compact" {
-			db.SetSegmentSize(DefaultSegmentSize)
-			db.Compact()
-		}
-		if got, unmerged := db.Segments(), 2*((n/2+7)/8); got >= unmerged {
-			t.Fatalf("%s: %d segments, want fewer than the %d sealed — nothing merged", mode, got, unmerged)
-		}
-		dir := filepath.Join(t.TempDir(), "db")
-		if err := db.SaveDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		back, err := LoadDir(dir)
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", mode, err)
-		}
-		back.setPruneFloor(1)
-		for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
-			for qi, q := range queries {
-				want, err := db.TopKSparse(q.W, k, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := back.TopKSparse(q.W, k, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, fmt.Sprintf("%s %s q=%d", mode, m.Name, qi), got, want)
+			sameResults(t, tag, got, want)
+			if gotSt != wantSt {
+				t.Fatalf("%s: PruneStats reloaded %+v, compacted %+v", tag, gotSt, wantSt)
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(16)
+	db.setSegmentSize(16)
 	if err := db.AddAll(sigs[:100]); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func buildForeignCorpus(t *testing.T) (*DB, string, int, int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetSegmentSize(16)
+		db.setSegmentSize(16)
 		if err := db.AddAll(randSigs(r, n, dim, nnz)); err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestSaveDirRemovesOrphansUnderLoad(t *testing.T) {
 	defer db.Close()
 	// Every sealed segment is small under the default size: Compact
 	// merges them into one, orphaning every file the directory holds.
-	db.SetSegmentSize(DefaultSegmentSize)
+	db.setSegmentSize(SegmentSize)
 	db.Compact()
 	before, err := os.ReadDir(dir)
 	if err != nil {

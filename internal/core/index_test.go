@@ -142,7 +142,7 @@ func TestTopKIndexedMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db.SetSegmentSize(16)
+			db.setSegmentSize(16)
 			if err := db.AddAll(sigs); err != nil {
 				t.Fatal(err)
 			}
@@ -175,12 +175,12 @@ func TestTopKBatchMatchesPerQuery(t *testing.T) {
 	for i := range queries {
 		queries[i] = randSigs(r, 1, dim, nnz)[0].W
 	}
-	for _, segSize := range []int{DefaultSegmentSize, 32} {
+	for _, segSize := range []int{SegmentSize, 32} {
 		db, err := NewDB(dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetSegmentSize(segSize)
+		db.setSegmentSize(segSize)
 		db.setPruneFloor(1)
 		if err := db.AddAll(sigs); err != nil {
 			t.Fatal(err)

@@ -189,8 +189,8 @@ func TestReadSigRecordV2Bounds(t *testing.T) {
 }
 
 // v21Fixture is a snapshot directory written by the build that still
-// persisted postings (dimension matrixDim, 421 rows): a tier-merged (spliced)
-// segment of 256 rows and a sealed one of 128, both carrying a postings
+// persisted postings (dimension matrixDim, 421 rows): a compacted segment
+// of 256 rows and a sealed one of 128, both carrying a postings
 // section, and a 37-row segment saved while active, without one.
 const v21Fixture = "testdata/v21-postings"
 

@@ -18,7 +18,7 @@ import (
 // (segment.go), so the ingest tail is indexed too and only the last
 // < activeRunLen rows are ever scored row by row. Every
 // blockPostings is produced by encodeBlocks straight from the signature
-// rows (or, for compaction, spliced from ones that were), and feeds the
+// rows, and feeds the
 // vecmath.Accumulator kernel the signatures' own weights in ascending
 // local-id order — scores are identical whichever structure covers a row.
 
@@ -106,9 +106,8 @@ type blockPostings struct {
 	minPosNorm2 float64
 }
 
-// buildDimBound (re)derives the directory-level bounds from the block
-// descriptors; callers invoke it whenever the descriptors' maxAbsW are
-// final (seal-time compression, splice, snapshot load).
+// buildDimBound derives the directory-level bounds from the block
+// descriptors once their maxAbsW are final.
 func (bp *blockPostings) buildDimBound() {
 	if cap(bp.dimBound) < bp.dim {
 		bp.dimBound = make([]float64, bp.dim)
@@ -149,9 +148,8 @@ var encodeCount atomic.Int64
 const encodeMinRange = 1 << 13
 
 // encodeBlocks builds the block-compressed posting lists of rows (local
-// id = position in rows) — the one encoder behind seal, the active
-// segment's runs, and loads of segment bodies that carry no postings
-// section. The rows' value arrays become the weight store. A counting
+// id = position in rows) — the one encoder behind seal, compaction, the
+// active segment's runs, and loads. The rows' value arrays become the weight store. A counting
 // transposition turns the row-major supports into one dimension-major id
 // array (count per dimension, prefix-sum, scatter), which is then cut
 // into blocks, over contiguous dimension ranges of about equal posting
@@ -312,57 +310,6 @@ func ordWidth(maxOrd int32) uint8 {
 	default:
 		return 4
 	}
-}
-
-// spliceBlockPostings merges sealed segments' compressed postings — the
-// compaction primitive. offsets[i] is part i's first local id inside the
-// merged range; because adjacent segments cover adjacent id ranges, the
-// merged per-dimension block sequence stays ascending without decoding a
-// single varint: block payloads are gap-encoded relative to their
-// descriptor's firstID, so rebasing a block is a descriptor edit and its
-// byte stream is copied verbatim. Streams land in block (dimension-
-// major) order — the order the snapshot format stores them in and
-// validate re-derives offsets by — so a merged segment saves and reloads
-// like a freshly sealed one.
-func spliceBlockPostings(dim int, parts []*blockPostings, offsets []int32) *blockPostings {
-	out := &blockPostings{dim: dim}
-	nBlocks, blobLen := 0, 0
-	for _, p := range parts {
-		nBlocks += len(p.blocks)
-		blobLen += len(p.blob)
-		out.n += p.n
-		out.nPostings += p.nPostings
-	}
-	out.dir = make([]int32, dim+1)
-	out.blocks = make([]blockDesc, 0, nBlocks)
-	out.blob = make([]byte, 0, blobLen)
-	out.vals = make([][]float64, 0, out.n)
-	for _, p := range parts {
-		out.vals = append(out.vals, p.vals...)
-	}
-	for d := 0; d < dim; d++ {
-		out.dir[d] = int32(len(out.blocks))
-		for i, p := range parts {
-			for bi := p.dir[d]; bi < p.dir[d+1]; bi++ {
-				bd := p.blocks[bi]
-				stream := p.blob[bd.off:][:int(bd.idLen)+int(bd.count)*int(bd.ordW)]
-				bd.off = uint32(len(out.blob))
-				out.blob = append(out.blob, stream...)
-				bd.firstID += offsets[i]
-				out.blocks = append(out.blocks, bd)
-			}
-		}
-	}
-	out.dir[dim] = int32(len(out.blocks))
-	out.buildDimBound()
-	// The merged newcomer bounds are the tightest over the parts: the
-	// merged range is exactly the union of the parts' ranges.
-	out.minNorm2, out.minPosNorm2 = math.Inf(1), math.Inf(1)
-	for _, p := range parts {
-		out.minNorm2 = math.Min(out.minNorm2, p.minNorm2)
-		out.minPosNorm2 = math.Min(out.minPosNorm2, p.minPosNorm2)
-	}
-	return out
 }
 
 // dots accumulates q·signature for every covered signature into acc

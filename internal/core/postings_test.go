@@ -182,39 +182,6 @@ func TestBlockPostingsWideOrdinals(t *testing.T) {
 	}
 }
 
-// TestSpliceBlockPostings pins the compaction primitive: splicing the
-// compressed postings of adjacent ranges must equal compressing the
-// whole range in one go — descriptors rebased, byte streams verbatim.
-func TestSpliceBlockPostings(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	const dim, n, nnz = 50, 300, 9
-	sigs := randSigs(r, n, dim, nnz)
-	_, whole := buildFlatAndCompressed(t, sigs, dim)
-	splits := []int{0, 97, 201, n}
-	var parts []*blockPostings
-	var offsets []int32
-	for s := 0; s+1 < len(splits); s++ {
-		_, part := buildFlatAndCompressed(t, sigs[splits[s]:splits[s+1]], dim)
-		parts = append(parts, part)
-		offsets = append(offsets, int32(splits[s]))
-	}
-	merged := spliceBlockPostings(dim, parts, offsets)
-	if merged.n != whole.n || merged.postingCount() != whole.postingCount() {
-		t.Fatalf("merged n/postings %d/%d, whole %d/%d", merged.n, merged.postingCount(), whole.n, whole.postingCount())
-	}
-	var accA, accB vecmath.Accumulator
-	for q := 0; q < 10; q++ {
-		query := randSigs(r, 1, dim, nnz)[0].W
-		unitDots(whole, query, &accA)
-		unitDots(merged, query, &accB)
-		for id := 0; id < n; id++ {
-			if accA.Get(id) != accB.Get(id) {
-				t.Fatalf("query %d id %d: whole %v, spliced %v", q, id, accA.Get(id), accB.Get(id))
-			}
-		}
-	}
-}
-
 // TestSealCompressesPostings pins the lifecycle plumbing: an active
 // segment holds one posting run per completed run length plus an
 // unindexed tail, sealing swaps them for one blockPostings over the
@@ -425,7 +392,7 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				db.SetSegmentSize(32)
+				db.setSegmentSize(32)
 				for i, s := range sigs {
 					if err := db.Add(s); err != nil {
 						t.Fatal(err)
@@ -439,7 +406,7 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 					db.Seal()
 				case "compacted":
 					db.Seal()
-					db.SetSegmentSize(DefaultSegmentSize)
+					db.setSegmentSize(SegmentSize)
 					db.Compact()
 				case "loaded":
 					// Seal, snapshot, and reload — bit-identical walk

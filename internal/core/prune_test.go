@@ -16,9 +16,10 @@ import (
 
 // buildPrunedDB assembles a DB in one of the sweep's storage layouts:
 // "sealed" (everything block-compressed), "mixed" (sealed prefix plus a
-// flat active tail), "compacted" (tier policy enabled while ingesting,
-// so the sealed run is a merge history), or "loaded" (the sealed store
-// round-tripped through SaveDir and LoadDir).
+// flat active tail), "compacted" (half-size segments sealed and every
+// three merged by Compact while ingesting, so the sealed run is a merge
+// history), or "loaded" (the sealed store round-tripped through SaveDir
+// and LoadDir).
 func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout string) *DB {
 	t.Helper()
 	db, err := newTestDB(sigs[0].Dim(), workers)
@@ -28,20 +29,24 @@ func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout 
 	// Small fixtures sit under the production store-size floor; lower it
 	// so the sweep actually exercises the pruned walk.
 	db.setPruneFloor(1)
-	db.SetSegmentSize(segSize)
-	if layout == "compacted" {
-		if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	db.setSegmentSize(segSize)
 	cut := len(sigs)
 	if layout == "mixed" {
 		cut = len(sigs) * 3 / 4
 	}
-	if err := db.AddAll(sigs[:cut]); err != nil {
-		t.Fatal(err)
+	step := cut
+	if layout == "compacted" {
+		step = max(1, segSize/2)
 	}
-	db.Seal()
+	for i, c := 0, 1; i < cut; i, c = i+step, c+1 {
+		if err := db.AddAll(sigs[i:min(i+step, cut)]); err != nil {
+			t.Fatal(err)
+		}
+		db.Seal()
+		if layout == "compacted" && c%3 == 0 {
+			db.Compact()
+		}
+	}
 	if err := db.AddAll(sigs[cut:]); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestPruneStatsCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetSegmentSize(256)
+		db.setSegmentSize(256)
 		if err := db.AddAll(sigs); err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +263,7 @@ func TestQueryRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(256)
+	db.setSegmentSize(256)
 	if err := db.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +447,7 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 							}
 							db.setPruneFloor(floor)
 							db.setRunLen(64)
-							db.SetSegmentSize(512)
+							db.setSegmentSize(512)
 							cut := len(sh.sigs)
 							if layout == "runs" {
 								cut = cut * 3 / 4
@@ -532,9 +537,9 @@ func walkQueryFew() *vecmath.Sparse {
 // much that an untouched small row beats every touched large one, touched
 // rows whose dot is exactly zero or negative, seed rows inside the walked
 // unit (prune floor 1, where the seeded walk gives up to the whole walk),
-// and a compacted unit of more than DefaultSegmentSize rows — the
+// and a compacted unit of more than SegmentSize rows — the
 // accumulator's largest bulk-clear size — where it stamps instead of
-// clearing, as it does in every tier-merged unit past that size.
+// clearing, as it does in every compacted unit past that size.
 func TestWalkScoresTouchedRows(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	wide := vecmath.NewVector(touchDim)
@@ -565,7 +570,7 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetSegmentSize(fx.seg)
+		db.setSegmentSize(fx.seg)
 		for lo := 0; lo < fx.n; lo += fx.chunk {
 			if err := db.AddAll(sigs[lo:min(lo+fx.chunk, fx.n)]); err != nil {
 				t.Fatal(err)
@@ -573,8 +578,8 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 			db.Seal()
 		}
 		db.Compact()
-		if fx.name == "merged" && (len(db.segs) != 1 || db.segs[0].len() <= DefaultSegmentSize) {
-			t.Fatalf("%s: want one unit over %d rows, have %d units", fx.name, DefaultSegmentSize, len(db.segs))
+		if fx.name == "merged" && (len(db.segs) != 1 || db.segs[0].len() <= SegmentSize) {
+			t.Fatalf("%s: want one unit over %d rows, have %d units", fx.name, SegmentSize, len(db.segs))
 		}
 		for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
 			for _, floor := range []int{math.MaxInt, 1} {
@@ -756,7 +761,7 @@ func TestEssentialPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(1024)
+	db.setSegmentSize(1024)
 	if err := db.AddAll(peakedSigs(r, dim, n, classSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -801,65 +806,6 @@ func TestEssentialPrefix(t *testing.T) {
 	}
 }
 
-// TestCompactionPolicyBoundsSegments drives continuous ingestion
-// through the tier policy and asserts the sealed-segment count stays
-// within the tier budget at every point of the stream — while retrieval
-// remains bit-identical to an unpolicied store.
-func TestCompactionPolicyBoundsSegments(t *testing.T) {
-	const dim, nnz, n, segSize, fanout = 120, 12, 6000, 32, 3
-	r := rand.New(rand.NewSource(9))
-	sigs := randSigs(r, n, dim, nnz)
-	db, err := newTestDB(dim, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetSegmentSize(segSize)
-	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: fanout}); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := newTestDB(dim, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.SetSegmentSize(segSize)
-
-	budget := func(rows int) int {
-		// After policyCompact, every adjacent same-tier run holds fewer
-		// than F segments; tiers range up to log_F(rows/segSize)+1.
-		tiers := 2
-		for bound := segSize * fanout; bound <= rows; bound *= fanout {
-			tiers++
-		}
-		return (fanout - 1) * tiers
-	}
-	query := randSigs(r, 1, dim, nnz)[0].W
-	for i, s := range sigs {
-		if err := db.Add(s); err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.Add(s); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%500 == 0 || i == len(sigs)-1 {
-			if sealed, max := db.SealedSegments(), budget(i+1); sealed > max {
-				t.Fatalf("after %d adds: %d sealed segments, budget %d", i+1, sealed, max)
-			}
-			got, err := db.TopKSparse(query, 10, EuclideanMetric())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := plain.TopKSparse(query, 10, EuclideanMetric())
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameHits(t, fmt.Sprintf("after %d adds", i+1), got, want)
-		}
-	}
-	if db.Segments() >= plain.Segments() {
-		t.Fatalf("policy store holds %d segments, unpolicied %d — policy never merged", db.Segments(), plain.Segments())
-	}
-}
-
 // TestConfigErrors pins the typed validation of the construction and
 // configuration knobs.
 func TestConfigErrors(t *testing.T) {
@@ -869,36 +815,6 @@ func TestConfigErrors(t *testing.T) {
 	}
 	if _, err := NewIndex(0); !errors.As(err, &ce) || ce.Param != "index dimension" {
 		t.Fatalf("NewIndex(0) = %v, want index-dimension ConfigError", err)
-	}
-
-	db, err := NewDB(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []int{0, -5} {
-		db.SetSegmentSize(bad)
-		if got := db.SegmentSize(); got != DefaultSegmentSize {
-			t.Fatalf("SegmentSize after SetSegmentSize(%d) = %d, want clamp to %d", bad, got, DefaultSegmentSize)
-		}
-	}
-	db.SetSegmentSize(7)
-	if got := db.SegmentSize(); got != 7 {
-		t.Fatalf("SegmentSize = %d, want 7", got)
-	}
-
-	for _, bad := range []int{1, -2} {
-		if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: bad}); !errors.As(err, &ce) || ce.Value != bad {
-			t.Fatalf("SetCompactionPolicy(%d) = %v, want ConfigError", bad, err)
-		}
-	}
-	if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: 4}); err != nil {
-		t.Fatalf("SetCompactionPolicy(4) = %v", err)
-	}
-	if got := db.CompactionPolicy().TierFanout; got != 4 {
-		t.Fatalf("CompactionPolicy().TierFanout = %d, want 4", got)
-	}
-	if err := db.SetCompactionPolicy(CompactionPolicy{}); err != nil {
-		t.Fatalf("SetCompactionPolicy(zero) = %v, want disabled ok", err)
 	}
 }
 
@@ -940,7 +856,7 @@ func TestLanesShareTheSeedThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(len(sigs) / 2)
+	db.setSegmentSize(len(sigs) / 2)
 	if err := db.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,16 @@ func (db *DB) setRunLen(n int) {
 	db.runLen = n
 }
 
+// setSegmentSize overrides the seal threshold (n < 1 restores
+// SegmentSize) so small fixtures hold many sealed segments. Only future
+// seals and Compact calls are affected. Test-only: the segment size is
+// not a knob.
+func (db *DB) setSegmentSize(n int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.segSize = n
+}
+
 // activeShape returns the active segment's run count and
 // unindexed-tail length.
 func activeShape(db *DB) (runs, tail int) {
@@ -178,7 +188,7 @@ func TestActiveRunsSealBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetSegmentSize(64)
+		db.setSegmentSize(64)
 		db.setRunLen(runLen)
 		if oneByOne {
 			for i, s := range sigs {
@@ -233,15 +243,14 @@ func shapeOf(db *DB) storeShape {
 
 // TestWritePlanMatchesOneByOne is the exactness property of the writers'
 // plan/build split: a store fed in AddAll batches — whose encodes run
-// over the cores, built before any policy merge splices them, and which
-// never build a run their own call seals — must match a store fed one Add at a time,
+// over the cores and which never build a run their own call seals —
+// must match a store fed one Add at a time,
 // with Seal and Compact called at the same rows. At every schedule point
 // the segment counts, posting footprint and unindexed rows agree; at the
 // end both write byte-identical snapshot directories and answer TopK and
 // Classify bit-identically; and every call published exactly once. The
-// sweep crosses lane counts, run lengths, the tier policy (fan-out 2
-// cascades merges inside one call), batch sizes from one row to the
-// whole set, and core counts; FMETER_STRESS repeats it on more data.
+// sweep crosses lane counts, run lengths, batch sizes from one row to
+// the whole set, and core counts; FMETER_STRESS repeats it on more data.
 func TestWritePlanMatchesOneByOne(t *testing.T) {
 	const dim, nnz, segSize = 60, 8, 64
 	procs0 := runtime.GOMAXPROCS(0)
@@ -259,8 +268,7 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(26 + trial)))
 		// Two sealed segments and a run of 8 plus five rows, sealed
 		// mid-run; four more rows, sealed; two more, compacted; then four
-		// and a half segments more — enough seals in one call for fan-out
-		// 2 to cascade.
+		// and a half segments more — several seals in one call.
 		sealAt := 2*segSize + 8 + 5
 		points := []int{sealAt, sealAt + 4, sealAt + 6}
 		ops := []func(*DB){(*DB).Seal, (*DB).Seal, (*DB).Compact}
@@ -275,80 +283,75 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 			if run == 0 {
 				oneRun = activeRunLen
 			}
-			for _, fanout := range []int{0, 2} {
-				// feed builds a store one Add at a time, or in AddAll
-				// batches of at most batch rows cut at the schedule points,
-				// and records its shape after each scheduled call.
-				feed := func(batch int, add bool) (*DB, []storeShape) {
-					tag := fmt.Sprintf("workers=%d run=%d fanout=%d batch=%d add=%v", workers, run, fanout, batch, add)
-					db, err := newTestDB(dim, workers)
+			// feed builds a store one Add at a time, or in AddAll
+			// batches of at most batch rows cut at the schedule points,
+			// and records its shape after each scheduled call.
+			feed := func(batch int, add bool) (*DB, []storeShape) {
+				tag := fmt.Sprintf("workers=%d run=%d batch=%d add=%v", workers, run, batch, add)
+				db, err := newTestDB(dim, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.setSegmentSize(segSize)
+				db.setRunLen(run)
+				start, calls := db.Publishes(), uint64(0)
+				var shapes []storeShape
+				for lo, next := 0, 0; lo < n; calls++ {
+					hi := min(lo+batch, n)
+					if next < len(points) {
+						hi = min(hi, points[next])
+					}
+					if add {
+						err = db.Add(sigs[lo])
+					} else {
+						err = db.AddAll(sigs[lo:hi])
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					db.SetSegmentSize(segSize)
-					db.setRunLen(run)
-					if err := db.SetCompactionPolicy(CompactionPolicy{TierFanout: fanout}); err != nil {
-						t.Fatal(err)
+					if lo = hi; next < len(points) && lo == points[next] {
+						ops[next](db)
+						next++
+						calls++
+						shapes = append(shapes, shapeOf(db))
 					}
-					start, calls := db.Publishes(), uint64(0)
-					var shapes []storeShape
-					for lo, next := 0, 0; lo < n; calls++ {
-						hi := min(lo+batch, n)
-						if next < len(points) {
-							hi = min(hi, points[next])
-						}
-						if add {
-							err = db.Add(sigs[lo])
-						} else {
-							err = db.AddAll(sigs[lo:hi])
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if lo = hi; next < len(points) && lo == points[next] {
-							ops[next](db)
-							next++
-							calls++
-							shapes = append(shapes, shapeOf(db))
-						}
-					}
-					shapes = append(shapes, shapeOf(db))
-					if got := db.Publishes() - start; got != calls {
-						t.Fatalf("%s: %d publishes for %d calls", tag, got, calls)
-					}
-					return db, shapes
 				}
+				shapes = append(shapes, shapeOf(db))
+				if got := db.Publishes() - start; got != calls {
+					t.Fatalf("%s: %d publishes for %d calls", tag, got, calls)
+				}
+				return db, shapes
+			}
 
-				ref, refShapes := feed(1, true)
-				refDir := save(ref)
-				for _, batch := range []int{1, 7, oneRun, segSize + 3, n} {
-					for _, procs := range []int{1, 2, 8} {
-						tag := fmt.Sprintf("workers=%d run=%d fanout=%d batch=%d procs=%d", workers, run, fanout, batch, procs)
-						runtime.GOMAXPROCS(procs)
-						db, shapes := feed(batch, false)
-						runtime.GOMAXPROCS(procs0)
-						if !slices.Equal(shapes, refShapes) {
-							t.Fatalf("%s: shapes at the schedule points %+v, one by one %+v", tag, shapes, refShapes)
-						}
-						sameDir(t, tag, save(db), refDir)
-						for _, m := range metrics {
-							for qi, q := range queries {
-								want, err := ref.TopKSparse(q, 10, m)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got, err := db.TopKSparse(q, 10, m)
-								if err != nil {
-									t.Fatal(err)
-								}
-								sameResults(t, fmt.Sprintf("%s %s q=%d", tag, m.Name, qi), got, want)
-								wantLabel, err := ref.ClassifySparse(q, 5, m)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if got, err := db.ClassifySparse(q, 5, m); err != nil || got != wantLabel {
-									t.Fatalf("%s %s q=%d: Classify = %q, %v; want %q", tag, m.Name, qi, got, err, wantLabel)
-								}
+			ref, refShapes := feed(1, true)
+			refDir := save(ref)
+			for _, batch := range []int{1, 7, oneRun, segSize + 3, n} {
+				for _, procs := range []int{1, 2, 8} {
+					tag := fmt.Sprintf("workers=%d run=%d batch=%d procs=%d", workers, run, batch, procs)
+					runtime.GOMAXPROCS(procs)
+					db, shapes := feed(batch, false)
+					runtime.GOMAXPROCS(procs0)
+					if !slices.Equal(shapes, refShapes) {
+						t.Fatalf("%s: shapes at the schedule points %+v, one by one %+v", tag, shapes, refShapes)
+					}
+					sameDir(t, tag, save(db), refDir)
+					for _, m := range metrics {
+						for qi, q := range queries {
+							want, err := ref.TopKSparse(q, 10, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := db.TopKSparse(q, 10, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameResults(t, fmt.Sprintf("%s %s q=%d", tag, m.Name, qi), got, want)
+							wantLabel, err := ref.ClassifySparse(q, 5, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got, err := db.ClassifySparse(q, 5, m); err != nil || got != wantLabel {
+								t.Fatalf("%s %s q=%d: Classify = %q, %v; want %q", tag, m.Name, qi, got, err, wantLabel)
 							}
 						}
 					}
@@ -375,7 +378,7 @@ func TestWritePlanEncodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetSegmentSize(64)
+		db.setSegmentSize(64)
 		db.setRunLen(8)
 		before := encodeCount.Load()
 		if oneByOne {
@@ -403,7 +406,7 @@ func TestWritePlanEncodes(t *testing.T) {
 	// segment when the rows reach a segment, else builds a run when they
 	// reach a run, else encodes nothing.
 	const chunk = 256
-	sigs = randSigs(r, DefaultSegmentSize+3*chunk, dim, nnz)
+	sigs = randSigs(r, SegmentSize+3*chunk, dim, nnz)
 	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +417,7 @@ func TestWritePlanEncodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want int64
-		if rows := c * chunk; rows%DefaultSegmentSize == 0 || rows%activeRunLen == 0 {
+		if rows := c * chunk; rows%SegmentSize == 0 || rows%activeRunLen == 0 {
 			want = 1
 		}
 		if got := encodeCount.Load() - before; got != want {

@@ -13,7 +13,7 @@ import (
 // own inverted index over segment-local ids and its persistence state.
 //
 // The last segment may be *active*: DB.Add appends into it
-// until it reaches the segment size, at which point it is sealed and the
+// until it reaches SegmentSize rows, at which point it is sealed and the
 // next Add opens a fresh active segment. The active segment is indexed
 // in *runs*: every time its unindexed tail reaches activeRunLen rows,
 // those rows get one immutable blockPostings built straight from the
@@ -29,14 +29,11 @@ import (
 // each one exactly once (temp + fsync + rename) and skip it on every
 // later save.
 //
-// Compact merges runs of small adjacent sealed segments by *splicing*
-// their compressed posting lists (spliceBlockPostings rebases block
-// descriptors by the range offset and concatenates the byte streams
-// verbatim — no re-scoring, no re-sort, not even a varint decode; lists
-// stay ascending because adjacent segments cover adjacent id ranges).
-// Because a merged segment covers exactly the concatenated range of its
-// inputs, every query walk visits the same signatures in the same order
-// with the same per-candidate arithmetic, so TopK stays bit-identical
+// A sealed segment's postings are always encodeBlocks over its row
+// range, however it came to be: rolled at SegmentSize, cut short by
+// Seal, merged by Compact, or rebuilt by LoadDir. So one row range has
+// one index, in memory as after a reload, and because every walk scores
+// a row from the same weights in the same order, TopK is bit-identical
 // across any seal/compaction history (see DESIGN-PERF.md Layers 5–6).
 type segment struct {
 	// id names the segment on disk (seg-<id>.fms); ids are DB-unique and
@@ -93,19 +90,17 @@ func (db *DB) runLenLocked() int {
 	return activeRunLen
 }
 
-// Writers plan, then build. The row-adding mutators (Add, AddAll, Seal)
-// do their bookkeeping in order under db.mu — row appends, segment opens,
-// seal and merge decisions, segment ids — and record the encodes those
-// decisions call for in a writePlan instead of running them. build runs
-// the recorded encodes over the cores, still under db.mu: once before the
-// call's one publish, and before a policy merge splices, since a part
-// sealed earlier in the same call has postings only once built. The
-// result is byte-for-byte what encoding each structure at its decision
-// point would give: an encode reads a row range captured when it was
-// planned (rows never change once appended) and fills a slot no other
-// encode touches, and merges splice in decision order as they always
-// did. A run is never built for a segment the same call seals — sealing
-// discards runs.
+// Writers plan, then build. The mutators that index rows (Add, AddAll,
+// Seal, Compact) do their bookkeeping in order under db.mu — row
+// appends, segment opens, seal and merge decisions, segment ids — and
+// record the encodes those decisions call for in a writePlan instead of
+// running them. build runs the recorded encodes over the cores, still
+// under db.mu, once, before the call's one publish. The result is
+// byte-for-byte what encoding each structure at its decision point
+// would give: an encode reads a row range captured when it was planned
+// (rows never change once appended) and fills a slot no other encode
+// touches. A run is never built for a segment the same call seals —
+// sealing discards runs.
 
 // writePlan is the encode work one mutator call decided on and has not
 // built yet.
@@ -130,9 +125,10 @@ func (p *writePlan) indexRun(sigs []Signature, sg *segment) {
 	sg.runEnd = sg.end
 }
 
-// seal makes the active segment sg immutable: its whole record range is
-// encoded into one blockPostings from the rows and its runs are dropped,
-// with them any this plan has not built yet. Query results are
+// seal makes sg — the active segment, or a fresh merge of sealed ones —
+// immutable: its whole record range is encoded into one blockPostings
+// from the rows and its runs are dropped, with them any this plan has
+// not built yet. Query results are
 // bit-identical before and after — runs, tail scan and sealed blocks all
 // score a row from the same weights in the same order.
 func (p *writePlan) seal(sigs []Signature, sg *segment) {
@@ -165,54 +161,35 @@ func (p *writePlan) build(dim int) {
 	p.encodes = encodes[:0]
 }
 
-// DefaultSegmentSize is the seal threshold when SetSegmentSize was not
-// called: an active segment rolls into an immutable sealed segment once
-// it holds this many signatures.
-const DefaultSegmentSize = 8192
+// SegmentSize is the seal threshold: an active segment rolls into an
+// immutable sealed segment once it holds this many signatures. Seal cuts
+// a segment short of it; Compact merges runs of adjacent short ones.
+const SegmentSize = 8192
 
-// SetSegmentSize sets the seal threshold: an active segment is
-// sealed as soon as it reaches n signatures (n < 1 restores
-// DefaultSegmentSize). Only future seals are affected; existing segment
-// boundaries never move except through Compact. Query results are
-// bit-identical at any segment size.
-func (db *DB) SetSegmentSize(n int) {
-	if n < 1 {
-		n = DefaultSegmentSize
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.segSize = n
-}
-
-// SegmentSize returns the active seal threshold.
-func (db *DB) SegmentSize() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.segSizeLocked()
-}
-
-// segSizeLocked is SegmentSize for callers already holding db.mu.
+// segSizeLocked returns the seal threshold (db.segSize, a test override,
+// defaulting to SegmentSize). Caller holds db.mu.
 func (db *DB) segSizeLocked() int {
-	if db.segSize < 1 {
-		return DefaultSegmentSize
+	if db.segSize > 0 {
+		return db.segSize
 	}
-	return db.segSize
+	return SegmentSize
 }
 
 // Segments returns the segment count (introspection for tests,
-// benchmarks, and operators sizing Compact). Segments are the units of
-// persistence and compaction; an active segment counts once however
-// many posting runs it holds.
+// benchmarks, and operators deciding whether to Compact). Segments are
+// the units of persistence and compaction; an active segment counts
+// once however many posting runs it holds.
 func (db *DB) Segments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return len(db.segs)
 }
 
-// SealedSegments returns the sealed segment count — the number the
-// compaction policy bounds under continuous ingestion (Segments minus
-// SealedSegments is the active-segment count, at most one; an active
-// segment's posting runs are not sealed segments and are not counted).
+// SealedSegments returns the sealed segment count: one per SegmentSize
+// rows ingested, plus one per Seal that cut a segment short, less what
+// Compact merged (Segments minus SealedSegments is the active-segment
+// count, at most one; an active segment's posting runs are not sealed
+// segments and are not counted).
 func (db *DB) SealedSegments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -277,18 +254,19 @@ func (db *DB) Seal() {
 	var p writePlan
 	if sg := db.activeSegment(); sg != nil && sg.len() > 0 {
 		p.seal(db.sigs, sg)
-		db.policyCompact(&p)
 	}
 	p.build(db.dim)
 	db.publishLocked()
 }
 
-// Compact merges runs of adjacent small sealed segments (each below the
-// segment size) by splicing their posting lists — local ids are remapped
-// by the range offset, weights are copied verbatim, nothing is
-// re-scored. Active segments and full-sized sealed segments are left
-// alone. Query results are bit-identical before and after; the merged
-// segments are rewritten by the next SaveDir and their old files
+// Compact merges each maximal run of adjacent small sealed segments
+// (each below the segment size) into one sealed segment whose postings
+// are encoded from its rows, exactly as sealing or loading that range
+// would encode them: a compacted store holds the index its reload
+// does. The merges of one call are built together over the cores.
+// Active segments and full-sized sealed segments are left alone. Query
+// results are bit-identical before and after; the merged segments take
+// fresh ids, are rewritten by the next SaveDir and their old files
 // removed. In-flight queries keep scoring the pre-merge segments from
 // the view they loaded.
 func (db *DB) Compact() {
@@ -297,9 +275,8 @@ func (db *DB) Compact() {
 	if db.closed {
 		return
 	}
-	// Merge each maximal run of >= 2 adjacent small sealed segments into
-	// one sealed segment.
 	small := func(sg *segment) bool { return sg.sealed && sg.len() < db.segSizeLocked() }
+	var p writePlan
 	segs := db.segs
 	out := segs[:0]
 	for i := 0; i < len(segs); {
@@ -310,130 +287,16 @@ func (db *DB) Compact() {
 		if j-i == 1 {
 			out = append(out, segs[i])
 		} else {
-			out = append(out, db.mergeRun(i, j))
+			merged := &segment{id: db.nextSeg, start: segs[i].start, end: segs[j-1].end, dirty: true}
+			db.nextSeg++
+			p.seal(db.sigs, merged)
+			out = append(out, merged)
 		}
 		i = j
 	}
 	// Drop the tail references so merged-away segments can be collected.
 	clear(segs[len(out):])
 	db.segs = out
+	p.build(db.dim)
 	db.publishLocked()
-}
-
-// mergeRun splices the adjacent sealed segments db.segs[i:j) into one,
-// reusing db.segs[i] as the merged segment and returning it; the caller
-// rebuilds the segment slice. Every part's postings must be
-// built. Adjacent segments cover adjacent id ranges, so rebasing each
-// part's blocks by its range offset keeps every posting list ascending —
-// descriptor edits plus byte-stream copies, no varint is decoded and
-// nothing is re-scored. The merged segment takes a fresh id so its file
-// never collides with the ones it replaces, and it is fully built
-// (postings, bounds, range) before the caller links it into the segment
-// run — a query never sees a half-merged segment.
-func (db *DB) mergeRun(i, j int) *segment {
-	merged := db.segs[i]
-	parts := make([]*blockPostings, 0, j-i)
-	offsets := make([]int32, 0, j-i)
-	for _, sg := range db.segs[i:j] {
-		parts = append(parts, sg.blocks)
-		offsets = append(offsets, int32(sg.start-merged.start))
-		merged.end = sg.end
-	}
-	merged.blocks = spliceBlockPostings(db.dim, parts, offsets)
-	merged.id = db.nextSeg
-	db.nextSeg++
-	merged.dirty = true
-	return merged
-}
-
-// CompactionPolicy configures background size-tiered compaction: with
-// TierFanout F >= 2, a segment of length n sits in tier
-// floor(log_F(max(1, n / segmentSize))), and whenever F adjacent sealed
-// segments of one tier accumulate they are merged into (at most) one
-// segment of the next. Triggered on every seal (the segment-size roll
-// in Add, or an explicit Seal), the policy keeps the sealed count at
-// O(F · log_F(N / segmentSize)) under continuous ingestion —
-// no manual Compact calls — which also keeps the pruned walk's
-// per-segment directory bounds over few, large segments instead of many
-// loose ones. The zero value (TierFanout 0) disables the policy.
-type CompactionPolicy struct {
-	// TierFanout is F above: how many same-tier segments trigger a
-	// merge, and the tier width ratio. 0 disables; 1 is rejected
-	// (single-segment "merges" would loop); >= 2 enables.
-	TierFanout int
-}
-
-// SetCompactionPolicy installs (or, with the zero value, removes) the
-// background compaction policy. Merging only ever splices sealed
-// posting lists — query results are bit-identical with any policy.
-func (db *DB) SetCompactionPolicy(p CompactionPolicy) error {
-	if p.TierFanout != 0 && p.TierFanout < 2 {
-		return &ConfigError{Param: "compaction tier fan-out", Value: p.TierFanout, Min: 2}
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.policy = p
-	return nil
-}
-
-// CompactionPolicy returns the active policy (zero value = disabled).
-func (db *DB) CompactionPolicy() CompactionPolicy {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.policy
-}
-
-// tierOf returns the size tier of a segment of n records under fan-out
-// f: tier t spans [segSize·f^t, segSize·f^(t+1)).
-func (db *DB) tierOf(n, f int) int {
-	t := 0
-	for bound := db.segSizeLocked() * f; n >= bound; bound *= f {
-		t++
-	}
-	return t
-}
-
-// policyCompact enforces the tier policy after a seal:
-// while any run of TierFanout adjacent same-tier sealed segments
-// exists, merge its leftmost TierFanout members and rescan — a merge
-// can promote its output a tier and complete a run there, so the loop
-// cascades until every tier holds fewer than TierFanout adjacent
-// segments. Each iteration shrinks the segment count, so it terminates.
-// A merge splices at once, so it first builds p's pending encodes: a
-// part sealed earlier in the same call has postings only then.
-func (db *DB) policyCompact(p *writePlan) {
-	f := db.policy.TierFanout
-	if f < 2 {
-		return
-	}
-	for {
-		i, j := db.findTierRun(f)
-		if i < 0 {
-			return
-		}
-		p.build(db.dim)
-		db.mergeRun(i, j)
-		// Close the gap [i+1, j) left by the merged-away segments,
-		// dropping the tail references so they can be collected.
-		db.segs = slices.Delete(db.segs, i+1, j)
-	}
-}
-
-// findTierRun returns the leftmost [i, i+F) window of adjacent sealed
-// segments sharing a size tier, or (-1, -1) when none exists. Only the
-// sealed prefix is scanned — an active tail never merges.
-func (db *DB) findTierRun(f int) (int, int) {
-	segs := db.segs
-	for i := 0; i < len(segs) && segs[i].sealed; {
-		t := db.tierOf(segs[i].len(), f)
-		j := i + 1
-		for j < len(segs) && segs[j].sealed && db.tierOf(segs[j].len(), f) == t {
-			j++
-		}
-		if j-i >= f {
-			return i, i + f
-		}
-		i = j
-	}
-	return -1, -1
 }

@@ -48,14 +48,14 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 			t.Fatalf("reference DB should hold one segment, has %d", got)
 		}
 
-		for _, segSize := range []int{1, 3, 16, DefaultSegmentSize} {
+		for _, segSize := range []int{1, 3, 16, SegmentSize} {
 			for _, workers := range []int{1, 2, 3, 7} {
 				for _, compact := range []bool{false, true} {
 					db, err := newTestDB(dim, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					db.SetSegmentSize(segSize)
+					db.setSegmentSize(segSize)
 					// Interleave Adds with explicit seal points so
 					// segment boundaries land mid-stream, not only at
 					// size multiples.
@@ -115,10 +115,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentSize(10)
-	if got := db.SegmentSize(); got != 10 {
-		t.Fatalf("SegmentSize = %d", got)
-	}
+	db.setSegmentSize(10)
 	// 25 signatures at segment size 10: two sealed segments + one active
 	// of 5.
 	if err := db.AddAll(randSigs(r, 25, dim, nnz)); err != nil {
@@ -142,7 +139,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	// Compact: the three sealed segments (10, 10, 5) are all below the
 	// huge threshold once we raise it, so they merge into one; the
 	// 1-record active segment stays.
-	db.SetSegmentSize(100)
+	db.setSegmentSize(100)
 	db.Compact()
 	if got := db.Segments(); got != 2 {
 		t.Fatalf("after Compact: %d segments, want 2 (merged + active)", got)
@@ -152,7 +149,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2.SetSegmentSize(5)
+	db2.setSegmentSize(5)
 	if err := db2.AddAll(randSigs(r, 20, dim, nnz)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +157,5 @@ func TestSegmentLifecycle(t *testing.T) {
 	db2.Compact() // every sealed segment is exactly the threshold: no-op
 	if got := db2.Segments(); got != before {
 		t.Fatalf("Compact merged full segments: %d -> %d", before, got)
-	}
-	// SetSegmentSize(0) restores the default.
-	db2.SetSegmentSize(0)
-	if got := db2.SegmentSize(); got != DefaultSegmentSize {
-		t.Fatalf("SegmentSize after reset = %d, want %d", got, DefaultSegmentSize)
 	}
 }

@@ -56,7 +56,7 @@ func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.SetSegmentSize(16)
+	src.setSegmentSize(16)
 	if err := src.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}

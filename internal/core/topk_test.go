@@ -70,12 +70,12 @@ func TestTopKShardedMatchesSort(t *testing.T) {
 	query := randSigs(r, 1, dim, 25)[0].W
 
 	for _, workers := range []int{-1, 0, 1, 2, 3, 7} {
-		for _, segSize := range []int{DefaultSegmentSize, 40} {
+		for _, segSize := range []int{SegmentSize, 40} {
 			db, err := newTestDB(dim, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			db.SetSegmentSize(segSize)
+			db.setSegmentSize(segSize)
 			if err := db.AddAll(sigs); err != nil {
 				t.Fatal(err)
 			}

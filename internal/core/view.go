@@ -99,8 +99,8 @@ func laneFirst(start, l, p int) int {
 // holds db.mu.
 //
 // The view holds length-clamped array aliases (a later append can never
-// write through them) and value copies of the segment bounds (seal and
-// merge mutate segment structs in place, so views must never hold
+// write through them) and value copies of the segment bounds (Add and
+// seal mutate segment structs in place, so views must never hold
 // *segment). The active segment freezes into one viewSegment per
 // posting run plus one blocks == nil segment for the rows no run covers
 // yet.

@@ -729,11 +729,12 @@ func BenchmarkServeTopKParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			db.SetSegmentSize(512)
-			if err := db.AddAll(sigs); err != nil {
-				b.Fatal(err)
+			for lo := 0; lo < len(sigs); lo += 512 {
+				if err := db.AddAll(sigs[lo:min(lo+512, len(sigs))]); err != nil {
+					b.Fatal(err)
+				}
+				db.Seal()
 			}
-			db.Seal()
 			s, err := New(db, nil, Config{})
 			if err != nil {
 				b.Fatal(err)

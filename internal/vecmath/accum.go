@@ -26,8 +26,8 @@ type Accumulator struct {
 
 // denseResetMax bounds the bulk-clear mode: up to this many candidates
 // the reset is a memclr (at most 64 KiB, cheaper than per-posting stamp
-// maintenance for any non-trivial walk). The default segment size (8192
-// rows) keeps every segmented store at or below it.
+// maintenance for any non-trivial walk). The store's seal threshold
+// (8192 rows) keeps every segment a Compact did not merge at or below it.
 const denseResetMax = 8192
 
 // Reset prepares the accumulator for n candidates. Small counts clear
