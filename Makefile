@@ -36,8 +36,10 @@ race:
 
 ## stress: the concurrency property sweep (interleaved
 ## Add/Seal/Compact/TopK/Classify vs serialized execution against each
-## epoch view a query loaded), the writers' plan/build exactness sweep (batched
-## AddAll vs one Add at a time, at several core counts) and the
+## epoch view a query loaded), the race of queries building pending posting
+## runs against AddAll, Seal and Close (TestConcurrentQueryBuiltRuns), the
+## writers' plan/build exactness sweep (batched AddAll vs one Add at a time,
+## at several core counts) and the encode counts (TestWritePlanEncodes), and the
 ## SaveDir/LoadDir fault-injection matrices,
 ## under the race detector with iteration counts elevated via
 ## FMETER_STRESS. This is the long-soak proof behind the concurrent
@@ -54,13 +56,14 @@ bench:
 ## bench-compile: one iteration of the micro-benchmarks DESIGN-PERF.md's
 ## numbers come from, so they cannot rot into code that no longer
 ## compiles or panics: the set-up path (Transform, TransformAll,
-## Corpus.Add, the AddAll bulk load and the Seal that ends it), the
+## Corpus.Add, the AddAll bulk load, the Seal that ends it and the
+## first query that builds an unsealed load's pending runs), the
 ## kernel_large query in process (BenchmarkTopKFlat's class arm), the
 ## wire_small store's query with the whole-unit posting walk forced
 ## (its tiny arm) and the query-body decoder against encoding/json. It
 ## times nothing.
 bench-compile:
-	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal|FirstQueryPendingRuns' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'TopKFlat/(peaked|tiny)/(class|nnz=12)' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'DecodeQueryRequest' -benchtime 1x ./internal/serve/
 

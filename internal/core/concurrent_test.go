@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -361,6 +362,169 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentQueryBuiltRuns races the queries that build pending
+// posting runs against the writers that record and drop them: an AddAll
+// stream publishing new pending runs under readers, a Seal that drops
+// the runs a held view's query is building, and a Close while the first
+// queries on a view build its runs. Every answer must equal the
+// serialized oracle at the prefix its view froze, and no run may be
+// encoded twice: the encodes seen are exactly the seals plus the runs
+// some query built. Run under -race (make stress) this is the proof
+// behind the runs' once and atomic publication.
+func TestConcurrentQueryBuiltRuns(t *testing.T) {
+	const dim, nnz, k, runLen = 48, 10, 7, 6
+	nSigs := stressN(240, 960)
+	r := rand.New(rand.NewSource(37))
+	sigs := randSigs(r, nSigs, dim, nnz)
+	queryRows := randSigs(r, 4, dim, nnz)
+	queries := make([]*vecmath.Sparse, len(queryRows))
+	for i := range queryRows {
+		queries[i] = queryRows[i].W
+	}
+	metric := CosineMetric()
+	ref := buildRef(t, sigs, queries, k, metric)
+
+	db, err := newTestDB(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.setRunLen(runLen)
+	db.setPruneFloor(1)
+	// made collects every run a writer call recorded, seals counts the
+	// seal encodes.
+	made := map[*postingRun]bool{}
+	record := func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if sg := db.activeSegment(); sg != nil {
+			for _, r := range sg.runs {
+				made[r] = true
+			}
+		}
+	}
+	seals := 0
+	// ask answers query qi against view v and checks the oracle.
+	ask := func(v *dbView, qi int) error {
+		sc := db.scratch.Get()
+		got, err := db.topk(v, sc, queries[qi], k, metric, v.cfg.workers, nil)
+		db.scratch.Put(sc)
+		if err != nil {
+			return err
+		}
+		if !sameHits(got, ref.hits[len(v.sigs)][qi]) {
+			return fmt.Errorf("query %d at view prefix %d diverges from serialized execution", qi, len(v.sigs))
+		}
+		return nil
+	}
+	before := encodeCount.Load()
+
+	// The stream: AddAll batches up to two runs long publish new pending
+	// runs under three readers; every fourth batch ends in a Seal that
+	// drops the runs a query on the view before it is building.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		rr := rand.New(rand.NewSource(5))
+		for i, b := 0, 0; i < 3*nSigs/4; b++ {
+			hi := min(i+1+rr.Intn(2*runLen+3), 3*nSigs/4)
+			if err := db.AddAll(sigs[i:hi]); err != nil {
+				t.Errorf("AddAll [%d, %d): %v", i, hi, err)
+				return
+			}
+			i = hi
+			record()
+			if b%4 != 3 {
+				continue
+			}
+			v := db.cur.Load()
+			built := make(chan error, 1)
+			go func() { built <- ask(v, b%len(queries)) }()
+			db.Seal()
+			seals++
+			if err := <-built; err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; ; it++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v := db.cur.Load()
+				if len(v.sigs) == 0 {
+					runtime.Gosched()
+					continue
+				}
+				if err := ask(v, (g+it)%len(queries)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Close under the first queries of a view whose runs are all pending:
+	// they finish on the view they loaded, later calls fail typed.
+	if err := db.AddAll(sigs[3*nSigs/4:]); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	v := db.cur.Load()
+	if len(v.runs) == 0 {
+		t.Fatal("fixture left no pending run to build under Close")
+	}
+	errs := make([]error, 2*len(queries))
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = ask(v, g%len(queries))
+		}(g)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d on the view loaded before Close: %v", g, err)
+		}
+	}
+	var ce *ConfigError
+	if _, err := db.TopKSparse(queries[0], k, metric); !errors.As(err, &ce) {
+		t.Fatalf("TopK after Close: %v, want *ConfigError", err)
+	}
+
+	built := 0
+	for r := range made {
+		if r.blocks.Load() != nil {
+			built++
+		}
+	}
+	for _, r := range v.runs {
+		if r.blocks.Load() == nil {
+			t.Fatal("a pending run of a queried view was left unbuilt")
+		}
+	}
+	if got, want := encodeCount.Load()-before, int64(seals+built); got != want {
+		t.Fatalf("%d encodes for %d seals and %d built runs (of %d recorded): some run was encoded twice", got, seals, built, len(made))
 	}
 }
 

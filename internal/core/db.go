@@ -354,7 +354,8 @@ func (db *DB) Publishes() uint64 { return db.publishes.Load() }
 
 // Add stores a signature, appending it to the active segment (the row
 // into the backing arrays, its squared norm into the norm cache; every
-// activeRunLen-th row indexes the rows since the last run). An active
+// activeRunLen-th row records the rows since the last run as a pending
+// run, which the first query that walks it builds). An active
 // segment that reaches the segment size is sealed and the next Add
 // opens a fresh one. Add is safe to call concurrently with
 // queries (which keep the view they loaded) and with other mutators
@@ -409,15 +410,15 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 	if sg.len() >= db.segSizeLocked() {
 		p.seal(db.sigs, sg)
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {
-		// The unindexed tail is a full run: index exactly those rows. The
-		// run is immutable from birth, so the publish that follows hands
-		// it to views like any sealed postings.
-		p.indexRun(db.sigs, sg)
+		// The unindexed tail is a full run: record exactly those rows.
+		// The first query whose view holds the run builds its postings.
+		sg.indexRun()
 	}
 }
 
 // sumPostings folds f over every posting structure queries walk — each
-// sealed segment's blocks and each active segment's runs.
+// sealed segment's blocks and each active segment's runs, building the
+// pending runs first, as a query would.
 func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -426,23 +427,24 @@ func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 		if sg.blocks != nil {
 			n += f(sg.blocks)
 		}
+		buildRuns(db.dim, db.sigs, sg.runs)
 		for _, r := range sg.runs {
-			n += f(r)
+			n += f(r.blocks.Load())
 		}
 	}
 	return n
 }
 
-// IndexBytes returns the resident heap footprint of every posting
-// structure: sealed segments' compressed blocks plus the active
-// segments' posting runs (rows no run covers yet have no postings and
-// cost nothing here).
+// IndexBytes returns the resident heap footprint of the postings a
+// query walks: sealed segments' compressed blocks plus the active
+// segments' posting runs, pending runs built first (rows no run covers
+// yet have no postings and cost nothing here).
 func (db *DB) IndexBytes() int64 { return db.sumPostings((*blockPostings).memBytes) }
 
 // IndexPostings returns the total posting-entry count across sealed
-// segments and active runs: one entry per stored non-zero weight of
-// every indexed row — everything but the active segments' unindexed
-// tails (see ActiveUnindexedRows).
+// segments and active runs, pending runs built first: one entry per
+// stored non-zero weight of every indexed row — everything but the
+// active segments' unindexed tails (see ActiveUnindexedRows).
 func (db *DB) IndexPostings() int64 { return db.sumPostings((*blockPostings).postingCount) }
 
 // ActiveUnindexedRows returns how many stored signatures no posting
@@ -487,9 +489,9 @@ func (db *DB) Close() error {
 // AddAll stores a batch of signatures, validating each, and publishes
 // them as one atomic step: a concurrent query sees either none of the
 // batch or all of it. A batch holding an invalid signature is rejected
-// whole, before anything is stored. The batch's posting runs and seals
-// are planned row by row and built together over the cores; a
-// run of a segment the batch goes on to seal is never built.
+// whole, before anything is stored. The batch's seals are planned row
+// by row and built together over the cores; its posting runs are only
+// recorded, for the first query that walks them to build.
 func (db *DB) AddAll(sigs []Signature) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -844,7 +846,9 @@ func (db *DB) ClassifyBatch(queries []*vecmath.Sparse, k int, metric Metric) ([]
 }
 
 // topk evaluates one query against a loaded view on the caller-held
-// scratch: one seed pass fills lane 0's heap, every other lane's heap
+// scratch: an indexed query builds the view's pending posting runs
+// (the first one on a view pays for them, buildRuns), one seed
+// pass fills lane 0's heap, every other lane's heap
 // starts as a copy of it (seed), the lanes score their rows over
 // workers, and the other lanes' non-seed survivors merge into lane 0's
 // heap, which drains into out[:0] when it has capacity — exact at any
@@ -868,6 +872,9 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 	n := len(v.sigs)
 	if n == 0 {
 		return nil, ErrEmptyDB
+	}
+	if metric.indexable() {
+		buildRuns(db.dim, v.sigs, v.runs)
 	}
 	k = min(k, n)
 	nl := v.lanes
@@ -952,7 +959,7 @@ type laneQuery struct {
 func (lq *laneQuery) seed(lanes []laneScratch) {
 	h := &lanes[0].heap
 	h.reset(lq.metric.HigherIsCloser)
-	if lq.metric.indexable() && lq.v.segs[0].blocks != nil && len(lq.v.sigs) >= lq.v.cfg.pruneFloor {
+	if lq.metric.indexable() && lq.v.unit(0).blocks != nil && len(lq.v.sigs) >= lq.v.cfg.pruneFloor {
 		lq.seeds = seedHeap(lq, &lanes[0].prune, h)
 		lq.prune = len(h.idx) == lq.k
 	}
@@ -983,10 +990,12 @@ func walkLanesParallel(lq laneQuery, workers int, lanes []laneScratch) ([]int32,
 // walk scores lane l's rows against the query into the lane's heap,
 // unit by unit in order: the inverted-index accumulate when the metric
 // is indexable, the sparse merge-walk scan when it has a sparse path,
-// the dense-materializing scan otherwise. Unit boundaries never change a
-// score — each candidate's arithmetic is per-signature — and the heap's
-// (score, insertion index) total order never depends on arrival order,
-// so results are bit-identical at any segment layout and lane count.
+// the dense-materializing scan otherwise; the indexed walk passes over a
+// unit that holds none of the lane's rows. Unit boundaries never change
+// a score — each candidate's arithmetic is per-signature — and the
+// heap's (score, insertion index) total order never depends on arrival
+// order, so results are bit-identical at any segment layout and lane
+// count.
 func (lq *laneQuery) walk(ls *laneScratch, l int) error {
 	v, h, k, p := lq.v, &ls.heap, lq.k, lq.p
 	switch {
@@ -1001,7 +1010,11 @@ func (lq *laneQuery) walk(ls *laneScratch, l int) error {
 		// at a time, and scores the active segment's unindexed tail, the
 		// seeds, the pruned walk's survivors, and any indexed unit the
 		// walk would cost more than scanning (scanBeatsWalk).
-		for _, sg := range v.segs {
+		for i := range v.segs {
+			sg := v.unit(i)
+			if laneFirst(sg.start, l, p) >= sg.end {
+				continue // the unit holds none of the lane's rows
+			}
 			ls.stats.Segments++
 			if lq.prune && sg.blocks != nil && prunedSegment(lq, sg, ls, l) {
 				continue

@@ -118,8 +118,9 @@ func abs(x float64) float64 {
 type PruneStats struct {
 	// Segments is the number of walk units the indexed walk visited —
 	// sealed segments, each posting run of an active segment, and an
-	// active segment's unindexed tail each count once per lane, so it can
-	// exceed DB.Segments(), which counts persisted segments only.
+	// active segment's unindexed tail each count once per lane that
+	// holds rows in it, so it can exceed DB.Segments(), which counts
+	// persisted segments only.
 	// SegmentsPruned of them took the threshold-pruned walk and
 	// SegmentsScanned the dense scan — every row scored with the gather
 	// dot: an unindexed tail, or an indexed unit the query's posting

@@ -300,7 +300,8 @@ func probeSeed(lq *laneQuery, ps *pruneScratch, h *topkHeap) {
 	idx, val := lq.query.Support(), lq.query.Values()
 	var bestSeg viewSegment
 	bestDim, best := -1, 0.0
-	for _, sg := range v.segs {
+	for i := range v.segs {
+		sg := v.unit(i)
 		if sg.blocks == nil {
 			continue
 		}

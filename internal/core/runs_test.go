@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -361,19 +362,22 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 	}
 }
 
-// TestWritePlanEncodes counts posting encodes: a batch builds no run for
-// a segment it goes on to seal, and a 256-row chunk — the end-to-end
-// benchmark's bulk load — builds exactly the run or the seal its rows
-// complete.
+// TestWritePlanEncodes counts posting encodes (encodeCount): a writer
+// encodes only the seals it causes, batched or one row at a time; the
+// first queries on a view build each of its pending runs exactly once
+// between them, however many arrive together, and a later query builds
+// none; and a 256-row chunked load ended by Seal — the end-to-end
+// benchmark's bulk load — builds no run at all.
 func TestWritePlanEncodes(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
-	const dim, nnz = 60, 8
+	const dim, nnz, k = 60, 8, 5
+	queries := randSigs(r, 8, dim, nnz)
 
-	// 3.5 segments in one AddAll: three seals and the four runs of the
-	// half segment, where one Add at a time also builds the seven runs of
-	// every sealed segment.
+	// 3.5 segments: three seals, and four pending runs over the half
+	// segment.
 	sigs := randSigs(r, 3*64+32, dim, nnz)
 	for _, oneByOne := range []bool{false, true} {
+		tag := fmt.Sprintf("oneByOne=%v", oneByOne)
 		db, err := newTestDB(dim, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -390,38 +394,69 @@ func TestWritePlanEncodes(t *testing.T) {
 		} else if err := db.AddAll(sigs); err != nil {
 			t.Fatal(err)
 		}
-		want := int64(3 + 4)
-		if oneByOne {
-			want += 3 * 7
-		}
-		if got := encodeCount.Load() - before; got != want {
-			t.Errorf("oneByOne=%v: %d encodes, want %d", oneByOne, got, want)
+		if got := encodeCount.Load() - before; got != 3 {
+			t.Errorf("%s: the writer encoded %d times, want the 3 seals", tag, got)
 		}
 		if runs, tail := activeShape(db); runs != 4 || tail != 0 {
-			t.Errorf("oneByOne=%v: %d active runs, tail %d; want 4 runs and no tail", oneByOne, runs, tail)
+			t.Errorf("%s: %d active runs, tail %d; want 4 runs and no tail", tag, runs, tail)
+		}
+
+		// Eight first queries race on the fresh view: one build per run.
+		before = encodeCount.Load()
+		hits := make([][]SearchResult, len(queries))
+		var wg sync.WaitGroup
+		for qi := range queries {
+			wg.Add(1)
+			go func(qi int) {
+				defer wg.Done()
+				var err error
+				if hits[qi], err = db.TopKSparse(queries[qi].W, k, CosineMetric()); err != nil {
+					t.Error(err)
+				}
+			}(qi)
+		}
+		wg.Wait()
+		if got := encodeCount.Load() - before; got != 4 {
+			t.Errorf("%s: 8 concurrent first queries encoded %d times, want each of the 4 runs once", tag, got)
+		}
+		before = encodeCount.Load()
+		for qi, q := range queries {
+			got, err := db.TopKSparse(q.W, k, CosineMetric())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, fmt.Sprintf("%s q=%d", tag, qi), hits[qi], got)
+		}
+		db.IndexBytes()
+		if got := encodeCount.Load() - before; got != 0 {
+			t.Errorf("%s: later queries and IndexBytes encoded %d times, want 0", tag, got)
 		}
 	}
 
-	// Chunks of 256 at the default sizes: a chunk seals the active
-	// segment when the rows reach a segment, else builds a run when they
-	// reach a run, else encodes nothing.
+	// Chunks of 256 at the default sizes: a chunk encodes only when its
+	// rows roll a segment, and the closing Seal encodes its one segment.
 	const chunk = 256
 	sigs = randSigs(r, SegmentSize+3*chunk, dim, nnz)
 	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := encodeCount.Load()
 	for c := 1; c*chunk <= len(sigs); c++ {
-		before := encodeCount.Load()
+		at := encodeCount.Load()
 		if err := db.AddAll(sigs[(c-1)*chunk : c*chunk]); err != nil {
 			t.Fatal(err)
 		}
 		var want int64
-		if rows := c * chunk; rows%SegmentSize == 0 || rows%activeRunLen == 0 {
+		if c*chunk%SegmentSize == 0 {
 			want = 1
 		}
-		if got := encodeCount.Load() - before; got != want {
+		if got := encodeCount.Load() - at; got != want {
 			t.Fatalf("chunk %d: %d encodes, want %d", c, got, want)
 		}
+	}
+	db.Seal()
+	if got := encodeCount.Load() - before; got != 2 {
+		t.Fatalf("chunked load and Seal: %d encodes, want 2 (one roll, one seal) and no run", got)
 	}
 }

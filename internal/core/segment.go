@@ -1,7 +1,8 @@
 package core
 
 import (
-	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -16,14 +17,17 @@ import (
 // until it reaches SegmentSize rows, at which point it is sealed and the
 // next Add opens a fresh active segment. The active segment is indexed
 // in *runs*: every time its unindexed tail reaches activeRunLen rows,
-// those rows get one immutable blockPostings built straight from the
-// rows (encodeBlocks), which every later view walks exactly like a small
-// sealed segment — so at most activeRunLen-1 rows are ever scored row
-// by row, and nothing about the index is mutable. Runs are a
-// query-side structure only: they are not segments (Segments, the
-// manifest, SaveDir and compaction never see them) and sealing discards
-// them, re-encoding the whole range from the rows so the sealed postings
-// — and the bytes SaveDir writes — do not depend on the run history.
+// the writer records those rows as one pending run, a row range and
+// nothing more. The first query whose view holds the run builds its
+// immutable blockPostings from the rows (encodeBlocks, postingRun.build)
+// and every later view walks it exactly like a small sealed segment —
+// so at most activeRunLen-1 rows are ever scored row by row, nothing
+// about the index is mutable once built, and a run no query walks
+// costs no encode. Runs are a query-side structure only: they are not
+// segments (Segments, the manifest, SaveDir and compaction never see
+// them) and sealing discards them, built or not, encoding the whole
+// range from the rows so the sealed postings — and the bytes SaveDir
+// writes — do not depend on the run history.
 // Sealed segments are immutable: their record range, posting lists, and
 // cached norms never change again, which is what lets SaveDir persist
 // each one exactly once (temp + fsync + rename) and skip it on every
@@ -43,12 +47,11 @@ type segment struct {
 	// start/end delimit the record range [start, end): row indexes,
 	// which are insertion indexes.
 	start, end int
-	// runs holds the active segment's posting runs in row order: run i
-	// covers the runs[i].n rows after run i-1's, the first
-	// starting at start, the last ending at runEnd; rows [runEnd, end)
-	// are the unindexed tail. Both are unused once sealed. A run slot is
-	// nil only between the writePlan that opens it and that plan's build.
-	runs   []*blockPostings
+	// runs holds the active segment's posting runs in row order, built
+	// or pending: each covers the rows after the previous one's, the
+	// first starting at start, the last ending at runEnd; rows
+	// [runEnd, end) are the unindexed tail. Both are unused once sealed.
+	runs   []*postingRun
 	runEnd int
 	// blocks holds the sealed segment's block-compressed posting lists
 	// (see postings.go); nil while the segment is active.
@@ -75,11 +78,51 @@ type segment struct {
 func (sg *segment) len() int { return sg.end - sg.start }
 
 // activeRunLen is how many unindexed rows an active segment accumulates
-// before they are indexed as one run. It bounds the row-by-row tail of a
-// query (< activeRunLen gather dots) against the fixed cost
-// of a run (a dim-sized directory and bound table, ~46 KB at the paper's
-// 3815 dimensions, and one more pruned walk per query).
+// before they are recorded as one run. It bounds the row-by-row tail of
+// a query (< activeRunLen gather dots) against the fixed cost of a run:
+// a dim-sized directory and bound table (~46 KB at the paper's 3815
+// dimensions), one more pruned walk per query, and one encode, paid by
+// the first query that walks the run.
 const activeRunLen = 256
+
+// postingRun is one posting run of an active segment: rows
+// [start, start+n) of the store. A writer only records the range; the
+// run's postings are built at most once, by the first query whose view
+// holds it (buildRuns) or by the introspection that counts them
+// (DB.sumPostings), and published through blocks. The run holds no
+// rows: it builds from the row array of the view or DB it is asked
+// through, so a run that outlives its segment pins no superseded
+// backing array.
+type postingRun struct {
+	start, n int
+	once     sync.Once
+	blocks   atomic.Pointer[blockPostings]
+}
+
+// build encodes the run's rows out of sigs, the store rows (any prefix
+// holding them), unless another caller has; a caller arriving while the
+// build runs waits for it. The postings depend only on the rows, so
+// whichever caller wins builds the same bytes.
+func (r *postingRun) build(dim int, sigs []Signature) {
+	r.once.Do(func() { r.blocks.Store(encodeBlocks(dim, sigs[r.start:r.start+r.n])) })
+}
+
+// buildRuns builds the runs not yet built from sigs, unless every one
+// is: the runs fan out over the cores and each one across its dimension
+// ranges (encodeBlocks), the way a writer's plan builds its seals.
+// Concurrent callers build each run once between them, and a caller
+// that finds every run built returns without a closure.
+func buildRuns(dim int, sigs []Signature, runs []*postingRun) {
+	for _, r := range runs {
+		if r.blocks.Load() == nil {
+			_ = parallel.For(0, len(runs), func(i int) error {
+				runs[i].build(dim, sigs)
+				return nil
+			})
+			return
+		}
+	}
+}
 
 // runLenLocked returns the active run length (db.runLen, a test
 // override, defaulting to activeRunLen). Caller holds db.mu.
@@ -92,57 +135,53 @@ func (db *DB) runLenLocked() int {
 
 // Writers plan, then build. The mutators that index rows (Add, AddAll,
 // Seal, Compact) do their bookkeeping in order under db.mu — row
-// appends, segment opens, seal and merge decisions, segment ids — and
-// record the encodes those decisions call for in a writePlan instead of
-// running them. build runs the recorded encodes over the cores, still
-// under db.mu, once, before the call's one publish. The result is
-// byte-for-byte what encoding each structure at its decision point
-// would give: an encode reads a row range captured when it was planned
-// (rows never change once appended) and fills a slot no other encode
-// touches. A run is never built for a segment the same call seals —
-// sealing discards runs.
+// appends, segment opens, run ranges, seal and merge decisions, segment
+// ids — and record the seal encodes those decisions call for in a
+// writePlan instead of running them. build runs the recorded encodes
+// over the cores, still under db.mu, once, before the call's one
+// publish. The result is byte-for-byte what encoding each segment at
+// its decision point would give: an encode reads a row range captured
+// when it was planned (rows never change once appended) and fills a
+// slot no other encode touches. A writer builds no run: it records the
+// range (indexRun), and a query builds it (postingRun).
 
-// writePlan is the encode work one mutator call decided on and has not
+// writePlan is the seal work one mutator call decided on and has not
 // built yet.
 type writePlan struct {
 	encodes []encodeJob
 }
 
 // encodeJob builds the postings of rows, a range captured at plan time,
-// into sg.runs[run], or into sg.blocks when run < 0.
+// into sg.blocks.
 type encodeJob struct {
 	rows []Signature
 	sg   *segment
-	run  int
 }
 
-// indexRun plans one run over the active segment's unindexed tail of
-// the store rows sigs: the run slot exists from here on, its postings
-// once the plan is built.
-func (p *writePlan) indexRun(sigs []Signature, sg *segment) {
-	p.encodes = append(p.encodes, encodeJob{rows: sigs[sg.runEnd:sg.end], sg: sg, run: len(sg.runs)})
-	sg.runs = append(sg.runs, nil)
+// indexRun records the active segment's unindexed tail as one pending
+// run; its postings are built by the first query that walks it.
+func (sg *segment) indexRun() {
+	sg.runs = append(sg.runs, &postingRun{start: sg.runEnd, n: sg.end - sg.runEnd})
 	sg.runEnd = sg.end
 }
 
 // seal makes sg — the active segment, or a fresh merge of sealed ones —
 // immutable: its whole record range is encoded into one blockPostings
-// from the rows and its runs are dropped, with them any this plan has
-// not built yet. Query results are
+// from the rows and its runs are dropped, built or not (a view that
+// holds one may still build and walk it). Query results are
 // bit-identical before and after — runs, tail scan and sealed blocks all
 // score a row from the same weights in the same order.
 func (p *writePlan) seal(sigs []Signature, sg *segment) {
-	p.encodes = slices.DeleteFunc(p.encodes, func(j encodeJob) bool { return j.sg == sg })
-	p.encodes = append(p.encodes, encodeJob{rows: sigs[sg.start:sg.end], sg: sg, run: -1})
+	p.encodes = append(p.encodes, encodeJob{rows: sigs[sg.start:sg.end], sg: sg})
 	sg.runs = nil
 	sg.sealed = true
 }
 
-// build runs the plan's pending encodes over the cores and empties it:
-// the encodes fan out across each other, and each one across its
-// dimension ranges (encodeBlocks), so a plan of one encode — a 256-row
-// AddAll's run, a seal — still uses every core. An empty plan (most
-// Adds) builds no closure. Caller holds db.mu.
+// build runs the plan's seal encodes over the cores and empties it: the
+// encodes fan out across each other, and each one across its dimension
+// ranges (encodeBlocks), so a plan of one seal still uses every core.
+// An empty plan (almost every Add and AddAll) builds no closure. Caller
+// holds db.mu.
 func (p *writePlan) build(dim int) {
 	encodes := p.encodes
 	if len(encodes) == 0 {
@@ -150,12 +189,7 @@ func (p *writePlan) build(dim int) {
 	}
 	_ = parallel.For(0, len(encodes), func(k int) error {
 		j := &encodes[k]
-		bp := encodeBlocks(dim, j.rows)
-		if j.run < 0 {
-			j.sg.blocks = bp
-		} else {
-			j.sg.runs[j.run] = bp
-		}
+		j.sg.blocks = encodeBlocks(dim, j.rows)
 		return nil
 	})
 	p.encodes = encodes[:0]

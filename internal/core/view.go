@@ -6,9 +6,10 @@ import "repro/internal/parallel"
 //
 // Every query runs against a dbView — an immutable snapshot of the
 // reader-visible state: the frozen prefixes of the backing arrays, the
-// segment list (sealed segments and the active segment's
-// posting runs by their compressed postings, the active segment's
-// unindexed tail by its frozen bounds), and the query configuration.
+// segment list (sealed segments by their compressed postings, the
+// active segment's posting runs by their postings or, still pending, by
+// the run that builds them, the active segment's unindexed tail by its
+// frozen bounds), and the query configuration.
 // The current view is published through an atomic pointer; a query
 // loads it once for its whole duration, writers mutate the
 // writer-private structures under db.mu and publish a fresh view when
@@ -24,11 +25,15 @@ import "repro/internal/parallel"
 //     reader can reach: appends beyond the captured length touch
 //     distinct addresses, and a reallocation leaves the reader's old
 //     slice header aliasing the old array.
-//   - The active segment has no mutable index at all: its completed
-//     posting runs are immutable blockPostings like a sealed segment's
-//     (segment.go), and the < activeRunLen rows after the last run are
-//     scored with the canonical gather dot over the frozen row prefix
-//     (bit-identical to the indexed accumulation, see laneQuery.walk).
+//   - The active segment has no mutable index at all: each completed
+//     posting run is an immutable blockPostings like a sealed segment's
+//     once built (segment.go), and the < activeRunLen rows after the
+//     last run are scored with the canonical gather dot over the frozen
+//     row prefix (bit-identical to the indexed accumulation, see
+//     laneQuery.walk). A run a view holds unbuilt is built once, by
+//     whichever query gets to its sync.Once first, from rows every
+//     holder of the view can reach, and published through the run's
+//     atomic pointer: the view itself never changes.
 //   - Publication is an atomic pointer swap after the mutation is
 //     complete, so a reader either sees the whole mutation or none of
 //     it.
@@ -51,6 +56,9 @@ type dbView struct {
 	norms []float64
 	// segs is the frozen walk-unit list, in row order.
 	segs []viewSegment
+	// runs are the posting runs still pending when the view was built;
+	// a query builds them before its walk (buildRuns).
+	runs []*postingRun
 	// lanes is how many lanes a query walks (laneMinRows, laneChunk).
 	lanes int
 }
@@ -64,12 +72,25 @@ type viewCfg struct {
 }
 
 // viewSegment is one walk unit as a view sees it: a sealed segment or
-// one posting run of the active segment (blocks is its immutable
-// compressed postings over rows [start, end)), or — blocks nil — the
-// active segment's unindexed tail, scored canonically.
+// one built posting run of the active segment (blocks is its immutable
+// compressed postings over rows [start, end)); a run still pending when
+// the view was built (run, whose postings the query builds and unit
+// reads); or — blocks and run nil — the active segment's unindexed
+// tail, scored canonically.
 type viewSegment struct {
 	start, end int
 	blocks     *blockPostings
+	run        *postingRun
+}
+
+// unit returns walk unit i with its postings in blocks, a pending run's
+// as the query built them (buildRuns) — the copy the walk reads.
+func (v *dbView) unit(i int) viewSegment {
+	sg := v.segs[i]
+	if sg.run != nil {
+		sg.blocks = sg.run.blocks.Load()
+	}
+	return sg
 }
 
 // laneMinRows is the fewest rows a lane is given: a lane repeats the
@@ -102,8 +123,8 @@ func laneFirst(start, l, p int) int {
 // write through them) and value copies of the segment bounds (Add and
 // seal mutate segment structs in place, so views must never hold
 // *segment). The active segment freezes into one viewSegment per
-// posting run plus one blocks == nil segment for the rows no run covers
-// yet.
+// posting run — its blocks when built, else the pending run — plus one
+// blocks == nil segment for the rows no run covers yet.
 func (db *DB) buildViewLocked() *dbView {
 	n := len(db.sigs)
 	nv := &dbView{
@@ -125,13 +146,16 @@ func (db *DB) buildViewLocked() *dbView {
 			nv.segs = append(nv.segs, viewSegment{start: sg.start, end: sg.end, blocks: sg.blocks})
 			continue
 		}
-		at := sg.start
 		for _, r := range sg.runs {
-			nv.segs = append(nv.segs, viewSegment{start: at, end: at + r.n, blocks: r})
-			at += r.n
+			u := viewSegment{start: r.start, end: r.start + r.n, blocks: r.blocks.Load()}
+			if u.blocks == nil {
+				u.run = r
+				nv.runs = append(nv.runs, r)
+			}
+			nv.segs = append(nv.segs, u)
 		}
-		if at < sg.end {
-			nv.segs = append(nv.segs, viewSegment{start: at, end: sg.end})
+		if sg.runEnd < sg.end {
+			nv.segs = append(nv.segs, viewSegment{start: sg.runEnd, end: sg.end})
 		}
 	}
 	floor := laneMinRows
