@@ -35,7 +35,7 @@ race:
 		./internal/serve/
 
 ## stress: the concurrency property sweep (interleaved
-## Add/Seal/Compact/TopK/Classify vs serialized execution against each
+## Add/Seal/SaveDir/TopK/Classify vs serialized execution against each
 ## epoch view a query loaded), the race of queries building pending posting
 ## runs against AddAll, Seal and Close (TestConcurrentQueryBuiltRuns), the
 ## writers' plan/build exactness sweep (batched AddAll vs one Add at a time,

@@ -62,8 +62,9 @@ type pruneScale struct {
 	// scratch).
 	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
 
-	// Segments at this rung: one per segment_size rows, plus the short
-	// one each rung's closing Seal cuts.
+	// Segments at this rung: one per segment_size rows, the last
+	// rounded up; each rung's closing Seal indexes that last one whole
+	// without ending it, so the next rung grows it first.
 	Segments       int `json:"segments"`
 	SealedSegments int `json:"sealed_segments"`
 

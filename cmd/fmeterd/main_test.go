@@ -244,6 +244,12 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 	if n := openLen(t, dir); n != first+3 {
 		t.Fatalf("after restart db.Len() = %d, want %d (first run + 3 streamed)", n, first+3)
 	}
+	// The restarted daemon appended to the reloaded segment instead of
+	// opening another: nine rows are one segment file.
+	files, err := filepath.Glob(filepath.Join(dir, "seg-*.fms"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("after restart the snapshot holds segment files %v (%v), want one", files, err)
+	}
 }
 
 // afterDocs is a log writer that calls fn once, when the n-th document

@@ -79,29 +79,31 @@ func run() error {
 
 	// The database survives restarts as a snapshot directory: SaveDB
 	// writes atomically (a crash never corrupts the store) and re-saves
-	// only the segments that changed since the last save, so a
-	// long-lived operator DB saves in O(new data).
+	// only the segments that changed since the last save — the full
+	// segments once, the last, growing one whole — so a long-lived
+	// operator DB saves in O(new data + one segment).
 	dir, err := os.MkdirTemp("", "fmeter-quickstart-db-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	store := filepath.Join(dir, "db")
-	// Seal before the save: sealing indexes every row of the segment in
-	// one block-compressed posting structure (an unsealed store indexes
-	// only completed runs of 256 rows and scans the rest). The snapshot
-	// holds the rows; reopening rebuilds the postings with the same
-	// encoder, so queries stay bit-identical.
+	// Seal before the save: sealing indexes every row of the growing
+	// segment in one block-compressed posting structure (otherwise only
+	// completed runs of 256 rows are indexed and the rest scanned). The
+	// snapshot holds the rows; reopening cuts them into the same
+	// segments and rebuilds the postings with the same encoder, so
+	// queries stay bit-identical.
 	unindexed := db.ActiveUnindexedRows()
 	db.Seal()
 	fmt.Printf("sealed store: %d unindexed rows -> 0, resident index %d bytes\n", unindexed, db.IndexBytes())
 	if err := fmeter.SaveDB(store, db); err != nil {
 		return err
 	}
-	if err := db.Add(query); err != nil { // one new signature...
+	if err := db.Add(query); err != nil { // one new signature grows the last segment...
 		return err
 	}
-	if err := fmeter.SaveDB(store, db); err != nil { // ...is all this save writes
+	if err := fmeter.SaveDB(store, db); err != nil { // ...which this save rewrites whole
 		return err
 	}
 	// Reopen: every segment file is CRC-checked and loaded onto the
@@ -111,7 +113,7 @@ func run() error {
 		return err
 	}
 	defer reopened.Close()
-	fmt.Printf("incremental on-disk store: %d signatures across %d segment files (resident index %d bytes)\n",
+	fmt.Printf("incremental on-disk store: %d signatures across %d segment file(s) (resident index %d bytes)\n",
 		reopened.Len(), reopened.Segments(), reopened.IndexBytes())
 	return nil
 }

@@ -394,12 +394,35 @@ func TestSaveOpenDBFacade(t *testing.T) {
 			t.Fatalf("hit %d differs after SaveDB/OpenDB", i)
 		}
 	}
-	// Incremental: a reloaded store re-saves without dirty segments.
-	if n := back.DirtySegments(); n != 0 {
-		t.Fatalf("freshly opened store has %d dirty segments", n)
+	// Incremental: a reloaded store re-saves its manifest alone.
+	segFiles := func() map[string]os.FileInfo {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]os.FileInfo{}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "seg-") {
+				if out[e.Name()], err = e.Info(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return out
 	}
+	before := segFiles()
 	if err := SaveDB(dir, back); err != nil {
 		t.Fatal(err)
+	}
+	after := segFiles()
+	for name, fi := range before {
+		if got, ok := after[name]; !ok || !os.SameFile(got, fi) || !got.ModTime().Equal(fi.ModTime()) {
+			t.Fatalf("re-saving a freshly opened store rewrote or removed %s", name)
+		}
+	}
+	if len(after) != len(before) {
+		t.Fatalf("re-saving a freshly opened store left %d segment files, want %d", len(after), len(before))
 	}
 
 	// The deprecated WithMapped changes nothing: the same resident
@@ -469,7 +492,7 @@ func TestSaveOpenDBFacade(t *testing.T) {
 }
 
 // addSealedChunks stores sigs in AddAll chunks of n rows and seals after
-// each full one: the segment layout a seal threshold of n would cut.
+// each full one, so the index covers the rows in steps of n.
 func addSealedChunks(t *testing.T, db *DB, sigs []Signature, n int) {
 	t.Helper()
 	for lo := 0; lo < len(sigs); lo += n {
@@ -552,8 +575,8 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 }
 
 // TestPruningFacade drives the pruned walk through the facade: a store
-// sealed in 8-row segments answers bit-identically to the scan arm, and
-// the pruning counters are visible.
+// sealed every 8 rows answers bit-identically to the scan arm, and the
+// pruning counters are visible.
 func TestPruningFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 17, Workers: -1})
 	if err != nil {

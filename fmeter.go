@@ -205,18 +205,18 @@ func WithWorkers(n int) Option { return func(o *perfOpts) { o.workers = n } }
 // shards.
 func WithShards(int) Option { return func(*perfOpts) {} }
 
-// WithSegmentSize does nothing: an active segment seals at a fixed
-// size, and db.Seal() ends a segment early — before a save, say, or to
-// cut segments at chosen boundaries.
+// WithSegmentSize does nothing: a database cuts its rows into segments
+// of a fixed size, whatever the order of adds, seals, saves and
+// reopens; db.Seal() indexes the last, still-growing segment whole but
+// does not end it.
 //
-// Deprecated: drop the option; the seal threshold is not tunable.
+// Deprecated: drop the option; the segment size is not tunable.
 func WithSegmentSize(int) Option { return func(*perfOpts) {} }
 
-// WithCompactionPolicy does nothing: a database merges its small sealed
-// segments only when db.Compact() is called.
+// WithCompactionPolicy does nothing: every segment but the last holds
+// the fixed segment size, so there are no small segments to merge.
 //
-// Deprecated: drop the option; background size-tiered compaction was
-// removed.
+// Deprecated: drop the option; compaction was removed.
 func WithCompactionPolicy(int) Option { return func(*perfOpts) {} }
 
 // WithMapped does nothing: OpenDB loads every segment onto the heap.
@@ -504,7 +504,7 @@ func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
 //
 // The database is safe for fully concurrent use: queries load an
 // immutable epoch view and run against it without blocking writers,
-// while Add/AddAll/Seal/Compact/SaveDB serialize among themselves and
+// while Add/AddAll/Seal/SaveDB serialize among themselves and
 // publish atomically. A query that loaded its view before a concurrent
 // write returns exactly what a serialized execution against that state
 // would — bit-identical, under any interleaving. After db.Close() every
@@ -554,9 +554,10 @@ func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 // SaveDB persists a signature database at path as a snapshot directory,
 // the one on-disk form: a manifest plus one CRC-checked file per segment,
 // each written atomically (temp + fsync + rename), with only the
-// segments dirtied since the last save rewritten — a long-lived
-// operator database saves in O(new data), and a crash mid-save never
-// corrupts the previous snapshot.
+// segments changed since the last save rewritten — the segments filled
+// since, and the last, growing segment whole — so a long-lived
+// operator database saves in O(new data + one segment), and a crash
+// mid-save never corrupts the previous snapshot.
 //
 // SaveDB runs safely while other goroutines query or ingest: it
 // persists the committed state at the moment it acquires the writer

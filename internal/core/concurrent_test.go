@@ -30,8 +30,8 @@ func stressN(normal, stressed int) int {
 // reference DB is sequential, default layout, queried on the scan arm
 // (scanMetric) — the bit-identical-at-any-layout guarantee
 // (property-swept elsewhere) makes it a valid reference for every
-// lane count, sealing, compaction, and loaded-prefix combination the
-// concurrent sweep runs.
+// lane count, sealing, and loaded-prefix combination the concurrent
+// sweep runs.
 type refResults struct {
 	hits   [][][]SearchResult // [n][qi]
 	labels [][]string         // [n][qi]
@@ -86,10 +86,10 @@ func sameHits(a, b []SearchResult) bool {
 }
 
 // TestConcurrentInterleavingSweep is the serialized-equivalence
-// property sweep: goroutines interleave Add/AddAll/Seal/Compact/
-// SaveDir/config flips with TopK/TopKBatch/Classify*/Stats queries
-// under every layout axis (lanes × segment size × run length × compaction
-// after every seal × fresh/loaded prefix), and every query result must be
+// property sweep: goroutines interleave Add/AddAll/Seal/SaveDir/
+// config flips with TopK/TopKBatch/Classify*/Stats queries
+// under every layout axis (lanes × segment size × run length ×
+// fresh/loaded prefix), and every query result must be
 // bit-identical to a serialized execution against the store prefix its
 // view froze. Run lengths are far below the segment sizes (and
 // one combo never rolls a segment by size), so readers hold views
@@ -113,23 +113,23 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 	// the case ids stay stable); the early prefixes have fewer walk units
 	// than lanes. The "mapped" cases start from a loaded prefix (named
 	// when a loaded store's postings were memory-mapped). The "tiered"
-	// cases compact after every explicit seal (named when a size-tiered
-	// policy merged on seal).
+	// names are kept from when those cases merged segments after every
+	// seal; a store has one layout now, so they differ from the others
+	// in segment size and run length only.
 	combos := []struct {
 		name    string
 		workers int
 		segSize int
 		runLen  int
-		tiered  bool
 		loaded  bool
 		metric  Metric
 	}{
-		{"1shard-seq-cosine", 1, 64, 8, false, false, CosineMetric()},
-		{"3shard-par-tiered-cosine", 3, 32, 5, true, false, CosineMetric()},
-		{"2shard-par-euclidean", 2, 48, 7, false, false, EuclideanMetric()},
-		{"2shard-par-longruns-euclidean", 2, SegmentSize, 6, false, false, EuclideanMetric()},
-		{"2shard-mapped-euclidean", 2, 48, 16, false, true, EuclideanMetric()},
-		{"3shard-mapped-tiered-cosine", 3, 32, 3, true, true, CosineMetric()},
+		{"1shard-seq-cosine", 1, 64, 8, false, CosineMetric()},
+		{"3shard-par-tiered-cosine", 3, 32, 5, false, CosineMetric()},
+		{"2shard-par-euclidean", 2, 48, 7, false, EuclideanMetric()},
+		{"2shard-par-longruns-euclidean", 2, SegmentSize, 6, false, EuclideanMetric()},
+		{"2shard-mapped-euclidean", 2, 48, 16, true, EuclideanMetric()},
+		{"3shard-mapped-tiered-cosine", 3, 32, 3, true, CosineMetric()},
 	}
 	for _, cb := range combos {
 		cb := cb
@@ -142,8 +142,8 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			if cb.loaded {
 				// Start from a sealed prefix saved and loaded back and
 				// stream the rest: the writer mutates a loaded store
-				// (merging its segments, re-saving into its directory)
-				// under the readers.
+				// (appending to its reloaded tail, re-saving into its
+				// directory) under the readers.
 				seed, err := NewDB(dim)
 				if err != nil {
 					t.Fatal(err)
@@ -160,7 +160,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				if err := seed.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if db, err = LoadDir(dir); err != nil {
+				if db, err = loadDir(dir, cb.segSize); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -168,10 +168,10 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 				if db, err = NewDB(dim); err != nil {
 					t.Fatal(err)
 				}
+				db.setSegmentSize(cb.segSize)
 			}
 			defer db.Close()
 			db.SetWorkers(cb.workers)
-			db.setSegmentSize(cb.segSize)
 			db.setRunLen(cb.runLen)
 			db.setPruneFloor(1)
 
@@ -179,7 +179,7 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			var wg sync.WaitGroup
 
 			// Writer: stream the remaining signatures with seals,
-			// compactions, incremental saves, and query-config flips
+			// incremental saves, and query-config flips
 			// interleaved — every mutation publishes a fresh view the
 			// readers race to load.
 			wg.Add(1)
@@ -204,11 +204,6 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 					switch {
 					case i%37 == 0:
 						db.Seal()
-						if cb.tiered {
-							db.Compact()
-						}
-					case i%53 == 0:
-						db.Compact()
 					case i%61 == 0:
 						if err := db.SaveDir(dir); err != nil {
 							t.Errorf("SaveDir at %d: %v", i, err)
@@ -348,10 +343,12 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			// Quiescent end state: the final view must be the full store.
+			// Quiescent end state: the final view must be the full store,
+			// in the one layout.
 			if got := db.Len(); got != nSigs {
 				t.Fatalf("final Len %d, want %d", got, nSigs)
 			}
+			checkLayout(t, cb.name, db)
 			for qi, q := range queries {
 				got, err := db.TopKSparse(q, k, cb.metric)
 				if err != nil {
@@ -371,8 +368,8 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 // the runs a held view's query is building, and a Close while the first
 // queries on a view build its runs. Every answer must equal the
 // serialized oracle at the prefix its view froze, and no run may be
-// encoded twice: the encodes seen are exactly the seals plus the runs
-// some query built. Run under -race (make stress) this is the proof
+// encoded twice: the encodes seen are exactly the runs built, by a
+// query or by a Seal. Run under -race (make stress) this is the proof
 // behind the runs' once and atomic publication.
 func TestConcurrentQueryBuiltRuns(t *testing.T) {
 	const dim, nnz, k, runLen = 48, 10, 7, 6
@@ -393,8 +390,7 @@ func TestConcurrentQueryBuiltRuns(t *testing.T) {
 	}
 	db.setRunLen(runLen)
 	db.setPruneFloor(1)
-	// made collects every run a writer call recorded, seals counts the
-	// seal encodes.
+	// made collects every run a writer call recorded.
 	made := map[*postingRun]bool{}
 	record := func() {
 		db.mu.Lock()
@@ -405,7 +401,6 @@ func TestConcurrentQueryBuiltRuns(t *testing.T) {
 			}
 		}
 	}
-	seals := 0
 	// ask answers query qi against view v and checks the oracle.
 	ask := func(v *dbView, qi int) error {
 		sc := db.scratch.Get()
@@ -446,7 +441,7 @@ func TestConcurrentQueryBuiltRuns(t *testing.T) {
 			built := make(chan error, 1)
 			go func() { built <- ask(v, b%len(queries)) }()
 			db.Seal()
-			seals++
+			record()
 			if err := <-built; err != nil {
 				t.Error(err)
 				return
@@ -523,15 +518,15 @@ func TestConcurrentQueryBuiltRuns(t *testing.T) {
 			t.Fatal("a pending run of a queried view was left unbuilt")
 		}
 	}
-	if got, want := encodeCount.Load()-before, int64(seals+built); got != want {
-		t.Fatalf("%d encodes for %d seals and %d built runs (of %d recorded): some run was encoded twice", got, seals, built, len(made))
+	if got := encodeCount.Load() - before; got != int64(built) {
+		t.Fatalf("%d encodes for %d built runs (of %d recorded): some run was encoded twice", got, built, len(made))
 	}
 }
 
 // TestConcurrentWriters proves mutator-side serialization: concurrent
-// Add streams, seals, and compactions from many goroutines interleave
-// without losing a signature, and the final store answers exactly like
-// a serial build over the same multiset.
+// Add streams and seals from many goroutines interleave without losing
+// a signature, the store keeps the one layout, and the final store
+// answers exactly like a serial build over the same multiset.
 func TestConcurrentWriters(t *testing.T) {
 	const dim, nnz, k, writers = 32, 8, 5, 4
 	perWriter := stressN(150, 1000)
@@ -560,9 +555,6 @@ func TestConcurrentWriters(t *testing.T) {
 				if i%50 == 0 {
 					db.Seal()
 				}
-				if i%70 == 0 {
-					db.Compact()
-				}
 			}
 		}(w)
 	}
@@ -573,6 +565,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := db.Len(); got != len(all) {
 		t.Fatalf("Len %d after concurrent writers, want %d", got, len(all))
 	}
+	checkLayout(t, "concurrent writers", db)
 	// The interleaving permutes insertion order, so scores (not order)
 	// must match a reference holding the same multiset: compare the hit
 	// score sets against a serial DB built in gid order of this one.
@@ -597,7 +590,7 @@ func TestConcurrentWriters(t *testing.T) {
 }
 
 // TestCloseUnderLoad closes a loaded DB while queries, an Add stream
-// and compactions are in flight: in-flight calls either complete
+// and seals are in flight: in-flight calls either complete
 // normally (a query with k hits, on the view it loaded) or fail with the
 // typed *ConfigError, concurrent and repeated Close calls return nil,
 // and every call arriving after Close fails typed. Run under -race.
@@ -621,7 +614,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := seed.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadDir(dir)
+	db, err := loadDir(dir, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +667,7 @@ func TestCloseUnderLoad(t *testing.T) {
 				return
 			}
 			if i%100 == 0 {
-				db.Compact() // merge loaded segments under load
+				db.Seal() // index the reloaded tail under load
 			}
 		}
 	}()

@@ -232,13 +232,13 @@ type SearchResult struct {
 //
 // Storage is sparse-first and segmented: signatures live once, in
 // insertion order — a signature's row index is its insertion index, the
-// (score, index) tie-break key — and the rows are cut into a run of
-// append-only segments. Add appends to the active segment (indexed in
-// immutable posting runs as it grows), which Seal (or the segment size
-// threshold) rolls into an immutable sealed segment carrying its own
-// posting lists and cached norms, and Compact merges small sealed
-// segments, encoding each merge's posting lists from its rows (see
-// segment.go). For the built-in cosine and Euclidean metrics a query
+// (score, index) tie-break key — and the rows are cut into segments of
+// SegmentSize rows each, the last possibly shorter: segment k holds rows
+// [k·SegmentSize, (k+1)·SegmentSize) whatever the history of adds,
+// seals, saves and loads. Add appends to the last, active segment
+// (indexed in immutable posting runs as it grows); a segment that fills
+// becomes immutable, its posting lists encoded from its rows in one run
+// (see segment.go). For the built-in cosine and Euclidean metrics a query
 // accumulates dot products down only the posting lists in its support;
 // other metrics take the
 // exhaustive scan. A query walks the segments in lanes, one per worker
@@ -259,11 +259,11 @@ type SearchResult struct {
 // Concurrency contract (epoch views, see view.go): reads (Query
 // and its shorthands, Len, All) may run concurrently with each other
 // AND with mutations. Each Query call loads the current immutable view —
-// the sealed segments plus a frozen prefix of the active segment (its
+// the full segments plus a frozen prefix of the active segment (its
 // posting runs and the unindexed rows after them) — once,
 // for all its queries, and computes exactly the result a quiescent DB
 // holding that view's signatures would return. Mutations (Add,
-// AddAll, Seal, Compact, SaveDir, Close, and every Set*) remain
+// AddAll, Seal, SaveDir, Close, and every Set*) remain
 // single-writer: they serialize on an internal mutex, so concurrent
 // mutators are safe but take turns, and each publishes a new view
 // atomically when it completes. Close publishes a terminal view that
@@ -303,8 +303,8 @@ type DB struct {
 	mu sync.Mutex
 	// cur is the published view every query loads.
 	cur atomic.Pointer[dbView]
-	// publishes counts view publications (every Add/AddAll/Seal/Compact/
-	// SaveDir/setter that swapped cur) — the currency batched ingest
+	// publishes counts view publications (every Add/AddAll/Seal/
+	// setter that swapped cur) — the currency batched ingest
 	// saves, observable via Publishes().
 	publishes atomic.Uint64
 }
@@ -346,18 +346,17 @@ func (db *DB) Len() int {
 func (db *DB) Dim() int { return db.dim }
 
 // Publishes returns how many view publications the DB has performed —
-// one per completed mutation (Add, AddAll, Seal, Compact, SaveDir,
-// setters). Batched ingest exists to keep this number small: AddAll
-// publishes once for the whole batch where per-signature Add publishes
-// once per signature.
+// one per completed mutation (Add, AddAll, Seal, setters). Batched
+// ingest exists to keep this number small: AddAll publishes once for
+// the whole batch where per-signature Add publishes once per signature.
 func (db *DB) Publishes() uint64 { return db.publishes.Load() }
 
 // Add stores a signature, appending it to the active segment (the row
 // into the backing arrays, its squared norm into the norm cache; every
 // activeRunLen-th row records the rows since the last run as a pending
 // run, which the first query that walks it builds). An active
-// segment that reaches the segment size is sealed and the next Add
-// opens a fresh one. Add is safe to call concurrently with
+// segment that reaches the segment size is indexed whole and the next
+// Add opens a fresh one. Add is safe to call concurrently with
 // queries (which keep the view they loaded) and with other mutators
 // (which serialize); the new signature is visible to every query that
 // starts after Add returns.
@@ -372,7 +371,7 @@ func (db *DB) Add(sig Signature) error {
 	}
 	var p writePlan
 	db.addLocked(&p, sig)
-	p.build(db.dim)
+	p.build(db.dim, db.sigs)
 	db.publishLocked()
 	return nil
 }
@@ -407,8 +406,8 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 	db.norms = append(db.norms, sig.W.Norm2())
 	sg.end++
 	sg.dirty = true
-	if sg.len() >= db.segSizeLocked() {
-		p.seal(db.sigs, sg)
+	if sg.len() == db.segSizeLocked() {
+		p.seal(sg)
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {
 		// The unindexed tail is a full run: record exactly those rows.
 		// The first query whose view holds the run builds its postings.
@@ -417,16 +416,12 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 }
 
 // sumPostings folds f over every posting structure queries walk — each
-// sealed segment's blocks and each active segment's runs, building the
-// pending runs first, as a query would.
+// segment's runs, building the pending runs first, as a query would.
 func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var n int64
 	for _, sg := range db.segs {
-		if sg.blocks != nil {
-			n += f(sg.blocks)
-		}
 		buildRuns(db.dim, db.sigs, sg.runs)
 		for _, r := range sg.runs {
 			n += f(r.blocks.Load())
@@ -436,15 +431,14 @@ func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 }
 
 // IndexBytes returns the resident heap footprint of the postings a
-// query walks: sealed segments' compressed blocks plus the active
-// segments' posting runs, pending runs built first (rows no run covers
-// yet have no postings and cost nothing here).
+// query walks: every segment's posting runs, pending runs built first
+// (rows no run covers yet have no postings and cost nothing here).
 func (db *DB) IndexBytes() int64 { return db.sumPostings((*blockPostings).memBytes) }
 
-// IndexPostings returns the total posting-entry count across sealed
-// segments and active runs, pending runs built first: one entry per
-// stored non-zero weight of every indexed row — everything but the
-// active segments' unindexed tails (see ActiveUnindexedRows).
+// IndexPostings returns the total posting-entry count across every
+// segment's runs, pending runs built first: one entry per stored
+// non-zero weight of every indexed row — everything but the active
+// segment's unindexed tail (see ActiveUnindexedRows).
 func (db *DB) IndexPostings() int64 { return db.sumPostings((*blockPostings).postingCount) }
 
 // ActiveUnindexedRows returns how many stored signatures no posting
@@ -489,9 +483,9 @@ func (db *DB) Close() error {
 // AddAll stores a batch of signatures, validating each, and publishes
 // them as one atomic step: a concurrent query sees either none of the
 // batch or all of it. A batch holding an invalid signature is rejected
-// whole, before anything is stored. The batch's seals are planned row
-// by row and built together over the cores; its posting runs are only
-// recorded, for the first query that walks them to build.
+// whole, before anything is stored. The segments the batch fills are
+// planned row by row and built together over the cores; its posting
+// runs are only recorded, for the first query that walks them to build.
 func (db *DB) AddAll(sigs []Signature) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -507,7 +501,7 @@ func (db *DB) AddAll(sigs []Signature) error {
 	for _, s := range sigs {
 		db.addLocked(&p, s)
 	}
-	p.build(db.dim)
+	p.build(db.dim, db.sigs)
 	db.publishLocked()
 	return nil
 }

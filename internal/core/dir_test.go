@@ -58,11 +58,8 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	if err := src.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.DirtySegments(); got != 0 {
-		t.Fatalf("after SaveDir: %d dirty segments, want 0", got)
-	}
 
-	back, err := LoadDir(dir)
+	back, err := loadDir(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +83,16 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	}
 	_ = want
 
-	// A reloaded DB knows its directory: saving straight back rewrites
-	// no segment files.
+	// A reloaded DB knows its directory: saving straight back writes and
+	// removes no segment file.
 	before := dirState(t, dir)
-	if got := back.DirtySegments(); got != 0 {
-		t.Fatalf("freshly loaded DB: %d dirty segments, want 0", got)
-	}
 	if err := back.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	after := dirState(t, dir)
+	if len(after) != len(before) || newSegmentFiles(before, after) != 0 {
+		t.Fatalf("no-op re-save changed the files: %d -> %d", len(before), len(after))
+	}
 	for name, b := range before {
 		if name == manifestName {
 			continue
@@ -135,10 +132,10 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveDirIncremental is the O(new data) assertion behind the
-// tentpole: after ingesting N and saving, adding M << N signatures and
-// saving again must rewrite only the active segment plus the manifest —
-// every sealed segment file stays byte-identical on disk.
+// TestSaveDirIncremental is the O(new data) assertion of SaveDir: after
+// ingesting N and saving, adding M << N signatures and saving again
+// must write only the active segment plus the manifest — every full
+// segment file stays byte-identical on disk.
 func TestSaveDirIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	const dim, nnz = 100, 12
@@ -156,13 +153,9 @@ func TestSaveDirIncremental(t *testing.T) {
 	}
 	before := dirState(t, dir)
 
-	// M = 4 new signatures land in the new active segment.
+	// M = 4 new signatures land in a new active segment.
 	if err := db.AddAll(randSigs(r, 4, dim, nnz)); err != nil {
 		t.Fatal(err)
-	}
-	dirty := db.DirtySegments()
-	if dirty != 1 {
-		t.Fatalf("after 4 adds: %d dirty segments, want 1", dirty)
 	}
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
@@ -175,32 +168,38 @@ func TestSaveDirIncremental(t *testing.T) {
 			continue
 		}
 		if prev, ok := before[name]; ok && !bytes.Equal(prev, b) {
-			t.Fatalf("sealed segment file %s was rewritten with different content", name)
+			t.Fatalf("full segment file %s was rewritten with different content", name)
 		} else if !ok {
 			changed++ // a new segment file: the fresh active segment
 		}
 	}
-	if changed != dirty {
-		t.Fatalf("incremental save wrote %d new segment files, want %d", changed, dirty)
+	if changed != 1 {
+		t.Fatalf("incremental save wrote %d new segment files, want 1", changed)
 	}
 
-	// Compaction dirties exactly its outputs; the next save rewrites
-	// them and removes the replaced files.
+	// Filling the active segment rewrites it once more, whole, and
+	// removes the file it replaces.
 	db.Seal()
-	db.Compact()
+	if err := db.AddAll(randSigs(r, 16, dim, nnz)); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	final := dirState(t, dir)
-	if got, want := len(final)-1, db.Segments(); got != want {
-		t.Fatalf("after compacting save: %d segment files on disk, want %d", got, want)
+	if got := newSegmentFiles(after, final); got != 1 {
+		t.Fatalf("save of the filled segment wrote %d segment files, want 1", got)
 	}
-	re, err := LoadDir(dir)
+	if got, want := len(final)-1, db.Segments(); got != want || want != 11 {
+		t.Fatalf("after filling the active segment: %d segment files on disk for %d segments, want 11", got, want)
+	}
+	re, err := loadDir(dir, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLayout(t, "reload", re)
 	if re.Len() != db.Len() {
-		t.Fatalf("post-compaction reload len = %d, want %d", re.Len(), db.Len())
+		t.Fatalf("reload len = %d, want %d", re.Len(), db.Len())
 	}
 	q := randSigs(r, 1, dim, nnz)[0].W
 	want, err := db.TopKSparse(q, 9, EuclideanMetric())
@@ -211,15 +210,15 @@ func TestSaveDirIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, "post-compaction reload", got, want)
+	sameResults(t, "reload", got, want)
 }
 
 // TestSaveDirNeverRewritesMappedFiles pins that SaveDir back into the
-// directory a store was loaded from never rewrites a clean loaded
-// segment: each keeps its inode and mtime, the grown rows land in new
-// files, and the store still saves to a fresh directory and answers.
-// (The name dates from the mmap load mode; it is kept so the id stays
-// stable.)
+// directory a store was loaded from never rewrites a full loaded
+// segment: each keeps its inode and mtime, the grown tail lands in a
+// new file that replaces the old tail's, and the store still saves to
+// a fresh directory and answers. (The name dates from the mmap load
+// mode; it is kept so the id stays stable.)
 func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	const dim, nnz = 80, 9
@@ -256,8 +255,13 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 		return m
 	}
 	before := stat(dir)
+	ents := readManifest(t, dir).Segments[0]
+	tail := ents[len(ents)-1].File
+	if len(before) != 4 || ents[len(ents)-1].Records != 200%64 {
+		t.Fatalf("fixture: %d segment files, tail of %d rows; want 4 and %d", len(before), ents[len(ents)-1].Records, 200%64)
+	}
 
-	db, err := LoadDir(dir)
+	db, err := loadDir(dir, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +288,12 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 	after := stat(dir)
 	for name, fi := range before {
 		got, ok := after[name]
+		if name == tail {
+			if ok {
+				t.Fatalf("the grown tail's old file %s survived the save", name)
+			}
+			continue
+		}
 		if !ok {
 			t.Fatalf("loaded segment file %s disappeared after SaveDir", name)
 		}
@@ -291,8 +301,8 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 			t.Fatalf("loaded segment file %s was rewritten", name)
 		}
 	}
-	if len(after) <= len(before) {
-		t.Fatalf("grown store wrote no new segment files (%d -> %d)", len(before), len(after))
+	if len(after) != len(before) {
+		t.Fatalf("grown tail: %d segment files, then %d; want the tail replaced", len(before), len(after))
 	}
 
 	// Save to a fresh directory too — serialized from the loaded segments.
@@ -395,35 +405,58 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 const matrixDim = 30
 
 // saveMatrixBaseline saves the healthy store the corruption matrix and
-// FuzzLoadSegment start from and returns its directory: a compacted
-// segment, a freshly sealed one and a still-active one.
+// the fuzz targets start from and returns its directory: 14 rows in
+// files of 8, 4 and 2, as an older build cut them.
 func saveMatrixBaseline(t testing.TB) string {
 	t.Helper()
-	db, err := newTestDB(matrixDim, 2)
+	sigs := randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5)
+	dir := filepath.Join(t.TempDir(), "db")
+	saveCut(t, dir, matrixDim, sigs, 8, 4, 2)
+	return dir
+}
+
+// saveCut saves sigs into the snapshot directory dir as one segment
+// file per entry of sizes, in order — the layouts older builds left
+// behind, where Seal ended segments short and Compact merged them past
+// the segment size.
+func saveCut(t testing.TB, dir string, dim int, sigs []Signature, sizes ...int) {
+	t.Helper()
+	db, err := NewDB(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5)
-	db.setSegmentSize(4)
-	if err := db.AddAll(sigs[:8]); err != nil {
+	if err := db.AddAll(sigs); err != nil {
 		t.Fatal(err)
 	}
-	// Compact merges segments below the threshold: raised to 8, it
-	// merges the two sealed 4-row segments.
-	db.setSegmentSize(8)
-	db.Compact()
-	db.setSegmentSize(4)
-	if err := db.AddAll(sigs[8:]); err != nil {
-		t.Fatal(err)
+	db.mu.Lock()
+	db.segs, db.nextSeg = nil, 0
+	start := 0
+	for _, n := range sizes {
+		db.segs = append(db.segs, &segment{id: db.nextSeg, start: start, end: start + n, dirty: true})
+		db.nextSeg++
+		start += n
 	}
-	if got := db.Segments(); got != 3 {
-		t.Fatalf("baseline holds %d segments, want 3 (merged 8 + sealed 4 + active 2)", got)
+	db.mu.Unlock()
+	if start != len(sigs) {
+		t.Fatalf("sizes cover %d rows of %d", start, len(sigs))
 	}
-	dir := filepath.Join(t.TempDir(), "db")
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	return dir
+}
+
+// readManifest parses dir's manifest.
+func readManifest(t testing.TB, dir string) manifestJSON {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifestJSON
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestDirCorruptionMatrix drives every corruption class the format
@@ -582,16 +615,15 @@ func TestDirCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestCompactedStoreReopens pins that a compacted store holds the index
-// its reload does. 600 rows sealed in 64-row segments leave every
-// dimension several partial posting blocks; Compact merges them into
-// one segment, which SaveDir writes as rows and LoadDir re-encodes. The
-// merged segment must already hold those re-encoded postings: equal
-// IndexBytes, and for every query under both metrics the same hits
-// and the same PruneStats from identically configured stores. A merge
-// that splices its parts' blocks answers alike and fails here: it keeps
-// each part's partial block per dimension, ~1.5× the index bytes and
-// ~10× the blocks a query considers.
+// TestCompactedStoreReopens pins that a directory holding a segment
+// longer than the segment size — what an older build's Compact wrote —
+// reloads in the one layout and holds the index of a store that added
+// the same rows: 600 rows in one file at segment size 64 reload as nine
+// 64-row segments and a 24-row tail, no walk unit longer than 64, with
+// the same IndexBytes and, for every query under both metrics, the same
+// hits and the same PruneStats; the next SaveDir writes the canonical
+// layout, byte for byte the files of the store that added the rows, and
+// removes the long file.
 func TestCompactedStoreReopens(t *testing.T) {
 	r := rand.New(rand.NewSource(137))
 	const dim, nnz, n, seg, k, workers = 60, 8, 600, 64, 9, 2
@@ -607,27 +639,26 @@ func TestCompactedStoreReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Seal()
-	if got, want := db.Segments(), (n+seg-1)/seg; got != want {
-		t.Fatalf("%d segments before Compact, want %d", got, want)
-	}
-	db.setSegmentSize(SegmentSize)
-	db.Compact()
-	if got := db.Segments(); got != 1 {
-		t.Fatalf("%d segments after Compact, want 1", got)
-	}
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := db.SaveDir(dir); err != nil {
+	want := filepath.Join(t.TempDir(), "added")
+	if err := db.SaveDir(want); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDir(dir)
+
+	dir := filepath.Join(t.TempDir(), "db")
+	saveCut(t, dir, dim, sigs, n)
+	back, err := loadDir(dir, seg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	back.setLaneFloor(1)
 	back.SetWorkers(workers)
 	back.setPruneFloor(1)
+	checkLayout(t, "re-cut", back)
+	if got, want := back.Segments(), (n+seg-1)/seg; got != want {
+		t.Fatalf("%d segments after the re-cut, want %d", got, want)
+	}
 	if got, want := back.IndexBytes(), db.IndexBytes(); got != want {
-		t.Fatalf("IndexBytes: reloaded %d, compacted %d", got, want)
+		t.Fatalf("IndexBytes: reloaded %d, added %d", got, want)
 	}
 	for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
 		for qi, q := range queries {
@@ -642,10 +673,172 @@ func TestCompactedStoreReopens(t *testing.T) {
 			}
 			sameResults(t, tag, got, want)
 			if gotSt != wantSt {
-				t.Fatalf("%s: PruneStats reloaded %+v, compacted %+v", tag, gotSt, wantSt)
+				t.Fatalf("%s: PruneStats reloaded %+v, added %+v", tag, gotSt, wantSt)
 			}
 		}
 	}
+	if err := back.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dirState(t, dir)[segmentFileName(0)]; ok {
+		t.Fatal("the long segment's file survived the canonical save")
+	}
+	sameLayout(t, "re-cut save", dir, want)
+}
+
+// sameLayout asserts two snapshot directories hold the same segment
+// files in manifest order — the same record counts, byte for byte —
+// whatever their ids.
+func sameLayout(t *testing.T, tag, got, want string) {
+	t.Helper()
+	g, w := readManifest(t, got).Segments[0], readManifest(t, want).Segments[0]
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d segment files, want %d", tag, len(g), len(w))
+	}
+	gs, ws := dirState(t, got), dirState(t, want)
+	for i := range w {
+		if g[i].Records != w[i].Records || !bytes.Equal(gs[g[i].File], ws[w[i].File]) {
+			t.Fatalf("%s: segment %d is %s of %d records, want the bytes of %s of %d", tag, i, g[i].File, g[i].Records, w[i].File, w[i].Records)
+		}
+	}
+}
+
+// TestLoadDirRecutKeepsCanonicalFiles loads a directory that mixes the
+// canonical cut with an older build's: at segment size 8, files of 8,
+// 8, 3, 5, 8 and 2 rows, where only the 3- and 5-row files straddle the
+// canonical boundaries. The loaded store has the one layout; a SaveDir
+// back into the directory leaves the four canonical files untouched —
+// inode and mtime — writes the one segment the two others held, removes
+// them, and leaves the layout of a store that added the rows.
+func TestLoadDirRecutKeepsCanonicalFiles(t *testing.T) {
+	r := rand.New(rand.NewSource(173))
+	const dim, nnz, seg = 40, 6, 8
+	sigs := randSigs(r, 34, dim, nnz)
+	dir := t.TempDir()
+	saveCut(t, dir, dim, sigs, 8, 8, 3, 5, 8, 2)
+	ents := readManifest(t, dir).Segments[0]
+	stat := func(name string) os.FileInfo {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	canonical := map[string]os.FileInfo{}
+	for _, i := range []int{0, 1, 4, 5} {
+		canonical[ents[i].File] = stat(ents[i].File)
+	}
+
+	db, err := loadDir(dir, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, "mixed load", db)
+	if db.Segments() != 5 || db.ActiveUnindexedRows() != 0 {
+		t.Fatalf("%d segments, %d unindexed rows; want 5, all indexed", db.Segments(), db.ActiveUnindexedRows())
+	}
+	before := dirState(t, dir)
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	after := dirState(t, dir)
+	if got := newSegmentFiles(before, after); got != 1 {
+		t.Fatalf("the save wrote %d segment files, want 1", got)
+	}
+	for name, fi := range canonical {
+		if got := stat(name); !os.SameFile(got, fi) || !got.ModTime().Equal(fi.ModTime()) {
+			t.Fatalf("canonical file %s was rewritten", name)
+		}
+	}
+	for _, i := range []int{2, 3} {
+		if _, ok := after[ents[i].File]; ok {
+			t.Fatalf("straddling file %s survived the save", ents[i].File)
+		}
+	}
+	ref, err := NewDB(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.setSegmentSize(seg)
+	if err := ref.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	want := t.TempDir()
+	if err := ref.SaveDir(want); err != nil {
+		t.Fatal(err)
+	}
+	sameLayout(t, "mixed re-save", dir, want)
+	if got := readManifest(t, dir).NextSeg; got != uint64(len(ents))+1 {
+		t.Fatalf("next_segment %d, want %d: the re-cut segment takes the first id past the old manifest's", got, len(ents)+1)
+	}
+}
+
+// TestRestartKeepsOneLayout is the restart regression: r rounds of
+// loadDir → AddAll m rows → SaveDir, every other round sealing before
+// its save as a daemon's snapshot loop does, must leave the segment
+// record counts of one process that added every row and saved once,
+// and answer bit-identically to the brute-force oracle after every
+// round. A reload that ended the tail segment left one more short
+// segment per restart.
+func TestRestartKeepsOneLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(179))
+	const dim, nnz, seg, rounds, m = 40, 6, 8, 5, 7
+	sigs := randSigs(r, rounds*m, dim, nnz)
+	queries := fixtureQueries(sigs)
+	dir := t.TempDir()
+	for i := 0; i < rounds; i++ {
+		var db *DB
+		var err error
+		if i == 0 {
+			db, err = NewDB(dim)
+			if err == nil {
+				db.setSegmentSize(seg)
+			}
+		} else {
+			db, err = loadDir(dir, seg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.setRunLen(3)
+		if err := db.AddAll(sigs[i*m : (i+1)*m]); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			db.Seal()
+		}
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("round %d", i)
+		checkLayout(t, tag, db)
+		if err := sameRows(db.All(), sigs[:(i+1)*m]); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		checkBruteForce(t, tag, db, queries)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once, err := NewDB(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once.setSegmentSize(seg)
+	if err := once.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	want := t.TempDir()
+	if err := once.SaveDir(want); err != nil {
+		t.Fatal(err)
+	}
+	sameLayout(t, "restarted", dir, want)
+	back, err := loadDir(dir, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, "final load", back)
+	checkBruteForce(t, "final load", back, queries)
 }
 
 // TestV1SnapshotInterop pins what the retired formats meet now: a

@@ -117,7 +117,7 @@ func abs(x float64) float64 {
 // only; scan queries report zeros.
 type PruneStats struct {
 	// Segments is the number of walk units the indexed walk visited —
-	// sealed segments, each posting run of an active segment, and an
+	// each posting run of a segment (a full segment's is one) and an
 	// active segment's unindexed tail each count once per lane that
 	// holds rows in it, so it can exceed DB.Segments(), which counts
 	// persisted segments only.

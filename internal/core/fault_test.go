@@ -38,10 +38,11 @@ func (p *faultPlan) hook(op fsOp, path string) error {
 }
 
 // buildFaultCorpus makes a fresh snapshot directory holding nOld
-// signatures (snapshot A), then mutates the live DB — more adds, a
-// seal, a compaction — so the next SaveDir has real work at every
-// operation class: new segment files, a manifest rewrite, and orphan
-// removals. Returns the DB, the directory, and the old/new counts.
+// signatures (snapshot A), then mutates the live DB — more adds that
+// fill the saved tail segment and open more, a seal — so the next
+// SaveDir has real work at every operation class: new segment files, a
+// manifest rewrite, and the removal of the replaced tail's file.
+// Returns the DB, the directory, and the old/new counts.
 func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 	t.Helper()
 	const dim, nnz = 24, 6
@@ -64,7 +65,28 @@ func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 		t.Fatal(err)
 	}
 	db.Seal()
-	db.Compact() // merges small sealed segments: the next save orphans their files
+	return db, dir, 100, 150
+}
+
+// buildRecutCorpus makes a snapshot directory holding 100 signatures in
+// files of 30, 30 and 40 rows — an older build's cut — and loads it, so
+// the loaded store's one segment is a fresh one no file holds; then it
+// appends 50 more. The next SaveDir writes the canonical layout beside
+// the old files and must remove them only once its manifest is durable.
+// Returns the DB, the directory, and the old/new counts.
+func buildRecutCorpus(t *testing.T) (*DB, string, int, int) {
+	t.Helper()
+	const dim, nnz = 24, 6
+	sigs := randSigs(rand.New(rand.NewSource(43)), 150, dim, nnz)
+	dir := t.TempDir()
+	saveCut(t, dir, dim, sigs[:100], 30, 30, 40)
+	db, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddAll(sigs[100:]); err != nil {
+		t.Fatal(err)
+	}
 	return db, dir, 100, 150
 }
 
@@ -166,11 +188,13 @@ func TestSaveDirTransientFaultMatrix(t *testing.T) {
 // directory must still load (previous or new snapshot, never partial),
 // and a recovery sequence — load, append, save — must converge to a
 // clean directory with no temp-file or orphan leftovers. The matrix runs
-// two arms: the DB re-saving into its own directory, and a fresh DB
-// saving into a directory that holds another DB's snapshot.
+// three arms: the DB re-saving into its own directory, a fresh DB
+// saving into a directory that holds another DB's snapshot, and a DB
+// loaded from an older build's cut re-saving its canonical layout.
 func TestSaveDirCrashMatrix(t *testing.T) {
 	t.Run("own-dir", func(t *testing.T) { crashMatrix(t, buildFaultCorpus) })
 	t.Run("foreign-dir", func(t *testing.T) { crashMatrix(t, buildForeignCorpus) })
+	t.Run("recut", func(t *testing.T) { crashMatrix(t, buildRecutCorpus) })
 }
 
 func crashMatrix(t *testing.T, build func(*testing.T) (*DB, string, int, int)) {
@@ -281,17 +305,23 @@ func TestLoadDirFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestSaveDirRemovesOrphansUnderLoad saves a fully compacted layout
-// while queries run: SaveDir removes the replaced segment files before it
+// TestSaveDirRemovesOrphansUnderLoad saves a re-cut layout while
+// queries run: SaveDir removes the replaced segment files before it
 // returns, leaving exactly the manifest and the live segment files, and
 // the directory loads with the full store.
 func TestSaveDirRemovesOrphansUnderLoad(t *testing.T) {
-	db, dir, _, newN := buildFaultCorpus(t)
+	src, dir, _, newN := buildFaultCorpus(t)
+	if err := src.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	// Loaded at the default segment size, the 16-row segments re-cut
+	// into one, orphaning every file the directory holds.
+	db, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer db.Close()
-	// Every sealed segment is small under the default size: Compact
-	// merges them into one, orphaning every file the directory holds.
-	db.setSegmentSize(SegmentSize)
-	db.Compact()
 	before, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +383,8 @@ func TestSaveDirRemovesOrphansUnderLoad(t *testing.T) {
 			replaced++
 		}
 	}
-	if replaced == 0 {
-		t.Fatal("the compacted layout replaced no file: nothing was orphaned")
+	if replaced != len(before)-1 {
+		t.Fatalf("the re-cut layout replaced %d of %d segment files, want all", replaced, len(before)-1)
 	}
 	back, err := LoadDir(dir)
 	if err != nil {

@@ -80,7 +80,7 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 		db.mu.Lock()
 		var p writePlan
 		db.addLocked(&p, bad)
-		p.build(db.dim)
+		p.build(db.dim, db.sigs)
 		db.publishLocked()
 		db.mu.Unlock()
 		var se *SnapshotError

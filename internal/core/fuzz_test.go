@@ -36,18 +36,31 @@ func bruteTopK(sigs []Signature, q *vecmath.Sparse, k int, m Metric) []SearchRes
 	return out[:min(k, len(out))]
 }
 
-// checkLoadedStore holds a store that loaded from fuzzed bytes to two
-// oracles: its answers are bit-identical to bruteTopK over its own
-// All(), and a SaveDir → LoadDir round trip into a fresh directory
-// gives back the same signatures and the same answers.
+// checkLoadedStore holds a store that loaded from fuzzed bytes to three
+// oracles: it has the one segment layout, its answers are bit-identical
+// to bruteTopK over its own All() (an empty store answers ErrEmptyDB),
+// and a SaveDir → LoadDir round trip into a fresh directory gives back
+// the same signatures and the same answers.
 func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 	t.Helper()
+	checkLayout(t, "loaded store", db)
 	metrics := []Metric{EuclideanMetric(), CosineMetric()}
 	all := db.All()
+	if len(all) == 0 {
+		// Nothing pins an empty store's dimension to the query's.
+		query = vecmath.DenseToSparse(vecmath.NewVector(db.Dim()))
+	}
 	hits := make([][]SearchResult, len(metrics))
 	for i, m := range metrics {
 		var err error
-		if hits[i], err = db.TopKSparse(query, 5, m); err != nil {
+		hits[i], err = db.TopKSparse(query, 5, m)
+		if len(all) == 0 {
+			if !errors.Is(err, ErrEmptyDB) {
+				t.Fatalf("%s query on an empty loaded DB: %v, want ErrEmptyDB", m.Name, err)
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("%s query on a loaded DB: %v", m.Name, err)
 		}
 		if want := bruteTopK(all, query, 5, m); !sameHits(hits[i], want) {
@@ -63,8 +76,8 @@ func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 		t.Fatalf("reloading a re-saved store: %v", err)
 	}
 	backAll := back.All()
-	if len(backAll) != len(all) {
-		t.Fatalf("round trip holds %d signatures, want %d", len(backAll), len(all))
+	if len(backAll) != len(all) || back.Dim() != db.Dim() {
+		t.Fatalf("round trip holds %d signatures of dimension %d, want %d of %d", len(backAll), back.Dim(), len(all), db.Dim())
 	}
 	for i := range all {
 		if err := sameSignature(backAll[i], all[i]); err != nil {
@@ -73,6 +86,12 @@ func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 	}
 	for i, m := range metrics {
 		got, err := back.TopKSparse(query, 5, m)
+		if len(all) == 0 {
+			if !errors.Is(err, ErrEmptyDB) {
+				t.Fatalf("%s query on an empty round trip: %v, want ErrEmptyDB", m.Name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s query after the round trip: %v", m.Name, err)
 		}
@@ -153,10 +172,13 @@ func FuzzLoadSegment(f *testing.F) {
 // FuzzLoadManifest feeds mutated manifests to LoadDir over the
 // corruption matrix's healthy segment files. The loader may refuse —
 // with a *SnapshotError naming a file and no DB — or load a store that
-// answers like the healthy one (the same signatures in the same order
-// and the same hits) and passes checkLoadedStore. The seeds are the
-// healthy manifest and two refusals: a shard count of 2, and the
-// segments split over two lists.
+// holds exactly the rows of the files the manifest names, in manifest
+// order, and passes checkLoadedStore. A manifest may name fewer files
+// than the directory holds, or none: SaveDir writes a zero-segment
+// manifest for an empty store, and a crash mid-save can leave one
+// beside orphan files, so such a manifest loads as the empty store it
+// describes. The seeds are the healthy manifest and two refusals: a
+// shard count of 2, and the segments split over two lists.
 func FuzzLoadManifest(f *testing.F) {
 	base := saveMatrixBaseline(f)
 	entries, err := os.ReadDir(base)
@@ -177,16 +199,18 @@ func FuzzLoadManifest(f *testing.F) {
 	f.Add(bytes.Replace(healthy, []byte(`"shards": 1,`), []byte(`"shards": 2,`), 1))
 	f.Add(bytes.Replace(healthy, []byte("},\n      {"), []byte("}\n    ],\n    [\n      {"), 1))
 
-	ref, err := LoadDir(base)
-	if err != nil {
+	// rows maps each healthy file to the rows it holds.
+	var m manifestJSON
+	if err := json.Unmarshal(healthy, &m); err != nil {
 		f.Fatal(err)
+	}
+	rows := map[string][]Signature{}
+	for _, ent := range m.Segments[0] {
+		if rows[ent.File], err = readSegmentFile(base, ent, matrixDim, nil, &sigArena{}); err != nil {
+			f.Fatal(err)
+		}
 	}
 	query := randSigs(rand.New(rand.NewSource(7)), 1, matrixDim, 8)[0].W
-	want, err := ref.TopKSparse(query, 5, EuclideanMetric())
-	if err != nil {
-		f.Fatal(err)
-	}
-	wantAll := ref.All()
 
 	f.Fuzz(func(t *testing.T, manifest []byte) {
 		dir := t.TempDir()
@@ -206,21 +230,24 @@ func FuzzLoadManifest(f *testing.F) {
 			}
 			return
 		}
+		// The load succeeded, so the manifest parses and names healthy
+		// files only.
+		var m manifestJSON
+		if err := json.Unmarshal(manifest, &m); err != nil {
+			t.Fatalf("a manifest that loaded does not parse: %v", err)
+		}
+		var want []Signature
+		for _, ent := range m.Segments[0] {
+			want = append(want, rows[ent.File]...)
+		}
 		all := db.All()
-		if len(all) != len(wantAll) {
-			t.Fatalf("loaded %d signatures, the healthy store holds %d", len(all), len(wantAll))
+		if len(all) != len(want) {
+			t.Fatalf("loaded %d signatures, the files the manifest names hold %d", len(all), len(want))
 		}
 		for i := range all {
-			if err := sameSignature(all[i], wantAll[i]); err != nil {
+			if err := sameSignature(all[i], want[i]); err != nil {
 				t.Fatalf("signature %d: %v", i, err)
 			}
-		}
-		got, err := db.TopKSparse(query, 5, EuclideanMetric())
-		if err != nil {
-			t.Fatalf("query on a loaded DB: %v", err)
-		}
-		if !sameHits(got, want) {
-			t.Fatalf("loaded store answers %v, the healthy one %v", got, want)
 		}
 		checkLoadedStore(t, db, query)
 	})

@@ -33,22 +33,24 @@ import (
 //	  crc32   uint32                      (IEEE, over all preceding bytes)
 //
 // A snapshot holds signatures, not their index: the posting blocks are
-// a pure function of the rows, so LoadDir rebuilds every segment's with
-// encodeBlocks, the encoder seal uses — a segment sealed in one step
-// reloads with byte-identical postings. Files written by older builds
-// set flags bit 0 and carry the sealed segment's posting blocks after
-// the records; a load skips that section unread (the footer and
-// manifest CRCs still cover it). Any other flag bit is refused, and a
-// flags-0 body must end exactly after its last record.
+// a pure function of the rows, so LoadDir cuts the rows into segments
+// as Add does and rebuilds every segment's postings with encodeBlocks,
+// the encoder seal uses — a store reloads with byte-identical postings.
+// Files written by older builds set flags bit 0 and carry a sealed
+// segment's posting blocks after the records; a load skips that section
+// unread (the footer and manifest CRCs still cover it). Any other flag
+// bit is refused, and a flags-0 body must end exactly after its last
+// record.
 //
-// SaveDir writes only segments dirtied since the last save; every file
-// lands via temp + fsync + rename, and the manifest is renamed last, so
-// a crash at any point leaves the previous save fully loadable (new
-// segment files without a manifest referencing them are orphans,
-// removed by the next successful save). LoadDir verifies each segment
-// file's CRC against both its footer and the manifest before parsing a
-// single record, and any mismatch, truncation, or missing file yields a
-// *SnapshotError naming the file — never a partial DB.
+// SaveDir writes only segments dirtied since the last save — the
+// segments filled since, and the active segment whole once it grew;
+// every file lands via temp + fsync + rename, and the manifest is
+// renamed last, so a crash at any point leaves the previous save fully
+// loadable (new segment files without a manifest referencing them are
+// orphans, removed by the next successful save). LoadDir verifies each
+// segment file's CRC against both its footer and the manifest before
+// parsing a single record, and any mismatch, truncation, or missing
+// file yields a *SnapshotError naming the file — never a partial DB.
 //
 // Insertion indices are not stored: segment k's records occupy the
 // range right after segment k-1's, and a record's position is its
@@ -123,15 +125,15 @@ type manifestSegment struct {
 
 // SaveDir persists the database into the snapshot directory at path,
 // creating it if needed. Only segments dirtied since the last SaveDir to
-// the same path are rewritten (newly added or compacted data — the
-// active segments plus any compaction outputs); a steady append workload
-// therefore saves in O(new data). Every file is written to a temp name,
-// fsynced, and renamed; the manifest goes last, so a crash mid-save
-// never corrupts the previous snapshot. Files from replaced segments
-// (compaction inputs) and abandoned temp files are removed once the new
-// manifest is durable, before SaveDir returns.
+// the same path are rewritten — the segments filled since, the active
+// segment whole if it grew, and the segments a LoadDir re-cut; a steady
+// append workload therefore saves in O(new data + one segment). Every
+// file is written to a temp name, fsynced, and renamed; the manifest
+// goes last, so a crash mid-save never corrupts the previous snapshot.
+// Files of replaced segments and abandoned temp files are removed once
+// the new manifest is durable, before SaveDir returns.
 //
-// SaveDir serializes with Add/Seal/Compact (one writer side) but never
+// SaveDir serializes with Add/Seal (one writer side) but never
 // blocks queries, which keep scoring their loaded views throughout.
 // Every failure is a typed *SnapshotError (or *ConfigError for misuse
 // of a closed database).
@@ -279,7 +281,7 @@ func dirNextSeg(dir string) (uint64, error) {
 }
 
 // listOrphans names segment and temp files the manifest no longer
-// references: compaction inputs, crash leftovers. Valid only after the
+// references: replaced segments, crash leftovers. Valid only after the
 // new manifest is durable.
 //
 //fmeter:errdomain snapshot
@@ -405,12 +407,28 @@ func syncDir(path string) error {
 // segment file's CRC is verified against both its own footer and the
 // manifest before any record is parsed; corruption, truncation, or a
 // missing file yields a *SnapshotError naming the file, never a
-// partially loaded database. All loaded segments are sealed — the next
-// Add opens a fresh active segment — and the DB remembers the directory,
-// so an immediate SaveDir back to it rewrites nothing but the manifest.
+// partially loaded database.
+//
+// The rows of every file, in manifest order, are cut into segments by
+// the code Add uses, so a loaded store has the layout of one that added
+// the same rows: every segment full but the last, which stays active
+// (its whole range indexed as one run, as Seal leaves it) and takes the
+// next Add. The DB remembers the directory. A segment whose range is
+// exactly one manifest entry's keeps that file; any other — the rows of
+// a directory an older build cut at other boundaries — is dirty under
+// a fresh id past the manifest's next_segment, so the next SaveDir
+// writes the canonical layout beside the old files and removes them
+// only once its manifest is durable. A directory already cut that way
+// re-saves as its manifest alone.
 //
 //fmeter:errdomain snapshot
-func LoadDir(path string) (*DB, error) {
+func LoadDir(path string) (*DB, error) { return loadDir(path, 0) }
+
+// loadDir is LoadDir cutting segments of segSize rows (0 meaning
+// SegmentSize; tests lower it).
+//
+//fmeter:errdomain snapshot
+func loadDir(path string, segSize int) (*DB, error) {
 	mpath := filepath.Join(path, manifestName)
 	raw, err := fsReadFile(mpath)
 	if err != nil {
@@ -437,7 +455,13 @@ func LoadDir(path string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	db.segSize = segSize
+	// A file whose rows one segment holds exactly keeps its name: kept
+	// maps a file's first row to its entry.
 	seen := make(map[uint64]bool)
+	kept := make(map[int]manifestSegment)
+	var rows []Signature
+	var arena sigArena
 	for _, ent := range m.Segments[0] {
 		if seen[ent.ID] {
 			return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segment id %d listed twice", ent.ID)}
@@ -449,14 +473,35 @@ func LoadDir(path string) (*DB, error) {
 		if ent.File != segmentFileName(ent.ID) {
 			return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segment %d file %q, want %q", ent.ID, ent.File, segmentFileName(ent.ID))}
 		}
-		if err := db.loadSegmentFile(path, ent); err != nil {
+		if ent.Records > 0 {
+			kept[len(rows)] = ent
+		}
+		if rows, err = readSegmentFile(path, ent, m.Dim, rows, &arena); err != nil {
 			return nil, err
 		}
 	}
-	if len(db.sigs) != m.Count {
-		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segments hold %d records, manifest count says %d", len(db.sigs), m.Count)}
+	if len(rows) != m.Count {
+		return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segments hold %d records, manifest count says %d", len(rows), m.Count)}
 	}
+	db.sigs = make([]Signature, 0, len(rows))
+	db.norms = make([]float64, 0, len(rows))
+	var p writePlan
+	for _, s := range rows {
+		db.addLocked(&p, s)
+	}
+	if sg := db.activeSegment(); sg != nil {
+		p.seal(sg)
+	}
+	p.build(db.dim, db.sigs)
 	db.nextSeg = m.NextSeg
+	for _, sg := range db.segs {
+		if ent, ok := kept[sg.start]; ok && ent.Records == sg.len() {
+			sg.id, sg.crc, sg.saved, sg.dirty = ent.ID, ent.CRC32, true, false
+			continue
+		}
+		sg.id = db.nextSeg
+		db.nextSeg++
+	}
 	db.saveDir = path
 	// The DB is still private to this goroutine; refresh the published
 	// view to cover the loaded segments before any query can load it.
@@ -464,19 +509,19 @@ func LoadDir(path string) (*DB, error) {
 	return db, nil
 }
 
-// loadSegmentFile verifies and parses one segment file, appending its
-// records to the store as a sealed segment whose posting blocks are
-// encoded from those rows.
+// readSegmentFile verifies and parses one segment file of a dim-wide
+// store, appending its records to rows; their weights are carved from
+// arena, which the files of one load share.
 //
 //fmeter:errdomain snapshot
-func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
+func readSegmentFile(dir string, ent manifestSegment, dim int, rows []Signature, arena *sigArena) ([]Signature, error) {
 	path := filepath.Join(dir, ent.File)
 	raw, err := fsReadFile(path)
 	if err != nil {
-		return &SnapshotError{Path: path, Err: err}
+		return nil, &SnapshotError{Path: path, Err: err}
 	}
-	fail := func(err error) error {
-		return &SnapshotError{Path: path, Err: err}
+	fail := func(err error) ([]Signature, error) {
+		return nil, &SnapshotError{Path: path, Err: err}
 	}
 	if len(raw) < segHeaderSize+4 {
 		return fail(fmt.Errorf("truncated: %d bytes, need at least %d", len(raw), segHeaderSize+4))
@@ -497,8 +542,8 @@ func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
 	if version != segVersionBlocks {
 		return fail(fmt.Errorf("unsupported segment version %d (have %d)", version, segVersionBlocks))
 	}
-	if d := le.Uint32(body[6:10]); int(d) != db.dim {
-		return fail(fmt.Errorf("dimension %d, manifest says %d", d, db.dim))
+	if d := le.Uint32(body[6:10]); int(d) != dim {
+		return fail(fmt.Errorf("dimension %d, manifest says %d", d, dim))
 	}
 	count := le.Uint32(body[10:14])
 	if int(count) != ent.Records {
@@ -510,7 +555,6 @@ func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
 	if int64(count) > int64(len(body)-segHeaderSize)/minRecord {
 		return fail(fmt.Errorf("record count %d exceeds file capacity", count))
 	}
-	sg := &segment{id: ent.ID, start: len(db.sigs), end: len(db.sigs), sealed: true, crc: crc, saved: true}
 	// Decoded with the direct byte cursor (no reader indirection on the
 	// half-million-uvarint hot path of a cold open).
 	cur := byteCursor{b: body[segHeaderSize:]}
@@ -521,23 +565,18 @@ func (db *DB) loadSegmentFile(dir string, ent manifestSegment) error {
 	if flags&^segFlagPostings != 0 {
 		return fail(fmt.Errorf("unknown segment flags %#02x", flags))
 	}
-	var arena sigArena
 	for i := 0; i < int(count); i++ {
-		sig, err := readSigRecordV2(&cur, db.dim, &arena)
+		sig, err := readSigRecordV2(&cur, dim, arena)
 		if err != nil {
 			return fail(fmt.Errorf("record %d: %w", i, err))
 		}
-		db.sigs = append(db.sigs, sig)
-		db.norms = append(db.norms, sig.W.Norm2())
-		sg.end++
+		rows = append(rows, sig)
 	}
 	// An older build's postings section is skipped unread.
 	if rest := len(cur.b) - cur.pos; rest != 0 && flags&segFlagPostings == 0 {
 		return fail(fmt.Errorf("%d trailing bytes after record %d", rest, count))
 	}
-	sg.blocks = encodeBlocks(db.dim, db.sigs[sg.start:sg.end])
-	db.segs = append(db.segs, sg)
-	return nil
+	return rows, nil
 }
 
 // byteCursor is a direct cursor over a CRC-verified segment body — the

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,13 +97,14 @@ func TestV21PostingsSectionIgnored(t *testing.T) {
 	}
 	rows := db.All()
 	clean := dirState(t, dir)
-	segName := segmentFileName(db.segs[0].id)
+	first := readManifest(t, dir).Segments[0][0]
+	segName := first.File
 	raw := clean[segName]
 	body := raw[:len(raw)-4]
 	if body[segHeaderSize] != segFlagPostings {
 		t.Fatalf("fixture segment %s flags %#02x, want a postings section", segName, body[segHeaderSize])
 	}
-	postStart := v21PostingsStart(t, body, rows[:db.segs[0].len()])
+	postStart := v21PostingsStart(t, body, rows[:first.Records])
 	queries := fixtureQueries(rows)
 
 	restore := func() {
@@ -191,7 +193,8 @@ func TestReadSigRecordV2Bounds(t *testing.T) {
 // v21Fixture is a snapshot directory written by the build that still
 // persisted postings (dimension matrixDim, 421 rows): a compacted segment
 // of 256 rows and a sealed one of 128, both carrying a postings
-// section, and a 37-row segment saved while active, without one.
+// section, and a 37-row segment saved while active, without one — a cut
+// that loads as one segment now.
 const v21Fixture = "testdata/v21-postings"
 
 // copyV21Fixture copies the fixture into a fresh directory and returns
@@ -275,10 +278,12 @@ func sameRows(got, want []Signature) error {
 }
 
 // TestV21FixtureLoads loads the older build's snapshot — postings
-// sections skipped, every segment's postings rebuilt from its rows — and
-// holds it to a brute-force scan; a SaveDir into a fresh directory
-// writes rows only (every flags byte 0) and reloads with the same rows
-// and answers.
+// sections skipped, its 256/128/37 rows re-cut into one 421-row
+// segment, indexed whole — and holds it to a brute-force scan; a
+// SaveDir back into the fixture's copy writes one fresh file, removes
+// the older build's three, and reloads with the same rows, hits and
+// PruneStats; and a SaveDir into a fresh directory writes rows only
+// (every flags byte 0) and reloads with the same rows and answers.
 func TestV21FixtureLoads(t *testing.T) {
 	dir := copyV21Fixture(t)
 	flags := segFlags(t, dir)
@@ -289,11 +294,45 @@ func TestV21FixtureLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 421 || db.Segments() != 3 {
-		t.Fatalf("fixture loads %d rows in %d segments, want 421 in 3", db.Len(), db.Segments())
+	if db.Len() != 421 || db.Segments() != 1 || db.ActiveUnindexedRows() != 0 {
+		t.Fatalf("fixture loads %d rows in %d segments, %d unindexed; want 421 in 1, all indexed",
+			db.Len(), db.Segments(), db.ActiveUnindexedRows())
 	}
+	checkLayout(t, "fixture", db)
 	queries := fixtureQueries(db.All())
 	checkBruteForce(t, "fixture", db, queries)
+
+	// Back into its own directory: the re-cut segment is new, under an id
+	// past the fixture's next_segment.
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	files := dirState(t, dir)
+	if _, ok := files["seg-00000005.fms"]; !ok || len(files) != 2 {
+		t.Fatalf("re-save into the fixture left %v, want the manifest and seg-00000005.fms", slices.Sorted(maps.Keys(files)))
+	}
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(back.All(), db.All()); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
+		for qi, q := range queries {
+			want, wantSt, err := db.TopKSparseStats(q, 10, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSt, err := back.TopKSparseStats(q, 10, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameHits(got, want) || gotSt != wantSt {
+				t.Fatalf("%s query %d after the re-save: %v %+v, loaded fixture %v %+v", m.Name, qi, got, gotSt, want, wantSt)
+			}
+		}
+	}
 
 	fresh := filepath.Join(t.TempDir(), "resaved")
 	if err := db.SaveDir(fresh); err != nil {
@@ -304,7 +343,7 @@ func TestV21FixtureLoads(t *testing.T) {
 			t.Fatalf("re-saved %s flags %#02x, want 0", name, f)
 		}
 	}
-	back, err := LoadDir(fresh)
+	back, err = LoadDir(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +355,8 @@ func TestV21FixtureLoads(t *testing.T) {
 
 // TestV21FixtureIncrementalSave grows the loaded fixture and saves it
 // back into its own directory: the older build's files stay as they
-// were beside the new rows-only file, and the mixed directory loads.
+// were until the new manifest lands, then give way to the one rows-only
+// file of the grown segment, and the directory loads.
 func TestV21FixtureIncrementalSave(t *testing.T) {
 	dir := copyV21Fixture(t)
 	before := dirState(t, dir)
@@ -336,31 +376,28 @@ func TestV21FixtureIncrementalSave(t *testing.T) {
 		if name == manifestName {
 			continue
 		}
-		if old, ok := before[name]; ok {
-			if !bytes.Equal(b, old) {
-				t.Fatalf("incremental save rewrote the older build's %s", name)
-			}
-			continue
+		if _, ok := before[name]; ok {
+			t.Fatalf("the older build's %s survived the save", name)
 		}
 		if b[segHeaderSize] != 0 {
 			t.Fatalf("new %s flags %#02x, want 0", name, b[segHeaderSize])
 		}
 		newFiles++
 	}
-	if newFiles != 1 || len(after) != len(before)+1 {
-		t.Fatalf("incremental save left %d files (%d new), want the fixture's %d and one new", len(after), newFiles, len(before))
+	if newFiles != 1 || len(after) != 2 {
+		t.Fatalf("incremental save left %d files (%d new), want the manifest and one new", len(after), newFiles)
 	}
 	back, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 471 {
-		t.Fatalf("mixed directory loads %d rows, want 471", back.Len())
+	if back.Len() != 471 || back.Segments() != 1 {
+		t.Fatalf("grown directory loads %d rows in %d segments, want 471 in 1", back.Len(), back.Segments())
 	}
 	if err := sameRows(back.All(), db.All()); err != nil {
 		t.Fatal(err)
 	}
-	checkBruteForce(t, "mixed", back, fixtureQueries(back.All()))
+	checkBruteForce(t, "grown", back, fixtureQueries(back.All()))
 }
 
 // TestReloadRebuildsSealedPostings pins "rebuilt equals sealed": a
@@ -372,7 +409,7 @@ func TestReloadRebuildsSealedPostings(t *testing.T) {
 	db := loadChunks(t, sigs, 256)
 	db.Seal()
 	if db.Segments() != 2 || db.ActiveUnindexedRows() != 0 {
-		t.Fatalf("%d segments, %d unindexed rows; want 2 sealed", db.Segments(), db.ActiveUnindexedRows())
+		t.Fatalf("%d segments, %d unindexed rows; want 2, all indexed", db.Segments(), db.ActiveUnindexedRows())
 	}
 	dir := filepath.Join(t.TempDir(), "db")
 	if err := db.SaveDir(dir); err != nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // Posting storage has one form: the immutable block-compressed
-// *blockPostings. A sealed segment holds one over its whole record range;
-// an active segment holds one per completed run of activeRunLen rows
+// *blockPostings. A full segment holds one over its whole record range;
+// the active segment holds one per completed run of activeRunLen rows
 // (segment.go), so the ingest tail is indexed too and only the last
 // < activeRunLen rows are ever scored row by row. Every
 // blockPostings is produced by encodeBlocks straight from the signature
@@ -33,7 +33,7 @@ const postingBlockSize = 128
 // local ids reconstructed from the delta-varints with the gathered
 // weights alongside. The query path accumulates straight out of the
 // byte streams (accumBlock); the scratch form serves blocks whose
-// ordinals are wider than a byte, and tests.
+// ordinals are wider than a byte (accumBlockWide), and tests.
 type postingScratch struct {
 	ids [postingBlockSize]int32
 	ws  [postingBlockSize]float64
@@ -148,8 +148,8 @@ var encodeCount atomic.Int64
 const encodeMinRange = 1 << 13
 
 // encodeBlocks builds the block-compressed posting lists of rows (local
-// id = position in rows) — the one encoder behind seal, compaction, the
-// active segment's runs, and loads. The rows' value arrays become the weight store. A counting
+// id = position in rows) — the one encoder behind seal, the active
+// segment's runs, and loads. The rows' value arrays become the weight store. A counting
 // transposition turns the row-major supports into one dimension-major id
 // array (count per dimension, prefix-sum, scatter), which is then cut
 // into blocks, over contiguous dimension ranges of about equal posting
@@ -347,20 +347,25 @@ func (bp *blockPostings) dots(q *vecmath.Sparse, acc *vecmath.Accumulator, ps *p
 				// lane's, which this walk never lists.
 				continue
 			}
-			if sums != nil && bd.ordW == 1 {
-				bp.accumBlockDense(qv, bd, sums, ps)
+			if bd.ordW == 1 {
+				bp.accumBlock(qv, bd, sums, ps)
 			} else {
-				bp.accumBlock(qv, bd, acc, ps)
+				bp.accumBlockWide(qv, bd, acc, ps)
 			}
 		}
 	}
 }
 
-// accumBlockDense is accumBlock's hot specialization: bulk-clear
-// accumulator mode (the segment-capped common case) and one-byte
-// ordinals, adding straight into the dense sum array. Same products in
-// the same order as the general path — identical sums.
-func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float64, ps *pruneScratch) {
+// accumBlock is the fused per-block kernel of the compressed path, for
+// one-byte ordinals (every real signature: supports up to 256 entries):
+// the gap stream and the ordinal stream are read in step (idLen says
+// where the ordinals start), each posting's weight is gathered from its
+// signature's value array, and the product lands in the sum array
+// immediately — no intermediate materialization. The ids decode in
+// ascending order and the products are qv times the very float64s the
+// signatures hold, so the accumulated sums are bit-identical to the
+// merge-walk dot. Every row is listed on its first touch.
+func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, sums []float64, ps *pruneScratch) {
 	blob := bp.blob
 	vals := bp.vals
 	gp := int(bd.off)
@@ -391,54 +396,15 @@ func (bp *blockPostings) accumBlockDense(qv float64, bd *blockDesc, sums []float
 	}
 }
 
-// accumBlock is the fused per-block kernel of the compressed path: the
-// gap stream and the ordinal stream are read in step (idLen says where
-// the ordinals start), each posting's weight is gathered from its
-// signature's value array, and the product lands in the accumulator
-// immediately — no intermediate materialization. The ids decode in
-// ascending order and the products are qv times the very float64s the
-// signatures hold, so the accumulated sums are bit-identical to the
-// merge-walk dot. One-byte ordinals (every real signature: supports up
-// to 256 entries) take the branch-light specialized loop; wider
-// ordinals decode through the scratch. Every row is listed on its
-// first touch, as in accumBlockDense.
-func (bp *blockPostings) accumBlock(qv float64, bd *blockDesc, acc *vecmath.Accumulator, ps *pruneScratch) {
-	if bd.ordW != 1 {
-		var sc postingScratch
-		ids, ws := bp.decodeBlock(bd, &sc)
-		acc.ScatterMulAdd(qv, ids, ws)
-		for _, id := range ids {
-			ps.touch(id)
-		}
-		return
-	}
-	blob := bp.blob
-	vals := bp.vals
-	gp := int(bd.off)
-	op := gp + int(bd.idLen)
-	id := bd.firstID
-	acc.Add(id, qv*vals[id][blob[op]])
-	ps.touch(id)
-	op++
-	for k := 1; k < int(bd.count); k++ {
-		b := blob[gp]
-		gp++
-		gap := uint32(b)
-		if b >= 0x80 {
-			gap &= 0x7f
-			for shift := 7; ; shift += 7 {
-				b = blob[gp]
-				gp++
-				gap |= uint32(b&0x7f) << shift
-				if b < 0x80 {
-					break
-				}
-			}
-		}
-		id += int32(gap) + 1
-		acc.Add(id, qv*vals[id][blob[op]])
+// accumBlockWide is accumBlock for blocks whose ordinals are wider than
+// a byte: they decode through the scratch, in the same order, into the
+// same sums.
+func (bp *blockPostings) accumBlockWide(qv float64, bd *blockDesc, acc *vecmath.Accumulator, ps *pruneScratch) {
+	var sc postingScratch
+	ids, ws := bp.decodeBlock(bd, &sc)
+	acc.ScatterMulAdd(qv, ids, ws)
+	for _, id := range ids {
 		ps.touch(id)
-		op++
 	}
 }
 

@@ -236,9 +236,9 @@ func TestSealCompressesPostings(t *testing.T) {
 }
 
 // TestSealEmptyActiveNoOp is the regression test for the empty-seal
-// fix: sealing a store whose active segments are empty (fresh DB, or
-// already sealed once) must not mint zero-length sealed segments — they
-// would pollute the manifest and every compaction run.
+// fix: sealing an empty store, or sealing again with no new rows, must
+// not mint segments — zero-length ones would pollute the manifest — nor
+// re-encode the run the first Seal built.
 func TestSealEmptyActiveNoOp(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	const dim, nnz = 40, 6
@@ -255,12 +255,15 @@ func TestSealEmptyActiveNoOp(t *testing.T) {
 	}
 	db.Seal()
 	segs := db.Segments()
-	// Sealing again (and again) with no new records must change nothing:
-	// the actives are gone and nothing may take their place.
+	// Sealing again (and again) with no new records must change nothing.
+	before := encodeCount.Load()
 	db.Seal()
 	db.Seal()
 	if got := db.Segments(); got != segs {
 		t.Fatalf("repeated Seal grew segments %d -> %d", segs, got)
+	}
+	if got := encodeCount.Load() - before; got != 0 {
+		t.Fatalf("repeated Seal encoded %d times, want 0", got)
 	}
 	for _, sg := range db.segs {
 		if sg.len() == 0 {
@@ -296,7 +299,7 @@ func TestOrdWidth(t *testing.T) {
 
 // TestIndexBytesIntrospection sanity-checks the posting accounting: rows
 // no run covers yet have no postings and cost no index bytes, a run or a
-// sealed segment counts every non-zero of the rows it covers, and the
+// whole segment counts every non-zero of the rows it covers, and the
 // bytes are at least the blob's.
 func TestIndexBytesIntrospection(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
@@ -348,7 +351,7 @@ func nPostings(db *DB) int {
 }
 
 // TestCompressedTopKPropertySweep is the postings-PR acceptance sweep:
-// across seeds × workers{1,2,3,7} × seal/compaction points,
+// across seeds × workers{1,2,3,7} × seal points and a reload,
 // TopK, TopKBatch, and ClassifyBatch over stores holding compressed
 // (sealed), flat (active), and mixed segments must agree bit-for-bit
 // with the never-sealed flat reference.
@@ -387,7 +390,7 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 2, 3, 7} {
-			for _, mode := range []string{"sealed", "mixed", "compacted", "loaded"} {
+			for _, mode := range []string{"sealed", "mixed", "loaded"} {
 				db, err := newTestDB(dim, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -404,10 +407,6 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 				switch mode {
 				case "sealed":
 					db.Seal()
-				case "compacted":
-					db.Seal()
-					db.setSegmentSize(SegmentSize)
-					db.Compact()
 				case "loaded":
 					// Seal, snapshot, and reload — bit-identical walk
 					// required.
@@ -416,13 +415,14 @@ func TestCompressedTopKPropertySweep(t *testing.T) {
 					if err := db.SaveDir(dir); err != nil {
 						t.Fatal(err)
 					}
-					if db, err = LoadDir(dir); err != nil {
+					if db, err = loadDir(dir, 32); err != nil {
 						t.Fatal(err)
 					}
 					db.SetWorkers(workers)
 				}
 				tag := fmt.Sprintf("seed=%d workers=%d mode=%s segs=%d",
 					seed, workers, mode, db.Segments())
+				checkLayout(t, tag, db)
 				for _, m := range metrics {
 					want, err := ref.TopKSparse(queries[0], k, m)
 					if err != nil {

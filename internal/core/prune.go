@@ -40,8 +40,8 @@ import (
 //
 // The walk prunes against its lane heap's root, so it only engages once
 // the heap is full; topk seeds one heap over the whole store (seedHeap)
-// and starts every lane from a copy of it, which makes the very first —
-// often the largest, post-compaction — segment of every lane prunable
+// and starts every lane from a copy of it, which makes the very first
+// segment of every lane prunable
 // too, with a threshold that is already near its final value for
 // batch-clustered corpora.
 

@@ -14,12 +14,10 @@ import (
 	"repro/internal/vecmath"
 )
 
-// buildPrunedDB assembles a DB in one of the sweep's storage layouts:
-// "sealed" (everything block-compressed), "mixed" (sealed prefix plus a
-// flat active tail), "compacted" (half-size segments sealed and every
-// three merged by Compact while ingesting, so the sealed run is a merge
-// history), or "loaded" (the sealed store round-tripped through SaveDir
-// and LoadDir).
+// buildPrunedDB assembles a DB in one of the sweep's storage states:
+// "sealed" (everything block-compressed), "mixed" (sealed prefix plus
+// posting runs and an unindexed tail), or "loaded" (the sealed store
+// round-tripped through SaveDir and LoadDir).
 func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout string) *DB {
 	t.Helper()
 	db, err := newTestDB(sigs[0].Dim(), workers)
@@ -34,19 +32,10 @@ func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout 
 	if layout == "mixed" {
 		cut = len(sigs) * 3 / 4
 	}
-	step := cut
-	if layout == "compacted" {
-		step = max(1, segSize/2)
+	if err := db.AddAll(sigs[:cut]); err != nil {
+		t.Fatal(err)
 	}
-	for i, c := 0, 1; i < cut; i, c = i+step, c+1 {
-		if err := db.AddAll(sigs[i:min(i+step, cut)]); err != nil {
-			t.Fatal(err)
-		}
-		db.Seal()
-		if layout == "compacted" && c%3 == 0 {
-			db.Compact()
-		}
-	}
+	db.Seal()
 	if err := db.AddAll(sigs[cut:]); err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +44,11 @@ func buildPrunedDB(t *testing.T, sigs []Signature, workers, segSize int, layout 
 		if err := db.SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		ldb, err := LoadDir(dir)
+		ldb, err := loadDir(dir, segSize)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ldb.setLaneFloor(1)
 		ldb.setPruneFloor(1)
 		ldb.SetWorkers(workers)
 		return ldb
@@ -124,7 +114,7 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
-					for _, layout := range []string{"sealed", "mixed", "compacted", "loaded"} {
+					for _, layout := range []string{"sealed", "mixed", "loaded"} {
 						ctx := fmt.Sprintf("seed=%d metric=%s k=%d workers=%d layout=%s",
 							seed, metric.Name, k, workers, layout)
 						db := buildPrunedDB(t, sigs, workers, segSize, layout)
@@ -537,9 +527,8 @@ func walkQueryFew() *vecmath.Sparse {
 // much that an untouched small row beats every touched large one, touched
 // rows whose dot is exactly zero or negative, seed rows inside the walked
 // unit (prune floor 1, where the seeded walk gives up to the whole walk),
-// and a compacted unit of more than SegmentSize rows — the
-// accumulator's largest bulk-clear size — where it stamps instead of
-// clearing, as it does in every compacted unit past that size.
+// and a full segment of SegmentSize rows, the largest unit a store
+// holds.
 func TestWalkScoresTouchedRows(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	wide := vecmath.NewVector(touchDim)
@@ -552,10 +541,10 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 	fixtures := []struct {
 		name          string
 		n, split, seg int
-		chunk         int // rows sealed at a time; Compact merges the chunks
+		chunk         int // rows sealed at a time
 	}{
 		{"two units", 1200, 600, 600, 1200},
-		{"merged", 9000, 6000, 8400, 3000},
+		{"full segment", 9000, 6000, SegmentSize, 3000},
 	}
 	for _, fx := range fixtures {
 		sigs := walkSigs(r, fx.n, fx.split)
@@ -577,9 +566,8 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 			}
 			db.Seal()
 		}
-		db.Compact()
-		if fx.name == "merged" && (len(db.segs) != 1 || db.segs[0].len() <= SegmentSize) {
-			t.Fatalf("%s: want one unit over %d rows, have %d units", fx.name, SegmentSize, len(db.segs))
+		if len(db.segs) != 2 || db.segs[0].len() != fx.seg {
+			t.Fatalf("%s: want a full %d-row segment and a tail, have %d segments", fx.name, fx.seg, len(db.segs))
 		}
 		for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
 			for _, floor := range []int{math.MaxInt, 1} {

@@ -22,13 +22,17 @@ func (db *DB) setRunLen(n int) {
 	db.runLen = n
 }
 
-// setSegmentSize overrides the seal threshold (n < 1 restores
-// SegmentSize) so small fixtures hold many sealed segments. Only future
-// seals and Compact calls are affected. Test-only: the segment size is
-// not a knob.
+// setSegmentSize overrides the segment length (n < 1 restores
+// SegmentSize) so small fixtures hold many segments. The layout is a
+// function of the row count, so only an empty store takes it; loadDir
+// gives a loaded one its size. Test-only: the segment size is not a
+// knob.
 func (db *DB) setSegmentSize(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if len(db.sigs) > 0 {
+		panic("setSegmentSize on a non-empty store")
+	}
 	db.segSize = n
 }
 
@@ -86,8 +90,8 @@ func TestActiveRunsMatchScan(t *testing.T) {
 						}
 						db.setRunLen(run)
 						db.setPruneFloor(floor)
-						// sealedAt is how many rows sit in sealed segments
-						// when the build ends.
+						// sealedAt is how many rows the one run a Seal or a
+						// reload left over the prefix covers.
 						sealedAt := 0
 						switch mode {
 						case "add":
@@ -112,7 +116,8 @@ func TestActiveRunsMatchScan(t *testing.T) {
 							}
 						case "reopen-append":
 							// Save with runs and a tail in place; a reload
-							// seals everything, and appends start new runs.
+							// indexes the tail segment as one run, and appends
+							// start new runs after it.
 							sealedAt = n / 2
 							if err := db.AddAll(sigs[:sealedAt]); err != nil {
 								t.Fatal(err)
@@ -137,9 +142,13 @@ func TestActiveRunsMatchScan(t *testing.T) {
 
 						runs, tail := activeShape(db)
 						active := n - sealedAt
-						if runs != active/run || tail != active%run {
+						wantRuns := active / run
+						if sealedAt > 0 {
+							wantRuns++
+						}
+						if runs != wantRuns || tail != active%run {
 							t.Fatalf("%s: active segment holds %d runs + %d unindexed rows, want %d + %d",
-								tag, runs, tail, active/run, active%run)
+								tag, runs, tail, wantRuns, active%run)
 						}
 						if got, want := db.ActiveUnindexedRows(), active%run; got != want {
 							t.Fatalf("%s: ActiveUnindexedRows %d, want %d", tag, got, want)
@@ -246,7 +255,7 @@ func shapeOf(db *DB) storeShape {
 // plan/build split: a store fed in AddAll batches — whose encodes run
 // over the cores and which never build a run their own call seals —
 // must match a store fed one Add at a time,
-// with Seal and Compact called at the same rows. At every schedule point
+// with Seal called at the same rows. At every schedule point
 // the segment counts, posting footprint and unindexed rows agree; at the
 // end both write byte-identical snapshot directories and answer TopK and
 // Classify bit-identically; and every call published exactly once. The
@@ -267,12 +276,11 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 	for trial := 0; trial < 4*stressN(1, 3); trial++ {
 		workers := 1 + trial%4
 		r := rand.New(rand.NewSource(int64(26 + trial)))
-		// Two sealed segments and a run of 8 plus five rows, sealed
-		// mid-run; four more rows, sealed; two more, compacted; then four
-		// and a half segments more — several seals in one call.
+		// Two full segments and a run of 8 plus five rows, sealed
+		// mid-run; four more rows, sealed; two more, sealed; then four
+		// and a half segments more — several segments filled in one call.
 		sealAt := 2*segSize + 8 + 5
 		points := []int{sealAt, sealAt + 4, sealAt + 6}
-		ops := []func(*DB){(*DB).Seal, (*DB).Seal, (*DB).Compact}
 		n := points[2] + 4*segSize + segSize/2
 		sigs := randSigs(r, n, dim, nnz)
 		queries := make([]*vecmath.Sparse, 4)
@@ -311,13 +319,14 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 						t.Fatal(err)
 					}
 					if lo = hi; next < len(points) && lo == points[next] {
-						ops[next](db)
+						db.Seal()
 						next++
 						calls++
 						shapes = append(shapes, shapeOf(db))
 					}
 				}
 				shapes = append(shapes, shapeOf(db))
+				checkLayout(t, tag, db)
 				if got := db.Publishes() - start; got != calls {
 					t.Fatalf("%s: %d publishes for %d calls", tag, got, calls)
 				}

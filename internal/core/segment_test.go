@@ -3,17 +3,52 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/vecmath"
 )
 
+// checkLayout asserts the one segment layout: the segments tile the
+// rows from row 0, every one but the last holds exactly the segment
+// size and the last between one row and that size, and no walk unit of
+// the published view holds more rows than a segment. A closed store
+// holds no segments and is skipped.
+func checkLayout(t *testing.T, tag string, db *DB) {
+	t.Helper()
+	db.mu.Lock()
+	size, n, closed := db.segSizeLocked(), len(db.sigs), db.closed
+	var bad []string
+	next := 0
+	for i, sg := range db.segs {
+		if sg.start != next || sg.len() < 1 || sg.len() > size || (i < len(db.segs)-1 && sg.len() != size) {
+			bad = append(bad, fmt.Sprintf("segment %d [%d, %d)", i, sg.start, sg.end))
+		}
+		next = sg.end
+	}
+	db.mu.Unlock()
+	if closed {
+		return
+	}
+	if next != n {
+		bad = append(bad, fmt.Sprintf("segments end at row %d of %d", next, n))
+	}
+	for i, u := range db.cur.Load().segs {
+		if u.end-u.start > size {
+			bad = append(bad, fmt.Sprintf("walk unit %d [%d, %d)", i, u.start, u.end))
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("%s: not the layout of %d rows in segments of %d: %v", tag, n, size, bad)
+	}
+}
+
 // TestTopKSegmentedMatchesUnsegmented is the equivalence property the
-// segment re-architecture rests on: over random corpora, every
-// combination of seal points (segment sizes, explicit Seal calls),
-// compactions, and lane counts must answer TopK — indexed and scan —
-// and ClassifyBatch bit-identically to the unsegmented sequential
-// reference.
+// segment layout rests on: over random corpora, at every segment size
+// and lane count, a store fed with explicit Seal calls mid-stream must
+// hold the layout its row count implies and answer TopK — indexed and
+// scan — and ClassifyBatch bit-identically to the unsegmented
+// sequential reference.
 func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 	metrics := []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -50,53 +85,49 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 
 		for _, segSize := range []int{1, 3, 16, SegmentSize} {
 			for _, workers := range []int{1, 2, 3, 7} {
-				for _, compact := range []bool{false, true} {
-					db, err := newTestDB(dim, workers)
-					if err != nil {
+				db, err := newTestDB(dim, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.setSegmentSize(segSize)
+				// Interleave Adds with explicit seals, so indexed
+				// prefixes end mid-segment, not only at size multiples.
+				for i, s := range sigs {
+					if err := db.Add(s); err != nil {
 						t.Fatal(err)
 					}
-					db.setSegmentSize(segSize)
-					// Interleave Adds with explicit seal points so
-					// segment boundaries land mid-stream, not only at
-					// size multiples.
-					for i, s := range sigs {
-						if err := db.Add(s); err != nil {
-							t.Fatal(err)
-						}
-						if i%37 == 36 {
-							db.Seal()
-						}
-					}
-					if compact {
+					if i%37 == 36 {
 						db.Seal()
-						db.Compact()
 					}
-					tag := fmt.Sprintf("seed=%d segsize=%d workers=%d compact=%v segs=%d",
-						seed, segSize, workers, compact, db.Segments())
-					for _, m := range metrics {
-						want, err := ref.TopKSparse(queries[0], k, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := db.TopKSparse(queries[0], k, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, tag+" "+m.Name+" indexed", got, want)
-						sameResults(t, tag+" "+m.Name+" scan", scanResults(t, db, queries[0], k, m), want)
-					}
-					wantLabels, err := ref.ClassifyBatch(queries, 5, EuclideanMetric())
+				}
+				tag := fmt.Sprintf("seed=%d segsize=%d workers=%d segs=%d", seed, segSize, workers, db.Segments())
+				checkLayout(t, tag, db)
+				if got, want := db.Segments(), (len(sigs)+segSize-1)/segSize; got != want {
+					t.Fatalf("%s: %d segments, want %d", tag, got, want)
+				}
+				for _, m := range metrics {
+					want, err := ref.TopKSparse(queries[0], k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotLabels, err := db.ClassifyBatch(queries, 5, EuclideanMetric())
+					got, err := db.TopKSparse(queries[0], k, m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for qi := range wantLabels {
-						if gotLabels[qi] != wantLabels[qi] {
-							t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", tag, qi, gotLabels[qi], wantLabels[qi])
-						}
+					sameResults(t, tag+" "+m.Name+" indexed", got, want)
+					sameResults(t, tag+" "+m.Name+" scan", scanResults(t, db, queries[0], k, m), want)
+				}
+				wantLabels, err := ref.ClassifyBatch(queries, 5, EuclideanMetric())
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotLabels, err := db.ClassifyBatch(queries, 5, EuclideanMetric())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi := range wantLabels {
+					if gotLabels[qi] != wantLabels[qi] {
+						t.Fatalf("%s: ClassifyBatch[%d] = %q, want %q", tag, qi, gotLabels[qi], wantLabels[qi])
 					}
 				}
 			}
@@ -104,10 +135,12 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 	}
 }
 
-// TestSegmentLifecycle pins the seal/roll/compact mechanics: size-
-// threshold rolling, explicit Seal, Add-after-Seal opening a fresh
-// active segment, Compact merging only small sealed runs, and the dirty
-// accounting SaveDir's incrementality rests on.
+// TestSegmentLifecycle pins the segment mechanics: a segment ends when
+// it holds the segment size and nowhere else, Seal indexes the active
+// segment without ending it, Add after Seal appends to the same
+// segment, and SaveDir rewrites exactly the segments that changed since
+// the last save — a full segment once, the active one whole each time
+// it grew.
 func TestSegmentLifecycle(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	const dim, nnz = 40, 6
@@ -116,46 +149,68 @@ func TestSegmentLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.setSegmentSize(10)
-	// 25 signatures at segment size 10: two sealed segments + one active
-	// of 5.
+	dir := t.TempDir()
+	// save saves into dir and returns how many segment files it wrote.
+	save := func() int {
+		t.Helper()
+		before := dirState(t, dir)
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		return newSegmentFiles(before, dirState(t, dir))
+	}
+	shape := func(tag string, segs, sealed, unindexed int) {
+		t.Helper()
+		checkLayout(t, tag, db)
+		if db.Segments() != segs || db.SealedSegments() != sealed || db.ActiveUnindexedRows() != unindexed {
+			t.Fatalf("%s: %d segments, %d full, %d unindexed rows; want %d, %d, %d", tag,
+				db.Segments(), db.SealedSegments(), db.ActiveUnindexedRows(), segs, sealed, unindexed)
+		}
+	}
+	// 25 signatures at segment size 10: two full segments + one active
+	// of 5, all written by the first save.
 	if err := db.AddAll(randSigs(r, 25, dim, nnz)); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Segments(); got != 3 {
-		t.Fatalf("after 25 adds at size 10: %d segments, want 3", got)
+	shape("25 rows", 3, 2, 5)
+	if got := save(); got != 3 {
+		t.Fatalf("first save wrote %d segment files, want 3", got)
 	}
-	if got := db.DirtySegments(); got != 3 {
-		t.Fatalf("never-saved DB: %d dirty, want 3", got)
-	}
-	// Sealing the 5-record active segment then adding again must open a
-	// fourth segment.
+	// Seal indexes the 5-row active segment; the next Add appends to it.
 	db.Seal()
+	shape("Seal", 3, 2, 0)
 	if err := db.Add(randSigs(r, 1, dim, nnz)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Segments(); got != 4 {
-		t.Fatalf("after Seal+Add: %d segments, want 4", got)
+	shape("Seal+Add", 3, 2, 1)
+	if got := save(); got != 1 {
+		t.Fatalf("save after Seal+Add wrote %d segment files, want the grown active one", got)
 	}
-	// Compact: the three sealed segments (10, 10, 5) are all below the
-	// huge threshold once we raise it, so they merge into one; the
-	// 1-record active segment stays.
-	db.setSegmentSize(100)
-	db.Compact()
-	if got := db.Segments(); got != 2 {
-		t.Fatalf("after Compact: %d segments, want 2 (merged + active)", got)
+	if got := save(); got != 0 {
+		t.Fatalf("save of an unchanged store wrote %d segment files", got)
 	}
-	// Full-size sealed segments are left alone.
-	db2, err := NewDB(dim)
-	if err != nil {
+	// Four more fill the active segment; one more opens a fourth.
+	if err := db.AddAll(randSigs(r, 4, dim, nnz)); err != nil {
 		t.Fatal(err)
 	}
-	db2.setSegmentSize(5)
-	if err := db2.AddAll(randSigs(r, 20, dim, nnz)); err != nil {
+	shape("30 rows", 3, 3, 0)
+	if err := db.Add(randSigs(r, 1, dim, nnz)[0]); err != nil {
 		t.Fatal(err)
 	}
-	before := db2.Segments()
-	db2.Compact() // every sealed segment is exactly the threshold: no-op
-	if got := db2.Segments(); got != before {
-		t.Fatalf("Compact merged full segments: %d -> %d", before, got)
+	shape("31 rows", 4, 3, 1)
+	if got := save(); got != 2 {
+		t.Fatalf("save after filling a segment and opening one wrote %d segment files, want 2", got)
 	}
+}
+
+// newSegmentFiles counts the segment files in after that before lacks:
+// the files a save wrote, since a save never rewrites a file in place.
+func newSegmentFiles(before, after map[string][]byte) int {
+	n := 0
+	for name := range after {
+		if _, ok := before[name]; !ok && strings.HasPrefix(name, "seg-") {
+			n++
+		}
+	}
+	return n
 }

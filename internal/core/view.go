@@ -6,10 +6,9 @@ import "repro/internal/parallel"
 //
 // Every query runs against a dbView — an immutable snapshot of the
 // reader-visible state: the frozen prefixes of the backing arrays, the
-// segment list (sealed segments by their compressed postings, the
-// active segment's posting runs by their postings or, still pending, by
-// the run that builds them, the active segment's unindexed tail by its
-// frozen bounds), and the query configuration.
+// walk units (each segment's posting runs by their postings or, still
+// pending, by the run that builds them, the active segment's unindexed
+// tail by its frozen bounds), and the query configuration.
 // The current view is published through an atomic pointer; a query
 // loads it once for its whole duration, writers mutate the
 // writer-private structures under db.mu and publish a fresh view when
@@ -17,8 +16,8 @@ import "repro/internal/parallel"
 //
 // Why this is safe without a reader lock:
 //
-//   - Sealed segments are immutable (segment.go): their blockPostings
-//     never change after seal, so any view may score them freely.
+//   - Built runs are immutable (segment.go): their blockPostings never
+//     change once published, so any view may score them freely.
 //   - The backing arrays (sigs/norms) are append-only. A
 //     view captures length-clamped slices, so a writer's append — even
 //     one that reallocates the backing array — never changes a byte a
@@ -26,9 +25,9 @@ import "repro/internal/parallel"
 //     distinct addresses, and a reallocation leaves the reader's old
 //     slice header aliasing the old array.
 //   - The active segment has no mutable index at all: each completed
-//     posting run is an immutable blockPostings like a sealed segment's
-//     once built (segment.go), and the < activeRunLen rows after the
-//     last run are scored with the canonical gather dot over the frozen
+//     posting run is an immutable blockPostings once built
+//     (segment.go), and the < activeRunLen rows after the last run are
+//     scored with the canonical gather dot over the frozen
 //     row prefix (bit-identical to the indexed accumulation, see
 //     laneQuery.walk). A run a view holds unbuilt is built once, by
 //     whichever query gets to its sync.Once first, from rows every
@@ -71,12 +70,12 @@ type viewCfg struct {
 	pruneFloor int
 }
 
-// viewSegment is one walk unit as a view sees it: a sealed segment or
-// one built posting run of the active segment (blocks is its immutable
-// compressed postings over rows [start, end)); a run still pending when
+// viewSegment is one walk unit as a view sees it: one built posting run
+// (blocks is its immutable compressed postings over rows [start, end)),
+// a full segment's or the active segment's; a run still pending when
 // the view was built (run, whose postings the query builds and unit
 // reads); or — blocks and run nil — the active segment's unindexed
-// tail, scored canonically.
+// tail, scored canonically. No unit holds more than SegmentSize rows.
 type viewSegment struct {
 	start, end int
 	blocks     *blockPostings
@@ -120,11 +119,11 @@ func laneFirst(start, l, p int) int {
 // holds db.mu.
 //
 // The view holds length-clamped array aliases (a later append can never
-// write through them) and value copies of the segment bounds (Add and
-// seal mutate segment structs in place, so views must never hold
-// *segment). The active segment freezes into one viewSegment per
-// posting run — its blocks when built, else the pending run — plus one
-// blocks == nil segment for the rows no run covers yet.
+// write through them) and value copies of the run bounds (Add and seal
+// mutate segment structs in place, so views must never hold *segment).
+// Each segment freezes into one viewSegment per posting run — its
+// blocks when built, else the pending run — plus one blocks == nil
+// segment for the rows no run covers yet.
 func (db *DB) buildViewLocked() *dbView {
 	n := len(db.sigs)
 	nv := &dbView{
@@ -142,10 +141,6 @@ func (db *DB) buildViewLocked() *dbView {
 	}
 	nv.segs = make([]viewSegment, 0, units)
 	for _, sg := range db.segs {
-		if sg.sealed {
-			nv.segs = append(nv.segs, viewSegment{start: sg.start, end: sg.end, blocks: sg.blocks})
-			continue
-		}
 		for _, r := range sg.runs {
 			u := viewSegment{start: r.start, end: r.start + r.n, blocks: r.blocks.Load()}
 			if u.blocks == nil {

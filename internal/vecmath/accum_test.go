@@ -49,9 +49,9 @@ func TestAccumulatorMatchesSparseDot(t *testing.T) {
 	}
 }
 
-// TestAccumulatorReset checks the lazy-clear semantics: values from a
-// previous epoch read as exact zero, shrink and regrow keep the
-// invariant, and Len follows Reset.
+// TestAccumulatorReset checks the clear semantics: values from before a
+// Reset read as exact zero, shrink and regrow keep the invariant, and
+// Len follows Reset.
 func TestAccumulatorReset(t *testing.T) {
 	var a Accumulator
 	a.Reset(4)
@@ -72,80 +72,10 @@ func TestAccumulatorReset(t *testing.T) {
 	if a.Len() != 2 {
 		t.Fatalf("Len after shrink = %d", a.Len())
 	}
-	a.Reset(8) // grow reallocates and restarts epochs
+	a.Reset(8) // grow reallocates
 	for i := 0; i < 8; i++ {
 		if a.Get(i) != 0 {
 			t.Fatalf("stale value at %d after grow: %v", i, a.Get(i))
-		}
-	}
-}
-
-// TestAccumulatorEpochWrap forces the 32-bit epoch to wrap and checks
-// that stale stamps cannot alias the fresh epoch — including stamps
-// parked in the capacity tail by a shrink, which a later regrow within
-// capacity re-exposes. Counts above denseResetMax pin the stamped mode
-// (small counts bulk-clear and never touch epochs).
-func TestAccumulatorEpochWrap(t *testing.T) {
-	const n = denseResetMax + 4
-	var a Accumulator
-	a.Reset(n)
-	a.Reset(n) // epoch 2
-	a.ScatterMulAdd(1, []int32{0, n - 1}, []float64{42, 7})
-	a.Reset(n - 2)       // shrink: the tail's epoch-2 stamp stays parked
-	a.epoch = ^uint32(0) // jump to the wrap point
-	a.stamp[1] = 0       // will collide with the post-wrap epoch unless cleared
-	a.Reset(n - 2)       // wraps: must clear the full capacity, not just the prefix
-	if a.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", a.epoch)
-	}
-	if a.Get(0) != 0 || a.Get(1) != 0 {
-		t.Fatalf("stale values after epoch wrap: %v %v", a.Get(0), a.Get(1))
-	}
-	a.Reset(n) // regrow within capacity: post-wrap epoch 2 again
-	if a.Get(n-1) != 0 {
-		t.Fatalf("pre-wrap tail stamp aliased the fresh epoch: Get(%d) = %v", n-1, a.Get(n-1))
-	}
-}
-
-// TestAccumulatorModesAgree drives the same posting stream through a
-// bulk-cleared (small) and an epoch-stamped (large) accumulator and
-// checks the sums agree exactly, including transitions between the two
-// modes on one accumulator across resets.
-func TestAccumulatorModesAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	const n = 64
-	var small, big, mixed Accumulator
-	big.Reset(denseResetMax + n) // force stamped mode once so mixed can flip
-	for round := 0; round < 6; round++ {
-		small.Reset(n)
-		big.Reset(denseResetMax + n)
-		if round%2 == 0 {
-			mixed.Reset(n)
-		} else {
-			mixed.Reset(denseResetMax + n)
-		}
-		if small.dense == big.dense {
-			t.Fatalf("modes did not diverge: small %v big %v", small.dense, big.dense)
-		}
-		for c := 0; c < 50; c++ {
-			id := int32(r.Intn(n))
-			x := r.NormFloat64()
-			if c%2 == 0 {
-				small.Add(id, x)
-				big.Add(id, x)
-				mixed.Add(id, x)
-			} else {
-				ids := []int32{id}
-				ws := []float64{x}
-				small.ScatterMulAdd(1, ids, ws)
-				big.ScatterMulAdd(1, ids, ws)
-				mixed.ScatterMulAdd(1, ids, ws)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if small.Get(i) != big.Get(i) || small.Get(i) != mixed.Get(i) {
-				t.Fatalf("round %d id %d: dense %v stamped %v mixed %v", round, i, small.Get(i), big.Get(i), mixed.Get(i))
-			}
 		}
 	}
 }
