@@ -39,8 +39,10 @@ race:
 ## epoch view a query loaded), the race of queries building pending posting
 ## runs against AddAll, Seal and Close (TestConcurrentQueryBuiltRuns), the
 ## writers' plan/build exactness sweep (batched AddAll vs one Add at a time,
-## at several core counts) and the encode counts (TestWritePlanEncodes), and the
-## SaveDir/LoadDir fault-injection matrices,
+## at several core counts) and the encode counts (TestWritePlanEncodes), the
+## SaveDir/LoadDir fault-injection matrices (the crash matrix's fill arm: a
+## segment held in short files fills and is saved as one) and the retried
+## save's sync-before-manifest ordering (TestSaveDirRetrySyncsBeforeManifest),
 ## under the race detector with iteration counts elevated via
 ## FMETER_STRESS. This is the long-soak proof behind the concurrent
 ## read/write contract; CI runs it on every push.

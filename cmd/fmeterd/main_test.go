@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -234,6 +235,10 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 	if first != 6 {
 		t.Fatalf("first run stored %d signatures, want 6", first)
 	}
+	before := segFiles(t, dir)
+	if len(before) != 1 {
+		t.Fatalf("first run left %d segment files, want 1", len(before))
+	}
 	errBuf.Reset()
 	if err := runDaemon(args("5"), &out, &errBuf); err != nil {
 		t.Fatal(err)
@@ -245,11 +250,49 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 		t.Fatalf("after restart db.Len() = %d, want %d (first run + 3 streamed)", n, first+3)
 	}
 	// The restarted daemon appended to the reloaded segment instead of
-	// opening another: nine rows are one segment file.
-	files, err := filepath.Glob(filepath.Join(dir, "seg-*.fms"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("after restart the snapshot holds segment files %v (%v), want one", files, err)
+	// opening another, and its drain wrote only the streamed rows: the
+	// first run's file unchanged, one new file of 3 records, and the nine
+	// rows load as one segment.
+	after := segFiles(t, dir)
+	if len(after) != 2 {
+		t.Fatalf("after restart the snapshot holds %d segment files, want 2", len(after))
 	}
+	for name, b := range after {
+		old, ok := before[name]
+		records := binary.LittleEndian.Uint32(b[10:14]) // after the magic, version and dim
+		switch {
+		case ok && !bytes.Equal(b, old):
+			t.Fatalf("the first run's %s was rewritten", name)
+		case !ok && records != 3:
+			t.Fatalf("new %s holds %d records, want the 3 streamed", name, records)
+		}
+	}
+	db, err := fmeter.OpenDB(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Segments() != 1 {
+		t.Fatalf("after restart the snapshot loads as %d segments, want 1", db.Segments())
+	}
+}
+
+// segFiles reads the segment files of the snapshot at dir, by name.
+func segFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.fms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(names))
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(name)] = b
+	}
+	return files
 }
 
 // afterDocs is a log writer that calls fn once, when the n-th document

@@ -78,10 +78,10 @@ func run() error {
 	fmt.Printf("\n5-NN classification of %s: %s (truth: %s)\n", query.DocID, label, query.Label)
 
 	// The database survives restarts as a snapshot directory: SaveDB
-	// writes atomically (a crash never corrupts the store) and re-saves
-	// only the segments that changed since the last save — the full
-	// segments once, the last, growing one whole — so a long-lived
-	// operator DB saves in O(new data + one segment).
+	// writes atomically (a crash never corrupts the store) and each save
+	// writes only the rows no file holds yet — a full segment as one
+	// file, the rows the last, growing one gained as one more — so a
+	// long-lived operator DB saves in O(new data).
 	dir, err := os.MkdirTemp("", "fmeter-quickstart-db-*")
 	if err != nil {
 		return err
@@ -103,7 +103,7 @@ func run() error {
 	if err := db.Add(query); err != nil { // one new signature grows the last segment...
 		return err
 	}
-	if err := fmeter.SaveDB(store, db); err != nil { // ...which this save rewrites whole
+	if err := fmeter.SaveDB(store, db); err != nil { // ...and this save writes that row alone, to a second file
 		return err
 	}
 	// Reopen: every segment file is CRC-checked and loaded onto the
@@ -113,7 +113,11 @@ func run() error {
 		return err
 	}
 	defer reopened.Close()
+	files, err := filepath.Glob(filepath.Join(store, "seg-*.fms"))
+	if err != nil {
+		return err
+	}
 	fmt.Printf("incremental on-disk store: %d signatures across %d segment file(s) (resident index %d bytes)\n",
-		reopened.Len(), reopened.Segments(), reopened.IndexBytes())
+		reopened.Len(), len(files), reopened.IndexBytes())
 	return nil
 }

@@ -552,22 +552,27 @@ func NewServer(db *DB, model *Model, cfg ServeConfig) (*Server, error) {
 }
 
 // SaveDB persists a signature database at path as a snapshot directory,
-// the one on-disk form: a manifest plus one CRC-checked file per segment,
-// each written atomically (temp + fsync + rename), with only the
-// segments changed since the last save rewritten — the segments filled
-// since, and the last, growing segment whole — so a long-lived
-// operator database saves in O(new data + one segment), and a crash
-// mid-save never corrupts the previous snapshot.
+// the one on-disk form: a manifest plus CRC-checked files that each
+// hold a row range of one segment — a full segment as one file, the
+// last, growing segment as one file per save that grew it. Each file is
+// new and written atomically (temp + fsync + rename); back into the
+// directory it last saved to or was opened from, SaveDB writes only the
+// rows no file there holds yet, so a long-lived operator database saves
+// in O(new data), and a crash mid-save never corrupts the previous
+// snapshot.
 //
 // SaveDB runs safely while other goroutines query or ingest: it
 // persists the committed state at the moment it acquires the writer
-// lock. Queries read the heap, never the files, so the replaced
-// segment files are removed before SaveDB returns.
+// lock. Queries read the heap, never the files, so the replaced files
+// are removed before SaveDB returns.
 func SaveDB(path string, db *DB) error { return db.SaveDir(path) }
 
 // OpenDB loads a database saved by SaveDB. path must be a snapshot
 // directory; anything else, and any corrupt, missing, or retired-format
 // file inside it, fails with a typed *SnapshotError naming the path.
+// The rows are cut into segments as Add cuts them, however the files
+// hold them, and the next SaveDB into path keeps the files that still
+// fit its layout.
 // Options tune the loaded store like NewDB's do. A snapshot whose
 // manifest names more than one shard — written before a database became
 // one row sequence — is refused; rewrite it with a build that still

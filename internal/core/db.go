@@ -249,8 +249,8 @@ type SearchResult struct {
 // worker count, indexed or not.
 //
 // Persistence has one format: SaveDir/LoadDir keep a snapshot directory
-// (manifest + one CRC-checked file per segment, see manifest.go) where
-// a save rewrites only the segments dirtied since the last save.
+// (manifest + CRC-checked files of row ranges, see manifest.go) where a
+// save writes only the rows no file holds yet.
 //
 // Query-time working state (heaps, score accumulators, merge buffers,
 // vote counters) lives in a pool of per-worker scratch, so steady-state
@@ -282,10 +282,14 @@ type DB struct {
 	runLen    int
 	segSize   int
 	laneFloor int
-	nextSeg   uint64
-	// saveDir is the directory the last SaveDir wrote to; segment dirty
-	// bits are relative to it (saving elsewhere rewrites everything).
+	// saveDir is the snapshot directory this DB last saved to durably
+	// or was loaded from, and files are its manifest's entries in row
+	// order; nextSeg is the next file id, past every id that manifest or
+	// this DB has used. SaveDir keeps what files it can (see
+	// manifest.go); saving elsewhere starts from no files.
 	saveDir string
+	files   []manifestSegment
+	nextSeg uint64
 	// closed marks a DB whose Close ran: every query or mutation
 	// returns a typed *ConfigError.
 	closed bool
@@ -298,8 +302,8 @@ type DB struct {
 	scratch *percpu.Pool[*dbScratch]
 
 	// mu serializes every mutation (and the writer-side accessors that
-	// read segment persistence state); queries never take it — they load
-	// views (view.go).
+	// read the segments or the snapshot state); queries never take it —
+	// they load views (view.go).
 	mu sync.Mutex
 	// cur is the published view every query loads.
 	cur atomic.Pointer[dbView]
@@ -405,7 +409,6 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 	db.sigs = append(db.sigs, sig)
 	db.norms = append(db.norms, sig.W.Norm2())
 	sg.end++
-	sg.dirty = true
 	if sg.len() == db.segSizeLocked() {
 		p.seal(sg)
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {

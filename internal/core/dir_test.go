@@ -177,8 +177,8 @@ func TestSaveDirIncremental(t *testing.T) {
 		t.Fatalf("incremental save wrote %d new segment files, want 1", changed)
 	}
 
-	// Filling the active segment rewrites it once more, whole, and
-	// removes the file it replaces.
+	// Filling the active segment writes it once more, whole, as one file,
+	// and removes the file of its first rows.
 	db.Seal()
 	if err := db.AddAll(randSigs(r, 16, dim, nnz)); err != nil {
 		t.Fatal(err)
@@ -214,11 +214,11 @@ func TestSaveDirIncremental(t *testing.T) {
 }
 
 // TestSaveDirNeverRewritesMappedFiles pins that SaveDir back into the
-// directory a store was loaded from never rewrites a full loaded
-// segment: each keeps its inode and mtime, the grown tail lands in a
-// new file that replaces the old tail's, and the store still saves to
-// a fresh directory and answers. (The name dates from the mmap load
-// mode; it is kept so the id stays stable.)
+// directory a store was loaded from never rewrites a loaded file: every
+// one, the short tail's too, keeps its inode and mtime, one new file
+// holds exactly the appended rows, and the store still saves to a fresh
+// directory and answers. (The name dates from the mmap load mode; it is
+// kept so the id stays stable.)
 func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	const dim, nnz = 80, 9
@@ -256,7 +256,6 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 	}
 	before := stat(dir)
 	ents := readManifest(t, dir).Segments[0]
-	tail := ents[len(ents)-1].File
 	if len(before) != 4 || ents[len(ents)-1].Records != 200%64 {
 		t.Fatalf("fixture: %d segment files, tail of %d rows; want 4 and %d", len(before), ents[len(ents)-1].Records, 200%64)
 	}
@@ -288,12 +287,6 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 	after := stat(dir)
 	for name, fi := range before {
 		got, ok := after[name]
-		if name == tail {
-			if ok {
-				t.Fatalf("the grown tail's old file %s survived the save", name)
-			}
-			continue
-		}
 		if !ok {
 			t.Fatalf("loaded segment file %s disappeared after SaveDir", name)
 		}
@@ -301,10 +294,11 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 			t.Fatalf("loaded segment file %s was rewritten", name)
 		}
 	}
-	if len(after) != len(before) {
-		t.Fatalf("grown tail: %d segment files, then %d; want the tail replaced", len(before), len(after))
+	grown := readManifest(t, dir).Segments[0]
+	if len(after) != len(before)+1 || len(grown) != len(ents)+1 {
+		t.Fatalf("grown tail: %d segment files, then %d; want one more", len(before), len(after))
 	}
-
+	checkFileRows(t, dir, grown[len(ents)], dim, extra)
 	// Save to a fresh directory too — serialized from the loaded segments.
 	fresh := t.TempDir()
 	if err := db.SaveDir(fresh); err != nil {
@@ -330,10 +324,9 @@ func TestSaveDirNeverRewritesMappedFiles(t *testing.T) {
 // TestSaveDirNeverRewritesReferencedFiles pins the crash-safety
 // invariant behind the manifest-last ordering: a file referenced by the
 // previous (durable) manifest is never renamed over, even when its
-// segment grew — the rewrite takes a fresh id, and the old file is only
-// removed after the new manifest lands. A crash at any point therefore
-// leaves a loadable snapshot: the old manifest's files are all intact
-// until the new manifest replaces it.
+// segment grew — the old file keeps its inode and mtime, the grown rows
+// land in a new file under a fresh id, and a crash at any point
+// therefore leaves a loadable snapshot.
 func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 	r := rand.New(rand.NewSource(151))
 	const dim, nnz = 60, 8
@@ -350,46 +343,34 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	first := dirState(t, dir)
-	// The active segment grows and is re-saved: its old file must stay
-	// byte-identical until the new manifest is durable, then be removed
-	// as an orphan — never rewritten in place.
-	if err := db.AddAll(randSigs(r, 5, dim, nnz)); err != nil {
+	old := readManifest(t, dir).Segments[0]
+	if len(old) != 1 {
+		t.Fatalf("first save wrote %d files, want 1", len(old))
+	}
+	oldPath := filepath.Join(dir, old[0].File)
+	oldInfo, err := os.Stat(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The active segment grows and is re-saved: its old file stays as it
+	// was, and the 5 new rows land in one new file.
+	grown := randSigs(r, 5, dim, nnz)
+	if err := db.AddAll(grown); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	second := dirState(t, dir)
-	for name, b := range second {
-		if name == manifestName {
-			continue
-		}
-		if prev, ok := first[name]; ok && !bytes.Equal(prev, b) {
-			t.Fatalf("file %s from the previous snapshot was rewritten in place", name)
-		}
+	if got, err := os.Stat(oldPath); err != nil || !os.SameFile(got, oldInfo) || !got.ModTime().Equal(oldInfo.ModTime()) {
+		t.Fatalf("file %s from the previous snapshot was rewritten or removed (%v)", old[0].File, err)
 	}
-	// The grown segment landed under a fresh name and the superseded
-	// file is gone.
-	fresh := 0
-	for name := range second {
-		if _, ok := first[name]; !ok {
-			fresh++
-		}
+	ents := readManifest(t, dir).Segments[0]
+	if len(ents) != 2 || ents[0] != old[0] || ents[1].ID <= old[0].ID {
+		t.Fatalf("manifest after the grown-active re-save %+v, want %+v and one file under a fresh id", ents, old[0])
 	}
-	if fresh != 1 {
-		t.Fatalf("%d fresh segment files after the grown-active re-save, want 1", fresh)
-	}
-	for name := range first {
-		if name == manifestName {
-			continue
-		}
-		if _, ok := second[name]; !ok {
-			continue // superseded file removed: expected
-		}
-	}
-	if len(second) != 2 { // one segment file + manifest
-		t.Fatalf("directory holds %d files, want 2", len(second))
+	checkFileRows(t, dir, ents[1], dim, grown)
+	if got := dirState(t, dir); len(got) != 3 { // two segment files + manifest
+		t.Fatalf("directory holds %d files, want 3", len(got))
 	}
 	// And the final state loads with everything present.
 	back, err := LoadDir(dir)
@@ -398,6 +379,19 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 	}
 	if back.Len() != 15 {
 		t.Fatalf("reloaded len = %d, want 15", back.Len())
+	}
+}
+
+// checkFileRows asserts the snapshot file ent names holds exactly want.
+func checkFileRows(t *testing.T, dir string, ent manifestSegment, dim int, want []Signature) {
+	t.Helper()
+	var arena sigArena
+	rows, err := readSegmentFile(dir, ent, dim, nil, &arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(rows, want); err != nil {
+		t.Fatalf("%s: %v", ent.File, err)
 	}
 }
 
@@ -415,33 +409,36 @@ func saveMatrixBaseline(t testing.TB) string {
 	return dir
 }
 
-// saveCut saves sigs into the snapshot directory dir as one segment
-// file per entry of sizes, in order — the layouts older builds left
-// behind, where Seal ended segments short and Compact merged them past
-// the segment size.
+// saveCut saves sigs into the snapshot directory dir as one file per
+// entry of sizes, in order: it adds each chunk and saves, and while the
+// rows fit one active segment each save writes its chunk as one more
+// file. Loaded at a segment size they straddle, the files are the
+// layouts older builds left behind, where Seal ended segments short and
+// Compact merged them past the segment size.
 func saveCut(t testing.TB, dir string, dim int, sigs []Signature, sizes ...int) {
 	t.Helper()
 	db, err := NewDB(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(sigs); err != nil {
-		t.Fatal(err)
-	}
-	db.mu.Lock()
-	db.segs, db.nextSeg = nil, 0
 	start := 0
 	for _, n := range sizes {
-		db.segs = append(db.segs, &segment{id: db.nextSeg, start: start, end: start + n, dirty: true})
-		db.nextSeg++
+		if start+n > len(sigs) {
+			t.Fatalf("sizes cover more than %d rows", len(sigs))
+		}
+		if err := db.AddAll(sigs[start : start+n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
 		start += n
 	}
-	db.mu.Unlock()
 	if start != len(sigs) {
 		t.Fatalf("sizes cover %d rows of %d", start, len(sigs))
 	}
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatal(err)
+	if got := len(readManifest(t, dir).Segments[0]); got != len(sizes) {
+		t.Fatalf("%d files, want %d", got, len(sizes))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,8 +41,9 @@ func (p *faultPlan) hook(op fsOp, path string) error {
 // buildFaultCorpus makes a fresh snapshot directory holding nOld
 // signatures (snapshot A), then mutates the live DB — more adds that
 // fill the saved tail segment and open more, a seal — so the next
-// SaveDir has real work at every operation class: new segment files, a
-// manifest rewrite, and the removal of the replaced tail's file.
+// SaveDir has real work at every operation class: new segment files
+// (the filled tail whole), a manifest rewrite, and the removal of the
+// file that held the tail's first rows.
 // Returns the DB, the directory, and the old/new counts.
 func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 	t.Helper()
@@ -69,18 +71,19 @@ func buildFaultCorpus(t *testing.T) (*DB, string, int, int) {
 }
 
 // buildRecutCorpus makes a snapshot directory holding 100 signatures in
-// files of 30, 30 and 40 rows — an older build's cut — and loads it, so
-// the loaded store's one segment is a fresh one no file holds; then it
-// appends 50 more. The next SaveDir writes the canonical layout beside
-// the old files and must remove them only once its manifest is durable.
-// Returns the DB, the directory, and the old/new counts.
+// files of 30, 30 and 40 rows — an older build's cut — and loads it at
+// segment size 16, which every file straddles, so no file holds a
+// segment of the loaded store; then it appends 50 more. The next
+// SaveDir writes the canonical layout beside the old files and must
+// remove them only once its manifest is durable. Returns the DB, the
+// directory, and the old/new counts.
 func buildRecutCorpus(t *testing.T) (*DB, string, int, int) {
 	t.Helper()
 	const dim, nnz = 24, 6
 	sigs := randSigs(rand.New(rand.NewSource(43)), 150, dim, nnz)
 	dir := t.TempDir()
 	saveCut(t, dir, dim, sigs[:100], 30, 30, 40)
-	db, err := LoadDir(dir)
+	db, err := loadDir(dir, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +91,42 @@ func buildRecutCorpus(t *testing.T) (*DB, string, int, int) {
 		t.Fatal(err)
 	}
 	return db, dir, 100, 150
+}
+
+// buildFillCorpus makes a snapshot directory whose active segment is
+// held in three short files — 16 rows in a full segment's file, then
+// saves of 4, 3 and 3 more at segment size 16 — and fills that segment
+// and opens the next with 8 more rows. The next SaveDir writes the
+// filled segment as one file beside the three short ones and must
+// remove them only once its manifest is durable. Returns the DB, the
+// directory, and the old/new counts.
+func buildFillCorpus(t *testing.T) (*DB, string, int, int) {
+	t.Helper()
+	const dim, nnz = 24, 6
+	sigs := randSigs(rand.New(rand.NewSource(47)), 34, dim, nnz)
+	db, err := newTestDB(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.setSegmentSize(16)
+	dir := t.TempDir()
+	start := 0
+	for _, n := range []int{20, 3, 3} {
+		if err := db.AddAll(sigs[start : start+n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		start += n
+	}
+	if got := len(readManifest(t, dir).Segments[0]); got != 4 {
+		t.Fatalf("fixture: %d files, want a full segment's and three short ones", got)
+	}
+	if err := db.AddAll(sigs[start:]); err != nil {
+		t.Fatal(err)
+	}
+	return db, dir, start, len(sigs)
 }
 
 // buildForeignCorpus makes a snapshot directory holding another DB's
@@ -182,19 +221,76 @@ func TestSaveDirTransientFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestSaveDirRetrySyncsBeforeManifest pins the ordering a retried save
+// owes the files it names: after a save whose directory sync failed —
+// its new files renamed, its manifest never written — the retry's
+// manifest must name no file whose rename a directory sync has not made
+// durable before the manifest's own rename. Every file it names is
+// either in the previous durable manifest or renamed by the retry ahead
+// of a syncdir that precedes "rename MANIFEST.json".
+func TestSaveDirRetrySyncsBeforeManifest(t *testing.T) {
+	defer func() { fsFault = nil }()
+	db, dir, _, _ := buildFaultCorpus(t)
+	defer db.Close()
+	durable := map[string]bool{}
+	for _, ent := range readManifest(t, dir).Segments[0] {
+		durable[ent.File] = true
+	}
+	vetoed := false
+	fsFault = func(op fsOp, path string) error {
+		if op == opSyncDir && !vetoed {
+			vetoed = true
+			return fmt.Errorf("%s %s: %w", op, filepath.Base(path), errInjected)
+		}
+		return nil
+	}
+	if err := db.SaveDir(dir); !errors.Is(err, errInjected) {
+		t.Fatalf("first save: %v, want the vetoed directory sync", err)
+	}
+	var trace []string
+	fsFault = func(op fsOp, path string) error {
+		trace = append(trace, op.String()+" "+filepath.Base(path))
+		return nil
+	}
+	err := db.SaveDir(dir)
+	fsFault = nil
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	manifest := slices.Index(trace, "rename "+manifestName)
+	if manifest < 0 {
+		t.Fatalf("retry never renamed the manifest: %s", strings.Join(trace, ", "))
+	}
+	for _, ent := range readManifest(t, dir).Segments[0] {
+		if durable[ent.File] {
+			continue
+		}
+		renamed := slices.Index(trace, "rename "+ent.File)
+		synced := renamed >= 0 && renamed < manifest && slices.ContainsFunc(trace[renamed:manifest], func(s string) bool {
+			return strings.HasPrefix(s, opSyncDir.String()+" ")
+		})
+		if !synced {
+			t.Fatalf("the retry's manifest names %s, which no directory sync made durable before the manifest's rename; retry trace: %s",
+				ent.File, strings.Join(trace, ", "))
+		}
+	}
+}
+
 // TestSaveDirCrashMatrix simulates a crash at every point of a SaveDir:
 // from the step-th filesystem operation on, nothing succeeds — not even
 // cleanup, exactly like a killed process — and the DB is abandoned. The
 // directory must still load (previous or new snapshot, never partial),
 // and a recovery sequence — load, append, save — must converge to a
 // clean directory with no temp-file or orphan leftovers. The matrix runs
-// three arms: the DB re-saving into its own directory, a fresh DB
-// saving into a directory that holds another DB's snapshot, and a DB
-// loaded from an older build's cut re-saving its canonical layout.
+// four arms: the DB re-saving into its own directory, a fresh DB
+// saving into a directory that holds another DB's snapshot, a DB
+// loaded from an older build's cut re-saving its canonical layout, and
+// a DB whose filled segment replaces the short files that held it.
 func TestSaveDirCrashMatrix(t *testing.T) {
 	t.Run("own-dir", func(t *testing.T) { crashMatrix(t, buildFaultCorpus) })
 	t.Run("foreign-dir", func(t *testing.T) { crashMatrix(t, buildForeignCorpus) })
 	t.Run("recut", func(t *testing.T) { crashMatrix(t, buildRecutCorpus) })
+	t.Run("fill", func(t *testing.T) { crashMatrix(t, buildFillCorpus) })
 }
 
 func crashMatrix(t *testing.T, build func(*testing.T) (*DB, string, int, int)) {
@@ -315,9 +411,9 @@ func TestSaveDirRemovesOrphansUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Close()
-	// Loaded at the default segment size, the 16-row segments re-cut
-	// into one, orphaning every file the directory holds.
-	db, err := LoadDir(dir)
+	// Loaded at segment size 20, every 16-row file straddles a segment
+	// boundary: the re-cut orphans every file the directory holds.
+	db, err := loadDir(dir, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +460,9 @@ func TestSaveDirRemovesOrphansUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := map[string]bool{manifestName: true}
-	db.mu.Lock()
-	for _, sg := range db.segs {
-		live[segmentFileName(sg.id)] = true
+	for _, ent := range readManifest(t, dir).Segments[0] {
+		live[ent.File] = true
 	}
-	db.mu.Unlock()
 	if len(final) != len(live) {
 		t.Fatalf("directory holds %d files, want the manifest and %d segment files", len(final), len(live)-1)
 	}

@@ -177,8 +177,10 @@ func FuzzLoadSegment(f *testing.F) {
 // than the directory holds, or none: SaveDir writes a zero-segment
 // manifest for an empty store, and a crash mid-save can leave one
 // beside orphan files, so such a manifest loads as the empty store it
-// describes. The seeds are the healthy manifest and two refusals: a
-// shard count of 2, and the segments split over two lists.
+// describes. A store that loads also saves back into its own
+// directory, keeping the named files that fit the layout, and reloads
+// with the same rows. The seeds are the healthy manifest and two
+// refusals: a shard count of 2, and the segments split over two lists.
 func FuzzLoadManifest(f *testing.F) {
 	base := saveMatrixBaseline(f)
 	entries, err := os.ReadDir(base)
@@ -250,5 +252,15 @@ func FuzzLoadManifest(f *testing.F) {
 			}
 		}
 		checkLoadedStore(t, db, query)
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatalf("re-saving into the loaded directory: %v", err)
+		}
+		back, err := LoadDir(dir)
+		if err != nil {
+			t.Fatalf("reloading the loaded directory: %v", err)
+		}
+		if err := sameRows(back.All(), all); err != nil {
+			t.Fatalf("re-saved into its own directory: %v", err)
+		}
 	})
 }

@@ -18,9 +18,9 @@ import (
 // O(new data) instead of O(total). Layout:
 //
 //	<dir>/MANIFEST.json   — format marker, dim/shards/count, and the
-//	                        ordered segment list (file name, record
+//	                        ordered file list (file name, record
 //	                        count, CRC32 of the file body)
-//	<dir>/seg-<id>.fms    — one file per segment:
+//	<dir>/seg-<id>.fms    — one file per row range:
 //	  magic   "FMSG"                      (4 bytes)
 //	  version uint16                      (2, the "v2.1" record; any
 //	                                       other version is refused)
@@ -42,23 +42,28 @@ import (
 // bit is refused, and a flags-0 body must end exactly after its last
 // record.
 //
-// SaveDir writes only segments dirtied since the last save — the
-// segments filled since, and the active segment whole once it grew;
-// every file lands via temp + fsync + rename, and the manifest is
-// renamed last, so a crash at any point leaves the previous save fully
-// loadable (new segment files without a manifest referencing them are
-// orphans, removed by the next successful save). LoadDir verifies each
-// segment file's CRC against both its footer and the manifest before
-// parsing a single record, and any mismatch, truncation, or missing
-// file yields a *SnapshotError naming the file — never a partial DB.
+// Files are row ranges, in manifest order, and one rule in SaveDir
+// decides which file holds which rows: a file never spans two segments,
+// a full segment is exactly one file, and the active segment is one
+// file per save that grew it. A save keeps the files of the directory's
+// durable manifest that fit the rule and writes only the rows they do
+// not hold, each range to a new file under a fresh id — a file is never
+// rewritten under its old name. Every file lands via temp + fsync +
+// rename, a directory sync makes the renames durable, and the manifest
+// is renamed last, so a crash at any point leaves the previous save
+// fully loadable (new files without a manifest naming them are orphans,
+// removed by the next successful save). LoadDir verifies each file's
+// CRC against both its footer and the manifest before parsing a single
+// record, and any mismatch, truncation, or missing file yields a
+// *SnapshotError naming the file — never a partial DB.
 //
-// Insertion indices are not stored: segment k's records occupy the
-// range right after segment k-1's, and a record's position is its
-// insertion index, so a reload reconstructs the exact (score, insertion
-// index) total order and answers TopK bit-identically. The manifest's
-// "shards" field is always 1 and its segment list is a one-element
-// list of lists — the layout the format has always had; a manifest
-// naming any other shard count is refused.
+// Insertion indices are not stored: file k's records occupy the range
+// right after file k-1's, and a record's position is its insertion
+// index, so a reload reconstructs the exact (score, insertion index)
+// total order and answers TopK bit-identically. The manifest's
+// "shards" field is always 1 and its file list is a one-element list
+// of lists — the layout the format has always had; a manifest naming
+// any other shard count is refused.
 const (
 	manifestName    = "MANIFEST.json"
 	manifestFormat  = "fmdb-dir"
@@ -111,11 +116,11 @@ type manifestJSON struct {
 	Shards  int    `json:"shards"`
 	Count   int    `json:"count"`
 	NextSeg uint64 `json:"next_segment"`
-	// Segments holds one list: the segments in record order.
+	// Segments holds one list: the files in record order.
 	Segments [][]manifestSegment `json:"segments"`
 }
 
-// manifestSegment is one segment's manifest entry.
+// manifestSegment is one file's manifest entry.
 type manifestSegment struct {
 	ID      uint64 `json:"id"`
 	File    string `json:"file"`
@@ -124,14 +129,18 @@ type manifestSegment struct {
 }
 
 // SaveDir persists the database into the snapshot directory at path,
-// creating it if needed. Only segments dirtied since the last SaveDir to
-// the same path are rewritten — the segments filled since, the active
-// segment whole if it grew, and the segments a LoadDir re-cut; a steady
-// append workload therefore saves in O(new data + one segment). Every
-// file is written to a temp name, fsynced, and renamed; the manifest
-// goes last, so a crash mid-save never corrupts the previous snapshot.
-// Files of replaced segments and abandoned temp files are removed once
-// the new manifest is durable, before SaveDir returns.
+// creating it if needed. A file holds a row range that never spans two
+// segments: a full segment is exactly one file, and the active segment
+// is one file per save that grew it. Back into the directory it last
+// saved to or was loaded from, SaveDir keeps every file of that
+// directory's manifest that still fits this rule and writes only the
+// rows no kept file holds, so a steady append workload saves in O(new
+// data); the short files of a segment give way to one file when it
+// fills. Each new file takes a fresh id, lands via temp + fsync +
+// rename, and the manifest goes last, so a crash mid-save never
+// corrupts the previous snapshot. Files the new manifest does not name
+// and abandoned temp files are removed once it is durable, before
+// SaveDir returns.
 //
 // SaveDir serializes with Add/Seal (one writer side) but never
 // blocks queries, which keep scoring their loaded views throughout.
@@ -151,63 +160,54 @@ func (db *DB) SaveDir(path string) error {
 	if err := fsMkdirAll(path, 0o755); err != nil {
 		return &SnapshotError{Path: path, Err: err}
 	}
+	files := db.files
 	if db.saveDir != path {
-		// A different target directory knows nothing of this DB: every
-		// segment must land there, under an id past every one the
-		// directory already uses — renaming over a file its current
-		// manifest names would leave neither snapshot loadable if the
-		// save died before the new manifest is durable.
+		// A different target directory holds none of this DB's rows:
+		// every row lands in a new file, under an id past every one the
+		// directory already uses, so no rename replaces a file its
+		// current manifest names.
 		floor, err := dirNextSeg(path)
 		if err != nil {
 			return err
 		}
-		db.nextSeg = max(db.nextSeg, floor)
-		for _, sg := range db.segs {
-			sg.dirty = true
-			if !sg.saved && sg.id < floor { // a saved one gets a fresh id below
-				sg.id = db.nextSeg
-				db.nextSeg++
-			}
-		}
+		files, db.nextSeg = nil, max(db.nextSeg, floor)
 	}
-	wrote := false
+	// Walk the segments with a cursor: entries hold the rows before it,
+	// and files[0] holds the rows from at on. An old file is kept when it
+	// starts at the cursor and ends inside the segment — for a full
+	// segment, when it holds the segment whole; the segment's remaining
+	// rows go to one new file.
+	entries := []manifestSegment{}
+	cursor, at, wrote := 0, 0, false
 	for _, sg := range db.segs {
-		if !sg.dirty {
-			continue
+		full := sg.len() == db.segSizeLocked()
+		for len(files) > 0 && at == cursor && at+files[0].Records <= sg.end && (!full || files[0].Records == sg.len()) {
+			entries = append(entries, files[0])
+			at += files[0].Records
+			cursor, files = at, files[1:]
 		}
-		if sg.saved {
-			// This segment's file is (or may be) referenced by a durable
-			// manifest — a grown active segment being re-saved, or a save
-			// into a fresh directory. Write under a fresh id and let the
-			// old file live as an orphan until the new manifest is
-			// durable, so a crash anywhere in this save leaves the
-			// previous snapshot loadable.
-			sg.id = db.nextSeg
+		if cursor < sg.end {
+			id := db.nextSeg
 			db.nextSeg++
+			ent, err := db.writeSegmentFile(path, id, cursor, sg.end)
+			if err != nil {
+				return err
+			}
+			entries = append(entries, ent)
+			cursor, wrote = sg.end, true
 		}
-		crc, err := db.writeSegmentFile(path, sg)
-		if err != nil {
-			return err
+		for len(files) > 0 && at < cursor {
+			at += files[0].Records
+			files = files[1:]
 		}
-		sg.crc = crc
-		sg.dirty = false
-		sg.saved = true
-		wrote = true
 	}
-	// Make the segment renames durable before the manifest can name
+	// Make the new files' renames durable before the manifest can name
 	// them: without this ordering a crash could persist the new manifest
 	// but not a segment file's directory entry.
 	if wrote {
 		if err := syncDir(path); err != nil {
 			return &SnapshotError{Path: path, Err: err}
 		}
-	}
-	entries := []manifestSegment{}
-	live := map[string]bool{manifestName: true}
-	for _, sg := range db.segs {
-		name := segmentFileName(sg.id)
-		entries = append(entries, manifestSegment{ID: sg.id, File: name, Records: sg.len(), CRC32: sg.crc})
-		live[name] = true
 	}
 	m := manifestJSON{
 		Format:   manifestFormat,
@@ -229,10 +229,14 @@ func (db *DB) SaveDir(path string) error {
 	if err := syncDir(path); err != nil {
 		return &SnapshotError{Path: path, Err: err}
 	}
-	db.saveDir = path
-	// The replaced files are garbage now that the manifest is durable.
-	// Views hold the rows and postings on the heap, so no query reads
-	// them: remove them now.
+	db.saveDir, db.files = path, entries
+	// The files the manifest no longer names are garbage now that it is
+	// durable. Views hold the rows and postings on the heap, so no query
+	// reads them: remove them now.
+	live := map[string]bool{manifestName: true}
+	for _, ent := range entries {
+		live[ent.File] = true
+	}
 	stale, err := listOrphans(path, live)
 	if err != nil {
 		return err
@@ -281,7 +285,7 @@ func dirNextSeg(dir string) (uint64, error) {
 }
 
 // listOrphans names segment and temp files the manifest no longer
-// references: replaced segments, crash leftovers. Valid only after the
+// references: replaced files, crash leftovers. Valid only after the
 // new manifest is durable.
 //
 //fmeter:errdomain snapshot
@@ -301,21 +305,22 @@ func listOrphans(dir string, live map[string]bool) ([]string, error) {
 	return stale, nil
 }
 
-// writeSegmentFile writes one segment's file atomically and returns the
-// CRC32 of its body (everything before the footer).
+// writeSegmentFile writes rows [start, end) atomically to a new file
+// under id and returns its manifest entry.
 //
 //fmeter:errdomain snapshot
-func (db *DB) writeSegmentFile(dir string, sg *segment) (uint32, error) {
-	final := filepath.Join(dir, segmentFileName(sg.id))
+func (db *DB) writeSegmentFile(dir string, id uint64, start, end int) (manifestSegment, error) {
+	name := segmentFileName(id)
+	final := filepath.Join(dir, name)
 	f, err := fsCreateTemp(dir, ".tmp-seg-*")
 	if err != nil {
-		return 0, &SnapshotError{Path: final, Err: err}
+		return manifestSegment{}, &SnapshotError{Path: final, Err: err}
 	}
 	tmp := f.Name()
-	fail := func(err error) (uint32, error) {
+	fail := func(err error) (manifestSegment, error) {
 		f.Close()
 		fsRemove(tmp)
-		return 0, &SnapshotError{Path: final, Err: err}
+		return manifestSegment{}, &SnapshotError{Path: final, Err: err}
 	}
 	h := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(faultFile{f}, h))
@@ -324,16 +329,16 @@ func (db *DB) writeSegmentFile(dir string, sg *segment) (uint32, error) {
 	copy(hdr[:4], segMagic)
 	le.PutUint16(hdr[4:6], segVersionBlocks)
 	le.PutUint32(hdr[6:10], uint32(db.dim))
-	le.PutUint32(hdr[10:14], uint32(sg.len()))
+	le.PutUint32(hdr[10:14], uint32(end-start))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fail(err)
 	}
 	if err := bw.WriteByte(0); err != nil { // flags
 		return fail(err)
 	}
-	for j := sg.start; j < sg.end; j++ {
+	for j := start; j < end; j++ {
 		if err := writeSigRecordV2(bw, db.sigs[j]); err != nil {
-			return fail(fmt.Errorf("record %d: %w", j-sg.start, err))
+			return fail(fmt.Errorf("record %d: %w", j-start, err))
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -350,13 +355,13 @@ func (db *DB) writeSegmentFile(dir string, sg *segment) (uint32, error) {
 	}
 	if err := fsClose(f); err != nil {
 		fsRemove(tmp)
-		return 0, &SnapshotError{Path: final, Err: err}
+		return manifestSegment{}, &SnapshotError{Path: final, Err: err}
 	}
 	if err := fsRename(tmp, final); err != nil {
 		fsRemove(tmp)
-		return 0, &SnapshotError{Path: final, Err: err}
+		return manifestSegment{}, &SnapshotError{Path: final, Err: err}
 	}
-	return crc, nil
+	return manifestSegment{ID: id, File: name, Records: end - start, CRC32: crc}, nil
 }
 
 // writeFileAtomic writes data to path via temp + fsync + rename: readers
@@ -404,22 +409,21 @@ func syncDir(path string) error {
 }
 
 // LoadDir loads a snapshot directory written by SaveDir. Every
-// segment file's CRC is verified against both its own footer and the
-// manifest before any record is parsed; corruption, truncation, or a
-// missing file yields a *SnapshotError naming the file, never a
-// partially loaded database.
+// file's CRC is verified against both its own footer and the manifest
+// before any record is parsed; corruption, truncation, or a missing
+// file yields a *SnapshotError naming the file, never a partially
+// loaded database.
 //
 // The rows of every file, in manifest order, are cut into segments by
 // the code Add uses, so a loaded store has the layout of one that added
 // the same rows: every segment full but the last, which stays active
 // (its whole range indexed as one run, as Seal leaves it) and takes the
-// next Add. The DB remembers the directory. A segment whose range is
-// exactly one manifest entry's keeps that file; any other — the rows of
-// a directory an older build cut at other boundaries — is dirty under
-// a fresh id past the manifest's next_segment, so the next SaveDir
-// writes the canonical layout beside the old files and removes them
-// only once its manifest is durable. A directory already cut that way
-// re-saves as its manifest alone.
+// next Add. How the files cut the rows does not matter to the load. The
+// DB remembers the directory and its manifest's files, so the next
+// SaveDir there keeps the files that fit its rule — a directory already
+// cut that way, grown or not, keeps them all — and writes the rest of
+// the rows, an older build's cut included, as new files beside the old
+// ones, which it removes only once its manifest is durable.
 //
 //fmeter:errdomain snapshot
 func LoadDir(path string) (*DB, error) { return loadDir(path, 0) }
@@ -456,10 +460,7 @@ func loadDir(path string, segSize int) (*DB, error) {
 		return nil, err
 	}
 	db.segSize = segSize
-	// A file whose rows one segment holds exactly keeps its name: kept
-	// maps a file's first row to its entry.
 	seen := make(map[uint64]bool)
-	kept := make(map[int]manifestSegment)
 	var rows []Signature
 	var arena sigArena
 	for _, ent := range m.Segments[0] {
@@ -472,9 +473,6 @@ func loadDir(path string, segSize int) (*DB, error) {
 		}
 		if ent.File != segmentFileName(ent.ID) {
 			return nil, &SnapshotError{Path: mpath, Err: fmt.Errorf("segment %d file %q, want %q", ent.ID, ent.File, segmentFileName(ent.ID))}
-		}
-		if ent.Records > 0 {
-			kept[len(rows)] = ent
 		}
 		if rows, err = readSegmentFile(path, ent, m.Dim, rows, &arena); err != nil {
 			return nil, err
@@ -493,16 +491,7 @@ func loadDir(path string, segSize int) (*DB, error) {
 		p.seal(sg)
 	}
 	p.build(db.dim, db.sigs)
-	db.nextSeg = m.NextSeg
-	for _, sg := range db.segs {
-		if ent, ok := kept[sg.start]; ok && ent.Records == sg.len() {
-			sg.id, sg.crc, sg.saved, sg.dirty = ent.ID, ent.CRC32, true, false
-			continue
-		}
-		sg.id = db.nextSeg
-		db.nextSeg++
-	}
-	db.saveDir = path
+	db.saveDir, db.files, db.nextSeg = path, m.Segments[0], m.NextSeg
 	// The DB is still private to this goroutine; refresh the published
 	// view to cover the loaded segments before any query can load it.
 	db.cur.Store(db.buildViewLocked())

@@ -280,10 +280,11 @@ func sameRows(got, want []Signature) error {
 // TestV21FixtureLoads loads the older build's snapshot — postings
 // sections skipped, its 256/128/37 rows re-cut into one 421-row
 // segment, indexed whole — and holds it to a brute-force scan; a
-// SaveDir back into the fixture's copy writes one fresh file, removes
-// the older build's three, and reloads with the same rows, hits and
-// PruneStats; and a SaveDir into a fresh directory writes rows only
-// (every flags byte 0) and reloads with the same rows and answers.
+// SaveDir back into the fixture's copy writes only the manifest — the
+// three files hold row ranges of the one active segment, so they stay
+// — and reloads with the same rows, hits and PruneStats; and a SaveDir
+// into a fresh directory writes rows only (every flags byte 0) and
+// reloads with the same rows and answers.
 func TestV21FixtureLoads(t *testing.T) {
 	dir := copyV21Fixture(t)
 	flags := segFlags(t, dir)
@@ -302,14 +303,19 @@ func TestV21FixtureLoads(t *testing.T) {
 	queries := fixtureQueries(db.All())
 	checkBruteForce(t, "fixture", db, queries)
 
-	// Back into its own directory: the re-cut segment is new, under an id
-	// past the fixture's next_segment.
+	// Back into its own directory: every file stays, byte for byte.
+	before := dirState(t, dir)
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	files := dirState(t, dir)
-	if _, ok := files["seg-00000005.fms"]; !ok || len(files) != 2 {
-		t.Fatalf("re-save into the fixture left %v, want the manifest and seg-00000005.fms", slices.Sorted(maps.Keys(files)))
+	if len(files) != len(before) || newSegmentFiles(before, files) != 0 {
+		t.Fatalf("re-save into the fixture left %v, want %v", slices.Sorted(maps.Keys(files)), slices.Sorted(maps.Keys(before)))
+	}
+	for name, b := range before {
+		if name != manifestName && !bytes.Equal(files[name], b) {
+			t.Fatalf("re-save into the fixture rewrote %s", name)
+		}
 	}
 	back, err := LoadDir(dir)
 	if err != nil {
@@ -354,9 +360,9 @@ func TestV21FixtureLoads(t *testing.T) {
 }
 
 // TestV21FixtureIncrementalSave grows the loaded fixture and saves it
-// back into its own directory: the older build's files stay as they
-// were until the new manifest lands, then give way to the one rows-only
-// file of the grown segment, and the directory loads.
+// back into its own directory: the older build's three files keep their
+// bytes, one new rows-only file holds the 50 appended rows, and the
+// directory loads as one segment.
 func TestV21FixtureIncrementalSave(t *testing.T) {
 	dir := copyV21Fixture(t)
 	before := dirState(t, dir)
@@ -364,29 +370,27 @@ func TestV21FixtureIncrementalSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(randSigs(rand.New(rand.NewSource(341)), 50, matrixDim, 6)); err != nil {
+	grown := randSigs(rand.New(rand.NewSource(341)), 50, matrixDim, 6)
+	if err := db.AddAll(grown); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	after := dirState(t, dir)
-	newFiles := 0
-	for name, b := range after {
-		if name == manifestName {
-			continue
+	for name, b := range before {
+		if name != manifestName && !bytes.Equal(after[name], b) {
+			t.Fatalf("the older build's %s changed in the save", name)
 		}
-		if _, ok := before[name]; ok {
-			t.Fatalf("the older build's %s survived the save", name)
-		}
-		if b[segHeaderSize] != 0 {
-			t.Fatalf("new %s flags %#02x, want 0", name, b[segHeaderSize])
-		}
-		newFiles++
 	}
-	if newFiles != 1 || len(after) != 2 {
-		t.Fatalf("incremental save left %d files (%d new), want the manifest and one new", len(after), newFiles)
+	ents := readManifest(t, dir).Segments[0]
+	if len(after) != len(before)+1 || len(ents) != 4 {
+		t.Fatalf("incremental save left %d files in a %d-entry manifest, want %d and 4", len(after), len(ents), len(before)+1)
 	}
+	if f := after[ents[3].File][segHeaderSize]; f != 0 {
+		t.Fatalf("new %s flags %#02x, want 0", ents[3].File, f)
+	}
+	checkFileRows(t, dir, ents[3], matrixDim, grown)
 	back, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)

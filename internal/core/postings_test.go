@@ -265,9 +265,9 @@ func TestSealEmptyActiveNoOp(t *testing.T) {
 	if got := encodeCount.Load() - before; got != 0 {
 		t.Fatalf("repeated Seal encoded %d times, want 0", got)
 	}
-	for _, sg := range db.segs {
+	for i, sg := range db.segs {
 		if sg.len() == 0 {
-			t.Fatalf("zero-length segment %d", sg.id)
+			t.Fatalf("zero-length segment %d", i)
 		}
 	}
 	// And a save/load cycle must not see phantom segments either.

@@ -12,7 +12,9 @@ import (
 // segment k holds rows [k·S, (k+1)·S), S being SegmentSize. A segment
 // is a view over a contiguous range of the backing arrays (sigs/norms,
 // which only ever append — the in-memory analogue of a log-structured
-// store) plus the posting runs that index it and its persistence state.
+// store) plus the posting runs that index it. A segment holds no disk
+// state: which files hold which rows is SaveDir's decision alone (see
+// manifest.go).
 // Every segment but the last is full; the last is *active* while it
 // holds fewer than S rows, and Add appends into it.
 //
@@ -30,9 +32,9 @@ import (
 //
 // A full segment is immutable: its record range, posting lists, and
 // cached norms never change again, which is what lets SaveDir persist
-// it exactly once (temp + fsync + rename) and skip it on every later
-// save. The active segment is rewritten whole by every save after it
-// grew.
+// it as one file, once, and keep that file on every later save. The
+// active segment only grows, so each save writes just the rows it
+// gained since the last one, as one more file.
 //
 // A whole-segment run's postings are encodeBlocks over the segment's
 // rows, however it came to be: filled by Add, indexed by Seal, or
@@ -41,10 +43,6 @@ import (
 // weights in the same order, TopK is bit-identical across any run and
 // seal history (see DESIGN-PERF.md Layers 5–6).
 type segment struct {
-	// id names the segment on disk (seg-<id>.fms); ids are DB-unique and
-	// monotonically increasing, so a rewritten segment never collides
-	// with the file it replaces.
-	id uint64
 	// start/end delimit the record range [start, end): row indexes,
 	// which are insertion indexes.
 	start, end int
@@ -55,20 +53,6 @@ type segment struct {
 	// its whole range.
 	runs   []*postingRun
 	runEnd int
-	// dirty marks the segment as not yet persisted to the DB's current
-	// save directory. Cleared by SaveDir, set by Add and by a LoadDir
-	// that re-cut the rows a file held.
-	dirty bool
-	// saved marks that a file named after this segment's id exists on
-	// disk (and may be referenced by a durable manifest). Rewriting a
-	// saved segment must take a fresh id so the old file survives until
-	// the new manifest lands — never rename over a file the previous
-	// snapshot still depends on.
-	saved bool
-	// crc is the CRC32 of the segment's file body, valid once saved
-	// (recorded in the manifest so a tampered file is caught even when
-	// its own footer was recomputed).
-	crc uint32
 }
 
 // len returns the segment's record count.
@@ -194,8 +178,8 @@ func (db *DB) segSizeLocked() int {
 
 // Segments returns the segment count (introspection for tests,
 // benchmarks and operators): one per SegmentSize rows, the last
-// rounded up. Segments are the units of persistence; an active segment
-// counts once however many posting runs it holds.
+// rounded up. An active segment counts once however many posting runs
+// and snapshot files hold it.
 func (db *DB) Segments() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -229,8 +213,7 @@ func (db *DB) activeSegment() *segment {
 // appendSegment opens a fresh active segment at the tail.
 func (db *DB) appendSegment() *segment {
 	n := len(db.sigs)
-	sg := &segment{id: db.nextSeg, start: n, end: n, runEnd: n, dirty: true}
-	db.nextSeg++
+	sg := &segment{start: n, end: n, runEnd: n}
 	db.segs = append(db.segs, sg)
 	return sg
 }

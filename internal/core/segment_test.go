@@ -138,9 +138,9 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 // TestSegmentLifecycle pins the segment mechanics: a segment ends when
 // it holds the segment size and nowhere else, Seal indexes the active
 // segment without ending it, Add after Seal appends to the same
-// segment, and SaveDir rewrites exactly the segments that changed since
-// the last save — a full segment once, the active one whole each time
-// it grew.
+// segment, and SaveDir writes exactly the rows no file holds — a
+// segment that filled as one file, the rows the active one gained as
+// one more.
 func TestSegmentLifecycle(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	const dim, nnz = 40, 6
@@ -184,7 +184,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	}
 	shape("Seal+Add", 3, 2, 1)
 	if got := save(); got != 1 {
-		t.Fatalf("save after Seal+Add wrote %d segment files, want the grown active one", got)
+		t.Fatalf("save after Seal+Add wrote %d segment files, want one of the added row", got)
 	}
 	if got := save(); got != 0 {
 		t.Fatalf("save of an unchanged store wrote %d segment files", got)

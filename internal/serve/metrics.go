@@ -43,7 +43,7 @@ type metrics struct {
 	latCount  atomic.Uint64
 	latSumUS  atomic.Uint64
 
-	// Sampled PruneStats aggregates: every PruneSampleEvery-th TopK
+	// Sampled PruneStats aggregates: every pruneSampleEvery-th TopK
 	// request sets Stats on its core.Query (same call, same view, same
 	// hits; only the counters are extra) and accumulates its first
 	// query's counters here.

@@ -180,7 +180,8 @@ func TestCoalescedBitIdentical(t *testing.T) {
 }
 
 func coalescedBitIdentical(t *testing.T, every int) {
-	s, sigs := newTestServer(t, Config{MaxQueue: 256, PruneSampleEvery: every}, 120)
+	s, sigs := newTestServer(t, Config{MaxQueue: 256}, 120)
+	s.pruneEvery = uint64(every)
 	defer s.Shutdown(t.Context())
 	db := s.db
 	const k = 5

@@ -42,16 +42,12 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies. Default 8MB.
 	MaxBodyBytes int64
 	// SnapshotDir, when non-empty, enables the periodic incremental
-	// SaveDir loop: every SnapshotEvery the server checks the sealed
-	// segment count and snapshots when it has advanced past the last
-	// saved watermark.
+	// SaveDir loop: every 2 s the server checks the full segment count
+	// and snapshots when it has advanced past the last saved watermark,
+	// and Shutdown snapshots once more. Each save writes only the rows
+	// no file in the directory holds yet: a segment that filled as one
+	// file, and the rows the active segment gained as one more.
 	SnapshotDir string
-	// SnapshotEvery is the watermark poll interval. Default 2s.
-	SnapshotEvery time.Duration
-	// PruneSampleEvery samples PruneStats from every Nth TopK request
-	// for /metrics aggregates; 0 keeps the default 32, negative disables
-	// sampling.
-	PruneSampleEvery int
 	// Warnf, when non-nil, receives operational warnings (snapshot
 	// failures). Default drops them.
 	Warnf func(format string, args ...any)
@@ -70,20 +66,19 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 2 * time.Second
-	}
-	if c.PruneSampleEvery == 0 {
-		c.PruneSampleEvery = 32
-	}
-	if c.PruneSampleEvery < 0 {
-		c.PruneSampleEvery = 0
-	}
 	if c.Warnf == nil {
 		c.Warnf = func(string, ...any) {}
 	}
 	return c
 }
+
+const (
+	// snapshotEvery is the snapshot loop's watermark poll interval.
+	snapshotEvery = 2 * time.Second
+	// pruneSampleEvery is the PruneStats sample period: every
+	// pruneSampleEvery-th TopK request feeds the /metrics aggregates.
+	pruneSampleEvery = 32
+)
 
 // Server is the HTTP serving layer. Create with New, mount via Handler
 // (or pass directly to http.Server), stop with Shutdown.
@@ -94,6 +89,9 @@ type Server struct {
 	met   *metrics
 	gate  *gate
 	mux   *http.ServeMux
+	// pruneEvery is the PruneStats sample period, pruneSampleEvery
+	// unless a test lowers it before the first request.
+	pruneEvery uint64
 
 	// ingestMu serializes ingest bodies so each body's Transform →
 	// Normalize → AddAll runs as one unit (one RCU publish per body).
@@ -114,13 +112,14 @@ func New(db *core.DB, model *core.Model, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		db:       db,
-		model:    model,
-		cfg:      cfg,
-		met:      newMetrics(),
-		gate:     newGate(cfg.MaxQueue),
-		snapStop: make(chan struct{}),
-		snapDone: make(chan struct{}),
+		db:         db,
+		model:      model,
+		cfg:        cfg,
+		met:        newMetrics(),
+		gate:       newGate(cfg.MaxQueue),
+		pruneEvery: pruneSampleEvery,
+		snapStop:   make(chan struct{}),
+		snapDone:   make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
@@ -223,7 +222,7 @@ func (s *Server) Classify(queries []*vecmath.Sparse, k int, metric core.Metric) 
 // run passes the gate and answers q, one request, on the caller's
 // goroutine and one view. A request refused by the gate, or whose ctx
 // ends while it waits for a run slot or between two of its queries,
-// counts in neither Queries nor Batches. Every PruneSampleEvery-th TopK
+// counts in neither Queries nor Batches. Every pruneSampleEvery-th TopK
 // request also asks for PruneStats — same call, same view, same hits —
 // and its first query's counters feed the /metrics aggregates.
 //
@@ -251,16 +250,15 @@ func (s *Server) run(ctx context.Context, q *core.Query) error {
 // samplePrune reports whether this TopK request is the every-Nth one
 // whose first query feeds the /metrics PruneStats aggregates.
 func (s *Server) samplePrune() bool {
-	every := uint64(s.cfg.PruneSampleEvery)
-	return every != 0 && s.met.pruneTick.Add(1)%every == 0
+	return s.met.pruneTick.Add(1)%s.pruneEvery == 0
 }
 
-// snapshotLoop polls the sealed-segment watermark and snapshots
-// incrementally when it advances — SaveDir only rewrites dirty
-// segments, so a quiet store costs one stat-like check per tick.
+// snapshotLoop polls the full-segment watermark and snapshots
+// incrementally when it advances — SaveDir writes only the rows no file
+// holds yet, and a quiet store costs one counter read per tick.
 func (s *Server) snapshotLoop() {
 	defer close(s.snapDone)
-	ticker := time.NewTicker(s.cfg.SnapshotEvery)
+	ticker := time.NewTicker(snapshotEvery)
 	defer ticker.Stop()
 	for {
 		select {
