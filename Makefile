@@ -59,13 +59,15 @@ bench:
 ## numbers come from, so they cannot rot into code that no longer
 ## compiles or panics: the set-up path (Transform, TransformAll,
 ## Corpus.Add, the AddAll bulk load, the Seal that ends it and the
-## first query that builds an unsealed load's pending runs), the
+## first query that builds an unsealed load's pending runs), the cold
+## open of a 24 000-row snapshot (LoadDirPeaked: packed and raw-float64
+## weight records, with the bytes on disk per signature), the
 ## kernel_large query in process (BenchmarkTopKFlat's class arm), the
 ## wire_small store's query with the whole-unit posting walk forced
 ## (its tiny arm) and the query-body decoder against encoding/json. It
 ## times nothing.
 bench-compile:
-	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal|FirstQueryPendingRuns' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal|FirstQueryPendingRuns|LoadDirPeaked' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'TopKFlat/(peaked|tiny)/(class|nnz=12)' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'DecodeQueryRequest' -benchtime 1x ./internal/serve/
 

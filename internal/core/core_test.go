@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -954,6 +956,47 @@ func BenchmarkAddAllPeaked(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				loadChunks(b, sigs, c.chunk)
 			}
+		})
+	}
+}
+
+// BenchmarkLoadDirPeaked is a cold open: one op runs LoadDir over a
+// snapshot of 24 000 peaked signatures saved in 256-signature chunks —
+// every record decoded, every segment re-encoded. The packed arm reads
+// the files SaveDir writes; the raw arm the same rows as flags-0 bodies
+// of raw float64 weights, as older builds wrote them. Each reports the
+// bytes on disk per signature (every file of the directory).
+func BenchmarkLoadDirPeaked(b *testing.B) {
+	sigs := embedPeaked(b, 24000)
+	db := loadChunks(b, sigs, 256)
+	for _, arm := range []string{"packed", "raw"} {
+		dir := filepath.Join(b.TempDir(), arm)
+		if err := db.SaveDir(dir); err != nil {
+			b.Fatal(err)
+		}
+		if arm == "raw" {
+			rewriteRaw(b, dir)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var size int64
+		for _, e := range entries {
+			fi, err := e.Info()
+			if err != nil {
+				b.Fatal(err)
+			}
+			size += fi.Size()
+		}
+		b.Run(arm, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadDir(dir); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(size)/float64(len(sigs)), "disk-B/sig")
 		})
 	}
 }

@@ -382,6 +382,49 @@ func TestSaveDirNeverRewritesReferencedFiles(t *testing.T) {
 	}
 }
 
+// TestSaveDirFileMode holds every file a save publishes to mode 0644,
+// readable by every user like the 0755 directory, whatever the umask:
+// MANIFEST.json and each seg-*.fms after a fresh save and after an
+// incremental one.
+func TestSaveDirFileMode(t *testing.T) {
+	sigs := randSigs(rand.New(rand.NewSource(403)), 12, matrixDim, 5)
+	db, err := NewDB(matrixDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	for _, chunk := range [][]Signature{sigs[:8], sigs[8:]} {
+		if err := db.AddAll(chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := 0
+		for _, e := range entries {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(e.Name(), "seg-") {
+				segs++
+			} else if e.Name() != manifestName {
+				t.Fatalf("unexpected file %s", e.Name())
+			}
+			if fi.Mode().Perm() != 0o644 {
+				t.Fatalf("%s mode %v, want -rw-r--r--", e.Name(), fi.Mode())
+			}
+		}
+		if segs != len(readManifest(t, dir).Segments[0]) {
+			t.Fatalf("%d segment files, the manifest names %d", segs, len(readManifest(t, dir).Segments[0]))
+		}
+	}
+}
+
 // checkFileRows asserts the snapshot file ent names holds exactly want.
 func checkFileRows(t *testing.T, dir string, ent manifestSegment, dim int, want []Signature) {
 	t.Helper()

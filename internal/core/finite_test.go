@@ -30,7 +30,7 @@ func hostileSparse(t *testing.T, dim int, w float64) *vecmath.Sparse {
 }
 
 // requireNonFinite asserts err is the typed non-finite rejection for param.
-func requireNonFinite(t *testing.T, ctx, param string, err error) {
+func requireNonFinite(t testing.TB, ctx, param string, err error) {
 	t.Helper()
 	var ce *ConfigError
 	if !errors.As(err, &ce) || ce.Param != param {

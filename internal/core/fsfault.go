@@ -67,11 +67,23 @@ func fsMkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
 
+// fsCreateTemp creates a temp file that every snapshot file is renamed
+// from, readable by every user like the 0755 directory it lands in:
+// os.CreateTemp makes it 0600, and Chmod sets 0644 past the umask.
 func fsCreateTemp(dir, pattern string) (*os.File, error) {
 	if err := fsCheck(opCreateTemp, dir); err != nil {
 		return nil, err
 	}
-	return os.CreateTemp(dir, pattern)
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
+	return f, nil
 }
 
 func fsWrite(f *os.File, b []byte) (int, error) {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -101,6 +103,46 @@ func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 	}
 }
 
+// codecSeeds returns segment bodies of matrixDim-wide rows covering the
+// weight codec: one packed at each k in 1..5; one holding escaped
+// negative and subnormal weights and one 40 binades below the rest;
+// one holding a NaN, +Inf or -Inf weight each (refused by the typed
+// non-finite check); one whose record falls back to raw float64s; and
+// the matrix rows as a flags-0 body from the raw writer.
+func codecSeeds(t testing.TB) [][]byte {
+	r := rand.New(rand.NewSource(404))
+	// row is 30 weights 0–spread binades down, v in place of the 4th and
+	// the 18th when v is not 0.
+	row := func(spread int, v float64) []float64 {
+		val := spreadWeights(r, matrixDim, spread)
+		for i := 3; v != 0 && i < len(val); i += 14 {
+			val[i] = v
+		}
+		return val
+	}
+	body := func(want byte, vals ...[]float64) []byte {
+		rows := make([]Signature, len(vals))
+		for i, val := range vals {
+			if k, _, _ := chooseWeightCode(val); byte(k) != want {
+				t.Fatalf("seed row %d packs under %#02x, want %#02x", i, k, want)
+			}
+			rows[i] = weightSig(t, matrixDim, fmt.Sprintf("s%d", i), val)
+		}
+		return segmentBody(t, matrixDim, segFlagWeights, rows, writeSigRecord)
+	}
+	var seeds [][]byte
+	for k, spread := range []int{0, 2, 6, 14, 29} {
+		seeds = append(seeds, body(byte(k+1), row(spread, 0), row(spread, 0)))
+	}
+	seeds = append(seeds,
+		body(4, row(13, -0.375), row(13, math.SmallestNonzeroFloat64), row(13, 0x1p-60)),
+		body(4, row(13, math.NaN())), body(4, row(13, math.Inf(1))), body(4, row(13, math.Inf(-1))),
+		body(weightsRaw, []float64{0.5, 0x1p-45, 0.75, 0x1p-50}),
+		segmentBody(t, matrixDim, 0, randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5), writeSigRecordRaw),
+	)
+	return seeds
+}
+
 // FuzzLoadSegment feeds mutated segment bodies to LoadDir. The harness
 // stamps the footer CRC and writes a one-segment manifest around every
 // input (CRC and record count taken from the input itself), so a
@@ -108,10 +150,15 @@ func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 // stopped at a checksum. The loader may refuse the file — with a
 // *SnapshotError naming a file and no DB — or load it, and then the
 // store holds the header's record count and passes checkLoadedStore.
-// The seeds are the corruption matrix's healthy files and the segments
-// of the older build's fixture (v21Fixture), whose postings sections
-// keep the path that skips them fuzzed.
+// The seeds are the corruption matrix's healthy files (packed records,
+// flags segFlagWeights), the codec's seeds (codecSeeds: every k, every
+// escape class, the raw fallback, a flags-0 body) and the segments of
+// the older build's fixture (v21Fixture, flags 1 and 0), whose postings
+// sections keep the path that skips them fuzzed.
 func FuzzLoadSegment(f *testing.F) {
+	for _, body := range codecSeeds(f) {
+		f.Add(body)
+	}
 	for _, seeds := range []string{saveMatrixBaseline(f), v21Fixture} {
 		entries, err := os.ReadDir(seeds)
 		if err != nil {

@@ -26,21 +26,32 @@ import (
 //	                                       other version is refused)
 //	  dim     uint32
 //	  count   uint32
-//	  flags   uint8                       (written 0)
+//	  flags   uint8                       (written 0x02, segFlagWeights)
 //	  count × signature records           (uvarint-gap support indices,
-//	                                       raw float64 weights — see
-//	                                       writeSigRecordV2)
+//	                                       then the weights: a byte k
+//	                                       and, for k in 1..5, a uvarint
+//	                                       e0 and a bitstream of
+//	                                       (52+k)-bit fields plus the
+//	                                       escaped weights as raw
+//	                                       float64s; for k = 0xFF raw
+//	                                       float64s — see writeSigRecord)
 //	  crc32   uint32                      (IEEE, over all preceding bytes)
 //
 // A snapshot holds signatures, not their index: the posting blocks are
 // a pure function of the rows, so LoadDir cuts the rows into segments
 // as Add does and rebuilds every segment's postings with encodeBlocks,
 // the encoder seal uses — a store reloads with byte-identical postings.
-// Files written by older builds set flags bit 0 and carry a sealed
-// segment's posting blocks after the records; a load skips that section
-// unread (the footer and manifest CRCs still cover it). Any other flag
-// bit is refused, and a flags-0 body must end exactly after its last
-// record.
+// Every weight reloads bit for bit under either weight form. The flags
+// byte is read per file, so a directory may mix files of three values:
+// 0x02 (what SaveDir writes) — records carry the weight encoding byte;
+// 0 — the form of builds before it, weights as raw float64s; 0x01 — the
+// same records followed by a sealed segment's posting blocks, which
+// older builds wrote and a load skips unread (the footer and manifest
+// CRCs still cover them). Every other value is refused, and a body
+// without 0x01 must end exactly after its last record. Builds before
+// 0x02 refuse a 0x02 file with a typed *SnapshotError ("unknown
+// segment flags"), so a directory this build saved does not load in
+// them.
 //
 // Files are row ranges, in manifest order, and one rule in SaveDir
 // decides which file holds which rows: a file never spans two segments,
@@ -75,6 +86,9 @@ const (
 	// segFlagPostings marks an older build's body carrying a postings
 	// section after its records; loads skip it.
 	segFlagPostings = 0x01
+	// segFlagWeights marks a body whose records carry a weight encoding
+	// (writeSigRecord); every file SaveDir writes sets it, and no other.
+	segFlagWeights = 0x02
 	// segHeaderSize is the fixed segment prefix: magic + version + dim +
 	// count.
 	segHeaderSize = 4 + 2 + 4 + 4
@@ -323,7 +337,9 @@ func (db *DB) writeSegmentFile(dir string, id uint64, start, end int) (manifestS
 		return manifestSegment{}, &SnapshotError{Path: final, Err: err}
 	}
 	h := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(faultFile{f}, h))
+	// Records append into the buffer's free space (writeSigRecord); a
+	// buffer many records long keeps the ones that do not fit rare.
+	bw := bufio.NewWriterSize(io.MultiWriter(faultFile{f}, h), 64<<10)
 	le := binary.LittleEndian
 	var hdr [segHeaderSize]byte
 	copy(hdr[:4], segMagic)
@@ -333,11 +349,11 @@ func (db *DB) writeSegmentFile(dir string, id uint64, start, end int) (manifestS
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fail(err)
 	}
-	if err := bw.WriteByte(0); err != nil { // flags
+	if err := bw.WriteByte(segFlagWeights); err != nil {
 		return fail(err)
 	}
 	for j := start; j < end; j++ {
-		if err := writeSigRecordV2(bw, db.sigs[j]); err != nil {
+		if err := writeSigRecord(bw, db.sigs[j]); err != nil {
 			return fail(fmt.Errorf("record %d: %w", j-start, err))
 		}
 	}
@@ -551,11 +567,11 @@ func readSegmentFile(dir string, ent manifestSegment, dim int, rows []Signature,
 	if err != nil {
 		return fail(fmt.Errorf("flags: %w", err))
 	}
-	if flags&^segFlagPostings != 0 {
+	if flags != 0 && flags != segFlagPostings && flags != segFlagWeights {
 		return fail(fmt.Errorf("unknown segment flags %#02x", flags))
 	}
 	for i := 0; i < int(count); i++ {
-		sig, err := readSigRecordV2(&cur, dim, arena)
+		sig, err := readSigRecord(&cur, dim, flags == segFlagWeights, arena)
 		if err != nil {
 			return fail(fmt.Errorf("record %d: %w", i, err))
 		}

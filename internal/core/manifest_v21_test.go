@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,28 +20,74 @@ import (
 	"repro/internal/vecmath"
 )
 
-// v21PostingsStart returns where an older build's sealed segment body
-// starts its postings section, after the flags byte and the row
-// records. rows must be the segment's signatures in record order.
-func v21PostingsStart(t *testing.T, body []byte, rows []Signature) int {
+// writeSigRecordRaw writes one record the way every build before
+// segFlagWeights did, and the way flags-0 and flags-1 bodies hold it:
+// the head appendSigHead writes, then the weights as raw little-endian
+// float64s, bit for bit. It is the oracle the compatibility tests write
+// older files with; v21PostingsStart holds it to the fixture's bytes.
+func writeSigRecordRaw(bw *bufio.Writer, s Signature) error {
+	b, err := appendSigHead(nil, s)
+	if err != nil {
+		return err
+	}
+	for _, x := range s.W.Values() {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	_, err = bw.Write(b)
+	return err
+}
+
+// segmentBody returns a segment file body of dim-wide rows, footer
+// excluded: the header, the flags byte, and every row written by write.
+func segmentBody(t testing.TB, dim int, flags byte, rows []Signature, write func(*bufio.Writer, Signature) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
+	le := binary.LittleEndian
+	buf.WriteString(segMagic)
+	buf.Write(le.AppendUint16(nil, segVersionBlocks))
+	buf.Write(le.AppendUint32(nil, uint32(dim)))
+	buf.Write(le.AppendUint32(nil, uint32(len(rows))))
+	buf.WriteByte(flags)
 	bw := bufio.NewWriter(&buf)
 	for _, s := range rows {
-		if err := writeSigRecordV2(bw, s); err != nil {
+		if err := write(bw, s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rowsStart := segHeaderSize + 1 // header + flags byte
-	postStart := rowsStart + buf.Len()
+	return buf.Bytes()
+}
+
+// rewriteRaw rewrites every file dir's manifest names as a flags-0 body
+// of the same rows, its CRCs re-stamped: the directory a build before
+// segFlagWeights would have saved.
+func rewriteRaw(t testing.TB, dir string) {
+	t.Helper()
+	m := readManifest(t, dir)
+	for _, ent := range m.Segments[0] {
+		rows, err := readSegmentFile(dir, ent, m.Dim, nil, &sigArena{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewriteSegment(t, dir, ent.File, segmentBody(t, m.Dim, 0, rows, writeSigRecordRaw))
+	}
+}
+
+// v21PostingsStart returns where an older build's sealed segment body
+// starts its postings section, after the flags byte and the row
+// records. rows must be the segment's signatures in record order; the
+// records before the section must be the raw writer's bytes exactly.
+func v21PostingsStart(t *testing.T, body []byte, rows []Signature) int {
+	t.Helper()
+	rec := segmentBody(t, rows[0].Dim(), body[segHeaderSize], rows, writeSigRecordRaw)
+	postStart := len(rec)
 	if postStart >= len(body) {
 		t.Fatalf("postings section out of range: rows end at %d of %d body bytes", postStart, len(body))
 	}
-	if !bytes.Equal(body[rowsStart:postStart], buf.Bytes()) {
-		t.Fatal("row re-encoding does not match the written segment file")
+	if !bytes.Equal(body[:postStart], rec) {
+		t.Fatal("the raw writer's re-encoding does not match the older build's segment file")
 	}
 	return postStart
 }
@@ -48,7 +95,7 @@ func v21PostingsStart(t *testing.T, body []byte, rows []Signature) int {
 // rewriteSegment replaces a segment file's body, recomputing both the
 // file footer CRC and the manifest's CRC entry, so the corruption under
 // test is structural — not a checksum mismatch.
-func rewriteSegment(t *testing.T, dir, name string, body []byte) {
+func rewriteSegment(t testing.TB, dir, name string, body []byte) {
 	t.Helper()
 	crc := crc32.ChecksumIEEE(body)
 	var foot [4]byte
@@ -88,7 +135,8 @@ func rewriteSegment(t *testing.T, dir, name string, body []byte) {
 // bytes) and both CRCs re-stamped, still loads and answers like a
 // brute-force scan of its rows. Plain CRC damage inside the section is
 // still a *SnapshotError naming the file, as are a section behind a
-// flags byte of 0 and an unknown flag bit.
+// flags byte of 0, a section behind encoded weights (flags 0x03, which
+// no build writes) and an unknown flag bit.
 func TestV21PostingsSectionIgnored(t *testing.T) {
 	dir := copyV21Fixture(t)
 	db, err := LoadDir(dir)
@@ -154,11 +202,13 @@ func TestV21PostingsSectionIgnored(t *testing.T) {
 		restore()
 	}
 
-	// A section behind a flags byte of 0 is trailing bytes, and an unknown
-	// flag bit is refused.
+	// A section behind a flags byte of 0 is trailing bytes, and flags
+	// 0x03 and an unknown flag bit are refused.
 	mutate(func(b []byte) []byte { b[segHeaderSize] = 0; return b })
 	mustFail("flags-0-with-section")
-	mutate(func(b []byte) []byte { b[segHeaderSize] |= 0x02; return b })
+	mutate(func(b []byte) []byte { b[segHeaderSize] |= segFlagWeights; return b })
+	mustFail("postings-and-weights")
+	mutate(func(b []byte) []byte { b[segHeaderSize] |= 0x04; return b })
 	mustFail("unknown-flag")
 	// A bit flip in the section without re-stamping: the CRC rejects it.
 	flipped := append([]byte(nil), raw...)
@@ -177,7 +227,7 @@ func TestReadSigRecordV2Bounds(t *testing.T) {
 	buf.WriteByte(0) // empty docID
 	buf.WriteByte(0) // empty label
 	buf.Write(binary.AppendUvarint(nil, 1<<63))
-	if _, err := readSigRecordV2(&byteCursor{b: buf.Bytes()}, 10, &sigArena{}); err == nil {
+	if _, err := readSigRecord(&byteCursor{b: buf.Bytes()}, 10, true, &sigArena{}); err == nil {
 		t.Fatal("2^63 nnz should fail")
 	}
 	buf.Reset()
@@ -185,7 +235,7 @@ func TestReadSigRecordV2Bounds(t *testing.T) {
 	buf.WriteByte(0)
 	buf.Write(binary.AppendUvarint(nil, 1))       // nnz = 1
 	buf.Write(binary.AppendUvarint(nil, 1<<63+7)) // gap wraps int64
-	if _, err := readSigRecordV2(&byteCursor{b: buf.Bytes()}, 10, &sigArena{}); err == nil {
+	if _, err := readSigRecord(&byteCursor{b: buf.Bytes()}, 10, true, &sigArena{}); err == nil {
 		t.Fatal("overflowing support gap should fail")
 	}
 }
@@ -283,7 +333,8 @@ func sameRows(got, want []Signature) error {
 // SaveDir back into the fixture's copy writes only the manifest — the
 // three files hold row ranges of the one active segment, so they stay
 // — and reloads with the same rows, hits and PruneStats; and a SaveDir
-// into a fresh directory writes rows only (every flags byte 0) and
+// into a fresh directory writes one file, flags segFlagWeights, no
+// longer than the raw writer's flags-0 body of the same rows, and
 // reloads with the same rows and answers.
 func TestV21FixtureLoads(t *testing.T) {
 	dir := copyV21Fixture(t)
@@ -344,9 +395,18 @@ func TestV21FixtureLoads(t *testing.T) {
 	if err := db.SaveDir(fresh); err != nil {
 		t.Fatal(err)
 	}
-	for name, f := range segFlags(t, fresh) {
-		if f != 0 {
-			t.Fatalf("re-saved %s flags %#02x, want 0", name, f)
+	resaved := dirState(t, fresh)
+	flags = segFlags(t, fresh)
+	if len(flags) != 1 {
+		t.Fatalf("re-saved into %d files, want 1", len(flags))
+	}
+	raw := len(segmentBody(t, matrixDim, 0, db.All(), writeSigRecordRaw)) + 4
+	for name, f := range flags {
+		if f != segFlagWeights {
+			t.Fatalf("re-saved %s flags %#02x, want %#02x", name, f, segFlagWeights)
+		}
+		if len(resaved[name]) >= raw {
+			t.Fatalf("re-saved %s holds %d bytes, the raw writer's body %d", name, len(resaved[name]), raw)
 		}
 	}
 	back, err = LoadDir(fresh)
@@ -361,8 +421,8 @@ func TestV21FixtureLoads(t *testing.T) {
 
 // TestV21FixtureIncrementalSave grows the loaded fixture and saves it
 // back into its own directory: the older build's three files keep their
-// bytes, one new rows-only file holds the 50 appended rows, and the
-// directory loads as one segment.
+// bytes, one new file, flags segFlagWeights, holds the 50 appended
+// rows, and the directory loads as one segment.
 func TestV21FixtureIncrementalSave(t *testing.T) {
 	dir := copyV21Fixture(t)
 	before := dirState(t, dir)
@@ -387,8 +447,8 @@ func TestV21FixtureIncrementalSave(t *testing.T) {
 	if len(after) != len(before)+1 || len(ents) != 4 {
 		t.Fatalf("incremental save left %d files in a %d-entry manifest, want %d and 4", len(after), len(ents), len(before)+1)
 	}
-	if f := after[ents[3].File][segHeaderSize]; f != 0 {
-		t.Fatalf("new %s flags %#02x, want 0", ents[3].File, f)
+	if f := after[ents[3].File][segHeaderSize]; f != segFlagWeights {
+		t.Fatalf("new %s flags %#02x, want %#02x", ents[3].File, f, segFlagWeights)
 	}
 	checkFileRows(t, dir, ents[3], matrixDim, grown)
 	back, err := LoadDir(dir)
@@ -448,5 +508,70 @@ func TestReloadRebuildsSealedPostings(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no query skipped a block: the PruneStats comparison pins nothing")
+	}
+}
+
+// TestFlags0DirectoryCompat writes a directory the way builds before
+// segFlagWeights did — every file a flags-0 body from the raw writer —
+// and holds LoadDir and the next SaveDir to it: the rows load bit for
+// bit, an incremental save keeps every old file (same inode, mtime and
+// bytes), each file it writes carries segFlagWeights, and the mixed
+// directory reloads with every row.
+func TestFlags0DirectoryCompat(t *testing.T) {
+	sigs := randSigs(rand.New(rand.NewSource(402)), 30, matrixDim, 6)
+	dir := filepath.Join(t.TempDir(), "db")
+	saveCut(t, dir, matrixDim, sigs[:20], 12, 8)
+	rewriteRaw(t, dir)
+	old := readManifest(t, dir).Segments[0]
+	infos := map[string]os.FileInfo{}
+	for name, f := range segFlags(t, dir) {
+		if f != 0 {
+			t.Fatalf("raw-written %s flags %#02x, want 0", name, f)
+		}
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos[name] = fi
+	}
+	before := dirState(t, dir)
+
+	db, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(db.All(), sigs[:20]); err != nil {
+		t.Fatalf("flags-0 directory: %v", err)
+	}
+	if err := db.AddAll(sigs[20:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ents := readManifest(t, dir).Segments[0]
+	if len(ents) != len(old)+1 || !slices.Equal(ents[:len(old)], old) {
+		t.Fatalf("incremental save's manifest %v, want %v and one new file", ents, old)
+	}
+	after := dirState(t, dir)
+	for name, fi := range infos {
+		got, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(got, fi) || !got.ModTime().Equal(fi.ModTime()) || !bytes.Equal(after[name], before[name]) {
+			t.Fatalf("incremental save touched the flags-0 file %s", name)
+		}
+	}
+	if f := after[ents[len(old)].File][segHeaderSize]; f != segFlagWeights {
+		t.Fatalf("new %s flags %#02x, want %#02x", ents[len(old)].File, f, segFlagWeights)
+	}
+	checkFileRows(t, dir, ents[len(old)], matrixDim, sigs[20:])
+	back, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRows(back.All(), sigs); err != nil {
+		t.Fatalf("mixed directory: %v", err)
 	}
 }

@@ -139,53 +139,169 @@ const (
 	maxSnapshotDim = 1 << 24
 )
 
-// writeSigRecordV2 appends one signature record in the v2.1 segment
-// encoding: docID and label (both uvarint-length-prefixed), then a
-// uvarint nnz, the support indices as uvarint gaps (each index minus its
+// appendSigHead appends the part of a signature record every snapshot
+// body shares: docID and label (both uvarint-length-prefixed), a uvarint
+// nnz, and the support indices as uvarint gaps (each index minus its
 // predecessor minus one, with an implicit predecessor of -1 — strictly
-// ascending indices make every gap non-negative and mostly one byte),
-// then the weights as raw little-endian float64s, bit for bit.
-func writeSigRecordV2(bw *bufio.Writer, s Signature) error {
+// ascending indices make every gap non-negative and mostly one byte).
+func appendSigHead(b []byte, s Signature) ([]byte, error) {
 	if len(s.DocID) > maxSnapshotString || len(s.Label) > maxSnapshotString {
-		return fmt.Errorf("doc-id/label exceeds snapshot string bound %d", maxSnapshotString)
+		return b, fmt.Errorf("doc-id/label exceeds snapshot string bound %d", maxSnapshotString)
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeStr := func(str string) error {
-		n := binary.PutUvarint(scratch[:], uint64(len(str)))
-		if _, err := bw.Write(scratch[:n]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(str)
-		return err
-	}
-	if err := writeStr(s.DocID); err != nil {
-		return err
-	}
-	if err := writeStr(s.Label); err != nil {
-		return err
-	}
-	idx, val := s.W.Support(), s.W.Values()
-	n := binary.PutUvarint(scratch[:], uint64(len(idx)))
-	if _, err := bw.Write(scratch[:n]); err != nil {
-		return err
-	}
+	b = binary.AppendUvarint(b, uint64(len(s.DocID)))
+	b = append(b, s.DocID...)
+	b = binary.AppendUvarint(b, uint64(len(s.Label)))
+	b = append(b, s.Label...)
+	idx := s.W.Support()
+	b = binary.AppendUvarint(b, uint64(len(idx)))
 	prev := int32(-1)
 	for _, i := range idx {
-		n := binary.PutUvarint(scratch[:], uint64(i-prev)-1)
-		if _, err := bw.Write(scratch[:n]); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(i-prev)-1)
 		prev = i
 	}
-	le := binary.LittleEndian
-	var rec [8]byte
+	return b, nil
+}
+
+// The weight encodings a record of a segFlagWeights file names in the
+// byte after its gaps: k in 1..maxWeightBits packs the weights as
+// (52 + k)-bit fields, weightsRaw stores them as raw float64s.
+const (
+	maxWeightBits = 5
+	weightsRaw    = 0xFF
+	mantBits      = 52
+	mantMask      = 1<<mantBits - 1
+	// maxNormalExp is the largest biased exponent of a finite float64.
+	maxNormalExp = 2046
+)
+
+// writeSigRecord appends one signature record of a segFlagWeights body
+// to bw: the shared head (appendSigHead), then the weights, bit for bit,
+// under the encoding chooseWeightCode picks.
+//
+// A packed record (k in 1..5) holds one byte k, a uvarint e0 — the
+// largest biased exponent among its positive normal weights — and a
+// little-endian bitstream of (52 + k)-bit fields zero-padded to a byte,
+// one field per weight in support order: the weight's 52 mantissa bits,
+// with d = e0 − e above them, e the weight's biased exponent. A weight
+// packs when it is positive and normal and d < 2^k − 1; any other (a
+// negative, subnormal, NaN or ±Inf weight, or one more than 2^k − 2
+// binades below e0) takes the escape code d = 2^k − 1, and the escaped
+// weights follow the bitstream as raw little-endian float64s, in order.
+// A raw record (weightsRaw) holds the byte 0xFF and the weights as raw
+// float64s, as flags-0 files store them.
+func writeSigRecord(bw *bufio.Writer, s Signature) error {
+	b, err := appendSigHead(bw.AvailableBuffer(), s)
+	if err != nil {
+		return err
+	}
+	_, err = bw.Write(appendWeights(b, s.W.Values()))
+	return err
+}
+
+// packedExpOffset reports x's exponent offset d = e0 − e and whether x
+// is positive and normal, the weights a packed field can hold.
+func packedExpOffset(x float64, e0 uint64) (uint64, bool) {
+	e := math.Float64bits(x) >> mantBits // the sign bit lands above the exponent
+	return e0 - e, e-1 < maxNormalExp
+}
+
+// chooseWeightCode picks a record's weight encoding: the k in
+// 1..maxWeightBits whose packing (fields, escapes and header) is the
+// shortest, the narrowest on a tie, and weightsRaw when no packing is
+// shorter than raw float64s. It returns e0 (0 for weightsRaw) and the
+// number of weights the packing escapes.
+func chooseWeightCode(val []float64) (k int, e0 uint64, escaped int) {
 	for _, x := range val {
-		le.PutUint64(rec[:], math.Float64bits(x))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
+		if e := math.Float64bits(x) >> mantBits; e-1 < maxNormalExp {
+			e0 = max(e0, e)
 		}
 	}
-	return nil
+	if e0 == 0 {
+		return weightsRaw, 0, 0
+	}
+	// hist[d] counts the packable weights d ≤ 30 binades below e0; the
+	// others escape under every k.
+	var hist [1<<maxWeightBits - 1]int
+	for _, x := range val {
+		if d, ok := packedExpOffset(x, e0); ok && d < uint64(len(hist)) {
+			hist[d]++
+		}
+	}
+	var uv [binary.MaxVarintLen64]byte
+	head := binary.PutUvarint(uv[:], e0)
+	best, k := 8*len(val), weightsRaw
+	packed := 0 // the weights kk packs: d < 2^kk − 1
+	for kk := 1; kk <= maxWeightBits; kk++ {
+		for d := 1<<(kk-1) - 1; d < 1<<kk-1; d++ {
+			packed += hist[d]
+		}
+		if n := head + (len(val)*(mantBits+kk)+7)/8 + 8*(len(val)-packed); n < best {
+			best, k, escaped = n, kk, len(val)-packed
+		}
+	}
+	if k == weightsRaw {
+		return weightsRaw, 0, 0
+	}
+	return k, e0, escaped
+}
+
+// appendWeights appends a record's weight encoding byte and weights
+// (see writeSigRecord) to b.
+func appendWeights(b []byte, val []float64) []byte {
+	le := binary.LittleEndian
+	k, e0, escaped := chooseWeightCode(val)
+	b = append(b, byte(k))
+	if k == weightsRaw {
+		for _, x := range val {
+			b = le.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	b = binary.AppendUvarint(b, e0)
+	w := mantBits + k
+	escape := uint64(1)<<k - 1
+	field := func(x float64) uint64 {
+		if d, ok := packedExpOffset(x, e0); ok && d < escape {
+			return math.Float64bits(x)&mantMask | d<<mantBits
+		}
+		return math.Float64bits(x)&mantMask | escape<<mantBits
+	}
+	if w == 56 {
+		// Byte-aligned fields: append each as 8 bytes, keep 7.
+		for _, x := range val {
+			b = le.AppendUint64(b, field(x))[:len(b)+7]
+		}
+	} else {
+		// acc holds the n < 64 bits not yet appended; a field (≤ 57
+		// bits) shifted past them overflows into the next word when
+		// n + w ≥ 64.
+		var acc uint64
+		n := 0
+		for _, x := range val {
+			f := field(x)
+			acc |= f << n
+			if n+w >= 64 {
+				b = le.AppendUint64(b, acc)
+				acc, n = f>>(64-n), n+w-64
+			} else {
+				n += w
+			}
+		}
+		for ; n > 0; n -= 8 {
+			b = append(b, byte(acc))
+			acc >>= 8
+		}
+	}
+	for _, x := range val {
+		if escaped == 0 {
+			break
+		}
+		if d, ok := packedExpOffset(x, e0); !ok || d >= escape {
+			b = le.AppendUint64(b, math.Float64bits(x))
+			escaped--
+		}
+	}
+	return b
 }
 
 // sigArena hands out idx/val backing in large pointer-free chunks so a
@@ -212,14 +328,19 @@ func (a *sigArena) take(n int) ([]int32, []float64) {
 	return idx, val
 }
 
-// readSigRecordV2 parses one signature record written by
-// writeSigRecordV2, decoding straight off the verified segment body via
-// the byte cursor (segment bodies are always fully in memory, and the
-// per-byte reader indirection used to dominate cold opens). The decoded
-// strings and weight arrays are copies: a signature must not keep the
-// whole file body it was decoded from alive. Truncation surfaces as
-// io.ErrUnexpectedEOF.
-func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
+// readSigRecord parses one signature record, decoding straight off the
+// verified segment body via the byte cursor (segment bodies are always
+// fully in memory, and the per-byte reader indirection used to dominate
+// cold opens). coded says the body's records carry a weight encoding
+// byte (segFlagWeights, written by writeSigRecord); without it the
+// weights are raw float64s, as flags-0 and flags-1 files hold them. The
+// decoded strings and weight arrays are copies: a signature must not
+// keep the whole file body it was decoded from alive. Truncation
+// surfaces as io.ErrUnexpectedEOF; an encoding byte outside {1..5,
+// 0xFF}, an e0 above 2046, a field naming an exponent below 1, non-zero
+// padding and a zero weight are refused, and a NaN or ±Inf weight
+// fails the non-finite check.
+func readSigRecord(c *byteCursor, dim int, coded bool, ar *sigArena) (Signature, error) {
 	docID, err := readCursorString(c)
 	if err != nil {
 		return Signature{}, err
@@ -237,9 +358,10 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 	}
 	idx, val := ar.take(int(nnz))
 	// The gap loop runs once per stored non-zero — half a million times
-	// on a bench-sized segment — so decode off locals with a single-byte
-	// fast path (gaps in tf-idf supports are overwhelmingly < 128)
-	// instead of paying a method call and re-slice per varint.
+	// on a bench-sized segment — so decode off locals with one- and
+	// two-byte fast paths (gaps in tf-idf supports are overwhelmingly
+	// < 128, and a dozen terms over the 3815 functions < 16384) instead
+	// of paying a call and re-slice per varint.
 	b, pos := c.b, c.pos
 	prev := int64(-1)
 	for k := range idx {
@@ -247,6 +369,9 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 		if pos < len(b) && b[pos] < 0x80 {
 			gap = uint64(b[pos])
 			pos++
+		} else if pos+1 < len(b) && b[pos+1] < 0x80 {
+			gap = uint64(b[pos]&0x7f) | uint64(b[pos+1])<<7
+			pos += 2
 		} else {
 			v, m := binary.Uvarint(b[pos:])
 			if m <= 0 {
@@ -270,19 +395,23 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 		prev = i
 	}
 	c.pos = pos
-	raw, err := c.take(int(nnz) * 8)
+	code := byte(weightsRaw)
+	if coded {
+		if code, err = c.byte(); err != nil {
+			return Signature{}, err
+		}
+	}
+	var norm2 float64
+	switch {
+	case code == weightsRaw:
+		norm2, err = readRawWeights(c, idx, val)
+	case code >= 1 && code <= maxWeightBits:
+		norm2, err = readPackedWeights(c, int(code), idx, val)
+	default:
+		err = fmt.Errorf("unknown weight encoding %#02x", code)
+	}
 	if err != nil {
 		return Signature{}, err
-	}
-	le := binary.LittleEndian
-	norm2 := 0.0
-	for k := range val {
-		v := math.Float64frombits(le.Uint64(raw[k*8:]))
-		if v == 0 {
-			return Signature{}, fmt.Errorf("explicit zero at sparse index %d", idx[k])
-		}
-		val[k] = v
-		norm2 += v * v
 	}
 	if !finite(norm2) {
 		return Signature{}, errNonFinite("signature", "signature "+docID, norm2)
@@ -293,6 +422,139 @@ func readSigRecordV2(c *byteCursor, dim int, ar *sigArena) (Signature, error) {
 	// over the support.
 	w := vecmath.SparseFromSortedTrusted(dim, idx, val, norm2)
 	return Signature{DocID: docID, Label: label, W: w}, nil
+}
+
+// readRawWeights fills val from len(val) raw little-endian float64s and
+// returns their squared norm, accumulated in index order.
+func readRawWeights(c *byteCursor, idx []int32, val []float64) (float64, error) {
+	raw, err := c.take(len(val) * 8)
+	if err != nil {
+		return 0, err
+	}
+	le := binary.LittleEndian
+	norm2 := 0.0
+	for k := range val {
+		v := math.Float64frombits(le.Uint64(raw[k*8:]))
+		if v == 0 {
+			return 0, fmt.Errorf("explicit zero at sparse index %d", idx[k])
+		}
+		val[k] = v
+		norm2 += v * v
+	}
+	return norm2, nil
+}
+
+// readPackedWeights fills val from a k-bit packing (see writeSigRecord)
+// and returns the squared norm, accumulated in index order. Like the gap
+// loop it decodes off locals: one unaligned 8-byte load per field (its
+// bit offset within the byte, ≤ 7, plus 52 + k ≤ 57 bits fit). The hot
+// loop (unpackFields) assumes every field packed and only tracks the
+// largest offset it met; a record holding an escape or a malformed
+// field, and one ending within 7 bytes of the body's end, takes the
+// checked loop, which assembles a field's bytes one by one where fewer
+// than 8 remain.
+func readPackedWeights(c *byteCursor, k int, idx []int32, val []float64) (float64, error) {
+	e0, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if e0 > maxNormalExp {
+		return 0, fmt.Errorf("weight exponent %d exceeds %d", e0, maxNormalExp)
+	}
+	w := mantBits + k
+	nbits := len(val) * w
+	stream, err := c.take((nbits + 7) / 8)
+	if err != nil {
+		return 0, err
+	}
+	if pad := len(stream)*8 - nbits; pad > 0 && stream[len(stream)-1]>>(8-pad) != 0 {
+		return 0, fmt.Errorf("non-zero padding after %d weight fields", len(val))
+	}
+	le := binary.LittleEndian
+	b := c.b
+	start := (c.pos - len(stream)) * 8 // the first field's bit
+	mask := uint64(1)<<w - 1
+	// A field packs a weight when its offset d < min(e0, 2^k − 1): the
+	// escape code is 2^k − 1, and e0 − d must be an exponent ≥ 1.
+	packed := min(e0, uint64(1)<<k-1)
+	// Every field's 8-byte load stays inside b unless the stream ends
+	// within 7 bytes of the body's end (the last records of a file).
+	i, bit, maxd, norm2 := 0, start, uint64(0), 0.0
+	if c.pos+7 <= len(b) {
+		maxd, norm2 = unpackFields(b, start, w, e0, val)
+		i, bit = len(val), start+len(val)*w
+	}
+	if maxd >= packed {
+		bit, i, norm2 = start, 0, 0
+	}
+	esc := c.pos // the escaped weights follow the stream
+	for ; i < len(val); i++ {
+		var f uint64
+		if p := bit >> 3; p+8 <= len(b) {
+			f = le.Uint64(b[p:])
+		} else {
+			for j := c.pos - 1; j >= p; j-- {
+				f = f<<8 | uint64(b[j])
+			}
+		}
+		f = f >> (bit & 7) & mask
+		bit += w
+		var v float64
+		if d := f >> mantBits; d < packed {
+			v = math.Float64frombits((e0-d)<<mantBits | f&mantMask)
+		} else if d != uint64(1)<<k-1 {
+			return 0, fmt.Errorf("weight field at sparse index %d names exponent %d−%d, below 1", idx[i], e0, d)
+		} else {
+			if len(b)-esc < 8 {
+				return 0, io.ErrUnexpectedEOF
+			}
+			v = math.Float64frombits(le.Uint64(b[esc:]))
+			esc += 8
+			if v == 0 {
+				return 0, fmt.Errorf("explicit zero at sparse index %d", idx[i])
+			}
+		}
+		val[i] = v
+		norm2 += v * v
+	}
+	c.pos = esc
+	return norm2, nil
+}
+
+// unpackFields is readPackedWeights' hot loop, a leaf of its own so its
+// locals stay in registers: it decodes the w-bit fields from bit on
+// into val as packed weights under e0, each with one 8-byte load the
+// caller has made sure b holds, and returns the largest exponent offset
+// it met and the squared norm. A field f = d<<52 | m holds the weight
+// (e0 − d)<<52 | m = e0<<52 − f + 2m, and the largest f holds the
+// largest d. 56-bit fields (k = 4, the peaked corpora's width) start on
+// byte boundaries and need no shift.
+func unpackFields(b []byte, bit, w int, e0 uint64, val []float64) (maxd uint64, norm2 float64) {
+	le := binary.LittleEndian
+	top := e0 << mantBits
+	var maxf uint64
+	if w == 56 {
+		p := bit >> 3
+		for i := range val {
+			f := le.Uint64(b[p:]) & (1<<56 - 1)
+			p += 7
+			maxf = max(maxf, f)
+			v := math.Float64frombits(top - f + 2*(f&mantMask))
+			val[i] = v
+			norm2 += v * v
+		}
+		return maxf >> mantBits, norm2
+	}
+	mask := uint64(1)<<w - 1
+	for i := range val {
+		f := le.Uint64(b[bit>>3:]) >> (uint(bit) & 7) & mask
+		bit += w
+		maxf = max(maxf, f)
+		v := math.Float64frombits(top - f + 2*(f&mantMask))
+		val[i] = v
+		norm2 += v * v
+	}
+	return maxf >> mantBits, norm2
 }
 
 // readCursorString reads one uvarint-length-prefixed string from the

@@ -34,9 +34,14 @@ var errDraining = &core.ConfigError{Param: "server", Msg: "server is draining"}
 // gate is the admission bound every query request passes on its own
 // goroutine. It admits at most limit requests (running + waiting) and
 // lets at most GOMAXPROCS of them hold a run slot, i.e. be inside a
-// batched kernel, at once. A request waiting for a slot holds only its
-// decoded body — no scratch, no view — so limit bounds the memory
-// queries can claim, and the kernels never oversubscribe the cores.
+// query, at once. A request waiting for a slot holds only its decoded
+// body — no scratch, no view — so limit bounds the memory queries can
+// claim. The slots bound queries, not goroutines: a slot holder walks
+// its store's lanes itself and on up to lanes − 1 helper goroutines
+// (parallel.For; lanes ≤ the DB's SetWorkers fan-out, GOMAXPROCS by
+// default), so the holders may run GOMAXPROCS × lanes goroutines at
+// once — four at GOMAXPROCS 2 — and the Go scheduler shares the cores
+// among them.
 type gate struct {
 	limit int
 	slots chan struct{} // run slots; a send takes one, a receive returns it
