@@ -105,10 +105,11 @@ func checkLoadedStore(t *testing.T, db *DB, query *vecmath.Sparse) {
 
 // codecSeeds returns segment bodies of matrixDim-wide rows covering the
 // weight codec: one packed at each k in 1..5; one holding escaped
-// negative and subnormal weights and one 40 binades below the rest;
-// one holding a NaN, +Inf or -Inf weight each (refused by the typed
-// non-finite check); one whose record falls back to raw float64s; and
-// the matrix rows as a flags-0 body from the raw writer.
+// negative and subnormal weights; one holding a NaN, +Inf or -Inf
+// weight each (refused by the typed non-finite check); two whose
+// records fall back to raw float64s, one of them for a weight 59
+// binades below the largest; and the matrix rows as a flags-0 body from
+// the raw writer.
 func codecSeeds(t testing.TB) [][]byte {
 	r := rand.New(rand.NewSource(404))
 	// row is 30 weights 0–spread binades down, v in place of the 4th and
@@ -135,9 +136,9 @@ func codecSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, body(byte(k+1), row(spread, 0), row(spread, 0)))
 	}
 	seeds = append(seeds,
-		body(4, row(13, -0.375), row(13, math.SmallestNonzeroFloat64), row(13, 0x1p-60)),
+		body(4, row(13, -0.375), row(13, math.SmallestNonzeroFloat64)),
 		body(4, row(13, math.NaN())), body(4, row(13, math.Inf(1))), body(4, row(13, math.Inf(-1))),
-		body(weightsRaw, []float64{0.5, 0x1p-45, 0.75, 0x1p-50}),
+		body(weightsRaw, []float64{0.5, 0x1p-45, 0.75, 0x1p-50}, row(13, 0x1p-60)),
 		segmentBody(t, matrixDim, 0, randSigs(rand.New(rand.NewSource(131)), 14, matrixDim, 5), writeSigRecordRaw),
 	)
 	return seeds

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/vecmath"
@@ -185,10 +186,10 @@ const (
 // with d = e0 − e above them, e the weight's biased exponent. A weight
 // packs when it is positive and normal and d < 2^k − 1; any other (a
 // negative, subnormal, NaN or ±Inf weight, or one more than 2^k − 2
-// binades below e0) takes the escape code d = 2^k − 1, and the escaped
-// weights follow the bitstream as raw little-endian float64s, in order.
-// A raw record (weightsRaw) holds the byte 0xFF and the weights as raw
-// float64s, as flags-0 files store them.
+// binades below e0, which the writer's k never leaves) takes the escape
+// code d = 2^k − 1, and the escaped weights follow the bitstream as raw
+// little-endian float64s, in order. A raw record (weightsRaw) holds the
+// byte 0xFF and the weights as raw float64s, as flags-0 files store them.
 func writeSigRecord(bw *bufio.Writer, s Signature) error {
 	b, err := appendSigHead(bw.AvailableBuffer(), s)
 	if err != nil {
@@ -205,41 +206,33 @@ func packedExpOffset(x float64, e0 uint64) (uint64, bool) {
 	return e0 - e, e-1 < maxNormalExp
 }
 
-// chooseWeightCode picks a record's weight encoding: the k in
-// 1..maxWeightBits whose packing (fields, escapes and header) is the
-// shortest, the narrowest on a tie, and weightsRaw when no packing is
-// shorter than raw float64s. It returns e0 (0 for weightsRaw) and the
-// number of weights the packing escapes.
+// chooseWeightCode picks a record's weight encoding: the narrowest k in
+// 1..maxWeightBits whose escape code lies above the spread of the
+// record's positive normal weights — the largest biased exponent e0
+// minus the smallest — so every one of them packs, and weightsRaw when
+// that spread needs more than maxWeightBits or the escaped weights (the
+// negative, subnormal, NaN and ±Inf ones) make the packing no shorter
+// than raw float64s. It returns e0 (0 for weightsRaw) and the number of
+// weights the packing escapes.
 func chooseWeightCode(val []float64) (k int, e0 uint64, escaped int) {
+	emin := uint64(maxNormalExp)
 	for _, x := range val {
 		if e := math.Float64bits(x) >> mantBits; e-1 < maxNormalExp {
-			e0 = max(e0, e)
+			e0, emin = max(e0, e), min(emin, e)
+		} else {
+			escaped++
 		}
 	}
 	if e0 == 0 {
 		return weightsRaw, 0, 0
 	}
-	// hist[d] counts the packable weights d ≤ 30 binades below e0; the
-	// others escape under every k.
-	var hist [1<<maxWeightBits - 1]int
-	for _, x := range val {
-		if d, ok := packedExpOffset(x, e0); ok && d < uint64(len(hist)) {
-			hist[d]++
-		}
+	k = bits.Len64(e0 - emin + 1) // d ≤ e0 − emin < 2^k − 1
+	if k > maxWeightBits {
+		return weightsRaw, 0, 0
 	}
 	var uv [binary.MaxVarintLen64]byte
-	head := binary.PutUvarint(uv[:], e0)
-	best, k := 8*len(val), weightsRaw
-	packed := 0 // the weights kk packs: d < 2^kk − 1
-	for kk := 1; kk <= maxWeightBits; kk++ {
-		for d := 1<<(kk-1) - 1; d < 1<<kk-1; d++ {
-			packed += hist[d]
-		}
-		if n := head + (len(val)*(mantBits+kk)+7)/8 + 8*(len(val)-packed); n < best {
-			best, k, escaped = n, kk, len(val)-packed
-		}
-	}
-	if k == weightsRaw {
+	n := binary.PutUvarint(uv[:], e0) + (len(val)*(mantBits+k)+7)/8 + 8*escaped
+	if n >= 8*len(val) {
 		return weightsRaw, 0, 0
 	}
 	return k, e0, escaped
@@ -266,31 +259,23 @@ func appendWeights(b []byte, val []float64) []byte {
 		}
 		return math.Float64bits(x)&mantMask | escape<<mantBits
 	}
-	if w == 56 {
-		// Byte-aligned fields: append each as 8 bytes, keep 7.
-		for _, x := range val {
-			b = le.AppendUint64(b, field(x))[:len(b)+7]
+	// acc holds the n < 64 bits not yet appended; a field (≤ 57 bits)
+	// shifted past them overflows into the next word when n + w ≥ 64.
+	var acc uint64
+	n := 0
+	for _, x := range val {
+		f := field(x)
+		acc |= f << n
+		if n+w >= 64 {
+			b = le.AppendUint64(b, acc)
+			acc, n = f>>(64-n), n+w-64
+		} else {
+			n += w
 		}
-	} else {
-		// acc holds the n < 64 bits not yet appended; a field (≤ 57
-		// bits) shifted past them overflows into the next word when
-		// n + w ≥ 64.
-		var acc uint64
-		n := 0
-		for _, x := range val {
-			f := field(x)
-			acc |= f << n
-			if n+w >= 64 {
-				b = le.AppendUint64(b, acc)
-				acc, n = f>>(64-n), n+w-64
-			} else {
-				n += w
-			}
-		}
-		for ; n > 0; n -= 8 {
-			b = append(b, byte(acc))
-			acc >>= 8
-		}
+	}
+	for ; n > 0; n -= 8 {
+		b = append(b, byte(acc))
+		acc >>= 8
 	}
 	for _, x := range val {
 		if escaped == 0 {
@@ -358,10 +343,9 @@ func readSigRecord(c *byteCursor, dim int, coded bool, ar *sigArena) (Signature,
 	}
 	idx, val := ar.take(int(nnz))
 	// The gap loop runs once per stored non-zero — half a million times
-	// on a bench-sized segment — so decode off locals with one- and
-	// two-byte fast paths (gaps in tf-idf supports are overwhelmingly
-	// < 128, and a dozen terms over the 3815 functions < 16384) instead
-	// of paying a call and re-slice per varint.
+	// on a bench-sized segment — so decode off locals with a single-byte
+	// fast path (gaps in tf-idf supports are overwhelmingly < 128)
+	// instead of paying a method call and re-slice per varint.
 	b, pos := c.b, c.pos
 	prev := int64(-1)
 	for k := range idx {
@@ -369,9 +353,6 @@ func readSigRecord(c *byteCursor, dim int, coded bool, ar *sigArena) (Signature,
 		if pos < len(b) && b[pos] < 0x80 {
 			gap = uint64(b[pos])
 			pos++
-		} else if pos+1 < len(b) && b[pos+1] < 0x80 {
-			gap = uint64(b[pos]&0x7f) | uint64(b[pos+1])<<7
-			pos += 2
 		} else {
 			v, m := binary.Uvarint(b[pos:])
 			if m <= 0 {
@@ -527,24 +508,11 @@ func readPackedWeights(c *byteCursor, k int, idx []int32, val []float64) (float6
 // caller has made sure b holds, and returns the largest exponent offset
 // it met and the squared norm. A field f = d<<52 | m holds the weight
 // (e0 − d)<<52 | m = e0<<52 − f + 2m, and the largest f holds the
-// largest d. 56-bit fields (k = 4, the peaked corpora's width) start on
-// byte boundaries and need no shift.
+// largest d.
 func unpackFields(b []byte, bit, w int, e0 uint64, val []float64) (maxd uint64, norm2 float64) {
 	le := binary.LittleEndian
 	top := e0 << mantBits
 	var maxf uint64
-	if w == 56 {
-		p := bit >> 3
-		for i := range val {
-			f := le.Uint64(b[p:]) & (1<<56 - 1)
-			p += 7
-			maxf = max(maxf, f)
-			v := math.Float64frombits(top - f + 2*(f&mantMask))
-			val[i] = v
-			norm2 += v * v
-		}
-		return maxf >> mantBits, norm2
-	}
 	mask := uint64(1)<<w - 1
 	for i := range val {
 		f := le.Uint64(b[bit>>3:]) >> (uint(bit) & 7) & mask

@@ -89,8 +89,9 @@ func checkRecordRoundTrip(t testing.TB, s Signature) byte {
 // trips of every float64 class a weight can take — positive and
 // negative normals, subnormals, the extremes, NaN and ±Inf (refused
 // with the typed non-finite error) — and pins the encoding the writer
-// picks: the narrowest k whose packing is shortest, escapes for what a
-// field cannot hold, raw float64s when no packing is shorter.
+// picks: the narrowest k that covers the spread of the positive normal
+// weights, escapes for the others, raw float64s when that spread needs
+// more than 5 bits or the packing is no shorter.
 func TestWeightCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(400))
 	// one returns 200 weights 0–13 binades below the largest with v
@@ -124,7 +125,8 @@ func TestWeightCodecRoundTrip(t *testing.T) {
 		{"all-negative", []float64{-0.5, -0.25, -1e-300}, weightsRaw},
 		{"subnormal", one(math.SmallestNonzeroFloat64), 4},
 		{"negative-subnormal", one(-math.Float64frombits(0x000F_FFFF_FFFF_FFFF)), 4},
-		{"min-normal", one(0x1p-1022), 4},
+		{"min-normal", scaled(spreadWeights(r, 200, 13), 0x1p-1008), 4},
+		{"min-normal-outlier", one(0x1p-1022), weightsRaw},
 		{"max-float", []float64{math.MaxFloat64, math.MaxFloat64 / 3}, weightsRaw},
 		{"huge-normals", scaled(spreadWeights(r, 200, 13), 0x1p1000), 4},
 		{"one-huge-outlier", append(spreadWeights(r, 40, 9), 0x1p1000), weightsRaw},
