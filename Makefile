@@ -38,8 +38,10 @@ race:
 ## Add/Seal/SaveDir/TopK/Classify vs serialized execution against each
 ## epoch view a query loaded), the race of queries building pending posting
 ## runs against AddAll, Seal and Close (TestConcurrentQueryBuiltRuns), the
-## writers' plan/build exactness sweep (batched AddAll vs one Add at a time,
-## at several core counts) and the encode counts (TestWritePlanEncodes), the
+## batched-ingest exactness sweep (AddAll vs one Add at a time, at several
+## core counts: TestAddAllMatchesOneByOne), the encode counts (no writer or
+## load encodes, racing first queries build each run once:
+## TestOnlyQueriesEncode), the
 ## SaveDir/LoadDir fault-injection matrices (the crash matrix's fill arm: a
 ## segment held in short files fills and is saved as one) and the retried
 ## save's sync-before-manifest ordering (TestSaveDirRetrySyncsBeforeManifest),
@@ -48,7 +50,7 @@ race:
 ## read/write contract; CI runs it on every push.
 stress:
 	FMETER_STRESS=1 $(GO) test -race -count=1 -timeout 20m ./internal/core/ \
-		-run 'TestConcurrent|TestCloseUnderLoad|TestWritePlan|TestSaveDir|TestLoadDirFault' -v
+		-run 'TestConcurrent|TestCloseUnderLoad|TestAddAllMatchesOneByOne|TestOnlyQueriesEncode|TestSaveDir|TestLoadDirFault' -v
 	$(GO) test -race -count=1 ./internal/daemon/
 
 ## bench: the full reproduction benchmark harness.
@@ -58,16 +60,17 @@ bench:
 ## bench-compile: one iteration of the micro-benchmarks DESIGN-PERF.md's
 ## numbers come from, so they cannot rot into code that no longer
 ## compiles or panics: the set-up path (Transform, TransformAll,
-## Corpus.Add, the AddAll bulk load, the Seal that ends it and the
-## first query that builds an unsealed load's pending runs), the cold
-## open of a 24 000-row snapshot (LoadDirPeaked: packed and raw-float64
-## weight records, with the bytes on disk per signature), the
+## Corpus.Add, the AddAll bulk load, which records its runs, and the
+## first query that builds them), the cold open of a 24 000-row snapshot
+## (LoadDirPeaked: packed and raw-float64 weight records, with the bytes
+## on disk per signature, and the packed open plus the first query that
+## builds the runs it recorded), the
 ## kernel_large query in process (BenchmarkTopKFlat's class arm), the
 ## wire_small store's query with the whole-unit posting walk forced
 ## (its tiny arm) and the query-body decoder against encoding/json. It
 ## times nothing.
 bench-compile:
-	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|Seal|FirstQueryPendingRuns|LoadDirPeaked' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'Transform|CorpusAdd|AddAll|FirstQueryPendingRuns|LoadDirPeaked' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'TopKFlat/(peaked|tiny)/(class|nnz=12)' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'DecodeQueryRequest' -benchtime 1x ./internal/serve/
 

@@ -240,6 +240,9 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 			}
 		}
 		db.Seal()
+		// IndexBytes builds the posting runs the ingest recorded, so
+		// the ingest time and the heap reading include the index.
+		indexBytes := db.IndexBytes()
 		ingest := time.Since(start).Seconds()
 		runtime.GC()
 		var ms runtime.MemStats
@@ -248,7 +251,7 @@ func runPruneBench(path string, scale int, stderr io.Writer) error {
 		sc := pruneScale{
 			Docs:           docs,
 			IngestSeconds:  ingest,
-			IndexBytes:     db.IndexBytes(),
+			IndexBytes:     indexBytes,
 			HeapInuseBytes: ms.HeapInuse,
 			Segments:       db.Segments(),
 			SealedSegments: db.SealedSegments(),

@@ -88,12 +88,13 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 	store := filepath.Join(dir, "db")
-	// Seal before the save: sealing indexes every row of the growing
-	// segment in one block-compressed posting structure (otherwise only
-	// completed runs of 256 rows are indexed and the rest scanned). The
-	// snapshot holds the rows; reopening cuts them into the same
-	// segments and rebuilds the postings with the same encoder, so
-	// queries stay bit-identical.
+	// Seal before the save: sealing records every row of the growing
+	// segment as one posting run (otherwise only completed runs of 256
+	// rows are indexed and the rest scanned), which the first query —
+	// or IndexBytes, as here — encodes into one block-compressed
+	// posting structure. The snapshot holds the rows; reopening cuts
+	// them into the same segments, whose postings the first query
+	// builds with the same encoder, so queries stay bit-identical.
 	unindexed := db.ActiveUnindexedRows()
 	db.Seal()
 	fmt.Printf("sealed store: %d unindexed rows -> 0, resident index %d bytes\n", unindexed, db.IndexBytes())

@@ -368,8 +368,8 @@ func TestConcurrentInterleavingSweep(t *testing.T) {
 // the runs a held view's query is building, and a Close while the first
 // queries on a view build its runs. Every answer must equal the
 // serialized oracle at the prefix its view froze, and no run may be
-// encoded twice: the encodes seen are exactly the runs built, by a
-// query or by a Seal. Run under -race (make stress) this is the proof
+// encoded twice: the encodes seen are exactly the runs the queries
+// built. Run under -race (make stress) this is the proof
 // behind the runs' once and atomic publication.
 func TestConcurrentQueryBuiltRuns(t *testing.T) {
 	const dim, nnz, k, runLen = 48, 10, 7, 6

@@ -939,9 +939,9 @@ func loadChunks(b testing.TB, sigs []Signature, chunk int) *DB {
 // BenchmarkAddAllPeaked is the indexing stage of a bulk load: one op
 // stores 24 000 peaked signatures in a fresh store, in the 256-signature
 // chunks of the end-to-end benchmark, or in one whole-store AddAll.
-// Either way a writer encodes only the two segments it seals; the
-// 29 runs over the 7 616-row tail stay pending, so no row is encoded
-// twice (BenchmarkFirstQueryPendingRuns times their build).
+// Either way the writer encodes nothing: the two full segments and the
+// 29 runs over the 7 616-row tail are recorded as pending runs
+// (BenchmarkFirstQueryPendingRuns times their build).
 func BenchmarkAddAllPeaked(b *testing.B) {
 	sigs := embedPeaked(b, 24000)
 	for _, c := range []struct {
@@ -962,12 +962,16 @@ func BenchmarkAddAllPeaked(b *testing.B) {
 
 // BenchmarkLoadDirPeaked is a cold open: one op runs LoadDir over a
 // snapshot of 24 000 peaked signatures saved in 256-signature chunks —
-// every record decoded, every segment re-encoded. The packed arm reads
-// the files SaveDir writes; the raw arm the same rows as flags-0 bodies
-// of raw float64 weights, as older builds wrote them. Each reports the
-// bytes on disk per signature (every file of the directory).
+// every record decoded, every segment recorded as a pending run. The
+// packed arm reads the files SaveDir writes; the raw arm the same rows
+// as flags-0 bodies of raw float64 weights, as older builds wrote them.
+// Each reports the bytes on disk per signature (every file of the
+// directory). The open+query arm is the packed open plus the first
+// cosine TopK, which builds the runs the open recorded: what a restart
+// costs before its first answer.
 func BenchmarkLoadDirPeaked(b *testing.B) {
 	sigs := embedPeaked(b, 24000)
+	q := sigs[len(sigs)/3].W
 	db := loadChunks(b, sigs, 256)
 	for _, arm := range []string{"packed", "raw"} {
 		dir := filepath.Join(b.TempDir(), arm)
@@ -998,14 +1002,29 @@ func BenchmarkLoadDirPeaked(b *testing.B) {
 			}
 			b.ReportMetric(float64(size)/float64(len(sigs)), "disk-B/sig")
 		})
+		if arm != "packed" {
+			continue
+		}
+		b.Run("open+query", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opened, err := LoadDir(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := opened.TopKSparse(q, 10, CosineMetric()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkFirstQueryPendingRuns is what a writer defers: 24 000 peaked
-// signatures loaded unsealed in 256-signature chunks leave 29 pending
-// runs over the active tail, which the first cosine TopK builds before
-// it walks (first), where a later one finds them built (second). The
-// load is not timed.
+// signatures loaded unsealed in 256-signature chunks leave the two full
+// segments and 29 runs over the active tail pending, which the first
+// cosine TopK builds before it walks (first), where a later one finds
+// them built (second). The load is not timed.
 func BenchmarkFirstQueryPendingRuns(b *testing.B) {
 	sigs := embedPeaked(b, 24000)
 	q := sigs[len(sigs)/3].W
@@ -1030,22 +1049,6 @@ func BenchmarkFirstQueryPendingRuns(b *testing.B) {
 			if _, err := db.TopKSparse(q, 10, CosineMetric()); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkSeal is the seal that ends a bulk load: one op seals a store
-// of 24 000 peaked signatures loaded in 256-signature chunks (the load
-// is not timed).
-func BenchmarkSeal(b *testing.B) {
-	sigs := embedPeaked(b, 24000)
-	b.Run("peaked24000", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			db := loadChunks(b, sigs, 256)
-			b.StartTimer()
-			db.Seal()
 		}
 	})
 }

@@ -237,11 +237,11 @@ type SearchResult struct {
 // [k·SegmentSize, (k+1)·SegmentSize) whatever the history of adds,
 // seals, saves and loads. Add appends to the last, active segment
 // (indexed in immutable posting runs as it grows); a segment that fills
-// becomes immutable, its posting lists encoded from its rows in one run
-// (see segment.go). For the built-in cosine and Euclidean metrics a query
-// accumulates dot products down only the posting lists in its support;
-// other metrics take the
-// exhaustive scan. A query walks the segments in lanes, one per worker
+// becomes immutable, its whole range one posting run that the first
+// query to walk it encodes from its rows (see segment.go). For the
+// built-in cosine and Euclidean metrics a query accumulates dot
+// products down only the posting lists in its support; other metrics
+// take the exhaustive scan. A query walks the segments in lanes, one per worker
 // (view.go deals them the rows), each pruning against the one
 // store-wide seed threshold, and merges the lanes' survivors through a
 // heap keyed on (score, insertion index). Both paths order candidates by the same total order,
@@ -359,11 +359,11 @@ func (db *DB) Publishes() uint64 { return db.publishes.Load() }
 // into the backing arrays, its squared norm into the norm cache; every
 // activeRunLen-th row records the rows since the last run as a pending
 // run, which the first query that walks it builds). An active
-// segment that reaches the segment size is indexed whole and the next
-// Add opens a fresh one. Add is safe to call concurrently with
-// queries (which keep the view they loaded) and with other mutators
-// (which serialize); the new signature is visible to every query that
-// starts after Add returns.
+// segment that reaches the segment size is recorded whole as one such
+// run and the next Add opens a fresh one. Add is safe to call
+// concurrently with queries (which keep the view they loaded) and with
+// other mutators (which serialize); the new signature is visible to
+// every query that starts after Add returns.
 func (db *DB) Add(sig Signature) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -373,9 +373,7 @@ func (db *DB) Add(sig Signature) error {
 	if err := db.checkSig(sig); err != nil {
 		return err
 	}
-	var p writePlan
-	db.addLocked(&p, sig)
-	p.build(db.dim, db.sigs)
+	db.addLocked(sig)
 	db.publishLocked()
 	return nil
 }
@@ -399,9 +397,9 @@ func (db *DB) checkSig(sig Signature) error {
 }
 
 // addLocked appends one validated signature without publishing,
-// planning into p the run or seal the row completes.
-// Caller holds db.mu, builds p and publishes afterwards.
-func (db *DB) addLocked(p *writePlan, sig Signature) {
+// recording the run or seal the row completes. Caller holds db.mu and
+// publishes afterwards.
+func (db *DB) addLocked(sig Signature) {
 	sg := db.activeSegment()
 	if sg == nil {
 		sg = db.appendSegment()
@@ -409,25 +407,27 @@ func (db *DB) addLocked(p *writePlan, sig Signature) {
 	db.sigs = append(db.sigs, sig)
 	db.norms = append(db.norms, sig.W.Norm2())
 	sg.end++
+	// The first query whose view holds a recorded run builds its
+	// postings.
 	if sg.len() == db.segSizeLocked() {
-		p.seal(sg)
+		sg.seal()
 	} else if sg.end-sg.runEnd >= db.runLenLocked() {
 		// The unindexed tail is a full run: record exactly those rows.
-		// The first query whose view holds the run builds its postings.
 		sg.indexRun()
 	}
 }
 
-// sumPostings folds f over every posting structure queries walk — each
-// segment's runs, building the pending runs first, as a query would.
+// sumPostings folds f over every posting structure a query of the
+// published view walks, building its pending runs first, as the query
+// would. It takes no lock: the view is immutable and its runs build
+// once.
 func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	v := db.cur.Load()
+	buildRuns(db.dim, v.sigs, v.runs)
 	var n int64
-	for _, sg := range db.segs {
-		buildRuns(db.dim, db.sigs, sg.runs)
-		for _, r := range sg.runs {
-			n += f(r.blocks.Load())
+	for i := range v.segs {
+		if u := v.unit(i); u.blocks != nil {
+			n += f(u.blocks)
 		}
 	}
 	return n
@@ -437,12 +437,6 @@ func (db *DB) sumPostings(f func(*blockPostings) int64) int64 {
 // query walks: every segment's posting runs, pending runs built first
 // (rows no run covers yet have no postings and cost nothing here).
 func (db *DB) IndexBytes() int64 { return db.sumPostings((*blockPostings).memBytes) }
-
-// IndexPostings returns the total posting-entry count across every
-// segment's runs, pending runs built first: one entry per stored
-// non-zero weight of every indexed row — everything but the active
-// segment's unindexed tail (see ActiveUnindexedRows).
-func (db *DB) IndexPostings() int64 { return db.sumPostings((*blockPostings).postingCount) }
 
 // ActiveUnindexedRows returns how many stored signatures no posting
 // structure covers yet — the rows after the active segment's last run,
@@ -486,9 +480,9 @@ func (db *DB) Close() error {
 // AddAll stores a batch of signatures, validating each, and publishes
 // them as one atomic step: a concurrent query sees either none of the
 // batch or all of it. A batch holding an invalid signature is rejected
-// whole, before anything is stored. The segments the batch fills are
-// planned row by row and built together over the cores; its posting
-// runs are only recorded, for the first query that walks them to build.
+// whole, before anything is stored. Its posting runs, the segments it
+// fills included, are only recorded, for the first query that walks
+// them to build.
 func (db *DB) AddAll(sigs []Signature) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -500,11 +494,9 @@ func (db *DB) AddAll(sigs []Signature) error {
 			return err
 		}
 	}
-	var p writePlan
 	for _, s := range sigs {
-		db.addLocked(&p, s)
+		db.addLocked(s)
 	}
-	p.build(db.dim, db.sigs)
 	db.publishLocked()
 	return nil
 }

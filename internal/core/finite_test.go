@@ -78,9 +78,7 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 		// than this package wrote it; plant one behind Add's back and
 		// every loader must refuse the file.
 		db.mu.Lock()
-		var p writePlan
-		db.addLocked(&p, bad)
-		p.build(db.dim, db.sigs)
+		db.addLocked(bad)
 		db.publishLocked()
 		db.mu.Unlock()
 		var se *SnapshotError

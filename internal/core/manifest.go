@@ -39,8 +39,9 @@ import (
 //
 // A snapshot holds signatures, not their index: the posting blocks are
 // a pure function of the rows, so LoadDir cuts the rows into segments
-// as Add does and rebuilds every segment's postings with encodeBlocks,
-// the encoder seal uses — a store reloads with byte-identical postings.
+// as Add does and records each one's range as a pending run, which the
+// first query builds with encodeBlocks as it builds any run — a store
+// reloads with byte-identical postings.
 // Every weight reloads bit for bit under either weight form. The flags
 // byte is read per file, so a directory may mix files of three values:
 // 0x02 (what SaveDir writes) — records carry the weight encoding byte;
@@ -433,13 +434,15 @@ func syncDir(path string) error {
 // The rows of every file, in manifest order, are cut into segments by
 // the code Add uses, so a loaded store has the layout of one that added
 // the same rows: every segment full but the last, which stays active
-// (its whole range indexed as one run, as Seal leaves it) and takes the
-// next Add. How the files cut the rows does not matter to the load. The
-// DB remembers the directory and its manifest's files, so the next
-// SaveDir there keeps the files that fit its rule — a directory already
-// cut that way, grown or not, keeps them all — and writes the rest of
-// the rows, an older build's cut included, as new files beside the old
-// ones, which it removes only once its manifest is durable.
+// (its whole range recorded as one run, as Seal leaves it) and takes the
+// next Add. A load reads, verifies and decodes; it encodes no postings —
+// the first query builds every run it walks. How the files cut the rows
+// does not matter to the load. The DB remembers the directory and its
+// manifest's files, so the next SaveDir there keeps the files that fit
+// its rule — a directory already cut that way, grown or not, keeps them
+// all — and writes the rest of the rows, an older build's cut included,
+// as new files beside the old ones, which it removes only once its
+// manifest is durable.
 //
 //fmeter:errdomain snapshot
 func LoadDir(path string) (*DB, error) { return loadDir(path, 0) }
@@ -499,14 +502,12 @@ func loadDir(path string, segSize int) (*DB, error) {
 	}
 	db.sigs = make([]Signature, 0, len(rows))
 	db.norms = make([]float64, 0, len(rows))
-	var p writePlan
 	for _, s := range rows {
-		db.addLocked(&p, s)
+		db.addLocked(s)
 	}
 	if sg := db.activeSegment(); sg != nil {
-		p.seal(sg)
+		sg.seal()
 	}
-	p.build(db.dim, db.sigs)
 	db.saveDir, db.files, db.nextSeg = path, m.Segments[0], m.NextSeg
 	// The DB is still private to this goroutine; refresh the published
 	// view to cover the loaded segments before any query can load it.

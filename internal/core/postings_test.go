@@ -214,15 +214,15 @@ func TestSealCompressesPostings(t *testing.T) {
 	if got := db.ActiveUnindexedRows(); got != unindexed {
 		t.Fatalf("ActiveUnindexedRows %d, want %d", got, unindexed)
 	}
-	if got, want := db.IndexPostings(), int64(nPostings(db))-tailNNZ; got != want {
-		t.Fatalf("active IndexPostings %d, want %d (every row a run covers)", got, want)
+	if got, want := db.indexPostings(), int64(nPostings(db))-tailNNZ; got != want {
+		t.Fatalf("active indexPostings %d, want %d (every row a run covers)", got, want)
 	}
 	runBytes := db.IndexBytes()
 	db.Seal()
 	if got := db.ActiveUnindexedRows(); got != 0 {
 		t.Fatalf("ActiveUnindexedRows %d after Seal", got)
 	}
-	if got := db.IndexPostings(); got != int64(nPostings(db)) {
+	if got := db.indexPostings(); got != int64(nPostings(db)) {
 		t.Fatalf("postings %d after Seal, want %d", got, nPostings(db))
 	}
 	if got := db.IndexBytes(); got*2 > runBytes {
@@ -312,7 +312,7 @@ func TestIndexBytesIntrospection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 120 rows are below the run length: nothing is indexed yet.
-	if posts, b, rows := db.IndexPostings(), db.IndexBytes(), db.ActiveUnindexedRows(); posts != 0 || b != 0 || rows != n {
+	if posts, b, rows := db.indexPostings(), db.IndexBytes(), db.ActiveUnindexedRows(); posts != 0 || b != 0 || rows != n {
 		t.Fatalf("unindexed store reports %d postings, %d index bytes, %d unindexed rows; want 0, 0, %d", posts, b, rows, n)
 	}
 	more := randSigs(r, activeRunLen, dim, nnz)
@@ -323,8 +323,8 @@ func TestIndexBytesIntrospection(t *testing.T) {
 	for _, s := range db.All()[:activeRunLen] {
 		runNNZ += int64(s.W.NNZ())
 	}
-	if got := db.IndexPostings(); got != runNNZ {
-		t.Fatalf("IndexPostings %d with one run, want the run's %d non-zeros", got, runNNZ)
+	if got := db.indexPostings(); got != runNNZ {
+		t.Fatalf("indexPostings %d with one run, want the run's %d non-zeros", got, runNNZ)
 	}
 	if b := db.IndexBytes(); b < runNNZ {
 		t.Fatalf("IndexBytes %d below one byte per posting (%d postings)", b, runNNZ)
@@ -336,8 +336,8 @@ func TestIndexBytesIntrospection(t *testing.T) {
 	if comp := db.IndexBytes(); comp <= 0 {
 		t.Fatalf("sealed IndexBytes %d", comp)
 	}
-	if got := db.IndexPostings(); got != int64(nPostings(db)) {
-		t.Fatalf("sealed IndexPostings %d, want %d", got, nPostings(db))
+	if got := db.indexPostings(); got != int64(nPostings(db)) {
+		t.Fatalf("sealed indexPostings %d, want %d", got, nPostings(db))
 	}
 }
 

@@ -758,6 +758,7 @@ func TestEssentialPrefix(t *testing.T) {
 	// signature i), the shape of bench's kernel_large probes.
 	queries := append(peakedSigs(r, dim, n/classSize, 1), peakedSigs(r, dim, n/classSize, 1)...)
 	v := db.cur.Load()
+	buildRuns(db.dim, v.sigs, v.runs)
 	units, pruned := 0, 0
 	for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
 		cosine := metric.kind == metricKindCosine
@@ -771,7 +772,8 @@ func TestEssentialPrefix(t *testing.T) {
 				h := &ls.heap
 				h.reset(metric.HigherIsCloser)
 				lq.seeds = seedHeap(&lq, &ls.prune, h)
-				for ui, sg := range v.segs {
+				for ui := range v.segs {
+					sg := v.unit(ui)
 					var cmp pruneScratch
 					cmp.impacts(sg.blocks, q.W)
 					ctx := fmt.Sprintf("%s query %d unit %d", metric.Name, qi, ui)

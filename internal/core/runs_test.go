@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/vecmath"
 )
@@ -247,21 +248,27 @@ type storeShape struct {
 	indexBytes, postings        int64
 }
 
+// indexPostings returns the posting-entry count of every run a query
+// of the published view walks, pending runs built first: one entry per
+// stored non-zero weight of every indexed row — everything but the
+// active segment's unindexed tail (see ActiveUnindexedRows).
+func (db *DB) indexPostings() int64 { return db.sumPostings((*blockPostings).postingCount) }
+
 func shapeOf(db *DB) storeShape {
-	return storeShape{db.Segments(), db.SealedSegments(), db.ActiveUnindexedRows(), db.IndexBytes(), db.IndexPostings()}
+	return storeShape{db.Segments(), db.SealedSegments(), db.ActiveUnindexedRows(), db.IndexBytes(), db.indexPostings()}
 }
 
-// TestWritePlanMatchesOneByOne is the exactness property of the writers'
-// plan/build split: a store fed in AddAll batches — whose encodes run
-// over the cores and which never build a run their own call seals —
-// must match a store fed one Add at a time,
-// with Seal called at the same rows. At every schedule point
-// the segment counts, posting footprint and unindexed rows agree; at the
-// end both write byte-identical snapshot directories and answer TopK and
-// Classify bit-identically; and every call published exactly once. The
-// sweep crosses lane counts, run lengths, batch sizes from one row to
-// the whole set, and core counts; FMETER_STRESS repeats it on more data.
-func TestWritePlanMatchesOneByOne(t *testing.T) {
+// TestAddAllMatchesOneByOne is the exactness property of batched
+// ingest: a store fed in AddAll batches — which record the runs and
+// seals of many rows in one call, and build none of them — must match a
+// store fed one Add at a time, with Seal called at the same rows. At
+// every schedule point the segment counts, posting footprint and
+// unindexed rows agree; at the end both write byte-identical snapshot
+// directories and answer TopK and Classify bit-identically; and every
+// call published exactly once. The sweep crosses lane counts, run
+// lengths, batch sizes from one row to the whole set, and core counts;
+// FMETER_STRESS repeats it on more data.
+func TestAddAllMatchesOneByOne(t *testing.T) {
 	const dim, nnz, segSize = 60, 8, 64
 	procs0 := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs0)
@@ -371,20 +378,61 @@ func TestWritePlanMatchesOneByOne(t *testing.T) {
 	}
 }
 
-// TestWritePlanEncodes counts posting encodes (encodeCount): a writer
-// encodes only the seals it causes, batched or one row at a time; the
-// first queries on a view build each of its pending runs exactly once
-// between them, however many arrive together, and a later query builds
-// none; and a 256-row chunked load ended by Seal — the end-to-end
-// benchmark's bulk load — builds no run at all.
-func TestWritePlanEncodes(t *testing.T) {
+// TestOnlyQueriesEncode counts posting encodes (encodeCount): no writer
+// encodes — Add one row at a time, AddAll, Seal and LoadDir only record
+// row ranges — and the first queries on a view build each of its
+// pending runs exactly once between them, however many arrive together;
+// a later query builds none, and neither does IndexBytes, which builds
+// what is still pending without taking db.mu.
+func TestOnlyQueriesEncode(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	const dim, nnz, k = 60, 8, 5
 	queries := randSigs(r, 8, dim, nnz)
+	// encodes runs f and returns how many encodes it made.
+	encodes := func(f func()) int64 {
+		before := encodeCount.Load()
+		f()
+		return encodeCount.Load() - before
+	}
+	// firstQueries races the eight queries on db's fresh view, checks
+	// that a later pass, IndexBytes included, builds nothing, and
+	// returns how many encodes the first pass made.
+	firstQueries := func(tag string, db *DB) int64 {
+		hits := make([][]SearchResult, len(queries))
+		var wg sync.WaitGroup
+		n := encodes(func() {
+			for qi := range queries {
+				wg.Add(1)
+				go func(qi int) {
+					defer wg.Done()
+					var err error
+					if hits[qi], err = db.TopKSparse(queries[qi].W, k, CosineMetric()); err != nil {
+						t.Error(err)
+					}
+				}(qi)
+			}
+			wg.Wait()
+		})
+		later := encodes(func() {
+			for qi, q := range queries {
+				got, err := db.TopKSparse(q.W, k, CosineMetric())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, fmt.Sprintf("%s q=%d", tag, qi), hits[qi], got)
+			}
+			db.IndexBytes()
+		})
+		if later != 0 {
+			t.Errorf("%s: later queries and IndexBytes encoded %d times, want 0", tag, later)
+		}
+		return n
+	}
 
-	// 3.5 segments: three seals, and four pending runs over the half
-	// segment.
+	// 3.5 segments: three whole-segment runs, and four runs over the
+	// half segment.
 	sigs := randSigs(r, 3*64+32, dim, nnz)
+	var dir string
 	for _, oneByOne := range []bool{false, true} {
 		tag := fmt.Sprintf("oneByOne=%v", oneByOne)
 		db, err := newTestDB(dim, 2)
@@ -393,79 +441,86 @@ func TestWritePlanEncodes(t *testing.T) {
 		}
 		db.setSegmentSize(64)
 		db.setRunLen(8)
-		before := encodeCount.Load()
-		if oneByOne {
-			for _, s := range sigs {
-				if err := db.Add(s); err != nil {
-					t.Fatal(err)
+		if got := encodes(func() {
+			if oneByOne {
+				for _, s := range sigs {
+					if err := db.Add(s); err != nil {
+						t.Fatal(err)
+					}
 				}
+			} else if err := db.AddAll(sigs); err != nil {
+				t.Fatal(err)
 			}
-		} else if err := db.AddAll(sigs); err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeCount.Load() - before; got != 3 {
-			t.Errorf("%s: the writer encoded %d times, want the 3 seals", tag, got)
+		}); got != 0 {
+			t.Errorf("%s: the writer encoded %d times, want 0", tag, got)
 		}
 		if runs, tail := activeShape(db); runs != 4 || tail != 0 {
 			t.Errorf("%s: %d active runs, tail %d; want 4 runs and no tail", tag, runs, tail)
 		}
-
-		// Eight first queries race on the fresh view: one build per run.
-		before = encodeCount.Load()
-		hits := make([][]SearchResult, len(queries))
-		var wg sync.WaitGroup
-		for qi := range queries {
-			wg.Add(1)
-			go func(qi int) {
-				defer wg.Done()
-				var err error
-				if hits[qi], err = db.TopKSparse(queries[qi].W, k, CosineMetric()); err != nil {
-					t.Error(err)
-				}
-			}(qi)
+		if got := firstQueries(tag, db); got != 7 {
+			t.Errorf("%s: 8 concurrent first queries encoded %d times, want each of the 7 runs once", tag, got)
 		}
-		wg.Wait()
-		if got := encodeCount.Load() - before; got != 4 {
-			t.Errorf("%s: 8 concurrent first queries encoded %d times, want each of the 4 runs once", tag, got)
-		}
-		before = encodeCount.Load()
-		for qi, q := range queries {
-			got, err := db.TopKSparse(q.W, k, CosineMetric())
-			if err != nil {
+		if !oneByOne {
+			dir = filepath.Join(t.TempDir(), "db")
+			if err := db.SaveDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, fmt.Sprintf("%s q=%d", tag, qi), hits[qi], got)
-		}
-		db.IndexBytes()
-		if got := encodeCount.Load() - before; got != 0 {
-			t.Errorf("%s: later queries and IndexBytes encoded %d times, want 0", tag, got)
 		}
 	}
 
-	// Chunks of 256 at the default sizes: a chunk encodes only when its
-	// rows roll a segment, and the closing Seal encodes its one segment.
+	// LoadDir records the three full segments and the active half one
+	// as four runs.
+	var db *DB
+	if got := encodes(func() {
+		var err error
+		if db, err = loadDir(dir, 64); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("LoadDir encoded %d times, want 0", got)
+	}
+	if got := firstQueries("loaded", db); got != 4 {
+		t.Errorf("loaded: 8 concurrent first queries encoded %d times, want each of the 4 runs once", got)
+	}
+
+	// Chunks of 256 at the default sizes, the end-to-end benchmark's
+	// bulk load, ended by Seal: the writers encode nothing, and the
+	// first query builds the full segment and the sealed active one.
 	const chunk = 256
 	sigs = randSigs(r, SegmentSize+3*chunk, dim, nnz)
 	db, err := newTestDB(dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := encodeCount.Load()
-	for c := 1; c*chunk <= len(sigs); c++ {
-		at := encodeCount.Load()
-		if err := db.AddAll(sigs[(c-1)*chunk : c*chunk]); err != nil {
-			t.Fatal(err)
+	if got := encodes(func() {
+		for c := 1; c*chunk <= len(sigs); c++ {
+			if err := db.AddAll(sigs[(c-1)*chunk : c*chunk]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var want int64
-		if c*chunk%SegmentSize == 0 {
-			want = 1
-		}
-		if got := encodeCount.Load() - at; got != want {
-			t.Fatalf("chunk %d: %d encodes, want %d", c, got, want)
-		}
+		db.Seal()
+	}); got != 0 {
+		t.Fatalf("chunked load and Seal: %d encodes, want 0", got)
 	}
-	db.Seal()
-	if got := encodeCount.Load() - before; got != 2 {
-		t.Fatalf("chunked load and Seal: %d encodes, want 2 (one roll, one seal) and no run", got)
+	if got := firstQueries("chunked", db); got != 2 {
+		t.Fatalf("chunked: first queries encoded %d times, want 2 (the full segment and the sealed one)", got)
 	}
+
+	// IndexBytes builds what the view holds pending without db.mu:
+	// held here, it still returns, having built the new run.
+	if err := db.AddAll(sigs[:chunk]); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	done := make(chan int64, 1)
+	go func() { done <- encodes(func() { db.IndexBytes() }) }()
+	select {
+	case got := <-done:
+		if got != 1 {
+			t.Errorf("IndexBytes under a held db.mu encoded %d times, want the 1 pending run", got)
+		}
+	case <-time.After(time.Minute):
+		t.Error("IndexBytes waits for db.mu")
+	}
+	db.mu.Unlock()
 }

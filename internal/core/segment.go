@@ -20,15 +20,16 @@ import (
 //
 // A segment is indexed in *runs*: every time the active segment's
 // unindexed tail reaches activeRunLen rows, the writer records those
-// rows as one pending run, a row range and nothing more. The first query
-// whose view holds the run builds its immutable blockPostings from the
-// rows (encodeBlocks, postingRun.build), so at most activeRunLen-1 rows
-// are ever scored row by row, nothing about the index is mutable once
-// built, and a run no query walks costs no encode. When the segment
-// fills, its runs are dropped, built or not, and its whole range is
-// recorded as one run that the filling writer builds; Seal does the
-// same to the active segment, which stays active. Runs are not
-// segments: Segments, the manifest and SaveDir never see them.
+// rows as one pending run, a row range and nothing more. When the
+// segment fills, its runs are dropped, built or not, and its whole range
+// is recorded as one pending run the same way; Seal, and LoadDir for the
+// segment it leaves active, do the same to the active segment, which
+// stays active. No writer encodes: the first query whose view holds a
+// run builds its immutable blockPostings from the rows (encodeBlocks,
+// postingRun.build), so at most activeRunLen-1 rows are ever scored row
+// by row, nothing about the index is mutable once built, and a run no
+// query walks costs no encode. Runs are not segments: Segments, the
+// manifest and SaveDir never see them.
 //
 // A full segment is immutable: its record range, posting lists, and
 // cached norms never change again, which is what lets SaveDir persist
@@ -37,8 +38,8 @@ import (
 // gained since the last one, as one more file.
 //
 // A whole-segment run's postings are encodeBlocks over the segment's
-// rows, however it came to be: filled by Add, indexed by Seal, or
-// rebuilt by LoadDir. So one row range has one index, in memory as
+// rows, however it came to be: filled by Add, recorded by Seal, or
+// cut by LoadDir. So one row range has one index, in memory as
 // after a reload, and because every walk scores a row from the same
 // weights in the same order, TopK is bit-identical across any run and
 // seal history (see DESIGN-PERF.md Layers 5–6).
@@ -49,8 +50,8 @@ type segment struct {
 	// runs holds the segment's posting runs in row order, built or
 	// pending: each covers the rows after the previous one's, the first
 	// starting at start, the last ending at runEnd; rows [runEnd, end)
-	// are the unindexed tail. A full segment holds one built run over
-	// its whole range.
+	// are the unindexed tail. A full segment holds one run over its
+	// whole range.
 	runs   []*postingRun
 	runEnd int
 }
@@ -68,11 +69,10 @@ const activeRunLen = 256
 
 // postingRun is one posting run of a segment: rows [start, start+n) of
 // the store. A writer records the range; the run's postings are built
-// at most once — by the writer whose seal recorded it (writePlan.build),
-// else by the first query whose view holds it (buildRuns) or by the
-// introspection that counts them (DB.sumPostings) — and published
-// through blocks. The run holds no rows: it builds from the row array
-// of the view or DB it is asked through, so a run that outlives its
+// at most once — by the first query whose view holds it (buildRuns) or
+// by the introspection that counts them (DB.sumPostings) — and
+// published through blocks. The run holds no rows: it builds from the
+// row array of the view it is asked through, so a run that outlives its
 // segment's earlier layout pins no superseded backing array.
 type postingRun struct {
 	start, n int
@@ -114,24 +114,6 @@ func (db *DB) runLenLocked() int {
 	return activeRunLen
 }
 
-// Writers plan, then build. The mutators that index rows (Add, AddAll,
-// Seal, and LoadDir's cut) do their bookkeeping in order under db.mu —
-// row appends, segment opens, run ranges, seal decisions, segment ids —
-// and record the whole-segment runs those seals call for in a writePlan
-// instead of encoding them. build encodes the recorded runs over the
-// cores, still under db.mu, once, before the call's one publish. The
-// result is byte-for-byte what encoding each segment at its decision
-// point would give: a run reads a row range fixed when it was planned
-// (rows never change once appended) and fills its own pointer. A writer
-// builds no activeRunLen run: it records the range (indexRun), and a
-// query builds it.
-
-// writePlan is the seal work one mutator call decided on and has not
-// built yet.
-type writePlan struct {
-	runs []*postingRun
-}
-
 // indexRun records the active segment's unindexed tail as one pending
 // run; its postings are built by the first query that walks it.
 func (sg *segment) indexRun() {
@@ -139,28 +121,16 @@ func (sg *segment) indexRun() {
 	sg.runEnd = sg.end
 }
 
-// seal indexes sg's whole record range as one run, for p to build:
-// sg's runs are dropped, built or not (a view that holds one may still
-// build and walk it), unless one run already covers the range. Query
-// results are bit-identical before and after — runs, tail scan and
-// whole-segment runs all score a row from the same weights in the same
-// order.
-func (p *writePlan) seal(sg *segment) {
+// seal records sg's whole record range as one pending run: sg's runs
+// are dropped, built or not (a view that holds one may still build and
+// walk it), unless one run already covers the range. Query results are
+// bit-identical before and after — runs, tail scan and whole-segment
+// runs all score a row from the same weights in the same order.
+func (sg *segment) seal() {
 	if len(sg.runs) != 1 || sg.runEnd != sg.end {
 		sg.runs = []*postingRun{{start: sg.start, n: sg.len()}}
 		sg.runEnd = sg.end
 	}
-	p.runs = append(p.runs, sg.runs[0])
-}
-
-// build encodes the plan's runs from sigs over the cores and empties
-// it: the runs fan out across each other, and each one across its
-// dimension ranges (encodeBlocks), so a plan of one seal still uses
-// every core. An empty plan (almost every Add and AddAll) builds no
-// closure. Caller holds db.mu.
-func (p *writePlan) build(dim int, sigs []Signature) {
-	buildRuns(dim, sigs, p.runs)
-	p.runs = p.runs[:0]
 }
 
 // SegmentSize is the segment length: segment k holds rows
@@ -218,11 +188,11 @@ func (db *DB) appendSegment() *segment {
 	return sg
 }
 
-// Seal indexes the active segment's whole record range as one posting
-// run, encoded now from its rows, so queries walk it as they walk a
-// full segment and no row is left to score one by one. The segment
-// stays active: the next Add appends to it, and it ends only when it
-// holds SegmentSize rows. An empty store is left alone.
+// Seal records the active segment's whole record range as one posting
+// run, which the first query that walks it builds, so queries walk it
+// as they walk a full segment and no row is left to score one by one.
+// The segment stays active: the next Add appends to it, and it ends
+// only when it holds SegmentSize rows. An empty store is left alone.
 //
 // Concurrent queries keep the view they loaded: the new run is
 // published atomically afterward.
@@ -232,10 +202,8 @@ func (db *DB) Seal() {
 	if db.closed {
 		return
 	}
-	var p writePlan
 	if sg := db.activeSegment(); sg != nil {
-		p.seal(sg)
+		sg.seal()
 	}
-	p.build(db.dim, db.sigs)
 	db.publishLocked()
 }

@@ -369,9 +369,10 @@ func peakedSigs(r *rand.Rand, dim, n, classSize int) []Signature {
 	return out
 }
 
-// benchScoreArms times one query three ways over a sealed store: TopK
-// as the DB routes it, and every unit forced down each whole-unit arm —
-// the posting walk (dots + offer) and the dense scan (gather dots).
+// benchScoreArms times one query three ways over a sealed store whose
+// runs are built: TopK as the DB routes it, and every unit forced down
+// each whole-unit arm — the posting walk (dots + offer) and the dense
+// scan (gather dots).
 func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 	const k = 10
 	b.Run("topk", func(b *testing.B) {
@@ -390,7 +391,8 @@ func benchScoreArms(b *testing.B, db *DB, q *vecmath.Sparse) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h.reset(true)
-				for _, sg := range v.segs {
+				for ui := range v.segs {
+					sg := v.unit(ui)
 					if scan {
 						offerCanonical(&h, k, v, sg, qd, true, q.Norm2(), nil, 0, 1)
 					} else {
@@ -427,6 +429,7 @@ func BenchmarkTopKFlat(b *testing.B) {
 			b.Fatal(err)
 		}
 		db.Seal()
+		db.IndexBytes() // builds the recorded runs, so no arm times the build
 		return db
 	}
 	r := rand.New(rand.NewSource(1))

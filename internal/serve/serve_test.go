@@ -736,6 +736,7 @@ func BenchmarkServeTopKParallel(b *testing.B) {
 				}
 				db.Seal()
 			}
+			db.IndexBytes() // builds the recorded runs before the timer starts
 			s, err := New(db, nil, Config{})
 			if err != nil {
 				b.Fatal(err)
