@@ -13,12 +13,15 @@ var updateReports = flag.Bool("update", false, "rewrite testdata/quick_reports.g
 // renderer is what every experiment result has in common.
 type renderer interface{ Render() string }
 
-// TestQuickReportsGolden freezes the rendered learning reports — Table 4,
-// Table 5, Figures 4–6 and the weighting ablation — at the quick
-// parameters and seed 1. Every learner is deterministic, so a change to
-// the SVM, K-means, hierarchical clustering or cross-validation code that
-// moves one byte of a paper-facing report fails here; a deliberate change
-// reruns with -update and shows up in the diff.
+// TestQuickReportsGolden freezes the rendered reports — Figure 1, Tables
+// 2–5, Figures 4–6 and the weighting ablation — at the quick parameters
+// and seed 1. Figure 1 and Tables 2 and 3 boot the simulated machine
+// under all three tracers; the rest exercise the learners. Everything is
+// deterministic, so a change to the machine boot, the SVM, K-means,
+// hierarchical clustering or cross-validation code that moves one byte of
+// a paper-facing report fails here; a deliberate change reruns with
+// -update and shows up in the diff. Table 1 is left out: it takes
+// seconds.
 func TestQuickReportsGolden(t *testing.T) {
 	data := getQuickData(t)
 	mlp := QuickMLParams()
@@ -27,6 +30,9 @@ func TestQuickReportsGolden(t *testing.T) {
 		name string
 		run  func() (renderer, error)
 	}{
+		{"fig1", func() (renderer, error) { return RunFig1(1) }},
+		{"table2", func() (renderer, error) { return RunTable2(1) }},
+		{"table3", func() (renderer, error) { return RunTable3(1) }},
 		{"table4", func() (renderer, error) { return RunTable4(data.Set, mlp) }},
 		{"table5", func() (renderer, error) {
 			set, err := CollectDriverSignatures(mlp)
