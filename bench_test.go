@@ -15,7 +15,7 @@ package fmeter
 //	BenchmarkFigure4Dendrogram    — Fig 4  (perfect root split)
 //	BenchmarkFigure5KmeansPurity  — Fig 5  (mean purity)
 //	BenchmarkFigure6KmeansK       — Fig 6  (purity at max K)
-//	BenchmarkAblation*            — A1-A4 of DESIGN.md
+//	BenchmarkAblation*            — the five ablations of internal/experiments
 //
 // The corpora are collected once and shared across iterations; collection
 // itself is benchmarked separately (BenchmarkSignatureCollection).
@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/experiments"
 )
 
@@ -106,9 +107,9 @@ func BenchmarkTable2Apachebench(b *testing.B) {
 		}
 		for _, row := range res.Rows {
 			switch row.Config {
-			case experiments.Fmeter:
+			case daemon.Fmeter:
 				fmSlow = row.SlowdownPct
-			case experiments.Ftrace:
+			case daemon.Ftrace:
 				ftSlow = row.SlowdownPct
 			}
 		}

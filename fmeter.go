@@ -9,12 +9,11 @@
 // similarity search.
 //
 // Because a real patched kernel is not available here, the package drives
-// a simulated monolithic kernel (see internal/kernel and DESIGN.md for the
-// substitution argument): a deterministic ~3815-function symbol table,
-// syscall-level operations with realistic call paths, loadable-module
-// semantics, and the three instrumentation backends the paper compares
-// (vanilla, Ftrace's ring-buffer function tracer, and Fmeter's counter
-// stubs).
+// a simulated monolithic kernel (see internal/kernel for the substitution
+// argument): a deterministic ~3815-function symbol table, syscall-level
+// operations with realistic call paths, loadable-module semantics, and
+// the three instrumentation backends the paper compares (vanilla,
+// Ftrace's ring-buffer function tracer, and Fmeter's counter stubs).
 //
 // # Quick start
 //
@@ -62,13 +61,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/debugfs"
 	"repro/internal/driver"
-	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/svm"
-	"repro/internal/trace"
 	"repro/internal/vecmath"
 	"repro/internal/workload"
 )
@@ -147,24 +143,13 @@ type Tracer int
 
 // The paper's three kernel configurations.
 const (
-	TracerVanilla Tracer = iota + 1
-	TracerFtrace
-	TracerFmeter
+	TracerVanilla = Tracer(daemon.Vanilla)
+	TracerFtrace  = Tracer(daemon.Ftrace)
+	TracerFmeter  = Tracer(daemon.Fmeter)
 )
 
 // String names the tracer.
-func (t Tracer) String() string {
-	switch t {
-	case TracerVanilla:
-		return "vanilla"
-	case TracerFtrace:
-		return "ftrace"
-	case TracerFmeter:
-		return "fmeter"
-	default:
-		return fmt.Sprintf("tracer(%d)", int(t))
-	}
-}
+func (t Tracer) String() string { return daemon.Tracer(t).String() }
 
 // Config configures a simulated monitored machine.
 type Config struct {
@@ -234,13 +219,7 @@ func applyOpts(opts []Option) perfOpts {
 
 // System is one simulated machine wired for signature collection.
 type System struct {
-	st  *kernel.SymbolTable
-	cat *kernel.Catalog
-	eng *kernel.Engine
-	fs  *debugfs.FS
-	fm  *trace.Fmeter
-	ft  *trace.Ftrace
-	col *daemon.Collector
+	m   *daemon.Machine
 	cfg Config
 }
 
@@ -262,58 +241,12 @@ func New(cfg Config) (*System, error) {
 			return v
 		}
 	}
-	st := kernel.NewSymbolTable()
-	cat, err := kernel.NewCatalog(st)
+	m, err := daemon.Boot(daemon.Tracer(cfg.Tracer), cfg.NumCPU, cfg.Seed,
+		jitter(cfg.CountJitter, daemon.DefaultCountJitter), jitter(cfg.LatencyJitter, daemon.DefaultLatencyJitter))
 	if err != nil {
 		return nil, err
 	}
-	s := &System{st: st, cat: cat, fs: debugfs.New(), cfg: cfg}
-	var backend kernel.Backend
-	switch cfg.Tracer {
-	case TracerVanilla:
-		backend = kernel.NopBackend()
-	case TracerFtrace:
-		ft, err := trace.NewFtrace(st, cfg.NumCPU, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := ft.RegisterDebugfs(s.fs); err != nil {
-			return nil, err
-		}
-		s.ft = ft
-		backend = ft
-	case TracerFmeter:
-		fm, err := trace.NewFmeter(st, cfg.NumCPU)
-		if err != nil {
-			return nil, err
-		}
-		if err := fm.RegisterDebugfs(s.fs); err != nil {
-			return nil, err
-		}
-		s.fm = fm
-		backend = fm
-	default:
-		return nil, fmt.Errorf("fmeter: unknown tracer %v", cfg.Tracer)
-	}
-	eng, err := kernel.NewEngine(cat, kernel.EngineConfig{
-		NumCPU:        cfg.NumCPU,
-		Backend:       backend,
-		Seed:          cfg.Seed,
-		CountJitter:   jitter(cfg.CountJitter, 0.02),
-		LatencyJitter: jitter(cfg.LatencyJitter, 0.01),
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.eng = eng
-	if s.fm != nil {
-		col, err := daemon.NewCollector(s.fs, st)
-		if err != nil {
-			return nil, err
-		}
-		s.col = col
-	}
-	return s, nil
+	return &System{m: m, cfg: cfg}, nil
 }
 
 // Options returns the performance options implied by the system's Config
@@ -326,11 +259,11 @@ func (s *System) Options() []Option {
 
 // Dim returns the signature dimension: the number of instrumented
 // core-kernel functions.
-func (s *System) Dim() int { return s.st.Len() }
+func (s *System) Dim() int { return s.m.ST.Len() }
 
 // FunctionNames returns the instrumented function names indexed by
 // signature dimension.
-func (s *System) FunctionNames() []string { return s.st.Names() }
+func (s *System) FunctionNames() []string { return s.m.ST.Names() }
 
 // Tracer returns the active instrumentation configuration.
 func (s *System) Tracer() Tracer { return s.cfg.Tracer }
@@ -338,23 +271,17 @@ func (s *System) Tracer() Tracer { return s.cfg.Tracer }
 // LoadDriver loads a myri10ge variant as an uninstrumented runtime module
 // (its functions never appear in signatures; only its calls into the core
 // kernel do).
-func (s *System) LoadDriver(v DriverVariant) error {
-	mod, err := driver.New(s.st, v)
-	if err != nil {
-		return err
-	}
-	return s.eng.RegisterModule(mod)
-}
+func (s *System) LoadDriver(v DriverVariant) error { return s.m.LoadDriver(v) }
 
 // Collect runs the logging daemon for n intervals of the given length
 // under the workload, returning the labeled interval documents. If w is
 // non-nil every document is also streamed to it as JSON Lines. Requires
 // the Fmeter tracer.
 func (s *System) Collect(spec WorkloadSpec, n int, interval time.Duration, w io.Writer) ([]*Document, error) {
-	if s.col == nil {
+	if s.m.Col == nil {
 		return nil, fmt.Errorf("fmeter: Collect requires the Fmeter tracer, have %v", s.cfg.Tracer)
 	}
-	run, err := workload.NewRunner(s.eng, spec, s.cfg.Seed+101)
+	run, err := workload.NewRunner(s.m.Eng, spec, s.cfg.Seed+101)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +289,7 @@ func (s *System) Collect(spec WorkloadSpec, n int, interval time.Duration, w io.
 		_, err := run.RunInterval(d)
 		return err
 	}
-	return s.col.CollectSeries(spec.Name, spec.Name, n, interval, body, w)
+	return s.m.Col.CollectSeries(spec.Name, spec.Name, n, interval, body, w)
 }
 
 // CollectStream runs the logging daemon for n intervals and feeds each
@@ -376,10 +303,10 @@ func (s *System) Collect(spec WorkloadSpec, n int, interval time.Duration, w io.
 // instead of killing the run. Returns the number of signatures added.
 // Requires the Fmeter tracer.
 func (s *System) CollectStream(spec WorkloadSpec, n int, interval time.Duration, model *Model, db *DB, w io.Writer) (int, error) {
-	if s.col == nil {
+	if s.m.Col == nil {
 		return 0, fmt.Errorf("fmeter: CollectStream requires the Fmeter tracer, have %v", s.cfg.Tracer)
 	}
-	run, err := workload.NewRunner(s.eng, spec, s.cfg.Seed+101)
+	run, err := workload.NewRunner(s.m.Eng, spec, s.cfg.Seed+101)
 	if err != nil {
 		return 0, err
 	}
@@ -387,7 +314,7 @@ func (s *System) CollectStream(spec WorkloadSpec, n int, interval time.Duration,
 		_, err := run.RunInterval(d)
 		return err
 	}
-	return s.col.CollectStream(spec.Name, spec.Name, n, interval, body, model, db, w)
+	return s.m.Col.CollectStream(spec.Name, spec.Name, n, interval, body, model, db, w)
 }
 
 // SetIngestBatch makes CollectStream buffer up to n embedded signatures
@@ -396,8 +323,8 @@ func (s *System) CollectStream(spec WorkloadSpec, n int, interval time.Duration,
 // restores per-signature publishes. Requires the Fmeter tracer (a no-op
 // otherwise).
 func (s *System) SetIngestBatch(n int) {
-	if s.col != nil {
-		s.col.SetIngestBatch(n)
+	if s.m.Col != nil {
+		s.m.Col.SetIngestBatch(n)
 	}
 }
 
@@ -408,8 +335,8 @@ func (s *System) SetIngestBatch(n int) {
 // aborting the collection. Retries <= 0 restores fail-fast reads.
 // Requires the Fmeter tracer (a no-op otherwise).
 func (s *System) SetRetryPolicy(p RetryPolicy) {
-	if s.col != nil {
-		s.col.SetRetryPolicy(p)
+	if s.m.Col != nil {
+		s.m.Col.SetRetryPolicy(p)
 	}
 }
 
@@ -417,38 +344,38 @@ func (s *System) SetRetryPolicy(p RetryPolicy) {
 // warnings (retries, skipped intervals); a daemon typically passes
 // log.Printf. nil silences them.
 func (s *System) SetCollectorWarnf(fn func(format string, args ...any)) {
-	if s.col != nil {
-		s.col.SetWarnf(fn)
+	if s.m.Col != nil {
+		s.m.Col.SetWarnf(fn)
 	}
 }
 
 // CollectorStats returns the collector's degradation counters so far.
 func (s *System) CollectorStats() CollectorStats {
-	if s.col == nil {
+	if s.m.Col == nil {
 		return CollectorStats{}
 	}
-	return s.col.Stats()
+	return s.m.Col.Stats()
 }
 
 // RunOp executes a catalog operation in a closed loop and returns the
 // virtual elapsed kernel time — the micro-benchmark primitive of Table 1.
 func (s *System) RunOp(name string, times int) (time.Duration, error) {
-	return s.eng.ExecOpName(name, times)
+	return s.m.Eng.ExecOpName(name, times)
 }
 
 // KernelTime returns total virtual kernel-mode time.
-func (s *System) KernelTime() time.Duration { return s.eng.KernelTime() }
+func (s *System) KernelTime() time.Duration { return s.m.Eng.KernelTime() }
 
 // UserTime returns total virtual user-mode time.
-func (s *System) UserTime() time.Duration { return s.eng.UserTime() }
+func (s *System) UserTime() time.Duration { return s.m.Eng.UserTime() }
 
 // Snapshot returns the current per-function invocation totals (Fmeter
 // tracer only).
 func (s *System) Snapshot() ([]uint64, error) {
-	if s.fm == nil {
+	if s.m.Fm == nil {
 		return nil, fmt.Errorf("fmeter: Snapshot requires the Fmeter tracer, have %v", s.cfg.Tracer)
 	}
-	return s.fm.Snapshot(), nil
+	return s.m.Fm.Snapshot(), nil
 }
 
 // Workload constructors (§4's evaluation workloads).

@@ -3,7 +3,7 @@
 // debugfs interface, computes the difference across each collection
 // interval, and logs the resulting raw-count documents to disk. The
 // tf-idf transformation happens later, "once an entire corpus is
-// generated".
+// generated". Boot wires the simulated machine the daemon monitors.
 package daemon
 
 import (

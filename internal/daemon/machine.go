@@ -1,0 +1,117 @@
+package daemon
+
+import (
+	"fmt"
+
+	"repro/internal/debugfs"
+	"repro/internal/driver"
+	"repro/internal/kernel"
+	"repro/internal/trace"
+)
+
+// Tracer selects the instrumentation configuration of a machine.
+type Tracer int
+
+// The paper's three kernel configurations.
+const (
+	Vanilla Tracer = iota + 1
+	Ftrace
+	Fmeter
+)
+
+// String names the configuration as the paper's tables do.
+func (t Tracer) String() string {
+	switch t {
+	case Vanilla:
+		return "vanilla"
+	case Ftrace:
+		return "ftrace"
+	case Fmeter:
+		return "fmeter"
+	default:
+		return fmt.Sprintf("tracer(%d)", int(t))
+	}
+}
+
+// The relative count and latency noise levels of the paper's evaluation.
+const (
+	DefaultCountJitter   = 0.02
+	DefaultLatencyJitter = 0.01
+)
+
+// Machine is one simulated monitored machine: the symbol table, the op
+// catalog, the engine running under the chosen tracer and, under Fmeter,
+// the counter backend whose debugfs export the collector reads.
+type Machine struct {
+	ST  *kernel.SymbolTable
+	Cat *kernel.Catalog
+	Eng *kernel.Engine
+	Fm  *trace.Fmeter // non-nil iff the tracer is Fmeter
+	Col *Collector    // non-nil iff the tracer is Fmeter
+}
+
+// Boot wires a machine of numCPU CPUs under tracer: Ftrace and Fmeter
+// register their debugfs exports, and Fmeter gets a collector over its
+// counters. seed and the two jitter levels go to the engine as given.
+func Boot(tracer Tracer, numCPU int, seed int64, countJitter, latencyJitter float64) (*Machine, error) {
+	st := kernel.NewSymbolTable()
+	cat, err := kernel.NewCatalog(st)
+	if err != nil {
+		return nil, err
+	}
+	m := &Machine{ST: st, Cat: cat}
+	fs := debugfs.New()
+	var backend kernel.Backend
+	switch tracer {
+	case Vanilla:
+		backend = kernel.NopBackend()
+	case Ftrace:
+		ft, err := trace.NewFtrace(st, numCPU, 0)
+		if err != nil {
+			return nil, err
+		}
+		if err := ft.RegisterDebugfs(fs); err != nil {
+			return nil, err
+		}
+		backend = ft
+	case Fmeter:
+		fm, err := trace.NewFmeter(st, numCPU)
+		if err != nil {
+			return nil, err
+		}
+		if err := fm.RegisterDebugfs(fs); err != nil {
+			return nil, err
+		}
+		m.Fm = fm
+		backend = fm
+	default:
+		return nil, fmt.Errorf("daemon: unknown tracer %v", tracer)
+	}
+	m.Eng, err = kernel.NewEngine(cat, kernel.EngineConfig{
+		NumCPU:        numCPU,
+		Backend:       backend,
+		Seed:          seed,
+		CountJitter:   countJitter,
+		LatencyJitter: latencyJitter,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if m.Fm != nil {
+		if m.Col, err = NewCollector(fs, st); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// LoadDriver loads a myri10ge variant as an uninstrumented runtime module
+// (its functions never appear in signatures; only its calls into the core
+// kernel do).
+func (m *Machine) LoadDriver(v driver.Variant) error {
+	mod, err := driver.New(m.ST, v)
+	if err != nil {
+		return err
+	}
+	return m.Eng.RegisterModule(mod)
+}

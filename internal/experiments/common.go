@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4) against the simulated kernel substrate, plus the
-// ablations DESIGN.md calls out. Each experiment returns a structured
-// result and renders a text report in the paper's layout so runs can be
-// compared side by side with the published numbers (EXPERIMENTS.md records
-// that comparison).
+// evaluation (§4) against the simulated kernel substrate, plus ablations
+// of the design's choices (counter structure, hot-function cache, tf-idf
+// weighting, ring buffers, collection interval). Each experiment returns
+// a structured result and renders a text report in the paper's layout,
+// with the published numbers beside the reproduced ones.
 package experiments
 
 import (
@@ -13,11 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/debugfs"
-	"repro/internal/driver"
-	"repro/internal/kernel"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 	"repro/internal/vecmath"
 	"repro/internal/workload"
 )
@@ -26,113 +22,10 @@ import (
 // with hyperthreads, 16 logical processors.
 const NumCPU = 16
 
-// TracerKind selects the instrumentation configuration of a run.
-type TracerKind int
-
-// The paper's three kernel configurations.
-const (
-	Vanilla TracerKind = iota + 1
-	Ftrace
-	Fmeter
-)
-
-// String names the configuration as the paper's tables do.
-func (k TracerKind) String() string {
-	switch k {
-	case Vanilla:
-		return "vanilla"
-	case Ftrace:
-		return "ftrace"
-	case Fmeter:
-		return "fmeter"
-	default:
-		return fmt.Sprintf("tracer(%d)", int(k))
-	}
-}
-
-// System is one simulated machine: symbol table, op catalog, engine with
-// the chosen tracer, and (for Fmeter) the debugfs plumbing and collector.
-type System struct {
-	ST     *kernel.SymbolTable
-	Cat    *kernel.Catalog
-	Eng    *kernel.Engine
-	FS     *debugfs.FS
-	Tracer TracerKind
-	Fm     *trace.Fmeter // non-nil iff Tracer == Fmeter
-	Ft     *trace.Ftrace // non-nil iff Tracer == Ftrace
-	Col    *daemon.Collector
-}
-
-// NewSystem boots a simulated machine. Jitter parameters default to the
-// values used throughout the evaluation when negative.
-func NewSystem(tracer TracerKind, seed int64, countJitter, latencyJitter float64) (*System, error) {
-	if countJitter < 0 {
-		countJitter = 0.02
-	}
-	if latencyJitter < 0 {
-		latencyJitter = 0.01
-	}
-	st := kernel.NewSymbolTable()
-	cat, err := kernel.NewCatalog(st)
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{ST: st, Cat: cat, FS: debugfs.New(), Tracer: tracer}
-	var backend kernel.Backend
-	switch tracer {
-	case Vanilla:
-		backend = kernel.NopBackend()
-	case Ftrace:
-		ft, err := trace.NewFtrace(st, NumCPU, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := ft.RegisterDebugfs(sys.FS); err != nil {
-			return nil, err
-		}
-		sys.Ft = ft
-		backend = ft
-	case Fmeter:
-		fm, err := trace.NewFmeter(st, NumCPU)
-		if err != nil {
-			return nil, err
-		}
-		if err := fm.RegisterDebugfs(sys.FS); err != nil {
-			return nil, err
-		}
-		sys.Fm = fm
-		backend = fm
-	default:
-		return nil, fmt.Errorf("experiments: unknown tracer %d", int(tracer))
-	}
-	eng, err := kernel.NewEngine(cat, kernel.EngineConfig{
-		NumCPU:        NumCPU,
-		Backend:       backend,
-		Seed:          seed,
-		CountJitter:   countJitter,
-		LatencyJitter: latencyJitter,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys.Eng = eng
-	if tracer == Fmeter {
-		col, err := daemon.NewCollector(sys.FS, st)
-		if err != nil {
-			return nil, err
-		}
-		sys.Col = col
-	}
-	return sys, nil
-}
-
-// LoadDriver registers a myri10ge variant with the engine.
-func (s *System) LoadDriver(v driver.Variant) error {
-	mod, err := driver.New(s.ST, v)
-	if err != nil {
-		return err
-	}
-	return s.Eng.RegisterModule(mod)
+// boot starts a simulated machine of the paper's testbed width at the
+// evaluation's jitter levels.
+func boot(tracer daemon.Tracer, seed int64) (*daemon.Machine, error) {
+	return daemon.Boot(tracer, NumCPU, seed, daemon.DefaultCountJitter, daemon.DefaultLatencyJitter)
 }
 
 // CollectSignatureCorpus boots a fresh Fmeter system per workload, runs
@@ -146,72 +39,34 @@ func CollectSignatureCorpus(specs []workload.Spec, n int, interval time.Duration
 }
 
 // CollectSignatureCorpusWorkers is CollectSignatureCorpus with an explicit
-// worker bound. Every workload runs on its own simulated machine with a
-// seed derived only from its position, so the collections fan out freely;
-// batches are concatenated in spec order, making the corpus bit-identical
-// at any worker count.
+// worker bound (see collectCorpus).
 func CollectSignatureCorpusWorkers(specs []workload.Spec, n int, interval time.Duration, seed int64, workers int) ([]*core.Document, int, error) {
-	type batch struct {
-		docs []*core.Document
-		dim  int
-	}
-	batches, err := parallel.Map(workers, len(specs), func(wi int) (batch, error) {
-		spec := specs[wi]
-		sys, err := NewSystem(Fmeter, seed+int64(wi)*1000, -1, -1)
-		if err != nil {
-			return batch{}, err
-		}
-		run, err := workload.NewRunner(sys.Eng, spec, seed+int64(wi)*1000+1)
-		if err != nil {
-			return batch{}, err
-		}
-		body := func(d time.Duration) error {
-			_, err := run.RunInterval(d)
-			return err
-		}
-		docs, err := sys.Col.CollectSeries(spec.Name, spec.Name, n, interval, body, nil)
-		if err != nil {
-			return batch{}, err
-		}
-		return batch{docs: docs, dim: sys.ST.Len()}, nil
+	return collectCorpus(len(specs), n, interval, seed, workers, func(i int, _ *daemon.Machine) (workload.Spec, string, error) {
+		return specs[i], specs[i].Name, nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var docs []*core.Document
-	dim := 0
-	for _, b := range batches {
-		docs = append(docs, b.docs...)
-		dim = b.dim
-	}
-	return docs, dim, nil
 }
 
-// CollectDriverCorpus is CollectSignatureCorpus for the netperf workload
-// under each myri10ge variant (Table 5's data): one fresh system per
-// variant, labels are the variant names.
-func CollectDriverCorpus(variants []driver.Variant, n int, interval time.Duration, seed int64) ([]*core.Document, int, error) {
-	return CollectDriverCorpusWorkers(variants, n, interval, seed, 0)
-}
-
-// CollectDriverCorpusWorkers is CollectDriverCorpus with an explicit
-// worker bound, parallel and deterministic exactly like
-// CollectSignatureCorpusWorkers.
-func CollectDriverCorpusWorkers(variants []driver.Variant, n int, interval time.Duration, seed int64, workers int) ([]*core.Document, int, error) {
+// collectCorpus boots one fresh Fmeter machine per task, lets prepare
+// ready it and name the workload to run and its label, and collects n
+// intervals of that workload through the logging daemon. Every task's
+// seed derives only from its position, so the collections fan out
+// freely; batches are concatenated in task order, making the corpus
+// bit-identical at any worker count.
+func collectCorpus(tasks, n int, interval time.Duration, seed int64, workers int, prepare func(i int, m *daemon.Machine) (workload.Spec, string, error)) ([]*core.Document, int, error) {
 	type batch struct {
 		docs []*core.Document
 		dim  int
 	}
-	batches, err := parallel.Map(workers, len(variants), func(vi int) (batch, error) {
-		v := variants[vi]
-		sys, err := NewSystem(Fmeter, seed+int64(vi)*1000, -1, -1)
+	batches, err := parallel.Map(workers, tasks, func(i int) (batch, error) {
+		m, err := boot(daemon.Fmeter, seed+int64(i)*1000)
 		if err != nil {
 			return batch{}, err
 		}
-		if err := sys.LoadDriver(v); err != nil {
+		spec, label, err := prepare(i, m)
+		if err != nil {
 			return batch{}, err
 		}
-		run, err := workload.NewRunner(sys.Eng, driver.NetperfRx(NumCPU), seed+int64(vi)*1000+1)
+		run, err := workload.NewRunner(m.Eng, spec, seed+int64(i)*1000+1)
 		if err != nil {
 			return batch{}, err
 		}
@@ -219,11 +74,11 @@ func CollectDriverCorpusWorkers(variants []driver.Variant, n int, interval time.
 			_, err := run.RunInterval(d)
 			return err
 		}
-		docs, err := sys.Col.CollectSeries(v.String(), v.String(), n, interval, body, nil)
+		docs, err := m.Col.CollectSeries(label, label, n, interval, body, nil)
 		if err != nil {
 			return batch{}, err
 		}
-		return batch{docs: docs, dim: sys.ST.Len()}, nil
+		return batch{docs: docs, dim: m.ST.Len()}, nil
 	})
 	if err != nil {
 		return nil, 0, err

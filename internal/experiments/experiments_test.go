@@ -3,11 +3,30 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/daemon"
 )
 
 // The experiment tests assert the paper's qualitative claims (who wins, by
 // roughly what factor, where curves bend) at test-friendly scale; the
 // bench harness runs the paper-scale versions.
+
+// quickMLParams scales DefaultMLParams down for tests.
+func quickMLParams() MLParams {
+	return MLParams{PerClass: 40, Interval: daemonInterval, Folds: 5, Seed: 1, CGrid: []float64{1, 10}}
+}
+
+// quickClusterParams scales the Figure 5 and 6 parameters down for tests.
+func quickClusterParams() ClusterParams {
+	return ClusterParams{
+		Runs:        3,
+		SampleSizes: []int{10, 20},
+		Ks:          []int{2, 3, 4},
+		Restarts:    2,
+		MaxIter:     30,
+		Seed:        1,
+	}
+}
 
 func TestFig1PowerLaw(t *testing.T) {
 	res, err := RunFig1(1)
@@ -73,21 +92,21 @@ func TestTable2Shape(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	byCfg := map[TracerKind]Table2Row{}
+	byCfg := map[daemon.Tracer]Table2Row{}
 	for _, r := range res.Rows {
 		byCfg[r.Config] = r
 	}
-	if !(byCfg[Vanilla].RPS.Mean > byCfg[Fmeter].RPS.Mean && byCfg[Fmeter].RPS.Mean > byCfg[Ftrace].RPS.Mean) {
+	if !(byCfg[daemon.Vanilla].RPS.Mean > byCfg[daemon.Fmeter].RPS.Mean && byCfg[daemon.Fmeter].RPS.Mean > byCfg[daemon.Ftrace].RPS.Mean) {
 		t.Error("throughput ordering broken: want vanilla > fmeter > ftrace")
 	}
-	if s := byCfg[Ftrace].SlowdownPct; s < 50 || s > 70 {
+	if s := byCfg[daemon.Ftrace].SlowdownPct; s < 50 || s > 70 {
 		t.Errorf("ftrace slowdown = %v%%, want ~61%%", s)
 	}
-	if s := byCfg[Fmeter].SlowdownPct; s < 5 || s > 30 {
+	if s := byCfg[daemon.Fmeter].SlowdownPct; s < 5 || s > 30 {
 		t.Errorf("fmeter slowdown = %v%%, want modest (paper 24%%)", s)
 	}
 	// Absolute vanilla throughput calibrated to the paper's 14215 req/s.
-	if rps := byCfg[Vanilla].RPS.Mean; rps < 12000 || rps > 17000 {
+	if rps := byCfg[daemon.Vanilla].RPS.Mean; rps < 12000 || rps > 17000 {
 		t.Errorf("vanilla rps = %v, want ~14215", rps)
 	}
 }
@@ -100,12 +119,12 @@ func TestTable3Shape(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	byCfg := map[TracerKind]Table3Row{}
+	byCfg := map[daemon.Tracer]Table3Row{}
 	for _, r := range res.Rows {
 		byCfg[r.Config] = r
 	}
 	// User time is uninstrumented: identical across configs.
-	if byCfg[Vanilla].User != byCfg[Ftrace].User || byCfg[Vanilla].User != byCfg[Fmeter].User {
+	if byCfg[daemon.Vanilla].User != byCfg[daemon.Ftrace].User || byCfg[daemon.Vanilla].User != byCfg[daemon.Fmeter].User {
 		t.Error("user time should be identical across configurations")
 	}
 	// Fmeter sys ~ +22%, Ftrace sys several-fold.
@@ -116,10 +135,10 @@ func TestTable3Shape(t *testing.T) {
 		t.Errorf("ftrace sys slowdown = %v, want > 2x", s)
 	}
 	// Real time: ftrace run dominates, fmeter close to vanilla.
-	if float64(byCfg[Ftrace].Real) < 1.3*float64(byCfg[Vanilla].Real) {
+	if float64(byCfg[daemon.Ftrace].Real) < 1.3*float64(byCfg[daemon.Vanilla].Real) {
 		t.Error("ftrace compile should be much slower in real time")
 	}
-	if float64(byCfg[Fmeter].Real) > 1.1*float64(byCfg[Vanilla].Real) {
+	if float64(byCfg[daemon.Fmeter].Real) > 1.1*float64(byCfg[daemon.Vanilla].Real) {
 		t.Error("fmeter compile should stay close to vanilla in real time")
 	}
 }
@@ -130,7 +149,7 @@ var quickData *WorkloadData
 func getQuickData(t *testing.T) *WorkloadData {
 	t.Helper()
 	if quickData == nil {
-		data, err := CollectWorkloadData(QuickMLParams())
+		data, err := CollectWorkloadData(quickMLParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +160,7 @@ func getQuickData(t *testing.T) *WorkloadData {
 
 func TestTable4QuickAccuracy(t *testing.T) {
 	data := getQuickData(t)
-	res, err := RunTable4(data.Set, QuickMLParams())
+	res, err := RunTable4(data.Set, quickMLParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +189,7 @@ func TestTable4QuickAccuracy(t *testing.T) {
 }
 
 func TestTable5QuickAccuracy(t *testing.T) {
-	p := QuickMLParams()
+	p := quickMLParams()
 	set, err := CollectDriverSignatures(p)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +228,7 @@ func TestFig4PerfectRootSplit(t *testing.T) {
 
 func TestFig5PurityHigh(t *testing.T) {
 	data := getQuickData(t)
-	res, err := RunFig5(data.Set, QuickClusterParams())
+	res, err := RunFig5(data.Set, quickClusterParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +249,7 @@ func TestFig5PurityHigh(t *testing.T) {
 
 func TestFig6PurityConvergesWithK(t *testing.T) {
 	data := getQuickData(t)
-	p := QuickClusterParams()
+	p := quickClusterParams()
 	p.Ks = []int{2, 4, 8, 12}
 	res, err := RunFig6(data.Set, p)
 	if err != nil {
@@ -299,7 +318,7 @@ func TestAblationHotCache(t *testing.T) {
 
 func TestAblationWeighting(t *testing.T) {
 	data := getQuickData(t)
-	res, err := RunAblationWeighting(data, QuickMLParams())
+	res, err := RunAblationWeighting(data, quickMLParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,26 +354,6 @@ func TestAblationRings(t *testing.T) {
 	}
 	if _, err := RunAblationRings(0, 1, 1); err == nil {
 		t.Error("invalid params should fail")
-	}
-}
-
-func TestNewSystemValidation(t *testing.T) {
-	if _, err := NewSystem(TracerKind(42), 1, -1, -1); err == nil {
-		t.Error("unknown tracer should fail")
-	}
-	sys, err := NewSystem(Fmeter, 1, -1, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Fm == nil || sys.Col == nil {
-		t.Error("fmeter system should expose backend and collector")
-	}
-	vsys, err := NewSystem(Vanilla, 1, -1, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vsys.Fm != nil || vsys.Ft != nil {
-		t.Error("vanilla system should not carry tracer backends")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -28,7 +29,7 @@ type Fig1Result struct {
 // RunFig1 boots a simulated machine under the Fmeter tracer and collects
 // the full-table invocation counts of the boot phase.
 func RunFig1(seed int64) (*Fig1Result, error) {
-	sys, err := NewSystem(Fmeter, seed, -1, -1)
+	sys, err := boot(daemon.Fmeter, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -153,18 +153,6 @@ func DefaultFig6Params() ClusterParams {
 	return p
 }
 
-// QuickClusterParams is a scaled-down variant for tests.
-func QuickClusterParams() ClusterParams {
-	return ClusterParams{
-		Runs:        3,
-		SampleSizes: []int{10, 20},
-		Ks:          []int{2, 3, 4},
-		Restarts:    2,
-		MaxIter:     30,
-		Seed:        1,
-	}
-}
-
 // PurityPoint is one (x, purity) point with its uncertainty.
 type PurityPoint struct {
 	X      int // per-class sample count (Fig 5) or target K (Fig 6)

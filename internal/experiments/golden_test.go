@@ -24,8 +24,8 @@ type renderer interface{ Render() string }
 // seconds.
 func TestQuickReportsGolden(t *testing.T) {
 	data := getQuickData(t)
-	mlp := QuickMLParams()
-	cp := QuickClusterParams()
+	mlp := quickMLParams()
+	cp := quickClusterParams()
 	reports := []struct {
 		name string
 		run  func() (renderer, error)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crossval"
+	"repro/internal/daemon"
 	"repro/internal/driver"
 	"repro/internal/parallel"
 	"repro/internal/workload"
@@ -31,11 +32,6 @@ type MLParams struct {
 // DefaultMLParams returns the paper-scale parameters.
 func DefaultMLParams() MLParams {
 	return MLParams{PerClass: 250, Interval: daemonInterval, Folds: 10, Seed: 1, CGrid: crossval.DefaultCGrid()}
-}
-
-// QuickMLParams returns a scaled-down variant for tests.
-func QuickMLParams() MLParams {
-	return MLParams{PerClass: 40, Interval: daemonInterval, Folds: 5, Seed: 1, CGrid: []float64{1, 10}}
 }
 
 // daemonInterval is the collection interval of the classification
@@ -92,20 +88,14 @@ func CollectWorkloadData(p MLParams) (*WorkloadData, error) {
 	return &WorkloadData{Docs: docs, Dim: dim, Set: newSignatureSet(sigs)}, nil
 }
 
-// CollectWorkloadSignatures collects the three-workload corpus and returns
-// the embedded signature set.
-func CollectWorkloadSignatures(p MLParams) (*SignatureSet, error) {
-	data, err := CollectWorkloadData(p)
-	if err != nil {
-		return nil, err
-	}
-	return data.Set, nil
-}
-
 // CollectDriverSignatures collects the Table 5 corpus: netperf receive
-// under the three myri10ge variants.
+// under the three myri10ge variants, one fresh machine per variant,
+// labelled with the variant's name.
 func CollectDriverSignatures(p MLParams) (*SignatureSet, error) {
-	docs, dim, err := CollectDriverCorpusWorkers(driver.Variants(), p.PerClass, p.Interval, p.Seed, p.Workers)
+	variants := driver.Variants()
+	docs, dim, err := collectCorpus(len(variants), p.PerClass, p.Interval, p.Seed, p.Workers, func(i int, m *daemon.Machine) (workload.Spec, string, error) {
+		return driver.NetperfRx(NumCPU), variants[i].String(), m.LoadDriver(variants[i])
+	})
 	if err != nil {
 		return nil, err
 	}

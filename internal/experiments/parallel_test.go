@@ -10,7 +10,7 @@ import (
 // reports contain.
 func TestTable4BitIdenticalAcrossWorkers(t *testing.T) {
 	data := getQuickData(t)
-	p := QuickMLParams()
+	p := quickMLParams()
 	p.Workers = -1 // fully sequential
 	seq, err := RunTable4(data.Set, p)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestTable4BitIdenticalAcrossWorkers(t *testing.T) {
 
 func TestFig5And6BitIdenticalAcrossWorkers(t *testing.T) {
 	data := getQuickData(t)
-	p := QuickClusterParams()
+	p := quickClusterParams()
 	p.Workers = -1
 	seq5, err := RunFig5(data.Set, p)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestFig5And6BitIdenticalAcrossWorkers(t *testing.T) {
 // Corpus collection fans out one simulated machine per workload; the
 // concatenated corpus must not depend on the worker count.
 func TestCollectCorpusBitIdenticalAcrossWorkers(t *testing.T) {
-	p := QuickMLParams()
+	p := quickMLParams()
 	p.PerClass = 5
 	specs := CollectWorkloadSpecs()
 	seq, dimSeq, err := CollectSignatureCorpusWorkers(specs, p.PerClass, p.Interval, p.Seed, -1)

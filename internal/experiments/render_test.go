@@ -40,7 +40,7 @@ func TestTable3Render(t *testing.T) {
 }
 
 func TestTable5Render(t *testing.T) {
-	p := QuickMLParams()
+	p := quickMLParams()
 	set, err := CollectDriverSignatures(p)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestTable5Render(t *testing.T) {
 
 func TestFigRenders(t *testing.T) {
 	data := getQuickData(t)
-	cp := QuickClusterParams()
+	cp := quickClusterParams()
 	f5, err := RunFig5(data.Set, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestAblationRenders(t *testing.T) {
 		t.Errorf("a2 render:\n%s", s)
 	}
 	data := getQuickData(t)
-	a3, err := RunAblationWeighting(data, QuickMLParams())
+	a3, err := RunAblationWeighting(data, quickMLParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,5 @@ func TestAblationRenders(t *testing.T) {
 	}
 	if s := a5.Render(); !strings.Contains(s, "transfer") {
 		t.Errorf("a5 render:\n%s", s)
-	}
-}
-
-func TestTracerKindString(t *testing.T) {
-	if Vanilla.String() != "vanilla" || Ftrace.String() != "ftrace" || Fmeter.String() != "fmeter" {
-		t.Error("tracer names wrong")
-	}
-	if !strings.Contains(TracerKind(9).String(), "9") {
-		t.Error("unknown tracer should render its value")
 	}
 }

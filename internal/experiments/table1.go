@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -52,12 +53,12 @@ func RunTable1(seed int64) (*Table1Result, error) {
 			PaperFtraceSlow: tt.PaperFtraceUS / tt.PaperBaselineUS,
 			PaperFmeterSlow: tt.PaperFmeterUS / tt.PaperBaselineUS,
 		}
-		sums := map[TracerKind]*[]float64{
-			Vanilla: {}, Ftrace: {}, Fmeter: {},
+		sums := map[daemon.Tracer]*[]float64{
+			daemon.Vanilla: {}, daemon.Ftrace: {}, daemon.Fmeter: {},
 		}
-		for _, tracer := range []TracerKind{Vanilla, Ftrace, Fmeter} {
+		for _, tracer := range []daemon.Tracer{daemon.Vanilla, daemon.Ftrace, daemon.Fmeter} {
 			for trial := 0; trial < table1Trials; trial++ {
-				sys, err := NewSystem(tracer, seed+int64(ti*100+trial), -1, -1)
+				sys, err := boot(tracer, seed+int64(ti*100+trial))
 				if err != nil {
 					return nil, err
 				}
@@ -74,13 +75,13 @@ func RunTable1(seed int64) (*Table1Result, error) {
 			}
 		}
 		var err error
-		if row.Baseline, err = stats.Summarize(*sums[Vanilla]); err != nil {
+		if row.Baseline, err = stats.Summarize(*sums[daemon.Vanilla]); err != nil {
 			return nil, err
 		}
-		if row.Ftrace, err = stats.Summarize(*sums[Ftrace]); err != nil {
+		if row.Ftrace, err = stats.Summarize(*sums[daemon.Ftrace]); err != nil {
 			return nil, err
 		}
-		if row.Fmeter, err = stats.Summarize(*sums[Fmeter]); err != nil {
+		if row.Fmeter, err = stats.Summarize(*sums[daemon.Fmeter]); err != nil {
 			return nil, err
 		}
 		if row.Baseline.Mean <= 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/daemon"
 	"repro/internal/kernel"
 	"repro/internal/stats"
 )
@@ -12,7 +13,7 @@ import (
 // completed requests per second (mean ± SEM over trials) and the slowdown
 // relative to vanilla.
 type Table2Row struct {
-	Config      TracerKind
+	Config      daemon.Tracer
 	RPS         stats.Summary
 	SlowdownPct float64
 	// PaperRPS and PaperSlowdownPct are the published values for the
@@ -35,13 +36,13 @@ const (
 	table2Requests = 3000
 )
 
-var table2Paper = map[TracerKind]struct {
+var table2Paper = map[daemon.Tracer]struct {
 	rps  float64
 	slow float64
 }{
-	Vanilla: {14215.2, 0},
-	Fmeter:  {10793.3, 24.07},
-	Ftrace:  {5524.93, 61.13},
+	daemon.Vanilla: {14215.2, 0},
+	daemon.Fmeter:  {10793.3, 24.07},
+	daemon.Ftrace:  {5524.93, 61.13},
 }
 
 // RunTable2 measures HTTP requests/second under the three configurations.
@@ -50,10 +51,10 @@ var table2Paper = map[TracerKind]struct {
 // lengthens each request's kernel path and lowers throughput.
 func RunTable2(seed int64) (*Table2Result, error) {
 	res := &Table2Result{}
-	for _, tracer := range []TracerKind{Vanilla, Fmeter, Ftrace} {
+	for _, tracer := range []daemon.Tracer{daemon.Vanilla, daemon.Fmeter, daemon.Ftrace} {
 		var rps []float64
 		for trial := 0; trial < table2Trials; trial++ {
-			sys, err := NewSystem(tracer, seed+int64(trial)*31, -1, -1)
+			sys, err := boot(tracer, seed+int64(trial)*31)
 			if err != nil {
 				return nil, err
 			}

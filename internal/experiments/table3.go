@@ -5,13 +5,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/kernel"
 )
 
 // Table3Row is one configuration of the kernel-compile macro-benchmark:
 // elapsed real, user, and sys time as the time(1) utility reports them.
 type Table3Row struct {
-	Config TracerKind
+	Config daemon.Tracer
 	Real   time.Duration
 	User   time.Duration
 	Sys    time.Duration
@@ -42,10 +43,10 @@ const (
 	table3IOWait = 80 * time.Second
 )
 
-var table3Paper = map[TracerKind]struct{ real, user, sys time.Duration }{
-	Vanilla: {57*time.Minute + 8961*time.Millisecond, 47*time.Minute + 50175*time.Millisecond, 7*time.Minute + 59642*time.Millisecond},
-	Ftrace:  {89*time.Minute + 56821*time.Millisecond, 49*time.Minute + 5492*time.Millisecond, 41*time.Minute + 31300*time.Millisecond},
-	Fmeter:  {56*time.Minute + 43264*time.Millisecond, 46*time.Minute + 24890*time.Millisecond, 9*time.Minute + 45817*time.Millisecond},
+var table3Paper = map[daemon.Tracer]struct{ real, user, sys time.Duration }{
+	daemon.Vanilla: {57*time.Minute + 8961*time.Millisecond, 47*time.Minute + 50175*time.Millisecond, 7*time.Minute + 59642*time.Millisecond},
+	daemon.Ftrace:  {89*time.Minute + 56821*time.Millisecond, 49*time.Minute + 5492*time.Millisecond, 41*time.Minute + 31300*time.Millisecond},
+	daemon.Fmeter:  {56*time.Minute + 43264*time.Millisecond, 46*time.Minute + 24890*time.Millisecond, 9*time.Minute + 45817*time.Millisecond},
 }
 
 // RunTable3 compiles the simulated kernel under each configuration. User
@@ -53,8 +54,8 @@ var table3Paper = map[TracerKind]struct{ real, user, sys time.Duration }{
 // per-call overhead over the compile's ~3.5e10 kernel function calls.
 func RunTable3(seed int64) (*Table3Result, error) {
 	res := &Table3Result{}
-	for _, tracer := range []TracerKind{Vanilla, Ftrace, Fmeter} {
-		sys, err := NewSystem(tracer, seed, -1, -1)
+	for _, tracer := range []daemon.Tracer{daemon.Vanilla, daemon.Ftrace, daemon.Fmeter} {
+		sys, err := boot(tracer, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -88,9 +89,9 @@ func RunTable3(seed int64) (*Table3Result, error) {
 	for _, row := range res.Rows {
 		slow := float64(row.Sys)/float64(base) - 1
 		switch row.Config {
-		case Fmeter:
+		case daemon.Fmeter:
 			res.SysSlowdownFmeter = slow
-		case Ftrace:
+		case daemon.Ftrace:
 			res.SysSlowdownFtrace = slow
 		}
 	}
