@@ -176,13 +176,6 @@ func smallestOutOfRange(doc *Document, dim int) int {
 	return bad
 }
 
-// DocumentFrequency returns |{d : t_i ∈ d}| for every term.
-func (c *Corpus) DocumentFrequency() []int {
-	out := make([]int, len(c.df))
-	copy(out, c.df)
-	return out
-}
-
 // Labels returns the distinct labels present in the corpus, in first-seen
 // order.
 func (c *Corpus) Labels() []string {

@@ -139,8 +139,8 @@ func (bp *blockPostings) setNormBounds(rows []Signature) {
 	}
 }
 
-// encodeCount counts encodeBlocks calls process-wide; tests assert that a
-// writer builds no run its own call seals away.
+// encodeCount counts encodeBlocks calls process-wide; tests assert that
+// writers and loads encode nothing and each pending run is built once.
 var encodeCount atomic.Int64
 
 // encodeMinRange is the fewest postings encodeBlocks hands one core: a
@@ -148,8 +148,8 @@ var encodeCount atomic.Int64
 const encodeMinRange = 1 << 13
 
 // encodeBlocks builds the block-compressed posting lists of rows (local
-// id = position in rows) — the one encoder behind seal, the active
-// segment's runs, and loads. The rows' value arrays become the weight store. A counting
+// id = position in rows) for a posting run's build (postingRun.build).
+// The rows' value arrays become the weight store. A counting
 // transposition turns the row-major supports into one dimension-major id
 // array (count per dimension, prefix-sum, scatter), which is then cut
 // into blocks, over contiguous dimension ranges of about equal posting

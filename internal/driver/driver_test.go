@@ -87,22 +87,30 @@ func collectRx(t *testing.T, v Variant, seed int64) []uint64 {
 
 func TestVariantsShareSkeletonButDiffer(t *testing.T) {
 	st := kernel.NewSymbolTable()
+	lookup := func(name string) kernel.FuncID {
+		t.Helper()
+		id, err := st.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
 	lro := collectRx(t, V151, 1)
 	nolro := collectRx(t, V151NoLRO, 2)
 	old := collectRx(t, V143, 3)
 
-	alloc := st.MustLookup("alloc_skb")
+	alloc := lookup("alloc_skb")
 	if lro[alloc] == 0 || nolro[alloc] == 0 || old[alloc] == 0 {
 		t.Fatal("per-segment skb allocation missing in some variant")
 	}
 
 	// LRO on: far fewer per-packet stack entries than LRO off.
-	rcv := st.MustLookup("tcp_v4_rcv")
+	rcv := lookup("tcp_v4_rcv")
 	if nolro[rcv] < lro[rcv]*5 {
 		t.Errorf("LRO-off should multiply tcp_v4_rcv: lro=%d nolro=%d", lro[rcv], nolro[rcv])
 	}
 	// LRO helpers only appear with LRO on.
-	lroFn := st.MustLookup("lro_receive_skb_op")
+	lroFn := lookup("lro_receive_skb_op")
 	if lro[lroFn] == 0 {
 		t.Error("LRO path should call lro_receive_skb")
 	}
@@ -110,14 +118,14 @@ func TestVariantsShareSkeletonButDiffer(t *testing.T) {
 		t.Error("non-LRO variants must not call lro_receive_skb")
 	}
 	// Legacy driver: netif_rx + per-segment checksum, absent elsewhere.
-	legacy := st.MustLookup("netif_rx_op")
+	legacy := lookup("netif_rx_op")
 	if old[legacy] == 0 {
 		t.Error("1.4.3 should use the legacy netif_rx path")
 	}
 	if lro[legacy] != 0 || nolro[legacy] != 0 {
 		t.Error("1.5.1 variants must not use netif_rx")
 	}
-	cksum := st.MustLookup("skb_checksum")
+	cksum := lookup("skb_checksum")
 	if old[cksum] < nolro[cksum] {
 		t.Error("1.4.3 should checksum more than 1.5.1")
 	}

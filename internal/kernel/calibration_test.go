@@ -47,7 +47,7 @@ const ftraceCalibrationNS = 34.0 + 0.375*16
 func TestOpCalibrationAgainstPaper(t *testing.T) {
 	cat := newTestCatalog(t)
 	for name, paper := range paperLatencies {
-		op := cat.MustOp(name)
+		op := mustOp(t, cat, name)
 		if got, want := op.BaseNS, paper.baseUS*1000; math.Abs(got-want) > 0.5 {
 			t.Errorf("%s: BaseNS = %v, want %v (paper vanilla)", name, got, want)
 		}
@@ -64,7 +64,7 @@ func TestOpCalibrationAgainstPaper(t *testing.T) {
 func TestCalibrationImpliesPaperSlowdowns(t *testing.T) {
 	cat := newTestCatalog(t)
 	for name, paper := range paperLatencies {
-		op := cat.MustOp(name)
+		op := mustOp(t, cat, name)
 		predicted := (op.BaseNS + op.TotalCalls*ftraceCalibrationNS) / op.BaseNS
 		published := paper.ftraceUS / paper.baseUS
 		if math.Abs(predicted-published)/published > 0.06 {

@@ -256,32 +256,9 @@ func (e *Engine) UserTime() time.Duration {
 	return time.Duration(s)
 }
 
-// WallTime estimates the elapsed wall-clock time of everything executed so
-// far, assuming the work spread over `parallelism` CPUs (bounded by the
-// engine's CPU count). parallelism <= 0 defaults to full width.
-func (e *Engine) WallTime(parallelism int) time.Duration {
-	if parallelism <= 0 || parallelism > e.cfg.NumCPU {
-		parallelism = e.cfg.NumCPU
-	}
-	total := float64(e.KernelTime()+e.UserTime()) / float64(parallelism)
-	return time.Duration(total)
-}
-
 // TotalCalls returns the number of instrumentable core-kernel function
 // calls executed so far (module-internal calls excluded).
 func (e *Engine) TotalCalls() uint64 { return e.totalCalls }
-
-// ResetClock zeroes the virtual clocks and call counter, leaving backend
-// state (counters, ring buffers) untouched.
-func (e *Engine) ResetClock() {
-	for i := range e.kernelNS {
-		e.kernelNS[i] = 0
-	}
-	for i := range e.userNS {
-		e.userNS[i] = 0
-	}
-	e.totalCalls = 0
-}
 
 // RegisterModule loads a runtime module into the engine. Module functions
 // are not added to the symbol table: they are invisible to instrumentation,
@@ -294,15 +271,6 @@ func (e *Engine) RegisterModule(m *Module) error {
 		return fmt.Errorf("kernel: module %q already loaded", m.Name)
 	}
 	e.modules[m.Name] = m
-	return nil
-}
-
-// UnregisterModule unloads a module by name.
-func (e *Engine) UnregisterModule(name string) error {
-	if _, ok := e.modules[name]; !ok {
-		return fmt.Errorf("kernel: module %q not loaded", name)
-	}
-	delete(e.modules, name)
 	return nil
 }
 

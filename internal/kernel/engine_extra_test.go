@@ -51,29 +51,6 @@ func TestInvokeRawValidation(t *testing.T) {
 	}
 }
 
-func TestWallTime(t *testing.T) {
-	cat := newTestCatalog(t)
-	e, err := NewEngine(cat, EngineConfig{NumCPU: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RecordUser(0, 8*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.WallTime(4); got != 2*time.Second {
-		t.Errorf("WallTime(4) = %v", got)
-	}
-	if got := e.WallTime(0); got != 2*time.Second {
-		t.Errorf("WallTime(0) should default to full width: %v", got)
-	}
-	if got := e.WallTime(100); got != 2*time.Second {
-		t.Errorf("WallTime should clamp to NumCPU: %v", got)
-	}
-	if got := e.WallTime(1); got != 8*time.Second {
-		t.Errorf("WallTime(1) = %v", got)
-	}
-}
-
 func TestSubsystemStrings(t *testing.T) {
 	if SubVFS.String() != "vfs" || SubTCP.String() != "tcp" {
 		t.Error("subsystem names wrong")
@@ -83,19 +60,8 @@ func TestSubsystemStrings(t *testing.T) {
 	}
 }
 
-func TestHotColdAccessors(t *testing.T) {
+func TestSymbolTableNames(t *testing.T) {
 	st := NewSymbolTable()
-	hot := st.Hot(SubVFS)
-	cold := st.Cold(SubVFS)
-	if len(hot) == 0 || len(cold) == 0 {
-		t.Fatal("vfs should have hot and cold functions")
-	}
-	for _, id := range hot {
-		sym, err := st.Symbol(id)
-		if err != nil || sym.Subsystem != SubVFS {
-			t.Fatalf("hot fn %d not in vfs", id)
-		}
-	}
 	names := st.Names()
 	if len(names) != st.Len() {
 		t.Fatalf("Names length %d", len(names))
@@ -121,24 +87,4 @@ func TestCatalogNamesSorted(t *testing.T) {
 	if len(names) < 30 {
 		t.Errorf("catalog has %d ops", len(names))
 	}
-}
-
-func TestMustOpPanics(t *testing.T) {
-	cat := newTestCatalog(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustOp should panic on unknown op")
-		}
-	}()
-	cat.MustOp("no_such_op")
-}
-
-func TestMustLookupPanics(t *testing.T) {
-	st := NewSymbolTable()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustLookup should panic on unknown name")
-		}
-	}()
-	st.MustLookup("no_such_function")
 }

@@ -75,16 +75,6 @@ func (m *Module) Op(name string) (*Op, error) {
 	return op, nil
 }
 
-// OpNames lists the module's entry points in sorted order.
-func (m *Module) OpNames() []string {
-	names := make([]string, 0, len(m.ops))
-	for n := range m.ops {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // CompileOpFromCounts compiles an operation from a name→weight map. It is
 // the exported construction path for packages (e.g. the driver simulator)
 // that define ops outside this package's static catalog.

@@ -799,15 +799,6 @@ func (c *Catalog) Op(name string) (*Op, error) {
 	return op, nil
 }
 
-// MustOp returns the compiled op for a name known at development time.
-func (c *Catalog) MustOp(name string) *Op {
-	op, ok := c.ops[name]
-	if !ok {
-		panic(fmt.Sprintf("kernel: unknown op %q", name))
-	}
-	return op
-}
-
 // Names returns all op names in sorted order.
 func (c *Catalog) Names() []string {
 	names := make([]string, 0, len(c.ops))

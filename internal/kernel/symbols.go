@@ -354,8 +354,6 @@ type SymbolTable struct {
 	symbols []Symbol
 	byName  map[string]FuncID
 	byAddr  map[uint64]FuncID
-	hot     map[Subsystem][]FuncID
-	cold    map[Subsystem][]FuncID
 }
 
 // NewSymbolTable builds the deterministic core-kernel symbol table. Two
@@ -365,8 +363,6 @@ func NewSymbolTable() *SymbolTable {
 	st := &SymbolTable{
 		byName: make(map[string]FuncID),
 		byAddr: make(map[uint64]FuncID),
-		hot:    make(map[Subsystem][]FuncID),
-		cold:   make(map[Subsystem][]FuncID),
 	}
 	subs := make([]Subsystem, 0, numSubsystems)
 	for s := range subsystemNames {
@@ -375,26 +371,21 @@ func NewSymbolTable() *SymbolTable {
 	sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
 
 	addr := textBase
-	add := func(name string, sub Subsystem, hot bool) {
+	add := func(name string, sub Subsystem) {
 		id := FuncID(len(st.symbols))
 		st.symbols = append(st.symbols, Symbol{ID: id, Name: name, Addr: addr, Subsystem: sub})
 		st.byName[name] = id
 		st.byAddr[addr] = id
-		if hot {
-			st.hot[sub] = append(st.hot[sub], id)
-		} else {
-			st.cold[sub] = append(st.cold[sub], id)
-		}
 		// Function sizes vary; keep 16-byte alignment like the real text
 		// segment. The stride is deterministic in the symbol index.
 		addr += 16 * (4 + uint64(len(name))%7)
 	}
 	for _, sub := range subs {
 		for _, name := range hotFunctions[sub] {
-			add(name, sub, true)
+			add(name, sub)
 		}
 		for i := 0; i < coldCounts[sub]; i++ {
-			add(fmt.Sprintf("__%s_aux_%d", sub.String(), i), sub, false)
+			add(fmt.Sprintf("__%s_aux_%d", sub.String(), i), sub)
 		}
 	}
 	return st
@@ -424,16 +415,6 @@ func (st *SymbolTable) Lookup(name string) (FuncID, error) {
 	return id, nil
 }
 
-// MustLookup resolves a name known at development time; it panics on a miss
-// since that is a programming error in an op definition, not runtime input.
-func (st *SymbolTable) MustLookup(name string) FuncID {
-	id, ok := st.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("kernel: unknown function %q in op definition", name))
-	}
-	return id
-}
-
 // LookupAddr resolves a start address to its FuncID, the paper's identifier.
 func (st *SymbolTable) LookupAddr(addr uint64) (FuncID, error) {
 	id, ok := st.byAddr[addr]
@@ -442,12 +423,6 @@ func (st *SymbolTable) LookupAddr(addr uint64) (FuncID, error) {
 	}
 	return id, nil
 }
-
-// Hot returns the hot (named) function IDs of a subsystem.
-func (st *SymbolTable) Hot(sub Subsystem) []FuncID { return st.hot[sub] }
-
-// Cold returns the generated cold-tail function IDs of a subsystem.
-func (st *SymbolTable) Cold(sub Subsystem) []FuncID { return st.cold[sub] }
 
 // Names returns the function names indexed by FuncID. The slice is freshly
 // allocated.

@@ -1,15 +1,13 @@
 // Package metrics implements the evaluation measures of §4.2: binary
 // classification accuracy/precision/recall (Tables 4-5, including the
-// majority-class baseline accuracy), and the clustering quality measures —
-// purity (the paper's choice, "simple and transparent"), normalized mutual
-// information, the Rand index, and the clustering F-measure, which the
-// paper lists as alternatives.
+// majority-class baseline accuracy), and purity, the paper's clustering
+// quality measure ("simple and transparent"; it names normalized mutual
+// information, the Rand index and the F-measure as alternatives).
 package metrics
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Confusion is a binary confusion matrix over the paper's +1/-1 labeling.
@@ -70,15 +68,6 @@ func (c Confusion) Recall() float64 {
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
 
-// F1 is the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // BaselineAccuracy is the accuracy of the pseudo-classifier that always
 // answers with the majority class (the paper reports it alongside every
 // grouping: "if a dataset contains 100 of class +1 and 150 of class -1,
@@ -120,22 +109,6 @@ func validateClustering(assign []int, labels []string) error {
 	return nil
 }
 
-// contingency builds the cluster x class count table.
-func contingency(assign []int, labels []string) (map[int]map[string]int, map[int]int, map[string]int) {
-	table := make(map[int]map[string]int)
-	csize := make(map[int]int)
-	lsize := make(map[string]int)
-	for i, a := range assign {
-		if table[a] == nil {
-			table[a] = make(map[string]int)
-		}
-		table[a][labels[i]]++
-		csize[a]++
-		lsize[labels[i]]++
-	}
-	return table, csize, lsize
-}
-
 // Purity assigns each cluster to its most frequent class and returns the
 // fraction of correctly assigned points (§4.2.2). Purity 1.0 is trivially
 // reachable with as many clusters as points — the property Figure 6
@@ -144,7 +117,13 @@ func Purity(assign []int, labels []string) (float64, error) {
 	if err := validateClustering(assign, labels); err != nil {
 		return 0, err
 	}
-	table, _, _ := contingency(assign, labels)
+	table := make(map[int]map[string]int)
+	for i, a := range assign {
+		if table[a] == nil {
+			table[a] = make(map[string]int)
+		}
+		table[a][labels[i]]++
+	}
 	correct := 0
 	for _, classes := range table {
 		max := 0
@@ -156,97 +135,4 @@ func Purity(assign []int, labels []string) (float64, error) {
 		correct += max
 	}
 	return float64(correct) / float64(len(assign)), nil
-}
-
-// NMI returns the normalized mutual information between the clustering and
-// the class labels, NMI = 2 I(C;L) / (H(C) + H(L)), in [0, 1]. A perfect
-// clustering with K equal to the class count scores 1; it penalizes the
-// many-cluster gaming that purity permits.
-func NMI(assign []int, labels []string) (float64, error) {
-	if err := validateClustering(assign, labels); err != nil {
-		return 0, err
-	}
-	table, cs, ls := contingency(assign, labels)
-	n := float64(len(assign))
-	var mi, hc, hl float64
-	for c, classes := range table {
-		for l, nij := range classes {
-			pij := float64(nij) / n
-			pc := float64(cs[c]) / n
-			pl := float64(ls[l]) / n
-			if pij > 0 {
-				mi += pij * math.Log(pij/(pc*pl))
-			}
-		}
-	}
-	for _, cn := range cs {
-		p := float64(cn) / n
-		hc -= p * math.Log(p)
-	}
-	for _, ln := range ls {
-		p := float64(ln) / n
-		hl -= p * math.Log(p)
-	}
-	if hc+hl == 0 {
-		return 1, nil // single cluster and single class: perfect trivially
-	}
-	return 2 * mi / (hc + hl), nil
-}
-
-// RandIndex is the fraction of point pairs on which the clustering and
-// the labels agree (same/same or different/different).
-func RandIndex(assign []int, labels []string) (float64, error) {
-	if err := validateClustering(assign, labels); err != nil {
-		return 0, err
-	}
-	n := len(assign)
-	if n < 2 {
-		return 1, nil
-	}
-	agree, pairs := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sameC := assign[i] == assign[j]
-			sameL := labels[i] == labels[j]
-			if sameC == sameL {
-				agree++
-			}
-			pairs++
-		}
-	}
-	return float64(agree) / float64(pairs), nil
-}
-
-// FMeasure is the pairwise F1 over co-clustered pairs: precision is the
-// fraction of same-cluster pairs that share a label, recall the fraction
-// of same-label pairs that share a cluster.
-func FMeasure(assign []int, labels []string) (float64, error) {
-	if err := validateClustering(assign, labels); err != nil {
-		return 0, err
-	}
-	n := len(assign)
-	var tp, fp, fn int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sameC := assign[i] == assign[j]
-			sameL := labels[i] == labels[j]
-			switch {
-			case sameC && sameL:
-				tp++
-			case sameC && !sameL:
-				fp++
-			case !sameC && sameL:
-				fn++
-			}
-		}
-	}
-	if tp == 0 {
-		if fp == 0 && fn == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	p := float64(tp) / float64(tp+fp)
-	r := float64(tp) / float64(tp+fn)
-	return 2 * p * r / (p + r), nil
 }

@@ -24,9 +24,6 @@ func TestConfusionBasics(t *testing.T) {
 	if got := c.Recall(); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("Recall = %v", got)
 	}
-	if got := c.F1(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("F1 = %v", got)
-	}
 	if c.Total() != 6 {
 		t.Errorf("Total = %d", c.Total())
 	}
@@ -119,115 +116,16 @@ func TestPuritySingletonGaming(t *testing.T) {
 	if p != 1 {
 		t.Errorf("singleton purity = %v", p)
 	}
-	// NMI does not fall for it.
-	nmi, err := NMI(assign, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmi >= 1 {
-		t.Errorf("singleton NMI = %v, should be < 1", nmi)
-	}
-}
-
-func TestNMIPerfect(t *testing.T) {
-	assign, labels := perfectClustering()
-	nmi, err := NMI(assign, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(nmi-1) > 1e-12 {
-		t.Errorf("perfect NMI = %v", nmi)
-	}
-}
-
-func TestNMIIndependent(t *testing.T) {
-	// Clustering orthogonal to labels: each cluster has the same class
-	// mix -> MI 0.
-	assign := []int{0, 0, 1, 1}
-	labels := []string{"a", "b", "a", "b"}
-	nmi, err := NMI(assign, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(nmi) > 1e-12 {
-		t.Errorf("independent NMI = %v", nmi)
-	}
-}
-
-func TestNMISingleClusterSingleClass(t *testing.T) {
-	nmi, err := NMI([]int{0, 0}, []string{"a", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmi != 1 {
-		t.Errorf("trivial NMI = %v", nmi)
-	}
-}
-
-func TestRandIndex(t *testing.T) {
-	assign, labels := perfectClustering()
-	ri, err := RandIndex(assign, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri != 1 {
-		t.Errorf("perfect Rand = %v", ri)
-	}
-	ri, err = RandIndex([]int{0}, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri != 1 {
-		t.Errorf("single-point Rand = %v", ri)
-	}
-	// Anti-clustering: same-label pairs split, different-label pairs
-	// joined.
-	ri, err = RandIndex([]int{0, 1, 0, 1}, []string{"a", "a", "b", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri > 0.5 {
-		t.Errorf("anti-clustering Rand = %v", ri)
-	}
-}
-
-func TestFMeasure(t *testing.T) {
-	assign, labels := perfectClustering()
-	f, err := FMeasure(assign, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 1 {
-		t.Errorf("perfect F = %v", f)
-	}
-	// All singletons with multi-point classes: tp=0, fn>0 -> 0.
-	f, err = FMeasure([]int{0, 1}, []string{"a", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 0 {
-		t.Errorf("singleton F = %v", f)
-	}
-	// Single point: vacuous perfect.
-	f, err = FMeasure([]int{0}, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 1 {
-		t.Errorf("single-point F = %v", f)
-	}
 }
 
 func TestClusteringValidation(t *testing.T) {
-	for _, fn := range []func([]int, []string) (float64, error){Purity, NMI, RandIndex, FMeasure} {
-		if _, err := fn(nil, nil); err == nil {
-			t.Error("empty clustering should fail")
-		}
-		if _, err := fn([]int{0}, []string{"a", "b"}); err == nil {
-			t.Error("length mismatch should fail")
-		}
-		if _, err := fn([]int{-1}, []string{"a"}); err == nil {
-			t.Error("negative cluster should fail")
-		}
+	if _, err := Purity(nil, nil); err == nil {
+		t.Error("empty clustering should fail")
+	}
+	if _, err := Purity([]int{0}, []string{"a", "b"}); err == nil {
+		t.Error("length mismatch should fail")
+	}
+	if _, err := Purity([]int{-1}, []string{"a"}); err == nil {
+		t.Error("negative cluster should fail")
 	}
 }

@@ -78,12 +78,6 @@ func New(numCPU, numFuncs int) (*Index, error) {
 // NumCPU returns the number of per-CPU indices.
 func (ix *Index) NumCPU() int { return ix.numCPU }
 
-// NumFuncs returns the number of instrumented functions.
-func (ix *Index) NumFuncs() int { return ix.numFuncs }
-
-// Pages returns the number of pages in each per-CPU index.
-func (ix *Index) Pages() int { return ix.pages }
-
 // Inc adds n to the counter of the function at addr on the given CPU. It is
 // the operation the mcount stub performs: disable preemption, follow the
 // two indices, increment, re-enable preemption.
@@ -101,14 +95,6 @@ func (ix *Index) Inc(cpu int, addr SlotAddr, n uint64) error {
 	return nil
 }
 
-// IncFunc is Inc addressed by function index.
-func (ix *Index) IncFunc(cpu, fn int, n uint64) error {
-	if fn < 0 || fn >= ix.numFuncs {
-		return fmt.Errorf("percpu: function %d out of range [0,%d)", fn, ix.numFuncs)
-	}
-	return ix.Inc(cpu, AddrOf(fn), n)
-}
-
 // Get returns the counter for fn on one CPU.
 func (ix *Index) Get(cpu, fn int) (uint64, error) {
 	if cpu < 0 || cpu >= ix.numCPU {
@@ -122,7 +108,7 @@ func (ix *Index) Get(cpu, fn int) (uint64, error) {
 }
 
 // Snapshot sums the per-CPU counters into a per-function total vector of
-// length NumFuncs. This is what the debugfs read handler exports to the
+// length numFuncs. This is what the debugfs read handler exports to the
 // logging daemon.
 func (ix *Index) Snapshot() []uint64 {
 	out := make([]uint64, ix.numFuncs)

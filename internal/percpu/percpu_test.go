@@ -39,8 +39,8 @@ func TestPageCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.Pages() != tt.wantPages {
-			t.Errorf("Pages(%d funcs) = %d, want %d", tt.funcs, ix.Pages(), tt.wantPages)
+		if ix.pages != tt.wantPages {
+			t.Errorf("pages(%d funcs) = %d, want %d", tt.funcs, ix.pages, tt.wantPages)
 		}
 	}
 }
@@ -53,7 +53,7 @@ func TestIncSnapshot(t *testing.T) {
 	// Spread increments of the same function across CPUs; the snapshot
 	// must aggregate them.
 	for cpu := 0; cpu < 4; cpu++ {
-		if err := ix.IncFunc(cpu, 700, uint64(cpu+1)); err != nil {
+		if err := ix.Inc(cpu, AddrOf(700), uint64(cpu+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,13 +78,13 @@ func TestIncValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.IncFunc(2, 0, 1); err == nil {
+	if err := ix.Inc(2, AddrOf(0), 1); err == nil {
 		t.Error("cpu out of range should fail")
 	}
-	if err := ix.IncFunc(0, 600, 1); err == nil {
+	if err := ix.Inc(0, AddrOf(600), 1); err == nil {
 		t.Error("fn out of range should fail")
 	}
-	if err := ix.IncFunc(0, -1, 1); err == nil {
+	if err := ix.Inc(0, AddrOf(-1), 1); err == nil {
 		t.Error("negative fn should fail")
 	}
 	// Address in the last page but beyond numFuncs: page exists (600 needs
@@ -109,7 +109,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for fn := 0; fn < 100; fn++ {
-		if err := ix.IncFunc(fn%2, fn, 5); err != nil {
+		if err := ix.Inc(fn%2, AddrOf(fn), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestConcurrentIncrements(t *testing.T) {
 		go func(cpu int) {
 			defer wg.Done()
 			for i := 0; i < perCPU; i++ {
-				if err := ix.IncFunc(cpu, i%3815, 1); err != nil {
+				if err := ix.Inc(cpu, AddrOf(i%3815), 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -182,7 +182,7 @@ func TestPropertySnapshotConservation(t *testing.T) {
 		var want uint64
 		for i, v := range incs {
 			n := uint64(v % 97)
-			if err := ix.IncFunc(i%4, (i*31)%257, n); err != nil {
+			if err := ix.Inc(i%4, AddrOf((i*31)%257), n); err != nil {
 				return false
 			}
 			want += n
@@ -198,7 +198,7 @@ func TestPropertySnapshotConservation(t *testing.T) {
 	}
 }
 
-func BenchmarkIncFunc(b *testing.B) {
+func BenchmarkInc(b *testing.B) {
 	ix, err := New(16, 3815)
 	if err != nil {
 		b.Fatal(err)
@@ -206,7 +206,7 @@ func BenchmarkIncFunc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.IncFunc(i&15, i%3815, 1)
+		_ = ix.Inc(i&15, AddrOf(i%3815), 1)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit the reproduction
 // relies on: summary statistics with standard error of the mean (every table
-// in the paper reports mean ± SEM), Zipf/power-law sampling for the kernel
-// function invocation distribution of Figure 1, and a least-squares
-// power-law fit used to verify that simulated boot traces are heavy-tailed.
+// in the paper reports mean ± SEM), seeded shuffling and sampling, and a
+// least-squares power-law fit used to verify that simulated boot traces are
+// heavy-tailed (Figure 1).
 package stats
 
 import (
@@ -108,83 +108,6 @@ func Median(xs []float64) float64 {
 	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: percentile of empty sample")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
-
-// Zipf draws ranks from a Zipf-Mandelbrot-like distribution over n items
-// with exponent s > 0: P(rank k) proportional to 1 / (k+q)^s. It is used to
-// assign baseline invocation frequencies to simulated kernel functions,
-// reproducing the heavy-tailed shape of Figure 1.
-type Zipf struct {
-	n   int
-	cdf []float64
-}
-
-// NewZipf builds the sampler for n items, exponent s, and shift q (q >= 0).
-func NewZipf(n int, s, q float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: Zipf n=%d must be positive", n)
-	}
-	if s <= 0 {
-		return nil, fmt.Errorf("stats: Zipf exponent s=%v must be positive", s)
-	}
-	if q < 0 {
-		return nil, fmt.Errorf("stats: Zipf shift q=%v must be non-negative", q)
-	}
-	z := &Zipf{n: n, cdf: make([]float64, n)}
-	var total float64
-	for k := 0; k < n; k++ {
-		total += 1 / math.Pow(float64(k+1)+q, s)
-		z.cdf[k] = total
-	}
-	for k := range z.cdf {
-		z.cdf[k] /= total
-	}
-	return z, nil
-}
-
-// Sample draws one rank in [0, n) using r.
-func (z *Zipf) Sample(r *rand.Rand) int {
-	u := r.Float64()
-	i := sort.SearchFloat64s(z.cdf, u)
-	if i >= z.n {
-		i = z.n - 1
-	}
-	return i
-}
-
-// Weight returns the (normalized) probability mass at rank k.
-func (z *Zipf) Weight(k int) float64 {
-	if k < 0 || k >= z.n {
-		return 0
-	}
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
-}
-
 // PowerLawFit is a least-squares fit of log(count) = log(c) - alpha*log(rank)
 // over a rank/count series.
 type PowerLawFit struct {
@@ -231,41 +154,6 @@ func FitPowerLaw(counts []float64) (PowerLawFit, error) {
 		fit.R2 = 1 - ssRes/syy
 	}
 	return fit, nil
-}
-
-// Histogram buckets xs into n equal-width bins over [min, max] and returns
-// bin counts plus the bin width. Useful for inspecting signature weight
-// distributions.
-func Histogram(xs []float64, n int) (bins []int, width float64, err error) {
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("stats: histogram bins n=%d must be positive", n)
-	}
-	if len(xs) == 0 {
-		return make([]int, n), 0, nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	bins = make([]int, n)
-	if hi == lo {
-		bins[0] = len(xs)
-		return bins, 0, nil
-	}
-	width = (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	return bins, width, nil
 }
 
 // Shuffle permutes idx in place using r (Fisher-Yates). It exists so every

@@ -75,81 +75,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, tt := range []struct{ p, want float64 }{{0, 1}, {50, 3}, {100, 5}, {25, 2}} {
-		got, err := Percentile(xs, tt.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("want error for empty sample")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("want error for p > 100")
-	}
-}
-
-func TestZipfValidation(t *testing.T) {
-	if _, err := NewZipf(0, 1, 0); err == nil {
-		t.Error("want error for n=0")
-	}
-	if _, err := NewZipf(10, 0, 0); err == nil {
-		t.Error("want error for s=0")
-	}
-	if _, err := NewZipf(10, 1, -1); err == nil {
-		t.Error("want error for q<0")
-	}
-}
-
-func TestZipfWeightsDecreaseAndSumToOne(t *testing.T) {
-	z, err := NewZipf(100, 1.2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	prev := math.Inf(1)
-	for k := 0; k < 100; k++ {
-		w := z.Weight(k)
-		if w <= 0 {
-			t.Fatalf("Weight(%d) = %v, want positive", k, w)
-		}
-		if w > prev+1e-15 {
-			t.Fatalf("weights not monotone at rank %d: %v > %v", k, w, prev)
-		}
-		prev = w
-		total += w
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("weights sum to %v, want 1", total)
-	}
-	if z.Weight(-1) != 0 || z.Weight(100) != 0 {
-		t.Error("out-of-range weights should be 0")
-	}
-}
-
-func TestZipfSamplingSkew(t *testing.T) {
-	z, err := NewZipf(1000, 1.1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(42))
-	counts := make([]int, 1000)
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		counts[z.Sample(r)]++
-	}
-	// Top rank should dominate: in a Zipf(1.1) over 1000 items, rank 0 has
-	// far more mass than rank 100.
-	if counts[0] < 10*counts[100] {
-		t.Errorf("expected heavy skew: counts[0]=%d counts[100]=%d", counts[0], counts[100])
-	}
-}
-
 func TestFitPowerLawRecoversExponent(t *testing.T) {
 	// Generate an exact power law count series: c * rank^-alpha.
 	const alpha = 1.5
@@ -175,34 +100,6 @@ func TestFitPowerLawErrors(t *testing.T) {
 	}
 	if _, err := FitPowerLaw([]float64{5}); err == nil {
 		t.Error("want error with one point")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins, width, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if width != 1.8 {
-		t.Errorf("width = %v", width)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b
-	}
-	if total != 10 {
-		t.Errorf("histogram lost samples: %v", bins)
-	}
-	// constant data lands in bin 0
-	bins, _, err = Histogram([]float64{5, 5, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bins[0] != 3 {
-		t.Errorf("constant-data bins = %v", bins)
-	}
-	if _, _, err := Histogram(nil, 0); err == nil {
-		t.Error("want error for 0 bins")
 	}
 }
 
@@ -274,29 +171,6 @@ func TestPropertySummaryBounds(t *testing.T) {
 		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.SEM <= s.StdDev+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: percentile is monotone in p.
-func TestPropertyPercentileMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 1+rr.Intn(50))
-		for i := range xs {
-			xs[i] = rr.NormFloat64()
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 10 {
-			v, err := Percentile(xs, p)
-			if err != nil || v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -61,10 +61,9 @@ func (c *Config) fillDefaults() {
 
 // Model is a trained SVM.
 type Model struct {
-	svs     []*vecmath.Sparse // support vectors
-	svCoef  []float64         // alpha_i * y_i for each support vector
-	b       float64
-	trained int // training set size, for reporting
+	svs    []*vecmath.Sparse // support vectors
+	svCoef []float64         // alpha_i * y_i for each support vector
+	b      float64
 }
 
 // validateTraining checks the training contract: a non-empty set, ±1
@@ -214,7 +213,7 @@ func Train(x []*vecmath.Sparse, y []float64, cfg Config) (*Model, error) {
 		iter++
 	}
 
-	m := &Model{b: b, trained: n}
+	m := &Model{b: b}
 	for i := 0; i < n; i++ {
 		if alpha[i] > 1e-10 {
 			m.svs = append(m.svs, x[i])
@@ -236,14 +235,6 @@ func (m *Model) Decision(q *vecmath.Sparse) float64 {
 		s += m.svCoef[i] * kernel(sv.Dot(q))
 	}
 	return s
-}
-
-// Predict returns +1 or -1 for q (0 decision scores map to +1).
-func (m *Model) Predict(q *vecmath.Sparse) float64 {
-	if m.Decision(q) >= 0 {
-		return 1
-	}
-	return -1
 }
 
 // DecisionBatch scores a batch of sparse queries, fanning the per-query
@@ -277,6 +268,3 @@ func (m *Model) PredictBatch(qs []*vecmath.Sparse, workers int) []float64 {
 
 // NumSV returns the number of support vectors.
 func (m *Model) NumSV() int { return len(m.svCoef) }
-
-// TrainingSize returns the size of the training set the model was fit on.
-func (m *Model) TrainingSize() int { return m.trained }

@@ -103,7 +103,7 @@ func TestLinearlySeparable2D(t *testing.T) {
 	}
 	errs := 0
 	for i := range sx {
-		if m.Predict(sx[i]) != y[i] {
+		if predict(m, sx[i]) != y[i] {
 			errs++
 		}
 	}
@@ -113,9 +113,11 @@ func TestLinearlySeparable2D(t *testing.T) {
 	if m.NumSV() == 0 || m.NumSV() > len(x) {
 		t.Errorf("NumSV = %d", m.NumSV())
 	}
-	if m.TrainingSize() != len(x) {
-		t.Errorf("TrainingSize = %d", m.TrainingSize())
-	}
+}
+
+// predict labels one query through PredictBatch.
+func predict(m *Model, q *vecmath.Sparse) float64 {
+	return m.PredictBatch([]*vecmath.Sparse{q}, -1)[0]
 }
 
 func TestXORNeedsNonlinearKernel(t *testing.T) {
@@ -127,7 +129,7 @@ func TestXORNeedsNonlinearKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if m.Predict(x[i]) != y[i] {
+		if predict(m, x[i]) != y[i] {
 			t.Errorf("xor example %d misclassified", i)
 		}
 	}
@@ -156,7 +158,7 @@ func TestSoftMarginToleratesOutliers(t *testing.T) {
 	}
 	errs := 0
 	for i := 0; i < 40; i++ {
-		if m.Predict(sx[i]) != y[i] {
+		if predict(m, sx[i]) != y[i] {
 			errs++
 		}
 	}
@@ -174,7 +176,7 @@ func TestDecisionConsistentWithPredict(t *testing.T) {
 	}
 	for _, q := range sparseOf([]vecmath.Vector{{3, 0}, {-3, 0}, {0.5, 0.5}}) {
 		d := m.Decision(q)
-		p := m.Predict(q)
+		p := predict(m, q)
 		if (d >= 0) != (p == 1) {
 			t.Errorf("Decision %v inconsistent with Predict %v", d, p)
 		}
@@ -211,7 +213,7 @@ func TestHighDimensionalSparseSignatures(t *testing.T) {
 	}
 	errs := 0
 	for i := range sx {
-		if m.Predict(sx[i]) != y[i] {
+		if predict(m, sx[i]) != y[i] {
 			errs++
 		}
 	}
@@ -301,7 +303,7 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	wantPred := make([]float64, len(queries))
 	for i, q := range queries {
 		wantDec[i] = m.Decision(q)
-		wantPred[i] = m.Predict(q)
+		wantPred[i] = predict(m, q)
 	}
 	for _, workers := range []int{-1, 1, 2, 0} {
 		dec := m.DecisionBatch(queries, workers)

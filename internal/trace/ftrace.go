@@ -18,9 +18,10 @@ const DefaultFtraceRingRecords = 1 << 16
 // maxMaterializedPerBatch bounds how many records one batched OnCalls
 // materializes into the ring. A batch of n calls is semantically n records;
 // materializing millions of identical records per batch would only burn
-// simulator memory bandwidth, so beyond this bound the backend accounts the
-// records arithmetically (they would have been overwritten in the ring
-// anyway — the ring only ever retains the newest Cap() records).
+// simulator memory bandwidth, so beyond this bound the records are not
+// written; their cost is still charged per call (PerCallOverheadNS), and
+// they would have been overwritten in the ring anyway — the ring only ever
+// retains the newest Cap() records.
 const maxMaterializedPerBatch = 512
 
 // Ftrace models the kernel function tracer: every call appends a
@@ -32,7 +33,6 @@ type Ftrace struct {
 	numCPU    int
 	perCallNS float64
 	seq       uint64 // virtual timestamp source for records
-	synthetic uint64 // records accounted but not materialized
 }
 
 var _ kernel.Backend = (*Ftrace)(nil)
@@ -81,7 +81,6 @@ func (f *Ftrace) OnCalls(cpu int, fn kernel.FuncID, n uint64) {
 	}
 	materialize := n
 	if materialize > maxMaterializedPerBatch {
-		f.synthetic += n - maxMaterializedPerBatch
 		materialize = maxMaterializedPerBatch
 	}
 	for i := uint64(0); i < materialize; i++ {
@@ -107,23 +106,6 @@ func (f *Ftrace) Drain(fn func(cpu int, rec ringbuf.Record)) int {
 	}
 	return total
 }
-
-// RingStats returns the aggregate ring-buffer statistics across CPUs.
-func (f *Ftrace) RingStats() ringbuf.Stats {
-	var agg ringbuf.Stats
-	for _, r := range f.rings {
-		s := r.Stats()
-		agg.Writes += s.Writes
-		agg.Overwrites += s.Overwrites
-		agg.Drops += s.Drops
-		agg.Drains += s.Drains
-	}
-	return agg
-}
-
-// SyntheticRecords returns how many records were accounted without being
-// materialized (they are also absent from RingStats).
-func (f *Ftrace) SyntheticRecords() uint64 { return f.synthetic }
 
 // TracePath is the debugfs node exporting (and consuming) the trace.
 const TracePath = "tracing/trace"

@@ -58,7 +58,6 @@ type Fmeter struct {
 	idx    *percpu.Index
 	addrs  []percpu.SlotAddr
 	stubs  []bool
-	nStubs int
 	numCPU int
 }
 
@@ -101,7 +100,6 @@ func (f *Fmeter) OnCalls(cpu int, fn kernel.FuncID, n uint64) {
 		// First invocation: the specialized mcount routine builds the
 		// personalized stub and patches the call site.
 		f.stubs[fn] = true
-		f.nStubs++
 	}
 	// The engine serializes per-CPU execution, so Inc's validation errors
 	// are impossible here by construction; ignore the nil error.
@@ -118,9 +116,6 @@ func (f *Fmeter) Snapshot() []uint64 { return f.idx.Snapshot() }
 // Reset zeroes all counters (the stub registry survives, as in the real
 // system where call sites stay patched).
 func (f *Fmeter) Reset() { f.idx.Reset() }
-
-// StubsCreated returns how many per-function stubs have been generated.
-func (f *Fmeter) StubsCreated() int { return f.nStubs }
 
 // Index exposes the underlying per-CPU index (read-mostly; used by tests
 // and the debugfs serializer).

@@ -168,7 +168,7 @@ func (s *Sparse) Get(i int) float64 {
 
 // Dot returns s·t by a two-pointer merge over the sorted supports,
 // accumulating in ascending index order. The result is bit-identical to
-// the dense MustDot of the same vectors.
+// the dense Dot of the same vectors.
 //
 //fmeter:noalloc
 func (s *Sparse) Dot(t *Sparse) float64 {

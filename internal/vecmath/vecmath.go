@@ -45,20 +45,6 @@ func (v Vector) Dot(w Vector) (float64, error) {
 	return s, nil
 }
 
-// MustDot is Dot for vectors known to share a dimension; it panics on
-// mismatch and exists for hot inner loops (SMO, K-means) where the
-// dimensions were validated at corpus construction time.
-func (v Vector) MustDot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("vecmath: MustDot dimension mismatch %d vs %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
 // Norm returns the Lp norm of v. p must be >= 1; p = math.Inf(1) yields the
 // Chebyshev (max) norm.
 func (v Vector) Norm(p float64) float64 {
@@ -207,47 +193,6 @@ func Minkowski(x, y Vector, p float64) (float64, error) {
 // metric used throughout the paper's evaluation.
 func Euclidean(x, y Vector) (float64, error) { return Minkowski(x, y, 2) }
 
-// MustEuclidean is Euclidean for pre-validated dimensions (hot loops).
-func MustEuclidean(x, y Vector) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: MustEuclidean dimension mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// MustSquaredEuclidean is SquaredEuclidean for pre-validated dimensions
-// (K-means assignment steps).
-func MustSquaredEuclidean(x, y Vector) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: MustSquaredEuclidean dimension mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	return s
-}
-
-// SquaredEuclidean returns the squared L2 distance, avoiding the sqrt for
-// comparisons (K-means assignment steps).
-func SquaredEuclidean(x, y Vector) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(x), len(y))
-	}
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	return s, nil
-}
-
 // Cosine returns the cosine similarity cos(theta) = x.y / (||x|| ||y||)
 // between x and y. Identical directions yield 1, orthogonal vectors yield 0.
 // If either vector is zero the similarity is defined as 0 (no direction).
@@ -272,15 +217,6 @@ func Cosine(x, y Vector) (float64, error) {
 		c = -1
 	}
 	return c, nil
-}
-
-// CosineDistance returns 1 - Cosine(x, y), a dissimilarity in [0, 2].
-func CosineDistance(x, y Vector) (float64, error) {
-	c, err := Cosine(x, y)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - c, nil
 }
 
 // Mean returns the component-wise mean of vs. All vectors must share a

@@ -108,7 +108,15 @@ func TestBurstsDisabledVsEnabled(t *testing.T) {
 		return fm.Snapshot()
 	}
 	st := kernel.NewSymbolTable()
-	journal := st.MustLookup("journal_commit_transaction") // fsync path: burst-only for scp
+	lookup := func(name string) kernel.FuncID {
+		t.Helper()
+		id, err := st.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	journal := lookup("journal_commit_transaction") // fsync path: burst-only for scp
 	off := mk(-1, 300)
 	on := mk(0.9, 300)
 	if off[journal] > 0 {

@@ -141,13 +141,21 @@ func TestWorkloadsAreDistinguishableInRawCounts(t *testing.T) {
 		return fm.Snapshot()
 	}
 	st := kernel.NewSymbolTable()
+	lookup := func(name string) kernel.FuncID {
+		t.Helper()
+		id, err := st.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
 	scp := collect(Scp(16), 1)
 	kc := collect(Kcompile(16), 2)
 	db := collect(Dbench(16), 3)
 
-	crypto := st.MustLookup("crypto_aes_encrypt_op")
-	journal := st.MustLookup("journal_dirty_metadata")
-	fault := st.MustLookup("handle_mm_fault")
+	crypto := lookup("crypto_aes_encrypt_op")
+	journal := lookup("journal_dirty_metadata")
+	fault := lookup("handle_mm_fault")
 
 	if scp[crypto] == 0 || scp[crypto] < db[crypto]*10 {
 		t.Errorf("scp should dominate crypto calls: scp=%d dbench=%d", scp[crypto], db[crypto])

@@ -160,3 +160,71 @@ func TestSurfaceFrozen(t *testing.T) {
 	}
 	t.Errorf("the configuration surface differs from %s; if the change is deliberate (ROADMAP: a workload on which the new value wins), rerun with -update", golden)
 }
+
+// stdlibMethods are the method names a standard-library interface calls
+// (error, fmt.Stringer, errors.Unwrap, sort.Interface, ...): a type in
+// internal/ implements them for code outside the tree, so no call to
+// them appears in the tree's sources.
+var stdlibMethods = map[string]bool{
+	"Error":  true,
+	"String": true,
+	"Unwrap": true,
+}
+
+// TestInternalExportsHaveCallers holds every exported function and
+// method declared in a non-test internal/ file to a production caller:
+// some non-test .go file in the tree, bench/ and examples/ included,
+// must use its name other than in a function declaration. The check is
+// by name, so a name shared with a used declaration passes; it still
+// catches code that only its own tests reach, which belongs in a
+// _test.go file or nowhere.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	type decl struct{ name, pos string }
+	var decls []decl
+	used := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fd.Name] = true
+			if fd.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") && !stdlibMethods[fd.Name.Name] {
+				decls = append(decls, decl{fd.Name.Name, fset.Position(fd.Name.Pos()).String()})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decls {
+		if !used[d.name] {
+			t.Errorf("%s: %s has no caller outside _test.go files; move it into one or delete it", d.pos, d.name)
+		}
+	}
+}
