@@ -15,8 +15,8 @@
 // With -db DIR, -serve ADDR or -smoke the first -warmup intervals fit the
 // tf-idf model and every later one is embedded into the live DB (in
 // chunks of -ingest-batch, one publish each) while it stays queryable.
-// -db opens DIR's snapshot when DIR exists and creates a DB seeded with
-// the warmup signatures only when it does not. One fmeter.Server owns the
+// -db creates a DB seeded with the warmup signatures when DIR is missing
+// or empty and opens DIR's snapshot otherwise. One fmeter.Server owns the
 // DB: it saves into DIR whenever the sealed-segment watermark advances
 // and once more when it drains. -serve adds a listener (POST /v1/topk,
 // /v1/classify, /v1/ingest; GET /healthz, /metrics; 429 + Retry-After
@@ -96,7 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		seed         = fs.Int64("seed", 1, "random seed (runs are reproducible)")
 		logPath      = fs.String("log", "-", "JSONL signature log to append to, - for stdout")
 		statusEvery  = fs.Int("status-every", 30, "print a status line every N intervals (0 disables)")
-		dbDir        = fs.String("db", "", "snapshot directory of the live DB: opened when it exists, created otherwise, saved into as segments seal and at drain")
+		dbDir        = fs.String("db", "", "snapshot directory of the live DB: created when missing or empty, opened otherwise, saved into as segments seal and at drain")
 		warmup       = fs.Int("warmup", 20, "with a live DB: intervals collected to fit the tf-idf model before live ingestion")
 		readRetries  = fs.Int("read-retries", 3, "retries per failed debugfs counter read before skipping the interval")
 		readBackoff  = fs.Duration("read-backoff", 10*time.Millisecond, "base backoff before a counter-read retry (jittered, doubles per attempt)")
@@ -276,14 +276,15 @@ type liveDB struct {
 	serveErr error
 }
 
-// openLive opens dir's snapshot when dir exists and otherwise builds a
-// new DB seeded with the warmup signatures, starts listening on addr
-// when it is set, and hands the DB to one fmeter.Server.
+// openLive opens dir's snapshot unless dir is unset, missing or empty,
+// when it builds a new DB seeded with the warmup signatures instead,
+// starts listening on addr when it is set, and hands the DB to one
+// fmeter.Server.
 func openLive(dir, addr string, dim int, sigs []fmeter.Signature, model *fmeter.Model, cfg fmeter.ServeConfig, warnf func(string, ...any)) (*liveDB, error) {
 	d := &liveDB{seededBy: "warmup"}
 	var err error
-	if _, serr := os.Stat(dir); dir != "" && !errors.Is(serr, os.ErrNotExist) {
-		if d.db, err = fmeter.OpenDB(dir); err != nil { // reports any other stat failure too
+	if dir != "" && !fresh(dir) {
+		if d.db, err = fmeter.OpenDB(dir); err != nil {
 			return nil, fmt.Errorf("opening db %s: %w", dir, err)
 		}
 		if d.db.Dim() != dim {
@@ -323,6 +324,19 @@ func openLive(dir, addr string, dim int, sigs []fmeter.Signature, model *fmeter.
 		warnf("serving %s (dim %d, %d signatures, max-queue %d)", d.addr, dim, d.seeded, cfg.MaxQueue)
 	}
 	return d, nil
+}
+
+// fresh reports whether dir holds no snapshot to open: it is missing or
+// empty. Anything else, a directory that cannot be read included, is
+// OpenDB's to open or to refuse with a typed error.
+func fresh(dir string) bool {
+	f, err := os.Open(dir)
+	if err != nil {
+		return errors.Is(err, os.ErrNotExist)
+	}
+	defer f.Close()
+	_, err = f.Readdirnames(1)
+	return err == io.EOF
 }
 
 // drain stops the listener (letting in-flight HTTP requests finish),

@@ -159,6 +159,27 @@ func TestDaemonLiveDBStreaming(t *testing.T) {
 	}
 }
 
+// TestDaemonLiveDBEmptyDir: a -db directory made beforehand and still
+// empty starts a new DB, as a missing one does, and holds its snapshot
+// after the drain.
+func TestDaemonLiveDBEmptyDir(t *testing.T) {
+	dir := t.TempDir()
+	var out, errBuf bytes.Buffer
+	err := runDaemon([]string{
+		"-workload", "scp", "-intervals", "4", "-interval", "5s",
+		"-db", dir, "-warmup", "2", "-status-every", "0",
+	}, &out, &errBuf)
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "(2 warmup + 2 streamed") {
+		t.Errorf("empty directory was not seeded from the warmup:\n%s", errBuf.String())
+	}
+	if n := openLen(t, dir); n != 4 {
+		t.Fatalf("db.Len() = %d, want 4 (2 warmup + 2 streamed)", n)
+	}
+}
+
 func TestDaemonRejectsBadWarmup(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	for _, args := range [][]string{

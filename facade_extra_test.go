@@ -10,15 +10,6 @@ import (
 	"time"
 )
 
-func TestTracerStrings(t *testing.T) {
-	if TracerVanilla.String() != "vanilla" || TracerFtrace.String() != "ftrace" || TracerFmeter.String() != "fmeter" {
-		t.Error("tracer names wrong")
-	}
-	if !strings.Contains(Tracer(42).String(), "42") {
-		t.Error("unknown tracer should render its value")
-	}
-}
-
 func TestWorkloadConstructors(t *testing.T) {
 	for _, spec := range []WorkloadSpec{
 		ScpWorkload(), KcompileWorkload(), DbenchWorkload(),
@@ -160,7 +151,7 @@ func TestMinkowskiMetricFacade(t *testing.T) {
 // a store built or reopened with it answers exactly like one without,
 // at any worker count, and its snapshot manifest records one shard.
 func TestShardedDBFacade(t *testing.T) {
-	sys, err := New(Config{Seed: 5, Workers: -1})
+	sys, err := New(Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +169,11 @@ func TestShardedDBFacade(t *testing.T) {
 	}
 	query, rest := sigs[0], sigs[1:]
 
-	single, err := NewDB(sys.Dim(), WithWorkers(-1))
+	single, err := NewDB(sys.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
+	single.SetWorkers(-1)
 	if err := single.AddAll(rest); err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +195,11 @@ func TestShardedDBFacade(t *testing.T) {
 		}
 	}
 
-	sharded, err := NewDB(sys.Dim(), WithShards(4), WithWorkers(2))
+	sharded, err := NewDB(sys.Dim(), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharded.SetWorkers(2)
 	if err := sharded.AddAll(rest); err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +216,11 @@ func TestShardedDBFacade(t *testing.T) {
 	if !strings.Contains(string(raw), `"shards": 1,`) {
 		t.Fatalf("manifest does not record one shard:\n%s", raw)
 	}
-	reopened, err := OpenDB(dir, WithShards(2), WithWorkers(3))
+	reopened, err := OpenDB(dir, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reopened.SetWorkers(3)
 	if reopened.Len() != sharded.Len() {
 		t.Fatalf("reopened len = %d, want %d", reopened.Len(), sharded.Len())
 	}
@@ -244,7 +238,7 @@ func scanOf(m Metric) Metric {
 // ClassifyBatch are bit-identical to their per-query counterparts on
 // the scan arm (scanOf).
 func TestBatchFacade(t *testing.T) {
-	sys, err := New(Config{Seed: 9, Workers: -1})
+	sys, err := New(Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +260,11 @@ func TestBatchFacade(t *testing.T) {
 		queries[i] = s.W
 	}
 
-	indexed, err := NewDB(sys.Dim(), WithShards(3), WithWorkers(2))
+	indexed, err := NewDB(sys.Dim(), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	indexed.SetWorkers(2)
 	if err := indexed.AddAll(store); err != nil {
 		t.Fatal(err)
 	}
@@ -308,9 +303,10 @@ func TestBatchFacade(t *testing.T) {
 }
 
 // TestScoreBatchMatchesMatches: the facade's batched scorer equals
-// per-signature Matches at any worker count.
+// per-signature Matches (svm's TestPredictBatchMatchesSequential holds
+// the batch to that at every worker count).
 func TestScoreBatchMatchesMatches(t *testing.T) {
-	sys, err := New(Config{Seed: 6, Workers: -1})
+	sys, err := New(Config{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,13 +326,10 @@ func TestScoreBatchMatchesMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{-1, 0, 3} {
-		scores := clf.ScoreBatch(sigs, WithWorkers(workers))
-		for i, s := range sigs {
-			_, want := clf.Matches(s)
-			if scores[i] != want {
-				t.Fatalf("workers=%d: score %d = %v, want %v", workers, i, scores[i], want)
-			}
+	scores := clf.ScoreBatch(sigs)
+	for i, s := range sigs {
+		if _, want := clf.Matches(s); scores[i] != want {
+			t.Fatalf("score %d = %v, want %v", i, scores[i], want)
 		}
 	}
 }
@@ -346,7 +339,7 @@ func TestScoreBatchMatchesMatches(t *testing.T) {
 // is not a directory), repeated saves are incremental, and a corrupted
 // segment surfaces the typed *SnapshotError naming the file.
 func TestSaveOpenDBFacade(t *testing.T) {
-	sys, err := New(Config{Seed: 11, Workers: -1})
+	sys, err := New(Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +500,7 @@ func addSealedChunks(t *testing.T, db *DB, sigs []Signature, n int) {
 }
 
 func TestSegmentSizeAndSealFacade(t *testing.T) {
-	sys, err := New(Config{Seed: 7, Workers: -1})
+	sys, err := New(Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +571,7 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 // sealed every 8 rows answers bit-identically to the scan arm, and the
 // pruning counters are visible.
 func TestPruningFacade(t *testing.T) {
-	sys, err := New(Config{Seed: 17, Workers: -1})
+	sys, err := New(Config{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +611,7 @@ func TestPruningFacade(t *testing.T) {
 }
 
 func TestCollectStreamFacade(t *testing.T) {
-	sys, err := New(Config{Seed: 71, NumCPU: 8})
+	sys, err := New(Config{Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,19 +649,5 @@ func TestCollectStreamFacade(t *testing.T) {
 	}
 	if st := sys.CollectorStats(); st.Retries != 0 || st.SkippedIntervals != 0 {
 		t.Fatalf("clean stream reported degradation: %+v", st)
-	}
-	// Vanilla tracer has no collector: streaming fails cleanly and the
-	// policy/stat helpers are no-ops.
-	vsys, err := New(Config{Seed: 1, Tracer: TracerVanilla})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vsys.SetRetryPolicy(RetryPolicy{})
-	vsys.SetCollectorWarnf(nil)
-	if _, err := vsys.CollectStream(ScpWorkload(), 1, time.Second, model, db, nil); err == nil {
-		t.Fatal("CollectStream without the Fmeter tracer should fail")
-	}
-	if st := vsys.CollectorStats(); st != (CollectorStats{}) {
-		t.Fatalf("vanilla stats = %+v", st)
 	}
 }

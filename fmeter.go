@@ -12,8 +12,9 @@
 // a simulated monolithic kernel (see internal/kernel for the substitution
 // argument): a deterministic ~3815-function symbol table, syscall-level
 // operations with realistic call paths, loadable-module semantics, and
-// the three instrumentation backends the paper compares (vanilla,
-// Ftrace's ring-buffer function tracer, and Fmeter's counter stubs).
+// Fmeter's per-CPU counter stubs. The vanilla and Ftrace configurations
+// the paper measures overhead against are reproduced by
+// internal/experiments (Tables 1–3).
 //
 // # Quick start
 //
@@ -24,7 +25,7 @@
 // default cubic polynomial kernel, K-means with random restarts, and
 // single-linkage hierarchical clustering.
 //
-//	sys, _ := fmeter.New(fmeter.Config{Tracer: fmeter.TracerFmeter, Seed: 1})
+//	sys, _ := fmeter.New(fmeter.Config{Seed: 1})
 //	scp, _ := sys.Collect(fmeter.ScpWorkload(), 50, 10*time.Second, nil)
 //	dbench, _ := sys.Collect(fmeter.DbenchWorkload(), 50, 10*time.Second, nil)
 //	sigs, model, _ := fmeter.BuildSignatures(append(scp, dbench...), sys.Dim())
@@ -118,8 +119,9 @@ type (
 	// goroutine behind one admission gate, with 429 backpressure
 	// and graceful shutdown (see NewServer).
 	Server = serve.Server
-	// ServeConfig tunes the serving layer (admission bound, request
-	// limits, snapshot loop); the zero value gets production defaults.
+	// ServeConfig sets the serving layer's admission bound, snapshot
+	// directory and warning sink; the zero value gets production
+	// defaults.
 	ServeConfig = serve.Config
 	// ServeMetrics is the GET /metrics payload (QPS, admitted requests,
 	// queries-per-request histogram, latency quantiles, PruneStats
@@ -138,57 +140,24 @@ const (
 	Driver151NoLRO = driver.V151NoLRO
 )
 
-// Tracer selects the instrumentation configuration.
-type Tracer int
-
-// The paper's three kernel configurations.
-const (
-	TracerVanilla = Tracer(daemon.Vanilla)
-	TracerFtrace  = Tracer(daemon.Ftrace)
-	TracerFmeter  = Tracer(daemon.Fmeter)
-)
-
-// String names the tracer.
-func (t Tracer) String() string { return daemon.Tracer(t).String() }
-
-// Config configures a simulated monitored machine.
+// Config configures the simulated monitored machine: the paper's
+// 16-CPU testbed with Fmeter's counter stubs compiled in.
 type Config struct {
-	// NumCPU defaults to 16, the paper's testbed width.
-	NumCPU int
-	// Tracer defaults to TracerFmeter.
-	Tracer Tracer
 	// Seed drives all stochastic behaviour; runs are reproducible.
 	Seed int64
-	// CountJitter / LatencyJitter are relative noise levels; negative
-	// disables, zero uses the evaluation defaults (0.02 / 0.01).
-	CountJitter   float64
-	LatencyJitter float64
-	// Workers bounds the host-side fan-out of the learning helpers
-	// invoked through this system's Options (0 = one worker per host
-	// CPU, <0 = sequential). Results are bit-identical at any worker
-	// count; see DESIGN-PERF.md.
-	Workers int
 }
 
-// Option tunes the host-side performance of the learning helpers
-// (TrainClassifier, ClusterSignatures, MetaClusterCentroids).
-type Option func(*perfOpts)
-
-type perfOpts struct {
-	workers int
-}
-
-// WithWorkers bounds the helper's worker-pool fan-out: 0 (the default)
-// means one worker per host CPU, negative forces sequential execution.
-// The computed result is bit-identical at any setting.
-func WithWorkers(n int) Option { return func(o *perfOpts) { o.workers = n } }
+// Option is accepted by NewDB and OpenDB for compatibility; every
+// remaining Option is a deprecated no-op.
+type Option func()
 
 // WithShards does nothing: a database stores its rows once, in
-// insertion order, and a query fans out over WithWorkers lanes instead.
+// insertion order, and a query fans out over db.SetWorkers lanes
+// instead.
 //
 // Deprecated: drop the option; the database is no longer split into
 // shards.
-func WithShards(int) Option { return func(*perfOpts) {} }
+func WithShards(int) Option { return func() {} }
 
 // WithSegmentSize does nothing: a database cuts its rows into segments
 // of a fixed size, whatever the order of adds, seals, saves and
@@ -196,65 +165,32 @@ func WithShards(int) Option { return func(*perfOpts) {} }
 // does not end it.
 //
 // Deprecated: drop the option; the segment size is not tunable.
-func WithSegmentSize(int) Option { return func(*perfOpts) {} }
+func WithSegmentSize(int) Option { return func() {} }
 
 // WithCompactionPolicy does nothing: every segment but the last holds
 // the fixed segment size, so there are no small segments to merge.
 //
 // Deprecated: drop the option; compaction was removed.
-func WithCompactionPolicy(int) Option { return func(*perfOpts) {} }
+func WithCompactionPolicy(int) Option { return func() {} }
 
 // WithMapped does nothing: OpenDB loads every segment onto the heap.
 //
 // Deprecated: drop the option; snapshots are no longer memory-mapped.
-func WithMapped(bool) Option { return func(*perfOpts) {} }
-
-func applyOpts(opts []Option) perfOpts {
-	var o perfOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
+func WithMapped(bool) Option { return func() {} }
 
 // System is one simulated machine wired for signature collection.
 type System struct {
-	m   *daemon.Machine
-	cfg Config
+	m    *daemon.Machine
+	seed int64
 }
 
-// New boots a simulated machine.
+// New boots the simulated Fmeter machine.
 func New(cfg Config) (*System, error) {
-	if cfg.NumCPU == 0 {
-		cfg.NumCPU = 16
-	}
-	if cfg.Tracer == 0 {
-		cfg.Tracer = TracerFmeter
-	}
-	jitter := func(v, def float64) float64 {
-		switch {
-		case v < 0:
-			return 0
-		case v == 0:
-			return def
-		default:
-			return v
-		}
-	}
-	m, err := daemon.Boot(daemon.Tracer(cfg.Tracer), cfg.NumCPU, cfg.Seed,
-		jitter(cfg.CountJitter, daemon.DefaultCountJitter), jitter(cfg.LatencyJitter, daemon.DefaultLatencyJitter))
+	m, err := daemon.Boot(daemon.Fmeter, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return &System{m: m, cfg: cfg}, nil
-}
-
-// Options returns the performance options implied by the system's Config
-// (Workers), for passing to the learning helpers and NewDB:
-//
-//	res, err := fmeter.ClusterSignatures(sigs, 3, 1, sys.Options()...)
-func (s *System) Options() []Option {
-	return []Option{WithWorkers(s.cfg.Workers)}
+	return &System{m: m, seed: cfg.Seed}, nil
 }
 
 // Dim returns the signature dimension: the number of instrumented
@@ -265,9 +201,6 @@ func (s *System) Dim() int { return s.m.ST.Len() }
 // signature dimension.
 func (s *System) FunctionNames() []string { return s.m.ST.Names() }
 
-// Tracer returns the active instrumentation configuration.
-func (s *System) Tracer() Tracer { return s.cfg.Tracer }
-
 // LoadDriver loads a myri10ge variant as an uninstrumented runtime module
 // (its functions never appear in signatures; only its calls into the core
 // kernel do).
@@ -275,13 +208,9 @@ func (s *System) LoadDriver(v DriverVariant) error { return s.m.LoadDriver(v) }
 
 // Collect runs the logging daemon for n intervals of the given length
 // under the workload, returning the labeled interval documents. If w is
-// non-nil every document is also streamed to it as JSON Lines. Requires
-// the Fmeter tracer.
+// non-nil every document is also streamed to it as JSON Lines.
 func (s *System) Collect(spec WorkloadSpec, n int, interval time.Duration, w io.Writer) ([]*Document, error) {
-	if s.m.Col == nil {
-		return nil, fmt.Errorf("fmeter: Collect requires the Fmeter tracer, have %v", s.cfg.Tracer)
-	}
-	run, err := workload.NewRunner(s.m.Eng, spec, s.cfg.Seed+101)
+	run, err := workload.NewRunner(s.m.Eng, spec, s.seed+101)
 	if err != nil {
 		return nil, err
 	}
@@ -301,12 +230,8 @@ func (s *System) Collect(spec WorkloadSpec, n int, interval time.Duration, w io.
 // forever). Intervals whose counter reads stay unavailable through the
 // retry schedule are skipped with a counted warning (CollectorStats)
 // instead of killing the run. Returns the number of signatures added.
-// Requires the Fmeter tracer.
 func (s *System) CollectStream(spec WorkloadSpec, n int, interval time.Duration, model *Model, db *DB, w io.Writer) (int, error) {
-	if s.m.Col == nil {
-		return 0, fmt.Errorf("fmeter: CollectStream requires the Fmeter tracer, have %v", s.cfg.Tracer)
-	}
-	run, err := workload.NewRunner(s.m.Eng, spec, s.cfg.Seed+101)
+	run, err := workload.NewRunner(s.m.Eng, spec, s.seed+101)
 	if err != nil {
 		return 0, err
 	}
@@ -320,42 +245,23 @@ func (s *System) CollectStream(spec WorkloadSpec, n int, interval time.Duration,
 // SetIngestBatch makes CollectStream buffer up to n embedded signatures
 // and publish them with one AddAll (one epoch-view publication) instead
 // of one Add per signature — the amortized live-ingestion path. n <= 1
-// restores per-signature publishes. Requires the Fmeter tracer (a no-op
-// otherwise).
-func (s *System) SetIngestBatch(n int) {
-	if s.m.Col != nil {
-		s.m.Col.SetIngestBatch(n)
-	}
-}
+// restores per-signature publishes.
+func (s *System) SetIngestBatch(n int) { s.m.Col.SetIngestBatch(n) }
 
 // SetRetryPolicy replaces the collector's schedule for transient
 // debugfs read failures: each failed read retries Retries more times
 // behind jittered exponential backoff, and an interval still
 // unavailable after that is skipped with a counted warning rather than
 // aborting the collection. Retries <= 0 restores fail-fast reads.
-// Requires the Fmeter tracer (a no-op otherwise).
-func (s *System) SetRetryPolicy(p RetryPolicy) {
-	if s.m.Col != nil {
-		s.m.Col.SetRetryPolicy(p)
-	}
-}
+func (s *System) SetRetryPolicy(p RetryPolicy) { s.m.Col.SetRetryPolicy(p) }
 
 // SetCollectorWarnf installs the sink for the collector's counted
 // warnings (retries, skipped intervals); a daemon typically passes
 // log.Printf. nil silences them.
-func (s *System) SetCollectorWarnf(fn func(format string, args ...any)) {
-	if s.m.Col != nil {
-		s.m.Col.SetWarnf(fn)
-	}
-}
+func (s *System) SetCollectorWarnf(fn func(format string, args ...any)) { s.m.Col.SetWarnf(fn) }
 
 // CollectorStats returns the collector's degradation counters so far.
-func (s *System) CollectorStats() CollectorStats {
-	if s.m.Col == nil {
-		return CollectorStats{}
-	}
-	return s.m.Col.Stats()
-}
+func (s *System) CollectorStats() CollectorStats { return s.m.Col.Stats() }
 
 // RunOp executes a catalog operation in a closed loop and returns the
 // virtual elapsed kernel time — the micro-benchmark primitive of Table 1.
@@ -369,32 +275,26 @@ func (s *System) KernelTime() time.Duration { return s.m.Eng.KernelTime() }
 // UserTime returns total virtual user-mode time.
 func (s *System) UserTime() time.Duration { return s.m.Eng.UserTime() }
 
-// Snapshot returns the current per-function invocation totals (Fmeter
-// tracer only).
-func (s *System) Snapshot() ([]uint64, error) {
-	if s.m.Fm == nil {
-		return nil, fmt.Errorf("fmeter: Snapshot requires the Fmeter tracer, have %v", s.cfg.Tracer)
-	}
-	return s.m.Fm.Snapshot(), nil
-}
+// Snapshot returns the current per-function invocation totals.
+func (s *System) Snapshot() []uint64 { return s.m.Fm.Snapshot() }
 
 // Workload constructors (§4's evaluation workloads).
 
 // ScpWorkload is the secure-copy workload.
-func ScpWorkload() WorkloadSpec { return workload.Scp(16) }
+func ScpWorkload() WorkloadSpec { return workload.Scp(daemon.NumCPU) }
 
 // KcompileWorkload is the kernel-compile workload.
-func KcompileWorkload() WorkloadSpec { return workload.Kcompile(16) }
+func KcompileWorkload() WorkloadSpec { return workload.Kcompile(daemon.NumCPU) }
 
 // DbenchWorkload is the disk-benchmark workload.
-func DbenchWorkload() WorkloadSpec { return workload.Dbench(16) }
+func DbenchWorkload() WorkloadSpec { return workload.Dbench(daemon.NumCPU) }
 
 // ApachebenchWorkload is the HTTP macro-benchmark workload.
-func ApachebenchWorkload() WorkloadSpec { return workload.Apachebench(16) }
+func ApachebenchWorkload() WorkloadSpec { return workload.Apachebench(daemon.NumCPU) }
 
 // NetperfWorkload is the TCP-stream receive workload; load a driver
 // variant first.
-func NetperfWorkload() WorkloadSpec { return driver.NetperfRx(16) }
+func NetperfWorkload() WorkloadSpec { return driver.NetperfRx(daemon.NumCPU) }
 
 // BootWorkload is the boot phase of Figure 1.
 func BootWorkload() WorkloadSpec { return workload.Boot() }
@@ -425,9 +325,10 @@ func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
 	return sigs, model, nil
 }
 
-// NewDB creates an empty labeled signature database. Pass WithWorkers
-// to bound the lanes a query walks in parallel (and the queries a batch
-// fans out); query results are identical at any setting.
+// NewDB creates an empty labeled signature database. db.SetWorkers
+// bounds the lanes a query walks in parallel (and the queries a batch
+// fans out); query results are identical at any setting. opts are
+// deprecated no-ops.
 //
 // The database is safe for fully concurrent use: queries load an
 // immutable epoch view and run against it without blocking writers,
@@ -437,24 +338,7 @@ func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
 // would — bit-identical, under any interleaving. After db.Close() every
 // operation returns a typed *ConfigError; a query already running
 // finishes on the view it loaded.
-func NewDB(dim int, opts ...Option) (*DB, error) {
-	o := applyOpts(opts)
-	db, err := core.NewDB(dim)
-	if err != nil {
-		return nil, err
-	}
-	return configureDB(db, o), nil
-}
-
-// configureDB applies the perf options shared by NewDB and OpenDB to a
-// constructed or loaded database. Only an option that was given calls
-// its setter, so a plain NewDB or OpenDB publishes no view of its own.
-func configureDB(db *DB, o perfOpts) *DB {
-	if o.workers != 0 {
-		db.SetWorkers(o.workers)
-	}
-	return db
-}
+func NewDB(dim int, opts ...Option) (*DB, error) { return core.NewDB(dim) }
 
 // SignatureFromDense wraps a dense weight vector as a signature.
 func SignatureFromDense(docID, label string, v Vector) Signature {
@@ -500,23 +384,18 @@ func SaveDB(path string, db *DB) error { return db.SaveDir(path) }
 // The rows are cut into segments as Add cuts them, however the files
 // hold them, and the next SaveDB into path keeps the files that still
 // fit its layout.
-// Options tune the loaded store like NewDB's do. A snapshot whose
+// opts are deprecated no-ops, as in NewDB. A snapshot whose
 // manifest names more than one shard — written before a database became
 // one row sequence — is refused; rewrite it with a build that still
 // reads it (OpenDB, NewDB with WithShards(1), AddAll(old.All()),
 // SaveDB).
 func OpenDB(path string, opts ...Option) (*DB, error) {
-	o := applyOpts(opts)
 	if fi, err := os.Stat(path); err != nil {
 		return nil, &SnapshotError{Path: path, Err: err}
 	} else if !fi.IsDir() {
 		return nil, &SnapshotError{Path: path, Err: errors.New("not a snapshot directory (a database is stored as a directory: MANIFEST.json plus segment files)")}
 	}
-	db, err := core.LoadDir(path)
-	if err != nil {
-		return nil, err
-	}
-	return configureDB(db, o), nil
+	return core.LoadDir(path)
 }
 
 // CosineMetric is the cosine similarity of §2.1.
@@ -574,12 +453,12 @@ type Classifier struct {
 
 // TrainClassifier fits a soft-margin SVM (polynomial kernel, the paper's
 // default) that separates signatures labeled posLabel (+1) from all
-// others (-1).
-func TrainClassifier(sigs []Signature, posLabel string, c float64, seed int64, opts ...Option) (*Classifier, error) {
+// others (-1), on every host CPU (the model is identical at any worker
+// count).
+func TrainClassifier(sigs []Signature, posLabel string, c float64, seed int64) (*Classifier, error) {
 	if len(sigs) == 0 {
 		return nil, fmt.Errorf("fmeter: no signatures")
 	}
-	o := applyOpts(opts)
 	x := make([]*Sparse, len(sigs))
 	y := make([]float64, len(sigs))
 	for i, s := range sigs {
@@ -590,7 +469,7 @@ func TrainClassifier(sigs []Signature, posLabel string, c float64, seed int64, o
 			y[i] = -1
 		}
 	}
-	m, err := svm.Train(x, y, svm.Config{C: c, Seed: seed, Workers: o.workers})
+	m, err := svm.Train(x, y, svm.Config{C: c, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -605,16 +484,14 @@ func (c *Classifier) Matches(sig Signature) (bool, float64) {
 }
 
 // ScoreBatch returns the decision score of every signature in one
-// batched pass, fanning the kernel-row computations out over the worker
-// pool (WithWorkers). Scores are bit-identical to calling Matches per
-// signature, at any worker count.
-func (c *Classifier) ScoreBatch(sigs []Signature, opts ...Option) []float64 {
-	o := applyOpts(opts)
+// batched pass, fanning the kernel-row computations out over every host
+// CPU. Scores are bit-identical to calling Matches per signature.
+func (c *Classifier) ScoreBatch(sigs []Signature) []float64 {
 	qs := make([]*Sparse, len(sigs))
 	for i, s := range sigs {
 		qs[i] = s.W
 	}
-	return c.model.DecisionBatch(qs, o.workers)
+	return c.model.DecisionBatch(qs, 0)
 }
 
 // ClusterResult is a K-means clustering of signatures.
@@ -629,18 +506,17 @@ type ClusterResult struct {
 
 // ClusterSignatures K-means-clusters signatures into k groups and scores
 // purity against their labels.
-func ClusterSignatures(sigs []Signature, k int, seed int64, opts ...Option) (*ClusterResult, error) {
+func ClusterSignatures(sigs []Signature, k int, seed int64) (*ClusterResult, error) {
 	if len(sigs) == 0 {
 		return nil, fmt.Errorf("fmeter: no signatures")
 	}
-	o := applyOpts(opts)
 	labels := make([]string, len(sigs))
 	pts := make([]*Sparse, len(sigs))
 	for i, s := range sigs {
 		labels[i] = s.Label
 		pts[i] = s.W
 	}
-	res, err := cluster.KMeans(pts, cluster.KMeansConfig{K: k, Seed: seed, Workers: o.workers})
+	res, err := cluster.KMeans(pts, cluster.KMeansConfig{K: k, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -669,9 +545,8 @@ func HierarchicalCluster(sigs []Signature) (*Dendrogram, error) {
 
 // MetaClusterCentroids clusters cluster centroids (§2.2/§6's recursive
 // clustering for, e.g., cache-aware co-scheduling).
-func MetaClusterCentroids(centroids []Vector, k int, seed int64, opts ...Option) ([]int, error) {
-	o := applyOpts(opts)
-	res, err := cluster.MetaCluster(centroids, cluster.KMeansConfig{K: k, Seed: seed, Workers: o.workers})
+func MetaClusterCentroids(centroids []Vector, k int, seed int64) ([]int, error) {
+	res, err := cluster.MetaCluster(centroids, cluster.KMeansConfig{K: k, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -13,17 +13,14 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Tracer() != TracerFmeter {
-		t.Errorf("default tracer = %v", sys.Tracer())
-	}
 	if sys.Dim() != 3815 {
 		t.Errorf("Dim = %d, want 3815", sys.Dim())
 	}
 	if len(sys.FunctionNames()) != sys.Dim() {
 		t.Error("FunctionNames length mismatch")
 	}
-	if _, err := New(Config{Tracer: Tracer(99)}); err == nil {
-		t.Error("bad tracer should fail")
+	if len(sys.Snapshot()) != sys.Dim() {
+		t.Error("Snapshot length mismatch")
 	}
 }
 
@@ -62,37 +59,6 @@ func TestCollectAndBuildSignatures(t *testing.T) {
 		if l2 != 0 && (l2 < 0.999 || l2 > 1.001) {
 			t.Errorf("signature not unit-ball scaled: %v", l2)
 		}
-	}
-}
-
-func TestCollectRequiresFmeterTracer(t *testing.T) {
-	sys, err := New(Config{Tracer: TracerVanilla, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Collect(ScpWorkload(), 1, time.Second, nil); err == nil {
-		t.Error("Collect under vanilla should fail")
-	}
-	if _, err := sys.Snapshot(); err == nil {
-		t.Error("Snapshot under vanilla should fail")
-	}
-}
-
-func TestRunOpOverheadOrdering(t *testing.T) {
-	elapsed := func(tr Tracer) time.Duration {
-		sys, err := New(Config{Tracer: tr, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := sys.RunOp("simple_read", 5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	v, fm, ft := elapsed(TracerVanilla), elapsed(TracerFmeter), elapsed(TracerFtrace)
-	if !(v < fm && fm < ft) {
-		t.Errorf("overhead ordering broken: %v %v %v", v, fm, ft)
 	}
 }
 

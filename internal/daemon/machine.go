@@ -33,11 +33,9 @@ func (t Tracer) String() string {
 	}
 }
 
-// The relative count and latency noise levels of the paper's evaluation.
-const (
-	DefaultCountJitter   = 0.02
-	DefaultLatencyJitter = 0.01
-)
+// NumCPU is the paper's testbed width: a dual-socket quad-core Nehalem
+// with hyperthreads, 16 logical processors.
+const NumCPU = 16
 
 // Machine is one simulated monitored machine: the symbol table, the op
 // catalog, the engine running under the chosen tracer and, under Fmeter,
@@ -50,10 +48,10 @@ type Machine struct {
 	Col *Collector    // non-nil iff the tracer is Fmeter
 }
 
-// Boot wires a machine of numCPU CPUs under tracer: Ftrace and Fmeter
-// register their debugfs exports, and Fmeter gets a collector over its
-// counters. seed and the two jitter levels go to the engine as given.
-func Boot(tracer Tracer, numCPU int, seed int64, countJitter, latencyJitter float64) (*Machine, error) {
+// Boot wires a testbed-width machine under tracer at the evaluation's
+// noise levels: Ftrace and Fmeter register their debugfs exports, and
+// Fmeter gets a collector over its counters. seed goes to the engine.
+func Boot(tracer Tracer, seed int64) (*Machine, error) {
 	st := kernel.NewSymbolTable()
 	cat, err := kernel.NewCatalog(st)
 	if err != nil {
@@ -66,7 +64,7 @@ func Boot(tracer Tracer, numCPU int, seed int64, countJitter, latencyJitter floa
 	case Vanilla:
 		backend = kernel.NopBackend()
 	case Ftrace:
-		ft, err := trace.NewFtrace(st, numCPU, 0)
+		ft, err := trace.NewFtrace(st, NumCPU, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +73,7 @@ func Boot(tracer Tracer, numCPU int, seed int64, countJitter, latencyJitter floa
 		}
 		backend = ft
 	case Fmeter:
-		fm, err := trace.NewFmeter(st, numCPU)
+		fm, err := trace.NewFmeter(st, NumCPU)
 		if err != nil {
 			return nil, err
 		}
@@ -88,11 +86,11 @@ func Boot(tracer Tracer, numCPU int, seed int64, countJitter, latencyJitter floa
 		return nil, fmt.Errorf("daemon: unknown tracer %v", tracer)
 	}
 	m.Eng, err = kernel.NewEngine(cat, kernel.EngineConfig{
-		NumCPU:        numCPU,
+		NumCPU:        NumCPU,
 		Backend:       backend,
 		Seed:          seed,
-		CountJitter:   countJitter,
-		LatencyJitter: latencyJitter,
+		CountJitter:   0.02, // the evaluation's relative count noise
+		LatencyJitter: 0.01, // and latency noise
 	})
 	if err != nil {
 		return nil, err

@@ -6,10 +6,10 @@ import (
 )
 
 func TestBootValidation(t *testing.T) {
-	if _, err := Boot(Tracer(42), 16, 1, DefaultCountJitter, DefaultLatencyJitter); err == nil {
+	if _, err := Boot(Tracer(42), 1); err == nil {
 		t.Error("unknown tracer should fail")
 	}
-	m, err := Boot(Fmeter, 16, 1, DefaultCountJitter, DefaultLatencyJitter)
+	m, err := Boot(Fmeter, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestBootValidation(t *testing.T) {
 		t.Error("fmeter machine should expose backend and collector")
 	}
 	for _, tr := range []Tracer{Vanilla, Ftrace} {
-		m, err := Boot(tr, 16, 1, DefaultCountJitter, DefaultLatencyJitter)
+		m, err := Boot(tr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

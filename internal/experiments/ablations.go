@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/crossval"
+	"repro/internal/daemon"
 	"repro/internal/kernel"
 	"repro/internal/ringbuf"
 	"repro/internal/trace"
@@ -31,19 +32,19 @@ type AblationCounterResult struct {
 // RunAblationCounters drives the same op batch through each backend.
 func RunAblationCounters(seed int64) (*AblationCounterResult, error) {
 	st := kernel.NewSymbolTable()
-	shared, err := trace.NewSharedAtomic(st, NumCPU)
+	shared, err := trace.NewSharedAtomic(st, daemon.NumCPU)
 	if err != nil {
 		return nil, err
 	}
-	fm, err := trace.NewFmeter(st, NumCPU)
+	fm, err := trace.NewFmeter(st, daemon.NumCPU)
 	if err != nil {
 		return nil, err
 	}
-	ft, err := trace.NewFtrace(st, NumCPU, 0)
+	ft, err := trace.NewFtrace(st, daemon.NumCPU, 0)
 	if err != nil {
 		return nil, err
 	}
-	kp, err := trace.NewKprobes(st, NumCPU)
+	kp, err := trace.NewKprobes(st, daemon.NumCPU)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func RunAblationCounters(seed int64) (*AblationCounterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := kernel.NewEngine(cat, kernel.EngineConfig{NumCPU: NumCPU, Backend: be.b, Seed: seed})
+		eng, err := kernel.NewEngine(cat, kernel.EngineConfig{NumCPU: daemon.NumCPU, Backend: be.b, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +122,7 @@ func RunAblationHotCache(seed int64, topNs []int) (*AblationHotCacheResult, erro
 	}
 	st := kernel.NewSymbolTable()
 	// Rank functions by a profiling run of the same workload.
-	profiler, err := trace.NewFmeter(st, NumCPU)
+	profiler, err := trace.NewFmeter(st, daemon.NumCPU)
 	if err != nil {
 		return nil, err
 	}
@@ -129,11 +130,11 @@ func RunAblationHotCache(seed int64, topNs []int) (*AblationHotCacheResult, erro
 	if err != nil {
 		return nil, err
 	}
-	eng, err := kernel.NewEngine(cat, kernel.EngineConfig{NumCPU: NumCPU, Backend: profiler, Seed: seed})
+	eng, err := kernel.NewEngine(cat, kernel.EngineConfig{NumCPU: daemon.NumCPU, Backend: profiler, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	profRun, err := workload.NewRunner(eng, workload.Dbench(NumCPU), seed+5)
+	profRun, err := workload.NewRunner(eng, workload.Dbench(daemon.NumCPU), seed+5)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +153,11 @@ func RunAblationHotCache(seed int64, topNs []int) (*AblationHotCacheResult, erro
 		if err != nil {
 			return 0, err
 		}
-		eng, err := kernel.NewEngine(cat, kernel.EngineConfig{NumCPU: NumCPU, Backend: b, Seed: seed + 1})
+		eng, err := kernel.NewEngine(cat, kernel.EngineConfig{NumCPU: daemon.NumCPU, Backend: b, Seed: seed + 1})
 		if err != nil {
 			return 0, err
 		}
-		run, err := workload.NewRunner(eng, workload.Dbench(NumCPU), seed+2)
+		run, err := workload.NewRunner(eng, workload.Dbench(daemon.NumCPU), seed+2)
 		if err != nil {
 			return 0, err
 		}
@@ -166,7 +167,7 @@ func RunAblationHotCache(seed int64, topNs []int) (*AblationHotCacheResult, erro
 		return eng.KernelTime(), nil
 	}
 
-	flat, err := trace.NewFmeter(st, NumCPU)
+	flat, err := trace.NewFmeter(st, daemon.NumCPU)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +184,7 @@ func RunAblationHotCache(seed int64, topNs []int) (*AblationHotCacheResult, erro
 		for i := 0; i < n; i++ {
 			hotSet[i] = kernel.FuncID(rank[i])
 		}
-		hc, err := trace.NewHotCacheFmeter(st, NumCPU, hotSet)
+		hc, err := trace.NewHotCacheFmeter(st, daemon.NumCPU, hotSet)
 		if err != nil {
 			return nil, err
 		}

@@ -18,16 +18,6 @@ import (
 	"repro/internal/workload"
 )
 
-// NumCPU matches the paper's testbed: a dual-socket quad-core Nehalem
-// with hyperthreads, 16 logical processors.
-const NumCPU = 16
-
-// boot starts a simulated machine of the paper's testbed width at the
-// evaluation's jitter levels.
-func boot(tracer daemon.Tracer, seed int64) (*daemon.Machine, error) {
-	return daemon.Boot(tracer, NumCPU, seed, daemon.DefaultCountJitter, daemon.DefaultLatencyJitter)
-}
-
 // CollectSignatureCorpus boots a fresh Fmeter system per workload, runs
 // the logging daemon for n intervals of the given length, and returns the
 // labeled documents. Each workload runs "without interference from
@@ -58,7 +48,7 @@ func collectCorpus(tasks, n int, interval time.Duration, seed int64, workers int
 		dim  int
 	}
 	batches, err := parallel.Map(workers, tasks, func(i int) (batch, error) {
-		m, err := boot(daemon.Fmeter, seed+int64(i)*1000)
+		m, err := daemon.Boot(daemon.Fmeter, seed+int64(i)*1000)
 		if err != nil {
 			return batch{}, err
 		}

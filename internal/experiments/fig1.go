@@ -29,7 +29,7 @@ type Fig1Result struct {
 // RunFig1 boots a simulated machine under the Fmeter tracer and collects
 // the full-table invocation counts of the boot phase.
 func RunFig1(seed int64) (*Fig1Result, error) {
-	sys, err := boot(daemon.Fmeter, seed)
+	sys, err := daemon.Boot(daemon.Fmeter, seed)
 	if err != nil {
 		return nil, err
 	}

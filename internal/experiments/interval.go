@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crossval"
+	"repro/internal/daemon"
 	"repro/internal/svm"
 	"repro/internal/workload"
 )
@@ -39,7 +40,7 @@ type AblationIntervalResult struct {
 // collectTwoClass collects scp and kcompile documents at one interval
 // length.
 func collectTwoClass(n int, interval time.Duration, seed int64) ([]*core.Document, int, error) {
-	specs := []workload.Spec{workload.Scp(NumCPU), workload.Kcompile(NumCPU)}
+	specs := []workload.Spec{workload.Scp(daemon.NumCPU), workload.Kcompile(daemon.NumCPU)}
 	return CollectSignatureCorpus(specs, n, interval, seed)
 }
 

@@ -67,9 +67,9 @@ type WorkloadData struct {
 // kcompile, dbench) at the paper's testbed width.
 func CollectWorkloadSpecs() []workload.Spec {
 	return []workload.Spec{
-		workload.Scp(NumCPU),
-		workload.Kcompile(NumCPU),
-		workload.Dbench(NumCPU),
+		workload.Scp(daemon.NumCPU),
+		workload.Kcompile(daemon.NumCPU),
+		workload.Dbench(daemon.NumCPU),
 	}
 }
 
@@ -94,7 +94,7 @@ func CollectWorkloadData(p MLParams) (*WorkloadData, error) {
 func CollectDriverSignatures(p MLParams) (*SignatureSet, error) {
 	variants := driver.Variants()
 	docs, dim, err := collectCorpus(len(variants), p.PerClass, p.Interval, p.Seed, p.Workers, func(i int, m *daemon.Machine) (workload.Spec, string, error) {
-		return driver.NetperfRx(NumCPU), variants[i].String(), m.LoadDriver(variants[i])
+		return driver.NetperfRx(daemon.NumCPU), variants[i].String(), m.LoadDriver(variants[i])
 	})
 	if err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ func RunTable1(seed int64) (*Table1Result, error) {
 		}
 		for _, tracer := range []daemon.Tracer{daemon.Vanilla, daemon.Ftrace, daemon.Fmeter} {
 			for trial := 0; trial < table1Trials; trial++ {
-				sys, err := boot(tracer, seed+int64(ti*100+trial))
+				sys, err := daemon.Boot(tracer, seed+int64(ti*100+trial))
 				if err != nil {
 					return nil, err
 				}

@@ -54,7 +54,7 @@ func RunTable2(seed int64) (*Table2Result, error) {
 	for _, tracer := range []daemon.Tracer{daemon.Vanilla, daemon.Fmeter, daemon.Ftrace} {
 		var rps []float64
 		for trial := 0; trial < table2Trials; trial++ {
-			sys, err := boot(tracer, seed+int64(trial)*31)
+			sys, err := daemon.Boot(tracer, seed+int64(trial)*31)
 			if err != nil {
 				return nil, err
 			}

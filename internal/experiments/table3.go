@@ -55,7 +55,7 @@ var table3Paper = map[daemon.Tracer]struct{ real, user, sys time.Duration }{
 func RunTable3(seed int64) (*Table3Result, error) {
 	res := &Table3Result{}
 	for _, tracer := range []daemon.Tracer{daemon.Vanilla, daemon.Ftrace, daemon.Fmeter} {
-		sys, err := boot(tracer, seed)
+		sys, err := daemon.Boot(tracer, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -557,22 +557,18 @@ func TestAbandonedWaiterLeaves(t *testing.T) {
 }
 
 // TestHTTPServerTimeouts asserts the http.Server the binaries mount has
-// every limit set, sizes the body budget from MaxBodyBytes, and leaves a
-// response the Retry-After ceiling past the read budget.
+// every limit set: the read budget is the header budget plus an 8 MiB
+// body at 256 KiB/s (5 s + 32 s), and a response gets the 60 s
+// Retry-After ceiling past it.
 func TestHTTPServerTimeouts(t *testing.T) {
-	small, _ := newTestServer(t, Config{MaxBodyBytes: 1 << 20}, 1)
-	defer small.Shutdown(t.Context())
-	big, _ := newTestServer(t, Config{MaxBodyBytes: 64 << 20}, 1)
-	defer big.Shutdown(t.Context())
-	hs, hb := small.HTTPServer(), big.HTTPServer()
-	if hs.Handler == nil || hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+	s, _ := newTestServer(t, Config{}, 1)
+	defer s.Shutdown(t.Context())
+	hs := s.HTTPServer()
+	if hs.Handler == nil || hs.ReadHeaderTimeout != 5*time.Second || hs.IdleTimeout <= 0 {
 		t.Fatalf("HTTPServer leaves a limit unset: %+v", hs)
 	}
-	if hs.ReadTimeout <= hs.ReadHeaderTimeout || hb.ReadTimeout <= hs.ReadTimeout {
-		t.Fatalf("ReadTimeout %v for 1MiB bodies, %v for 64MiB: want both past the header budget and growing with the body bound", hs.ReadTimeout, hb.ReadTimeout)
-	}
-	if hs.WriteTimeout != hs.ReadTimeout+60*time.Second || hb.WriteTimeout != hb.ReadTimeout+60*time.Second {
-		t.Fatalf("WriteTimeout %v / %v: want the read budget (%v / %v) plus the 60s Retry-After ceiling", hs.WriteTimeout, hb.WriteTimeout, hs.ReadTimeout, hb.ReadTimeout)
+	if hs.ReadTimeout != 37*time.Second || hs.WriteTimeout != 97*time.Second {
+		t.Fatalf("ReadTimeout %v, WriteTimeout %v: want 37s (5s headers + 8MiB at 256KiB/s) and 97s (plus the 60s Retry-After ceiling)", hs.ReadTimeout, hs.WriteTimeout)
 	}
 }
 

@@ -34,13 +34,6 @@ type Config struct {
 	// waiting for a core; one more is rejected with 429 + Retry-After.
 	// Default 1024.
 	MaxQueue int
-	// MaxK bounds the per-request k. Default 100.
-	MaxK int
-	// MaxQueriesPerRequest bounds the queries one request body may
-	// carry. Default 256.
-	MaxQueriesPerRequest int
-	// MaxBodyBytes bounds request bodies. Default 8MB.
-	MaxBodyBytes int64
 	// SnapshotDir, when non-empty, enables the periodic incremental
 	// SaveDir loop: every 2 s the server checks the full segment count
 	// and snapshots when it has advanced past the last saved watermark,
@@ -57,15 +50,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 1024
 	}
-	if c.MaxK == 0 {
-		c.MaxK = 100
-	}
-	if c.MaxQueriesPerRequest == 0 {
-		c.MaxQueriesPerRequest = 256
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.Warnf == nil {
 		c.Warnf = func(string, ...any) {}
 	}
@@ -73,6 +57,12 @@ func (c Config) withDefaults() Config {
 }
 
 const (
+	// maxK bounds the per-request k.
+	maxK = 100
+	// maxQueriesPerRequest bounds the queries one request body may carry.
+	maxQueriesPerRequest = 256
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 8 << 20
 	// snapshotEvery is the snapshot loop's watermark poll interval.
 	snapshotEvery = 2 * time.Second
 	// pruneSampleEvery is the PruneStats sample period: every
@@ -143,15 +133,16 @@ const ( // what one connection may hold open under HTTPServer
 	minBodyRate       = 256 << 10 // bytes per second a body must arrive at
 	idleTimeout       = 2 * time.Minute
 	writeSlack        = 60 * time.Second // a response's time past the read budget: the Retry-After ceiling, so a wait at the gate is never cut
+
+	readTimeout = readHeaderTimeout + maxBodyBytes/minBodyRate*time.Second // a maxBodyBytes body at minBodyRate
 )
 
 // HTTPServer returns an http.Server over Handler with read-header, read
-// (sized for a MaxBodyBytes body at minBodyRate), write and idle
+// (sized for a maxBodyBytes body at minBodyRate), write and idle
 // timeouts set, so a connection that stalls, is abandoned or stops
 // reading its response cannot hold a goroutine forever. The caller owns
 // the listener and the http.Server's own Shutdown.
 func (s *Server) HTTPServer() *http.Server {
-	readTimeout := readHeaderTimeout + time.Duration(s.cfg.MaxBodyBytes/minBodyRate)*time.Second
 	return &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: readHeaderTimeout,
@@ -442,7 +433,7 @@ func (e *requestError) Error() string { return e.msg }
 // failures to 400 bad_request. The body is size-capped and must hold
 // exactly one JSON value and nothing after it but whitespace.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -464,7 +455,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 // written the error response.
 func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request, q *core.Query) bool {
 	var req queryRequest
-	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err == nil {
 		err = parseQueryRequest(body, &req)
 	}
@@ -500,15 +491,15 @@ func (s *Server) queryOf(req *queryRequest, q *core.Query) error {
 	if len(req.Queries) == 0 {
 		return &requestError{"bad_request", "request carries no queries"}
 	}
-	if len(req.Queries) > s.cfg.MaxQueriesPerRequest {
-		return &requestError{"bad_request", fmt.Sprintf("request carries %d queries, limit %d", len(req.Queries), s.cfg.MaxQueriesPerRequest)}
+	if len(req.Queries) > maxQueriesPerRequest {
+		return &requestError{"bad_request", fmt.Sprintf("request carries %d queries, limit %d", len(req.Queries), maxQueriesPerRequest)}
 	}
 	q.K = req.K
 	if q.K == 0 {
 		q.K = 10
 	}
-	if q.K < 1 || q.K > s.cfg.MaxK {
-		return &requestError{"config", fmt.Sprintf("k=%d outside [1, %d]", q.K, s.cfg.MaxK)}
+	if q.K < 1 || q.K > maxK {
+		return &requestError{"config", fmt.Sprintf("k=%d outside [1, %d]", q.K, maxK)}
 	}
 	switch req.Metric {
 	case "", "cosine":

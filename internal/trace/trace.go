@@ -51,14 +51,11 @@ const (
 
 // Fmeter is the paper's counting backend: per-CPU pages of 8-byte slots
 // addressed by (page, slot) indices embedded in per-function stubs
-// (Figure 3). It generates stubs lazily on a function's first invocation,
-// like the specialized mcount routine that rewrites each call site once.
+// (Figure 3).
 type Fmeter struct {
-	st     *kernel.SymbolTable
-	idx    *percpu.Index
-	addrs  []percpu.SlotAddr
-	stubs  []bool
-	numCPU int
+	st    *kernel.SymbolTable
+	idx   *percpu.Index
+	addrs []percpu.SlotAddr
 }
 
 var _ kernel.Backend = (*Fmeter)(nil)
@@ -79,11 +76,9 @@ func NewFmeter(st *kernel.SymbolTable, numCPU int) (*Fmeter, error) {
 		addrs[i] = percpu.AddrOf(i)
 	}
 	return &Fmeter{
-		st:     st,
-		idx:    idx,
-		addrs:  addrs,
-		stubs:  make([]bool, st.Len()),
-		numCPU: numCPU,
+		st:    st,
+		idx:   idx,
+		addrs: addrs,
 	}, nil
 }
 
@@ -95,11 +90,6 @@ func (f *Fmeter) Name() string { return "fmeter" }
 func (f *Fmeter) OnCalls(cpu int, fn kernel.FuncID, n uint64) {
 	if fn < 0 || int(fn) >= len(f.addrs) {
 		return // functions outside the instrumented space are invisible
-	}
-	if !f.stubs[fn] {
-		// First invocation: the specialized mcount routine builds the
-		// personalized stub and patches the call site.
-		f.stubs[fn] = true
 	}
 	// The engine serializes per-CPU execution, so Inc's validation errors
 	// are impossible here by construction; ignore the nil error.
@@ -113,8 +103,7 @@ func (f *Fmeter) PerCallOverheadNS(int, kernel.FuncID) float64 { return FmeterSt
 // Snapshot returns the per-function invocation totals summed over CPUs.
 func (f *Fmeter) Snapshot() []uint64 { return f.idx.Snapshot() }
 
-// Reset zeroes all counters (the stub registry survives, as in the real
-// system where call sites stay patched).
+// Reset zeroes all counters.
 func (f *Fmeter) Reset() { f.idx.Reset() }
 
 // Index exposes the underlying per-CPU index (read-mostly; used by tests

@@ -48,36 +48,18 @@ func TestFmeterCountsMatchEngine(t *testing.T) {
 	if nonzero == 0 {
 		t.Error("no functions counted")
 	}
-	if got := stubsCreated(fm); got != nonzero {
-		t.Errorf("stubs %d != distinct functions %d", got, nonzero)
-	}
 }
 
-// stubsCreated counts the functions whose stub has been generated.
-func stubsCreated(f *Fmeter) int {
-	n := 0
-	for _, made := range f.stubs {
-		if made {
-			n++
-		}
-	}
-	return n
-}
-
-func TestFmeterResetKeepsStubs(t *testing.T) {
+func TestFmeterResetZeroesCounters(t *testing.T) {
 	st := kernel.NewSymbolTable()
 	fm, err := NewFmeter(st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fm.OnCalls(0, 5, 10)
-	stubs := stubsCreated(fm)
 	fm.Reset()
 	if got := fm.Snapshot()[5]; got != 0 {
 		t.Errorf("count after reset = %d", got)
-	}
-	if stubsCreated(fm) != stubs {
-		t.Error("reset should not destroy stubs (call sites stay patched)")
 	}
 }
 

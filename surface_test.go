@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,18 +172,11 @@ var stdlibMethods = map[string]bool{
 	"Unwrap": true,
 }
 
-// TestInternalExportsHaveCallers holds every exported function and
-// method declared in a non-test internal/ file to a production caller:
-// some non-test .go file in the tree, bench/ and examples/ included,
-// must use its name other than in a function declaration. The check is
-// by name, so a name shared with a used declaration passes; it still
-// catches code that only its own tests reach, which belongs in a
-// _test.go file or nowhere.
-func TestInternalExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	type decl struct{ name, pos string }
-	var decls []decl
-	used := map[string]bool{}
+// forEachSource parses every non-test .go file in the tree — bench/ and
+// examples/ included, testdata/ and dot-directories skipped — and hands
+// fn its slash-separated path and syntax tree.
+func forEachSource(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -200,6 +194,27 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInternalExportsHaveCallers holds every exported function and
+// method declared in a non-test internal/ file to a production caller:
+// some non-test .go file in the tree, bench/ and examples/ included,
+// must use its name other than in a function declaration. The check is
+// by name, so a name shared with a used declaration passes; it still
+// catches code that only its own tests reach, which belongs in a
+// _test.go file or nowhere.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	type decl struct{ name, pos string }
+	var decls []decl
+	used := map[string]bool{}
+	forEachSource(t, fset, func(path string, f *ast.File) {
 		declared := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -207,7 +222,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				continue
 			}
 			declared[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") && !stdlibMethods[fd.Name.Name] {
+			if fd.Name.IsExported() && strings.HasPrefix(path, "internal/") && !stdlibMethods[fd.Name.Name] {
 				decls = append(decls, decl{fd.Name.Name, fset.Position(fd.Name.Pos()).String()})
 			}
 		}
@@ -217,14 +232,123 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, d := range decls {
 		if !used[d.name] {
 			t.Errorf("%s: %s has no caller outside _test.go files; move it into one or delete it", d.pos, d.name)
 		}
+	}
+}
+
+// configStructs are the settings structs whose every field must have a
+// caller: the file that declares each, its package's directory, and
+// the type names a caller outside that package writes.
+var configStructs = []struct {
+	name, file, pkg string
+	spellings       []string
+}{
+	{"fmeter.Config", "fmeter.go", ".", []string{"fmeter.Config"}},
+	{"serve.Config", "internal/serve/server.go", "internal/serve", []string{"serve.Config", "fmeter.ServeConfig"}},
+}
+
+// TestConfigFieldsHaveCallers holds every field of fmeter.Config and
+// serve.Config to a caller that sets it: some non-test .go file outside
+// the declaring package (whose own defaulting does not count), bench/
+// and examples/ included, must name the field as a key of a composite
+// literal of the type or assign it through a variable or parameter the
+// file declares with the type. A field nobody sets has one value in use
+// and belongs in a constant.
+func TestConfigFieldsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	typeName := func(e ast.Expr) string {
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		if cl, ok := e.(*ast.CompositeLit); ok {
+			e = cl.Type
+		}
+		if st, ok := e.(*ast.StarExpr); ok {
+			e = st.X
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok {
+				return x.Name + "." + sel.Sel.Name
+			}
+		}
+		return ""
+	}
+	set := map[string]bool{} // "<struct>.<field>"
+	forEachSource(t, fset, func(path string, f *ast.File) {
+		for _, cs := range configStructs {
+			if filepath.Dir(path) == cs.pkg {
+				continue
+			}
+			isType := func(e ast.Expr) bool { return slices.Contains(cs.spellings, typeName(e)) }
+			// Names the file binds to a value of the type, met in source
+			// order: a parameter, a typed var, or x := T{...} / &T{...}.
+			vars := map[string]bool{}
+			bind := func(ids ...*ast.Ident) {
+				for _, id := range ids {
+					vars[id.Name] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if isType(n.Type) {
+						for _, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									set[cs.name+"."+id.Name] = true
+								}
+							}
+						}
+					}
+				case *ast.Field:
+					if isType(n.Type) {
+						bind(n.Names...)
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil && isType(n.Type) {
+						bind(n.Names...)
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						switch lhs := lhs.(type) {
+						case *ast.Ident:
+							if n.Tok == token.DEFINE && len(n.Rhs) == len(n.Lhs) && isType(n.Rhs[i]) {
+								bind(lhs)
+							}
+						case *ast.SelectorExpr:
+							if x, ok := lhs.X.(*ast.Ident); ok && vars[x.Name] {
+								set[cs.name+"."+lhs.Sel.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+	for _, cs := range configStructs {
+		f, err := parser.ParseFile(fset, cs.file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := cs.name[strings.IndexByte(cs.name, '.')+1:]
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != name {
+				return true
+			}
+			for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+				for _, id := range fl.Names {
+					if !set[cs.name+"."+id.Name] {
+						t.Errorf("%s: %s.%s has no caller that sets it; make it a constant or delete it", fset.Position(id.Pos()), cs.name, id.Name)
+					}
+				}
+			}
+			return false
+		})
 	}
 }
