@@ -178,7 +178,7 @@ func (s *idxValSorter) Swap(a, b int) {
 
 // runPruneBench builds the ladder corpus once (each rung extends the
 // previous), measuring ingestion, the segment count, and TopK
-// under both indexable metrics at every rung, then writes the JSON
+// under both metrics at every rung, then writes the JSON
 // record.
 //
 //fmeter:nondeterministic-ok bench harness: ladder timing and run timestamps

@@ -15,8 +15,13 @@
 // With -db DIR, -serve ADDR or -smoke the first -warmup intervals fit the
 // tf-idf model and every later one is embedded into the live DB (in
 // chunks of -ingest-batch, one publish each) while it stays queryable.
-// -db creates a DB seeded with the warmup signatures when DIR is missing
-// or empty and opens DIR's snapshot otherwise. One fmeter.Server owns the
+// -db creates a DB seeded with the warmup signatures when DIR is missing,
+// empty or holds only model.json, and opens DIR's snapshot otherwise.
+// The model lives beside the
+// snapshot as DIR/model.json: a new DB writes the one it fitted there,
+// and a reopened DB embeds every new interval with the stored one (a
+// snapshot saved without one fits it on the warmup and writes it). One
+// fmeter.Server owns the
 // DB: it saves into DIR whenever the sealed-segment watermark advances
 // and once more when it drains. -serve adds a listener (POST /v1/topk,
 // /v1/classify, /v1/ingest; GET /healthz, /metrics; 429 + Retry-After
@@ -43,6 +48,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -96,7 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		seed         = fs.Int64("seed", 1, "random seed (runs are reproducible)")
 		logPath      = fs.String("log", "-", "JSONL signature log to append to, - for stdout")
 		statusEvery  = fs.Int("status-every", 30, "print a status line every N intervals (0 disables)")
-		dbDir        = fs.String("db", "", "snapshot directory of the live DB: created when missing or empty, opened otherwise, saved into as segments seal and at drain")
+		dbDir        = fs.String("db", "", "snapshot directory of the live DB and its model.json: created when missing or empty, opened otherwise, saved into as segments seal and at drain")
 		warmup       = fs.Int("warmup", 20, "with a live DB: intervals collected to fit the tf-idf model before live ingestion")
 		readRetries  = fs.Int("read-retries", 3, "retries per failed debugfs counter read before skipping the interval")
 		readBackoff  = fs.Duration("read-backoff", 10*time.Millisecond, "base backoff before a counter-read retry (jittered, doubles per attempt)")
@@ -200,18 +206,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	// Fit the vector space on the warmup corpus, hand the live DB to the
-	// server, then stream every further interval into the DB while it
-	// stays queryable.
-	sigs, model, err := fmeter.BuildSignatures(warmDocs, sys.Dim())
-	if err != nil {
-		return fmt.Errorf("fitting warmup model: %w", err)
-	}
+	// Open or create the live DB with its model, hand it to the server,
+	// then stream every further interval into the DB while it stays
+	// queryable.
 	addr := *serveAddr
 	if *smoke {
 		addr = "127.0.0.1:0"
 	}
-	d, err := openLive(*dbDir, addr, sys.Dim(), sigs, model, fmeter.ServeConfig{
+	d, err := openLive(*dbDir, addr, sys.Dim(), warmDocs, fmeter.ServeConfig{
 		MaxQueue:    *maxQueue,
 		SnapshotDir: *dbDir,
 		Warnf:       warnf,
@@ -225,7 +227,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	for done < *intervals && ctx.Err() == nil && err == nil {
 		chunk := min(*ingestBatch, *intervals-done)
 		var added int
-		added, err = sys.CollectStream(spec, chunk, *interval, model, d.db, out)
+		added, err = sys.CollectStream(spec, chunk, *interval, d.model, d.db, out)
 		streamed += added
 		if err != nil {
 			err = fmt.Errorf("interval %d: %w", done, err)
@@ -236,7 +238,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	switch {
 	case err != nil, ctx.Err() != nil: // drain at once
 	case *smoke:
-		if err = smokeTest(d.addr, sigs[0], warmDocs[0]); err != nil {
+		if err = smokeTest(d.addr, d.model, warmDocs[0]); err != nil {
 			err = fmt.Errorf("smoke test: %w", err)
 		} else {
 			warnf("smoke OK")
@@ -262,11 +264,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	return err
 }
 
-// liveDB is the daemon's store side: the DB, the one fmeter.Server that
-// owns it (the only snapshot policy and the only drain) and, when
-// serving, its HTTP listener.
+// liveDB is the daemon's store side: the DB, the model its rows are
+// embedded with, the one fmeter.Server that owns it (the only snapshot
+// policy and the only drain) and, when serving, its HTTP listener.
 type liveDB struct {
 	db       *fmeter.DB
+	model    *fmeter.Model
 	srv      *fmeter.Server
 	seeded   int    // signatures the DB held before streaming
 	seededBy string // "loaded" from the snapshot or "warmup"
@@ -276,41 +279,58 @@ type liveDB struct {
 	serveErr error
 }
 
-// openLive opens dir's snapshot unless dir is unset, missing or empty,
-// when it builds a new DB seeded with the warmup signatures instead,
-// starts listening on addr when it is set, and hands the DB to one
-// fmeter.Server.
-func openLive(dir, addr string, dim int, sigs []fmeter.Signature, model *fmeter.Model, cfg fmeter.ServeConfig, warnf func(string, ...any)) (*liveDB, error) {
+// openLive opens dir's snapshot and its model unless dir is unset or
+// fresh, when it builds a new DB seeded with the warmup signatures
+// instead; fits the model on the warmup when it has none and writes it
+// into dir; starts listening on addr when it is set, and hands the DB to
+// one fmeter.Server.
+func openLive(dir, addr string, dim int, warmDocs []*fmeter.Document, cfg fmeter.ServeConfig, warnf func(string, ...any)) (_ *liveDB, err error) {
 	d := &liveDB{seededBy: "warmup"}
-	var err error
+	defer func() {
+		if err != nil && d.db != nil {
+			d.db.Close()
+		}
+	}()
 	if dir != "" && !fresh(dir) {
 		if d.db, err = fmeter.OpenDB(dir); err != nil {
 			return nil, fmt.Errorf("opening db %s: %w", dir, err)
 		}
 		if d.db.Dim() != dim {
-			d.db.Close()
 			return nil, fmt.Errorf("db %s has dimension %d, system has %d", dir, d.db.Dim(), dim)
 		}
 		d.seededBy = "loaded"
-	} else {
-		if d.db, err = fmeter.NewDB(dim); err != nil {
+		if d.model, err = readModel(dir, dim); err != nil {
 			return nil, err
 		}
-		if err := d.db.AddAll(sigs); err != nil {
-			d.db.Close()
-			return nil, err
+	}
+	if d.model == nil {
+		sigs, model, err := fmeter.BuildSignatures(warmDocs, dim)
+		if err != nil {
+			return nil, fmt.Errorf("fitting warmup model: %w", err)
 		}
+		if dir != "" {
+			if err := writeModel(dir, model); err != nil {
+				return nil, fmt.Errorf("writing the model into %s: %w", dir, err)
+			}
+		}
+		if d.db == nil {
+			if d.db, err = fmeter.NewDB(dim); err != nil {
+				return nil, err
+			}
+			if err := d.db.AddAll(sigs); err != nil {
+				return nil, err
+			}
+		}
+		d.model = model
 	}
 	d.seeded = d.db.Len()
 	var ln net.Listener
 	if addr != "" {
 		if ln, err = net.Listen("tcp", addr); err != nil {
-			d.db.Close()
 			return nil, err
 		}
 	}
-	if d.srv, err = fmeter.NewServer(d.db, model, cfg); err != nil {
-		d.db.Close()
+	if d.srv, err = fmeter.NewServer(d.db, d.model, cfg); err != nil {
 		if ln != nil {
 			ln.Close()
 		}
@@ -326,8 +346,12 @@ func openLive(dir, addr string, dim int, sigs []fmeter.Signature, model *fmeter.
 	return d, nil
 }
 
-// fresh reports whether dir holds no snapshot to open: it is missing or
-// empty. Anything else, a directory that cannot be read included, is
+// modelFile is the name of the model beside a -db snapshot.
+const modelFile = "model.json"
+
+// fresh reports whether dir holds no snapshot to open: it is missing,
+// empty, or holds only a model (a run that stopped before its first
+// save). Anything else, a directory that cannot be read included, is
 // OpenDB's to open or to refuse with a typed error.
 func fresh(dir string) bool {
 	f, err := os.Open(dir)
@@ -335,8 +359,59 @@ func fresh(dir string) bool {
 		return errors.Is(err, os.ErrNotExist)
 	}
 	defer f.Close()
-	_, err = f.Readdirnames(1)
-	return err == io.EOF
+	names, err := f.Readdirnames(2)
+	if err != nil && err != io.EOF {
+		return false
+	}
+	return len(names) == 0 || len(names) == 1 && names[0] == modelFile
+}
+
+// readModel reads dir's model, or returns nil when dir has none.
+func readModel(dir string, dim int) (*fmeter.Model, error) {
+	path := filepath.Join(dir, modelFile)
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	m, err := fmeter.ReadModel(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	if m.Dim() != dim {
+		return nil, fmt.Errorf("%s has dimension %d, system has %d", path, m.Dim(), dim)
+	}
+	return m, nil
+}
+
+// writeModel writes m into dir (created if missing) as its model, via a
+// temporary file, fsync and rename, so a reader finds the whole model or
+// none.
+func writeModel(dir string, m *fmeter.Model) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, ".tmp-model-*")
+	if err != nil {
+		return err
+	}
+	err = fmeter.WriteModel(f, m)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, modelFile))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // drain stops the listener (letting in-flight HTTP requests finish),
@@ -360,10 +435,15 @@ func (d *liveDB) drain() (fmeter.ServeMetrics, error) {
 }
 
 // smokeTest drives one round trip through every endpoint against the
-// live listener: healthz, a topk query built from a warmup signature, a
-// classify, an ingest of a warmup document, and a metrics scrape that
-// must reflect all of it.
-func smokeTest(addr string, sig fmeter.Signature, doc *fmeter.Document) error {
+// live listener: healthz, a topk query of a warmup document embedded
+// with the DB's model, a classify, an ingest of the same document, and
+// a metrics scrape that must reflect all of it.
+func smokeTest(addr string, model *fmeter.Model, doc *fmeter.Document) error {
+	sig, err := model.Transform(doc)
+	if err != nil {
+		return err
+	}
+	sig.W.Normalize()
 	base := "http://" + addr
 	client := &http.Client{Timeout: 10 * time.Second}
 

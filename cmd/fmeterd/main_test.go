@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -295,6 +296,81 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 	defer db.Close()
 	if db.Segments() != 1 {
 		t.Fatalf("after restart the snapshot loads as %d segments, want 1", db.Segments())
+	}
+}
+
+// TestDaemonReopenKeepsModel runs the daemon twice on one -db directory
+// with different workloads: the first run writes the model it fitted
+// beside the snapshot, and the second, which reopens the snapshot,
+// embeds its streamed intervals with that model — not one refitted on
+// its own warmup — and leaves model.json byte for byte as it was.
+func TestDaemonReopenKeepsModel(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	args := func(workload, intervals string) []string {
+		return []string{"-workload", workload, "-intervals", intervals, "-interval", "5s",
+			"-db", dir, "-warmup", "2", "-status-every", "0"}
+	}
+	var out, errBuf bytes.Buffer
+	if err := runDaemon(args("scp", "6"), &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, modelFile)
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("the first run wrote no model: %v", err)
+	}
+	model, err := fmeter.ReadModel(bytes.NewReader(written))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := runDaemon(args("dbench", "5"), &out, &errBuf); err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errBuf.String())
+	}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, written) {
+		t.Fatalf("the reopening run changed %s (err %v)", modelFile, err)
+	}
+	streamed := readDocs(t, &out)[2:] // after the second run's 2 warmup intervals
+	db, err := fmeter.OpenDB(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rows := db.All()
+	if len(rows) != 6+len(streamed) {
+		t.Fatalf("after reopening the DB holds %d rows, want 6 + %d streamed", len(rows), len(streamed))
+	}
+	for i, doc := range streamed {
+		want, err := model.Transform(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.W.Normalize()
+		got := rows[6+i].W
+		if !slices.Equal(got.Support(), want.W.Support()) || !slices.Equal(got.Values(), want.W.Values()) {
+			t.Fatalf("streamed row %d (%s) was not embedded with the stored model", i, doc.ID)
+		}
+	}
+}
+
+// TestFreshDir pins which -db directories start a new DB: a missing
+// one, an empty one and one holding only a model.
+func TestFreshDir(t *testing.T) {
+	dir := t.TempDir()
+	if !fresh(filepath.Join(dir, "missing")) || !fresh(dir) {
+		t.Fatal("a missing or empty directory is not fresh")
+	}
+	if err := os.WriteFile(filepath.Join(dir, modelFile), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh(dir) {
+		t.Fatal("a directory holding only a model is not fresh")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if fresh(dir) {
+		t.Fatal("a directory holding a snapshot is fresh")
 	}
 }
 

@@ -3,8 +3,10 @@ package fmeter
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,25 +20,6 @@ func TestWorkloadConstructors(t *testing.T) {
 		if spec.Name == "" || len(spec.Ops) == 0 {
 			t.Errorf("constructor produced empty spec: %+v", spec)
 		}
-	}
-}
-
-func TestTimeAccessors(t *testing.T) {
-	sys, err := New(Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.KernelTime() != 0 || sys.UserTime() != 0 {
-		t.Error("fresh system should have zero clocks")
-	}
-	if _, err := sys.RunOp("simple_write", 1000); err != nil {
-		t.Fatal(err)
-	}
-	if sys.KernelTime() <= 0 {
-		t.Error("RunOp should advance the kernel clock")
-	}
-	if _, err := sys.RunOp("no_such_op", 1); err == nil {
-		t.Error("unknown op should fail")
 	}
 }
 
@@ -136,17 +119,6 @@ func TestModelPersistenceFacade(t *testing.T) {
 	}
 }
 
-func TestMinkowskiMetricFacade(t *testing.T) {
-	m := MinkowskiMetric(3)
-	d, err := m.Score(Vector{0, 0}, Vector{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 || m.HigherIsCloser {
-		t.Errorf("minkowski metric misconfigured: %v %v", d, m.HigherIsCloser)
-	}
-}
-
 // TestShardedDBFacade pins that the deprecated WithShards is a no-op:
 // a store built or reopened with it answers exactly like one without,
 // at any worker count, and its snapshot manifest records one shard.
@@ -227,16 +199,42 @@ func TestShardedDBFacade(t *testing.T) {
 	same("reopened with WithShards(2)", reopened)
 }
 
-// scanOf rebuilds m from its public fields. The copy carries no kind,
-// so — like any custom metric — it takes the scan arm: the reference
-// the indexed and pruned answers are held to.
-func scanOf(m Metric) Metric {
-	return Metric{Name: m.Name, Score: m.Score, SparseScore: m.SparseScore, HigherIsCloser: m.HigherIsCloser}
+// bruteTopK is the brute-force oracle the store's answers are held to:
+// it scores every signature against q with the sparse dot and the
+// cached-norm formula of m (cosine, the similarity, or Euclidean), then
+// stable-sorts by (score, insertion index) and keeps the first k.
+func bruteTopK(sigs []Signature, q *Sparse, k int, m Metric) []SearchResult {
+	out := make([]SearchResult, len(sigs))
+	for i, s := range sigs {
+		dot, qn, sn := q.Dot(s.W), q.Norm2(), s.W.Norm2()
+		var score float64
+		switch {
+		case !m.HigherIsCloser:
+			d2 := qn - 2*dot + sn
+			if d2 < 0 {
+				d2 = 0
+			}
+			score = math.Sqrt(d2)
+		case qn != 0 && sn != 0:
+			score = max(-1, min(1, dot/(math.Sqrt(qn)*math.Sqrt(sn))))
+		}
+		out[i] = SearchResult{Signature: s, Score: score}
+	}
+	slices.SortStableFunc(out, func(a, b SearchResult) int {
+		switch {
+		case a.Score == b.Score:
+			return 0
+		case (a.Score > b.Score) == m.HigherIsCloser:
+			return -1
+		}
+		return 1
+	})
+	return out[:min(k, len(out))]
 }
 
-// TestBatchFacade drives the batched retrieval facade: TopKBatch and
-// ClassifyBatch are bit-identical to their per-query counterparts on
-// the scan arm (scanOf).
+// TestBatchFacade drives the batched retrieval facade: TopKBatch is
+// bit-identical to the brute-force oracle (bruteTopK) and ClassifyBatch
+// to per-query ClassifySparse.
 func TestBatchFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 9})
 	if err != nil {
@@ -279,25 +277,22 @@ func TestBatchFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		single, err := indexed.TopKSparse(q, 5, scanOf(metric))
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := bruteTopK(store, q, 5, metric)
 		if len(batch[qi]) != len(single) {
 			t.Fatalf("query %d: %d hits vs %d", qi, len(batch[qi]), len(single))
 		}
 		for i := range single {
 			if batch[qi][i].Signature.DocID != single[i].Signature.DocID || batch[qi][i].Score != single[i].Score {
-				t.Fatalf("query %d hit %d: indexed batch (%s, %v) vs scan (%s, %v)", qi, i,
+				t.Fatalf("query %d hit %d: indexed batch (%s, %v) vs oracle (%s, %v)", qi, i,
 					batch[qi][i].Signature.DocID, batch[qi][i].Score, single[i].Signature.DocID, single[i].Score)
 			}
 		}
-		label, err := indexed.ClassifySparse(q, 5, scanOf(metric))
+		label, err := indexed.ClassifySparse(q, 5, metric)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if labels[qi] != label {
-			t.Fatalf("query %d: ClassifyBatch %q vs scan ClassifySparse %q", qi, labels[qi], label)
+			t.Fatalf("query %d: ClassifyBatch %q vs ClassifySparse %q", qi, labels[qi], label)
 		}
 	}
 }
@@ -568,7 +563,8 @@ func TestSegmentSizeAndSealFacade(t *testing.T) {
 }
 
 // TestPruningFacade drives the pruned walk through the facade: a store
-// sealed every 8 rows answers bit-identically to the scan arm, and the
+// sealed every 8 rows answers bit-identically to the brute-force
+// oracle (bruteTopK), and the
 // pruning counters are visible.
 func TestPruningFacade(t *testing.T) {
 	sys, err := New(Config{Seed: 17})
@@ -598,13 +594,10 @@ func TestPruningFacade(t *testing.T) {
 	if st.Segments == 0 {
 		t.Fatalf("stats saw no segments: %+v", st)
 	}
-	want, err := pruned.TopKSparse(query.W, 5, scanOf(CosineMetric()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := bruteTopK(rest, query.W, 5, CosineMetric())
 	for i := range want {
 		if got[i].Signature.DocID != want[i].Signature.DocID || got[i].Score != want[i].Score {
-			t.Fatalf("pruned hit %d = (%s, %v), scan says (%s, %v)",
+			t.Fatalf("pruned hit %d = (%s, %v), oracle says (%s, %v)",
 				i, got[i].Signature.DocID, got[i].Score, want[i].Signature.DocID, want[i].Score)
 		}
 	}

@@ -30,8 +30,9 @@
 //	dbench, _ := sys.Collect(fmeter.DbenchWorkload(), 50, 10*time.Second, nil)
 //	sigs, model, _ := fmeter.BuildSignatures(append(scp, dbench...), sys.Dim())
 //
-//	// Similarity database; cosine/Euclidean queries ride an inverted
-//	// index, walked on every core, and snapshots survive restarts.
+//	// Similarity database: every query ranks by cosine or Euclidean,
+//	// the two metrics its inverted index scores, walked on every core;
+//	// snapshots survive restarts.
 //	db, _ := fmeter.NewDB(sys.Dim())
 //	_ = db.AddAll(sigs[1:])
 //	hits, _ := db.TopKSparse(sigs[0].W, 3, fmeter.EuclideanMetric())
@@ -82,7 +83,9 @@ type (
 	Model = core.Model
 	// DB is a labeled signature database with similarity search.
 	DB = core.DB
-	// Metric scores signature similarity or distance.
+	// Metric is CosineMetric or EuclideanMetric, the two measures a DB
+	// query ranks by; a query given any other Metric returns a typed
+	// *ConfigError.
 	Metric = core.Metric
 	// SearchResult is one similarity-query hit.
 	SearchResult = core.SearchResult
@@ -263,21 +266,6 @@ func (s *System) SetCollectorWarnf(fn func(format string, args ...any)) { s.m.Co
 // CollectorStats returns the collector's degradation counters so far.
 func (s *System) CollectorStats() CollectorStats { return s.m.Col.Stats() }
 
-// RunOp executes a catalog operation in a closed loop and returns the
-// virtual elapsed kernel time — the micro-benchmark primitive of Table 1.
-func (s *System) RunOp(name string, times int) (time.Duration, error) {
-	return s.m.Eng.ExecOpName(name, times)
-}
-
-// KernelTime returns total virtual kernel-mode time.
-func (s *System) KernelTime() time.Duration { return s.m.Eng.KernelTime() }
-
-// UserTime returns total virtual user-mode time.
-func (s *System) UserTime() time.Duration { return s.m.Eng.UserTime() }
-
-// Snapshot returns the current per-function invocation totals.
-func (s *System) Snapshot() []uint64 { return s.m.Fm.Snapshot() }
-
 // Workload constructors (§4's evaluation workloads).
 
 // ScpWorkload is the secure-copy workload.
@@ -403,9 +391,6 @@ func CosineMetric() Metric { return core.CosineMetric() }
 
 // EuclideanMetric is the paper's default L2-induced distance.
 func EuclideanMetric() Metric { return core.EuclideanMetric() }
-
-// MinkowskiMetric is the Lp-induced distance for p >= 1.
-func MinkowskiMetric(p float64) Metric { return core.MinkowskiMetric(p) }
 
 // WriteDocuments / ReadDocuments persist interval documents as JSON Lines.
 func WriteDocuments(w io.Writer, docs []*Document) error { return core.WriteDocuments(w, docs) }

@@ -26,12 +26,11 @@ func stressN(normal, stressed int) int {
 
 // refResults precomputes, for every store prefix length n in [0, N],
 // the serialized-execution answer of each query: TopK hits and the
-// classify label a quiescent DB holding exactly sigs[:n] returns. The
-// reference DB is sequential, default layout, queried on the scan arm
-// (scanMetric) — the bit-identical-at-any-layout guarantee
-// (property-swept elsewhere) makes it a valid reference for every
-// lane count, sealing, and loaded-prefix combination the concurrent
-// sweep runs.
+// classify label a quiescent DB holding exactly sigs[:n] returns, from
+// the brute-force oracle (bruteTopK) — the bit-identical-at-any-layout
+// guarantee (property-swept elsewhere) makes it a valid reference for
+// every lane count, sealing, and loaded-prefix combination the
+// concurrent sweep runs.
 type refResults struct {
 	hits   [][][]SearchResult // [n][qi]
 	labels [][]string         // [n][qi]
@@ -43,28 +42,15 @@ func buildRef(t *testing.T, sigs []Signature, queries []*vecmath.Sparse, k int, 
 		hits:   make([][][]SearchResult, len(sigs)+1),
 		labels: make([][]string, len(sigs)+1),
 	}
-	rdb, err := NewDB(sigs[0].Dim())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for n := 0; n <= len(sigs); n++ {
-		if n > 0 {
-			if err := rdb.Add(sigs[n-1]); err != nil {
-				t.Fatal(err)
-			}
-		}
 		ref.hits[n] = make([][]SearchResult, len(queries))
 		ref.labels[n] = make([]string, len(queries))
 		if n == 0 {
 			continue
 		}
 		for qi, q := range queries {
-			ref.hits[n][qi] = scanResults(t, rdb, q, k, metric)
-			label, err := rdb.ClassifySparse(q, k, scanMetric(metric))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.labels[n][qi] = label
+			ref.hits[n][qi] = bruteTopK(sigs[:n], q, k, metric)
+			ref.labels[n][qi] = voteLabel(ref.hits[n][qi], map[string]int{})
 		}
 	}
 	return ref

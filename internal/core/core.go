@@ -22,6 +22,10 @@
 // "prepositions" of kernel execution — e.g. the top-ranked virtual memory
 // routines), including uniform measurement interference from the logging
 // daemon itself (§5).
+//
+// §2.1 defines the whole Lp family of distances; the evaluation compares
+// signatures by cosine similarity and the L2 distance only, and those two
+// (CosineMetric, EuclideanMetric) are the metrics a DB ranks by.
 package core
 
 import (

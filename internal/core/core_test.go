@@ -317,7 +317,7 @@ func TestDBTopKAndClassify(t *testing.T) {
 	}
 
 	query := vecmath.DenseToSparse(vecmath.Vector{0.95, 0.05})
-	for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
+	for _, metric := range []Metric{EuclideanMetric(), CosineMetric()} {
 		hits, err := db.TopKSparse(query, 2, metric)
 		if err != nil {
 			t.Fatalf("%s: %v", metric.Name, err)

@@ -14,45 +14,50 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Metric scores the similarity or dissimilarity of two signature vectors.
+// Metric is one of the two similarity measures the store ranks by:
+// CosineMetric or EuclideanMetric, the two §2.1 metrics the paper's
+// evaluation compares signatures with. A query scores both from the
+// query–signature dot product and the two cached squared norms
+// (cosineDotScore, euclideanDotScore), which is what lets it route
+// through the inverted index, scoring only the posting lists in the
+// query's support. The set is closed: every query entry answers any
+// other Metric, the zero value and a hand-built copy of a built-in
+// included, with a typed *ConfigError.
 type Metric struct {
 	// Name identifies the metric in reports.
 	Name string
 	// Score computes the metric value for two dense vectors of equal
-	// dimension. It is the fallback path: DB scans use SparseScore when
-	// available; for metrics without one every stored signature is
-	// materialized dense per query — an O(n·dim) cost custom metrics
-	// should avoid by providing SparseScore.
+	// dimension. The store never calls it; it serves callers comparing
+	// dense vectors outside a DB.
 	Score func(x, y vecmath.Vector) (float64, error)
-	// SparseScore, when non-nil, computes the same metric from the
-	// canonical sparse forms in O(nnz) instead of O(dim). All three paper
-	// metrics provide it.
-	SparseScore func(x, y *vecmath.Sparse) float64
 	// HigherIsCloser is true for similarities (cosine) and false for
-	// distances (Euclidean, Minkowski).
+	// distances (Euclidean).
 	HigherIsCloser bool
-	// kind tags the two built-in metrics whose value can be recovered
-	// from the query–signature dot product and the two cached squared
-	// norms (cosineDotScore, euclideanDotScore) — the contract that lets
-	// a query route through the inverted index, scoring only posting lists
-	// in the query's support. The recovery is bit-identical to
-	// SparseScore given a bit-identical dot (the index guarantees that;
-	// see blockPostings.dots). Only the package constructors can set it,
-	// so custom metrics always take the exhaustive scan.
+	// kind tags the built-in metric; only the package constructors can
+	// set it.
 	kind metricKind
 }
 
-// metricKind discriminates the built-in indexable metrics.
+// metricKind discriminates the built-in metrics; the zero value is none
+// of them.
 type metricKind uint8
 
 const (
-	metricKindOther metricKind = iota
+	metricKindNone metricKind = iota
 	metricKindCosine
 	metricKindEuclidean
 )
 
-// indexable reports whether the metric can ride the inverted index.
-func (m *Metric) indexable() bool { return m.kind != metricKindOther }
+// checkMetric rejects any Metric a constructor did not build: no kind,
+// or an ordering that contradicts it.
+//
+//fmeter:errdomain config
+func checkMetric(m Metric) error {
+	if m.kind == metricKindNone || m.HigherIsCloser != (m.kind == metricKindCosine) {
+		return &ConfigError{Param: "metric", Msg: fmt.Sprintf("metric %q is neither CosineMetric nor EuclideanMetric", m.Name)}
+	}
+	return nil
+}
 
 // cosineDotScore mirrors Sparse.Cosine exactly: same zero-norm guard,
 // same divisor association, same clamp.
@@ -79,69 +84,28 @@ func euclideanDotScore(dot, qNorm2, sNorm2 float64) float64 {
 	return math.Sqrt(d2)
 }
 
-// CosineMetric is the cosine similarity of §2.1. Its sparse path is
-// bit-identical to the dense one (both accumulate in index order), and
-// its indexed path is bit-identical to the sparse one (same dot, same
-// norm algebra).
+// CosineMetric is the cosine similarity of §2.1. The store's score is
+// bit-identical to the dense one (both accumulate in index order).
 func CosineMetric() Metric {
 	return Metric{
 		Name:           "cosine",
 		Score:          vecmath.Cosine,
-		SparseScore:    func(x, y *vecmath.Sparse) float64 { return x.Cosine(y) },
 		HigherIsCloser: true,
 		kind:           metricKindCosine,
 	}
 }
 
 // EuclideanMetric is the L2-induced distance, the paper's default. The
-// sparse path uses the cached-norm identity ||x||²-2x·y+||y||², which
-// agrees with the dense loop to ~1e-9 relative but is not bit-identical.
-// The indexed path evaluates the very same identity from the very same
-// dot, so indexed and scan results are bit-identical.
+// store scores it with the cached-norm identity ||x||²-2x·y+||y||²,
+// which agrees with the dense loop to ~1e-9 relative but is not
+// bit-identical.
 func EuclideanMetric() Metric {
 	return Metric{
 		Name:           "euclidean",
 		Score:          vecmath.Euclidean,
-		SparseScore:    func(x, y *vecmath.Sparse) float64 { return x.Euclidean(y) },
 		HigherIsCloser: false,
 		kind:           metricKindEuclidean,
 	}
-}
-
-// MinkowskiMetric is the Lp-induced distance for p >= 1. The sparse path
-// merges the support union in ascending index order, so it scores in
-// O(nnz) and is bit-identical to the dense loop for every p. Orders
-// below 1 get no sparse path so the dense validation reports the error.
-//
-// Minkowski metrics never ride the inverted index — not even p=2. Their
-// scan path is the union merge walk, which is bit-distinct from the
-// cached-norm identity the index recovers distances with, and the DB
-// promises indexed results bit-identical to the scan. Callers that want
-// indexed L2 retrieval use EuclideanMetric, whose scan path already is
-// the norm identity.
-func MinkowskiMetric(p float64) Metric {
-	m := Metric{
-		Name: fmt.Sprintf("minkowski(p=%g)", p),
-		Score: func(x, y vecmath.Vector) (float64, error) {
-			return vecmath.Minkowski(x, y, p)
-		},
-		HigherIsCloser: false,
-	}
-	if p >= 1 || math.IsInf(p, 1) {
-		m.SparseScore = func(x, y *vecmath.Sparse) float64 {
-			d, err := x.Minkowski(y, p)
-			if err != nil {
-				// p was validated at construction, so only a dimension
-				// mismatch reaches here; panic like the other
-				// pre-validated sparse hot-loop ops (Dot, DotDense)
-				// rather than silently scoring a mis-sized vector as
-				// distance 0.
-				panic(err)
-			}
-			return d
-		}
-	}
-	return m
 }
 
 // DimensionError reports a signature or query whose dimension does not
@@ -238,15 +202,13 @@ type SearchResult struct {
 // seals, saves and loads. Add appends to the last, active segment
 // (indexed in immutable posting runs as it grows); a segment that fills
 // becomes immutable, its whole range one posting run that the first
-// query to walk it encodes from its rows (see segment.go). For the
-// built-in cosine and Euclidean metrics a query accumulates dot
-// products down only the posting lists in its support; other metrics
-// take the exhaustive scan. A query walks the segments in lanes, one per worker
-// (view.go deals them the rows), each pruning against the one
-// store-wide seed threshold, and merges the lanes' survivors through a
-// heap keyed on (score, insertion index). Both paths order candidates by the same total order,
-// so a query returns identical results at every segment layout and
-// worker count, indexed or not.
+// query to walk it encodes from its rows (see segment.go). A query
+// accumulates dot products down only the posting lists in its support.
+// It walks the segments in lanes, one per worker (view.go deals them
+// the rows), each pruning against the one store-wide seed threshold,
+// and merges the lanes' survivors through a heap keyed on (score,
+// insertion index), a total order, so a query returns identical results
+// at every segment layout and worker count.
 //
 // Persistence has one format: SaveDir/LoadDir keep a snapshot directory
 // (manifest + CRC-checked files of row ranges, see manifest.go) where a
@@ -509,7 +471,8 @@ func (db *DB) All() []Signature {
 }
 
 // dbScratch is the per-worker working state of one query evaluation:
-// per-lane bounded heaps and score accumulators, the dense view of the query, and the classification vote state (a reused
+// per-lane bounded heaps and score accumulators, the dense view of the
+// query, and the classification vote state (a reused
 // label-count map plus a hit buffer, so labelling allocates nothing in
 // steady state). A scratch is checked out of the DB's pool for the
 // duration of one query, so concurrent readers never share one and a
@@ -528,7 +491,6 @@ type dbScratch struct {
 type laneScratch struct {
 	heap  topkHeap
 	acc   vecmath.Accumulator
-	dense vecmath.Vector
 	prune pruneScratch
 	// stats collects this lane's pruning counters for the current query
 	// (reset by topk); queryOne sums them when asked.
@@ -835,8 +797,8 @@ func (db *DB) ClassifyBatch(queries []*vecmath.Sparse, k int, metric Metric) ([]
 }
 
 // topk evaluates one query against a loaded view on the caller-held
-// scratch: an indexed query builds the view's pending posting runs
-// (the first one on a view pays for them, buildRuns), one seed
+// scratch: the query builds the view's pending posting runs (the first
+// one on a view pays for them, buildRuns), one seed
 // pass fills lane 0's heap, every other lane's heap
 // starts as a copy of it (seed), the lanes score their rows over
 // workers, and the other lanes' non-seed survivors merge into lane 0's
@@ -854,6 +816,9 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 	if k < 1 {
 		return nil, &ConfigError{Param: "k", Value: k, Min: 1}
 	}
+	if err := checkMetric(metric); err != nil {
+		return nil, err
+	}
 	qNorm2 := query.Norm2()
 	if !finite(qNorm2) {
 		return nil, errNonFinite("query", "query", qNorm2)
@@ -862,21 +827,15 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 	if n == 0 {
 		return nil, ErrEmptyDB
 	}
-	if metric.indexable() {
-		buildRuns(db.dim, v.sigs, v.runs)
-	}
+	buildRuns(db.dim, v.sigs, v.runs)
 	k = min(k, n)
 	nl := v.lanes
-	lq := laneQuery{v: v, query: query, k: k, metric: metric, cosine: metric.kind == metricKindCosine, qNorm2: qNorm2, p: nl}
-	// The indexed path gathers every canonical dot from a dense view of
-	// the query and the dense fallback scores against one: the pooled
-	// vector, scattered once here, only read by the lanes, and zeroed
-	// again over the query's own support on the way out.
-	if metric.indexable() || metric.SparseScore == nil {
-		lq.qd = sc.qd
-		query.Scatter(lq.qd)
-		defer query.Unscatter(lq.qd)
-	}
+	lq := laneQuery{v: v, query: query, qd: sc.qd, k: k, cosine: metric.kind == metricKindCosine, qNorm2: qNorm2, p: nl}
+	// Every canonical dot is gathered from a dense view of the query: the
+	// pooled vector, scattered once here, only read by the lanes, and
+	// zeroed again over the query's own support on the way out.
+	query.Scatter(lq.qd)
+	defer query.Unscatter(lq.qd)
 	for len(sc.lanes) < nl {
 		sc.lanes = append(sc.lanes, laneScratch{})
 	}
@@ -890,16 +849,10 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 		// closure and stays allocation-free.
 		lq.seed(lanes)
 		for l := range lanes {
-			if err := lq.walk(&lanes[l], l); err != nil {
-				return nil, err
-			}
+			lq.walk(&lanes[l], l)
 		}
 	} else {
-		seeds, err := walkLanesParallel(lq, workers, lanes)
-		if err != nil {
-			return nil, err
-		}
-		lq.seeds = seeds
+		lq.seeds = walkLanesParallel(lq, workers, lanes)
 	}
 	h := &lanes[0].heap
 	for l := 1; l < nl; l++ {
@@ -926,14 +879,14 @@ func (db *DB) topk(v *dbView, sc *dbScratch, query *vecmath.Sparse, k int, metri
 }
 
 // laneQuery is what the p lanes of one query read: the loaded view, the
-// query, the metric, and the seed pass's rows (ascending) and whether
-// it filled the heaps, so indexed units may take the pruned walk.
+// query and its dense view, the metric (cosine or Euclidean), and the
+// seed pass's rows (ascending) and whether it filled the heaps, so
+// indexed units may take the pruned walk.
 type laneQuery struct {
 	v      *dbView
 	query  *vecmath.Sparse
 	qd     vecmath.Vector
 	k      int
-	metric Metric
 	cosine bool
 	qNorm2 float64
 	p      int
@@ -947,8 +900,8 @@ type laneQuery struct {
 // any unit is walked, and indexed units take the pruned walk (prune.go).
 func (lq *laneQuery) seed(lanes []laneScratch) {
 	h := &lanes[0].heap
-	h.reset(lq.metric.HigherIsCloser)
-	if lq.metric.indexable() && lq.v.unit(0).blocks != nil && len(lq.v.sigs) >= lq.v.cfg.pruneFloor {
+	h.reset(lq.cosine)
+	if lq.v.unit(0).blocks != nil && len(lq.v.sigs) >= lq.v.cfg.pruneFloor {
 		lq.seeds = seedHeap(lq, &lanes[0].prune, h)
 		lq.prune = len(h.idx) == lq.k
 	}
@@ -962,92 +915,58 @@ func (lq *laneQuery) seed(lanes []laneScratch) {
 // returns the seed rows; the other lanes start up while lane 0 seeds.
 // The closure (and the copy of lq it boxes) exists only on this path,
 // so the sequential path stays allocation-free.
-func walkLanesParallel(lq laneQuery, workers int, lanes []laneScratch) ([]int32, error) {
+func walkLanesParallel(lq laneQuery, workers int, lanes []laneScratch) []int32 {
 	seeded := make(chan struct{})
-	err := parallel.For(workers, len(lanes), func(l int) error {
+	parallel.For(workers, len(lanes), func(l int) error {
 		if l == 0 {
 			lq.seed(lanes)
 			close(seeded)
 		} else {
 			<-seeded
 		}
-		return lq.walk(&lanes[l], l)
+		lq.walk(&lanes[l], l)
+		return nil
 	})
-	return lq.seeds, err
+	return lq.seeds
 }
 
 // walk scores lane l's rows against the query into the lane's heap,
-// unit by unit in order: the inverted-index accumulate when the metric
-// is indexable, the sparse merge-walk scan when it has a sparse path,
-// the dense-materializing scan otherwise; the indexed walk passes over a
-// unit that holds none of the lane's rows. Unit boundaries never change
-// a score — each candidate's arithmetic is per-signature — and the
-// heap's (score, insertion index) total order never depends on arrival
-// order, so results are bit-identical at any segment layout and lane
-// count.
-func (lq *laneQuery) walk(ls *laneScratch, l int) error {
+// unit by unit in order, passing over a unit that holds none of the
+// lane's rows. Every score that reaches the heap is the same float
+// sequence whichever arm produces it: the row's products with the query
+// in ascending dimension order, through the cached-norm algebra. The
+// posting walk (blockPostings.dots) accumulates them down the query's
+// lists and scores the rows it touched from their sums in O(1), the
+// untouched ones only if a zero dot could still get in (offerWalk); the
+// gather dot (dbView.score) sums them for one row at a time, and scores
+// the active segment's unindexed tail, the seeds, the pruned walk's
+// survivors, and any indexed unit the walk would cost more than scanning
+// (scanBeatsWalk). Unit boundaries never change a score, and the heap's
+// (score, insertion index) total order never depends on arrival order,
+// so results are bit-identical at any segment layout and lane count.
+func (lq *laneQuery) walk(ls *laneScratch, l int) {
 	v, h, k, p := lq.v, &ls.heap, lq.k, lq.p
-	switch {
-	case lq.metric.indexable():
-		// Every score that reaches the heap is the same float sequence
-		// whichever arm produces it: the row's products with the query in
-		// ascending dimension order, through the cached-norm algebra. The
-		// posting walk (blockPostings.dots) accumulates them down the
-		// query's lists and scores the rows it touched from their sums in
-		// O(1), the untouched ones only if a zero dot could still get in
-		// (offerWalk); the gather dot (dbView.score) sums them for one row
-		// at a time, and scores the active segment's unindexed tail, the
-		// seeds, the pruned walk's survivors, and any indexed unit the
-		// walk would cost more than scanning (scanBeatsWalk).
-		for i := range v.segs {
-			sg := v.unit(i)
-			if laneFirst(sg.start, l, p) >= sg.end {
-				continue // the unit holds none of the lane's rows
-			}
-			ls.stats.Segments++
-			if lq.prune && sg.blocks != nil && prunedSegment(lq, sg, ls, l) {
-				continue
-			}
-			if sg.blocks == nil || sg.blocks.scanBeatsWalk(lq.query) {
-				ls.stats.SegmentsScanned++
-				offerCanonical(h, k, v, sg, lq.qd, lq.cosine, lq.qNorm2, lq.seeds, l, p)
-				continue
-			}
-			ls.prune.beginStamps(sg.start, sg.blocks.n, lq.seeds, l, p)
-			sg.blocks.dots(lq.query, &ls.acc, &ls.prune)
-			offerWalk(h, k, v, sg, &ls.acc, &ls.prune, lq.cosine, lq.qNorm2)
+	for i := range v.segs {
+		sg := v.unit(i)
+		if laneFirst(sg.start, l, p) >= sg.end {
+			continue // the unit holds none of the lane's rows
 		}
-	case lq.metric.SparseScore != nil:
-		for _, sg := range v.segs {
-			for c := laneFirst(sg.start, l, p); c < sg.end; c += p * laneChunk {
-				for j := max(c, sg.start); j < min(c+laneChunk, sg.end); j++ {
-					h.offer(k, j, lq.metric.SparseScore(lq.query, v.sigs[j].W))
-				}
-			}
+		ls.stats.Segments++
+		if lq.prune && sg.blocks != nil && prunedSegment(lq, sg, ls, l) {
+			continue
 		}
-	default:
-		// One scratch buffer per lane keeps the dense-fallback scan at
-		// O(1) allocation instead of one materialization per stored
-		// signature.
-		if len(ls.dense) != lq.query.Dim() {
-			ls.dense = vecmath.NewVector(lq.query.Dim())
+		if sg.blocks == nil || sg.blocks.scanBeatsWalk(lq.query) {
+			ls.stats.SegmentsScanned++
+			offerCanonical(h, k, v, sg, lq.qd, lq.cosine, lq.qNorm2, lq.seeds, l, p)
+			continue
 		}
-		for _, sg := range v.segs {
-			for c := laneFirst(sg.start, l, p); c < sg.end; c += p * laneChunk {
-				for j := max(c, sg.start); j < min(c+laneChunk, sg.end); j++ {
-					score, err := lq.metric.Score(lq.qd, v.sigs[j].W.DenseInto(ls.dense))
-					if err != nil {
-						return err
-					}
-					h.offer(k, j, score)
-				}
-			}
-		}
+		ls.prune.beginStamps(sg.start, sg.blocks.n, lq.seeds, l, p)
+		sg.blocks.dots(lq.query, &ls.acc, &ls.prune)
+		offerWalk(h, k, v, sg, &ls.acc, &ls.prune, lq.cosine, lq.qNorm2)
 	}
-	return nil
 }
 
-// score is the canonical score of row j on the indexed path: the row's
+// score is the canonical score of row j: the row's
 // gather dot against the dense query qd — the products Sparse.Dot sums,
 // in the same ascending order, plus an exact ±0 for every dimension of
 // the row the query lacks (vecmath.Sparse.Scatter) — put through the
@@ -1058,8 +977,8 @@ func (v *dbView) score(j int, qd vecmath.Vector, cosine bool, qNorm2 float64) fl
 	return dotScore(v.sigs[j].W.DotDense(qd), qNorm2, v.norms[j], cosine)
 }
 
-// dotScore puts a dot product through the indexed metric's cached-norm
-// algebra — the one score formula of the indexed path.
+// dotScore puts a dot product through the metric's cached-norm algebra
+// — the one score formula of the store.
 func dotScore(dot, qNorm2, sNorm2 float64, cosine bool) float64 {
 	if cosine {
 		return cosineDotScore(dot, qNorm2, sNorm2)
@@ -1069,7 +988,7 @@ func dotScore(dot, qNorm2, sNorm2 float64, cosine bool) float64 {
 
 // offerCanonical scores lane l of p's rows of one walk unit with the
 // canonical gather dot and offers the results, skipping the rows in
-// seeds like the other offer loops. It is the indexed path's dense scan:
+// seeds like the other offer loops. It is the store's dense scan:
 // the active segment's unindexed tail (the rows no posting run covers
 // yet) and the indexed units scanBeatsWalk hands it.
 //

@@ -69,7 +69,7 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	if back.Segments() != src.Segments() {
 		t.Fatalf("reloaded segments = %d, want %d", back.Segments(), src.Segments())
 	}
-	for _, m := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
+	for _, m := range []Metric{EuclideanMetric(), CosineMetric()} {
 		ref, err := src.TopKSparse(query, k, m)
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResults(t, "reloaded indexed "+m.Name, got, ref)
-		sameResults(t, "reloaded scan "+m.Name, scanResults(t, back, query, k, m), ref)
+		sameResults(t, "reloaded oracle "+m.Name, bruteResults(back, query, k, m), ref)
 	}
 	_ = want
 

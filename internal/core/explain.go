@@ -113,8 +113,7 @@ func abs(x float64) float64 {
 
 // PruneStats are one query's threshold-pruning counters — the
 // operator-facing "what did pruning actually buy" view (see prune.go),
-// summed over the query's lanes. All counters cover the indexed path
-// only; scan queries report zeros.
+// summed over the query's lanes.
 type PruneStats struct {
 	// Segments is the number of walk units the indexed walk visited —
 	// each posting run of a segment (a full segment's is one) and an

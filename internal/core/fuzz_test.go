@@ -11,32 +11,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/vecmath"
 )
-
-// bruteTopK is the naive retrieval oracle: it scores every signature of
-// sigs against q with m.SparseScore, orders them closest first (ties by
-// insertion order) and keeps the first k.
-func bruteTopK(sigs []Signature, q *vecmath.Sparse, k int, m Metric) []SearchResult {
-	out := make([]SearchResult, len(sigs))
-	for i, s := range sigs {
-		out[i] = SearchResult{Signature: s, Score: m.SparseScore(q, s.W)}
-	}
-	slices.SortStableFunc(out, func(a, b SearchResult) int {
-		switch {
-		case a.Score == b.Score:
-			return 0
-		case (a.Score > b.Score) == m.HigherIsCloser:
-			return -1
-		}
-		return 1
-	})
-	return out[:min(k, len(out))]
-}
 
 // checkLoadedStore holds a store that loaded from fuzzed bytes to three
 // oracles: it has the one segment layout, its answers are bit-identical

@@ -73,8 +73,8 @@ func requireSameHits(t *testing.T, ctx string, got, want []SearchResult) {
 
 // TestPrunedTopKMatchesScan is the exact-mode property sweep: across
 // seeds, lane counts, storage layouts, and both
-// indexable metrics, the threshold-pruned TopK/TopKBatch/Classify must
-// be bit-identical to the unpruned exhaustive scan. Duplicate
+// metrics, the threshold-pruned TopK/TopKBatch/Classify must be
+// bit-identical to the brute-force oracle (bruteTopK). Duplicate
 // signatures force equal scores through the insertion-order tie-break,
 // the adversarial case for any bound-based skip.
 func TestPrunedTopKMatchesScan(t *testing.T) {
@@ -94,24 +94,13 @@ func TestPrunedTopKMatchesScan(t *testing.T) {
 		// fill with poor scores (weak thresholds, little pruning).
 		queries[3] = sigs[0].W
 
-		// Scan reference: sequential, queried on the scan arm.
-		ref, err := NewDB(dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.AddAll(sigs); err != nil {
-			t.Fatal(err)
-		}
-
 		for _, metric := range metrics {
 			for _, k := range []int{1, 7, 40} {
 				want := make([][]SearchResult, len(queries))
 				wantLabel := make([]string, len(queries))
 				for qi, q := range queries {
-					want[qi] = scanResults(t, ref, q, k, metric)
-					if wantLabel[qi], err = ref.ClassifySparse(q, k, scanMetric(metric)); err != nil {
-						t.Fatal(err)
-					}
+					want[qi] = bruteTopK(sigs, q, k, metric)
+					wantLabel[qi] = voteLabel(want[qi], map[string]int{})
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
 					for _, layout := range []string{"sealed", "mixed", "loaded"} {
@@ -239,13 +228,10 @@ func TestPruneStatsCounters(t *testing.T) {
 	}
 }
 
-// TestQueryRouting pins that the arm a query takes is decided by its
-// metric and the stored data alone: an indexable metric over a sealed
-// store at or above the prune floor takes the pruned walk, the same
-// store below the floor the plain walk, and a metric
-// without a kind — Minkowski, or a copy of a built-in with the kind
-// cleared, which is all a custom metric can be — the scan, whose
-// counters stay zero. All three arms return the same hits.
+// TestQueryRouting pins that the arm a query takes is decided by the
+// stored data alone: a sealed store at or above the prune floor takes
+// the pruned walk, the same store below the floor the plain walk. Both
+// arms return the oracle's hits (bruteTopK).
 func TestQueryRouting(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	sigs := clusterSigs(r, 3000, 200, 250)
@@ -267,29 +253,16 @@ func TestQueryRouting(t *testing.T) {
 		if st.SegmentsPruned == 0 {
 			t.Fatalf("%s: a store of %d rows at floor %d was not pruned: %+v", metric.Name, len(sigs), pruneMinRows, st)
 		}
-		for _, arm := range []struct {
-			name     string
-			metric   Metric
-			floor    int
-			scan     bool // the scan arm: every counter stays zero
-			sameHits bool
-		}{
-			{"below the floor", metric, math.MaxInt, false, true},
-			{"kind-less copy", scanMetric(metric), 0, true, true},
-			{"minkowski", MinkowskiMetric(3), 0, true, false},
-		} {
-			db.setPruneFloor(arm.floor)
-			got, st, err := db.TopKSparseStats(q, 5, arm.metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if arm.scan != (st == PruneStats{}) || st.SegmentsPruned != 0 {
-				t.Fatalf("%s, %s: took the wrong arm: %+v", metric.Name, arm.name, st)
-			}
-			if arm.sameHits {
-				requireSameHits(t, metric.Name+", "+arm.name, got, want)
-			}
+		requireSameHits(t, metric.Name+", pruned", want, bruteTopK(sigs, q, 5, metric))
+		db.setPruneFloor(math.MaxInt)
+		got, st, err := db.TopKSparseStats(q, 5, metric)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if st.Segments == 0 || st.SegmentsPruned != 0 {
+			t.Fatalf("%s, below the floor: took the wrong arm: %+v", metric.Name, st)
+		}
+		requireSameHits(t, metric.Name+", below the floor", got, want)
 		db.setPruneFloor(0)
 	}
 }
@@ -412,20 +385,13 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 		}},
 	}
 	for _, sh := range shapes {
-		ref, err := NewDB(shapeDim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.AddAll(sh.sigs); err != nil {
-			t.Fatal(err)
-		}
 		for _, metric := range []Metric{CosineMetric(), EuclideanMetric()} {
 			// The largest k reaches past a query's own class, into the
 			// neighbor-class candidates only one or two lists touch.
 			for _, k := range []int{1, 10, classSize + 100} {
 				want := make([][]SearchResult, len(sh.queries))
 				for qi, q := range sh.queries {
-					want[qi] = scanResults(t, ref, q, k, metric)
+					want[qi] = bruteTopK(sh.sigs, q, k, metric)
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
 					for _, layout := range []string{"sealed", "runs"} {
@@ -548,13 +514,6 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		sigs := walkSigs(r, fx.n, fx.split)
-		ref, err := NewDB(touchDim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.AddAll(sigs); err != nil {
-			t.Fatal(err)
-		}
 		db, err := NewDB(touchDim)
 		if err != nil {
 			t.Fatal(err)
@@ -580,7 +539,7 @@ func TestWalkScoresTouchedRows(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireSameHits(t, ctx, got, scanResults(t, ref, q, k, metric))
+						requireSameHits(t, ctx, got, bruteTopK(sigs, q, k, metric))
 						walked += st.Segments - st.SegmentsPruned - st.SegmentsScanned
 					}
 				}
@@ -767,7 +726,7 @@ func TestEssentialPrefix(t *testing.T) {
 			{
 				// One lane's pruned arm, unit by unit, with every cut
 				// also taken by the oracle against the same live root.
-				lq := laneQuery{v: v, query: q.W, qd: qd, k: k, metric: metric, cosine: cosine, qNorm2: qNorm2, p: 1}
+				lq := laneQuery{v: v, query: q.W, qd: qd, k: k, cosine: cosine, qNorm2: qNorm2, p: 1}
 				var ls laneScratch
 				h := &ls.heap
 				h.reset(metric.HigherIsCloser)

@@ -46,11 +46,11 @@ func checkLayout(t *testing.T, tag string, db *DB) {
 // TestTopKSegmentedMatchesUnsegmented is the equivalence property the
 // segment layout rests on: over random corpora, at every segment size
 // and lane count, a store fed with explicit Seal calls mid-stream must
-// hold the layout its row count implies and answer TopK — indexed and
-// scan — and ClassifyBatch bit-identically to the unsegmented
-// sequential reference.
+// hold the layout its row count implies and answer TopK and
+// ClassifyBatch bit-identically to the unsegmented sequential reference
+// and TopK to the brute-force oracle (bruteTopK).
 func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
-	metrics := []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)}
+	metrics := []Metric{EuclideanMetric(), CosineMetric()}
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		dim := 60 + r.Intn(100)
@@ -115,7 +115,7 @@ func TestTopKSegmentedMatchesUnsegmented(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameResults(t, tag+" "+m.Name+" indexed", got, want)
-					sameResults(t, tag+" "+m.Name+" scan", scanResults(t, db, queries[0], k, m), want)
+					sameResults(t, tag+" "+m.Name+" oracle", bruteTopK(sigs, queries[0], k, m), want)
 				}
 				wantLabels, err := ref.ClassifyBatch(queries, 5, EuclideanMetric())
 				if err != nil {

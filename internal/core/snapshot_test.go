@@ -75,7 +75,7 @@ func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 		loaded.SetWorkers(workers)
 		for _, db := range []*DB{loaded, rebuild(t, loaded, workers)} {
 			sameStore(t, fmt.Sprintf("workers=%d", workers), db, src)
-			for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1)} {
+			for _, metric := range []Metric{EuclideanMetric(), CosineMetric()} {
 				got, err := db.TopKSparse(query, 20, metric)
 				if err != nil {
 					t.Fatalf("workers=%d %s: %v", workers, metric.Name, err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -24,37 +23,8 @@ func randSigs(r *rand.Rand, n, dim, nnz int) []Signature {
 	return out
 }
 
-// sortTopK is the reference implementation: score everything (through
-// the same sparse path the DB uses), stable sort, truncate.
-func sortTopK(sigs []Signature, query *vecmath.Sparse, k int, metric Metric) []SearchResult {
-	results := make([]SearchResult, 0, len(sigs))
-	for _, s := range sigs {
-		var score float64
-		if metric.SparseScore != nil {
-			score = metric.SparseScore(query, s.W)
-		} else {
-			var err error
-			score, err = metric.Score(query.Dense(), s.Dense())
-			if err != nil {
-				panic(err)
-			}
-		}
-		results = append(results, SearchResult{Signature: s, Score: score})
-	}
-	sort.SliceStable(results, func(i, j int) bool {
-		if metric.HigherIsCloser {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Score < results[j].Score
-	})
-	if k > len(results) {
-		k = len(results)
-	}
-	return results[:k]
-}
-
 // TestTopKShardedMatchesSort checks the heap + lane-merge machinery
-// against the stable-sort reference at several lane counts, including
+// against the stable-sort oracle (bruteTopK) at several lane counts, including
 // duplicate signatures so equal scores exercise the insertion-order
 // tie-break across lane boundaries.
 func TestTopKShardedMatchesSort(t *testing.T) {
@@ -79,13 +49,13 @@ func TestTopKShardedMatchesSort(t *testing.T) {
 			if err := db.AddAll(sigs); err != nil {
 				t.Fatal(err)
 			}
-			for _, metric := range []Metric{EuclideanMetric(), CosineMetric(), MinkowskiMetric(1), MinkowskiMetric(3)} {
+			for _, metric := range []Metric{EuclideanMetric(), CosineMetric()} {
 				for _, k := range []int{1, 2, 10, 100, len(sigs), len(sigs) + 5} {
 					got, err := db.TopKSparse(query, k, metric)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := sortTopK(sigs, query, k, metric)
+					want := bruteTopK(sigs, query, k, metric)
 					if len(got) != len(want) {
 						t.Fatalf("workers=%d segsize=%d %s k=%d: len %d vs %d", workers, segSize, metric.Name, k, len(got), len(want))
 					}
@@ -98,37 +68,6 @@ func TestTopKShardedMatchesSort(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestTopKDenseFallbackMetric drives a metric with no sparse path through
-// the dense-materializing fallback scan.
-func TestTopKDenseFallbackMetric(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	const dim = 60
-	sigs := randSigs(r, 50, dim, 10)
-	db, err := newTestDB(dim, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddAll(sigs); err != nil {
-		t.Fatal(err)
-	}
-	custom := Metric{
-		Name:           "dot",
-		Score:          func(x, y vecmath.Vector) (float64, error) { return x.Dot(y) },
-		HigherIsCloser: true,
-	}
-	query := randSigs(r, 1, dim, 10)[0].W
-	got, err := db.TopKSparse(query, 5, custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sortTopK(sigs, query, 5, custom)
-	for i := range got {
-		if got[i].Signature.DocID != want[i].Signature.DocID {
-			t.Fatalf("hit %d = %s, want %s", i, got[i].Signature.DocID, want[i].Signature.DocID)
 		}
 	}
 }
@@ -168,7 +107,10 @@ var queryEntries = map[string]func(db *DB, q *vecmath.Sparse, k int, m Metric) e
 // TestDBTypedErrors pins the typed validation errors through every
 // query entry: nil queries and k < 1 as *ConfigError, dimension
 // mismatches as *DimensionError before any scan work, empty databases
-// as ErrEmptyDB, a closed one as the "database" *ConfigError.
+// as ErrEmptyDB, a closed one as the "database" *ConfigError, and a
+// metric other than the two built-ins — the zero Metric, a built-in
+// rebuilt from its public fields, a built-in with its ordering flipped
+// — as the "metric" *ConfigError, on an empty store and a filled one.
 func TestDBTypedErrors(t *testing.T) {
 	db, err := newTestDB(4, 2)
 	if err != nil {
@@ -177,7 +119,22 @@ func TestDBTypedErrors(t *testing.T) {
 	var dimErr *DimensionError
 	var cfgErr *ConfigError
 	q := vecmath.DenseToSparse(vecmath.Vector{1, 2, 3, 4})
+	badMetrics := []Metric{{}}
+	for _, m := range []Metric{CosineMetric(), EuclideanMetric()} {
+		badMetrics = append(badMetrics, Metric{Name: m.Name, Score: m.Score, HigherIsCloser: m.HigherIsCloser})
+		m.HigherIsCloser = !m.HigherIsCloser
+		badMetrics = append(badMetrics, m)
+	}
+	rejectsMetrics := func(entry string, ask func(db *DB, q *vecmath.Sparse, k int, m Metric) error) {
+		t.Helper()
+		for _, m := range badMetrics {
+			if err := ask(db, q, 3, m); !errors.As(err, &cfgErr) || cfgErr.Param != "metric" {
+				t.Fatalf("%s, %d rows, metric %+v: err = %v, want a metric *ConfigError", entry, db.Len(), m, err)
+			}
+		}
+	}
 	for entry, ask := range queryEntries {
+		rejectsMetrics(entry, ask)
 		if err := ask(db, vecmath.DenseToSparse(vecmath.Vector{1, 2}), 3, EuclideanMetric()); !errors.As(err, &dimErr) {
 			t.Fatalf("%s wrong-dim error = %v, want *DimensionError", entry, err)
 		} else if dimErr.What != "query 0" || dimErr.Got != 2 || dimErr.Want != 4 {
@@ -203,6 +160,7 @@ func TestDBTypedErrors(t *testing.T) {
 		if err := ask(db, q, 0, EuclideanMetric()); !errors.As(err, &cfgErr) || cfgErr.Param != "k" {
 			t.Fatalf("%s k=0 error = %v, want a k *ConfigError", entry, err)
 		}
+		rejectsMetrics(entry, ask)
 	}
 	// AddAll surfaces the offending signature's typed error.
 	bad := []Signature{{DocID: "ok", W: q}, SignatureFromDense("short", "", vecmath.Vector{1})}
@@ -230,7 +188,7 @@ func BenchmarkDBTopK(b *testing.B) {
 	b.Run("sort-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sortTopK(sigs, query, k, metric)
+			bruteTopK(sigs, query, k, metric)
 		}
 	})
 	db, _ := NewDB(dim)
@@ -247,39 +205,11 @@ func BenchmarkDBTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkDBTopKSharded measures the exhaustive scan at paper scale,
-// walked in one lane and in four (bounded lane heaps merged into lane
-// 0's). The kind-less metric takes the scan arm — this is the scan
-// baseline the indexed benchmarks are compared against.
-func BenchmarkDBTopKSharded(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	const dim, nnz, n, k = 3815, 150, 2000, 10
-	sigs := randSigs(r, n, dim, nnz)
-	query := randSigs(r, 1, dim, nnz)[0].W
-	metric := scanMetric(EuclideanMetric())
-	for _, workers := range []int{1, 4} {
-		db, err := newTestDB(dim, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := db.AddAll(sigs); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.TopKSparse(query, k, metric); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDBTopKIndexed measures inverted-index retrieval on the same
-// corpus shape as BenchmarkDBTopKSharded: score accumulation touches
+// BenchmarkDBTopKIndexed measures inverted-index retrieval at paper
+// scale, walked in one lane and in four: score accumulation touches
 // only the posting lists in the query's ~150-dim support instead of
-// merge-walking all 2000 stored signatures.
+// merge-walking all 2000 stored signatures (BenchmarkDBTopK's
+// sort-reference arm).
 func BenchmarkDBTopKIndexed(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	const dim, nnz, n, k = 3815, 150, 2000, 10
@@ -513,9 +443,23 @@ func TestClassifyBatchInto(t *testing.T) {
 	}
 }
 
+// slotCtx is a context that ends once a watched hit slot is written:
+// its Err reports context.Canceled from then on.
+type slotCtx struct {
+	context.Context
+	slot *[]SearchResult
+}
+
+func (c slotCtx) Err() error {
+	if len(*c.slot) > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestQueryCancelled pins where a request stops once its context ends:
 // at the next query boundary, with the context's error, the later slots
-// untouched. The metric cancels the context while query 0 is scoring.
+// untouched. The context ends as soon as query 0 has answered.
 func TestQueryCancelled(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	const dim, nnz = 40, 6
@@ -527,16 +471,11 @@ func TestQueryCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetWorkers(-1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	metric := Metric{Name: "cancelling", SparseScore: func(x, y *vecmath.Sparse) float64 {
-		cancel()
-		return x.Euclidean(y)
-	}}
 	untouched := []SearchResult{{Score: -1}}
 	qs := randSigs(r, 3, dim, nnz)
-	q := Query{Queries: []*vecmath.Sparse{qs[0].W, qs[1].W, qs[2].W}, K: 3, Metric: metric,
+	q := Query{Queries: []*vecmath.Sparse{qs[0].W, qs[1].W, qs[2].W}, K: 3, Metric: EuclideanMetric(),
 		Hits: [][]SearchResult{nil, untouched, untouched}}
+	ctx := slotCtx{Context: context.Background(), slot: &q.Hits[0]}
 	if err := db.Query(ctx, &q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -21,11 +21,6 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultInterval is the default collection interval. The paper's daemon
-// retrieves signatures every 2-10 seconds; the classification experiments
-// use 10 s.
-const DefaultInterval = 10 * time.Second
-
 // ErrCountersUnavailable wraps a debugfs read failure that persisted
 // through the whole retry schedule. The series collectors treat it as a
 // degraded interval — skip and count — rather than a run-ending fault;

@@ -535,17 +535,13 @@ func TestAbandonedWaiterLeaves(t *testing.T) {
 	}
 
 	// Admitted, then abandoned: the request holds a run slot when its
-	// client leaves during query 0 of 3. It stops at the next query
-	// boundary (queries in order: sequential workers), gives the slot
-	// back and is counted nowhere.
+	// client leaves once query 0 of 3 has answered. It stops at the next
+	// query boundary (queries in order: sequential workers), gives the
+	// slot back and is counted nowhere.
 	s.db.SetWorkers(-1)
-	ctx, cancel = context.WithCancel(context.Background())
-	leaving := core.Metric{Name: "leaving", SparseScore: func(x, y *vecmath.Sparse) float64 {
-		cancel()
-		return x.Cosine(y)
-	}}
-	three := core.Query{Queries: []*vecmath.Sparse{sigs[0].W, sigs[1].W, sigs[2].W}, K: 3, Metric: leaving, Hits: make([][]core.SearchResult, 3)}
-	if err := s.run(ctx, &three); !errors.Is(err, context.Canceled) {
+	three := core.Query{Queries: []*vecmath.Sparse{sigs[0].W, sigs[1].W, sigs[2].W}, K: 3, Metric: core.CosineMetric(), Hits: make([][]core.SearchResult, 3)}
+	leaving := leavingCtx{Context: context.Background(), slot: &three.Hits[0]}
+	if err := s.run(leaving, &three); !errors.Is(err, context.Canceled) {
 		t.Fatalf("request abandoned while running: err = %v, want context.Canceled", err)
 	}
 	if three.Hits[0] == nil || three.Hits[1] != nil || three.Hits[2] != nil {
@@ -554,6 +550,20 @@ func TestAbandonedWaiterLeaves(t *testing.T) {
 	if m := s.Metrics(); m.Queries != 1 || m.Batches != 1 || m.QueueDepth != 0 || len(s.gate.slots) != 0 {
 		t.Fatalf("after abandonment in a slot: %d queries, %d batches, depth %d, %d slots held; want 1, 1, 0, 0", m.Queries, m.Batches, m.QueueDepth, len(s.gate.slots))
 	}
+}
+
+// leavingCtx is a client that leaves once a watched hit slot is
+// written: its Err reports context.Canceled from then on.
+type leavingCtx struct {
+	context.Context
+	slot *[]core.SearchResult
+}
+
+func (c leavingCtx) Err() error {
+	if len(*c.slot) > 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestHTTPServerTimeouts asserts the http.Server the binaries mount has

@@ -137,22 +137,6 @@ func (s *Sparse) Dense() Vector {
 	return out
 }
 
-// DenseInto writes the dense view of s into dst (zeroing it first) and
-// returns dst — the allocation-free sibling of Dense for scan loops that
-// reuse a scratch buffer.
-func (s *Sparse) DenseInto(dst Vector) Vector {
-	if s.dim != len(dst) {
-		panic(fmt.Sprintf("vecmath: sparse DenseInto dimension mismatch %d vs %d", s.dim, len(dst)))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k, i := range s.idx {
-		dst[i] = s.val[k]
-	}
-	return dst
-}
-
 // Get returns the value at dimension i (zero when absent), by binary
 // search over the sorted support.
 //
@@ -217,7 +201,7 @@ func (s *Sparse) DotDense(v Vector) float64 {
 
 // Scatter writes s's non-zeros into dst, which must be all-zero and of
 // s's dimension, making dst the dense view of s without the O(dim)
-// clear DenseInto pays — the per-query half of the gather dot: for any
+// clear Dense pays — the per-query half of the gather dot: for any
 // t with finite weights, t.DotDense(dst) equals s.Dot(t) bit for bit.
 // Both sum the same products in the same ascending order; the gather
 // adds an exact ±0 for every index of t that s lacks, which leaves a
@@ -384,46 +368,6 @@ func (s *Sparse) Axpy(a float64, dst Vector) {
 	}
 	for k, i := range s.idx {
 		dst[i] += a * s.val[k]
-	}
-}
-
-// Minkowski returns the Lp-induced distance to t computed over the
-// support union, in O(nnz_s + nnz_t). The merge visits indices in
-// ascending order — the order the dense Minkowski loop visits the same
-// terms — and the indices where both vectors are zero contribute an exact
-// +0 there, so the result is bit-identical to the dense computation for
-// every p (including p=2; contrast Euclidean, which trades bit-identity
-// for the cached-norm identity).
-func (s *Sparse) Minkowski(t *Sparse, p float64) (float64, error) {
-	if s.dim != t.dim {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, s.dim, t.dim)
-	}
-	if p < 1 && !math.IsInf(p, 1) {
-		return 0, fmt.Errorf("vecmath: Minkowski order p=%v must be >= 1", p)
-	}
-	var acc float64
-	s.ForEachUnion(t, func(_ int, x, y float64) {
-		d := x - y
-		switch {
-		case math.IsInf(p, 1):
-			if a := math.Abs(d); a > acc {
-				acc = a
-			}
-		case p == 2:
-			acc += d * d
-		case p == 1:
-			acc += math.Abs(d)
-		default:
-			acc += math.Pow(math.Abs(d), p)
-		}
-	})
-	switch {
-	case math.IsInf(p, 1), p == 1:
-		return acc, nil
-	case p == 2:
-		return math.Sqrt(acc), nil
-	default:
-		return math.Pow(acc, 1/p), nil
 	}
 }
 

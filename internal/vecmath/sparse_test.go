@@ -270,39 +270,6 @@ func TestSparseAxpyMatchesDenseAdd(t *testing.T) {
 	DenseToSparse(NewVector(3)).Axpy(1, NewVector(4))
 }
 
-// TestSparseMinkowskiBitIdenticalToDense: the support-union merge must
-// reproduce the dense loop exactly for every p, including the branches
-// (1, 2, general, +Inf).
-func TestSparseMinkowskiBitIdenticalToDense(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for _, p := range []float64{1, 2, 2.5, 3, math.Inf(1)} {
-		for trial := 0; trial < 30; trial++ {
-			x := randSparseDense(r, 400, 50)
-			y := randSparseDense(r, 400, 50)
-			sx, sy := DenseToSparse(x), DenseToSparse(y)
-			want, err := Minkowski(x, y, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sx.Minkowski(sy, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("p=%v: sparse %v != dense %v", p, got, want)
-			}
-		}
-	}
-	a := DenseToSparse(Vector{1, 0})
-	b := DenseToSparse(Vector{0, 1})
-	if _, err := a.Minkowski(b, 0.5); err == nil {
-		t.Error("p<1 should fail")
-	}
-	if _, err := a.Minkowski(DenseToSparse(Vector{1}), 2); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-}
-
 func TestSparseCloneAndForEach(t *testing.T) {
 	s, err := SparseFromSorted(6, []int32{0, 3, 5}, []float64{1, 2, 3})
 	if err != nil {
@@ -324,23 +291,6 @@ func TestSparseCloneAndForEach(t *testing.T) {
 	if len(idxs) != 3 || idxs[0] != 0 || idxs[1] != 3 || idxs[2] != 5 || sum != 6 {
 		t.Errorf("ForEach visited %v (sum %v)", idxs, sum)
 	}
-}
-
-func TestSparseDenseInto(t *testing.T) {
-	s, err := SparseFromSorted(6, []int32{1, 4}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := Vector{9, 9, 9, 9, 9, 9}
-	if got := s.DenseInto(buf); !got.Equal(s.Dense(), 0) {
-		t.Errorf("DenseInto = %v, want %v", got, s.Dense())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("dimension mismatch should panic")
-		}
-	}()
-	s.DenseInto(NewVector(5))
 }
 
 // sparseOn builds a Sparse over the given ascending support with weights
