@@ -15,13 +15,13 @@
 // With -db DIR, -serve ADDR or -smoke the first -warmup intervals fit the
 // tf-idf model and every later one is embedded into the live DB (in
 // chunks of -ingest-batch, one publish each) while it stays queryable.
-// -db creates a DB seeded with the warmup signatures when DIR is missing,
-// empty or holds only model.json, and opens DIR's snapshot otherwise.
-// The model lives beside the
-// snapshot as DIR/model.json: a new DB writes the one it fitted there,
-// and a reopened DB embeds every new interval with the stored one (a
-// snapshot saved without one fits it on the warmup and writes it). One
-// fmeter.Server owns the
+// -db starts a new DB when DIR is missing or holds nothing but
+// model.json and .tmp-* leftovers, and opens DIR's snapshot otherwise;
+// either way the warmup signatures are added to it first. The model
+// lives beside the snapshot as DIR/model.json: a new DB writes the one
+// it fitted there, and a reopened DB embeds the warmup and every new
+// interval with the stored one (a snapshot saved without one fits it on
+// the warmup and writes it). One fmeter.Server owns the
 // DB: it saves into DIR whenever the sealed-segment watermark advances
 // and once more when it drains. -serve adds a listener (POST /v1/topk,
 // /v1/classify, /v1/ingest; GET /healthz, /metrics; 429 + Retry-After
@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -254,8 +255,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err == nil {
 		err = derr
 	}
-	warnf("db %s: %d signatures (%d %s + %d streamed + %d over HTTP), %d snapshots",
-		cmp.Or(*dbDir, "(in memory)"), m.DBSignatures, d.seeded, d.seededBy, streamed, m.DocsIngested, m.Snapshots)
+	warnf("db %s: %d signatures (%d loaded + %d warmup + %d streamed + %d over HTTP), %d snapshots",
+		cmp.Or(*dbDir, "(in memory)"), m.DBSignatures, d.loaded, d.warmup, streamed, m.DocsIngested, m.Snapshots)
 	if addr != "" {
 		warnf("served %d queries in %d requests (mean %.2f), %d rejected",
 			m.Queries, m.Batches, m.MeanBatchSize, m.Rejected)
@@ -271,8 +272,8 @@ type liveDB struct {
 	db       *fmeter.DB
 	model    *fmeter.Model
 	srv      *fmeter.Server
-	seeded   int    // signatures the DB held before streaming
-	seededBy string // "loaded" from the snapshot or "warmup"
+	loaded   int // signatures the reopened snapshot held
+	warmup   int // warmup signatures added before streaming
 	http     *http.Server
 	addr     string
 	served   chan struct{} // closed once Serve has returned serveErr
@@ -280,12 +281,12 @@ type liveDB struct {
 }
 
 // openLive opens dir's snapshot and its model unless dir is unset or
-// fresh, when it builds a new DB seeded with the warmup signatures
-// instead; fits the model on the warmup when it has none and writes it
-// into dir; starts listening on addr when it is set, and hands the DB to
-// one fmeter.Server.
+// fresh, when it starts a new DB instead; fits the model on the warmup
+// when it has none and writes it into dir; adds the warmup, embedded
+// with that model, to the DB; starts listening on addr when it is set,
+// and hands the DB to one fmeter.Server.
 func openLive(dir, addr string, dim int, warmDocs []*fmeter.Document, cfg fmeter.ServeConfig, warnf func(string, ...any)) (_ *liveDB, err error) {
-	d := &liveDB{seededBy: "warmup"}
+	d := &liveDB{}
 	defer func() {
 		if err != nil && d.db != nil {
 			d.db.Close()
@@ -298,32 +299,34 @@ func openLive(dir, addr string, dim int, warmDocs []*fmeter.Document, cfg fmeter
 		if d.db.Dim() != dim {
 			return nil, fmt.Errorf("db %s has dimension %d, system has %d", dir, d.db.Dim(), dim)
 		}
-		d.seededBy = "loaded"
 		if d.model, err = readModel(dir, dim); err != nil {
 			return nil, err
 		}
+	} else if d.db, err = fmeter.NewDB(dim); err != nil {
+		return nil, err
 	}
+	d.loaded = d.db.Len()
 	if d.model == nil {
-		sigs, model, err := fmeter.BuildSignatures(warmDocs, dim)
-		if err != nil {
+		if _, d.model, err = fmeter.BuildSignatures(warmDocs, dim); err != nil {
 			return nil, fmt.Errorf("fitting warmup model: %w", err)
 		}
 		if dir != "" {
-			if err := writeModel(dir, model); err != nil {
+			if err := writeModel(dir, d.model); err != nil {
 				return nil, fmt.Errorf("writing the model into %s: %w", dir, err)
 			}
 		}
-		if d.db == nil {
-			if d.db, err = fmeter.NewDB(dim); err != nil {
-				return nil, err
-			}
-			if err := d.db.AddAll(sigs); err != nil {
-				return nil, err
-			}
-		}
-		d.model = model
 	}
-	d.seeded = d.db.Len()
+	sigs, err := d.model.TransformAll(warmDocs)
+	if err != nil {
+		return nil, fmt.Errorf("embedding the warmup: %w", err)
+	}
+	for _, s := range sigs {
+		s.W.Normalize()
+	}
+	if err := d.db.AddAll(sigs); err != nil {
+		return nil, err
+	}
+	d.warmup = len(sigs)
 	var ln net.Listener
 	if addr != "" {
 		if ln, err = net.Listen("tcp", addr); err != nil {
@@ -341,7 +344,7 @@ func openLive(dir, addr string, dim int, warmDocs []*fmeter.Document, cfg fmeter
 		d.addr = ln.Addr().String()
 		d.served = make(chan struct{})
 		go func() { d.serveErr = d.http.Serve(ln); close(d.served) }()
-		warnf("serving %s (dim %d, %d signatures, max-queue %d)", d.addr, dim, d.seeded, cfg.MaxQueue)
+		warnf("serving %s (dim %d, %d signatures, max-queue %d)", d.addr, dim, d.db.Len(), cfg.MaxQueue)
 	}
 	return d, nil
 }
@@ -350,20 +353,22 @@ func openLive(dir, addr string, dim int, warmDocs []*fmeter.Document, cfg fmeter
 const modelFile = "model.json"
 
 // fresh reports whether dir holds no snapshot to open: it is missing,
-// empty, or holds only a model (a run that stopped before its first
-// save). Anything else, a directory that cannot be read included, is
-// OpenDB's to open or to refuse with a typed error.
+// or holds nothing but a model (a run that stopped before its first
+// save) and .tmp-* files (a model or first save killed before its
+// rename, which never hold a snapshot; the first save sweeps them).
+// Anything else, a directory that cannot be read included, is OpenDB's
+// to open or to refuse with a typed error.
 func fresh(dir string) bool {
-	f, err := os.Open(dir)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return errors.Is(err, os.ErrNotExist)
 	}
-	defer f.Close()
-	names, err := f.Readdirnames(2)
-	if err != nil && err != io.EOF {
-		return false
+	for _, e := range ents {
+		if e.Name() != modelFile && !strings.HasPrefix(e.Name(), ".tmp-") {
+			return false
+		}
 	}
-	return len(names) == 0 || len(names) == 1 && names[0] == modelFile
+	return true
 }
 
 // readModel reads dir's model, or returns nil when dir has none.

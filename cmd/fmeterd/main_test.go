@@ -173,7 +173,7 @@ func TestDaemonLiveDBEmptyDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\nstderr:\n%s", err, errBuf.String())
 	}
-	if !strings.Contains(errBuf.String(), "(2 warmup + 2 streamed") {
+	if !strings.Contains(errBuf.String(), "(0 loaded + 2 warmup + 2 streamed") {
 		t.Errorf("empty directory was not seeded from the warmup:\n%s", errBuf.String())
 	}
 	if n := openLen(t, dir); n != 4 {
@@ -242,7 +242,7 @@ func TestDaemonServeAndBatchedIngest(t *testing.T) {
 
 // TestDaemonRestartReopensSnapshot runs the daemon twice on one -db
 // directory: the second run opens the first run's snapshot and appends
-// its streamed intervals to it instead of replacing it.
+// its warmup and streamed intervals to it instead of replacing it.
 func TestDaemonRestartReopensSnapshot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	var out, errBuf bytes.Buffer
@@ -265,15 +265,15 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 	if err := runDaemon(args("5"), &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errBuf.String(), "(6 loaded + 3 streamed") {
+	if !strings.Contains(errBuf.String(), "(6 loaded + 2 warmup + 3 streamed") {
 		t.Errorf("second run did not report reopening the snapshot:\n%s", errBuf.String())
 	}
-	if n := openLen(t, dir); n != first+3 {
-		t.Fatalf("after restart db.Len() = %d, want %d (first run + 3 streamed)", n, first+3)
+	if n := openLen(t, dir); n != first+5 {
+		t.Fatalf("after restart db.Len() = %d, want %d (first run + 2 warmup + 3 streamed)", n, first+5)
 	}
 	// The restarted daemon appended to the reloaded segment instead of
-	// opening another, and its drain wrote only the streamed rows: the
-	// first run's file unchanged, one new file of 3 records, and the nine
+	// opening another, and its drain wrote only the new rows: the first
+	// run's file unchanged, one new file of 5 records, and the eleven
 	// rows load as one segment.
 	after := segFiles(t, dir)
 	if len(after) != 2 {
@@ -285,8 +285,8 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 		switch {
 		case ok && !bytes.Equal(b, old):
 			t.Fatalf("the first run's %s was rewritten", name)
-		case !ok && records != 3:
-			t.Fatalf("new %s holds %d records, want the 3 streamed", name, records)
+		case !ok && records != 5:
+			t.Fatalf("new %s holds %d records, want the 2 warmup + 3 streamed", name, records)
 		}
 	}
 	db, err := fmeter.OpenDB(dir)
@@ -302,8 +302,9 @@ func TestDaemonRestartReopensSnapshot(t *testing.T) {
 // TestDaemonReopenKeepsModel runs the daemon twice on one -db directory
 // with different workloads: the first run writes the model it fitted
 // beside the snapshot, and the second, which reopens the snapshot,
-// embeds its streamed intervals with that model — not one refitted on
-// its own warmup — and leaves model.json byte for byte as it was.
+// embeds its warmup and streamed intervals with that model — not one
+// refitted on its own warmup — and leaves model.json byte for byte as
+// it was.
 func TestDaemonReopenKeepsModel(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	args := func(workload, intervals string) []string {
@@ -330,17 +331,17 @@ func TestDaemonReopenKeepsModel(t *testing.T) {
 	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, written) {
 		t.Fatalf("the reopening run changed %s (err %v)", modelFile, err)
 	}
-	streamed := readDocs(t, &out)[2:] // after the second run's 2 warmup intervals
+	added := readDocs(t, &out) // the second run's 2 warmup and 3 streamed intervals
 	db, err := fmeter.OpenDB(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	rows := db.All()
-	if len(rows) != 6+len(streamed) {
-		t.Fatalf("after reopening the DB holds %d rows, want 6 + %d streamed", len(rows), len(streamed))
+	if len(added) != 5 || len(rows) != 6+len(added) {
+		t.Fatalf("after reopening the DB holds %d rows, want 6 + 2 warmup + 3 streamed (logged %d)", len(rows), len(added))
 	}
-	for i, doc := range streamed {
+	for i, doc := range added {
 		want, err := model.Transform(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -348,13 +349,13 @@ func TestDaemonReopenKeepsModel(t *testing.T) {
 		want.W.Normalize()
 		got := rows[6+i].W
 		if !slices.Equal(got.Support(), want.W.Support()) || !slices.Equal(got.Values(), want.W.Values()) {
-			t.Fatalf("streamed row %d (%s) was not embedded with the stored model", i, doc.ID)
+			t.Fatalf("row %d (%s) of the second run was not embedded with the stored model", i, doc.ID)
 		}
 	}
 }
 
 // TestFreshDir pins which -db directories start a new DB: a missing
-// one, an empty one and one holding only a model.
+// one, an empty one and one holding only a model and .tmp-* leftovers.
 func TestFreshDir(t *testing.T) {
 	dir := t.TempDir()
 	if !fresh(filepath.Join(dir, "missing")) || !fresh(dir) {
@@ -366,11 +367,66 @@ func TestFreshDir(t *testing.T) {
 	if !fresh(dir) {
 		t.Fatal("a directory holding only a model is not fresh")
 	}
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-seg-1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh(dir) {
+		t.Fatal("a directory holding only a model and a .tmp-* leftover is not fresh")
+	}
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if fresh(dir) {
 		t.Fatal("a directory holding a snapshot is fresh")
+	}
+}
+
+// TestDaemonKilledWriteRestarts: a -db directory holding a model and
+// the .tmp-* leftovers of a model write and a first save killed before
+// their renames starts a new DB, and its first save sweeps the
+// leftovers. Segment files without a manifest still fail, typed: a
+// killed first save cannot be told from a lost manifest.
+func TestDaemonKilledWriteRestarts(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	args := []string{"-workload", "scp", "-intervals", "4", "-interval", "5s",
+		"-db", dir, "-warmup", "2", "-status-every", "0"}
+	var out, errBuf bytes.Buffer
+	if err := runDaemon(args, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	for name := range segFiles(t, dir) {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{".tmp-model-x", ".tmp-seg-y"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errBuf.Reset()
+	if err := runDaemon(args, &out, &errBuf); err != nil {
+		t.Fatalf("restart over a killed write: %v\nstderr:\n%s", err, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "(0 loaded + 2 warmup + 2 streamed") {
+		t.Errorf("the restart did not start a new DB:\n%s", errBuf.String())
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+		t.Errorf("the first save left %v", left)
+	}
+	if n := openLen(t, dir); n != 4 {
+		t.Fatalf("db.Len() = %d, want 4", n)
+	}
+
+	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
+		t.Fatal(err)
+	}
+	var se *fmeter.SnapshotError
+	if err := runDaemon(args, &out, &errBuf); !errors.As(err, &se) {
+		t.Fatalf("segment files without a manifest: err = %v, want a *SnapshotError", err)
 	}
 }
 

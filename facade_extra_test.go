@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -46,22 +47,18 @@ func TestTopTermsAndContrastFacade(t *testing.T) {
 	}
 	names := sys.FunctionNames()
 
-	top, err := TopTerms(sigs[0], 10, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 10 {
-		t.Fatalf("top terms = %d", len(top))
-	}
-	// An scp signature's dominant terms should include the crypto path.
+	// An scp signature's ten heaviest terms should include the crypto path.
+	var top []TermWeight
+	sigs[0].W.ForEach(func(i int, w float64) { top = append(top, TermWeight{Term: i, Name: names[i], Weight: w}) })
+	sort.Slice(top, func(i, j int) bool { return top[i].Weight > top[j].Weight })
 	foundCrypto := false
-	for _, tw := range top {
+	for _, tw := range top[:10] {
 		if strings.Contains(tw.Name, "crypto") || strings.Contains(tw.Name, "sha1") {
 			foundCrypto = true
 		}
 	}
 	if !foundCrypto {
-		t.Errorf("scp top terms lack crypto functions: %+v", top)
+		t.Errorf("scp top terms lack crypto functions: %+v", top[:10])
 	}
 
 	diff, err := Contrast(sigs[0], sigs[len(sigs)-1], 10, names)
@@ -92,15 +89,12 @@ func TestModelPersistenceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs, model, err := BuildSignatures(docs, sys.Dim())
+	_, model, err := BuildSignatures(docs, sys.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mBuf, sBuf bytes.Buffer
+	var mBuf bytes.Buffer
 	if err := WriteModel(&mBuf, model); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSignatures(&sBuf, sigs); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := ReadModel(&mBuf)
@@ -109,13 +103,6 @@ func TestModelPersistenceFacade(t *testing.T) {
 	}
 	if m2.Dim() != model.Dim() {
 		t.Error("model round trip lost dimension")
-	}
-	s2, err := ReadSignatures(&sBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s2) != len(sigs) {
-		t.Error("signature round trip lost entries")
 	}
 }
 
@@ -293,38 +280,6 @@ func TestBatchFacade(t *testing.T) {
 		}
 		if labels[qi] != label {
 			t.Fatalf("query %d: ClassifyBatch %q vs ClassifySparse %q", qi, labels[qi], label)
-		}
-	}
-}
-
-// TestScoreBatchMatchesMatches: the facade's batched scorer equals
-// per-signature Matches (svm's TestPredictBatchMatchesSequential holds
-// the batch to that at every worker count).
-func TestScoreBatchMatchesMatches(t *testing.T) {
-	sys, err := New(Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, err := sys.Collect(ScpWorkload(), 10, 10*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, err := sys.Collect(KcompileWorkload(), 10, 10*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs, _, err := BuildSignatures(append(docs, more...), sys.Dim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clf, err := TrainClassifier(sigs, "scp", 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := clf.ScoreBatch(sigs)
-	for i, s := range sigs {
-		if _, want := clf.Matches(s); scores[i] != want {
-			t.Fatalf("score %d = %v, want %v", i, scores[i], want)
 		}
 	}
 }

@@ -42,13 +42,12 @@
 //	q := fmeter.Query{Queries: []*fmeter.Sparse{sigs[0].W}, K: 3, Metric: fmeter.EuclideanMetric(), Labels: make([]string, 1)}
 //	_ = db.Query(context.Background(), &q)
 //
-//	// Batched classification amortizes the per-query kernel work (the
-//	// corpus holds both classes, as a binary SVM requires).
+//	// A classifier trained on both classes, as a binary SVM requires.
 //	clf, _ := fmeter.TrainClassifier(sigs, "scp", 10, 1)
-//	scores := clf.ScoreBatch(sigs)
+//	isScp, _ := clf.Matches(sigs[0])
 //
 //	_ = hits
-//	_ = scores
+//	_ = isScp
 //
 // See examples/ for complete programs.
 package fmeter
@@ -296,21 +295,7 @@ func NewCorpus(dim int) (*Corpus, error) { return core.NewCorpus(dim) }
 // embeds every document, and L2-normalizes the signatures into the unit
 // ball (the paper's preprocessing for learning).
 func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
-	corpus, err := core.NewCorpus(dim)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, d := range docs {
-		if err := corpus.Add(d); err != nil {
-			return nil, nil, err
-		}
-	}
-	sigs, model, err := corpus.Signatures()
-	if err != nil {
-		return nil, nil, err
-	}
-	core.Normalize(sigs)
-	return sigs, model, nil
+	return core.BuildSignatures(docs, dim)
 }
 
 // NewDB creates an empty labeled signature database. db.SetWorkers
@@ -398,12 +383,6 @@ func WriteDocuments(w io.Writer, docs []*Document) error { return core.WriteDocu
 // ReadDocuments parses a JSON Lines document stream.
 func ReadDocuments(r io.Reader) ([]*Document, error) { return core.ReadDocuments(r) }
 
-// WriteSignatures / ReadSignatures persist embedded signatures.
-func WriteSignatures(w io.Writer, sigs []Signature) error { return core.WriteSignatures(w, sigs) }
-
-// ReadSignatures parses a JSON Lines signature stream.
-func ReadSignatures(r io.Reader) ([]Signature, error) { return core.ReadSignatures(r) }
-
 // WriteModel / ReadModel persist a fitted tf-idf model so later
 // collections embed into the same vector space (§2.2's database
 // workflow).
@@ -414,13 +393,6 @@ func ReadModel(r io.Reader) (*Model, error) { return core.ReadModel(r) }
 
 // TermWeight is one kernel function's contribution to a signature.
 type TermWeight = core.TermWeight
-
-// TopTerms returns the k largest-magnitude components of a signature —
-// the kernel functions that dominate the interval's behaviour. Pass
-// System.FunctionNames() to resolve names.
-func TopTerms(sig Signature, k int, names []string) ([]TermWeight, error) {
-	return core.TopTerms(sig, k, names)
-}
 
 // Contrast returns the k kernel functions that most distinguish signature
 // a from signature b (positive weight = stronger in a).
@@ -468,17 +440,6 @@ func (c *Classifier) Matches(sig Signature) (bool, float64) {
 	return score >= 0, score
 }
 
-// ScoreBatch returns the decision score of every signature in one
-// batched pass, fanning the kernel-row computations out over every host
-// CPU. Scores are bit-identical to calling Matches per signature.
-func (c *Classifier) ScoreBatch(sigs []Signature) []float64 {
-	qs := make([]*Sparse, len(sigs))
-	for i, s := range sigs {
-		qs[i] = s.W
-	}
-	return c.model.DecisionBatch(qs, 0)
-}
-
 // ClusterResult is a K-means clustering of signatures.
 type ClusterResult struct {
 	// Assign maps signature index to cluster.
@@ -510,22 +471,6 @@ func ClusterSignatures(sigs []Signature, k int, seed int64) (*ClusterResult, err
 		return nil, err
 	}
 	return &ClusterResult{Assign: res.Assign, Centroids: res.Centroids, Purity: purity}, nil
-}
-
-// Dendrogram re-exports the hierarchical clustering tree.
-type Dendrogram = cluster.Dendrogram
-
-// HierarchicalCluster builds a single-linkage dendrogram over signatures
-// (Figure 4).
-func HierarchicalCluster(sigs []Signature) (*Dendrogram, error) {
-	if len(sigs) == 0 {
-		return nil, fmt.Errorf("fmeter: no signatures")
-	}
-	pts := make([]Vector, len(sigs))
-	for i, s := range sigs {
-		pts[i] = s.Dense()
-	}
-	return cluster.Hierarchical(pts, cluster.SingleLinkage)
 }
 
 // MetaClusterCentroids clusters cluster centroids (§2.2/§6's recursive

@@ -152,18 +152,8 @@ func TestClusteringEndToEnd(t *testing.T) {
 	if len(meta) != 2 || meta[0] == meta[1] {
 		t.Errorf("meta clustering = %v", meta)
 	}
-	root, err := HierarchicalCluster(sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root.Leaves()) != len(sigs) {
-		t.Error("dendrogram lost leaves")
-	}
 	if _, err := ClusterSignatures(nil, 2, 1); err == nil {
 		t.Error("empty clustering should fail")
-	}
-	if _, err := HierarchicalCluster(nil); err == nil {
-		t.Error("empty hierarchical should fail")
 	}
 }
 

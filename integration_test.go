@@ -8,6 +8,7 @@ package fmeter
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -31,12 +32,21 @@ func TestDatabaseWorkflowAcrossMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Persist everything the operator would ship: model + signatures.
-	var modelBuf, sigBuf bytes.Buffer
+	// Persist everything the operator would ship: the model and a
+	// snapshot of the signature database.
+	var modelBuf bytes.Buffer
 	if err := WriteModel(&modelBuf, model); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSignatures(&sigBuf, sigs); err != nil {
+	labDB, err := NewDB(labSys.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labDB.AddAll(sigs); err != nil {
+		t.Fatal(err)
+	}
+	shipped := filepath.Join(t.TempDir(), "db")
+	if err := SaveDB(shipped, labDB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,20 +69,16 @@ func TestDatabaseWorkflowAcrossMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoredSigs, err := ReadSignatures(&sigBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	restoredDocs, err := ReadDocuments(&docBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewDB(restoredModel.Dim())
+	db, err := OpenDB(shipped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddAll(restoredSigs); err != nil {
-		t.Fatal(err)
+	if db.Len() != len(sigs) || db.Dim() != restoredModel.Dim() {
+		t.Fatalf("shipped store holds %d rows of dim %d, want %d of dim %d", db.Len(), db.Dim(), len(sigs), restoredModel.Dim())
 	}
 
 	correct := 0

@@ -89,7 +89,7 @@ type Signature struct {
 	DocID string
 	Label string
 	// W is the sparse tf-idf weight vector. It is never nil for
-	// signatures produced by this package (Transform, ReadSignatures,
+	// signatures produced by this package (Transform, BuildSignatures,
 	// snapshot loading); hand-built signatures must populate it, e.g. via
 	// SignatureFromDense.
 	W *vecmath.Sparse
@@ -125,16 +125,6 @@ func NewCorpus(dim int) (*Corpus, error) {
 	}
 	return &Corpus{dim: dim, df: make([]int, dim)}, nil
 }
-
-// Dim returns the term-space dimension.
-func (c *Corpus) Dim() int { return c.dim }
-
-// Len returns the number of documents.
-func (c *Corpus) Len() int { return len(c.docs) }
-
-// Docs returns the documents in insertion order. Callers must not mutate
-// the returned slice.
-func (c *Corpus) Docs() []*Document { return c.docs }
 
 // Add appends a document to the corpus, validating its term indices. The
 // document's counts are ranged once: each term is checked and counted
@@ -178,31 +168,6 @@ func smallestOutOfRange(doc *Document, dim int) int {
 		}
 	}
 	return bad
-}
-
-// Labels returns the distinct labels present in the corpus, in first-seen
-// order.
-func (c *Corpus) Labels() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, d := range c.docs {
-		if d.Label != "" && !seen[d.Label] {
-			seen[d.Label] = true
-			out = append(out, d.Label)
-		}
-	}
-	return out
-}
-
-// ByLabel returns the documents carrying the given label.
-func (c *Corpus) ByLabel(label string) []*Document {
-	var out []*Document
-	for _, d := range c.docs {
-		if d.Label == label {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // Model is a fitted tf-idf weighting: the idf vector learned from a
@@ -271,13 +236,6 @@ func (c *Corpus) Fit() (*Model, error) {
 
 // Dim returns the model's term-space dimension.
 func (m *Model) Dim() int { return m.dim }
-
-// IDF returns a copy of the fitted idf vector.
-func (m *Model) IDF() []float64 {
-	out := make([]float64, len(m.idf))
-	copy(out, m.idf)
-	return out
-}
 
 // Transform embeds one document into the vector space: w_i = tf_i × idf_i.
 // The document is read once: a single range over its counts checks each
@@ -394,6 +352,27 @@ func (c *Corpus) Signatures() ([]Signature, *Model, error) {
 		return nil, nil, err
 	}
 	return sigs, m, nil
+}
+
+// BuildSignatures builds a corpus from docs, fits the tf-idf model,
+// embeds every document and L2-normalizes the signatures into the unit
+// ball: the paper's preprocessing for learning.
+func BuildSignatures(docs []*Document, dim int) ([]Signature, *Model, error) {
+	corpus, err := NewCorpus(dim)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, d := range docs {
+		if err := corpus.Add(d); err != nil {
+			return nil, nil, err
+		}
+	}
+	sigs, model, err := corpus.Signatures()
+	if err != nil {
+		return nil, nil, err
+	}
+	Normalize(sigs)
+	return sigs, model, nil
 }
 
 // Normalize L2-normalizes the signatures in place (unit-ball scaling),

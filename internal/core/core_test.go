@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -1115,4 +1118,100 @@ func TestNilWeightSignatureHandling(t *testing.T) {
 	if _, err := Contrast(ok, nilSig, 1, nil); err == nil {
 		t.Error("Contrast with nil W (right side) should fail")
 	}
+}
+
+// Len returns the number of documents.
+func (c *Corpus) Len() int { return len(c.docs) }
+
+// Docs returns the documents in insertion order. Callers must not mutate
+// the returned slice.
+func (c *Corpus) Docs() []*Document { return c.docs }
+
+// Labels returns the distinct labels present in the corpus, in first-seen
+// order.
+func (c *Corpus) Labels() []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, d := range c.docs {
+		if d.Label != "" && !seen[d.Label] {
+			seen[d.Label] = true
+			out = append(out, d.Label)
+		}
+	}
+	return out
+}
+
+// ByLabel returns the documents carrying the given label.
+func (c *Corpus) ByLabel(label string) []*Document {
+	var out []*Document
+	for _, d := range c.docs {
+		if d.Label == label {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// IDF returns a copy of the fitted idf vector.
+func (m *Model) IDF() []float64 {
+	out := make([]float64, len(m.idf))
+	copy(out, m.idf)
+	return out
+}
+
+// signatureJSON is the wire form of a Signature. Vectors are stored
+// sparsely: most tf-idf weights are zero.
+type signatureJSON struct {
+	DocID   string          `json:"doc_id"`
+	Label   string          `json:"label,omitempty"`
+	Dim     int             `json:"dim"`
+	Weights map[int]float64 `json:"weights"`
+}
+
+// WriteSignatures streams signatures to w as JSON Lines. The weights map
+// is the sparse support verbatim — no dense materialization.
+func WriteSignatures(w io.Writer, sigs []Signature) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, s := range sigs {
+		if s.W == nil {
+			return fmt.Errorf("core: signature %s has no weight vector", s.DocID)
+		}
+		weights := make(map[int]float64, s.W.NNZ())
+		s.W.ForEach(func(i int, x float64) { weights[i] = x })
+		if err := enc.Encode(signatureJSON{
+			DocID: s.DocID, Label: s.Label, Dim: s.Dim(), Weights: weights,
+		}); err != nil {
+			return fmt.Errorf("core: encoding signature %s: %w", s.DocID, err)
+		}
+	}
+	return bw.Flush()
+}
+
+// ReadSignatures parses a JSON Lines stream produced by WriteSignatures.
+// Like ReadDocuments it streams through json.Decoder, so record size is
+// bounded only by memory.
+func ReadSignatures(r io.Reader) ([]Signature, error) {
+	var sigs []Signature
+	dec := json.NewDecoder(r)
+	for rec := 1; ; rec++ {
+		var sj signatureJSON
+		if err := dec.Decode(&sj); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("core: signature record %d: %w", rec, err)
+		}
+		if sj.Dim < 1 || sj.Dim > maxSnapshotDim {
+			return nil, fmt.Errorf("core: signature record %d: dimension %d outside [1, %d]", rec, sj.Dim, maxSnapshotDim)
+		}
+		v := vecmath.NewVector(sj.Dim)
+		for i, x := range sj.Weights {
+			if i < 0 || i >= sj.Dim {
+				return nil, fmt.Errorf("core: signature record %d: index %d outside dimension %d", rec, i, sj.Dim)
+			}
+			v[i] = x
+		}
+		sigs = append(sigs, Signature{DocID: sj.DocID, Label: sj.Label, W: vecmath.DenseToSparse(v)})
+	}
+	return sigs, nil
 }

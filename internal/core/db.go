@@ -59,8 +59,8 @@ func checkMetric(m Metric) error {
 	return nil
 }
 
-// cosineDotScore mirrors Sparse.Cosine exactly: same zero-norm guard,
-// same divisor association, same clamp.
+// cosineDotScore mirrors vecmath's test oracle Sparse.Cosine exactly:
+// same zero-norm guard, same divisor association, same clamp.
 func cosineDotScore(dot, qNorm2, sNorm2 float64) float64 {
 	if qNorm2 == 0 || sNorm2 == 0 {
 		return 0
@@ -74,8 +74,9 @@ func cosineDotScore(dot, qNorm2, sNorm2 float64) float64 {
 	return c
 }
 
-// euclideanDotScore mirrors Sparse.Euclidean/SquaredDistance exactly:
-// same evaluation order, same negative clamp, same sqrt.
+// euclideanDotScore mirrors vecmath's test oracles Sparse.Euclidean and
+// SquaredDistance exactly: same evaluation order, same negative clamp,
+// same sqrt.
 func euclideanDotScore(dot, qNorm2, sNorm2 float64) float64 {
 	d2 := qNorm2 - 2*dot + sNorm2
 	if d2 < 0 {
@@ -739,7 +740,7 @@ func (db *DB) queryOne(v *dbView, query *vecmath.Sparse, qi, k int, metric Metri
 	if stats != nil {
 		*stats = PruneStats{}
 		for l := range v.lanes {
-			stats.add(&sc.lanes[l].stats)
+			stats.Add(&sc.lanes[l].stats)
 		}
 	}
 	if hits != nil {

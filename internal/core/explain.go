@@ -16,40 +16,6 @@ type TermWeight struct {
 	Weight float64
 }
 
-// TopTerms returns the k largest-magnitude components of a signature,
-// descending by |weight|. names may be nil; when provided it must cover
-// the signature's dimension. This is the operator-facing "why does this
-// signature look like that" view: the kernel functions whose (idf-damped)
-// relative frequencies dominate the interval. The walk covers only the
-// sparse support — zero components can never rank. Validation failures
-// are typed *ConfigError.
-//
-//fmeter:errdomain config
-func TopTerms(sig Signature, k int, names []string) ([]TermWeight, error) {
-	if k < 1 {
-		return nil, &ConfigError{Param: "k", Value: k, Min: 1}
-	}
-	if sig.W == nil {
-		return nil, &ConfigError{Param: "signature", Msg: fmt.Sprintf("signature %s has no weight vector", sig.DocID)}
-	}
-	if names != nil && len(names) < sig.Dim() {
-		return nil, &ConfigError{Param: "names", Msg: fmt.Sprintf("name table has %d entries for dimension %d", len(names), sig.Dim())}
-	}
-	terms := make([]TermWeight, 0, sig.W.NNZ())
-	sig.W.ForEach(func(i int, w float64) {
-		tw := TermWeight{Term: i, Weight: w}
-		if names != nil {
-			tw.Name = names[i]
-		}
-		terms = append(terms, tw)
-	})
-	sortTerms(terms)
-	if k > len(terms) {
-		k = len(terms)
-	}
-	return terms[:k], nil
-}
-
 // Contrast returns the k terms that most distinguish signature a from
 // signature b, ranked by |a_i - b_i| descending with the signed
 // difference preserved (positive = stronger in a). It is the similarity
@@ -125,9 +91,9 @@ type PruneStats struct {
 	// dot: an unindexed tail, or an indexed unit the query's posting
 	// lists cover so much of that walking them would cost more. The rest
 	// took the plain posting walk.
-	Segments        int64
-	SegmentsPruned  int64
-	SegmentsScanned int64
+	Segments        int64 `json:"segments"`
+	SegmentsPruned  int64 `json:"segments_pruned"`
+	SegmentsScanned int64 `json:"segments_scanned"`
 	// Candidates counts the signatures covered by pruned walks (each
 	// lane's walk covers its own rows of the unit);
 	// CandidatesScored of them survived the block-bound filter and had
@@ -135,22 +101,23 @@ type PruneStats struct {
 	// it passes more candidates than a partial-dot filter would, and the
 	// share may rise while latency falls: a survivor costs one gather
 	// dot, the walk that would have excluded it many gathered postings.
-	Candidates       int64
-	CandidatesScored int64
+	Candidates       int64 `json:"candidates"`
+	CandidatesScored int64 `json:"candidates_scored"`
 	// DimsConsidered counts (segment, query-dim) pairs with postings;
 	// DimsSkipped of them fell past the essential cutoff and were never
 	// accumulated.
-	DimsConsidered int64
-	DimsSkipped    int64
+	DimsConsidered int64 `json:"dims_considered"`
+	DimsSkipped    int64 `json:"dims_skipped"`
 	// BlocksConsidered counts the posting blocks under the considered
 	// dims; BlocksSkipped of them were never decoded (skipped dims'
 	// blocks, all-zero blocks, and block-max skips).
-	BlocksConsidered int64
-	BlocksSkipped    int64
+	BlocksConsidered int64 `json:"blocks_considered"`
+	BlocksSkipped    int64 `json:"blocks_skipped"`
 }
 
-// add accumulates s into p (the per-lane to per-query reduction).
-func (p *PruneStats) add(s *PruneStats) {
+// Add accumulates s into p: the per-lane to per-query reduction, and
+// the serving layer's sampled sum.
+func (p *PruneStats) Add(s *PruneStats) {
 	p.Segments += s.Segments
 	p.SegmentsPruned += s.SegmentsPruned
 	p.SegmentsScanned += s.SegmentsScanned

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -95,4 +96,33 @@ func TestContrastValidation(t *testing.T) {
 	if len(same) != 0 {
 		t.Errorf("identical signatures should contrast to nothing, got %v", same)
 	}
+}
+
+// TopTerms returns the k largest-magnitude components of a signature,
+// descending by |weight|, named from names when it is not nil. It ranks
+// with sortTerms, the order Contrast returns, so its tests pin that
+// order's tie-break on a single signature.
+func TopTerms(sig Signature, k int, names []string) ([]TermWeight, error) {
+	if k < 1 {
+		return nil, &ConfigError{Param: "k", Value: k, Min: 1}
+	}
+	if sig.W == nil {
+		return nil, &ConfigError{Param: "signature", Msg: fmt.Sprintf("signature %s has no weight vector", sig.DocID)}
+	}
+	if names != nil && len(names) < sig.Dim() {
+		return nil, &ConfigError{Param: "names", Msg: fmt.Sprintf("name table has %d entries for dimension %d", len(names), sig.Dim())}
+	}
+	terms := make([]TermWeight, 0, sig.W.NNZ())
+	sig.W.ForEach(func(i int, w float64) {
+		tw := TermWeight{Term: i, Weight: w}
+		if names != nil {
+			tw.Name = names[i]
+		}
+		terms = append(terms, tw)
+	})
+	sortTerms(terms)
+	if k > len(terms) {
+		k = len(terms)
+	}
+	return terms[:k], nil
 }

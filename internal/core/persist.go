@@ -71,61 +71,6 @@ func ReadDocuments(r io.Reader) ([]*Document, error) {
 	return docs, nil
 }
 
-// signatureJSON is the wire form of a Signature. Vectors are stored
-// sparsely: most tf-idf weights are zero.
-type signatureJSON struct {
-	DocID   string          `json:"doc_id"`
-	Label   string          `json:"label,omitempty"`
-	Dim     int             `json:"dim"`
-	Weights map[int]float64 `json:"weights"`
-}
-
-// WriteSignatures streams signatures to w as JSON Lines. The weights map
-// is the sparse support verbatim — no dense materialization.
-func WriteSignatures(w io.Writer, sigs []Signature) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range sigs {
-		if s.W == nil {
-			return fmt.Errorf("core: signature %s has no weight vector", s.DocID)
-		}
-		weights := make(map[int]float64, s.W.NNZ())
-		s.W.ForEach(func(i int, x float64) { weights[i] = x })
-		if err := enc.Encode(signatureJSON{
-			DocID: s.DocID, Label: s.Label, Dim: s.Dim(), Weights: weights,
-		}); err != nil {
-			return fmt.Errorf("core: encoding signature %s: %w", s.DocID, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSignatures parses a JSON Lines stream produced by WriteSignatures.
-// Like ReadDocuments it streams through json.Decoder, so record size is
-// bounded only by memory.
-func ReadSignatures(r io.Reader) ([]Signature, error) {
-	var sigs []Signature
-	dec := json.NewDecoder(r)
-	for rec := 1; ; rec++ {
-		var sj signatureJSON
-		if err := dec.Decode(&sj); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("core: signature record %d: %w", rec, err)
-		}
-		if sj.Dim < 1 || sj.Dim > maxSnapshotDim {
-			return nil, fmt.Errorf("core: signature record %d: dimension %d outside [1, %d]", rec, sj.Dim, maxSnapshotDim)
-		}
-		// Validates the index range, sorts the support, drops explicit zeros.
-		w, err := vecmath.MapToSparse(sj.Weights, sj.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("core: signature record %d: %w", rec, err)
-		}
-		sigs = append(sigs, Signature{DocID: sj.DocID, Label: sj.Label, W: w})
-	}
-	return sigs, nil
-}
-
 // Bounds every reader of stored or wire data enforces before it
 // allocates, and every writer enforces before it emits, so whatever
 // serializes is always loadable.

@@ -500,9 +500,6 @@ func (bp *blockPostings) scanBeatsWalk(q *vecmath.Sparse) bool {
 	return false
 }
 
-// postingCount returns the total number of posting entries.
-func (bp *blockPostings) postingCount() int64 { return bp.nPostings }
-
 // memBytes returns the resident heap footprint (backing-array
 // capacities included): blob + descriptors + directory + the
 // per-signature value-slice table (24 bytes each — the headers only;

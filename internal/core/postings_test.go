@@ -615,3 +615,6 @@ func TestEncodeBlocksMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// postingCount returns the total number of posting entries.
+func (bp *blockPostings) postingCount() int64 { return bp.nPostings }

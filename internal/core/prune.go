@@ -66,16 +66,6 @@ func (db *DB) pruneRowFloorLocked() int {
 	return pruneMinRows
 }
 
-// setPruneFloor overrides the store-size floor below which pruning is
-// not attempted (0 restores pruneMinRows) — a test knob, published like
-// every other query-configuration change.
-func (db *DB) setPruneFloor(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.pruneFloor = n
-	db.publishLocked()
-}
-
 // pruneEps is the relative slack added to every remainder bound before
 // it is compared against the heap root. The bound sums (tail sums of
 // per-dim bounds, sums of block bounds) dominate the canonical dot term

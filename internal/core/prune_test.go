@@ -422,7 +422,7 @@ func TestPrunedTopKMatchesScanShapes(t *testing.T) {
 									t.Fatal(err)
 								}
 								requireSameHits(t, ctx, got, want[qi])
-								total.add(&st)
+								total.Add(&st)
 							}
 							if k == 10 && !sh.took(total) {
 								t.Fatalf("%s: the shape's walk was not taken: %+v", ctx, total)
@@ -828,4 +828,14 @@ func TestLanesShareTheSeedThreshold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// setPruneFloor overrides the store-size floor below which pruning is
+// not attempted (0 restores pruneMinRows) — a test knob, published like
+// every other query-configuration change.
+func (db *DB) setPruneFloor(n int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.pruneFloor = n
+	db.publishLocked()
 }

@@ -9,7 +9,6 @@ package debugfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -125,19 +124,4 @@ func (fs *FS) Exists(path string) bool {
 	defer fs.mu.RUnlock()
 	_, ok := fs.nodes[clean(path)]
 	return ok
-}
-
-// List returns the sorted paths registered under prefix ("" lists all).
-func (fs *FS) List(prefix string) []string {
-	cp := clean(prefix)
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var out []string
-	for p := range fs.nodes {
-		if cp == "" || p == cp || strings.HasPrefix(p, cp+"/") {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

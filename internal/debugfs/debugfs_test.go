@@ -3,6 +3,8 @@ package debugfs
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -141,4 +143,19 @@ func TestConcurrentAccess(t *testing.T) {
 	if got := len(fs.List("n")); got != 8 {
 		t.Errorf("nodes = %d, want 8", got)
 	}
+}
+
+// List returns the sorted paths registered under prefix ("" lists all).
+func (fs *FS) List(prefix string) []string {
+	cp := clean(prefix)
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	var out []string
+	for p := range fs.nodes {
+		if cp == "" || p == cp || strings.HasPrefix(p, cp+"/") {
+			out = append(out, p)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

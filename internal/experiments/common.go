@@ -82,26 +82,6 @@ func collectCorpus(tasks, n int, interval time.Duration, seed int64, workers int
 	return docs, dim, nil
 }
 
-// SignaturesFromDocs builds the tf-idf corpus over all docs, embeds them,
-// and L2-normalizes into the unit ball.
-func SignaturesFromDocs(docs []*core.Document, dim int) ([]core.Signature, error) {
-	corpus, err := core.NewCorpus(dim)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range docs {
-		if err := corpus.Add(d); err != nil {
-			return nil, err
-		}
-	}
-	sigs, _, err := corpus.Signatures()
-	if err != nil {
-		return nil, err
-	}
-	core.Normalize(sigs)
-	return sigs, nil
-}
-
 // CompactDims projects signatures onto the union of their non-zero
 // dimensions, dropping coordinates that are zero everywhere. Distances and
 // dot products are unchanged; clustering and kernel computations get a

@@ -46,7 +46,7 @@ func collectTwoClass(n int, interval time.Duration, seed int64) ([]*core.Documen
 
 // evalTwoClass cross-validates scp-vs-kcompile over the documents.
 func evalTwoClass(docs []*core.Document, dim, folds int, seed int64) (*crossval.Result, error) {
-	sigs, err := SignaturesFromDocs(docs, dim)
+	sigs, _, err := core.BuildSignatures(docs, dim)
 	if err != nil {
 		return nil, err
 	}

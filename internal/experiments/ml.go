@@ -81,7 +81,7 @@ func CollectWorkloadData(p MLParams) (*WorkloadData, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigs, err := SignaturesFromDocs(docs, dim)
+	sigs, _, err := core.BuildSignatures(docs, dim)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func CollectDriverSignatures(p MLParams) (*SignatureSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigs, err := SignaturesFromDocs(docs, dim)
+	sigs, _, err := core.BuildSignatures(docs, dim)
 	if err != nil {
 		return nil, err
 	}

@@ -101,9 +101,6 @@ func NewEngine(cat *Catalog, cfg EngineConfig) (*Engine, error) {
 	}, nil
 }
 
-// Backend returns the active instrumentation backend.
-func (e *Engine) Backend() Backend { return e.backend }
-
 // Catalog returns the engine's op catalog.
 func (e *Engine) Catalog() *Catalog { return e.cat }
 

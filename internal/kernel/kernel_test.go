@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -477,4 +478,14 @@ func BenchmarkExecOpSimpleRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Names returns all op names in sorted order.
+func (c *Catalog) Names() []string {
+	names := make([]string, 0, len(c.ops))
+	for n := range c.ops {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

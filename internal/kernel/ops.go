@@ -799,15 +799,5 @@ func (c *Catalog) Op(name string) (*Op, error) {
 	return op, nil
 }
 
-// Names returns all op names in sorted order.
-func (c *Catalog) Names() []string {
-	names := make([]string, 0, len(c.ops))
-	for n := range c.ops {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SymbolTable returns the table the catalog was compiled against.
 func (c *Catalog) SymbolTable() *SymbolTable { return c.st }

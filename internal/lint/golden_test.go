@@ -2,8 +2,12 @@ package lint
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,6 +40,58 @@ func TestGoldenSuppressionNeedsReason(t *testing.T) {
 	if !strings.Contains(diags[0].Message, "needs a reason") {
 		t.Errorf("diagnostic %q does not demand a reason", diags[0].Message)
 	}
+}
+
+// LoadDir loads every .go file directly under dir as one package whose
+// imports may only be standard-library packages. Golden-suite packages
+// sit outside the module, so their imports are resolved by asking the
+// toolchain for stdlib export data.
+func LoadDir(dir string) (*Package, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var filenames []string
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			filenames = append(filenames, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(filenames) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	// Discover the import set first so one `go list` resolves exactly
+	// the stdlib closure the package needs.
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, fn := range filenames {
+		f, err := parser.ParseFile(fset, fn, nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, im := range f.Imports {
+			seen[strings.Trim(im.Path.Value, `"`)] = true
+		}
+	}
+	exports := map[string]string{}
+	if len(seen) > 0 {
+		paths := make([]string, 0, len(seen))
+		for p := range seen {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		listed, err := goList(dir, false, paths)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	fset = token.NewFileSet()
+	return check(fset, filepath.Base(dir), filenames, exportImporter(fset, exports, nil))
 }
 
 type want struct {

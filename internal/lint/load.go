@@ -65,18 +65,24 @@ type listPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	ForTest    string
+	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
 // goList runs `go list -deps -export -json` in dir over patterns and
-// decodes the package stream. -export makes the toolchain compile each
+// decodes the package stream; tests adds -test, which lists each
+// package's test variants too. -export makes the toolchain compile each
 // package (build-cached) and report its export-data file, which is what
 // lets go/types resolve imports without golang.org/x/tools.
-func goList(dir string, patterns []string) ([]listPkg, error) {
+func goList(dir string, tests bool, patterns []string) ([]listPkg, error) {
 	args := []string{"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error"}
+		"-json=ImportPath,Dir,Export,GoFiles,ForTest,ImportMap,Standard,DepOnly,Error"}
+	if tests {
+		args = append(args, "-test")
+	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -104,9 +110,14 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 }
 
 // exportImporter satisfies go/types import resolution from the export
-// files `go list -export` reported.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// files `go list -export` reported, keyed by import path; importMap
+// redirects an import to the test variant a test build compiles
+// instead.
+func exportImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if v, ok := importMap[path]; ok {
+			path = v
+		}
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -155,84 +166,60 @@ func check(fset *token.FileSet, pkgPath string, filenames []string, imp types.Im
 // Dependencies are resolved but only the named packages are returned
 // for analysis.
 func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	return load(dir, false, patterns)
+}
+
+// LoadTests is LoadPatterns with each named package's _test.go files:
+// a package that has tests is returned as its test build (its own
+// files and its in-package tests, type-checked as one package) and,
+// if it has one, its external _test package. A file's name tells a
+// test file from the package's own.
+func LoadTests(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, true, patterns)
+}
+
+func load(dir string, tests bool, patterns []string) ([]*Package, error) {
+	listed, err := goList(dir, tests, patterns)
 	if err != nil {
 		return nil, err
 	}
 	exports := make(map[string]string, len(listed))
+	hasTests := map[string]bool{}
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		if p.ForTest != "" {
+			hasTests[p.ForTest] = true
+		}
 	}
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
+	shared := exportImporter(fset, exports, nil)
 	var pkgs []*Package
 	for _, p := range listed {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
+		// A test build lists each package with tests twice, as itself
+		// and as "path [path.test]", plus the generated "path.test"
+		// main; the variant holds every file of the first.
+		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 ||
+			hasTests[p.ImportPath] || strings.HasSuffix(p.ImportPath, ".test") {
 			continue
 		}
 		filenames := make([]string, len(p.GoFiles))
 		for i, gf := range p.GoFiles {
 			filenames[i] = filepath.Join(p.Dir, gf)
 		}
-		pkg, err := check(fset, p.ImportPath, filenames, imp)
+		// A package whose imports a test build redirects gets its own
+		// importer: the shared one caches each path's plain package.
+		imp := shared
+		if len(p.ImportMap) > 0 {
+			imp = exportImporter(fset, exports, p.ImportMap)
+		}
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		pkg, err := check(fset, path, filenames, imp)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadDir loads every .go file directly under dir as one package whose
-// imports may only be standard-library packages. This is the testdata
-// loader: golden-suite packages sit outside the module, so their
-// imports are resolved by asking the toolchain for stdlib export data.
-func LoadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var filenames []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			filenames = append(filenames, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(filenames) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	// Discover the import set first so one `go list` resolves exactly
-	// the stdlib closure the package needs.
-	seen := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, fn := range filenames {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, im := range f.Imports {
-			seen[strings.Trim(im.Path.Value, `"`)] = true
-		}
-	}
-	exports := map[string]string{}
-	if len(seen) > 0 {
-		paths := make([]string, 0, len(seen))
-		for p := range seen {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		listed, err := goList(dir, paths)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	fset = token.NewFileSet()
-	return check(fset, filepath.Base(dir), filenames, exportImporter(fset, exports))
 }

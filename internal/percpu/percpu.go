@@ -75,9 +75,6 @@ func New(numCPU, numFuncs int) (*Index, error) {
 	return ix, nil
 }
 
-// NumCPU returns the number of per-CPU indices.
-func (ix *Index) NumCPU() int { return ix.numCPU }
-
 // Inc adds n to the counter of the function at addr on the given CPU. It is
 // the operation the mcount stub performs: disable preemption, follow the
 // two indices, increment, re-enable preemption.
@@ -93,18 +90,6 @@ func (ix *Index) Inc(cpu int, addr SlotAddr, n uint64) error {
 	}
 	atomic.AddUint64(&ix.cpus[cpu][addr.Page].slots[addr.Slot], n)
 	return nil
-}
-
-// Get returns the counter for fn on one CPU.
-func (ix *Index) Get(cpu, fn int) (uint64, error) {
-	if cpu < 0 || cpu >= ix.numCPU {
-		return 0, fmt.Errorf("percpu: cpu %d out of range [0,%d)", cpu, ix.numCPU)
-	}
-	if fn < 0 || fn >= ix.numFuncs {
-		return 0, fmt.Errorf("percpu: function %d out of range [0,%d)", fn, ix.numFuncs)
-	}
-	a := AddrOf(fn)
-	return atomic.LoadUint64(&ix.cpus[cpu][a.Page].slots[a.Slot]), nil
 }
 
 // Snapshot sums the per-CPU counters into a per-function total vector of

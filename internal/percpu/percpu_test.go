@@ -2,7 +2,9 @@ package percpu
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -220,4 +222,16 @@ func BenchmarkSnapshot3815(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = ix.Snapshot()
 	}
+}
+
+// Get returns the counter for fn on one CPU.
+func (ix *Index) Get(cpu, fn int) (uint64, error) {
+	if cpu < 0 || cpu >= ix.numCPU {
+		return 0, fmt.Errorf("percpu: cpu %d out of range [0,%d)", cpu, ix.numCPU)
+	}
+	if fn < 0 || fn >= ix.numFuncs {
+		return 0, fmt.Errorf("percpu: function %d out of range [0,%d)", fn, ix.numFuncs)
+	}
+	a := AddrOf(fn)
+	return atomic.LoadUint64(&ix.cpus[cpu][a.Page].slots[a.Slot]), nil
 }

@@ -45,19 +45,11 @@ type metrics struct {
 
 	// Sampled PruneStats aggregates: every pruneSampleEvery-th TopK
 	// request sets Stats on its core.Query (same call, same view, same
-	// hits; only the counters are extra) and accumulates its first
-	// query's counters here.
-	pruneTick             atomic.Uint64 // TopK requests seen by the sampler
-	pruneSamples          atomic.Uint64
-	pruneSegments         atomic.Int64
-	pruneSegmentsPruned   atomic.Int64
-	pruneSegmentsScanned  atomic.Int64
-	pruneCandidates       atomic.Int64
-	pruneCandidatesScored atomic.Int64
-	pruneDimsConsidered   atomic.Int64
-	pruneDimsSkipped      atomic.Int64
-	pruneBlocksConsidered atomic.Int64
-	pruneBlocksSkipped    atomic.Int64
+	// hits; only the counters are extra) and adds its first query's
+	// counters to prune under pruneMu.
+	pruneTick atomic.Uint64 // TopK requests seen by the sampler
+	pruneMu   sync.Mutex
+	prune     PruneAggr
 
 	// scrapeMu guards the previous-scrape water marks the windowed QPS
 	// is computed from.
@@ -101,17 +93,18 @@ func (m *metrics) observeBatch(n int) {
 }
 
 // observePrune accumulates one sampled query's pruning counters.
-func (m *metrics) observePrune(st core.PruneStats) {
-	m.pruneSamples.Add(1)
-	m.pruneSegments.Add(st.Segments)
-	m.pruneSegmentsPruned.Add(st.SegmentsPruned)
-	m.pruneSegmentsScanned.Add(st.SegmentsScanned)
-	m.pruneCandidates.Add(st.Candidates)
-	m.pruneCandidatesScored.Add(st.CandidatesScored)
-	m.pruneDimsConsidered.Add(st.DimsConsidered)
-	m.pruneDimsSkipped.Add(st.DimsSkipped)
-	m.pruneBlocksConsidered.Add(st.BlocksConsidered)
-	m.pruneBlocksSkipped.Add(st.BlocksSkipped)
+func (m *metrics) observePrune(st *core.PruneStats) {
+	m.pruneMu.Lock()
+	m.prune.Samples++
+	m.prune.Add(st)
+	m.pruneMu.Unlock()
+}
+
+// prunedSum returns the sampled PruneStats aggregate so far.
+func (m *metrics) prunedSum() PruneAggr {
+	m.pruneMu.Lock()
+	defer m.pruneMu.Unlock()
+	return m.prune
 }
 
 // latencyQuantile estimates the q-quantile (0 < q <= 1) of the request
@@ -180,18 +173,11 @@ type MetricsSnapshot struct {
 	Prune          PruneAggr `json:"prune_sampled"`
 }
 
-// PruneAggr is the sampled PruneStats aggregate in MetricsSnapshot.
+// PruneAggr is the sampled PruneStats aggregate in MetricsSnapshot:
+// the sum of Samples queries' counters.
 type PruneAggr struct {
-	Samples          uint64 `json:"samples"`
-	Segments         int64  `json:"segments"`
-	SegmentsPruned   int64  `json:"segments_pruned"`
-	SegmentsScanned  int64  `json:"segments_scanned"`
-	Candidates       int64  `json:"candidates"`
-	CandidatesScored int64  `json:"candidates_scored"`
-	DimsConsidered   int64  `json:"dims_considered"`
-	DimsSkipped      int64  `json:"dims_skipped"`
-	BlocksConsidered int64  `json:"blocks_considered"`
-	BlocksSkipped    int64  `json:"blocks_skipped"`
+	Samples uint64 `json:"samples"`
+	core.PruneStats
 }
 
 // snapshot renders the current counters. The windowed QPS compares
@@ -239,18 +225,7 @@ func (m *metrics) snapshot(db *core.DB, queueDepth, queueCap int) MetricsSnapsho
 		QPSSinceScrape:   windowQPS,
 		LatencyP50US:     m.latencyQuantile(0.50),
 		LatencyP99US:     m.latencyQuantile(0.99),
-		Prune: PruneAggr{
-			Samples:          m.pruneSamples.Load(),
-			Segments:         m.pruneSegments.Load(),
-			SegmentsPruned:   m.pruneSegmentsPruned.Load(),
-			SegmentsScanned:  m.pruneSegmentsScanned.Load(),
-			Candidates:       m.pruneCandidates.Load(),
-			CandidatesScored: m.pruneCandidatesScored.Load(),
-			DimsConsidered:   m.pruneDimsConsidered.Load(),
-			DimsSkipped:      m.pruneDimsSkipped.Load(),
-			BlocksConsidered: m.pruneBlocksConsidered.Load(),
-			BlocksSkipped:    m.pruneBlocksSkipped.Load(),
-		},
+		Prune:            m.prunedSum(),
 	}
 	if batches > 0 {
 		snap.MeanBatchSize = float64(queries) / float64(batches)

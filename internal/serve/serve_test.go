@@ -199,15 +199,7 @@ func coalescedBitIdentical(t *testing.T, every int) {
 			t.Fatal(err)
 		}
 		if i < requests {
-			first.Segments += st.Segments
-			first.SegmentsPruned += st.SegmentsPruned
-			first.SegmentsScanned += st.SegmentsScanned
-			first.Candidates += st.Candidates
-			first.CandidatesScored += st.CandidatesScored
-			first.DimsConsidered += st.DimsConsidered
-			first.DimsSkipped += st.DimsSkipped
-			first.BlocksConsidered += st.BlocksConsidered
-			first.BlocksSkipped += st.BlocksSkipped
+			first.Add(&st)
 		}
 		label, err := db.ClassifySparse(sigs[i*3].W, k, core.CosineMetric())
 		if err != nil {
@@ -761,5 +753,24 @@ func BenchmarkServeTopKParallel(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// TestMetricsPruneKeys pins the /metrics prune_sampled object byte for
+// byte: its keys come from core.PruneStats' json tags after Samples.
+func TestMetricsPruneKeys(t *testing.T) {
+	b, err := json.Marshal(MetricsSnapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"samples":0,"segments":0,"segments_pruned":0,"segments_scanned":0,` +
+		`"candidates":0,"candidates_scored":0,"dims_considered":0,"dims_skipped":0,` +
+		`"blocks_considered":0,"blocks_skipped":0}`
+	if got := string(top["prune_sampled"]); got != want {
+		t.Errorf("prune_sampled = %s\nwant %s", got, want)
 	}
 }

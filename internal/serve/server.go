@@ -233,7 +233,7 @@ func (s *Server) run(ctx context.Context, q *core.Query) error {
 	}
 	s.met.observeBatch(len(q.Queries))
 	if len(q.Stats) > 0 {
-		s.met.observePrune(q.Stats[0])
+		s.met.observePrune(&q.Stats[0])
 	}
 	return nil
 }

@@ -2,20 +2,18 @@ package trace
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/kernel"
 )
 
 // SharedAtomic is an ablation backend: a single shared counter array
-// updated with atomic read-modify-write from every CPU. It produces the
-// same counts as Fmeter but pays cross-core cache-coherency traffic on
-// every increment — the cost the paper's per-CPU design (Figure 3) exists
-// to avoid ("lock-free constructs do not absolve such atomic operations
-// from generating expensive cache-coherency traffic").
+// updated with atomic read-modify-write from every CPU. It would produce
+// the same counts as Fmeter but pays cross-core cache-coherency traffic
+// on every increment — the cost the paper's per-CPU design (Figure 3)
+// exists to avoid ("lock-free constructs do not absolve such atomic
+// operations from generating expensive cache-coherency traffic"). Only
+// that cost is modelled, so it keeps no counters.
 type SharedAtomic struct {
-	counts    []uint64
-	numCPU    int
 	perCallNS float64
 }
 
@@ -30,8 +28,6 @@ func NewSharedAtomic(st *kernel.SymbolTable, numCPU int) (*SharedAtomic, error) 
 		return nil, fmt.Errorf("trace: numCPU %d must be >= 1", numCPU)
 	}
 	return &SharedAtomic{
-		counts:    make([]uint64, st.Len()),
-		numCPU:    numCPU,
 		perCallNS: SharedAtomicBaseNS + SharedAtomicCoherencyPerCPUNS*float64(numCPU),
 	}, nil
 }
@@ -39,26 +35,12 @@ func NewSharedAtomic(st *kernel.SymbolTable, numCPU int) (*SharedAtomic, error) 
 // Name implements kernel.Backend.
 func (s *SharedAtomic) Name() string { return "shared-atomic" }
 
-// OnCalls implements kernel.Backend.
-func (s *SharedAtomic) OnCalls(_ int, fn kernel.FuncID, n uint64) {
-	if fn < 0 || int(fn) >= len(s.counts) {
-		return
-	}
-	atomic.AddUint64(&s.counts[fn], n)
-}
+// OnCalls implements kernel.Backend; the shared counts are not kept.
+func (s *SharedAtomic) OnCalls(int, kernel.FuncID, uint64) {}
 
 // PerCallOverheadNS implements kernel.Backend: base atomic cost plus
 // coherency traffic proportional to the number of contending CPUs.
 func (s *SharedAtomic) PerCallOverheadNS(int, kernel.FuncID) float64 { return s.perCallNS }
-
-// Snapshot returns the shared counter totals.
-func (s *SharedAtomic) Snapshot() []uint64 {
-	out := make([]uint64, len(s.counts))
-	for i := range s.counts {
-		out[i] = atomic.LoadUint64(&s.counts[i])
-	}
-	return out
-}
 
 // HotCacheFmeter is the §6 future-work variant: a small fast cache holds
 // the counters of the top-N hottest functions, lowering their stub cost

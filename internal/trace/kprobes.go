@@ -20,14 +20,13 @@ const (
 
 // Kprobes is the instrumentation path the paper rejects in §3: grafting
 // breakpoint instructions at runtime via the Kernel Dynamic Probes
-// subsystem. It produces exactly the same counts as the Fmeter backend —
-// the information content is identical — but every call pays a trap,
-// handler dispatch, and single-step, which is why Fmeter builds on the
-// mcount machinery instead ("unlike Kprobes which incur runtime
+// subsystem. It would produce exactly the same counts as the Fmeter
+// backend — the information content is identical — but every call pays a
+// trap, handler dispatch, and single-step, which is why Fmeter builds on
+// the mcount machinery instead ("unlike Kprobes which incur runtime
 // overhead ... Ftrace shifts most of the overhead to kernel compile
-// time").
+// time"). Only that cost is modelled, so it keeps no counters.
 type Kprobes struct {
-	inner     *Fmeter
 	perCallNS float64
 }
 
@@ -35,31 +34,21 @@ var _ kernel.Backend = (*Kprobes)(nil)
 
 // NewKprobes builds the kprobes-based counting backend.
 func NewKprobes(st *kernel.SymbolTable, numCPU int) (*Kprobes, error) {
-	inner, err := NewFmeter(st, numCPU)
-	if err != nil {
-		return nil, fmt.Errorf("trace: kprobes: %w", err)
+	if st == nil {
+		return nil, fmt.Errorf("trace: kprobes: nil symbol table")
 	}
-	return &Kprobes{
-		inner:     inner,
-		perCallNS: KprobeTrapNS + KprobeHandlerNS + KprobeSingleStepNS,
-	}, nil
+	if numCPU < 1 {
+		return nil, fmt.Errorf("trace: kprobes: numCPU %d must be >= 1", numCPU)
+	}
+	return &Kprobes{perCallNS: KprobeTrapNS + KprobeHandlerNS + KprobeSingleStepNS}, nil
 }
 
 // Name implements kernel.Backend.
 func (k *Kprobes) Name() string { return "kprobes" }
 
-// OnCalls implements kernel.Backend; the handler updates the same per-CPU
-// counter structure Fmeter uses.
-func (k *Kprobes) OnCalls(cpu int, fn kernel.FuncID, n uint64) {
-	k.inner.OnCalls(cpu, fn, n)
-}
+// OnCalls implements kernel.Backend; the probes' counts are not kept.
+func (k *Kprobes) OnCalls(int, kernel.FuncID, uint64) {}
 
 // PerCallOverheadNS implements kernel.Backend: trap + handler +
 // single-step on every probed call.
 func (k *Kprobes) PerCallOverheadNS(int, kernel.FuncID) float64 { return k.perCallNS }
-
-// Snapshot returns the per-function invocation totals.
-func (k *Kprobes) Snapshot() []uint64 { return k.inner.Snapshot() }
-
-// Reset zeroes the counters.
-func (k *Kprobes) Reset() { k.inner.Reset() }

@@ -6,29 +6,6 @@ import (
 	"repro/internal/kernel"
 )
 
-func TestKprobesCountsMatchFmeter(t *testing.T) {
-	st := kernel.NewSymbolTable()
-	kp, err := NewKprobes(st, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := NewFmeter(st, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		fn := kernel.FuncID(i * 7 % st.Len())
-		kp.OnCalls(i%4, fn, uint64(i))
-		fm.OnCalls(i%4, fn, uint64(i))
-	}
-	ks, fs := kp.Snapshot(), fm.Snapshot()
-	for i := range ks {
-		if ks[i] != fs[i] {
-			t.Fatalf("counts diverge at %d: %d vs %d", i, ks[i], fs[i])
-		}
-	}
-}
-
 func TestKprobesCostDwarfsFmeter(t *testing.T) {
 	st := kernel.NewSymbolTable()
 	kp, err := NewKprobes(st, 4)
@@ -51,23 +28,13 @@ func TestKprobesCostDwarfsFmeter(t *testing.T) {
 	if kp.PerCallOverheadNS(0, 0) <= ft.PerCallOverheadNS(0, 0) {
 		t.Error("kprobes should cost more per call than ftrace")
 	}
-}
-
-func TestKprobesReset(t *testing.T) {
-	st := kernel.NewSymbolTable()
-	kp, err := NewKprobes(st, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp.OnCalls(0, 3, 9)
-	kp.Reset()
-	if got := kp.Snapshot()[3]; got != 0 {
-		t.Errorf("count after reset = %d", got)
-	}
 	if kp.Name() != "kprobes" {
 		t.Errorf("Name = %q", kp.Name())
 	}
 	if _, err := NewKprobes(nil, 1); err == nil {
 		t.Error("nil table should fail")
+	}
+	if _, err := NewKprobes(st, 0); err == nil {
+		t.Error("0 CPUs should fail")
 	}
 }

@@ -106,10 +106,6 @@ func (f *Fmeter) Snapshot() []uint64 { return f.idx.Snapshot() }
 // Reset zeroes all counters.
 func (f *Fmeter) Reset() { f.idx.Reset() }
 
-// Index exposes the underlying per-CPU index (read-mostly; used by tests
-// and the debugfs serializer).
-func (f *Fmeter) Index() *percpu.Index { return f.idx }
-
 // CountersPath is the debugfs node exporting the counters.
 const CountersPath = "fmeter/counters"
 

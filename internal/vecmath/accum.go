@@ -55,6 +55,3 @@ func (a *Accumulator) ScatterMulAdd(q float64, ids []int32, ws []float64) {
 // Get returns candidate id's accumulated sum, an exact zero when the
 // candidate was not touched since the last Reset.
 func (a *Accumulator) Get(id int) float64 { return a.acc[id] }
-
-// Len returns the candidate count of the last Reset.
-func (a *Accumulator) Len() int { return len(a.acc) }

@@ -91,3 +91,6 @@ func TestAccumulatorMismatchedPostingsPanics(t *testing.T) {
 	a.Reset(1)
 	a.ScatterMulAdd(1, []int32{0}, []float64{1, 2})
 }
+
+// Len returns the candidate count of the last Reset.
+func (a *Accumulator) Len() int { return len(a.acc) }

@@ -90,32 +90,6 @@ func SparseFromSortedTrusted(dim int, idx []int32, val []float64, norm2 float64)
 	return &Sparse{dim: dim, idx: idx, val: val, norm2: norm2}
 }
 
-// MapToSparse converts an index → value map (decoded JSON weights) into
-// the array form, sorting the support and dropping explicit zeros so the
-// result honors the minimal-support invariant.
-func MapToSparse(m map[int]float64, dim int) (*Sparse, error) {
-	support := make([]int, 0, len(m))
-	for i := range m {
-		//fmeter:map-order-ok the support is sorted right below
-		support = append(support, i)
-	}
-	sort.Ints(support)
-	s := &Sparse{dim: dim, idx: make([]int32, 0, len(support)), val: make([]float64, 0, len(support))}
-	for _, i := range support {
-		if i < 0 || i >= dim {
-			return nil, fmt.Errorf("vecmath: sparse index %d outside dimension %d", i, dim)
-		}
-		x := m[i]
-		if x == 0 {
-			continue
-		}
-		s.idx = append(s.idx, int32(i))
-		s.val = append(s.val, x)
-		s.norm2 += x * x
-	}
-	return s, nil
-}
-
 // Dim returns the ambient dimension.
 func (s *Sparse) Dim() int { return s.dim }
 
@@ -229,20 +203,6 @@ func (s *Sparse) Unscatter(dst Vector) {
 	}
 }
 
-// SquaredDistance returns ||s - t||^2 via the cached norms:
-// ||s||^2 - 2 s·t + ||t||^2, clamped at zero against cancellation noise.
-// This costs O(nnz) but is NOT bit-identical to the dense subtract-square
-// loop; callers that need exact dense agreement must use the dense path.
-//
-//fmeter:noalloc
-func (s *Sparse) SquaredDistance(t *Sparse) float64 {
-	d2 := s.norm2 - 2*s.Dot(t) + t.norm2
-	if d2 < 0 {
-		return 0
-	}
-	return d2
-}
-
 // SquaredDistanceDense returns ||s - v||^2 where v's squared norm vNorm2
 // was precomputed by the caller (K-means recomputes centroid norms once
 // per Lloyd iteration, then scores every point against them in O(nnz)).
@@ -254,33 +214,6 @@ func (s *Sparse) SquaredDistanceDense(v Vector, vNorm2 float64) float64 {
 		return 0
 	}
 	return d2
-}
-
-// Euclidean returns the L2 distance to t (via the norm identity).
-func (s *Sparse) Euclidean(t *Sparse) float64 { return math.Sqrt(s.SquaredDistance(t)) }
-
-// Cosine returns the cosine similarity with t, clamped into [-1, 1]. Both
-// the dot product and the cached norms accumulate in ascending index
-// order, so the result is bit-identical to the dense Cosine.
-func (s *Sparse) Cosine(t *Sparse) float64 {
-	if s.norm2 == 0 || t.norm2 == 0 {
-		return 0
-	}
-	c := s.Dot(t) / (math.Sqrt(s.norm2) * math.Sqrt(t.norm2))
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return c
-}
-
-// Clone returns a deep copy of s.
-func (s *Sparse) Clone() *Sparse {
-	out := &Sparse{dim: s.dim, idx: make([]int32, len(s.idx)), val: make([]float64, len(s.val)), norm2: s.norm2}
-	copy(out.idx, s.idx)
-	copy(out.val, s.val)
-	return out
 }
 
 // Support returns the sorted non-zero indices backing s. The slice is
@@ -324,20 +257,6 @@ func (s *Sparse) ForEachUnion(t *Sparse, fn func(i int, x, y float64)) {
 			c++
 		}
 	}
-}
-
-// Scale multiplies every stored value by a in place and returns s. The
-// cached norm is re-accumulated in index order so it stays bit-identical
-// to a fresh extraction of the scaled dense vector. Scaling by zero
-// leaves an all-zero support; callers that rely on minimal supports
-// should avoid it (signatures never scale by zero).
-func (s *Sparse) Scale(a float64) *Sparse {
-	s.norm2 = 0
-	for k := range s.val {
-		s.val[k] *= a
-		s.norm2 += s.val[k] * s.val[k]
-	}
-	return s
 }
 
 // Normalize scales s in place to unit L2 norm and returns s, exactly like

@@ -33,18 +33,6 @@ func (v Vector) Clone() Vector {
 // Dim returns the dimensionality of v.
 func (v Vector) Dim() int { return len(v) }
 
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s, nil
-}
-
 // Norm returns the Lp norm of v. p must be >= 1; p = math.Inf(1) yields the
 // Chebyshev (max) norm.
 func (v Vector) Norm(p float64) float64 {
@@ -97,28 +85,6 @@ func (v Vector) Normalize() Vector {
 // Normalized returns a unit-L2-norm copy of v.
 func (v Vector) Normalized() Vector { return v.Clone().Normalize() }
 
-// Add accumulates w into v in place.
-func (v Vector) Add(w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	for i := range v {
-		v[i] += w[i]
-	}
-	return nil
-}
-
-// Sub subtracts w from v in place.
-func (v Vector) Sub(w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	for i := range v {
-		v[i] -= w[i]
-	}
-	return nil
-}
-
 // Scale multiplies every component of v by a in place and returns v.
 func (v Vector) Scale(a float64) Vector {
 	for i := range v {
@@ -134,16 +100,6 @@ func (v Vector) Equal(w Vector, eps float64) bool {
 	}
 	for i := range v {
 		if math.Abs(v[i]-w[i]) > eps {
-			return false
-		}
-	}
-	return true
-}
-
-// IsZero reports whether every component of v is exactly zero.
-func (v Vector) IsZero() bool {
-	for _, x := range v {
-		if x != 0 {
 			return false
 		}
 	}
@@ -217,27 +173,4 @@ func Cosine(x, y Vector) (float64, error) {
 		c = -1
 	}
 	return c, nil
-}
-
-// Mean returns the component-wise mean of vs. All vectors must share a
-// dimension; an empty input returns an error.
-func Mean(vs []Vector) (Vector, error) {
-	if len(vs) == 0 {
-		return nil, errors.New("vecmath: mean of empty vector set")
-	}
-	dim := len(vs[0])
-	out := NewVector(dim)
-	for _, v := range vs {
-		if len(v) != dim {
-			return nil, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), dim)
-		}
-		for i, x := range v {
-			out[i] += x
-		}
-	}
-	inv := 1 / float64(len(vs))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out, nil
 }

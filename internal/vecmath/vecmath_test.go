@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -369,4 +370,71 @@ func BenchmarkEuclidean3800(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = Euclidean(x, y)
 	}
+}
+
+// Dot returns the inner product of v and w.
+func (v Vector) Dot(w Vector) (float64, error) {
+	if len(v) != len(w) {
+		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
+	}
+	var s float64
+	for i, x := range v {
+		s += x * w[i]
+	}
+	return s, nil
+}
+
+// Add accumulates w into v in place.
+func (v Vector) Add(w Vector) error {
+	if len(v) != len(w) {
+		return fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
+	}
+	for i := range v {
+		v[i] += w[i]
+	}
+	return nil
+}
+
+// Sub subtracts w from v in place.
+func (v Vector) Sub(w Vector) error {
+	if len(v) != len(w) {
+		return fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
+	}
+	for i := range v {
+		v[i] -= w[i]
+	}
+	return nil
+}
+
+// IsZero reports whether every component of v is exactly zero.
+func (v Vector) IsZero() bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Mean returns the component-wise mean of vs. All vectors must share a
+// dimension; an empty input returns an error.
+func Mean(vs []Vector) (Vector, error) {
+	if len(vs) == 0 {
+		return nil, errors.New("vecmath: mean of empty vector set")
+	}
+	dim := len(vs[0])
+	out := NewVector(dim)
+	for _, v := range vs {
+		if len(v) != dim {
+			return nil, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), dim)
+		}
+		for i, x := range v {
+			out[i] += x
+		}
+	}
+	inv := 1 / float64(len(vs))
+	for i := range out {
+		out[i] *= inv
+	}
+	return out, nil
 }

@@ -157,9 +157,6 @@ func NewRunner(eng *kernel.Engine, spec Spec, seed int64) (*Runner, error) {
 	}, nil
 }
 
-// Spec returns the runner's workload spec.
-func (r *Runner) Spec() Spec { return r.spec }
-
 // RunInterval executes one monitoring interval of virtual duration d:
 // every op in the mix runs rate×seconds times, modulated by drift and
 // jitter, and user-mode time is charged. It returns the total virtual

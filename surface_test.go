@@ -6,13 +6,16 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 var updateSurface = flag.Bool("update", false, "rewrite testdata/surface.golden from the source")
@@ -162,193 +165,272 @@ func TestSurfaceFrozen(t *testing.T) {
 	t.Errorf("the configuration surface differs from %s; if the change is deliberate (ROADMAP: a workload on which the new value wins), rerun with -update", golden)
 }
 
-// stdlibMethods are the method names a standard-library interface calls
-// (error, fmt.Stringer, errors.Unwrap, sort.Interface, ...): a type in
-// internal/ implements them for code outside the tree, so no call to
-// them appears in the tree's sources.
-var stdlibMethods = map[string]bool{
-	"Error":  true,
-	"String": true,
-	"Unwrap": true,
-}
+// loadTree type-checks both modules of the tree — this one and bench/ —
+// with their tests, once for the use tests below.
+var loadTree = sync.OnceValues(func() ([]*lint.Package, error) {
+	root, err := lint.LoadTests(".", "./...")
+	if err != nil {
+		return nil, err
+	}
+	bench, err := lint.LoadTests("bench", "./...")
+	return append(root, bench...), err
+})
 
-// forEachSource parses every non-test .go file in the tree — bench/ and
-// examples/ included, testdata/ and dot-directories skipped — and hands
-// fn its slash-separated path and syntax tree.
-func forEachSource(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+func treePackages(t *testing.T) []*lint.Package {
 	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		fn(filepath.ToSlash(path), f)
-		return nil
-	})
+	pkgs, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pkgs
 }
 
-// TestInternalExportsHaveCallers holds every exported function and
-// method declared in a non-test internal/ file to a production caller:
-// some non-test .go file in the tree, bench/ and examples/ included,
-// must use its name other than in a function declaration. The check is
-// by name, so a name shared with a used declaration passes; it still
-// catches code that only its own tests reach, which belongs in a
-// _test.go file or nowhere.
-func TestInternalExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	type decl struct{ name, pos string }
-	var decls []decl
-	used := map[string]bool{}
-	forEachSource(t, fset, func(path string, f *ast.File) {
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(path, "internal/") && !stdlibMethods[fd.Name.Name] {
-				decls = append(decls, decl{fd.Name.Name, fset.Position(fd.Name.Pos()).String()})
+// isTestFile reports whether the file holding pos is a _test.go file.
+func isTestFile(pkg *lint.Package, pos token.Pos) bool {
+	return strings.HasSuffix(pkg.Fset.File(pos).Name(), "_test.go")
+}
+
+// visiblePackages returns pkg and every package its imports reach.
+func visiblePackages(pkg *types.Package) []*types.Package {
+	seen := map[*types.Package]bool{}
+	var out []*types.Package
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		out = append(out, p)
+		for _, im := range p.Imports() {
+			walk(im)
+		}
+	}
+	walk(pkg)
+	return out
+}
+
+// interfaceMethods returns the FullName of every method declared in
+// the tree whose receiver implements an interface, visible from some
+// package of the tree, that has the method: code outside the tree
+// (sort.Sort, fmt, net/http) or a dynamic call through the interface
+// reaches it, so no use of it shows in the sources.
+func interfaceMethods(pkgs []*lint.Package, inTree map[string]bool) map[string]bool {
+	out := map[string]bool{}
+	for _, pkg := range pkgs {
+		var ifaces []*types.Interface
+		var named []*types.Named
+		for _, p := range visiblePackages(pkg.Pkg) {
+			for _, name := range p.Scope().Names() {
+				tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() {
+					continue
+				}
+				n, ok := tn.Type().(*types.Named)
+				if !ok || n.TypeParams().Len() > 0 {
+					continue
+				}
+				if it, ok := n.Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				} else if inTree[p.Path()] {
+					named = append(named, n)
+				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+		for _, tv := range pkg.Info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
 			}
-			return true
-		})
-	})
-	for _, d := range decls {
-		if !used[d.name] {
-			t.Errorf("%s: %s has no caller outside _test.go files; move it into one or delete it", d.pos, d.name)
+		}
+		for _, n := range named {
+			for i := range n.NumMethods() {
+				m := n.Method(i)
+				if out[m.FullName()] {
+					continue
+				}
+				for _, it := range ifaces {
+					if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, m.Name()); obj == nil {
+						continue
+					}
+					if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+						out[m.FullName()] = true
+						break
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestFunctionsHaveCallers holds every function and method declared in
+// a non-test file of the tree — the facade, internal/, cmd/,
+// examples/ and bench/ — to a use, resolved by type (a *types.Func's
+// FullName, so a method does not pass on a same-named function's
+// calls): from code reachable from outside any function, or from
+// another package's tests (a fixture that cannot live in a _test.go
+// file). Reachability runs to a fixpoint: a use inside a function that
+// nothing reaches does not count. A function only its own package's
+// tests use belongs in a _test.go file; one nothing uses, nowhere.
+// main, init, Error, String, Unwrap and methods that implement an
+// interface with the method are used from outside the tree.
+func TestFunctionsHaveCallers(t *testing.T) {
+	pkgs := treePackages(t)
+	type decl struct {
+		pos token.Position
+		dir string
+	}
+	decls := map[string]decl{}
+	inTree := map[string]bool{}
+	calls := map[string][]string{}           // FullName of a function, or "" for package scope → what it uses
+	testUses := map[string]map[string]bool{} // FullName → directories whose tests use it
+	for _, pkg := range pkgs {
+		inTree[pkg.Pkg.Path()] = true
+		for _, f := range pkg.Files {
+			test := isTestFile(pkg, f.Pos())
+			dir := filepath.Dir(pkg.Fset.File(f.Pos()).Name())
+			for _, d := range f.Decls {
+				from := ""
+				if fd, ok := d.(*ast.FuncDecl); ok && !test {
+					from = pkg.Info.Defs[fd.Name].(*types.Func).FullName()
+					decls[from] = decl{pkg.Fset.Position(fd.Name.Pos()), dir}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := pkg.Info.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					used := fn.Origin().FullName()
+					switch {
+					case test:
+						if testUses[used] == nil {
+							testUses[used] = map[string]bool{}
+						}
+						testUses[used][dir] = true
+					case used != from:
+						calls[from] = append(calls[from], used)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	live := map[string]bool{}
+	var reach func(name string)
+	reach = func(name string) {
+		if live[name] {
+			return
+		}
+		live[name] = true
+		for _, c := range calls[name] {
+			reach(c)
+		}
+	}
+	reach("")
+	exempt := interfaceMethods(pkgs, inTree)
+	for name, d := range decls {
+		short := name[strings.LastIndexByte(name, '.')+1:]
+		method := strings.HasPrefix(name, "(")
+		fixture := false
+		for dir := range testUses[name] {
+			fixture = fixture || dir != d.dir
+		}
+		if fixture || exempt[name] || (!method && (short == "main" || short == "init")) ||
+			(method && (short == "Error" || short == "String" || short == "Unwrap")) {
+			reach(name)
+		}
+	}
+
+	var dead []string
+	for name := range decls {
+		if !live[name] {
+			dead = append(dead, name)
+		}
+	}
+	sort.Strings(dead)
+	for _, name := range dead {
+		d := decls[name]
+		if testUses[name][d.dir] {
+			t.Errorf("%s: %s is used only by its own package's tests; move it into a _test.go file", d.pos, name)
+		} else {
+			t.Errorf("%s: %s has no use; delete it", d.pos, name)
 		}
 	}
 }
 
-// configStructs are the settings structs whose every field must have a
-// caller: the file that declares each, its package's directory, and
-// the type names a caller outside that package writes.
-var configStructs = []struct {
-	name, file, pkg string
-	spellings       []string
-}{
-	{"fmeter.Config", "fmeter.go", ".", []string{"fmeter.Config"}},
-	{"serve.Config", "internal/serve/server.go", "internal/serve", []string{"serve.Config", "fmeter.ServeConfig"}},
+// configTypes are the settings structs whose every field must be set
+// by a caller outside the declaring package: a field nobody sets has
+// one value in use and belongs in a constant.
+var configTypes = []struct{ path, name string }{
+	{"repro", "Config"},
+	{"repro/internal/serve", "Config"},
 }
 
 // TestConfigFieldsHaveCallers holds every field of fmeter.Config and
-// serve.Config to a caller that sets it: some non-test .go file outside
+// serve.Config to a caller that sets it: some non-test file outside
 // the declaring package (whose own defaulting does not count), bench/
-// and examples/ included, must name the field as a key of a composite
-// literal of the type or assign it through a variable or parameter the
-// file declares with the type. A field nobody sets has one value in use
-// and belongs in a constant.
+// and examples/ included, names the field — resolved by type, to the
+// struct's *types.Var — as a composite-literal key or an assignment
+// target.
 func TestConfigFieldsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	typeName := func(e ast.Expr) string {
-		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = u.X
-		}
-		if cl, ok := e.(*ast.CompositeLit); ok {
-			e = cl.Type
-		}
-		if st, ok := e.(*ast.StarExpr); ok {
-			e = st.X
-		}
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok {
-				return x.Name + "." + sel.Sel.Name
-			}
-		}
-		return ""
-	}
-	set := map[string]bool{} // "<struct>.<field>"
-	forEachSource(t, fset, func(path string, f *ast.File) {
-		for _, cs := range configStructs {
-			if filepath.Dir(path) == cs.pkg {
-				continue
-			}
-			isType := func(e ast.Expr) bool { return slices.Contains(cs.spellings, typeName(e)) }
-			// Names the file binds to a value of the type, met in source
-			// order: a parameter, a typed var, or x := T{...} / &T{...}.
-			vars := map[string]bool{}
-			bind := func(ids ...*ast.Ident) {
-				for _, id := range ids {
-					vars[id.Name] = true
+	pkgs := treePackages(t)
+	set := map[string]bool{} // "<path>.<type>.<field>"
+	for _, pkg := range pkgs {
+		for _, p := range visiblePackages(pkg.Pkg) {
+			for _, ct := range configTypes {
+				if p.Path() != ct.path || pkg.Pkg.Path() == ct.path {
+					continue
 				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					if isType(n.Type) {
-						for _, el := range n.Elts {
-							if kv, ok := el.(*ast.KeyValueExpr); ok {
-								if id, ok := kv.Key.(*ast.Ident); ok {
-									set[cs.name+"."+id.Name] = true
+				st := p.Scope().Lookup(ct.name).Type().Underlying().(*types.Struct)
+				fields := map[types.Object]bool{}
+				for i := range st.NumFields() {
+					fields[st.Field(i)] = true
+				}
+				mark := func(e ast.Expr) {
+					if sel, ok := e.(*ast.SelectorExpr); ok {
+						e = sel.Sel
+					}
+					if id, ok := e.(*ast.Ident); ok && fields[pkg.Info.Uses[id]] {
+						set[ct.path+"."+ct.name+"."+id.Name] = true
+					}
+				}
+				for _, f := range pkg.Files {
+					if isTestFile(pkg, f.Pos()) {
+						continue
+					}
+					ast.Inspect(f, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.KeyValueExpr:
+							mark(n.Key)
+						case *ast.AssignStmt:
+							for _, lhs := range n.Lhs {
+								if _, ok := lhs.(*ast.SelectorExpr); ok {
+									mark(lhs)
 								}
 							}
 						}
-					}
-				case *ast.Field:
-					if isType(n.Type) {
-						bind(n.Names...)
-					}
-				case *ast.ValueSpec:
-					if n.Type != nil && isType(n.Type) {
-						bind(n.Names...)
-					}
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						switch lhs := lhs.(type) {
-						case *ast.Ident:
-							if n.Tok == token.DEFINE && len(n.Rhs) == len(n.Lhs) && isType(n.Rhs[i]) {
-								bind(lhs)
-							}
-						case *ast.SelectorExpr:
-							if x, ok := lhs.X.(*ast.Ident); ok && vars[x.Name] {
-								set[cs.name+"."+lhs.Sel.Name] = true
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-	})
-	for _, cs := range configStructs {
-		f, err := parser.ParseFile(fset, cs.file, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := cs.name[strings.IndexByte(cs.name, '.')+1:]
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != name {
-				return true
-			}
-			for _, fl := range ts.Type.(*ast.StructType).Fields.List {
-				for _, id := range fl.Names {
-					if !set[cs.name+"."+id.Name] {
-						t.Errorf("%s: %s.%s has no caller that sets it; make it a constant or delete it", fset.Position(id.Pos()), cs.name, id.Name)
-					}
+						return true
+					})
 				}
 			}
-			return false
-		})
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, ct := range configTypes {
+			if pkg.Pkg.Path() != ct.path {
+				continue
+			}
+			st := pkg.Pkg.Scope().Lookup(ct.name).Type().Underlying().(*types.Struct)
+			for i := range st.NumFields() {
+				v := st.Field(i)
+				if !set[ct.path+"."+ct.name+"."+v.Name()] {
+					t.Errorf("%s: %s.%s.%s has no caller that sets it; make it a constant or delete it", pkg.Fset.Position(v.Pos()), ct.path, ct.name, v.Name())
+				}
+			}
+		}
 	}
 }

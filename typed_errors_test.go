@@ -38,8 +38,8 @@ func TestConfigErrorAsFromFacade(t *testing.T) {
 			_, err = c.Fit()
 			return err
 		}},
-		{"TopTerms bad k", func() error {
-			_, err := TopTerms(Signature{}, 0, nil)
+		{"Contrast without weights", func() error {
+			_, err := Contrast(Signature{}, Signature{}, 1, nil)
 			return err
 		}},
 	}
