@@ -28,6 +28,28 @@ func TestKprobesCostDwarfsFmeter(t *testing.T) {
 	if kp.PerCallOverheadNS(0, 0) <= ft.PerCallOverheadNS(0, 0) {
 		t.Error("kprobes should cost more per call than ftrace")
 	}
+}
+
+// TestKprobesReset checks that Kprobes holds no state to reset: after
+// recording calls it behaves exactly like a freshly built backend.
+func TestKprobesReset(t *testing.T) {
+	st := kernel.NewSymbolTable()
+	kp, err := NewKprobes(st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewKprobes(st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp.OnCalls(0, 3, 9)
+	kp.OnCalls(1, 3, 1<<20)
+	if *kp != *fresh {
+		t.Errorf("kprobes after OnCalls = %+v, fresh = %+v", *kp, *fresh)
+	}
+	if got, want := kp.PerCallOverheadNS(1, 3), fresh.PerCallOverheadNS(1, 3); got != want {
+		t.Errorf("per-call cost after OnCalls = %v, fresh = %v", got, want)
+	}
 	if kp.Name() != "kprobes" {
 		t.Errorf("Name = %q", kp.Name())
 	}
